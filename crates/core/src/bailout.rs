@@ -11,7 +11,10 @@
 //!   optimization tiers poll; exhaustion becomes a structured
 //!   [`BailoutReason`] instead of unbounded work.
 //! - [`checkpoint`] — `dbds_ir::verify` as a phase checkpoint, mapping
-//!   rejection into [`BailoutReason::VerifierRejected`].
+//!   rejection into [`BailoutReason::VerifierRejected`];
+//!   [`checkpoint_scoped`] — the same rules over the open transaction's
+//!   undo-log footprint only, what the phase runs after every
+//!   duplication.
 //! - [`isolate`] — `catch_unwind` with a panic-hook silencer, converting
 //!   a panicking transformation into
 //!   [`BailoutReason::TransformPanicked`] without spamming stderr.
@@ -30,7 +33,8 @@
 //! other: one unit's fuel exhaustion, deadline miss or contained panic
 //! never charges or silences a neighbor.
 
-use dbds_ir::{BlockId, Graph};
+use dbds_analysis::{AnalysisCache, DomTree};
+use dbds_ir::{BlockId, Dominance, FootprintScratch, Graph, VerifyErrors};
 use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
@@ -255,6 +259,62 @@ impl Budget {
 /// problems.
 pub fn checkpoint(g: &Graph) -> Result<(), BailoutReason> {
     dbds_ir::verify(g).map_err(|e| BailoutReason::VerifierRejected(e.summary()))
+}
+
+/// dbds-analysis' dominator tree as the relation
+/// [`dbds_ir::lint_footprint`] checks against.
+struct TreeDominance<T>(T);
+
+impl<T: std::ops::Deref<Target = DomTree>> Dominance for TreeDominance<T> {
+    fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+        self.0.dominates(a, b)
+    }
+
+    fn idom(&self, b: BlockId) -> Option<BlockId> {
+        self.0.idom(b)
+    }
+}
+
+/// The O(edit) form of [`checkpoint`], for use inside an open
+/// transaction: runs the verifier's error-severity rules over the
+/// innermost transaction's footprint ([`Graph::txn_footprint`]) instead
+/// of the whole graph. `before` must be the dominator tree of `g` as it
+/// was when that transaction opened; the current tree comes from
+/// `cache` (one miss if the transaction changed the CFG, and the next
+/// lookup at this version hits).
+///
+/// Given a graph that passed [`checkpoint`] when the transaction
+/// opened, `Ok` here implies [`checkpoint`] would pass too, except for
+/// the two rules that are not a function of the edited slots (a
+/// reachable block with an unreachable predecessor, control dependence
+/// on a dead edge) — see [`dbds_ir::lint_footprint`]. The phase driver
+/// re-runs the whole-graph [`checkpoint`] once per iteration for those.
+///
+/// # Errors
+///
+/// [`BailoutReason::VerifierRejected`] with a one-line digest, like
+/// [`checkpoint`].
+pub fn checkpoint_scoped(
+    g: &Graph,
+    cache: &mut AnalysisCache,
+    before: &DomTree,
+    scratch: &mut FootprintScratch,
+) -> Result<(), BailoutReason> {
+    let report = dbds_ir::lint_footprint(
+        g,
+        &g.txn_footprint(),
+        scratch,
+        &TreeDominance(before),
+        || TreeDominance(cache.domtree(g)),
+    );
+    let problems: Vec<String> = report.errors().map(|d| d.message.clone()).collect();
+    if problems.is_empty() {
+        Ok(())
+    } else {
+        Err(BailoutReason::VerifierRejected(
+            VerifyErrors { problems }.summary(),
+        ))
+    }
 }
 
 thread_local! {

@@ -101,9 +101,10 @@ pub(crate) mod faultinject {
 
 pub use backtracking::{run_backtracking, BacktrackStats};
 pub use bailout::{
-    checkpoint, isolate, transact, BailoutReason, BailoutRecord, Budget, GuardConfig, Tier,
+    checkpoint, checkpoint_scoped, isolate, transact, BailoutReason, BailoutRecord, Budget,
+    GuardConfig, Tier,
 };
-pub use lint::{lint_frontier, lint_simulation};
+pub use lint::{lint_frontier, lint_frontier_in, lint_simulation};
 pub use par::WorkerLoad;
 pub use phase::{compile, run_dbds, DbdsConfig, OptLevel, PhaseStats, PoolPlan};
 pub use simulation::{

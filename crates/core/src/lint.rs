@@ -15,8 +15,9 @@
 //! merge's dominance frontiers must match a definition-based
 //! recomputation over the forward edges, and — whenever neither block
 //! dominates the other — must be equal to each other. The phase driver
-//! runs it after every applied duplication and rolls the transaction
-//! back on a violation.
+//! runs its cached-tree form [`lint_frontier_in`] after every applied
+//! duplication and rolls the transaction back on a violation; the
+//! from-scratch consistency layer runs once more per iteration.
 
 use crate::simulation::SimulationResult;
 use dbds_analysis::{DomFrontiers, DomTree, PostDomTree};
@@ -121,6 +122,95 @@ fn definition_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
     out
 }
 
+/// `DF(b)` by the Cytron-style join-driven construction, restricted to
+/// one block: every join walks each reachable predecessor's idom chain
+/// up to (exclusive) its own immediate dominator and enters the frontier
+/// of every block on the way — here only `b` is collected. The same walk
+/// [`DomFrontiers`] does for all blocks at once, without needing a
+/// post-dominator tree or the whole table.
+fn join_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
+    let mut out = Vec::new();
+    for &y in dt.reverse_postorder() {
+        if g.preds(y).len() < 2 {
+            continue;
+        }
+        let target = dt.idom(y);
+        'preds: for &p in g.preds(y) {
+            if !dt.is_reachable(p) {
+                continue;
+            }
+            let mut runner = Some(p);
+            while runner != target {
+                let Some(r) = runner else { break };
+                if r == b {
+                    out.push(y);
+                    break 'preds;
+                }
+                runner = dt.idom(r);
+            }
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+fn frontier_violation(copy: BlockId, message: String) -> Diagnostic {
+    Diagnostic::new(LintId::FrontierViolation, Some(copy), None, message)
+}
+
+/// Layer 1 of [`lint_frontier`] for one block: the join-driven frontier
+/// `joins` (from predecessor lists) against the forward-edge
+/// [`definition_frontier`]. Diagnostics anchor to `copy`.
+fn frontier_consistency(
+    g: &Graph,
+    dt: &DomTree,
+    copy: BlockId,
+    b: BlockId,
+    joins: &[BlockId],
+) -> Option<Diagnostic> {
+    let reference = definition_frontier(g, dt, b);
+    (reference != joins).then(|| {
+        frontier_violation(
+            copy,
+            format!(
+                "frontier-violation: {b} has dominance frontier {joins:?} but the edge mirrors say {reference:?}"
+            ),
+        )
+    })
+}
+
+/// Both layers of [`lint_frontier`], given `dt` and a way to get the
+/// join-driven frontier of a block.
+fn frontier_verdict<F: AsRef<[BlockId]>>(
+    g: &Graph,
+    dt: &DomTree,
+    copy: BlockId,
+    merge: BlockId,
+    joins: impl Fn(BlockId) -> F,
+) -> Option<Diagnostic> {
+    // An unreachable merge has an empty frontier by construction, not
+    // by defect.
+    if !dt.is_reachable(merge) {
+        return None;
+    }
+    let (df_copy, df_merge) = (joins(copy), joins(merge));
+    let (df_copy, df_merge) = (df_copy.as_ref(), df_merge.as_ref());
+    if let Some(d) = frontier_consistency(g, dt, copy, copy, df_copy)
+        .or_else(|| frontier_consistency(g, dt, copy, merge, df_merge))
+    {
+        return Some(d);
+    }
+    if !dt.dominates(copy, merge) && !dt.dominates(merge, copy) && df_copy != df_merge {
+        return Some(frontier_violation(
+            copy,
+            format!(
+                "frontier-violation: copy {copy} of {merge} has dominance frontier {df_copy:?} but the merge has {df_merge:?}"
+            ),
+        ));
+    }
+    None
+}
+
 /// The post-duplication dominance-frontier invariant
 /// ([`LintId::FrontierViolation`]), in two layers:
 ///
@@ -141,43 +231,44 @@ fn definition_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
 /// become unreachable (it then has no frontier to compare; a real
 /// duplication never strands a reachable merge, so that case only
 /// arises on hand-mutated graphs).
+///
+/// This is the whole-graph reference form: it builds the dominator
+/// tree, the post-dominator tree and the full frontier table from
+/// scratch. The phase driver's per-duplication check is
+/// [`lint_frontier_in`], which answers from a dominator tree the caller
+/// already has.
 pub fn lint_frontier(g: &Graph, copy: BlockId, merge: BlockId) -> Option<Diagnostic> {
     let dt = DomTree::compute(g);
     let pd = PostDomTree::compute(g);
     let df = DomFrontiers::compute(g, &dt, &pd);
-    // An unreachable merge has an empty frontier by construction, not
-    // by defect.
-    if !dt.is_reachable(merge) {
-        return None;
-    }
-    for b in [copy, merge] {
-        let reference = definition_frontier(g, &dt, b);
-        if reference != df.df(b) {
-            return Some(Diagnostic::new(
-                LintId::FrontierViolation,
-                Some(copy),
-                None,
-                format!(
-                    "frontier-violation: {b} has dominance frontier {:?} but the edge mirrors say {:?}",
-                    df.df(b),
-                    reference
-                ),
-            ));
-        }
-    }
-    if !dt.dominates(copy, merge) && !dt.dominates(merge, copy) && df.df(copy) != df.df(merge) {
-        return Some(Diagnostic::new(
-            LintId::FrontierViolation,
-            Some(copy),
-            None,
-            format!(
-                "frontier-violation: copy {copy} of {merge} has dominance frontier {:?} but the merge has {:?}",
-                df.df(copy),
-                df.df(merge)
-            ),
-        ));
-    }
-    None
+    frontier_verdict(g, &dt, copy, merge, |b| df.df(b))
+}
+
+/// [`lint_frontier`] against a dominator tree the caller already holds
+/// (the phase passes the cached one): only `DF(copy)` and `DF(merge)`
+/// are computed, each by both constructions, with no post-dominator tree
+/// and no whole-graph frontier table. Same verdicts and messages.
+pub fn lint_frontier_in(
+    g: &Graph,
+    dt: &DomTree,
+    copy: BlockId,
+    merge: BlockId,
+) -> Option<Diagnostic> {
+    frontier_verdict(g, dt, copy, merge, |b| join_frontier(g, dt, b))
+}
+
+/// Layer 1 of [`lint_frontier`] over `blocks`, on analyses built from
+/// scratch: the iteration-boundary backstop for the per-duplication
+/// checks, which trusted the cached tree. (Layer 2 only holds
+/// immediately after one duplication.)
+pub(crate) fn lint_frontier_boundary(g: &Graph, blocks: &[BlockId]) -> Option<Diagnostic> {
+    let dt = DomTree::compute(g);
+    let pd = PostDomTree::compute(g);
+    let df = DomFrontiers::compute(g, &dt, &pd);
+    blocks
+        .iter()
+        .filter(|&&b| dt.is_reachable(b))
+        .find_map(|&b| frontier_consistency(g, &dt, b, b, df.df(b)))
 }
 
 #[cfg(test)]

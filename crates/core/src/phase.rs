@@ -9,7 +9,8 @@
 //! merges not yet duplicated.
 
 use crate::bailout::{
-    checkpoint, transact, BailoutReason, BailoutRecord, Budget, GuardConfig, Tier,
+    checkpoint, checkpoint_scoped, transact, BailoutReason, BailoutRecord, Budget, GuardConfig,
+    Tier,
 };
 use crate::faultinject::fault_point;
 use crate::simulation::{
@@ -20,7 +21,7 @@ use crate::tradeoff::{select_with_rejections_parallel, SelectionMode, TradeoffCo
 use crate::transform::{duplicate, try_duplicate, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats};
 use dbds_costmodel::CostModel;
-use dbds_ir::{BlockId, Graph};
+use dbds_ir::{BlockId, Diagnostic, FootprintScratch, Graph, LintId};
 use dbds_opt::{optimize_full, optimize_once, OptKind};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -440,10 +441,12 @@ pub fn run_dbds(
     let mut visited: HashSet<BlockId> = HashSet::new();
     // Whether the phase-level recovery transaction is open. Its
     // `begin_txn` marks are the states known to verify — recommitted and
-    // reopened at every refresh point where the old snapshot-based
-    // recovery took a whole-graph copy — and the final checkpoint rolls
-    // back to the latest mark if the compilation ends on a broken graph.
+    // reopened at every round start and after every round's boundary
+    // check — so the boundary check can roll a whole round back, and the
+    // final checkpoint rolls back to the latest mark if the compilation
+    // ends on a broken graph.
     let mut recovery_open = false;
+    let mut scratch = FootprintScratch::default();
 
     for _ in 0..cfg.max_iterations {
         stats.iterations += 1;
@@ -589,6 +592,9 @@ pub fn run_dbds(
             undo_here += ns;
         }
         let mut stopped = None;
+        // What this round's applied candidates contribute to the stats,
+        // merged only once the round's boundary check has passed.
+        let mut round = RoundTally::default();
         // Blocks mutated by duplications applied earlier this round: the
         // interference footprint the prediction audit classifies failed
         // re-checks against.
@@ -651,42 +657,28 @@ pub fn run_dbds(
                 }
                 guard_here += tg.elapsed().as_nanos();
             }
-            match apply_chain(g, s, checkpoints, &mut guard_here, &mut undo_here) {
+            let guard = checkpoints.then_some(ChainGuard {
+                cache: &mut *cache,
+                scratch: &mut scratch,
+                guard_ns: &mut guard_here,
+                undo_ns: &mut undo_here,
+            });
+            match apply_chain(g, s, guard) {
                 Ok(chain) => {
-                    stats.duplications += chain.duplications;
-                    stats.work += chain.work;
                     mutated.extend(chain.touched.iter().copied());
                     mutated.extend(plan_frontiers[i].iter().copied());
-                    visited.extend(chain.visited);
-                    if s.kind == CandidateKind::BranchSplit {
-                        stats.split_applied += 1;
-                    }
                     cumulative += s.weighted_benefit();
-                    for o in &s.opportunities {
-                        *stats.opportunities.entry(o.kind).or_insert(0) += 1;
-                    }
-                    if checkpoints {
-                        // The candidate verified: move the recovery mark
-                        // forward past it.
-                        let tg = Instant::now();
-                        g.commit_txn();
-                        g.begin_txn();
-                        let ns = tg.elapsed().as_nanos();
-                        guard_here += ns;
-                        undo_here += ns;
-                    }
+                    round.absorb(chain, s);
                 }
-                Err(reason) => {
+                Err(rejection) => {
                     // Contained failure: `apply_chain`'s transaction
                     // already rolled the graph back to the last verified
                     // state; move on to the next candidate.
-                    if matches!(&reason, BailoutReason::VerifierRejected(m)
-                        if m.starts_with("frontier-violation"))
-                    {
+                    if rejection.lint == Some(LintId::FrontierViolation) {
                         stats.frontier_violations += 1;
                     }
                     stats.bailouts.push(BailoutRecord {
-                        reason,
+                        reason: rejection.reason,
                         tier: Tier::Optimization,
                         candidate: Some((s.pred, s.merge)),
                         recovered: true,
@@ -694,6 +686,49 @@ pub fn run_dbds(
                 }
             }
         }
+        if checkpoints && round.duplications > 0 {
+            // Boundary check: the per-duplication checkpoints covered the
+            // slots each duplication touched and trusted the cached
+            // dominator tree; the whole-graph verifier (own dominator
+            // tree) and the from-scratch frontier consistency check run
+            // once here, for the rules that are not a function of the
+            // touched slots. A rejection rolls the whole round back to
+            // the recovery mark taken at its start.
+            let tg = Instant::now();
+            round.frontier_blocks.sort_unstable();
+            round.frontier_blocks.dedup();
+            let verdict = checkpoint(g).map_err(Rejection::from).and_then(|()| {
+                Rejection::unless_clean(crate::lint::lint_frontier_boundary(
+                    g,
+                    &round.frontier_blocks,
+                ))
+            });
+            let tu = Instant::now();
+            match verdict {
+                Ok(()) => {
+                    g.commit_txn();
+                    g.begin_txn();
+                }
+                Err(rejection) => {
+                    g.rollback_txn();
+                    recovery_open = false;
+                    round = RoundTally::default();
+                    cumulative = 0.0;
+                    if rejection.lint == Some(LintId::FrontierViolation) {
+                        stats.frontier_violations += 1;
+                    }
+                    stats.bailouts.push(BailoutRecord {
+                        reason: rejection.reason,
+                        tier: Tier::Optimization,
+                        candidate: None,
+                        recovered: true,
+                    });
+                }
+            }
+            undo_here += tu.elapsed().as_nanos();
+            guard_here += tg.elapsed().as_nanos();
+        }
+        round.merge_into(&mut stats, &mut visited);
         stats.transform_ns += t.elapsed().as_nanos().saturating_sub(guard_here);
         stats.guard_ns += guard_here;
         stats.undo_ns += undo_here;
@@ -790,6 +825,9 @@ struct ChainOutcome {
     /// fresh copy, and the successors of both (their φs gained the
     /// copy's edge). Feeds the round's interference footprint.
     touched: Vec<BlockId>,
+    /// The copy and merge of every step: the blocks whose dominance
+    /// frontiers the round's boundary check re-derives from scratch.
+    frontier_blocks: Vec<BlockId>,
 }
 
 fn record_step(out: &mut ChainOutcome, g: &Graph, dup: &Duplication) {
@@ -801,23 +839,144 @@ fn record_step(out: &mut ChainOutcome, g: &Graph, dup: &Duplication) {
     out.touched.push(dup.copy);
     out.touched.extend(g.succs(dup.copy));
     out.touched.extend(g.succs(dup.merge));
+    out.frontier_blocks.push(dup.copy);
+    out.frontier_blocks.push(dup.merge);
+}
+
+/// The stats contribution of one round's applied candidates, held back
+/// until the round's boundary check passes (and dropped when it rolls
+/// the round back).
+#[derive(Default)]
+struct RoundTally {
+    duplications: usize,
+    work: u64,
+    split_applied: usize,
+    opportunities: Vec<OptKind>,
+    visited: Vec<BlockId>,
+    frontier_blocks: Vec<BlockId>,
+}
+
+impl RoundTally {
+    fn absorb(&mut self, chain: ChainOutcome, s: &SimulationResult) {
+        self.duplications += chain.duplications;
+        self.work += chain.work;
+        self.visited.extend(chain.visited);
+        self.frontier_blocks.extend(chain.frontier_blocks);
+        if s.kind == CandidateKind::BranchSplit {
+            self.split_applied += 1;
+        }
+        self.opportunities
+            .extend(s.opportunities.iter().map(|o| o.kind));
+    }
+
+    fn merge_into(self, stats: &mut PhaseStats, visited: &mut HashSet<BlockId>) {
+        stats.duplications += self.duplications;
+        stats.work += self.work;
+        stats.split_applied += self.split_applied;
+        for kind in self.opportunities {
+            *stats.opportunities.entry(kind).or_insert(0) += 1;
+        }
+        visited.extend(self.visited);
+    }
+}
+
+/// A checkpoint rejection: the bailout reason plus, when a lint
+/// diagnostic caused it, which lint — so counters key on the typed id
+/// and never on message wording.
+struct Rejection {
+    reason: BailoutReason,
+    lint: Option<LintId>,
+}
+
+impl Rejection {
+    /// `Ok` when a lint found nothing, else the rejection it causes.
+    fn unless_clean(finding: Option<Diagnostic>) -> Result<(), Rejection> {
+        finding.map_or(Ok(()), |d| Err(d.into()))
+    }
+}
+
+impl From<BailoutReason> for Rejection {
+    fn from(reason: BailoutReason) -> Self {
+        Rejection { reason, lint: None }
+    }
+}
+
+impl From<Diagnostic> for Rejection {
+    fn from(d: Diagnostic) -> Self {
+        Rejection {
+            reason: BailoutReason::VerifierRejected(d.message),
+            lint: Some(d.lint),
+        }
+    }
+}
+
+/// What [`apply_chain`] needs to run guarded: the analysis cache its
+/// checkpoints answer dominance from, their scratch tables, and the
+/// guard / undo time accumulators.
+struct ChainGuard<'a> {
+    cache: &'a mut AnalysisCache,
+    scratch: &'a mut FootprintScratch,
+    guard_ns: &'a mut u128,
+    undo_ns: &'a mut u128,
+}
+
+/// Whether every per-duplication checkpoint also runs the whole-graph
+/// form and compares verdicts: the differential oracle for the scoped
+/// form, on in debug builds and whenever faults are compiled in.
+const DIFFERENTIAL_CHECKPOINTS: bool = cfg!(debug_assertions) || cfg!(feature = "fault-injection");
+
+/// The per-duplication checkpoint: [`checkpoint_scoped`] over the
+/// chain's transaction footprint, then the structural frontier check on
+/// the cached tree — the copy's and merge's dominance frontiers must be
+/// consistent with the edge mirrors, and equal whenever neither block
+/// dominates the other (see [`crate::lint::lint_frontier`]). O(edit)
+/// plus at most one dominator build, which the next candidate's
+/// prediction audit reuses.
+fn checkpoint_duplication(
+    g: &Graph,
+    dup: &Duplication,
+    before: &dbds_analysis::DomTree,
+    cache: &mut AnalysisCache,
+    scratch: &mut FootprintScratch,
+) -> Result<(), Rejection> {
+    checkpoint_scoped(g, cache, before, scratch)?;
+    let dt = cache.domtree(g);
+    Rejection::unless_clean(crate::lint::lint_frontier_in(g, &dt, dup.copy, dup.merge))
+}
+
+/// The whole-graph reference [`checkpoint_duplication`] is compared
+/// against under [`DIFFERENTIAL_CHECKPOINTS`].
+fn checkpoint_duplication_whole(g: &Graph, dup: &Duplication) -> Result<(), Rejection> {
+    checkpoint(g)?;
+    Rejection::unless_clean(crate::lint::lint_frontier(g, dup.copy, dup.merge))
 }
 
 /// Applies one accepted candidate: the `(pred, merge)` duplication plus
-/// the path-based extension into the freshly created copies. With
-/// checkpoints on, the chain runs inside an undo-log transaction
-/// ([`transact`]): each applied duplication is verified, both typed
+/// the path-based extension into the freshly created copies. With a
+/// `guard` (checkpoints on), the chain runs inside an undo-log
+/// transaction ([`transact`]): each applied duplication is checked over
+/// the transaction's footprint ([`checkpoint_duplication`]), both typed
 /// transform errors and panics become bailout reasons, and a failing
-/// chain is rolled back to its starting state before this returns. With
-/// checkpoints off this is the pre-guardrail behavior (failures panic).
+/// chain is rolled back to its starting state before this returns.
+/// Without one this is the pre-guardrail behavior (failures panic).
+///
+/// # Panics
+///
+/// Under [`DIFFERENTIAL_CHECKPOINTS`], when the scoped and whole-graph
+/// checkpoints disagree on a verdict — raised after the transaction has
+/// closed, so no panic isolation can swallow it.
 fn apply_chain(
     g: &mut Graph,
     s: &SimulationResult,
-    checkpoints: bool,
-    guard_ns: &mut u128,
-    undo_ns: &mut u128,
-) -> Result<ChainOutcome, BailoutReason> {
-    if !checkpoints {
+    guard: Option<ChainGuard<'_>>,
+) -> Result<ChainOutcome, Rejection> {
+    let Some(ChainGuard {
+        cache,
+        scratch,
+        guard_ns,
+        undo_ns,
+    }) = guard
+    else {
         let mut out = ChainOutcome::default();
         let mut dup = duplicate(g, s.pred, s.merge);
         record_step(&mut out, g, &dup);
@@ -829,30 +988,49 @@ fn apply_chain(
             record_step(&mut out, g, &dup);
         }
         return Ok(out);
-    }
-    let mut guard: u128 = 0;
+    };
+    let tg = Instant::now();
+    // The dominator tree the transaction opens on. Already cached: the
+    // round's chain snapshot or the previous duplication's checkpoint
+    // looked it up at this CFG version.
+    let before = cache.domtree(g);
+    let mut guard = tg.elapsed().as_nanos();
+    let mut rejected_by: Option<LintId> = None;
+    let mut disagreement: Option<String> = None;
     let (result, txn_ns) = transact(g, |g| {
-        let verified = |g: &Graph, dup: &Duplication, guard: &mut u128| {
+        let mut verified = |g: &Graph, dup: &Duplication| {
             let tg = Instant::now();
-            let ck = checkpoint(g).and_then(|()| {
-                // Structural frontier check on top of the verifier: the
-                // copy's and merge's dominance frontiers must be
-                // consistent with the edge mirrors, and equal whenever
-                // neither block dominates the other (see `lint_frontier`).
-                match crate::lint::lint_frontier(g, dup.copy, dup.merge) {
-                    Some(d) => Err(BailoutReason::VerifierRejected(d.message)),
-                    None => Ok(()),
+            let scoped = checkpoint_duplication(g, dup, &before, cache, scratch);
+            if DIFFERENTIAL_CHECKPOINTS {
+                let whole = checkpoint_duplication_whole(g, dup);
+                if scoped.is_ok() != whole.is_ok() {
+                    let show = |r: &Result<(), Rejection>| match r {
+                        Ok(()) => "accepted".to_string(),
+                        Err(e) => format!("rejected ({})", e.reason),
+                    };
+                    disagreement.get_or_insert_with(|| {
+                        format!(
+                            "duplicating {} into {}: scoped checkpoint {}, whole-graph checkpoint {}",
+                            dup.merge,
+                            dup.pred,
+                            show(&scoped),
+                            show(&whole)
+                        )
+                    });
                 }
-            });
-            *guard += tg.elapsed().as_nanos();
-            ck
+            }
+            guard += tg.elapsed().as_nanos();
+            scoped.map_err(|e| {
+                rejected_by = e.lint;
+                e.reason
+            })
         };
         let reject =
             |e: crate::transform::TransformError| BailoutReason::VerifierRejected(e.to_string());
         let mut out = ChainOutcome::default();
         let mut dup = try_duplicate(g, s.pred, s.merge).map_err(reject)?;
         record_step(&mut out, g, &dup);
-        verified(g, &dup, &mut guard)?;
+        verified(g, &dup)?;
         // Path-based extension: duplicate the remaining merges of the
         // accepted path into the freshly created copies. For a
         // branch-split candidate the last path element is the successor
@@ -865,13 +1043,19 @@ fn apply_chain(
             }
             dup = try_duplicate(g, dup.copy, m).map_err(reject)?;
             record_step(&mut out, g, &dup);
-            verified(g, &dup, &mut guard)?;
+            verified(g, &dup)?;
         }
         Ok(out)
     });
     *guard_ns += guard + txn_ns;
     *undo_ns += txn_ns;
-    result
+    if let Some(d) = disagreement {
+        panic!("checkpoint forms disagree while {d}");
+    }
+    result.map_err(|reason| Rejection {
+        reason,
+        lint: rejected_by,
+    })
 }
 
 /// Runs the optimization pipeline (`optimize_once`, or the full fixpoint

@@ -272,12 +272,14 @@ fn client_session(addr: &str) -> Result<(), String> {
 
 /// Per-tier compile-time breakdown of the DBDS phase (the paper's
 /// "timing statements … used throughout the compiler", §6.1): how the
-/// phase splits between simulation, the duplication transform and the
-/// optimization pipeline, per suite. Each suite's units run on the
-/// unit-level queue; `unit pool` is the wall clock of that fan-out,
-/// `price pool` the trade-off tier's pricing fan-out, and `undo` the
-/// undo-log transaction bookkeeping (with the deterministic `edits` /
-/// `rollb` counters next to it).
+/// phase splits between simulation, the duplication transform, the
+/// optimization pipeline and the guardrails, per suite. Each suite's
+/// units run on the unit-level queue; `unit pool` is the wall clock of
+/// that fan-out, `price pool` the trade-off tier's pricing fan-out,
+/// `guard` the checkpoints, prediction audits and transactions
+/// (`PhaseStats::guard_ns`) and `undo` the part of it spent on undo-log
+/// bookkeeping (with the deterministic `edits` / `rollb` counters next to
+/// it). `sim share` is simulation's share of all four tiers' time.
 ///
 /// Column widths are measured from the rendered cells (numeric columns
 /// right-aligned), so large `par_ns` sums widen their column instead of
@@ -300,6 +302,7 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
         "duplicate",
         "optimize",
         "unit pool",
+        "guard",
         "undo",
         "sim share",
         "mispred",
@@ -319,6 +322,7 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
         let mut price = 0u128;
         let mut tr = 0u128;
         let mut opt = 0u128;
+        let mut guard = 0u128;
         let mut undo = 0u128;
         let mut mispred = 0usize;
         let mut edits = 0u64;
@@ -329,12 +333,13 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
             price += stats.tradeoff_par_ns;
             tr += stats.transform_ns;
             opt += stats.opt_ns;
+            guard += stats.guard_ns;
             undo += stats.undo_ns;
             mispred += stats.mispredictions;
             edits += stats.undo_edits;
             rollbacks += stats.undo_rollbacks;
         }
-        let total = (sim + tr + opt).max(1);
+        let total = (sim + tr + opt + guard).max(1);
         let ms = |ns: u128| format!("{:.2} ms", ns as f64 / 1e6);
         rows.push(vec![
             suite.id().to_string(),
@@ -344,6 +349,7 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
             ms(tr),
             ms(opt),
             ms(unit_ns),
+            ms(guard),
             ms(undo),
             format!("{:.1}%", sim as f64 / total as f64 * 100.0),
             mispred.to_string(),

@@ -135,6 +135,33 @@ pub struct UndoStats {
     pub peak_entries: usize,
 }
 
+/// The arena slots the innermost open transaction has changed so far, as
+/// returned by [`Graph::txn_footprint`]: every slot whose current value
+/// may differ from its value at the matching [`Graph::begin_txn`].
+///
+/// Read straight off the undo log — the first-touch backups plus the
+/// arena tails allocated since the frame opened — so it is complete by
+/// construction: every mutating primitive records into the frame before
+/// it mutates. It may over-approximate: a slot touched only by a nested
+/// transaction that was rolled back stays listed, holding its old value
+/// again. Both lists are sorted ascending (backed-up slots first, then
+/// the freshly allocated ones), independent of hash order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TxnFootprint {
+    /// Instruction slots mutated (payload or owning block) or allocated
+    /// inside the transaction. Detached slots are included.
+    pub insts: Vec<InstId>,
+    /// Block slots whose instruction list, terminator or predecessor
+    /// list was mutated, or that were allocated inside the transaction.
+    pub blocks: Vec<BlockId>,
+    /// Instruction slots at or past this index were allocated inside the
+    /// transaction.
+    pub base_insts: usize,
+    /// Block slots at or past this index were allocated inside the
+    /// transaction.
+    pub base_blocks: usize,
+}
+
 /// An SSA control-flow graph for a single compilation unit.
 ///
 /// # Examples
@@ -412,6 +439,27 @@ impl Graph {
     /// Number of transactions currently open.
     pub fn txn_depth(&self) -> usize {
         self.undo.frames.len()
+    }
+
+    /// The slots the innermost open transaction has changed so far (see
+    /// [`TxnFootprint`]); empty when no transaction is open. O(slots
+    /// touched), no bookkeeping beyond what rollback already needs.
+    pub fn txn_footprint(&self) -> TxnFootprint {
+        let Some(frame) = self.undo.frames.last() else {
+            return TxnFootprint::default();
+        };
+        let mut insts: Vec<usize> = frame.saved_insts.keys().copied().collect();
+        insts.sort_unstable();
+        insts.extend(frame.base_insts..self.insts.len());
+        let mut blocks: Vec<usize> = frame.saved_blocks.keys().copied().collect();
+        blocks.sort_unstable();
+        blocks.extend(frame.base_blocks..self.blocks.len());
+        TxnFootprint {
+            insts: insts.into_iter().map(InstId::from_index).collect(),
+            blocks: blocks.into_iter().map(BlockId::from_index).collect(),
+            base_insts: frame.base_insts,
+            base_blocks: frame.base_blocks,
+        }
     }
 
     /// Cumulative undo-log counters since this graph was created (or
@@ -958,6 +1006,17 @@ impl Graph {
         // `to`'s old terminator was Jump{from}; drop its pred entry.
         self.remove_pred(from, to);
         self.blocks[to.index()].term = term;
+    }
+
+    /// Test hook: drops `b`'s `idx`-th predecessor entry *without* touching
+    /// the predecessor's terminator or `b`'s φs — a broken pred/succ
+    /// mirror no public primitive can produce, recorded in the undo log
+    /// like any other edit.
+    #[cfg(test)]
+    pub(crate) fn break_pred_mirror(&mut self, b: BlockId, idx: usize) {
+        self.touch_block(b);
+        self.bump_cfg();
+        self.blocks[b.index()].preds.remove(idx);
     }
 
     /// Takes a checkpoint of the whole graph.

@@ -65,14 +65,17 @@ mod verify;
 
 pub use builder::GraphBuilder;
 pub use classes::{ClassInfo, ClassTable, FieldInfo};
-pub use graph::{Graph, GraphSnapshot, InstData, UndoStats};
+pub use graph::{Graph, GraphSnapshot, InstData, TxnFootprint, UndoStats};
 pub use hash::{content_hash, fnv1a, Fnv64};
 pub use ids::{BlockId, ClassId, FieldId, InstId};
 pub use inst::{BinOp, CmpOp, Inst, InstKind, KindCounts, Terminator};
 pub use interp::{
     execute, execute_with_heap, ExecResult, Heap, Outcome, Trap, Value, DEFAULT_FUEL,
 };
-pub use lint::{lint, Diagnostic, LintId, LintPass, LintRegistry, LintReport, Severity};
+pub use lint::{
+    lint, lint_footprint, Diagnostic, Dominance, FootprintScratch, LintId, LintPass, LintRegistry,
+    LintReport, Severity,
+};
 pub use parse::{parse_graph, parse_module, Module, ParseError};
 pub use print::{print_class_table, print_graph};
 pub use types::{ConstValue, Type};

@@ -19,9 +19,14 @@
 //!   byte-identical output.
 //!
 //! [`crate::verify`] is a thin wrapper over this module: it runs the
-//! default registry and reports the error-severity messages, so every
-//! existing call site (including the bailout checkpoint path) now runs
-//! the lint framework.
+//! passes that can emit error-severity lints
+//! ([`LintRegistry::soundness`]) and reports their messages.
+//!
+//! Every error-severity rule is a function of one block (see the rule
+//! functions below the passes); the whole-graph passes loop them over
+//! all blocks, and [`lint_footprint`] runs the same functions over the
+//! slots an undo-log transaction touched — the O(edit) checkpoint of the
+//! phase driver.
 //!
 //! # Examples
 //!
@@ -41,11 +46,11 @@
 //! # Ok::<(), dbds_ir::ParseError>(())
 //! ```
 
+use crate::graph::TxnFootprint;
 use crate::ids::{BlockId, InstId};
 use crate::inst::{CmpOp, Inst, Terminator};
 use crate::types::{ConstValue, Type};
 use crate::Graph;
-use std::collections::HashMap;
 use std::fmt;
 
 /// How bad a [`Diagnostic`] is.
@@ -341,6 +346,21 @@ impl LintRegistry {
         LintRegistry { passes: Vec::new() }
     }
 
+    /// The built-in passes that can emit an error-severity lint — what
+    /// [`crate::verify`] runs. Everything [`LintRegistry::default`] holds
+    /// except the warn-only hygiene pass.
+    pub fn soundness() -> Self {
+        LintRegistry {
+            passes: vec![
+                Box::new(EdgePass),
+                Box::new(BlockPass),
+                Box::new(TypePass),
+                Box::new(DominancePass),
+                Box::new(ReverseCfgPass),
+            ],
+        }
+    }
+
     /// Appends a pass to the run order.
     pub fn register(&mut self, pass: Box<dyn LintPass>) {
         self.passes.push(pass);
@@ -366,7 +386,7 @@ pub fn lint(g: &Graph) -> LintReport {
     LintRegistry::default().run(g)
 }
 
-/// Shared emit helper for the built-in passes.
+/// Shared emit helper for the built-in rules.
 struct Sink<'a> {
     out: &'a mut Vec<Diagnostic>,
 }
@@ -381,7 +401,500 @@ impl Sink<'_> {
     ) {
         self.out.push(Diagnostic::new(lint, block, inst, message));
     }
+
+    /// `i` sits in `b`'s instruction list but records another block.
+    fn misfiled(&mut self, b: BlockId, i: InstId, recorded: Option<BlockId>) {
+        self.emit(
+            LintId::GraphConsistency,
+            Some(b),
+            Some(i),
+            format!("{i} listed in {b} but records block {recorded:?}"),
+        );
+    }
+
+    /// A use (by instruction `at`, or by `b`'s terminator) of the
+    /// detached instruction `input`.
+    fn removed_use(&mut self, b: BlockId, at: Option<InstId>, input: InstId) {
+        let message = match at {
+            Some(i) => format!("{i} in {b} uses removed instruction {input}"),
+            None => format!("terminator of {b} uses removed instruction {input}"),
+        };
+        self.emit(LintId::DanglingUse, Some(b), at, message);
+    }
+
+    /// A use (by instruction `at`, or by `b`'s terminator) that its
+    /// definition `input` does not dominate.
+    fn undominated_use(&mut self, b: BlockId, at: Option<InstId>, input: InstId) {
+        let message = match at {
+            Some(i) => format!("{i} in {b}: use of {input} not dominated by its definition"),
+            None => format!("terminator of {b}: use of {input} not dominated by its definition"),
+        };
+        self.emit(LintId::SsaDominance, Some(b), at, message);
+    }
+
+    /// A φ input that is not available at the end of its predecessor.
+    fn undominated_phi_input(&mut self, b: BlockId, phi: InstId, input: InstId, pred: BlockId) {
+        self.emit(
+            LintId::SsaDominance,
+            Some(b),
+            Some(phi),
+            format!("{phi} in {b}: phi input {input} does not dominate predecessor {pred}"),
+        );
+    }
 }
+
+// ---------------------------------------------------------------------
+// Error-severity rules, one function per block.
+//
+// Each function checks every rule of its family on ONE block and reads
+// only that block's slot, the slots of the instructions it lists and
+// (for operands) the immutable result type / current owning block of
+// the operand. The whole-graph passes below loop them over every block;
+// `lint_footprint` runs the same functions over a transaction's
+// footprint only.
+// ---------------------------------------------------------------------
+
+/// Edge bookkeeping of `b`: entry predecessors, duplicate branch
+/// targets, pred/succ mirrors in both directions, branch probability.
+fn edge_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
+    if b == g.entry() && !g.preds(b).is_empty() {
+        s.emit(
+            LintId::GraphConsistency,
+            Some(b),
+            None,
+            format!("entry {b} has predecessors"),
+        );
+    }
+    let succs = g.succs(b);
+    if succs.len() == 2 && succs[0] == succs[1] {
+        s.emit(
+            LintId::GraphConsistency,
+            Some(b),
+            None,
+            format!("{b} branches to the same block twice"),
+        );
+    }
+    for succ in &succs {
+        let n = g.preds(*succ).iter().filter(|&&p| p == b).count();
+        if n != 1 {
+            s.emit(
+                LintId::GraphConsistency,
+                Some(b),
+                None,
+                format!(
+                    "edge {b} -> {succ}: successor records {n} matching pred entries, expected 1"
+                ),
+            );
+        }
+    }
+    for &p in g.preds(b) {
+        if !g.succs(p).contains(&b) {
+            s.emit(
+                LintId::GraphConsistency,
+                Some(b),
+                None,
+                format!("{b} lists pred {p}, but {p} does not branch to {b}"),
+            );
+        }
+    }
+    if let Terminator::Branch { prob_then, .. } = g.terminator(b) {
+        if !(0.0..=1.0).contains(prob_then) || prob_then.is_nan() {
+            s.emit(
+                LintId::BranchProbability,
+                Some(b),
+                None,
+                format!("{b}: branch probability {prob_then} outside [0,1]"),
+            );
+        }
+    }
+}
+
+/// Layout of `b`: instruction↔block records, φ placement and arity,
+/// param placement, dangling value references.
+fn layout_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
+    let mut seen_non_phi = false;
+    for &i in g.block_insts(b) {
+        if g.block_of(i) != Some(b) {
+            s.misfiled(b, i, g.block_of(i));
+        }
+        match g.inst(i) {
+            Inst::Phi { inputs } => {
+                if seen_non_phi {
+                    s.emit(
+                        LintId::PhiPlacement,
+                        Some(b),
+                        Some(i),
+                        format!("{b}: phi {i} appears after non-phi instructions"),
+                    );
+                }
+                if inputs.len() != g.preds(b).len() {
+                    s.emit(
+                        LintId::PhiPlacement,
+                        Some(b),
+                        Some(i),
+                        format!(
+                            "{b}: phi {i} has {} inputs but the block has {} predecessors",
+                            inputs.len(),
+                            g.preds(b).len()
+                        ),
+                    );
+                }
+                if g.preds(b).is_empty() {
+                    s.emit(
+                        LintId::PhiPlacement,
+                        Some(b),
+                        Some(i),
+                        format!("{b}: phi {i} in a block without predecessors"),
+                    );
+                }
+            }
+            Inst::Param(idx) => {
+                if b != g.entry() {
+                    s.emit(
+                        LintId::ParamPlacement,
+                        Some(b),
+                        Some(i),
+                        format!("param {i} outside the entry block"),
+                    );
+                }
+                if *idx as usize >= g.param_types().len() {
+                    s.emit(
+                        LintId::ParamPlacement,
+                        Some(b),
+                        Some(i),
+                        format!("param {i} index {idx} out of range"),
+                    );
+                } else if g.ty(i) != g.param_types()[*idx as usize] {
+                    s.emit(
+                        LintId::ParamPlacement,
+                        Some(b),
+                        Some(i),
+                        format!("param {i} type mismatch with signature"),
+                    );
+                }
+                seen_non_phi = true;
+            }
+            _ => seen_non_phi = true,
+        }
+        g.inst(i).for_each_input(|input| {
+            if input.index() >= g.inst_count() {
+                s.emit(
+                    LintId::DanglingUse,
+                    Some(b),
+                    Some(i),
+                    format!("{i} references out-of-range value {input}"),
+                );
+            } else if g.block_of(input).is_none() {
+                s.removed_use(b, Some(i), input);
+            }
+        });
+    }
+    g.terminator(b).for_each_input(|input| {
+        if g.block_of(input).is_none() {
+            s.removed_use(b, None, input);
+        }
+    });
+}
+
+fn comparable(a: Type, b: Type) -> bool {
+    matches!(
+        (a, b),
+        (Type::Int, Type::Int)
+            | (Type::Bool, Type::Bool)
+            | (Type::Arr, Type::Arr)
+            | (Type::Ref(_), Type::Ref(_))
+    )
+}
+
+fn check_receiver(
+    s: &mut Sink<'_>,
+    g: &Graph,
+    b: BlockId,
+    at: InstId,
+    object: InstId,
+    field: crate::ids::FieldId,
+) {
+    let table = g.class_table();
+    if !table.contains_field(field) {
+        s.emit(
+            LintId::TypeError,
+            Some(b),
+            Some(at),
+            format!("{at}: unknown field {field}"),
+        );
+        return;
+    }
+    match g.ty(object) {
+        Type::Ref(c) => {
+            if !table.field_belongs_to(field, c) {
+                s.emit(
+                    LintId::TypeError,
+                    Some(b),
+                    Some(at),
+                    format!("{at}: field {field} does not belong to class {c}"),
+                );
+            }
+        }
+        other => s.emit(
+            LintId::TypeError,
+            Some(b),
+            Some(at),
+            format!("{at}: field access on {other}"),
+        ),
+    }
+}
+
+fn expect_type(s: &mut Sink<'_>, g: &Graph, b: BlockId, at: InstId, v: InstId, ty: Type) {
+    let actual = g.ty(v);
+    if actual != ty {
+        s.emit(
+            LintId::TypeError,
+            Some(b),
+            Some(at),
+            format!("{at}: operand {v} has type {actual}, expected {ty}"),
+        );
+    }
+}
+
+/// Per-instruction type rules of `b` plus its branch-condition typing.
+#[allow(clippy::too_many_lines)]
+fn type_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
+    let table = g.class_table();
+    for &i in g.block_insts(b) {
+        // Out-of-range operands are DanglingUse findings; typing
+        // them would index past the instruction table.
+        let mut out_of_range = false;
+        g.inst(i).for_each_input(|input| {
+            if input.index() >= g.inst_count() {
+                out_of_range = true;
+            }
+        });
+        if out_of_range {
+            continue;
+        }
+        let ty = g.ty(i);
+        let err = |s: &mut Sink<'_>, msg: String| s.emit(LintId::TypeError, Some(b), Some(i), msg);
+        match g.inst(i) {
+            Inst::Const(c) => {
+                if c.ty() != ty {
+                    err(s, format!("{i}: constant {c} typed {ty}"));
+                }
+                if let ConstValue::Null(cl) = c {
+                    if !table.contains_class(*cl) {
+                        err(s, format!("{i}: null of unknown class {cl}"));
+                    }
+                }
+            }
+            Inst::Param(_) => {}
+            Inst::Binary { lhs, rhs, .. } => {
+                expect_type(s, g, b, i, *lhs, Type::Int);
+                expect_type(s, g, b, i, *rhs, Type::Int);
+                if ty != Type::Int {
+                    err(s, format!("{i}: binary op typed {ty}"));
+                }
+            }
+            Inst::Compare { op, lhs, rhs } => {
+                let lt = g.ty(*lhs);
+                let rt = g.ty(*rhs);
+                let ordered = matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge);
+                if ordered && (lt != Type::Int || rt != Type::Int) {
+                    err(s, format!("{i}: ordered comparison of {lt} and {rt}"));
+                }
+                if !ordered && !comparable(lt, rt) {
+                    err(s, format!("{i}: equality comparison of {lt} and {rt}"));
+                }
+                if ty != Type::Bool {
+                    err(s, format!("{i}: comparison typed {ty}"));
+                }
+            }
+            Inst::Not(x) => {
+                expect_type(s, g, b, i, *x, Type::Bool);
+                if ty != Type::Bool {
+                    err(s, format!("{i}: not typed {ty}"));
+                }
+            }
+            Inst::Neg(x) => {
+                expect_type(s, g, b, i, *x, Type::Int);
+                if ty != Type::Int {
+                    err(s, format!("{i}: neg typed {ty}"));
+                }
+            }
+            Inst::Phi { inputs } => {
+                for &input in inputs {
+                    if g.ty(input) != ty {
+                        err(
+                            s,
+                            format!(
+                                "{i}: phi typed {ty} has input {input} of type {}",
+                                g.ty(input)
+                            ),
+                        );
+                    }
+                }
+            }
+            Inst::New { class } => {
+                if !table.contains_class(*class) {
+                    err(s, format!("{i}: new of unknown class {class}"));
+                } else if ty != Type::Ref(*class) {
+                    err(s, format!("{i}: new {class} typed {ty}"));
+                }
+            }
+            Inst::LoadField { object, field } => {
+                check_receiver(s, g, b, i, *object, *field);
+                if table.contains_field(*field) && ty != table.field(*field).ty {
+                    err(s, format!("{i}: load of {field} typed {ty}"));
+                }
+            }
+            Inst::StoreField {
+                object,
+                field,
+                value,
+            } => {
+                check_receiver(s, g, b, i, *object, *field);
+                if table.contains_field(*field) && g.ty(*value) != table.field(*field).ty {
+                    err(s, format!("{i}: store of {} into {field}", g.ty(*value)));
+                }
+                if ty != Type::Void {
+                    err(s, format!("{i}: store typed {ty}"));
+                }
+            }
+            Inst::InstanceOf { object, class } => {
+                if !matches!(g.ty(*object), Type::Ref(_)) {
+                    err(s, format!("{i}: instanceof on {}", g.ty(*object)));
+                }
+                if !table.contains_class(*class) {
+                    err(s, format!("{i}: instanceof unknown class {class}"));
+                }
+                if ty != Type::Bool {
+                    err(s, format!("{i}: instanceof typed {ty}"));
+                }
+            }
+            Inst::NewArray { length } => {
+                expect_type(s, g, b, i, *length, Type::Int);
+                if ty != Type::Arr {
+                    err(s, format!("{i}: newarray typed {ty}"));
+                }
+            }
+            Inst::ArrayLoad { array, index } => {
+                expect_type(s, g, b, i, *array, Type::Arr);
+                expect_type(s, g, b, i, *index, Type::Int);
+                if ty != Type::Int {
+                    err(s, format!("{i}: aload typed {ty}"));
+                }
+            }
+            Inst::ArrayStore {
+                array,
+                index,
+                value,
+            } => {
+                expect_type(s, g, b, i, *array, Type::Arr);
+                expect_type(s, g, b, i, *index, Type::Int);
+                expect_type(s, g, b, i, *value, Type::Int);
+                if ty != Type::Void {
+                    err(s, format!("{i}: astore typed {ty}"));
+                }
+            }
+            Inst::ArrayLength(a) => {
+                expect_type(s, g, b, i, *a, Type::Arr);
+                if ty != Type::Int {
+                    err(s, format!("{i}: alength typed {ty}"));
+                }
+            }
+            Inst::Invoke { args } => {
+                for &a in args {
+                    if g.ty(a) == Type::Void {
+                        err(s, format!("{i}: invoke passes void value {a}"));
+                    }
+                }
+                if ty != Type::Int {
+                    err(s, format!("{i}: invoke typed {ty}"));
+                }
+            }
+        }
+    }
+    if let Terminator::Branch { cond, .. } = g.terminator(b) {
+        if cond.index() < g.inst_count() && g.ty(*cond) != Type::Bool {
+            s.emit(
+                LintId::TypeError,
+                Some(b),
+                None,
+                format!("terminator of {b}: branch on {}", g.ty(*cond)),
+            );
+        }
+    }
+}
+
+/// The dominance relation the SSA rules are checked against. The
+/// whole-graph pass answers from its own private tree; callers of
+/// [`lint_footprint`] supply theirs (dbds-analysis' cached `DomTree`).
+pub trait Dominance {
+    /// Does `a` dominate `b` (reflexively)? Blocks unreachable from the
+    /// entry neither dominate nor are dominated — not even by themselves.
+    fn dominates(&self, a: BlockId, b: BlockId) -> bool;
+
+    /// The immediate dominator of `b`; `None` for the entry block and
+    /// for unreachable blocks.
+    fn idom(&self, b: BlockId) -> Option<BlockId>;
+
+    /// Is `b` reachable from the entry block?
+    fn is_reachable(&self, b: BlockId) -> bool {
+        self.dominates(b, b)
+    }
+}
+
+/// Marker of [`dominance_rules`]' position table for "not listed".
+const NO_POS: u32 = u32::MAX;
+
+/// Is `v` available at the end of `b` (the φ-input rule)?
+fn available_at_end(g: &Graph, dom: &impl Dominance, v: InstId, b: BlockId) -> bool {
+    v.index() < g.inst_count() && g.block_of(v).is_some_and(|db| dom.dominates(db, b))
+}
+
+/// The SSA dominance property on the reachable block `b`: every operand
+/// is defined earlier in `b` or in a dominating block, every φ input is
+/// available at the end of its predecessor. `pos` maps an instruction
+/// index to its position in its block's list ([`NO_POS`] if unlisted);
+/// only the entries of `b`'s own instructions are read.
+fn dominance_rules(g: &Graph, dom: &impl Dominance, pos: &[u32], b: BlockId, s: &mut Sink<'_>) {
+    let dominates_use = |v: InstId, use_pos: usize| {
+        if v.index() >= g.inst_count() {
+            return false;
+        }
+        match g.block_of(v) {
+            // `NO_POS` is past every list position.
+            Some(db) if db == b => (pos[v.index()] as usize) < use_pos,
+            Some(db) => dom.dominates(db, b),
+            None => false,
+        }
+    };
+    for (k, &i) in g.block_insts(b).iter().enumerate() {
+        match g.inst(i) {
+            Inst::Phi { inputs } => {
+                for (&input, &pred) in inputs.iter().zip(g.preds(b)) {
+                    if !available_at_end(g, dom, input, pred) {
+                        s.undominated_phi_input(b, i, input, pred);
+                    }
+                }
+            }
+            inst => inst.for_each_input(|input| {
+                if !dominates_use(input, k) {
+                    s.undominated_use(b, Some(i), input);
+                }
+            }),
+        }
+    }
+    let end = g.block_insts(b).len();
+    g.terminator(b).for_each_input(|input| {
+        if !dominates_use(input, end) {
+            s.undominated_use(b, None, input);
+        }
+    });
+}
+
+// ---------------------------------------------------------------------
+// Whole-graph passes: the per-block rules over every block, plus the
+// rules that are not a function of one block's slots.
+// ---------------------------------------------------------------------
 
 /// Edge bookkeeping: pred/succ symmetry, entry predecessors, duplicate
 /// branch targets, branch probabilities, unreachable predecessors.
@@ -394,60 +907,12 @@ impl LintPass for EdgePass {
 
     fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
         let mut s = Sink { out };
-        if !g.preds(g.entry()).is_empty() {
-            s.emit(
-                LintId::GraphConsistency,
-                Some(g.entry()),
-                None,
-                format!("entry {} has predecessors", g.entry()),
-            );
-        }
         for b in g.blocks() {
-            let succs = g.succs(b);
-            if succs.len() == 2 && succs[0] == succs[1] {
-                s.emit(
-                    LintId::GraphConsistency,
-                    Some(b),
-                    None,
-                    format!("{b} branches to the same block twice"),
-                );
-            }
-            for succ in &succs {
-                let n = g.preds(*succ).iter().filter(|&&p| p == b).count();
-                if n != 1 {
-                    s.emit(
-                        LintId::GraphConsistency,
-                        Some(b),
-                        None,
-                        format!(
-                            "edge {b} -> {succ}: successor records {n} matching pred entries, expected 1"
-                        ),
-                    );
-                }
-            }
-            for &p in g.preds(b) {
-                if !g.succs(p).contains(&b) {
-                    s.emit(
-                        LintId::GraphConsistency,
-                        Some(b),
-                        None,
-                        format!("{b} lists pred {p}, but {p} does not branch to {b}"),
-                    );
-                }
-            }
-            if let Terminator::Branch { prob_then, .. } = g.terminator(b) {
-                if !(0.0..=1.0).contains(prob_then) || prob_then.is_nan() {
-                    s.emit(
-                        LintId::BranchProbability,
-                        Some(b),
-                        None,
-                        format!("{b}: branch probability {prob_then} outside [0,1]"),
-                    );
-                }
-            }
+            edge_rules(g, b, &mut s);
         }
         // Reachable blocks must not have unreachable predecessors: the
         // cleanup pass must disconnect dead code before verification.
+        // A property of global reachability, not of any one block's slot.
         let mut reachable = vec![false; g.block_count()];
         for b in g.reachable_blocks() {
             reachable[b.index()] = true;
@@ -479,103 +944,7 @@ impl LintPass for BlockPass {
     fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
         let mut s = Sink { out };
         for b in g.blocks() {
-            let mut seen_non_phi = false;
-            for &i in g.block_insts(b) {
-                if g.block_of(i) != Some(b) {
-                    s.emit(
-                        LintId::GraphConsistency,
-                        Some(b),
-                        Some(i),
-                        format!("{i} listed in {b} but records block {:?}", g.block_of(i)),
-                    );
-                }
-                match g.inst(i) {
-                    Inst::Phi { inputs } => {
-                        if seen_non_phi {
-                            s.emit(
-                                LintId::PhiPlacement,
-                                Some(b),
-                                Some(i),
-                                format!("{b}: phi {i} appears after non-phi instructions"),
-                            );
-                        }
-                        if inputs.len() != g.preds(b).len() {
-                            s.emit(
-                                LintId::PhiPlacement,
-                                Some(b),
-                                Some(i),
-                                format!(
-                                    "{b}: phi {i} has {} inputs but the block has {} predecessors",
-                                    inputs.len(),
-                                    g.preds(b).len()
-                                ),
-                            );
-                        }
-                        if g.preds(b).is_empty() {
-                            s.emit(
-                                LintId::PhiPlacement,
-                                Some(b),
-                                Some(i),
-                                format!("{b}: phi {i} in a block without predecessors"),
-                            );
-                        }
-                    }
-                    Inst::Param(idx) => {
-                        if b != g.entry() {
-                            s.emit(
-                                LintId::ParamPlacement,
-                                Some(b),
-                                Some(i),
-                                format!("param {i} outside the entry block"),
-                            );
-                        }
-                        if *idx as usize >= g.param_types().len() {
-                            s.emit(
-                                LintId::ParamPlacement,
-                                Some(b),
-                                Some(i),
-                                format!("param {i} index {idx} out of range"),
-                            );
-                        } else if g.ty(i) != g.param_types()[*idx as usize] {
-                            s.emit(
-                                LintId::ParamPlacement,
-                                Some(b),
-                                Some(i),
-                                format!("param {i} type mismatch with signature"),
-                            );
-                        }
-                        seen_non_phi = true;
-                    }
-                    _ => seen_non_phi = true,
-                }
-                g.inst(i).for_each_input(|input| {
-                    if input.index() >= g.inst_count() {
-                        s.emit(
-                            LintId::DanglingUse,
-                            Some(b),
-                            Some(i),
-                            format!("{i} references out-of-range value {input}"),
-                        );
-                    } else if g.block_of(input).is_none() {
-                        s.emit(
-                            LintId::DanglingUse,
-                            Some(b),
-                            Some(i),
-                            format!("{i} in {b} uses removed instruction {input}"),
-                        );
-                    }
-                });
-            }
-            g.terminator(b).for_each_input(|input| {
-                if g.block_of(input).is_none() {
-                    s.emit(
-                        LintId::DanglingUse,
-                        Some(b),
-                        None,
-                        format!("terminator of {b} uses removed instruction {input}"),
-                    );
-                }
-            });
+            layout_rules(g, b, &mut s);
         }
     }
 }
@@ -583,245 +952,15 @@ impl LintPass for BlockPass {
 /// Per-instruction type rules plus branch-condition typing.
 struct TypePass;
 
-impl TypePass {
-    fn comparable(a: Type, b: Type) -> bool {
-        matches!(
-            (a, b),
-            (Type::Int, Type::Int)
-                | (Type::Bool, Type::Bool)
-                | (Type::Arr, Type::Arr)
-                | (Type::Ref(_), Type::Ref(_))
-        )
-    }
-
-    fn check_receiver(
-        s: &mut Sink<'_>,
-        g: &Graph,
-        b: BlockId,
-        at: InstId,
-        object: InstId,
-        field: crate::ids::FieldId,
-    ) {
-        let table = g.class_table();
-        if !table.contains_field(field) {
-            s.emit(
-                LintId::TypeError,
-                Some(b),
-                Some(at),
-                format!("{at}: unknown field {field}"),
-            );
-            return;
-        }
-        match g.ty(object) {
-            Type::Ref(c) => {
-                if !table.field_belongs_to(field, c) {
-                    s.emit(
-                        LintId::TypeError,
-                        Some(b),
-                        Some(at),
-                        format!("{at}: field {field} does not belong to class {c}"),
-                    );
-                }
-            }
-            other => s.emit(
-                LintId::TypeError,
-                Some(b),
-                Some(at),
-                format!("{at}: field access on {other}"),
-            ),
-        }
-    }
-
-    fn expect(s: &mut Sink<'_>, g: &Graph, b: BlockId, at: InstId, v: InstId, ty: Type) {
-        let actual = g.ty(v);
-        if actual != ty {
-            s.emit(
-                LintId::TypeError,
-                Some(b),
-                Some(at),
-                format!("{at}: operand {v} has type {actual}, expected {ty}"),
-            );
-        }
-    }
-}
-
 impl LintPass for TypePass {
     fn name(&self) -> &'static str {
         "types"
     }
 
-    #[allow(clippy::too_many_lines)]
     fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
         let mut s = Sink { out };
-        let table = g.class_table().clone();
         for b in g.blocks() {
-            for &i in g.block_insts(b) {
-                // Out-of-range operands are DanglingUse findings; typing
-                // them would index past the instruction table.
-                let mut out_of_range = false;
-                g.inst(i).for_each_input(|input| {
-                    if input.index() >= g.inst_count() {
-                        out_of_range = true;
-                    }
-                });
-                if out_of_range {
-                    continue;
-                }
-                let ty = g.ty(i);
-                let err = |s: &mut Sink<'_>, msg: String| {
-                    s.emit(LintId::TypeError, Some(b), Some(i), msg)
-                };
-                match g.inst(i) {
-                    Inst::Const(c) => {
-                        if c.ty() != ty {
-                            err(&mut s, format!("{i}: constant {c} typed {ty}"));
-                        }
-                        if let ConstValue::Null(cl) = c {
-                            if !table.contains_class(*cl) {
-                                err(&mut s, format!("{i}: null of unknown class {cl}"));
-                            }
-                        }
-                    }
-                    Inst::Param(_) => {}
-                    Inst::Binary { lhs, rhs, .. } => {
-                        Self::expect(&mut s, g, b, i, *lhs, Type::Int);
-                        Self::expect(&mut s, g, b, i, *rhs, Type::Int);
-                        if ty != Type::Int {
-                            err(&mut s, format!("{i}: binary op typed {ty}"));
-                        }
-                    }
-                    Inst::Compare { op, lhs, rhs } => {
-                        let lt = g.ty(*lhs);
-                        let rt = g.ty(*rhs);
-                        let ordered = matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge);
-                        if ordered && (lt != Type::Int || rt != Type::Int) {
-                            err(&mut s, format!("{i}: ordered comparison of {lt} and {rt}"));
-                        }
-                        if !ordered && !Self::comparable(lt, rt) {
-                            err(&mut s, format!("{i}: equality comparison of {lt} and {rt}"));
-                        }
-                        if ty != Type::Bool {
-                            err(&mut s, format!("{i}: comparison typed {ty}"));
-                        }
-                    }
-                    Inst::Not(x) => {
-                        Self::expect(&mut s, g, b, i, *x, Type::Bool);
-                        if ty != Type::Bool {
-                            err(&mut s, format!("{i}: not typed {ty}"));
-                        }
-                    }
-                    Inst::Neg(x) => {
-                        Self::expect(&mut s, g, b, i, *x, Type::Int);
-                        if ty != Type::Int {
-                            err(&mut s, format!("{i}: neg typed {ty}"));
-                        }
-                    }
-                    Inst::Phi { inputs } => {
-                        for &input in inputs {
-                            if g.ty(input) != ty {
-                                err(
-                                    &mut s,
-                                    format!(
-                                        "{i}: phi typed {ty} has input {input} of type {}",
-                                        g.ty(input)
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                    Inst::New { class } => {
-                        if !table.contains_class(*class) {
-                            err(&mut s, format!("{i}: new of unknown class {class}"));
-                        } else if ty != Type::Ref(*class) {
-                            err(&mut s, format!("{i}: new {class} typed {ty}"));
-                        }
-                    }
-                    Inst::LoadField { object, field } => {
-                        Self::check_receiver(&mut s, g, b, i, *object, *field);
-                        if table.contains_field(*field) && ty != table.field(*field).ty {
-                            err(&mut s, format!("{i}: load of {field} typed {ty}"));
-                        }
-                    }
-                    Inst::StoreField {
-                        object,
-                        field,
-                        value,
-                    } => {
-                        Self::check_receiver(&mut s, g, b, i, *object, *field);
-                        if table.contains_field(*field) && g.ty(*value) != table.field(*field).ty {
-                            err(
-                                &mut s,
-                                format!("{i}: store of {} into {field}", g.ty(*value)),
-                            );
-                        }
-                        if ty != Type::Void {
-                            err(&mut s, format!("{i}: store typed {ty}"));
-                        }
-                    }
-                    Inst::InstanceOf { object, class } => {
-                        if !matches!(g.ty(*object), Type::Ref(_)) {
-                            err(&mut s, format!("{i}: instanceof on {}", g.ty(*object)));
-                        }
-                        if !table.contains_class(*class) {
-                            err(&mut s, format!("{i}: instanceof unknown class {class}"));
-                        }
-                        if ty != Type::Bool {
-                            err(&mut s, format!("{i}: instanceof typed {ty}"));
-                        }
-                    }
-                    Inst::NewArray { length } => {
-                        Self::expect(&mut s, g, b, i, *length, Type::Int);
-                        if ty != Type::Arr {
-                            err(&mut s, format!("{i}: newarray typed {ty}"));
-                        }
-                    }
-                    Inst::ArrayLoad { array, index } => {
-                        Self::expect(&mut s, g, b, i, *array, Type::Arr);
-                        Self::expect(&mut s, g, b, i, *index, Type::Int);
-                        if ty != Type::Int {
-                            err(&mut s, format!("{i}: aload typed {ty}"));
-                        }
-                    }
-                    Inst::ArrayStore {
-                        array,
-                        index,
-                        value,
-                    } => {
-                        Self::expect(&mut s, g, b, i, *array, Type::Arr);
-                        Self::expect(&mut s, g, b, i, *index, Type::Int);
-                        Self::expect(&mut s, g, b, i, *value, Type::Int);
-                        if ty != Type::Void {
-                            err(&mut s, format!("{i}: astore typed {ty}"));
-                        }
-                    }
-                    Inst::ArrayLength(a) => {
-                        Self::expect(&mut s, g, b, i, *a, Type::Arr);
-                        if ty != Type::Int {
-                            err(&mut s, format!("{i}: alength typed {ty}"));
-                        }
-                    }
-                    Inst::Invoke { args } => {
-                        for &a in args {
-                            if g.ty(a) == Type::Void {
-                                err(&mut s, format!("{i}: invoke passes void value {a}"));
-                            }
-                        }
-                        if ty != Type::Int {
-                            err(&mut s, format!("{i}: invoke typed {ty}"));
-                        }
-                    }
-                }
-            }
-            if let Terminator::Branch { cond, .. } = g.terminator(b) {
-                if cond.index() < g.inst_count() && g.ty(*cond) != Type::Bool {
-                    s.emit(
-                        LintId::TypeError,
-                        Some(b),
-                        None,
-                        format!("terminator of {b}: branch on {}", g.ty(*cond)),
-                    );
-                }
-            }
+            type_rules(g, b, &mut s);
         }
     }
 }
@@ -838,88 +977,241 @@ impl LintPass for DominancePass {
     fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
         let mut s = Sink { out };
         let dom = SimpleDomTree::compute(g);
-        // Position of each instruction within its block for same-block checks.
-        let mut pos: HashMap<InstId, usize> = HashMap::new();
+        // Position of each instruction within its block, for the
+        // same-block checks.
+        let mut pos = vec![NO_POS; g.inst_count()];
         for b in g.blocks() {
             for (k, &i) in g.block_insts(b).iter().enumerate() {
-                pos.insert(i, k);
+                pos[i.index()] = k as u32;
             }
         }
-        let available_at_end = |v: InstId, b: BlockId| {
-            if v.index() >= g.inst_count() {
-                return false;
-            }
-            match g.block_of(v) {
-                Some(db) => dom.dominates(db, b),
-                None => false,
-            }
-        };
-        let dominates_use = |v: InstId, b: BlockId, use_pos: usize| {
-            if v.index() >= g.inst_count() {
-                return false;
-            }
-            match g.block_of(v) {
-                Some(db) if db == b => pos.get(&v).is_some_and(|&p| p < use_pos),
-                Some(db) => dom.dominates(db, b),
-                None => false,
-            }
-        };
         for &b in &dom.rpo {
-            for (k, &i) in g.block_insts(b).iter().enumerate() {
-                match g.inst(i) {
-                    Inst::Phi { inputs } => {
-                        let preds = g.preds(b).to_vec();
-                        for (input, &pred) in inputs.iter().zip(preds.iter()) {
-                            if !available_at_end(*input, pred) {
-                                s.emit(
-                                    LintId::SsaDominance,
-                                    Some(b),
-                                    Some(i),
-                                    format!(
-                                        "{i} in {b}: phi input {input} does not dominate predecessor {pred}"
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                    inst => {
-                        let mut bad = Vec::new();
-                        inst.for_each_input(|input| {
-                            if !dominates_use(input, b, k) {
-                                bad.push(input);
-                            }
-                        });
-                        for input in bad {
-                            s.emit(
-                                LintId::SsaDominance,
-                                Some(b),
-                                Some(i),
-                                format!(
-                                    "{i} in {b}: use of {input} not dominated by its definition"
-                                ),
-                            );
-                        }
-                    }
-                }
+            dominance_rules(g, &dom, &pos, b, &mut s);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The scoped form: the same rules over a transaction's footprint.
+// ---------------------------------------------------------------------
+
+/// Reusable working memory of [`lint_footprint`]: dense per-block and
+/// per-instruction flag tables plus the position table of
+/// [`dominance_rules`]. Keeping one across calls makes the check
+/// allocation-free once the tables have grown to the graph's size.
+#[derive(Debug, Default)]
+pub struct FootprintScratch {
+    block_flags: Vec<u8>,
+    inst_flags: Vec<u8>,
+    pos: Vec<u32>,
+}
+
+/// Block flag: the block slot itself is in the footprint.
+const DIRTY: u8 = 1;
+/// Block flag: every per-block rule runs on it — a footprint block, or
+/// one that lists a footprint instruction.
+const CHECKED: u8 = 2;
+/// Block flag: stopped dominating a block it dominated when the
+/// transaction opened.
+const SHRUNK: u8 = 4;
+/// Instruction flag: an attached value whose uses in unchecked blocks
+/// get their dominance re-checked.
+const VALUE: u8 = 1;
+/// Instruction flag: a footprint instruction that is now detached.
+const REMOVED: u8 = 2;
+
+/// Checks the error-severity rules on exactly the part of `g` that the
+/// transaction described by `fp` ([`Graph::txn_footprint`]) can have
+/// broken, in O(footprint) rule evaluations plus one flag-test scan over
+/// the operands of the rest of the graph.
+///
+/// **Contract.** If `g` passed [`crate::verify`] when the transaction
+/// opened and this returns a clean report, every error-severity lint of
+/// the whole-graph passes is clean too, *except* the two that are not a
+/// function of the edited slots: "reachable block has an unreachable
+/// predecessor" and [`LintId::ControlDepViolation`]. Callers re-run the
+/// whole-graph [`crate::verify`] at a coarser boundary for those.
+///
+/// How each family is covered (`checked` = footprint blocks plus blocks
+/// listing a footprint instruction):
+///
+/// - *Edges, layout, types*: the per-block rules on every checked block.
+///   A mirror can also break from the far side, so unchecked blocks
+///   bordering a footprint block re-run the edge rules; a stale listing
+///   or a use of a now-detached footprint instruction can sit anywhere,
+///   so the scan below tests every listed instruction for them.
+/// - *SSA dominance*: in full on every checked block that is reachable.
+///   An unchecked use can only have been invalidated from afar: either
+///   its definition is a footprint instruction (moved), or the
+///   definition's block lost dominance over it. A block `d` that
+///   dominated `b` at open and no longer does has, on every new
+///   `d`-avoiding path to `b`, a last edge that did not exist at open;
+///   that edge's target `y` is a footprint block (its predecessor list
+///   changed), `d` dominated `y` at open and no longer does. So walking
+///   `before`'s idom chain from each footprint block and testing each
+///   ancestor against `after` finds every such `d`; their values, and
+///   the attached footprint instructions, form the value set whose
+///   remaining uses the scan re-checks. Blocks that were unreachable at
+///   open and are reachable now had no checked uses before and get the
+///   dominance rules in full.
+///
+/// `before` is the dominance relation at the matching `begin_txn`;
+/// `after` — the relation of `g` as it stands — is only requested once
+/// the edge rules have passed, so it is never built from inconsistent
+/// pred/succ mirrors. Errors found before that point are reported
+/// without the dominance findings.
+pub fn lint_footprint<A: Dominance>(
+    g: &Graph,
+    fp: &TxnFootprint,
+    scratch: &mut FootprintScratch,
+    before: &impl Dominance,
+    after: impl FnOnce() -> A,
+) -> LintReport {
+    let FootprintScratch {
+        block_flags,
+        inst_flags,
+        pos,
+    } = scratch;
+    block_flags.clear();
+    block_flags.resize(g.block_count(), 0);
+    inst_flags.clear();
+    inst_flags.resize(g.inst_count(), 0);
+    pos.clear();
+    pos.resize(g.inst_count(), NO_POS);
+    for &b in &fp.blocks {
+        block_flags[b.index()] |= DIRTY | CHECKED;
+    }
+    for &i in &fp.insts {
+        match g.block_of(i) {
+            Some(b) => {
+                inst_flags[i.index()] |= VALUE;
+                block_flags[b.index()] |= CHECKED;
             }
-            let term = g.terminator(b);
-            let end = g.block_insts(b).len();
-            let mut bad = Vec::new();
-            term.for_each_input(|input| {
-                if !dominates_use(input, b, end) {
-                    bad.push(input);
-                }
-            });
-            for input in bad {
-                s.emit(
-                    LintId::SsaDominance,
-                    Some(b),
-                    None,
-                    format!("terminator of {b}: use of {input} not dominated by its definition"),
-                );
+            None => inst_flags[i.index()] |= REMOVED,
+        }
+    }
+
+    let mut out = Vec::new();
+    let mut s = Sink { out: &mut out };
+    let dirty = |b: &BlockId| block_flags[b.index()] & DIRTY != 0;
+    for b in g.blocks() {
+        if block_flags[b.index()] & CHECKED != 0 {
+            edge_rules(g, b, &mut s);
+            layout_rules(g, b, &mut s);
+            type_rules(g, b, &mut s);
+        } else {
+            let borders_footprint = g.preds(b).iter().any(dirty)
+                || match g.terminator(b) {
+                    Terminator::Jump { target } => dirty(target),
+                    Terminator::Branch {
+                        then_bb, else_bb, ..
+                    } => dirty(then_bb) || dirty(else_bb),
+                    Terminator::Return { .. } | Terminator::Deopt => false,
+                };
+            if borders_footprint {
+                edge_rules(g, b, &mut s);
             }
         }
     }
+    if !s.out.is_empty() {
+        return LintReport::from_diagnostics(out);
+    }
+
+    let after = after();
+    for &y in &fp.blocks {
+        if y.index() >= fp.base_blocks || !after.is_reachable(y) {
+            continue;
+        }
+        let mut up = before.idom(y);
+        while let Some(d) = up {
+            if block_flags[d.index()] & SHRUNK == 0 && !after.dominates(d, y) {
+                block_flags[d.index()] |= SHRUNK;
+                for &i in g.block_insts(d) {
+                    inst_flags[i.index()] |= VALUE;
+                }
+            }
+            up = before.idom(d);
+        }
+    }
+    for b in g.blocks() {
+        let checked = block_flags[b.index()] & CHECKED != 0;
+        let reachable = after.is_reachable(b);
+        let newly_reachable = reachable && b.index() < fp.base_blocks && !before.is_reachable(b);
+        if reachable && (checked || newly_reachable) {
+            for (k, &i) in g.block_insts(b).iter().enumerate() {
+                pos[i.index()] = k as u32;
+            }
+            dominance_rules(g, &after, pos, b, &mut s);
+            for &i in g.block_insts(b) {
+                pos[i.index()] = NO_POS;
+            }
+        }
+        if !checked {
+            stale_use_rules(
+                g,
+                &after,
+                inst_flags,
+                b,
+                reachable && !newly_reachable,
+                &mut s,
+            );
+        }
+    }
+    LintReport::from_diagnostics(out)
+}
+
+/// The scan [`lint_footprint`] runs on a block none of whose slots are
+/// in the footprint: listings that disagree with the (possibly edited)
+/// instruction record, uses of detached footprint instructions, and —
+/// when `check_dominance` — uses of [`VALUE`]-flagged instructions whose
+/// definition no longer dominates them. Same-block operand uses are
+/// skipped: neither list position changed.
+fn stale_use_rules(
+    g: &Graph,
+    dom: &impl Dominance,
+    inst_flags: &[u8],
+    b: BlockId,
+    check_dominance: bool,
+    s: &mut Sink<'_>,
+) {
+    let flags = |v: InstId| inst_flags.get(v.index()).copied().unwrap_or(0);
+    let operand = |s: &mut Sink<'_>, at: Option<InstId>, input: InstId| {
+        let f = flags(input);
+        if f & REMOVED != 0 {
+            s.removed_use(b, at, input);
+        } else if check_dominance && f & VALUE != 0 {
+            let dominated = g
+                .block_of(input)
+                .is_some_and(|db| db == b || dom.dominates(db, b));
+            if !dominated {
+                s.undominated_use(b, at, input);
+            }
+        }
+    };
+    for &i in g.block_insts(b) {
+        if g.block_of(i) != Some(b) {
+            s.misfiled(b, i, g.block_of(i));
+        }
+        match g.inst(i) {
+            Inst::Phi { inputs } => {
+                for (k, &input) in inputs.iter().enumerate() {
+                    let f = flags(input);
+                    if f & REMOVED != 0 {
+                        s.removed_use(b, Some(i), input);
+                    } else if check_dominance && f & VALUE != 0 {
+                        if let Some(&pred) = g.preds(b).get(k) {
+                            if !available_at_end(g, dom, input, pred) {
+                                s.undominated_phi_input(b, i, input, pred);
+                            }
+                        }
+                    }
+                }
+            }
+            inst => inst.for_each_input(|input| operand(s, Some(i), input)),
+        }
+    }
+    g.terminator(b)
+        .for_each_input(|input| operand(s, None, input));
 }
 
 /// CFG hygiene: findings the soundness checks cannot express — populated
@@ -1296,9 +1588,9 @@ impl SimpleDomTree {
         }
         a
     }
+}
 
-    /// Does `a` dominate `b`? Blocks unreachable from entry dominate
-    /// nothing and are dominated by nothing.
+impl Dominance for SimpleDomTree {
     fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         if self.rpo_index[a.index()] == usize::MAX || self.rpo_index[b.index()] == usize::MAX {
             return false;
@@ -1313,6 +1605,11 @@ impl SimpleDomTree {
                 _ => return false,
             }
         }
+    }
+
+    fn idom(&self, b: BlockId) -> Option<BlockId> {
+        // The entry's self-idom is an artifact of the iteration.
+        self.idom[b.index()].filter(|&i| i != b)
     }
 }
 
@@ -1460,6 +1757,93 @@ mod tests {
         let report = lint(&diamond());
         assert_eq!(report.count_of(LintId::ControlDepViolation), 0);
         assert_eq!(report.count_of(LintId::NoExitPath), 0);
+    }
+
+    #[test]
+    fn soundness_registry_finds_exactly_the_errors() {
+        // Use-before-def plus a type error: the error-capable passes
+        // report what the full registry reports at error severity.
+        let mut g = Graph::new("errs", &[], empty_table());
+        let e = g.entry();
+        let t = g.append_inst(e, Inst::Const(ConstValue::Bool(true)), Type::Bool);
+        let neg = g.append_inst(e, Inst::Neg(t), Type::Int);
+        g.set_terminator(e, Terminator::Return { value: Some(neg) });
+        for g in [g, diamond()] {
+            let all = lint(&g);
+            let sound = LintRegistry::soundness().run(&g);
+            assert_eq!(
+                all.errors().collect::<Vec<_>>(),
+                sound.errors().collect::<Vec<_>>()
+            );
+        }
+        assert!(!LintRegistry::soundness().pass_names().contains(&"hygiene"));
+    }
+
+    /// The footprint check on `g`'s open transaction against the
+    /// pass-private dominator trees; `before` is the tree at `begin_txn`.
+    fn footprint_report(g: &Graph, before: &SimpleDomTree) -> LintReport {
+        lint_footprint(
+            g,
+            &g.txn_footprint(),
+            &mut FootprintScratch::default(),
+            before,
+            || SimpleDomTree::compute(g),
+        )
+    }
+
+    #[test]
+    fn footprint_check_is_clean_on_an_untouched_transaction() {
+        let mut g = diamond();
+        let before = SimpleDomTree::compute(&g);
+        g.begin_txn();
+        assert!(footprint_report(&g, &before).is_clean());
+        g.commit_txn();
+    }
+
+    #[test]
+    fn broken_pred_mirror_is_caught_from_the_untouched_side() {
+        // bm loses its entry for bt while bt (untouched, so outside the
+        // footprint) still jumps to it: only the edge rules of bt can see
+        // the mismatch. The dominator tree must not even be requested on
+        // mirrors this inconsistent.
+        let mut g = diamond();
+        let before = SimpleDomTree::compute(&g);
+        let (bt, bm) = (BlockId(1), BlockId(3));
+        g.begin_txn();
+        g.break_pred_mirror(bm, 0);
+        assert_eq!(g.txn_footprint().blocks, vec![bm]);
+        let report = lint_footprint(
+            &g,
+            &g.txn_footprint(),
+            &mut FootprintScratch::default(),
+            &before,
+            || -> SimpleDomTree { panic!("dominance requested on broken edge mirrors") },
+        );
+        assert!(report
+            .errors()
+            .any(|d| d.lint == LintId::GraphConsistency && d.block == Some(bt)));
+        assert!(!lint(&g).is_clean(), "the whole-graph pass agrees");
+        g.rollback_txn();
+        assert!(lint(&g).is_clean());
+    }
+
+    #[test]
+    fn scratch_is_reusable_across_graphs_of_different_sizes() {
+        let mut scratch = FootprintScratch::default();
+        for extra in [3usize, 0, 7] {
+            let mut g = diamond();
+            let before = SimpleDomTree::compute(&g);
+            g.begin_txn();
+            for _ in 0..extra {
+                g.add_block();
+                g.append_inst(g.entry(), Inst::Const(ConstValue::Int(1)), Type::Int);
+            }
+            let report = lint_footprint(&g, &g.txn_footprint(), &mut scratch, &before, || {
+                SimpleDomTree::compute(&g)
+            });
+            assert!(report.is_clean(), "{report}");
+            g.commit_txn();
+        }
     }
 
     #[test]

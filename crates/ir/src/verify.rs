@@ -7,14 +7,13 @@
 //! tier re-verifies graphs after each duplication in debug builds.
 //!
 //! Since the lint framework landed, [`verify`] is a thin wrapper over
-//! [`crate::lint`]: it runs the default [`LintRegistry`](crate::lint::LintRegistry)
-//! and reports the error-severity diagnostics as a flat [`VerifyErrors`],
-//! so every existing call site (tests, the bailout checkpoint path, the
-//! debug re-verification after duplication) transparently runs the full
-//! structured suite. Warn-severity hygiene findings do not fail
-//! verification; consume [`crate::lint::lint`] directly to see them.
+//! [`crate::lint`]: it runs the passes that can emit an error-severity
+//! lint ([`LintRegistry::soundness`]) and reports those diagnostics as a
+//! flat [`VerifyErrors`]. Warn-severity hygiene findings do not fail
+//! verification and the warn-only pass is not even run; consume
+//! [`crate::lint::lint`] directly to see them.
 
-use crate::lint::{lint, Severity};
+use crate::lint::{LintRegistry, Severity};
 use crate::Graph;
 use std::error::Error;
 use std::fmt;
@@ -64,7 +63,7 @@ impl Error for VerifyErrors {}
 /// SSA form. Problems arrive in the lint report's deterministic
 /// (block, instruction, lint) order.
 pub fn verify(g: &Graph) -> Result<(), VerifyErrors> {
-    let report = lint(g);
+    let report = LintRegistry::soundness().run(g);
     let problems: Vec<String> = report
         .diagnostics()
         .iter()
