@@ -154,12 +154,9 @@ const UNBOUNDED: u64 = u64::MAX;
 
 /// Cooperative fuel / deadline accounting shared by the three tiers.
 ///
-/// Internally atomic, so a `&Budget` can thread through the recursive
-/// simulation walk alongside other borrows *and* cross into the
-/// simulation tier's worker threads (the type is `Sync`). Deterministic
-/// accounting still happens on a single thread — the parallel tier's
-/// in-order commit — while workers only read the budget through
-/// [`Budget::stopped_hint`].
+/// Interior-mutable, so a `&Budget` can thread through the recursive
+/// simulation walk alongside other borrows. One budget belongs to one
+/// compilation and is only ever charged from the thread compiling it.
 #[derive(Debug)]
 pub struct Budget {
     /// Remaining fuel; [`UNBOUNDED`] = no limit.
@@ -238,15 +235,6 @@ impl Budget {
     /// Total fuel units consumed so far (also counted when unbounded).
     pub fn fuel_used(&self) -> u64 {
         self.used.load(Ordering::Relaxed)
-    }
-
-    /// `true` once this budget can no longer succeed: the fuel tank is
-    /// empty (sticky) or the deadline has passed. A pure read — nothing
-    /// is consumed or recorded — used by simulation workers as a
-    /// cancellation hint. Both conditions are monotone, so a `true` here
-    /// guarantees every subsequent [`Budget::consume`] fails.
-    pub fn stopped_hint(&self) -> bool {
-        self.fuel.load(Ordering::Relaxed) == 0 || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 

@@ -139,67 +139,6 @@ pub fn disarm() -> (u32, bool) {
     })
 }
 
-/// A fault decision taken *ahead of execution* for a graph-less site.
-///
-/// The parallel simulation tier decides faults at candidate-collection
-/// time (on the coordinating thread, in candidate order — the same order
-/// the sequential tier hits the site) and ships the decision to whichever
-/// worker runs the DST. That keeps `nth`-hit counting deterministic under
-/// sharding: the hit counter lives in one thread-local, never raced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum PlannedFault {
-    /// Panic inside the DST's isolation (see [`injected_panic`]).
-    Panic,
-    /// The DST's first budget poll reports fuel exhaustion.
-    ExhaustFuel,
-    /// The DST's first budget poll reports a missed deadline.
-    ExhaustDeadline,
-}
-
-/// Advances `site`'s hit counter exactly like [`fault_point`] and returns
-/// the fault to enact later, if the armed plan fires at this hit.
-/// `CorruptGraph` plans mark themselves fired but return `None` — these
-/// sites have no graph to corrupt, matching `fault_point(site, None)`.
-///
-/// Used by the parallel simulation tier to take fault decisions on the
-/// coordinating thread, in candidate order, before fan-out (the armed
-/// plan's hit counter must never race). One observable shift from the
-/// inline `fault_point` era: the decision happens at *collection* time,
-/// which consumes no budget, so a plan can report `fired` even when
-/// budget exhaustion stops the phase before that candidate's DST would
-/// have run sequentially. `fault_props` only asserts the `!fired`
-/// direction, which is unaffected.
-pub(crate) fn take_site_plan(site: &'static str) -> Option<PlannedFault> {
-    ARMED.with(|a| {
-        let mut a = a.borrow_mut();
-        match a.as_mut() {
-            Some(armed) if armed.plan.site == site => {
-                let n = armed.hits;
-                armed.hits += 1;
-                if !armed.fired && n == armed.plan.nth {
-                    armed.fired = true;
-                    match armed.plan.kind {
-                        FaultKind::Panic => Some(PlannedFault::Panic),
-                        FaultKind::ExhaustFuel => Some(PlannedFault::ExhaustFuel),
-                        FaultKind::ExhaustDeadline => Some(PlannedFault::ExhaustDeadline),
-                        FaultKind::CorruptGraph => None,
-                    }
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
-    })
-}
-
-/// Enacts a [`PlannedFault::Panic`]: panics with the exact message
-/// [`fault_point`] would have used at `site`, so bailout records are
-/// byte-identical whether the fault fires inline or on a worker.
-pub(crate) fn injected_panic(site: &str) -> ! {
-    panic!("injected fault: panic at {site}")
-}
-
 /// An injection point. Call sites pass the graph when corruption is
 /// meaningful there (`None` keeps `CorruptGraph` a no-op).
 ///

@@ -14,10 +14,10 @@ use crate::bailout::{
 };
 use crate::faultinject::fault_point;
 use crate::simulation::{
-    audit_opportunities, count_mispredictions, dominator_chain, simulate_paths_parallel,
+    audit_opportunities, count_mispredictions, dominator_chain, simulate_paths_budgeted,
     CandidateKind, SimulationResult,
 };
-use crate::tradeoff::{select_with_rejections_parallel, SelectionMode, TradeoffConfig};
+use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
 use crate::transform::{duplicate, try_duplicate, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats};
 use dbds_costmodel::CostModel;
@@ -74,22 +74,15 @@ pub struct DbdsConfig {
     /// Bailout-and-recovery guardrails: fuel / deadline budgets, verified
     /// checkpoints and panic isolation.
     pub guard: GuardConfig,
-    /// Worker threads for the simulation tier's DST pool and the
-    /// trade-off tier's pricing fan-out. `0` = adaptive: in a unit batch
-    /// it sizes the shared scheduler's sim sub-pool from the hardware
-    /// (see [`DbdsConfig::pool_plan`]); in a direct [`compile`] it means
-    /// one per hardware thread. Results are bit-identical for every
-    /// value; only wall-clock changes. The default honors the
-    /// `DBDS_SIM_THREADS` environment variable and falls back to 1.
-    pub sim_threads: usize,
     /// Worker threads for the *unit-level* compilation queue: how many
-    /// independent compilation units the harness overlaps on the
-    /// [`crate::par`] scheduler (`0` = adaptive, see
-    /// [`DbdsConfig::pool_plan`]). Mirrors the paper's setting of DBDS
+    /// independent compilation units a batch overlaps on
+    /// [`crate::par::run_units`] (`0` = one per hardware thread; see
+    /// [`DbdsConfig::unit_workers`]). Mirrors the paper's setting of DBDS
     /// as a per-unit phase inside a compiler that compiles units
-    /// concurrently (§6). Results are committed in submission order, so
-    /// reports are byte-identical for every value. The default honors
-    /// `DBDS_UNIT_THREADS` and falls back to 1.
+    /// concurrently (§6); units are the only parallel grain. Results are
+    /// committed in submission order, so reports are byte-identical for
+    /// every value. The default honors `DBDS_UNIT_THREADS` and falls
+    /// back to 1.
     pub unit_threads: usize,
     /// Whether the simulation tier may continue a DST *through* a branch
     /// terminator it decided statically, producing
@@ -100,15 +93,6 @@ pub struct DbdsConfig {
     /// (`0`/`false` disables) and falls back to
     /// [`BRANCH_SPLIT_DEFAULT`](crate::BRANCH_SPLIT_DEFAULT).
     pub enable_branch_splitting: bool,
-}
-
-/// The `sim_threads` default: `DBDS_SIM_THREADS` when set to a number,
-/// else 1 (sequential).
-fn sim_threads_from_env() -> usize {
-    std::env::var("DBDS_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1)
 }
 
 /// The `unit_threads` default: `DBDS_UNIT_THREADS` when set to a number,
@@ -142,97 +126,27 @@ impl Default for DbdsConfig {
             iteration_benefit_threshold: 48.0,
             max_path_length: 1,
             guard: GuardConfig::default(),
-            sim_threads: sim_threads_from_env(),
             unit_threads: unit_threads_from_env(),
             enable_branch_splitting: branch_split_from_env(),
         }
     }
 }
 
-/// The 2-D schedule for a batch of independent compilation units: how
-/// many reserved unit workers and sim (steal-helper) workers the shared
-/// [`crate::par::run_units`] scheduler runs, plus the configuration
-/// each unit compiles with. Built by [`DbdsConfig::pool_plan`].
-///
-/// The plan is purely a *scheduling* artifact: results are bit-identical
-/// at every split, so none of these fields participate in
-/// [`DbdsConfig::fingerprint`].
-#[derive(Clone, Debug)]
-pub struct PoolPlan {
-    /// Workers that claim whole compilation units off the shared cursor
-    /// (and steal inner chunks once the cursor runs dry).
-    pub unit_workers: usize,
-    /// Reserved workers that only steal chunks from in-flight units'
-    /// DST/pricing queues. `0` means no reserved helpers — idle unit
-    /// workers still steal.
-    pub sim_workers: usize,
-    /// The configuration each unit compiles with: the inner tiers are
-    /// forced nominally sequential (`sim_threads = 1`) because on a
-    /// scheduler worker their fan-outs *publish to the shared pool*
-    /// instead of spawning nested pools — one global worker set, no
-    /// `p × q` oversubscription.
-    pub per_unit: DbdsConfig,
-}
-
 impl DbdsConfig {
-    /// Plans the 2-D fan-out over `units` independent compilations.
-    ///
-    /// Explicit `unit_threads` / `sim_threads` values are honored as
-    /// given (`sim_threads = 1`, the sequential default, reserves no
-    /// helpers). A value of `0` means *adaptive*: the planner splits the
-    /// cached [`crate::par::hardware_threads`] between the sub-pools,
-    /// clamped by queue depth —
-    ///
-    /// * both `0`: roughly two thirds of the hardware becomes unit
-    ///   workers (at least one, at most `units`) and the rest the sim
-    ///   sub-pool, e.g. 6 hardware threads → 4 unit × 2 sim. On a
-    ///   single-core machine this degenerates to pure sequential — the
-    ///   cheapest correct plan.
-    /// * `unit_threads = 0`, `sim_threads` explicit: unit workers get
-    ///   whatever the sim reservation leaves (at least one).
-    /// * `unit_threads` explicit, `sim_threads = 0`: the sim sub-pool
-    ///   gets the leftover hardware.
-    ///
-    /// Safe because every tier's results are bit-identical across
-    /// splits; only the purely observational
-    /// [`PhaseStats::sim_threads`] / `par_ns` / [`crate::par::WorkerLoad`]
-    /// fields (kept out of the deterministic reports) can differ. Each
-    /// unit still owns its own [`dbds_analysis::AnalysisCache`] and
-    /// fuel/deadline [`Budget`](crate::Budget) — both are created per
+    /// How many [`crate::par::run_units`] workers a batch of `units`
+    /// independent compilations gets: [`DbdsConfig::unit_threads`], with
+    /// `0` resolved to the machine's hardware threads, clamped to the
+    /// batch size and never 0. Each unit owns its own
+    /// [`dbds_analysis::AnalysisCache`] and fuel/deadline
+    /// [`Budget`](crate::Budget) — both are created per
     /// [`run_dbds`]/[`compile`] call — so one unit's bailout never
     /// poisons a neighbor.
-    pub fn pool_plan(&self, units: usize) -> PoolPlan {
-        let hw = crate::par::hardware_threads();
-        let depth = units.max(1);
-        // An explicit sim request of 1 is the sequential default: no
-        // reserved helpers (matching the historical 1-means-sequential
-        // contract of `sim_threads`).
-        let explicit_sim = |s: usize| if s <= 1 { 0 } else { s };
-        let (unit_workers, sim_workers) = match (self.unit_threads, self.sim_threads) {
-            (0, 0) => {
-                // Auto both: ~2/3 of the hardware claims units, the
-                // rest helps their inner queues.
-                let u = ((2 * hw).div_ceil(3)).clamp(1, depth.min(hw.max(1)));
-                (u, hw.saturating_sub(u))
-            }
-            (0, s) => {
-                let s = explicit_sim(s);
-                (hw.saturating_sub(s).clamp(1, depth), s)
-            }
-            (u, 0) => {
-                let u = u.min(depth);
-                (u, hw.saturating_sub(u))
-            }
-            (u, s) => (u.min(depth), explicit_sim(s)),
+    pub fn unit_workers(&self, units: usize) -> usize {
+        let requested = match self.unit_threads {
+            0 => crate::par::hardware_threads(),
+            n => n,
         };
-        let mut per_unit = self.clone();
-        per_unit.unit_threads = 1;
-        per_unit.sim_threads = 1;
-        PoolPlan {
-            unit_workers,
-            sim_workers,
-            per_unit,
-        }
+        requested.clamp(1, units.max(1))
     }
 
     /// A stable fingerprint of every configuration field that can
@@ -243,8 +157,8 @@ impl DbdsConfig {
     /// Included: the opt level, the trade-off parameters, the iteration
     /// limits, the path length, the fuel budget and the checkpoint
     /// switch. Deliberately excluded, because results are proven
-    /// invariant under them: `sim_threads` / `unit_threads` (bit-identical
-    /// at any width) and `guard.deadline` (a deadline is wall-clock
+    /// invariant under them: `unit_threads` (bit-identical at any width)
+    /// and `guard.deadline` (a deadline is wall-clock
     /// nondeterminism — the service never caches a compilation that a
     /// deadline cut short, see [`PhaseStats::stopped_early`]).
     pub fn fingerprint(&self, level: OptLevel) -> u64 {
@@ -285,16 +199,6 @@ pub struct PhaseStats {
     pub work: u64,
     /// Wall-clock nanoseconds spent in the simulation tier.
     pub sim_ns: u128,
-    /// Wall-clock nanoseconds of `sim_ns` spent inside the sharded DST
-    /// fan-out (speculation plus in-order commit). Timing only.
-    pub par_ns: u128,
-    /// The resolved simulation thread count the phase ran with. Purely
-    /// observational — every other field is identical for every value.
-    pub sim_threads: usize,
-    /// Wall-clock nanoseconds spent inside the trade-off tier's parallel
-    /// pricing fan-out (candidate pricing on the pool plus the
-    /// sequential ranked accept replay). Timing only.
-    pub tradeoff_par_ns: u128,
     /// Wall-clock nanoseconds spent performing duplications.
     pub transform_ns: u128,
     /// Wall-clock nanoseconds spent in the optimization pipeline
@@ -460,18 +364,15 @@ pub fn run_dbds(
             cache.control_dep(g);
         }
         let t = Instant::now();
-        let sim = simulate_paths_parallel(
+        let sim = simulate_paths_budgeted(
             g,
             model,
             cache,
             cfg.max_path_length,
             &budget,
-            cfg.sim_threads,
             cfg.enable_branch_splitting,
         );
         stats.sim_ns += t.elapsed().as_nanos();
-        stats.par_ns += sim.par_ns;
-        stats.sim_threads = sim.threads;
         stats.candidates += sim.results.len();
         stats.split_candidates += sim
             .results
@@ -497,20 +398,14 @@ pub fn run_dbds(
             break;
         }
         let current_size = model.graph_size(g);
-        // Trade-off tier: pricing fans out on the same worker budget as
-        // the DST pool; the ranked accept loop replays sequentially, so
-        // the selection is bit-identical to the 1-thread path.
-        let priced = select_with_rejections_parallel(
+        let selection = select_with_rejections(
             &sim.results,
             &cfg.tradeoff,
             mode,
             initial_size,
             current_size,
             &visited,
-            cfg.sim_threads,
         );
-        stats.tradeoff_par_ns += priced.par_ns;
-        let selection = priced.selection;
         for candidate in selection.size_rejected {
             stats.bailouts.push(BailoutRecord {
                 reason: BailoutReason::SizeBudgetExceeded,
@@ -616,10 +511,8 @@ pub fn run_dbds(
             // a stale promise — classified as an ordinary stale skip when
             // an earlier duplication this round touched a block the
             // candidate depends on, and as a misprediction (a simulation-
-            // tier contract violation) otherwise. Runs on the
-            // coordinating thread against a local budget, so results and
-            // fuel accounting stay identical across `sim_threads`
-            // settings.
+            // tier contract violation) otherwise. The audit never charges
+            // the phase's budget.
             if checkpoints && !s.opportunities.is_empty() {
                 let tg = Instant::now();
                 let rerun = audit_opportunities(g, model, cache, s);
@@ -1284,59 +1177,19 @@ mod tests {
     }
 
     #[test]
-    fn pool_plan_honors_explicit_splits() {
-        let with = |u: usize, s: usize| DbdsConfig {
-            unit_threads: u,
-            sim_threads: s,
+    fn unit_workers_resolves_and_clamps() {
+        let with = |unit_threads: usize| DbdsConfig {
+            unit_threads,
             ..DbdsConfig::default()
         };
-        // Explicit both: honored as given; per-unit tiers publish to the
-        // shared scheduler, so their own knobs are forced nominal.
-        let plan = with(4, 8).pool_plan(45);
-        assert_eq!((plan.unit_workers, plan.sim_workers), (4, 8));
-        assert_eq!(plan.per_unit.sim_threads, 1, "inner tiers share the pool");
-        assert_eq!(plan.per_unit.unit_threads, 1);
-        // sim_threads = 1 is the sequential default: no reserved helpers.
-        let plan = with(4, 1).pool_plan(45);
-        assert_eq!((plan.unit_workers, plan.sim_workers), (4, 0));
-        // The historical 1×N split becomes one unit worker + N stealers.
-        let plan = with(1, 8).pool_plan(45);
-        assert_eq!((plan.unit_workers, plan.sim_workers), (1, 8));
-        // Never wider than the unit count, never zero.
-        assert_eq!(with(16, 1).pool_plan(3).unit_workers, 3);
-        assert_eq!(with(16, 1).pool_plan(0).unit_workers, 1);
-        // Pure sequential resolves to the inline path's shape.
-        let plan = with(1, 1).pool_plan(45);
-        assert_eq!((plan.unit_workers, plan.sim_workers), (1, 0));
-    }
-
-    #[test]
-    fn pool_plan_adapts_to_hardware() {
+        assert_eq!(with(4).unit_workers(45), 4);
+        // Never wider than the batch, never zero.
+        assert_eq!(with(16).unit_workers(3), 3);
+        assert_eq!(with(16).unit_workers(0), 1);
+        // 0 = one per hardware thread, still clamped to the batch.
         let hw = crate::par::hardware_threads();
-        let with = |u: usize, s: usize| DbdsConfig {
-            unit_threads: u,
-            sim_threads: s,
-            ..DbdsConfig::default()
-        };
-        // Auto both: ~2/3 of the hardware claims units, the rest helps.
-        let plan = with(0, 0).pool_plan(45);
-        let expect_u = ((2 * hw).div_ceil(3)).clamp(1, 45.min(hw.max(1)));
-        assert_eq!(plan.unit_workers, expect_u);
-        assert_eq!(plan.sim_workers, hw - expect_u);
-        assert!(plan.unit_workers + plan.sim_workers <= hw.max(1));
-        // Queue depth still clamps the auto unit sub-pool.
-        assert_eq!(with(0, 0).pool_plan(1).unit_workers, 1);
-        // Auto units with an explicit sim reservation take the leftover.
-        let plan = with(0, 2).pool_plan(45);
-        assert_eq!(plan.sim_workers, 2);
-        assert_eq!(plan.unit_workers, hw.saturating_sub(2).clamp(1, 45));
-        // Explicit units with an auto sim sub-pool: leftover hardware.
-        let plan = with(2, 0).pool_plan(45);
-        assert_eq!(plan.unit_workers, 2);
-        assert_eq!(plan.sim_workers, hw.saturating_sub(2));
-        // Adaptive plans still force the per-unit tiers nominal.
-        assert_eq!(plan.per_unit.sim_threads, 1);
-        assert_eq!(plan.per_unit.unit_threads, 1);
+        assert_eq!(with(0).unit_workers(45), hw.min(45));
+        assert_eq!(with(0).unit_workers(1), 1);
     }
 
     #[test]

@@ -12,43 +12,21 @@
 //! No IR is copied or mutated at any point — that is the entire argument
 //! for simulation over backtracking (§3).
 //!
-//! # Parallel execution
+//! # Budget accounting
 //!
-//! Because DSTs are side-effect-free (§4.1), they can run concurrently:
-//! [`simulate_paths_parallel`] shards the candidate list over a
-//! [`crate::par`] worker pool. Determinism is preserved by splitting the
-//! tier into three steps:
-//!
-//! 1. **Collect** (coordinating thread): the dominator-tree DFS runs
-//!    once *without* consuming budget, snapshotting one [`FactEnv`] per
-//!    `(pred, merge)` candidate and a fuel **schedule** — the exact
-//!    sequence of budget events the sequential tier would issue.
-//!    Fault-injection decisions for `simulation/dst` are taken here, in
-//!    candidate order, so `nth`-hit counting never races.
-//! 2. **Speculate** (workers): each DST runs against a *trace-recording*
-//!    budget that never touches the shared one; it only polls
-//!    [`Budget::stopped_hint`] to abandon doomed work early.
-//! 3. **Commit** (coordinating thread, in candidate order): recorded
-//!    traces are replayed against the real [`Budget`] following the
-//!    schedule, overlapping the workers' speculation. The first failing
-//!    event is the stop point — the same one the sequential tier would
-//!    have hit — and any speculative work past it is discarded. Results
-//!    live in candidate-index slots, so scheduling cannot leak into the
-//!    output: every thread count yields bit-identical results, stop
-//!    reasons, and panic records. Keeping every real-budget charge on
-//!    the coordinating thread also preserves the thread-local
-//!    fault-injection contract of [`Budget::consume`].
+//! The walk charges each block (`insts + 1` fuel units) as it enters it.
+//! A DST is polled with [`Budget::check`] before it starts and charged
+//! once, with the sum of its segments, after it ran: a DST either commits
+//! whole or contributes nothing, so exhaustion never leaves a partial
+//! candidate behind. The first failing charge stops the walk; what was
+//! found up to there still feeds the trade-off tier.
 
 use crate::bailout::{isolate, BailoutReason, Budget};
-use crate::faultinject::{self, PlannedFault};
-use crate::par::{self, WorkerLoad};
+use crate::faultinject::fault_point;
 use dbds_analysis::{AnalysisCache, BlockFrequencies, DomTree};
 use dbds_costmodel::CostModel;
 use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, InstKind, Terminator};
 use dbds_opt::{evaluate, record_effects, FactEnv, OptKind, Synonym, Verdict};
-use std::cell::{Cell, RefCell};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// One optimization opportunity discovered during a DST.
 #[derive(Clone, Debug, PartialEq)]
@@ -140,16 +118,6 @@ pub struct SimulationOutcome {
     /// DSTs whose evaluation panicked, as `(pred, merge, message)`; the
     /// pair is simply skipped (no candidate, no result).
     pub panicked: Vec<(BlockId, BlockId, String)>,
-    /// The resolved thread-count knob the DST pool ran with. Purely
-    /// observational: `results`/`stopped`/`panicked` are identical for
-    /// every value.
-    pub threads: usize,
-    /// Wall-clock nanoseconds spent in the fan-out region (sharded DSTs
-    /// plus the in-order commit). Timing only — never compare it.
-    pub par_ns: u128,
-    /// Per-worker load statistics, merged in worker-index order. The
-    /// counts depend on scheduling and must not feed back into results.
-    pub workers: Vec<WorkerLoad>,
 }
 
 /// Simulates every predecessor→merge duplication in `g` and returns the
@@ -163,7 +131,7 @@ pub fn simulate(g: &Graph, model: &CostModel, cache: &mut AnalysisCache) -> Vec<
 /// Whether DSTs may continue through a statically-decided branch (the
 /// branch-splitting extension). The convenience wrappers enable it; the
 /// phase threads its `enable_branch_splitting` config knob through
-/// [`simulate_paths_parallel`].
+/// [`simulate_paths_budgeted`].
 pub const BRANCH_SPLIT_DEFAULT: bool = true;
 
 /// Like [`simulate`], but lets the DST continue across up to
@@ -177,437 +145,135 @@ pub fn simulate_paths(
     cache: &mut AnalysisCache,
     max_path_len: usize,
 ) -> Vec<SimulationResult> {
-    simulate_paths_budgeted(g, model, cache, max_path_len, &Budget::unlimited()).results
+    simulate_paths_budgeted(
+        g,
+        model,
+        cache,
+        max_path_len,
+        &Budget::unlimited(),
+        BRANCH_SPLIT_DEFAULT,
+    )
+    .results
 }
 
 /// Like [`simulate_paths`], but cooperatively polls `budget` (one fuel
-/// unit per instruction visited plus one per block) and isolates each
-/// DST behind a panic guard. Budget exhaustion stops the walk and
+/// unit per instruction visited plus one per block, see the module docs)
+/// and isolates each DST behind a panic guard; `branch_split` gates the
+/// branch-splitting continuation. Budget exhaustion stops the walk and
 /// reports what was found so far; a panicking DST only loses that one
-/// predecessor→merge pair. Runs the DST pool inline on one thread.
+/// predecessor→merge pair.
 pub fn simulate_paths_budgeted(
     g: &Graph,
     model: &CostModel,
     cache: &mut AnalysisCache,
     max_path_len: usize,
     budget: &Budget,
+    branch_split: bool,
 ) -> SimulationOutcome {
-    simulate_paths_parallel(
+    let dt = cache.domtree(g);
+    // `frequencies` pulls the loop forest through the cache itself; this
+    // extra counted lookup keeps `analysis.cache_hits` at its pinned value.
+    let _loops = cache.loops(g);
+    let freqs = cache.frequencies(g);
+    let mut walk = Walk {
         g,
         model,
-        cache,
-        max_path_len,
-        budget,
-        1,
-        BRANCH_SPLIT_DEFAULT,
-    )
-}
-
-/// Like [`simulate_paths_budgeted`], but shards the DSTs over up to
-/// `threads` workers (`0` = one per hardware thread) and lets the caller
-/// gate the branch-splitting continuation (`branch_split`). See the
-/// module docs for the collect/speculate/commit determinism scheme: the
-/// `results`, `stopped`, and `panicked` fields are bit-identical for
-/// every thread count; only `threads`/`par_ns`/`workers` differ.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_paths_parallel(
-    g: &Graph,
-    model: &CostModel,
-    cache: &mut AnalysisCache,
-    max_path_len: usize,
-    budget: &Budget,
-    threads: usize,
-    branch_split: bool,
-) -> SimulationOutcome {
-    let max_path_len = max_path_len.max(1);
-    let threads = par::resolve_threads(threads);
-    // Pre-warm every CFG analysis once, before fan-out: workers get
-    // `&`-shared snapshots and never touch the cache (which needs
-    // `&mut` to fill a slot).
-    let dt = cache.domtree(g);
-    let _loops_warm = cache.loops(g);
-    let freqs = cache.frequencies(g);
-
-    let mut ctx = CollectCtx {
-        g,
         dt: &dt,
-        schedule: Vec::new(),
-        tasks: Vec::new(),
-    };
-    collect_candidates(&mut ctx, g.entry(), FactEnv::new());
-    let CollectCtx {
-        schedule, tasks, ..
-    } = ctx;
-
-    let outcomes: Vec<Mutex<Option<TaskOutcome>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
-    let mut committer = Committer {
+        freqs: &freqs,
         budget,
-        schedule,
-        tasks: &tasks,
-        next: 0,
+        max_path_len: max_path_len.max(1),
+        branch_split,
         results: Vec::new(),
         panicked: Vec::new(),
-        stopped: None,
-        done: false,
     };
-
-    // Workers only speculate; every real-budget charge happens on this
-    // (the coordinating) thread, via the `on_main` commit loop below.
-    // That keeps commit order trivially deterministic, lets commit
-    // overlap speculation instead of contending with it, and preserves
-    // the thread-local semantics of `Budget::consume` — an injected
-    // pending exhaustion armed on this thread must be taken here, at
-    // the same schedule position as in a sequential run.
-    let fan_out = Instant::now();
-    let workers = par::run_indexed_driving(
-        threads,
-        &tasks,
-        |i, task| {
-            // Cancellation: once the shared budget is dead the committer
-            // is guaranteed to stop at or before this candidate, so its
-            // DST is wasted work. Fault-planned tasks still run — their
-            // injected event must reach the committer so the stop reason
-            // matches the sequential tier.
-            if task.fault.is_none() && budget.stopped_hint() {
-                return;
-            }
-            let outcome = run_task(g, model, &freqs, budget, task, max_path_len, branch_split);
-            *outcomes[i].lock().expect("outcome slot poisoned") = Some(outcome);
-        },
-        // Advance the commit frontier as deposits land, so fuel burns
-        // and exhaustion becomes visible (via `stopped_hint`) while the
-        // pool is still draining candidates. O(1) when nothing new has
-        // been deposited.
-        || committer.drain(&outcomes),
-    );
-    committer.finish(&outcomes);
-    let par_ns = fan_out.elapsed().as_nanos();
-
+    let stopped = walk.visit(g.entry(), FactEnv::new()).err();
     SimulationOutcome {
-        results: committer.results,
-        stopped: committer.stopped,
-        panicked: committer.panicked,
-        threads,
-        par_ns,
-        workers,
+        results: walk.results,
+        stopped,
+        panicked: walk.panicked,
     }
 }
 
-/// One `(pred, merge)` DST, snapshotted at collection time.
-struct DstTask {
-    pred: BlockId,
-    merge: BlockId,
-    /// The facts valid at the end of `pred` plus the edge condition; the
-    /// worker that runs the task takes ownership.
-    env: Mutex<Option<FactEnv>>,
-    /// Fault-injection decision for this candidate, taken on the
-    /// coordinating thread in candidate order.
-    fault: Option<PlannedFault>,
-}
-
-/// One budget event of the sequential tier, in sequential order.
-enum FuelEvent {
-    /// The dominator-tree walk charges a block (`insts + 1` units).
-    Walk(u64),
-    /// The DST at this task index charges whatever its trace recorded.
-    Dst(usize),
-}
-
-/// State of the candidate-collection DFS.
-struct CollectCtx<'a> {
+/// State of the dominator-tree walk.
+struct Walk<'a> {
     g: &'a Graph,
+    model: &'a CostModel,
     dt: &'a DomTree,
-    schedule: Vec<FuelEvent>,
-    tasks: Vec<DstTask>,
-}
-
-/// The dominator-tree DFS of the sequential tier, minus the DSTs: it
-/// accumulates facts exactly like the old inline walk, but instead of
-/// consuming budget and running DSTs on the spot it records the budget
-/// *schedule* and snapshots one task per candidate. Mirrors the
-/// canonicalization pass's fact propagation; never mutates the graph.
-fn collect_candidates(ctx: &mut CollectCtx<'_>, b: BlockId, mut env: FactEnv) {
-    let g = ctx.g;
-    ctx.schedule
-        .push(FuelEvent::Walk(g.block_insts(b).len() as u64 + 1));
-
-    // Evaluate this block's instructions to accumulate facts. Fresh
-    // allocations become virtual objects so PEA-style reasoning can see
-    // through them; `record_effects` materializes them on any escape.
-    for &i in g.block_insts(b) {
-        let eval = evaluate(g, &env, i);
-        if let Inst::New { class } = g.inst(i) {
-            env.add_virtual(i, *class);
-        }
-        record_effects(g, &mut env, i, &eval);
-    }
-
-    // Snapshot a DST task for every merge successor (the gray blocks of
-    // Figure 2 in the paper).
-    for s in g.succs(b) {
-        if s != b && g.is_merge(s) {
-            let mut dst_env = env.clone();
-            assume_edge(g, &mut dst_env, b, s);
-            let fault = faultinject::take_site_plan("simulation/dst");
-            let idx = ctx.tasks.len();
-            ctx.tasks.push(DstTask {
-                pred: b,
-                merge: s,
-                env: Mutex::new(Some(dst_env)),
-                fault,
-            });
-            ctx.schedule.push(FuelEvent::Dst(idx));
-        }
-    }
-
-    let dt = ctx.dt;
-    for &child in dt.children(b) {
-        if g.preds(child) == [b] {
-            let mut child_env = env.clone();
-            assume_edge(g, &mut child_env, b, child);
-            collect_candidates(ctx, child, child_env);
-        } else {
-            collect_candidates(ctx, child, env.clone_pure());
-        }
-    }
-}
-
-/// A budget stand-in for speculative DSTs: accumulates what the DST
-/// *would* consume instead of charging the shared [`Budget`], and aborts
-/// the DST early when the shared budget is already dead (the recorded
-/// consumption is then guaranteed to fail on replay).
-///
-/// A trace needs no event list: a DST either commits whole (all its
-/// consumes succeed) or contributes nothing (the first failure discards
-/// it), so the committer only needs the consume *sum* plus the terminal
-/// injected-exhaustion reason, if any (an injected exhaustion fails the
-/// consume that observes it without charging fuel, so it is always the
-/// final event of a trace).
-struct TraceBudget<'a> {
-    real: &'a Budget,
-    pending: RefCell<Option<BailoutReason>>,
-    fuel: Cell<u64>,
-    injected: RefCell<Option<BailoutReason>>,
-}
-
-impl TraceBudget<'_> {
-    fn consume(&self, units: u64) -> Result<(), BailoutReason> {
-        if let Some(reason) = self.pending.borrow_mut().take() {
-            *self.injected.borrow_mut() = Some(reason.clone());
-            return Err(reason);
-        }
-        self.fuel.set(self.fuel.get() + units);
-        if self.real.stopped_hint() {
-            // Placeholder reason — the committer derives the real one
-            // when it replays this trace.
-            return Err(BailoutReason::FuelExhausted);
-        }
-        Ok(())
-    }
-}
-
-/// What one speculative DST produced; only valid once the committer has
-/// successfully replayed its consumption against the real budget.
-struct TaskOutcome {
-    /// Sum of the fuel the DST's consumes would have charged.
-    fuel: u64,
-    /// Terminal injected exhaustion (fault plan), failing the replay
-    /// after `fuel` commits.
-    injected: Option<BailoutReason>,
-    results: Vec<SimulationResult>,
-    panic: Option<String>,
-    /// The DST was abandoned on a real budget stop; its replay must
-    /// fail, never commit cleanly.
-    aborted: bool,
-}
-
-/// Runs one DST speculatively on whatever worker claimed it.
-#[allow(clippy::too_many_arguments)]
-fn run_task(
-    g: &Graph,
-    model: &CostModel,
-    freqs: &BlockFrequencies,
-    budget: &Budget,
-    task: &DstTask,
+    freqs: &'a BlockFrequencies,
+    budget: &'a Budget,
     max_path_len: usize,
     branch_split: bool,
-) -> TaskOutcome {
-    let pending = match task.fault {
-        Some(PlannedFault::ExhaustFuel) => Some(BailoutReason::FuelExhausted),
-        Some(PlannedFault::ExhaustDeadline) => Some(BailoutReason::DeadlineExceeded),
-        _ => None,
-    };
-    let trace = TraceBudget {
-        real: budget,
-        pending: RefCell::new(pending),
-        fuel: Cell::new(0),
-        injected: RefCell::new(None),
-    };
-    let env = task
-        .env
-        .lock()
-        .expect("task env lock poisoned")
-        .take()
-        .expect("each task runs at most once");
-    let panic_planned = task.fault == Some(PlannedFault::Panic);
-    let outcome = isolate(|| {
-        if panic_planned {
-            faultinject::injected_panic("simulation/dst");
-        }
-        run_dst(
-            g,
-            model,
-            freqs,
-            &trace,
-            env,
-            task.pred,
-            task.merge,
-            max_path_len,
-            branch_split,
-        )
-    });
-    let fuel = trace.fuel.get();
-    let injected = trace.injected.into_inner();
-    match outcome {
-        Ok(Ok(results)) => TaskOutcome {
-            fuel,
-            injected,
-            results,
-            panic: None,
-            aborted: false,
-        },
-        Ok(Err(_)) => TaskOutcome {
-            fuel,
-            injected,
-            results: Vec::new(),
-            panic: None,
-            aborted: true,
-        },
-        Err(BailoutReason::TransformPanicked(msg)) => TaskOutcome {
-            fuel,
-            injected,
-            results: Vec::new(),
-            panic: Some(msg),
-            aborted: false,
-        },
-        // `isolate` only errs with `TransformPanicked`; keep the message
-        // rather than losing it if that contract ever changes.
-        Err(other) => TaskOutcome {
-            fuel,
-            injected,
-            results: Vec::new(),
-            panic: Some(format!("{other:?}")),
-            aborted: false,
-        },
-    }
-}
-
-/// Replays speculative traces against the real budget, in candidate
-/// order. The first failing event is the deterministic stop point.
-struct Committer<'a> {
-    budget: &'a Budget,
-    schedule: Vec<FuelEvent>,
-    tasks: &'a [DstTask],
-    /// Next schedule index to replay.
-    next: usize,
     results: Vec<SimulationResult>,
     panicked: Vec<(BlockId, BlockId, String)>,
-    stopped: Option<BailoutReason>,
-    done: bool,
 }
 
-impl Committer<'_> {
-    /// Advances the commit frontier as far as deposited outcomes allow;
-    /// returns early when the next DST's outcome is not in yet.
-    fn drain(&mut self, outcomes: &[Mutex<Option<TaskOutcome>>]) {
-        while !self.done {
-            let Some(event) = self.schedule.get(self.next) else {
-                self.done = true;
-                return;
-            };
-            match *event {
-                FuelEvent::Walk(units) => {
-                    if let Err(reason) = self.budget.consume(units) {
-                        self.stop(reason);
-                        return;
-                    }
-                }
-                FuelEvent::Dst(i) => {
-                    // Poll before charging: if the budget is already
-                    // dead, this candidate stops the walk *without*
-                    // consuming — exactly what the 1-thread path does
-                    // when it skips the task and the final drain's
-                    // `check` reports the stop. Charging the deposited
-                    // trace instead would make `fuel_used` depend on
-                    // how much trace the worker recorded before
-                    // noticing the stop, which is scheduling.
-                    if let Err(reason) = self.budget.check() {
-                        self.stop(reason);
-                        return;
-                    }
-                    let Some(outcome) = outcomes[i].lock().expect("outcome slot poisoned").take()
-                    else {
-                        return;
-                    };
-                    // A live budget implies the worker never saw
-                    // `stopped_hint` (it is monotone), so the deposited
-                    // trace is complete — unless the DST was cut short
-                    // by its own injected exhaustion, which needs no
-                    // dead budget.
-                    debug_assert!(
-                        !outcome.aborted || outcome.injected.is_some(),
-                        "an abandoned DST reached a live-budget commit: the \
-                         stopped_hint it acted on was not monotone"
-                    );
-                    // Replay the DST's consumption in one charge: a DST
-                    // either commits whole or contributes nothing, and
-                    // every `run_dst` consume is ≥ 1 unit, so `fuel == 0`
-                    // means it issued no budget calls at all.
-                    if outcome.fuel > 0 {
-                        if let Err(reason) = self.budget.consume(outcome.fuel) {
-                            self.stop(reason);
-                            return;
-                        }
-                    }
-                    if let Some(reason) = outcome.injected {
-                        self.stop(reason);
-                        return;
-                    }
-                    match outcome.panic {
-                        Some(msg) => {
-                            self.panicked
-                                .push((self.tasks[i].pred, self.tasks[i].merge, msg));
-                        }
-                        None => self.results.extend(outcome.results),
-                    }
+impl Walk<'_> {
+    /// Visits `b` with the facts valid on entry, runs a DST for each of
+    /// its merge successors (the gray blocks of Figure 2 in the paper),
+    /// then descends into its dominator-tree children. Mirrors the
+    /// canonicalization pass's fact propagation; never mutates the graph.
+    ///
+    /// # Errors
+    ///
+    /// The budget exhaustion that stopped the walk.
+    fn visit(&mut self, b: BlockId, mut env: FactEnv) -> Result<(), BailoutReason> {
+        let g = self.g;
+        self.budget.consume(g.block_insts(b).len() as u64 + 1)?;
+
+        // Evaluate this block's instructions to accumulate facts. Fresh
+        // allocations become virtual objects so PEA-style reasoning can see
+        // through them; `record_effects` materializes them on any escape.
+        for &i in g.block_insts(b) {
+            let eval = evaluate(g, &env, i);
+            if let Inst::New { class } = g.inst(i) {
+                env.add_virtual(i, *class);
+            }
+            record_effects(g, &mut env, i, &eval);
+        }
+
+        for s in g.succs(b) {
+            if s != b && g.is_merge(s) {
+                let mut dst_env = env.clone();
+                assume_edge(g, &mut dst_env, b, s);
+                self.budget.check()?;
+                let mut fuel = 0;
+                let dst = isolate(|| {
+                    // An injected exhaustion surfaces at the charge below.
+                    fault_point("simulation/dst", None);
+                    run_dst(
+                        g,
+                        self.model,
+                        self.freqs,
+                        &mut fuel,
+                        dst_env,
+                        b,
+                        s,
+                        self.max_path_len,
+                        self.branch_split,
+                    )
+                });
+                self.budget.consume(fuel)?;
+                match dst {
+                    Ok(results) => self.results.extend(results),
+                    Err(BailoutReason::TransformPanicked(msg)) => self.panicked.push((b, s, msg)),
+                    // `isolate` only errs with `TransformPanicked`; keep
+                    // the reason rather than losing it if that changes.
+                    Err(other) => self.panicked.push((b, s, format!("{other:?}"))),
                 }
             }
-            self.next += 1;
         }
-    }
 
-    fn stop(&mut self, reason: BailoutReason) {
-        self.stopped = Some(reason);
-        self.done = true;
-    }
-
-    /// Final drain after the pool has joined. A still-missing outcome
-    /// belongs to a task a worker skipped, which only happens once the
-    /// shared budget is dead — so the budget check is guaranteed to fail
-    /// with the same reason the sequential tier would have reported at
-    /// that candidate.
-    fn finish(&mut self, outcomes: &[Mutex<Option<TaskOutcome>>]) {
-        loop {
-            self.drain(outcomes);
-            if self.done {
-                return;
-            }
-            match self.budget.check() {
-                Err(reason) => self.stop(reason),
-                Ok(()) => unreachable!("a DST was skipped while the budget was alive"),
+        let dt = self.dt;
+        for &child in dt.children(b) {
+            if g.preds(child) == [b] {
+                let mut child_env = env.clone();
+                assume_edge(g, &mut child_env, b, child);
+                self.visit(child, child_env)?;
+            } else {
+                self.visit(child, env.clone_pure())?;
             }
         }
+        Ok(())
     }
 }
 
@@ -647,18 +313,16 @@ pub(crate) fn dominator_chain(
 /// for `s.pred` on the graph as it stands *now* and runs the DST again,
 /// returning the opportunities the analysis would record today.
 ///
-/// The replay is exact, not approximate: during collection, the fact
+/// The replay is exact, not approximate: during the walk, the fact
 /// environment at a block depends only on its dominator-tree path from
 /// entry (each DFS child either extends the parent's facts through its
 /// sole incoming edge or starts from [`FactEnv::clone_pure`]), so walking
-/// the immediate-dominator chain linearly reproduces the collect-time
-/// snapshot. On an unmutated graph the result always equals the recorded
+/// the immediate-dominator chain linearly reproduces the facts the walk
+/// held there. On an unmutated graph the result always equals the recorded
 /// opportunities; any mismatch after mutation is a genuine misprediction.
 ///
 /// Returns `None` when the candidate no longer exists at all (`s.pred`
-/// became unreachable). Runs against a local unlimited budget: auditing
-/// never charges the phase's fuel and is deterministic across thread
-/// counts (it always runs on the coordinating thread).
+/// became unreachable).
 pub fn audit_opportunities(
     g: &Graph,
     model: &CostModel,
@@ -667,7 +331,7 @@ pub fn audit_opportunities(
 ) -> Option<Vec<Opportunity>> {
     let chain = dominator_chain(g, cache, s.pred)?;
     let freqs = cache.frequencies(g);
-    // Accumulate facts along the chain exactly like `collect_candidates`:
+    // Accumulate facts along the chain exactly like `Walk::visit`:
     // a child with its parent as sole predecessor extends the parent's
     // facts through the edge condition; any other child starts pure.
     let mut env = FactEnv::new();
@@ -690,18 +354,12 @@ pub fn audit_opportunities(
     }
     assume_edge(g, &mut env, s.pred, s.merge);
 
-    let local = Budget::unlimited();
-    let trace = TraceBudget {
-        real: &local,
-        pending: RefCell::new(None),
-        fuel: Cell::new(0),
-        injected: RefCell::new(None),
-    };
     let results = run_dst(
         g,
         model,
         &freqs,
-        &trace,
+        // Auditing never charges the phase's fuel.
+        &mut 0,
         env,
         s.pred,
         s.merge,
@@ -710,8 +368,7 @@ pub fn audit_opportunities(
         // recorded BranchSplit path still walks must depend on the graph,
         // not on the phase's enablement knob.
         true,
-    )
-    .ok()?;
+    );
     // The DST emits one result per path prefix; pick the longest prefix
     // of the recorded path that is still walkable.
     results
@@ -750,19 +407,20 @@ fn assume_edge(g: &Graph, env: &mut FactEnv, b: BlockId, s: BlockId) {
 }
 
 /// Runs one duplication simulation traversal for `(pred, merge)` under
-/// `env` (the facts valid at the end of `pred` plus the edge condition).
+/// `env` (the facts valid at the end of `pred` plus the edge condition),
+/// adding what it visited (`insts + 1` per segment) to `fuel`.
 #[allow(clippy::too_many_arguments)]
 fn run_dst(
     g: &Graph,
     model: &CostModel,
     freqs: &BlockFrequencies,
-    budget: &TraceBudget<'_>,
+    fuel: &mut u64,
     mut env: FactEnv,
     pred: BlockId,
     merge: BlockId,
     max_path_len: usize,
     branch_split: bool,
-) -> Result<Vec<SimulationResult>, BailoutReason> {
+) -> Vec<SimulationResult> {
     let probability = if freqs.max_freq() > 0.0 {
         freqs.freq(pred) * dbds_analysis::edge_probability(g, pred, merge) / freqs.max_freq()
     } else {
@@ -783,7 +441,7 @@ fn run_dst(
     let mut via_fold = false;
     loop {
         path.push(cur_merge);
-        budget.consume(g.block_insts(cur_merge).len() as u64 + 1)?;
+        *fuel += g.block_insts(cur_merge).len() as u64 + 1;
         let saved_before = acc.cycles_saved;
         let continuation = simulate_segment(g, model, &mut env, cur_pred, cur_merge, &mut acc);
         // The trade-off tier ranks by `probability * cycles_saved`;
@@ -844,7 +502,7 @@ fn run_dst(
             _ => break,
         }
     }
-    Ok(results)
+    results
 }
 
 /// Running totals while a DST walks one or more merge segments.
@@ -1375,13 +1033,12 @@ mod tests {
     #[test]
     fn disabling_branch_split_suppresses_split_candidates() {
         let (g, _, _, _, _) = split_payoff();
-        let outcome = simulate_paths_parallel(
+        let outcome = simulate_paths_budgeted(
             &g,
             &model(),
             &mut AnalysisCache::new(),
             1,
             &Budget::unlimited(),
-            1,
             false,
         );
         assert!(!outcome.results.is_empty());
@@ -1434,6 +1091,7 @@ mod tests {
             &mut AnalysisCache::new(),
             1,
             &Budget::unlimited(),
+            BRANCH_SPLIT_DEFAULT,
         );
         assert!(outcome.stopped.is_none());
         assert!(outcome.panicked.is_empty());
@@ -1453,102 +1111,23 @@ mod tests {
             ..GuardConfig::default()
         };
         let budget = Budget::new(&guard);
-        let outcome = simulate_paths_budgeted(&g, &model(), &mut AnalysisCache::new(), 1, &budget);
+        let outcome = simulate_paths_budgeted(
+            &g,
+            &model(),
+            &mut AnalysisCache::new(),
+            1,
+            &budget,
+            BRANCH_SPLIT_DEFAULT,
+        );
         assert_eq!(outcome.stopped, Some(BailoutReason::FuelExhausted));
         // Partial results are still usable (possibly empty).
         assert!(outcome.results.len() <= 4);
     }
 
-    /// Runs the parallel tier at `threads` and asserts the outcome is
-    /// bit-identical to the 1-thread baseline (modulo the timing and
-    /// load fields, which are scheduling-dependent by design).
-    fn assert_parallel_matches(
-        g: &Graph,
-        fuel: Option<u64>,
-        threads: usize,
-        baseline: &SimulationOutcome,
-    ) {
-        let guard = crate::bailout::GuardConfig {
-            fuel,
-            ..crate::bailout::GuardConfig::default()
-        };
-        let budget = Budget::new(&guard);
-        let outcome = simulate_paths_parallel(
-            &g.clone(),
-            &model(),
-            &mut AnalysisCache::new(),
-            1,
-            &budget,
-            threads,
-            BRANCH_SPLIT_DEFAULT,
-        );
-        assert_eq!(
-            outcome.results, baseline.results,
-            "results diverged at {threads} threads (fuel {fuel:?})"
-        );
-        assert_eq!(
-            outcome.stopped, baseline.stopped,
-            "stop reason diverged at {threads} threads (fuel {fuel:?})"
-        );
-        assert_eq!(
-            outcome.panicked, baseline.panicked,
-            "panic records diverged at {threads} threads (fuel {fuel:?})"
-        );
-    }
-
-    #[test]
-    fn parallel_matches_sequential_across_thread_counts() {
-        let (g, _, _, _) = figure3();
-        let baseline = simulate_paths_budgeted(
-            &g,
-            &model(),
-            &mut AnalysisCache::new(),
-            1,
-            &Budget::unlimited(),
-        );
-        assert!(!baseline.results.is_empty());
-        for threads in [2, 3, 8] {
-            assert_parallel_matches(&g, None, threads, &baseline);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_under_fuel_pressure() {
-        let (g, _, _, _) = figure3();
-        for fuel in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89] {
-            let guard = crate::bailout::GuardConfig {
-                fuel: Some(fuel),
-                ..crate::bailout::GuardConfig::default()
-            };
-            let budget = Budget::new(&guard);
-            let baseline =
-                simulate_paths_budgeted(&g, &model(), &mut AnalysisCache::new(), 1, &budget);
-            let baseline_used = budget.fuel_used();
-            for threads in [2, 3, 8] {
-                let budget = Budget::new(&guard);
-                let outcome = simulate_paths_parallel(
-                    &g,
-                    &model(),
-                    &mut AnalysisCache::new(),
-                    1,
-                    &budget,
-                    threads,
-                    BRANCH_SPLIT_DEFAULT,
-                );
-                assert_eq!(outcome.results, baseline.results, "fuel {fuel}");
-                assert_eq!(outcome.stopped, baseline.stopped, "fuel {fuel}");
-                assert_eq!(outcome.panicked, baseline.panicked, "fuel {fuel}");
-                // The committed fuel accounting must match too: the
-                // trade-off and optimization tiers inherit this budget.
-                assert_eq!(budget.fuel_used(), baseline_used, "fuel {fuel}");
-            }
-        }
-    }
-
     #[test]
     fn audit_reproduces_recorded_opportunities_on_unchanged_graph() {
         // The contract the prediction audit relies on: replaying the
-        // dominator chain gives back exactly the collect-time facts, so
+        // dominator chain gives back exactly the walk's facts, so
         // on an unmutated graph the audit confirms every opportunity of
         // every candidate.
         let (g, _, _, _) = figure3();

@@ -16,7 +16,6 @@
 
 use crate::simulation::SimulationResult;
 use std::collections::HashSet;
-use std::time::Instant;
 
 use dbds_ir::BlockId;
 
@@ -124,99 +123,30 @@ pub fn select_with_rejections<'a>(
     current_size: u64,
     visited: &HashSet<BlockId>,
 ) -> Selection<'a> {
-    select_with_rejections_parallel(results, cfg, mode, initial_size, current_size, visited, 1)
-        .selection
-}
-
-/// A [`Selection`] produced through the parallel pricing fan-out, with
-/// the pool observability the phase driver folds into
-/// [`PhaseStats`](crate::PhaseStats).
-#[derive(Debug)]
-pub struct PricedSelection<'a> {
-    /// The selection — bit-identical to [`select_with_rejections`] for
-    /// every thread count.
-    pub selection: Selection<'a>,
-    /// Wall-clock nanoseconds of the pricing fan-out. Timing only.
-    pub par_ns: u128,
-    /// The resolved worker count the pricing ran with.
-    pub threads: usize,
-}
-
-/// The pricing inputs of one candidate, snapshotted on the pool. Every
-/// field is a pure function of the candidate plus the (immutable) config
-/// and visited set — the running size budget is deliberately *not* here:
-/// it threads through the sequential accept loop below.
-struct Price {
-    fresh: bool,
-    weighted: f64,
-    worth_it: bool,
-}
-
-/// [`select_with_rejections`] with the per-candidate pricing
-/// (`shouldDuplicate`'s cost/benefit side, the probability-weighted
-/// benefit and the freshness bit) fanned out over up to `threads`
-/// workers of the [`crate::par`] pool.
-///
-/// Only the *pricing* parallelizes. The ranking sort and the greedy
-/// accept loop — whose running size budget makes each decision depend on
-/// every earlier one — replay sequentially over the pre-priced
-/// candidates, in the exact order the sequential path visits them, so
-/// acceptance order, budget accrual and rejection records are
-/// bit-identical for every thread count
-/// (`core/tests/tradeoff_par_props.rs` proves it).
-pub fn select_with_rejections_parallel<'a>(
-    results: &'a [SimulationResult],
-    cfg: &TradeoffConfig,
-    mode: SelectionMode,
-    initial_size: u64,
-    current_size: u64,
-    visited: &HashSet<BlockId>,
-    threads: usize,
-) -> PricedSelection<'a> {
-    let t = Instant::now();
-    let threads = crate::par::resolve_threads(threads)
-        .min(results.len())
-        .max(1);
-    // Price every candidate on the pool, results in index order. The
-    // sequential path is the same code at threads = 1 (the pool runs
-    // inline), so the two can only differ by scheduling.
-    let (prices, _loads) = crate::par::map_indexed(threads, results, |_, r| Price {
-        fresh: !visited.contains(&r.merge),
-        weighted: r.weighted_benefit(),
-        worth_it: match mode {
-            SelectionMode::CostBenefit => {
-                benefit_clears_cost(cfg, r.cycles_saved, r.probability, r.size_cost)
-            }
-            SelectionMode::Dupalot => r.cycles_saved > 0.0,
-        },
-    });
-    let par_ns = t.elapsed().as_nanos();
-
-    let mut ranked: Vec<usize> = (0..results.len()).collect();
+    let mut ranked: Vec<&SimulationResult> = results.iter().collect();
     // New merges first, then descending probability-weighted benefit;
     // break ties deterministically by block ids. `total_cmp` keeps the
     // comparator a total order even for NaN benefits (0-frequency
     // predecessors, estimator bugs) — an inconsistent comparator can
     // panic inside `sort_by` and silently scrambles acceptance order
     // otherwise.
-    ranked.sort_by(|&a, &b| {
-        prices[b]
-            .fresh
-            .cmp(&prices[a].fresh)
-            .then_with(|| prices[b].weighted.total_cmp(&prices[a].weighted))
-            .then_with(|| {
-                (results[a].merge, results[a].pred).cmp(&(results[b].merge, results[b].pred))
-            })
+    ranked.sort_by(|a, b| {
+        let fresh = |r: &SimulationResult| !visited.contains(&r.merge);
+        fresh(b)
+            .cmp(&fresh(a))
+            .then_with(|| b.weighted_benefit().total_cmp(&a.weighted_benefit()))
+            .then_with(|| (a.merge, a.pred).cmp(&(b.merge, b.pred)))
     });
 
     let mut selection = Selection::default();
     let mut size = current_size;
-    for i in ranked {
-        let r = &results[i];
-        let worth_it = prices[i].worth_it;
-        let fits = match mode {
-            SelectionMode::CostBenefit => size_budget_allows(cfg, r.size_cost, size, initial_size),
-            SelectionMode::Dupalot => size < cfg.max_unit_size,
+    for r in ranked {
+        let (worth_it, fits) = match mode {
+            SelectionMode::CostBenefit => (
+                benefit_clears_cost(cfg, r.cycles_saved, r.probability, r.size_cost),
+                size_budget_allows(cfg, r.size_cost, size, initial_size),
+            ),
+            SelectionMode::Dupalot => (r.cycles_saved > 0.0, size < cfg.max_unit_size),
         };
         if worth_it && fits {
             selection.accepted.push(r);
@@ -227,11 +157,7 @@ pub fn select_with_rejections_parallel<'a>(
             selection.size_rejected.push((r.pred, r.merge));
         }
     }
-    PricedSelection {
-        selection,
-        par_ns,
-        threads,
-    }
+    selection
 }
 
 #[cfg(test)]

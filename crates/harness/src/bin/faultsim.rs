@@ -25,9 +25,9 @@
 //! ```
 
 use dbds_core::faultinject::{arm, disarm, FaultPlan};
+use dbds_core::par::run_units;
 use dbds_core::{compile, DbdsConfig, OptLevel};
 use dbds_costmodel::CostModel;
-use dbds_harness::run_units;
 use dbds_ir::{execute, verify, Outcome};
 use dbds_workloads::all_workloads;
 
@@ -54,20 +54,15 @@ fn main() {
     let model = CostModel::new();
     let cfg = DbdsConfig::default();
     let workloads = all_workloads();
-    let plan = cfg.pool_plan(workloads.len());
-    let unit_cfg = &plan.per_unit;
-    // Stderr only: stdout must stay byte-identical across (unit, sim)
-    // splits.
-    eprintln!(
-        "faultsim: scheduler {}x{} (unit x sim workers)",
-        plan.unit_workers, plan.sim_workers
-    );
+    let workers = cfg.unit_workers(workloads.len());
+    // Stderr only: stdout must stay byte-identical at every width.
+    eprintln!("faultsim: {workers} unit workers");
 
     // The ground truth each faulted compilation must still match: the
     // baseline (no duplication, no faults) interpreter outcomes.
-    let (baselines, _, _): (Vec<Vec<Outcome>>, _, _) = run_units(&plan, &workloads, |_, w| {
+    let baselines: Vec<Vec<Outcome>> = run_units(workers, &workloads, |_, w| {
         let mut g = w.graph.clone();
-        compile(&mut g, &model, OptLevel::Baseline, unit_cfg);
+        compile(&mut g, &model, OptLevel::Baseline, &cfg);
         w.inputs.iter().map(|i| execute(&g, i).outcome).collect()
     });
 
@@ -84,13 +79,12 @@ fn main() {
     let mut undo_rollbacks_total = 0u64;
     for fault_plan in &plans {
         // Each unit arms on its own worker thread and disarms before the
-        // worker claims the next unit — per-unit fault ownership. Stolen
-        // DST chunks stay correct because fault decisions are taken at
-        // collect time on the unit's worker and carried in the task.
-        let (reports, _, _) = run_units(&plan, &workloads, |i, w| {
+        // worker claims the next unit — per-unit fault ownership: a unit
+        // compiles entirely on the worker that armed its plan.
+        let reports = run_units(workers, &workloads, |i, w| {
             arm(fault_plan.clone());
             let mut g = w.graph.clone();
-            let stats = compile(&mut g, &model, OptLevel::Dbds, unit_cfg);
+            let stats = compile(&mut g, &model, OptLevel::Dbds, &cfg);
             let (_hits, fired) = disarm();
             let mut unit = UnitReport {
                 fired,
@@ -160,8 +154,7 @@ fn main() {
     );
     // The recovery path under test *is* the undo log now: every contained
     // mid-transform fault must have rolled a transaction back. The count
-    // is deterministic (all graph mutations happen on the coordinating
-    // thread), so it is part of the `cmp`-gated stdout above.
+    // is deterministic, so it is part of the `cmp`-gated stdout above.
     assert!(
         undo_rollbacks_total > 0,
         "no undo-log rollback happened: injected faults are not exercising \

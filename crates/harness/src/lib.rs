@@ -34,6 +34,7 @@
 //! assert!(m.code_size > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -45,17 +46,11 @@ mod report;
 mod runner;
 mod stats;
 
-/// Schema tag the `bench_suite` binary stamps into its report; the
-/// committed `BENCH_suite.json` must carry exactly this string (gated
-/// by `tests/report_roundtrip.rs`), so schema changes are deliberate:
-/// bump the tag here and regenerate the committed baseline together.
-pub const BENCH_SUITE_SCHEMA: &str = "dbds-bench-suite-v2";
-
 pub use ablation::{format_split_ablation, run_split_ablation, AblationRow, SplitAblation};
 pub use lintaudit::{format_lint, format_lint_json, run_lint_audit, LintAudit};
 pub use metrics::{
     geomean_pct, measure, measure_from, pct_increase, pct_speedup, IcacheModel, Metrics,
 };
 pub use report::{format_backtracking, format_figure, format_json, format_summary, BacktrackRow};
-pub use runner::{run_benchmark, run_suite, run_units, BenchmarkRow, Metric, SuiteResult};
+pub use runner::{run_benchmark, run_suite, BenchmarkRow, Metric, SuiteResult};
 pub use stats::{pearson, spearman};

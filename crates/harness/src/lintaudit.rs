@@ -5,8 +5,8 @@
 //! counter is aggregated. The result feeds the CI lint gate: the build
 //! fails on any error-severity diagnostic or any misprediction.
 
-use crate::runner::run_units;
 use dbds_analysis::AnalysisCache;
+use dbds_core::par::run_units;
 use dbds_core::{lint_simulation, run_dbds, simulate, DbdsConfig, SelectionMode};
 use dbds_costmodel::CostModel;
 use dbds_ir::{Diagnostic, LintId, Severity};
@@ -81,25 +81,16 @@ impl LintAudit {
 /// 4. one more simulation over the final graph, with
 ///    [`lint_simulation`]'s cost-sanity checks over its estimates.
 pub fn run_lint_audit(suites: &[Suite], model: &CostModel, cfg: &DbdsConfig) -> LintAudit {
-    // One unit per workload, dispatched onto the shared 2-D scheduler
-    // (`DbdsConfig::pool_plan`) and absorbed in submission order — the
-    // audit is byte-identical for every (unit, sim) split.
+    // One unit per workload, absorbed in submission order — the audit is
+    // byte-identical at every `unit_threads`.
     let workloads: Vec<Workload> = suites.iter().flat_map(|s| s.workloads()).collect();
-    let plan = cfg.pool_plan(workloads.len());
-    let unit_cfg = &plan.per_unit;
-    let (parts, _loads, _ns) = run_units(&plan, &workloads, |_, w| {
+    let parts = run_units(cfg.unit_workers(workloads.len()), &workloads, |_, w| {
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
         let mut g = w.graph.clone();
         diagnostics.extend_from_slice(dbds_ir::lint(&g).diagnostics());
 
         let mut cache = AnalysisCache::new();
-        let stats = run_dbds(
-            &mut g,
-            model,
-            unit_cfg,
-            SelectionMode::CostBenefit,
-            &mut cache,
-        );
+        let stats = run_dbds(&mut g, model, cfg, SelectionMode::CostBenefit, &mut cache);
 
         diagnostics.extend_from_slice(dbds_ir::lint(&g).diagnostics());
         diagnostics.extend(cache.audit(&g));
@@ -157,7 +148,7 @@ pub fn format_lint(audit: &LintAudit) -> String {
 
 /// Renders the lint sweep as stable-ordered JSON (hand-rolled — the
 /// build has no serde). Unlike [`crate::format_json`] there is no
-/// `sim_threads` field at all: the sweep is byte-identical across
+/// `unit_threads` field at all: the sweep is byte-identical across
 /// thread counts, so CI diffs it without filtering.
 pub fn format_lint_json(audit: &LintAudit) -> String {
     let mut out = String::new();
@@ -201,25 +192,22 @@ mod tests {
     #[test]
     fn lint_report_is_byte_identical_across_runs_and_thread_counts() {
         let model = CostModel::new();
-        let run = |sim: usize, unit: usize| {
+        let run = |unit_threads: usize| {
             let cfg = DbdsConfig {
-                sim_threads: sim,
-                unit_threads: unit,
+                unit_threads,
                 ..DbdsConfig::default()
             };
             let audit = run_lint_audit(&[Suite::Micro], &model, &cfg);
             (format_lint(&audit), format_lint_json(&audit))
         };
-        let one = run(1, 1);
+        let one = run(1);
         // No strip step here on purpose: the lint report carries no
         // thread-count field at all, so whole-output equality must hold
-        // across the whole unit_threads × sim_threads matrix — the
-        // adaptive (0, 0) plan included.
-        for (sim, unit) in [(4, 1), (1, 4), (4, 4), (0, 0)] {
-            assert_eq!(one, run(sim, unit), "sim={sim} unit={unit}");
+        // at every `unit_threads`, adaptive (0) included.
+        for unit_threads in [4, 0] {
+            assert_eq!(one, run(unit_threads), "unit_threads={unit_threads}");
         }
-        assert_eq!(run(4, 4), run(4, 4));
-        assert!(!one.1.contains("sim_threads"), "{}", one.1);
+        assert_eq!(run(4), run(4));
         assert!(!one.1.contains("unit_threads"), "{}", one.1);
     }
 

@@ -2,7 +2,8 @@
 //! exactly like the paper's three configurations (§6.1).
 
 use crate::metrics::{measure, measure_from, pct_increase, pct_speedup, IcacheModel, Metrics};
-use dbds_core::{par, BailoutReason, DbdsConfig, OptLevel, PoolPlan, WorkerLoad};
+use dbds_core::par::run_units;
+use dbds_core::{BailoutReason, DbdsConfig, OptLevel};
 use dbds_costmodel::CostModel;
 use dbds_workloads::{Suite, Workload};
 
@@ -72,19 +73,6 @@ pub struct SuiteResult {
     pub suite: Suite,
     /// One row per benchmark, in figure order.
     pub rows: Vec<BenchmarkRow>,
-    /// The resolved unit-worker count of the 2-D scheduler the suite
-    /// ran on. Purely observational — `rows` is identical for every
-    /// value.
-    pub unit_threads: usize,
-    /// The resolved reserved sim-worker (steal-helper) count of the
-    /// scheduler. Observational, like `unit_threads`.
-    pub sim_workers: usize,
-    /// Wall-clock nanoseconds of the unit fan-out. Timing only, never
-    /// part of the deterministic reports.
-    pub unit_par_ns: u128,
-    /// Per-worker loads of the unit pool, in worker-index order. Timing
-    /// and scheduling observability only.
-    pub unit_loads: Vec<WorkerLoad>,
 }
 
 impl SuiteResult {
@@ -190,31 +178,11 @@ pub fn run_benchmark(
     }
 }
 
-/// Runs `f(index, &units[index])` over every unit on the
-/// `dbds_core::par` 2-D scheduler described by `plan` and returns the
-/// results in submission (index) order — execution order (including
-/// stealing) never leaks into the output — plus the per-worker loads
-/// and the wall-clock nanoseconds of the fan-out.
-///
-/// This is the harness's unit-level compilation queue: `run_suite`, the
-/// lint sweep, the phase table and the fault sweep all dispatch their
-/// independent per-unit work through it. Callers should compile each
-/// unit with `plan.per_unit` so the inner tiers publish to the shared
-/// scheduler instead of spawning nested pools. With one unit worker and
-/// no sim workers everything runs inline on the calling thread in index
-/// order, so the sequential path is the same code.
-pub fn run_units<I: Sync, T: Send>(
-    plan: &PoolPlan,
-    units: &[I],
-    f: impl Fn(usize, &I) -> T + Sync,
-) -> (Vec<T>, Vec<WorkerLoad>, u128) {
-    par::run_units(plan.unit_workers, plan.sim_workers, units, f)
-}
-
 /// Runs a whole suite: every `(workload, configuration)` pair is one
-/// independent compilation unit, dispatched onto the worker pool behind
-/// [`DbdsConfig::unit_threads`] and committed in submission order (the
-/// result is byte-identical for every thread count).
+/// independent compilation unit, dispatched onto
+/// [`dbds_core::par::run_units`] at [`DbdsConfig::unit_workers`] workers
+/// and committed in submission order (the result is byte-identical for
+/// every thread count).
 ///
 /// Each workload's pristine graph is verified **once** here; every unit
 /// clones from that verified copy instead of re-validating per
@@ -234,10 +202,9 @@ pub fn run_suite(
     let units: Vec<(usize, OptLevel)> = (0..workloads.len())
         .flat_map(|wi| LEVELS.iter().map(move |&l| (wi, l)))
         .collect();
-    let plan = cfg.pool_plan(units.len());
-    let (metrics, unit_loads, unit_par_ns) = run_units(&plan, &units, |_, &(wi, level)| {
+    let metrics = run_units(cfg.unit_workers(units.len()), &units, |_, &(wi, level)| {
         let w = &workloads[wi];
-        measure_from(&w.graph, w, level, model, &plan.per_unit, icache)
+        measure_from(&w.graph, w, level, model, cfg, icache)
     });
     let mut metrics = metrics.into_iter();
     let mut next = || metrics.next().expect("one Metrics per unit");
@@ -250,14 +217,7 @@ pub fn run_suite(
             dupalot: next(),
         })
         .collect();
-    SuiteResult {
-        suite,
-        rows,
-        unit_threads: plan.unit_workers,
-        sim_workers: plan.sim_workers,
-        unit_par_ns,
-        unit_loads,
-    }
+    SuiteResult { suite, rows }
 }
 
 #[cfg(test)]

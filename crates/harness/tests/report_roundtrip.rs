@@ -3,16 +3,13 @@
 //! 1. The harness `--json` report survives `serialize → parse →
 //!    reserialize` byte-identically (so downstream tooling can safely
 //!    rewrite reports through `dbds_server::json`).
-//! 2. The committed `BENCH_suite.json` carries exactly the schema tag
-//!    the `bench_suite` binary emits — a schema bump without a
-//!    regenerated baseline fails here.
-//! 3. The compile-cache session counters embedded in the report are
+//! 2. The compile-cache session counters embedded in the report are
 //!    byte-identical across unit-thread counts and show a full-hit
 //!    second pass.
 
 use dbds_core::{DbdsConfig, OptLevel};
 use dbds_costmodel::CostModel;
-use dbds_harness::{format_json, run_suite, IcacheModel, BENCH_SUITE_SCHEMA};
+use dbds_harness::{format_json, run_suite, IcacheModel};
 use dbds_server::json::{parse, Json};
 use dbds_server::{run_session, CompileService, MemStore, ServiceConfig, SessionReport};
 use dbds_workloads::Suite;
@@ -25,7 +22,7 @@ fn micro_report(session: Option<&SessionReport>) -> String {
         &cfg,
         &IcacheModel::default(),
     )];
-    format_json(&results, cfg.sim_threads, cfg.unit_threads, session)
+    format_json(&results, cfg.unit_threads, session)
 }
 
 fn mem_session(unit_threads: usize) -> SessionReport {
@@ -96,37 +93,4 @@ fn session_second_pass_hit_rate_exceeds_90_pct() {
         "second-pass hit rate {} ≤ 0.9",
         session.hit_rate(1)
     );
-}
-
-#[test]
-fn committed_bench_baseline_matches_schema_const() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_suite.json");
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read committed BENCH_suite.json: {e}"));
-    let tree = parse(&text).unwrap_or_else(|e| panic!("BENCH_suite.json does not parse: {e}"));
-    assert_eq!(
-        tree.get("schema").and_then(Json::as_str),
-        Some(BENCH_SUITE_SCHEMA),
-        "committed baseline schema drifted from BENCH_SUITE_SCHEMA"
-    );
-    // v2: the sweep records the winning scheduler split. The requested
-    // values may be 0 (adaptive), but the resolved worker counts are
-    // what the machine actually ran.
-    let chosen = tree
-        .get("chosen")
-        .expect("v2 baseline lacks a chosen block");
-    for key in ["unit_threads", "sim_threads", "wall_ms"] {
-        assert!(chosen.get(key).is_some(), "chosen block lacks {key}");
-    }
-    let workers = |key: &str| {
-        chosen
-            .get(key)
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("chosen block lacks {key}"))
-    };
-    assert!(
-        workers("unit_workers") >= 1,
-        "chosen plan has no unit worker"
-    );
-    let _ = workers("sim_workers");
 }

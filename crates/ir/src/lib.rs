@@ -46,6 +46,7 @@
 //! assert_eq!(execute(&graph, &[Value::Int(5)]).outcome, Ok(Value::Int(7)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

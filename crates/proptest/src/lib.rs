@@ -11,6 +11,7 @@
 //! immediately (no shrinking). That preserves the *checking* power of the
 //! original tests while dropping the counterexample-minimization comfort.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::Range;

@@ -2,15 +2,13 @@
 //!
 //! ```text
 //! dbds_server [--listen ADDR] [--store DIR|mem] [--max-queue N]
-//!             [--shards N] [--dispatchers N] [--store-budget BYTES]
-//!             [--tiered]
+//!             [--shards N] [--store-budget BYTES] [--tiered]
 //! ```
 //!
 //! `ADDR` is `host:port` (TCP) or `unix:<path>`. The resolved address
 //! is printed as `listening on <addr>` once the daemon is accepting,
-//! so scripts can wait for readiness. Compilation thread counts honor
-//! `DBDS_SIM_THREADS` / `DBDS_UNIT_THREADS`; the dispatcher count
-//! honors `DBDS_DISPATCHERS` when the flag is absent.
+//! so scripts can wait for readiness. The width of the pool that
+//! compiles a batch's misses honors `DBDS_UNIT_THREADS`.
 
 use dbds_server::{serve, ServerConfig, StoreChoice};
 use std::process::ExitCode;
@@ -55,13 +53,6 @@ fn run() -> Result<(), String> {
                     .filter(|&n: &usize| n > 0)
                     .ok_or_else(|| "--shards needs a positive integer".to_string())?;
             }
-            "--dispatchers" => {
-                cfg.dispatchers = value("--dispatchers")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| "--dispatchers needs a positive integer".to_string())?;
-            }
             "--store-budget" => {
                 cfg.store_budget = Some(
                     value("--store-budget")?
@@ -74,7 +65,7 @@ fn run() -> Result<(), String> {
                 println!(
                     "usage: dbds_server [--listen HOST:PORT|unix:PATH] \
                      [--store DIR|mem] [--max-queue N] [--shards N] \
-                     [--dispatchers N] [--store-budget BYTES] [--tiered]"
+                     [--store-budget BYTES] [--tiered]"
                 );
                 return Ok(());
             }

@@ -146,15 +146,12 @@ fn sharded_service_over(dir: &Path, shards: u32, budget: Option<u64>) -> Compile
 /// The shards of an `n`-shard store that the corpus actually touches.
 /// Targeting only these keeps the shard-targeted sweep's "every plan
 /// fires" gate meaningful.
-fn occupied_shards(reqs: &[CompileRequest], n: u32) -> Vec<u32> {
-    let probe = CompileService::with_shards(
-        (0..n)
-            .map(|_| Box::new(MemStore::new()) as Box<dyn CompiledStore>)
-            .collect(),
-        DbdsConfig::default(),
-        sim_config(),
-    );
-    let mut shards: Vec<u32> = reqs.iter().map(|r| probe.shard_for(r) as u32).collect();
+fn occupied_shards(truth: &[CompileOutcome], n: u32) -> Vec<u32> {
+    let mut shards: Vec<u32> = truth
+        .iter()
+        .filter_map(|outcome| outcome.as_ref().ok())
+        .map(|served| served.artifact.key.shard(n as usize) as u32)
+        .collect();
     shards.sort_unstable();
     shards.dedup();
     shards
@@ -239,7 +236,7 @@ fn main() -> ExitCode {
     // pure function of the request keys, so the plan list (and stdout)
     // is deterministic.
     const SWEEP_SHARDS: u32 = 4;
-    let occupied = occupied_shards(&reqs, SWEEP_SHARDS);
+    let occupied = occupied_shards(&truth, SWEEP_SHARDS);
     println!(
         "sharded sweep: {SWEEP_SHARDS} shards, occupied {:?}",
         occupied

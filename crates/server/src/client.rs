@@ -57,9 +57,12 @@ impl Client {
                 .map(Client::Unix)
                 .map_err(|e| format!("connect {addr}: {e}"))
         } else {
-            TcpStream::connect(addr)
-                .map(Client::Tcp)
-                .map_err(|e| format!("connect {addr}: {e}"))
+            let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+            // Frames are whole requests: never hold one back for an ACK.
+            stream
+                .set_nodelay(true)
+                .map_err(|e| format!("connect {addr}: {e}"))?;
+            Ok(Client::Tcp(stream))
         }
     }
 

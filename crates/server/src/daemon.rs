@@ -1,21 +1,16 @@
 //! The `dbds-server` daemon: socket listeners, a bounded admission
-//! queue with load shedding, and N dispatcher threads over the sharded
+//! queue with load shedding, and one dispatcher thread over the sharded
 //! [`CompileService`].
 //!
 //! Architecture: connection threads parse frames, answer status
-//! directly (it only locks shards, briefly, in order), and route each
-//! compile job to the dispatcher that owns its shard
-//! (`dispatcher = key.shard(shards) % dispatchers`). Every store
-//! access and compilation happens on a dispatcher, which drains its
-//! queue in batches (so concurrent clients still get the unit-level
-//! parallel fan-out of [`CompileService::compile_batch`]).
+//! directly (it only locks shards, briefly, in order), and queue each
+//! compile job to the dispatcher. Every store access and compilation
+//! happens on the dispatcher, which drains its queue in batches (so
+//! concurrent clients still get the unit-level parallel fan-out of
+//! [`CompileService::compile_batch`]).
 //!
-//! Determinism: a request's shard is a pure function of its key, every
-//! shard is owned by exactly one dispatcher, and a dispatcher drains
-//! its queue in arrival order — so each shard observes its requests in
-//! submission order whatever the dispatcher count, and the summed
-//! status counters are byte-identical across `DBDS_DISPATCHERS`
-//! (gated in CI).
+//! Determinism: the dispatcher drains its queue in arrival order, so
+//! every shard observes its requests in submission order.
 //!
 //! Admission control is a single atomic reserve-or-shed
 //! ([`try_admit`]): the queue slot is reserved by the same
@@ -141,8 +136,8 @@ pub struct ServerConfig {
     pub listen: String,
     /// Store backend.
     pub store: StoreChoice,
-    /// Compilation configuration (thread counts honor
-    /// `DBDS_SIM_THREADS` / `DBDS_UNIT_THREADS` via its default).
+    /// Compilation configuration (the unit-pool width honors
+    /// `DBDS_UNIT_THREADS` via its default).
     pub base_cfg: DbdsConfig,
     /// Store retry/backoff tuning.
     pub service: ServiceConfig,
@@ -154,10 +149,6 @@ pub struct ServerConfig {
     /// counters and results are invariant in it, but changing it on an
     /// existing store re-routes keys to cold shards.
     pub shards: usize,
-    /// Dispatcher thread count (defaults to `DBDS_DISPATCHERS` or 1).
-    /// Purely an execution knob: status counters are byte-identical
-    /// across dispatcher counts.
-    pub dispatchers: usize,
     /// Total store byte budget, split evenly across shards and
     /// enforced by second-chance eviction; `None` = unbounded.
     pub store_budget: Option<u64>,
@@ -176,11 +167,6 @@ impl Default for ServerConfig {
             service: ServiceConfig::default(),
             max_queue: 128,
             shards: 8,
-            dispatchers: std::env::var("DBDS_DISPATCHERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(1),
             store_budget: None,
             tiered: false,
         }
@@ -245,16 +231,14 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     peak_depth: Arc<AtomicUsize>,
     accept_thread: thread::JoinHandle<()>,
-    dispatcher_threads: Vec<thread::JoinHandle<()>>,
+    dispatcher_thread: thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
     /// Blocks until the daemon has shut down (a client sent
     /// `shutdown`, or [`ServerHandle::stop`] was called).
     pub fn join(self) {
-        for t in self.dispatcher_threads {
-            let _ = t.join();
-        }
+        let _ = self.dispatcher_thread.join();
         let _ = self.accept_thread.join();
     }
 
@@ -306,28 +290,21 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let depth = Arc::new(AtomicUsize::new(0));
     let peak_depth = Arc::new(AtomicUsize::new(0));
-    let n_dispatchers = cfg.dispatchers.max(1);
 
-    let mut senders = Vec::with_capacity(n_dispatchers);
-    let mut dispatcher_threads = Vec::with_capacity(n_dispatchers);
-    for d in 0..n_dispatchers {
-        let (tx, rx) = mpsc::channel::<Job>();
-        senders.push(tx);
+    let (jobs, rx) = mpsc::channel::<Job>();
+    let dispatcher_thread = {
         let service = Arc::clone(&service);
         let depth = Arc::clone(&depth);
-        dispatcher_threads.push(
-            thread::Builder::new()
-                .name(format!("dbds-dispatch-{d}"))
-                .spawn(move || dispatcher(&service, &rx, &depth))
-                .map_err(|e| format!("spawn dispatcher {d}: {e}"))?,
-        );
-    }
+        thread::Builder::new()
+            .name("dbds-dispatch".into())
+            .spawn(move || dispatcher(&service, &rx, &depth))
+            .map_err(|e| format!("spawn dispatcher: {e}"))?
+    };
 
     let accept_thread = {
         let shutdown = Arc::clone(&shutdown);
         let depth = Arc::clone(&depth);
         let peak_depth = Arc::clone(&peak_depth);
-        let senders = senders.clone();
         let addr = addr.clone();
         let max_queue = cfg.max_queue;
         thread::Builder::new()
@@ -343,7 +320,7 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
                     }
                     let conn = Conn {
                         service: Arc::clone(&service),
-                        senders: senders.clone(),
+                        jobs: jobs.clone(),
                         shutdown: Arc::clone(&shutdown),
                         depth: Arc::clone(&depth),
                         peak_depth: Arc::clone(&peak_depth),
@@ -354,8 +331,8 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
                         .name("dbds-conn".into())
                         .spawn(move || connection(stream, &conn));
                 }
-                // Dropping `senders` here closes every dispatcher
-                // queue once the last connection thread exits too.
+                // Dropping `jobs` here closes the dispatcher queue once
+                // the last connection thread exits too.
             })
             .map_err(|e| format!("spawn accept loop: {e}"))?
     };
@@ -365,7 +342,7 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
         shutdown,
         peak_depth,
         accept_thread,
-        dispatcher_threads,
+        dispatcher_thread,
     })
 }
 
@@ -387,16 +364,19 @@ fn bind(listen: &str) -> Result<(Listener, String), String> {
 impl Listener {
     fn accept(&self) -> std::io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                // Frames are whole responses: never hold one back for
+                // an ACK.
+                s.set_nodelay(true)?;
+                Ok(Stream::Tcp(s))
+            }
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
     }
 }
 
-/// One dispatcher: drains its queue in batches. Every job in this
-/// queue routes to a shard this dispatcher owns, so batches touch
-/// disjoint shard sets across dispatchers and each shard sees its
-/// requests in arrival order.
+/// The dispatcher: drains the job queue in batches, in arrival order.
 fn dispatcher(service: &CompileService, rx: &mpsc::Receiver<Job>, depth: &AtomicUsize) {
     while let Ok(first) = rx.recv() {
         // Batch: everything already waiting rides along with the job
@@ -437,7 +417,7 @@ fn dispatcher(service: &CompileService, rx: &mpsc::Receiver<Job>, depth: &Atomic
 /// site readable.
 struct Conn {
     service: Arc<CompileService>,
-    senders: Vec<mpsc::Sender<Job>>,
+    jobs: mpsc::Sender<Job>,
     shutdown: Arc<AtomicBool>,
     depth: Arc<AtomicUsize>,
     peak_depth: Arc<AtomicUsize>,
@@ -458,8 +438,8 @@ fn write_response(stream: &mut Stream, v: &Json) -> bool {
     }
 }
 
-/// One client connection: read frames, route compile jobs to their
-/// shard's dispatcher, answer status inline, relay replies.
+/// One client connection: read frames, queue compile jobs to the
+/// dispatcher, answer status inline, relay replies.
 fn connection(mut stream: Stream, conn: &Conn) {
     loop {
         let frame = match read_frame(&mut stream) {
@@ -499,18 +479,13 @@ fn connection(mut stream: Stream, conn: &Conn) {
             Request::Shutdown => {
                 conn.shutdown.store(true, Ordering::SeqCst);
                 let (reply_tx, reply_rx) = mpsc::channel();
-                for tx in &conn.senders {
-                    let _ = tx.send(Job::Shutdown {
-                        reply: reply_tx.clone(),
-                    });
-                }
-                drop(reply_tx);
+                let _ = conn.jobs.send(Job::Shutdown { reply: reply_tx });
                 let ok = reply_rx
                     .recv()
                     .unwrap_or_else(|_| Json::Obj(vec![("ok".into(), Json::Bool(true))]));
                 let _ = write_response(&mut stream, &ok);
                 // Nudge the accept loop out of its blocking accept()
-                // so it observes the flag and drops its senders.
+                // so it observes the flag and drops its sender.
                 let _ = crate::client::Client::connect(&conn.addr);
                 return;
             }
@@ -526,14 +501,12 @@ fn connection(mut stream: Stream, conn: &Conn) {
                 conn.peak_depth
                     .fetch_max(conn.depth.load(Ordering::SeqCst), Ordering::SeqCst);
 
-                let shard = conn.service.shard_for(&req);
-                let dispatcher = shard % conn.senders.len();
                 let (reply_tx, reply_rx) = mpsc::channel();
                 let job = Job::Compile {
                     req,
                     reply: reply_tx,
                 };
-                if conn.senders[dispatcher].send(job).is_err() {
+                if conn.jobs.send(job).is_err() {
                     // Dispatcher is gone (shutdown raced us).
                     conn.depth.fetch_sub(1, Ordering::SeqCst);
                     let _ = write_response(&mut stream, &error_json(&ServiceError::Overloaded));

@@ -455,7 +455,7 @@ mod tests {
     #[test]
     fn pretty_matches_report_style() {
         let v = Json::Obj(vec![
-            ("sim_threads".into(), Json::num(1)),
+            ("unit_threads".into(), Json::num(1)),
             (
                 "suites".into(),
                 Json::Arr(vec![Json::Obj(vec![("suite".into(), Json::str("micro"))])]),
@@ -463,7 +463,7 @@ mod tests {
         ]);
         assert_eq!(
             v.pretty(),
-            "{\n  \"sim_threads\": 1,\n  \"suites\": [\n    {\n      \"suite\": \"micro\"\n    }\n  ]\n}\n"
+            "{\n  \"unit_threads\": 1,\n  \"suites\": [\n    {\n      \"suite\": \"micro\"\n    }\n  ]\n}\n"
         );
         // Pretty output re-parses to the same tree.
         assert_eq!(parse(&v.pretty()).unwrap(), v);

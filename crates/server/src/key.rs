@@ -30,8 +30,8 @@ impl StoreKey {
 
     /// The shard this key routes to in an `n`-shard store, derived from
     /// the top bits of the graph hash (the key prefix). Stable for a
-    /// given `n`, so the same key always lands on the same shard, lock
-    /// and dispatcher. `n = 0` is treated as a single shard.
+    /// given `n`, so the same key always lands on the same shard and
+    /// lock. `n = 0` is treated as a single shard.
     pub fn shard(&self, n: usize) -> usize {
         if n <= 1 {
             return 0;
@@ -167,9 +167,8 @@ mod tests {
         let mut tweaked = cfg.clone();
         tweaked.tradeoff.benefit_scale = 128.0;
         assert_ne!(a, StoreKey::compute(&g, &tweaked, OptLevel::Dbds));
-        // Thread counts are result-invariant and must not split the cache.
+        // The thread count is result-invariant and must not split the cache.
         let mut threads = cfg.clone();
-        threads.sim_threads = 8;
         threads.unit_threads = 8;
         assert_eq!(a, StoreKey::compute(&g, &threads, OptLevel::Dbds));
     }

@@ -246,7 +246,7 @@ struct Shard {
 
 /// Linear backoff steps are capped here so the sleep can never
 /// overflow (`Duration × u32` panics on overflow) and a misconfigured
-/// retry count cannot stall a dispatcher for minutes.
+/// retry count cannot stall the dispatcher for minutes.
 const BACKOFF_CAP_STEPS: u32 = 8;
 
 /// The backoff before retry number `attempt` (1-based): linear in the
@@ -264,7 +264,7 @@ fn retry_backoff(step: Duration, attempt: u32) -> Duration {
 /// shard its key routes to, so requests on different shards proceed
 /// concurrently while each shard observes its own requests strictly in
 /// submission order — which is what keeps the (summed) counters
-/// byte-identical however many dispatcher threads drive the service.
+/// byte-identical however many threads drive the service.
 pub struct CompileService {
     shards: Vec<Mutex<Shard>>,
     /// Requests shed by admission control before reaching any shard.
@@ -295,7 +295,7 @@ impl CompileService {
     /// Builds a service over one store per shard (at least one);
     /// requests route to `key.shard(stores.len())`. The shard count is
     /// part of the store layout, not of the execution plan: it must
-    /// not change with thread or dispatcher counts.
+    /// not change with the thread count.
     pub fn with_shards(
         stores: Vec<Box<dyn CompiledStore>>,
         base_cfg: DbdsConfig,
@@ -342,20 +342,6 @@ impl CompileService {
         self.shard(0).store.backend()
     }
 
-    /// The shard (and thus dispatcher queue) `req` routes to: the
-    /// shard of its store key, computable before any compilation
-    /// because the key fingerprint excludes the deadline and thread
-    /// counts. Unroutable (malformed) requests go to shard 0 so their
-    /// `bad_requests` tick lands deterministically.
-    pub fn shard_for(&self, req: &CompileRequest) -> usize {
-        match self.resolve(&req.source) {
-            Ok(graph) => {
-                StoreKey::compute(&graph, &self.base_cfg, req.level).shard(self.shards.len())
-            }
-            Err(_) => 0,
-        }
-    }
-
     /// Current counters snapshot, summed over shards in shard order.
     pub fn counters(&self) -> ServiceCounters {
         let mut total = ServiceCounters::default();
@@ -388,9 +374,9 @@ impl CompileService {
 
     /// The status report: counters plus store health, as served to
     /// `dbds_client status` and embedded in harness reports. Shards
-    /// are locked in shard order; the shape deliberately excludes the
-    /// dispatcher count, so quiescent status output is byte-identical
-    /// across `DBDS_DISPATCHERS` (gated in CI).
+    /// are locked in shard order; the shape deliberately excludes
+    /// thread counts and timings, so quiescent status output is
+    /// byte-identical for the same request sequence.
     pub fn status_json(&self) -> Json {
         let health = self.store_health();
         Json::Obj(vec![
@@ -474,7 +460,7 @@ impl CompileService {
             let graph = match resolved {
                 Ok(g) => g,
                 Err(e) => {
-                    // Unroutable: accounted to shard 0, like shard_for.
+                    // Unroutable: accounted to shard 0, deterministically.
                     let mut shard = self.shard(0);
                     shard.counters.requests += 1;
                     shard.counters.bad_requests += 1;
@@ -504,24 +490,16 @@ impl CompileService {
             }
         }
 
-        // Fresh compiles: fan out on the shared 2-D scheduler. Each
-        // unit carries its own config (deadlines differ per request);
-        // the pool plan still comes from the base config so
-        // `DBDS_UNIT_THREADS` / `DBDS_SIM_THREADS` apply, and each
-        // unit's inner tiers publish to the shared scheduler (forced
-        // nominal here, matching `PoolPlan::per_unit`).
-        let plan = self.base_cfg.pool_plan(misses.len());
+        // Fresh compiles: fan out on the unit pool. Each unit carries
+        // its own config (deadlines differ per request); the width still
+        // comes from the base config so `DBDS_UNIT_THREADS` applies.
         let model = &self.model;
-        let (compiled, _loads, _ns) = dbds_core::par::run_units(
-            plan.unit_workers,
-            plan.sim_workers,
+        let compiled = dbds_core::par::run_units(
+            self.base_cfg.unit_workers(misses.len()),
             &misses,
             |_i, (_idx, graph, _key, cfg, level, _shard)| {
                 let mut g = graph.clone();
-                let mut unit_cfg = cfg.clone();
-                unit_cfg.unit_threads = 1;
-                unit_cfg.sim_threads = 1;
-                let stats = compile(&mut g, model, *level, &unit_cfg);
+                let stats = compile(&mut g, model, *level, cfg);
                 (g, stats)
             },
         );

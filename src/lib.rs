@@ -70,6 +70,7 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured comparison of every figure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The SSA intermediate representation (re-export of `dbds-ir`).
