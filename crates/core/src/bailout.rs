@@ -39,7 +39,6 @@ use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
@@ -156,13 +155,15 @@ const UNBOUNDED: u64 = u64::MAX;
 ///
 /// Interior-mutable, so a `&Budget` can thread through the recursive
 /// simulation walk alongside other borrows. One budget belongs to one
-/// compilation and is only ever charged from the thread compiling it.
+/// compilation and is only ever charged from the thread compiling it:
+/// the counters are [`Cell`]s, so `Budget` is `!Sync` and the compiler
+/// rejects sharing one across threads.
 #[derive(Debug)]
 pub struct Budget {
     /// Remaining fuel; [`UNBOUNDED`] = no limit.
-    fuel: AtomicU64,
+    fuel: Cell<u64>,
     deadline: Option<Instant>,
-    used: AtomicU64,
+    used: Cell<u64>,
 }
 
 impl Budget {
@@ -170,18 +171,18 @@ impl Budget {
     /// starting now.
     pub fn new(guard: &GuardConfig) -> Self {
         Budget {
-            fuel: AtomicU64::new(guard.fuel.unwrap_or(UNBOUNDED)),
+            fuel: Cell::new(guard.fuel.unwrap_or(UNBOUNDED)),
             deadline: guard.deadline.map(|d| Instant::now() + d),
-            used: AtomicU64::new(0),
+            used: Cell::new(0),
         }
     }
 
     /// A budget that never exhausts (fuel is still counted).
     pub fn unlimited() -> Self {
         Budget {
-            fuel: AtomicU64::new(UNBOUNDED),
+            fuel: Cell::new(UNBOUNDED),
             deadline: None,
-            used: AtomicU64::new(0),
+            used: Cell::new(0),
         }
     }
 
@@ -196,24 +197,16 @@ impl Budget {
         if let Some(reason) = crate::faultinject::take_pending_exhaustion() {
             return Err(reason);
         }
-        self.used.fetch_add(units, Ordering::Relaxed);
-        let mut left = self.fuel.load(Ordering::Relaxed);
-        while left != UNBOUNDED {
+        self.used.set(self.used.get() + units);
+        let left = self.fuel.get();
+        if left != UNBOUNDED {
             // `left == 0` keeps exhaustion sticky: once the tank is
             // empty, even zero-cost polls fail.
             if left == 0 || left < units {
-                self.fuel.store(0, Ordering::Relaxed);
+                self.fuel.set(0);
                 return Err(BailoutReason::FuelExhausted);
             }
-            match self.fuel.compare_exchange_weak(
-                left,
-                left - units,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => left = now,
-            }
+            self.fuel.set(left - units);
         }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
@@ -234,7 +227,7 @@ impl Budget {
 
     /// Total fuel units consumed so far (also counted when unbounded).
     pub fn fuel_used(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
+        self.used.get()
     }
 }
 

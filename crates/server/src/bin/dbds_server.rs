@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dbds_server [--listen ADDR] [--store DIR|mem] [--max-queue N]
-//!             [--shards N] [--store-budget BYTES] [--tiered]
+//!             [--store-budget BYTES]
 //! ```
 //!
 //! `ADDR` is `host:port` (TCP) or `unix:<path>`. The resolved address
@@ -46,13 +46,6 @@ fn run() -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--max-queue needs an integer".to_string())?;
             }
-            "--shards" => {
-                cfg.shards = value("--shards")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| "--shards needs a positive integer".to_string())?;
-            }
             "--store-budget" => {
                 cfg.store_budget = Some(
                     value("--store-budget")?
@@ -60,12 +53,10 @@ fn run() -> Result<(), String> {
                         .map_err(|_| "--store-budget needs a byte count".to_string())?,
                 );
             }
-            "--tiered" => cfg.tiered = true,
             "--help" | "-h" => {
                 println!(
                     "usage: dbds_server [--listen HOST:PORT|unix:PATH] \
-                     [--store DIR|mem] [--max-queue N] [--shards N] \
-                     [--store-budget BYTES] [--tiered]"
+                     [--store DIR|mem] [--max-queue N] [--store-budget BYTES]"
                 );
                 return Ok(());
             }

@@ -1,16 +1,16 @@
 //! The `dbds-server` daemon: socket listeners, a bounded admission
-//! queue with load shedding, and one dispatcher thread over the sharded
+//! queue with load shedding, and one dispatcher thread over the
 //! [`CompileService`].
 //!
 //! Architecture: connection threads parse frames, answer status
-//! directly (it only locks shards, briefly, in order), and queue each
-//! compile job to the dispatcher. Every store access and compilation
-//! happens on the dispatcher, which drains its queue in batches (so
-//! concurrent clients still get the unit-level parallel fan-out of
-//! [`CompileService::compile_batch`]).
+//! directly (it only takes the service's store lock, briefly), and
+//! queue each compile job to the dispatcher. Every store access and
+//! compilation happens on the dispatcher, which drains its queue in
+//! batches (so concurrent clients still get the unit-level parallel
+//! fan-out of [`CompileService::compile_batch`]).
 //!
 //! Determinism: the dispatcher drains its queue in arrival order, so
-//! every shard observes its requests in submission order.
+//! the store observes its requests in submission order.
 //!
 //! Admission control is a single atomic reserve-or-shed
 //! ([`try_admit`]): the queue slot is reserved by the same
@@ -23,7 +23,7 @@ use crate::proto::{
     error_json, read_frame, response_json, write_frame, FrameError, Request, PROTO_VERSION,
 };
 use crate::service::{CompileService, ServiceConfig, ServiceError};
-use crate::store::{BoundedStore, CompiledStore, DiskStore, MemStore, StoreError, TieredStore};
+use crate::store::{BoundedStore, CompiledStore, DiskStore, MemStore, StoreError};
 use dbds_core::DbdsConfig;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -43,10 +43,9 @@ pub enum StoreChoice {
 }
 
 impl StoreChoice {
-    /// Opens the chosen backend, unsharded and unwrapped. A store
-    /// directory that cannot be opened degrades to the in-memory
-    /// backend with a warning on stderr — a broken cache must not
-    /// prevent serving.
+    /// Opens the chosen backend. A store directory that cannot be
+    /// opened degrades to the in-memory backend with a warning on
+    /// stderr — a broken cache must not prevent serving.
     pub fn open(&self) -> Box<dyn CompiledStore> {
         match self {
             StoreChoice::Mem => Box::new(MemStore::new()),
@@ -61,69 +60,6 @@ impl StoreChoice {
                     Box::new(MemStore::new())
                 }
             },
-        }
-    }
-
-    /// Opens `shards` backends for a sharded service. Disk shards live
-    /// in `dir/shard-<i>/` subdirectories and carry their shard id to
-    /// the fault-injection sites; a `budget` is split evenly across
-    /// shards and enforced per shard by a [`BoundedStore`]; `tiered`
-    /// puts a write-through in-memory front in front of each disk
-    /// shard. Any shard that cannot be opened degrades to in-memory,
-    /// like [`StoreChoice::open`].
-    pub fn open_shards(
-        &self,
-        shards: usize,
-        budget: Option<u64>,
-        tiered: bool,
-    ) -> Vec<Box<dyn CompiledStore>> {
-        let shards = shards.max(1);
-        (0..shards)
-            .map(|i| {
-                let mut store: Box<dyn CompiledStore> = match self {
-                    StoreChoice::Mem => Box::new(MemStore::new()),
-                    StoreChoice::Disk(dir) => {
-                        let shard_dir = dir.join(format!("shard-{i}"));
-                        match DiskStore::open_shard(&shard_dir, i as u32) {
-                            Ok(s) => Box::new(s),
-                            Err(StoreError(e)) => {
-                                eprintln!(
-                                    "dbds-server: warning: store shard {} unusable ({e}); \
-                                     falling back to in-memory cache",
-                                    shard_dir.display()
-                                );
-                                Box::new(MemStore::new())
-                            }
-                        }
-                    }
-                };
-                if tiered {
-                    store = Box::new(TieredStore::new(store));
-                }
-                if let Some(total) = budget {
-                    match BoundedStore::new(store, total / shards as u64) {
-                        Ok(bounded) => store = Box::new(bounded),
-                        Err(StoreError(e)) => {
-                            eprintln!("dbds-server: warning: shard {i} budget not enforced ({e})");
-                            store = match self {
-                                StoreChoice::Mem => Box::new(MemStore::new()),
-                                StoreChoice::Disk(dir) => {
-                                    self.reopen_unbounded(&dir.join(format!("shard-{i}")), i as u32)
-                                }
-                            };
-                        }
-                    }
-                }
-                store
-            })
-            .collect()
-    }
-
-    /// Fallback when wrapping a shard failed: reopen it plain.
-    fn reopen_unbounded(&self, dir: &PathBuf, shard: u32) -> Box<dyn CompiledStore> {
-        match DiskStore::open_shard(dir, shard) {
-            Ok(s) => Box::new(s),
-            Err(_) => Box::new(MemStore::new()),
         }
     }
 }
@@ -144,18 +80,9 @@ pub struct ServerConfig {
     /// Admission-queue bound: jobs beyond this many waiting are shed
     /// with a typed `overloaded` response.
     pub max_queue: usize,
-    /// Store shard count. Part of the store layout (disk shards live
-    /// in `shard-<i>/` subdirectories), not of the execution plan:
-    /// counters and results are invariant in it, but changing it on an
-    /// existing store re-routes keys to cold shards.
-    pub shards: usize,
-    /// Total store byte budget, split evenly across shards and
-    /// enforced by second-chance eviction; `None` = unbounded.
+    /// Byte budget for the whole store (the sum of stored payload
+    /// bytes), enforced by second-chance eviction; `None` = unbounded.
     pub store_budget: Option<u64>,
-    /// Put a write-through in-memory front in front of each disk
-    /// shard. Off by default: the front masks on-disk corruption until
-    /// restart, which the heal-path e2e exercises against.
-    pub tiered: bool,
 }
 
 impl Default for ServerConfig {
@@ -166,9 +93,7 @@ impl Default for ServerConfig {
             base_cfg: DbdsConfig::default(),
             service: ServiceConfig::default(),
             max_queue: 128,
-            shards: 8,
             store_budget: None,
-            tiered: false,
         }
     }
 }
@@ -276,13 +201,23 @@ fn try_admit(depth: &AtomicUsize, max: usize) -> bool {
 /// # Errors
 ///
 /// Returns a message when the listen address cannot be parsed or
-/// bound. Store problems do *not* fail startup (see
-/// [`StoreChoice::open_shards`]).
+/// bound. Store problems do *not* fail startup: an unusable directory
+/// degrades to memory ([`StoreChoice::open`]), a budget that cannot be
+/// seeded to an unbounded store.
 pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
     let (listener, addr) = bind(&cfg.listen)?;
-    let service = Arc::new(CompileService::with_shards(
-        cfg.store
-            .open_shards(cfg.shards, cfg.store_budget, cfg.tiered),
+    let mut store = cfg.store.open();
+    if let Some(budget) = cfg.store_budget {
+        store = match BoundedStore::new(store, budget) {
+            Ok(bounded) => Box::new(bounded),
+            Err((unbounded, StoreError(e))) => {
+                eprintln!("dbds-server: warning: store budget not enforced ({e})");
+                unbounded
+            }
+        };
+    }
+    let service = Arc::new(CompileService::new(
+        store,
         cfg.base_cfg.clone(),
         cfg.service.clone(),
     ));
@@ -464,10 +399,9 @@ fn connection(mut stream: Stream, conn: &Conn) {
 
         match request {
             Request::Status => {
-                // Served inline: status only locks shards (in shard
-                // order), it never compiles, so it needs no queue slot
-                // and cannot jump ahead of a shard's compile order —
-                // shard locks serialize it against in-flight work.
+                // Served inline: status only takes the store lock, it
+                // never compiles, so it needs no queue slot — the lock
+                // serializes it against in-flight lookups and installs.
                 let mut status = conn.service.status_json();
                 if let Json::Obj(pairs) = &mut status {
                     pairs.insert(0, ("proto".into(), Json::str(PROTO_VERSION)));

@@ -27,19 +27,6 @@ impl StoreKey {
             config: cfg.fingerprint(level),
         }
     }
-
-    /// The shard this key routes to in an `n`-shard store, derived from
-    /// the top bits of the graph hash (the key prefix). Stable for a
-    /// given `n`, so the same key always lands on the same shard and
-    /// lock. `n = 0` is treated as a single shard.
-    pub fn shard(&self, n: usize) -> usize {
-        if n <= 1 {
-            return 0;
-        }
-        // Multiply-shift over the top bits: uniform even when graph
-        // hashes cluster in low bits, and independent of n's alignment.
-        (((self.graph >> 32) * n as u64) >> 32) as usize
-    }
 }
 
 impl fmt::Display for StoreKey {
@@ -134,27 +121,6 @@ mod tests {
             .unwrap();
         assert_eq!(k.graph, 0xdead_beef);
         assert_eq!(k.config, 0xff);
-    }
-
-    #[test]
-    fn shard_is_stable_in_range_and_spreads() {
-        let keys: Vec<StoreKey> = (0..64u64)
-            .map(|i| StoreKey {
-                graph: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                config: 7,
-            })
-            .collect();
-        for n in [1usize, 2, 3, 4, 8, 16] {
-            let mut hit = vec![false; n];
-            for k in &keys {
-                let s = k.shard(n);
-                assert!(s < n, "shard {s} out of range for n={n}");
-                assert_eq!(s, k.shard(n), "shard must be stable");
-                hit[s] = true;
-            }
-            assert!(hit.iter().all(|&h| h), "all {n} shards used: {hit:?}");
-        }
-        assert_eq!(keys[5].shard(0), 0, "n=0 behaves as one shard");
     }
 
     #[test]

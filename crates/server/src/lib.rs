@@ -5,7 +5,9 @@
 //! or TCP socket, dispatches them onto the unit-level parallel
 //! compilation pool, and memoizes verified results in a
 //! content-addressed store keyed by graph content hash × configuration
-//! fingerprint.
+//! fingerprint. There is one store behind one lock — in memory or one
+//! directory of `<key>.entry` files, optionally under a total byte
+//! budget.
 //!
 //! The design goal is *robustness as a feature*: a corrupted, dead or
 //! read-only store must never produce a wrong compilation result or a
@@ -73,7 +75,4 @@ pub use service::{
     run_session, CompileOutcome, CompileRequest, CompileService, CompileSource, ServedResult,
     ServiceConfig, ServiceCounters, ServiceError, SessionPass, SessionReport,
 };
-pub use store::{
-    BoundedStore, CompiledStore, DiskStore, MemStore, ShardedStore, StoreError, StoreHealth,
-    TieredStore,
-};
+pub use store::{BoundedStore, CompiledStore, DiskStore, MemStore, StoreError, StoreHealth};

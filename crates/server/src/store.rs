@@ -1,6 +1,9 @@
 //! The content-addressed compiled-graph store: a swappable backend
-//! trait, an in-memory backend, and a crash-safe on-disk backend with
-//! checksummed entries, atomic installs and self-healing quarantine.
+//! trait, an in-memory backend, a crash-safe on-disk backend with
+//! checksummed entries, atomic installs and self-healing quarantine, and
+//! one decorator, [`BoundedStore`], that keeps either under a byte
+//! budget. The service holds exactly one store behind one lock; there is
+//! one on-disk layout (`DIR/<key>.entry`).
 //!
 //! Robustness contract (what the `servsim` sweep proves):
 //!
@@ -70,7 +73,7 @@ pub struct StoreHealth {
 /// reports whether an entry existed, and `keys` lists live entries in
 /// sorted order. The on-disk backend additionally survives crashes and
 /// quarantines corrupt entries instead of serving them.
-pub trait CompiledStore: Send {
+pub trait CompiledStore: Send + fmt::Debug {
     /// Stable backend name for reports.
     fn backend(&self) -> &'static str;
 
@@ -166,10 +169,6 @@ impl CompiledStore for MemStore {
 pub struct DiskStore {
     dir: PathBuf,
     quarantined: u64,
-    /// The shard this backend serves in a sharded store (0 for
-    /// unsharded stores); identifies the backend to the shard-targeted
-    /// fault-injection sites.
-    shard: u32,
 }
 
 impl DiskStore {
@@ -177,29 +176,19 @@ impl DiskStore {
     /// recovery scan: stray temp files from writers that died
     /// mid-install are deleted, and every entry whose header or
     /// checksum does not validate is moved into `dir/quarantine/`.
+    /// Subdirectories (`quarantine/`, or the `shard-<i>/` directories
+    /// an older daemon wrote) are never read or touched.
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] when the directory cannot be created
     /// or scanned at all.
     pub fn open(dir: impl Into<PathBuf>) -> Result<DiskStore, StoreError> {
-        DiskStore::open_shard(dir, 0)
-    }
-
-    /// [`DiskStore::open`] for shard `shard` of a sharded store: same
-    /// behaviour, but store-fault injection sites see the shard id.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StoreError`] when the directory cannot be created
-    /// or scanned at all.
-    pub fn open_shard(dir: impl Into<PathBuf>, shard: u32) -> Result<DiskStore, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| StoreError(format!("create {dir:?}: {e}")))?;
         let mut store = DiskStore {
             dir,
             quarantined: 0,
-            shard,
         };
         store.recover()?;
         Ok(store)
@@ -222,8 +211,8 @@ impl DiskStore {
             let Some(stem) = name.strip_suffix(ENTRY_SUFFIX) else {
                 continue;
             };
-            let valid = stem.parse::<StoreKey>().is_ok()
-                && matches!(read_entry_file(&path, self.shard), Ok(Some(_)));
+            let valid =
+                stem.parse::<StoreKey>().is_ok() && matches!(read_entry_file(&path), Ok(Some(_)));
             if !valid {
                 self.quarantine(&name);
             }
@@ -267,16 +256,14 @@ impl DiskStore {
 /// Reads and validates one entry file: `Ok(Some(payload))` when intact,
 /// `Ok(None)` when structurally corrupt (bad magic, length mismatch,
 /// checksum mismatch), `Err` when unreadable.
-fn read_entry_file(path: &Path, shard: u32) -> Result<Option<Vec<u8>>, String> {
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = shard;
+fn read_entry_file(path: &Path) -> Result<Option<Vec<u8>>, String> {
     let mut bytes = Vec::new();
     fs::File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| format!("open {path:?}: {e}"))?;
     // Bit-flip-on-read fault: media corruption between disk and reader.
     #[cfg(feature = "fault-injection")]
-    if !bytes.is_empty() && take_store_fault(StoreOp::Get, shard) == Some(StoreFault::BitFlipRead) {
+    if !bytes.is_empty() && take_store_fault(StoreOp::Get) == Some(StoreFault::BitFlipRead) {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
     }
@@ -313,7 +300,7 @@ impl CompiledStore for DiskStore {
         if !path.exists() {
             return Ok(None);
         }
-        match read_entry_file(&path, self.shard) {
+        match read_entry_file(&path) {
             Ok(Some(payload)) => Ok(Some(payload)),
             Ok(None) => {
                 // Corrupt: heal by quarantine + miss; the service
@@ -327,7 +314,7 @@ impl CompiledStore for DiskStore {
 
     fn put(&mut self, key: &StoreKey, payload: &[u8]) -> Result<(), StoreError> {
         #[cfg(feature = "fault-injection")]
-        let fault = take_store_fault(StoreOp::Put, self.shard);
+        let fault = take_store_fault(StoreOp::Put);
         #[cfg(not(feature = "fault-injection"))]
         let fault: Option<()> = None;
 
@@ -424,6 +411,7 @@ impl CompiledStore for DiskStore {
 /// Like every store, the wrapper is advisory: when the inner backend
 /// cannot evict (e.g. a read-only directory), the sweep stops and the
 /// store temporarily exceeds its budget rather than failing requests.
+#[derive(Debug)]
 pub struct BoundedStore {
     inner: Box<dyn CompiledStore>,
     budget: u64,
@@ -444,9 +432,13 @@ impl BoundedStore {
     ///
     /// # Errors
     ///
-    /// Returns a [`StoreError`] when the inner store cannot list or
-    /// read its entries during seeding.
-    pub fn new(inner: Box<dyn CompiledStore>, budget: u64) -> Result<BoundedStore, StoreError> {
+    /// When the inner store cannot list or read its entries during
+    /// seeding, hands it back with the [`StoreError`] so the caller can
+    /// keep serving from it unbounded.
+    pub fn new(
+        inner: Box<dyn CompiledStore>,
+        budget: u64,
+    ) -> Result<BoundedStore, (Box<dyn CompiledStore>, StoreError)> {
         let mut store = BoundedStore {
             inner,
             budget,
@@ -456,13 +448,20 @@ impl BoundedStore {
             total: 0,
             evictions: 0,
         };
-        for key in store.inner.keys()? {
-            if let Some(payload) = store.inner.get(&key)? {
-                store.track(key, payload.len() as u64);
-            }
+        if let Err(e) = store.seed() {
+            return Err((store.inner, e));
         }
         store.enforce();
         Ok(store)
+    }
+
+    fn seed(&mut self) -> Result<(), StoreError> {
+        for key in self.inner.keys()? {
+            if let Some(payload) = self.inner.get(&key)? {
+                self.track(key, payload.len() as u64);
+            }
+        }
+        Ok(())
     }
 
     fn track(&mut self, key: StoreKey, size: u64) {
@@ -515,17 +514,6 @@ impl BoundedStore {
     }
 }
 
-impl fmt::Debug for BoundedStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BoundedStore")
-            .field("backend", &self.inner.backend())
-            .field("budget", &self.budget)
-            .field("total", &self.total)
-            .field("evictions", &self.evictions)
-            .finish_non_exhaustive()
-    }
-}
-
 impl CompiledStore for BoundedStore {
     fn backend(&self) -> &'static str {
         self.inner.backend()
@@ -571,140 +559,6 @@ impl CompiledStore for BoundedStore {
         let mut health = self.inner.health();
         health.evictions += self.evictions;
         health
-    }
-}
-
-/// A tiered read path: an in-memory front cache over a durable back
-/// store. Writes go through to the back first (durability), then fill
-/// the front; reads hit the front and fall back to the back, filling
-/// the front on the way out. The back's heal path is untouched — the
-/// front only ever holds bytes the back served intact, so the front is
-/// always a subset of the back's live entries.
-pub struct TieredStore {
-    front: MemStore,
-    back: Box<dyn CompiledStore>,
-}
-
-impl TieredStore {
-    /// Puts a fresh in-memory front in front of `back`.
-    pub fn new(back: Box<dyn CompiledStore>) -> TieredStore {
-        TieredStore {
-            front: MemStore::new(),
-            back,
-        }
-    }
-}
-
-impl fmt::Debug for TieredStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TieredStore")
-            .field("front", &self.front)
-            .field("back", &self.back.backend())
-            .finish_non_exhaustive()
-    }
-}
-
-impl CompiledStore for TieredStore {
-    fn backend(&self) -> &'static str {
-        "tiered"
-    }
-
-    fn get(&mut self, key: &StoreKey) -> Result<Option<Vec<u8>>, StoreError> {
-        if let Some(payload) = self.front.get(key)? {
-            return Ok(Some(payload));
-        }
-        let out = self.back.get(key)?;
-        if let Some(payload) = &out {
-            self.front.put(key, payload)?;
-        }
-        Ok(out)
-    }
-
-    fn put(&mut self, key: &StoreKey, payload: &[u8]) -> Result<(), StoreError> {
-        self.back.put(key, payload)?;
-        self.front.put(key, payload)
-    }
-
-    fn evict(&mut self, key: &StoreKey) -> Result<bool, StoreError> {
-        let in_front = self.front.evict(key)?;
-        Ok(self.back.evict(key)? || in_front)
-    }
-
-    fn keys(&mut self) -> Result<Vec<StoreKey>, StoreError> {
-        self.back.keys()
-    }
-
-    fn health(&mut self) -> StoreHealth {
-        self.back.health()
-    }
-}
-
-/// A key-prefix-routed composite: requests go to the shard chosen by
-/// [`StoreKey::shard`], so each underlying backend serves a disjoint,
-/// stable slice of the key space. With any shard count the composite is
-/// observably identical to a single store fed the same operations
-/// (gated by `tests/shard_parity.rs`) — the shards only partition the
-/// data, they never change what a get observes.
-pub struct ShardedStore {
-    shards: Vec<Box<dyn CompiledStore>>,
-}
-
-impl ShardedStore {
-    /// Builds the composite over `shards` backends (at least one).
-    pub fn new(shards: Vec<Box<dyn CompiledStore>>) -> ShardedStore {
-        assert!(!shards.is_empty(), "a sharded store needs >= 1 shard");
-        ShardedStore { shards }
-    }
-
-    fn route(&mut self, key: &StoreKey) -> &mut Box<dyn CompiledStore> {
-        let i = key.shard(self.shards.len());
-        &mut self.shards[i]
-    }
-}
-
-impl fmt::Debug for ShardedStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedStore")
-            .field("shards", &self.shards.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl CompiledStore for ShardedStore {
-    fn backend(&self) -> &'static str {
-        self.shards[0].backend()
-    }
-
-    fn get(&mut self, key: &StoreKey) -> Result<Option<Vec<u8>>, StoreError> {
-        self.route(key).get(key)
-    }
-
-    fn put(&mut self, key: &StoreKey, payload: &[u8]) -> Result<(), StoreError> {
-        self.route(key).put(key, payload)
-    }
-
-    fn evict(&mut self, key: &StoreKey) -> Result<bool, StoreError> {
-        self.route(key).evict(key)
-    }
-
-    fn keys(&mut self) -> Result<Vec<StoreKey>, StoreError> {
-        let mut keys = Vec::new();
-        for shard in &mut self.shards {
-            keys.extend(shard.keys()?);
-        }
-        keys.sort();
-        Ok(keys)
-    }
-
-    fn health(&mut self) -> StoreHealth {
-        let mut total = StoreHealth::default();
-        for shard in &mut self.shards {
-            let health = shard.health();
-            total.entries += health.entries;
-            total.quarantined += health.quarantined;
-            total.evictions += health.evictions;
-        }
-        total
     }
 }
 
@@ -879,29 +733,32 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Migration from the sharded layout: an older daemon wrote
+    /// `DIR/shard-<i>/<key>.entry`. Those entries are a cold cache, never
+    /// wrong bytes: not served, not quarantined, not touched.
     #[test]
-    fn tiered_store_fills_front_and_writes_through() {
-        let dir = tmpdir("tiered");
-        let mut s = TieredStore::new(Box::new(DiskStore::open(&dir).unwrap()));
-        s.put(&key(1), b"payload").unwrap();
-        // The write went through to disk: delete the file behind the
-        // store's back and the front still serves.
-        let path = dir.join(format!("{}{ENTRY_SUFFIX}", key(1)));
-        assert!(path.exists(), "write-through must hit disk");
-        fs::remove_file(&path).unwrap();
-        assert_eq!(s.get(&key(1)).unwrap().as_deref(), Some(&b"payload"[..]));
+    fn parent_layout_shard_dirs_are_ignored_and_left_alone() {
+        let dir = tmpdir("shard-layout");
+        let old = dir.join("shard-3");
+        DiskStore::open(&old)
+            .unwrap()
+            .put(&key(1), b"written by the sharded daemon")
+            .unwrap();
+        let old_entry = old.join(format!("{}{ENTRY_SUFFIX}", key(1)));
+        let old_bytes = fs::read(&old_entry).unwrap();
 
-        // A fresh tier over the same dir starts cold and falls back to
-        // the disk copy, filling the front on the way out.
-        let mut s = TieredStore::new(Box::new(DiskStore::open(&dir).unwrap()));
-        s.put(&key(2), b"warm me").unwrap();
-        let mut cold = TieredStore::new(Box::new(DiskStore::open(&dir).unwrap()));
-        assert_eq!(cold.get(&key(2)).unwrap().as_deref(), Some(&b"warm me"[..]));
-        assert_eq!(
-            cold.front.get(&key(2)).unwrap().as_deref(),
-            Some(&b"warm me"[..])
-        );
-        assert!(s.evict(&key(2)).unwrap());
+        let mut s = DiskStore::open(&dir).unwrap();
+        assert_eq!(s.get(&key(1)).unwrap(), None, "cold start, not a hit");
+        assert_eq!(s.keys().unwrap(), vec![]);
+        s.put(&key(1), b"fresh").unwrap();
+        s.put(&key(2), b"own entry").unwrap();
+        assert_eq!(s.get(&key(1)).unwrap().as_deref(), Some(&b"fresh"[..]));
+        assert_eq!(s.keys().unwrap(), vec![key(1), key(2)]);
+        s.recover().unwrap();
+        assert_eq!(s.health().quarantined, 0);
+        assert_eq!(s.health().entries, 2);
+        assert_eq!(fs::read(&old_entry).unwrap(), old_bytes);
+        assert!(!dir.join("quarantine").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -5,7 +5,8 @@
 use dbds_core::OptLevel;
 use dbds_server::json::Json;
 use dbds_server::{
-    serve, Client, CompileRequest, CompileSource, ServerConfig, ServiceError, StoreChoice,
+    serve, Client, CompileRequest, CompileService, CompileSource, ServerConfig, ServiceConfig,
+    ServiceError, StoreChoice,
 };
 
 fn compile_req(name: &str) -> CompileRequest {
@@ -16,12 +17,17 @@ fn compile_req(name: &str) -> CompileRequest {
     }
 }
 
-fn counter(status: &Json, name: &str) -> u64 {
+/// `status.<section>.<name>` as a number.
+fn stat(status: &Json, section: &str, name: &str) -> u64 {
     status
-        .get("counters")
+        .get(section)
         .and_then(|c| c.get(name))
         .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("status missing counter {name}: {status:?}"))
+        .unwrap_or_else(|| panic!("status missing {section}.{name}: {status:?}"))
+}
+
+fn counter(status: &Json, name: &str) -> u64 {
+    stat(status, "counters", name)
 }
 
 #[test]
@@ -217,6 +223,86 @@ fn disk_store_persists_across_daemon_restarts() {
         .expect("rpc")
         .expect("request failed");
     assert!(warm.cached, "restarted daemon must hit the on-disk cache");
+    assert_eq!(warm.artifact, cold.artifact);
+    client.shutdown().expect("shutdown");
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `store_budget` bounds the store, not a slice of it: entries totalling
+/// exactly the budget all stay, whatever their keys. (With the budget
+/// split over key-routed shards, each of these entries alone exceeded
+/// its shard's share and was evicted on arrival.)
+#[test]
+fn store_budget_is_total_bytes_whatever_the_keys() {
+    let names = ["wordcount", "charcount", "branchchain", "corrcond"];
+    // Stored payloads are byte-identical to a fresh compile of their
+    // key, so an in-process compile gives their exact sizes.
+    let sizing = CompileService::new(
+        StoreChoice::Mem.open(),
+        Default::default(),
+        ServiceConfig::default(),
+    );
+    let reqs: Vec<_> = names.iter().map(|n| compile_req(n)).collect();
+    let budget: u64 = sizing
+        .compile_batch(&reqs)
+        .iter()
+        .map(|o| {
+            o.as_ref()
+                .expect("sizing compile")
+                .artifact
+                .serialize()
+                .len() as u64
+        })
+        .sum();
+
+    let handle = serve(ServerConfig {
+        store_budget: Some(budget),
+        ..ServerConfig::default()
+    })
+    .expect("serve");
+    let mut client = Client::connect(&handle.addr).expect("connect");
+    for pass_hits in [false, true] {
+        for name in names {
+            let served = client.compile(compile_req(name)).expect("rpc");
+            assert_eq!(served.expect("request failed").cached, pass_hits, "{name}");
+        }
+    }
+    let status = client.status().expect("status");
+    assert_eq!(stat(&status, "store", "evictions"), 0);
+    assert_eq!(stat(&status, "store", "entries"), names.len() as u64);
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+/// `--store DIR` has one layout: what `StoreChoice::Disk(dir).open()`
+/// (and so `figures --cache DIR`) wrote, a daemon over `dir` serves.
+#[test]
+fn daemon_hits_entries_put_through_store_choice_open() {
+    let dir = std::env::temp_dir().join(format!("dbds-daemon-layout-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let choice = StoreChoice::Disk(dir.clone());
+
+    let svc = CompileService::new(choice.open(), Default::default(), ServiceConfig::default());
+    let cold = svc.compile_batch(&[compile_req("wordcount")]).remove(0);
+    let cold = cold.expect("in-process compile");
+    assert!(!cold.cached);
+    drop(svc);
+
+    let handle = serve(ServerConfig {
+        store: choice,
+        ..ServerConfig::default()
+    })
+    .expect("serve");
+    let mut client = Client::connect(&handle.addr).expect("connect");
+    let warm = client
+        .compile(compile_req("wordcount"))
+        .expect("rpc")
+        .expect("request failed");
+    assert!(
+        warm.cached,
+        "the daemon must see entries put through open()"
+    );
     assert_eq!(warm.artifact, cold.artifact);
     client.shutdown().expect("shutdown");
     handle.join();
