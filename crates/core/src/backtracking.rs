@@ -140,33 +140,27 @@ pub fn run_backtracking(
                 g.begin_txn();
                 stats.undo_ns += tu.elapsed().as_nanos();
 
-                if cfg.guard.checkpoints {
-                    match isolate(|| {
-                        let dup = duplicate(g, pred, merge);
-                        let copied = g.block_insts(dup.copy).len() as u64;
-                        optimize_full(g, cache);
-                        copied
-                    }) {
-                        Ok(copied) => stats.instructions_copied += copied,
-                        Err(reason) => {
-                            // Contained: the attempt's transaction doubles
-                            // as our recovery checkpoint.
-                            let tu = Instant::now();
-                            g.rollback_txn();
-                            stats.undo_ns += tu.elapsed().as_nanos();
-                            stats.bailouts.push(BailoutRecord {
-                                reason,
-                                tier: Tier::Optimization,
-                                candidate: Some((pred, merge)),
-                                recovered: true,
-                            });
-                            continue;
-                        }
-                    }
-                } else {
+                match isolate(|| {
                     let dup = duplicate(g, pred, merge);
-                    stats.instructions_copied += g.block_insts(dup.copy).len() as u64;
+                    let copied = g.block_insts(dup.copy).len() as u64;
                     optimize_full(g, cache);
+                    copied
+                }) {
+                    Ok(copied) => stats.instructions_copied += copied,
+                    Err(reason) => {
+                        // Contained: the attempt's transaction doubles
+                        // as our recovery checkpoint.
+                        let tu = Instant::now();
+                        g.rollback_txn();
+                        stats.undo_ns += tu.elapsed().as_nanos();
+                        stats.bailouts.push(BailoutRecord {
+                            reason,
+                            tier: Tier::Optimization,
+                            candidate: Some((pred, merge)),
+                            recovered: true,
+                        });
+                        continue;
+                    }
                 }
 
                 let after = model.weighted_cycles(g, cache);

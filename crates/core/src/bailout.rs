@@ -122,7 +122,7 @@ pub struct BailoutRecord {
 
 /// Guardrail tunables of the phase, part of
 /// [`DbdsConfig`](crate::DbdsConfig).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct GuardConfig {
     /// Instruction-visit fuel for the whole phase. `None` = unbounded
     /// (the default: the happy path pays no budget checks beyond a
@@ -131,20 +131,6 @@ pub struct GuardConfig {
     /// Wall-clock deadline for the whole phase, measured from its start.
     /// `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Verify the graph after each applied duplication, keep rollback
-    /// snapshots, and isolate transform panics. Off restores the
-    /// pre-guardrail behavior: failures propagate as panics.
-    pub checkpoints: bool,
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            fuel: None,
-            deadline: None,
-            checkpoints: true,
-        }
-    }
 }
 
 /// Sentinel for an unbounded fuel tank (a `fuel` budget of `u64::MAX`

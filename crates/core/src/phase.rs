@@ -18,7 +18,7 @@ use crate::simulation::{
     CandidateKind, SimulationResult,
 };
 use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
-use crate::transform::{duplicate, try_duplicate, Duplication};
+use crate::transform::{try_duplicate, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats};
 use dbds_costmodel::CostModel;
 use dbds_ir::{BlockId, Diagnostic, FootprintScratch, Graph, LintId};
@@ -155,9 +155,9 @@ impl DbdsConfig {
     /// (the graph half is [`dbds_ir::content_hash`]).
     ///
     /// Included: the opt level, the trade-off parameters, the iteration
-    /// limits, the path length, the fuel budget and the checkpoint
-    /// switch. Deliberately excluded, because results are proven
-    /// invariant under them: `unit_threads` (bit-identical at any width)
+    /// limits, the path length and the fuel budget. Deliberately
+    /// excluded, because results are proven invariant under them:
+    /// `unit_threads` (bit-identical at any width)
     /// and `guard.deadline` (a deadline is wall-clock
     /// nondeterminism — the service never caches a compilation that a
     /// deadline cut short, see [`PhaseStats::stopped_early`]).
@@ -172,7 +172,9 @@ impl DbdsConfig {
         h.write_u64(self.iteration_benefit_threshold.to_bits());
         h.write_u64(self.max_path_length as u64);
         h.write_u64(self.guard.fuel.map_or(u64::MAX, |f| f));
-        h.write_u64(u64::from(self.guard.checkpoints));
+        // The slot of the former `guard.checkpoints` switch (always on):
+        // dropping it would change the key of every stored entry.
+        h.write_u64(1);
         h.write_u64(u64::from(self.enable_branch_splitting));
         h.finish()
     }
@@ -338,8 +340,7 @@ pub fn run_dbds(
     let cache_base = cache.stats();
     let undo_base = g.undo_stats();
     let budget = Budget::new(&cfg.guard);
-    let checkpoints = cfg.guard.checkpoints;
-    run_opt_tier(g, cache, &mut stats, checkpoints, true);
+    run_opt_tier(g, cache, &mut stats, true);
     let initial_size = model.graph_size(g);
     stats.initial_size = initial_size;
     let mut visited: HashSet<BlockId> = HashSet::new();
@@ -474,18 +475,16 @@ pub fn run_dbds(
         let t = Instant::now();
         let mut guard_here: u128 = 0;
         let mut undo_here: u128 = 0;
-        if checkpoints {
-            // Refresh the recovery mark: everything up to here verified.
-            let tg = Instant::now();
-            if recovery_open {
-                g.commit_txn();
-            }
-            g.begin_txn();
-            recovery_open = true;
-            let ns = tg.elapsed().as_nanos();
-            guard_here += ns;
-            undo_here += ns;
+        // Refresh the recovery mark: everything up to here verified.
+        let tg = Instant::now();
+        if recovery_open {
+            g.commit_txn();
         }
+        g.begin_txn();
+        recovery_open = true;
+        let ns = tg.elapsed().as_nanos();
+        guard_here += ns;
+        undo_here += ns;
         let mut stopped = None;
         // What this round's applied candidates contribute to the stats,
         // merged only once the round's boundary check has passed.
@@ -513,7 +512,7 @@ pub fn run_dbds(
             // candidate depends on, and as a misprediction (a simulation-
             // tier contract violation) otherwise. The audit never charges
             // the phase's budget.
-            if checkpoints && !s.opportunities.is_empty() {
+            if !s.opportunities.is_empty() {
                 let tg = Instant::now();
                 let rerun = audit_opportunities(g, model, cache, s);
                 let missed = match &rerun {
@@ -550,12 +549,12 @@ pub fn run_dbds(
                 }
                 guard_here += tg.elapsed().as_nanos();
             }
-            let guard = checkpoints.then_some(ChainGuard {
+            let guard = ChainGuard {
                 cache: &mut *cache,
                 scratch: &mut scratch,
                 guard_ns: &mut guard_here,
                 undo_ns: &mut undo_here,
-            });
+            };
             match apply_chain(g, s, guard) {
                 Ok(chain) => {
                     mutated.extend(chain.touched.iter().copied());
@@ -579,7 +578,7 @@ pub fn run_dbds(
                 }
             }
         }
-        if checkpoints && round.duplications > 0 {
+        if round.duplications > 0 {
             // Boundary check: the per-duplication checkpoints covered the
             // slots each duplication touched and trusted the cached
             // dominator tree; the whole-graph verifier (own dominator
@@ -638,18 +637,16 @@ pub fn run_dbds(
         // pipeline round suffices between iterations (the paper applies
         // the recorded action steps locally); the full fixpoint runs once
         // at the end.
-        run_opt_tier(g, cache, &mut stats, checkpoints, false);
+        run_opt_tier(g, cache, &mut stats, false);
         if cumulative < cfg.iteration_benefit_threshold {
             break;
         }
     }
-    run_opt_tier(g, cache, &mut stats, checkpoints, true);
+    run_opt_tier(g, cache, &mut stats, true);
     // Final checkpoint: the per-step verifications already covered the
     // happy path, so the extra whole-phase verify only runs when faults
     // are compiled in or something already went wrong this compilation.
-    if checkpoints
-        && (cfg!(feature = "fault-injection")
-            || stats.bailouts.iter().any(|b| b.tier != Tier::Tradeoff))
+    if cfg!(feature = "fault-injection") || stats.bailouts.iter().any(|b| b.tier != Tier::Tradeoff)
     {
         let tg = Instant::now();
         if let Err(reason) = checkpoint(g) {
@@ -845,13 +842,12 @@ fn checkpoint_duplication_whole(g: &Graph, dup: &Duplication) -> Result<(), Reje
 }
 
 /// Applies one accepted candidate: the `(pred, merge)` duplication plus
-/// the path-based extension into the freshly created copies. With a
-/// `guard` (checkpoints on), the chain runs inside an undo-log
-/// transaction ([`transact`]): each applied duplication is checked over
-/// the transaction's footprint ([`checkpoint_duplication`]), both typed
-/// transform errors and panics become bailout reasons, and a failing
-/// chain is rolled back to its starting state before this returns.
-/// Without one this is the pre-guardrail behavior (failures panic).
+/// the path-based extension into the freshly created copies. The chain
+/// runs inside an undo-log transaction ([`transact`]): each applied
+/// duplication is checked over the transaction's footprint
+/// ([`checkpoint_duplication`]), both typed transform errors and panics
+/// become bailout reasons, and a failing chain is rolled back to its
+/// starting state before this returns.
 ///
 /// # Panics
 ///
@@ -861,27 +857,14 @@ fn checkpoint_duplication_whole(g: &Graph, dup: &Duplication) -> Result<(), Reje
 fn apply_chain(
     g: &mut Graph,
     s: &SimulationResult,
-    guard: Option<ChainGuard<'_>>,
+    guard: ChainGuard<'_>,
 ) -> Result<ChainOutcome, Rejection> {
-    let Some(ChainGuard {
+    let ChainGuard {
         cache,
         scratch,
         guard_ns,
         undo_ns,
-    }) = guard
-    else {
-        let mut out = ChainOutcome::default();
-        let mut dup = duplicate(g, s.pred, s.merge);
-        record_step(&mut out, g, &dup);
-        for &m in &s.path[1..] {
-            if !g.is_merge(m) || !g.succs(dup.copy).contains(&m) {
-                break;
-            }
-            dup = duplicate(g, dup.copy, m);
-            record_step(&mut out, g, &dup);
-        }
-        return Ok(out);
-    };
+    } = guard;
     let tg = Instant::now();
     // The dominator tree the transaction opens on. Already cached: the
     // round's chain snapshot or the previous duplication's checkpoint
@@ -956,24 +939,7 @@ fn apply_chain(
 /// undo-log transaction, so a panicking pass is caught and the graph
 /// rolled back to its pre-pass state. With faults compiled in, the
 /// result is also verified (a corrupted graph rolls back the same way).
-fn run_opt_tier(
-    g: &mut Graph,
-    cache: &mut AnalysisCache,
-    stats: &mut PhaseStats,
-    checkpoints: bool,
-    full: bool,
-) {
-    if !checkpoints {
-        fault_point("phase/optimize", Some(g));
-        let t = Instant::now();
-        if full {
-            optimize_full(g, cache);
-        } else {
-            optimize_once(g, cache);
-        }
-        stats.opt_ns += t.elapsed().as_nanos();
-        return;
-    }
+fn run_opt_tier(g: &mut Graph, cache: &mut AnalysisCache, stats: &mut PhaseStats, full: bool) {
     let mut opt_ns: u128 = 0;
     let mut verify_ns: u128 = 0;
     let (result, txn_ns) = transact(g, |g| {
@@ -1234,10 +1200,10 @@ mod tests {
 
     #[test]
     fn happy_path_prediction_audit_confirms_every_candidate() {
-        // The audit runs before every applied candidate (checkpoints are
-        // on by default); on the happy path it must confirm each one —
-        // a nonzero count here would mean the simulation tier's promises
-        // don't survive to application even without interference.
+        // The audit runs before every applied candidate; on the happy
+        // path it must confirm each one — a nonzero count here would
+        // mean the simulation tier's promises don't survive to
+        // application even without interference.
         let mut g = figure1();
         let model = CostModel::new();
         let stats = compile(&mut g, &model, OptLevel::Dbds, &DbdsConfig::default());

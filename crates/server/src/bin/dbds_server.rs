@@ -7,8 +7,11 @@
 //!
 //! `ADDR` is `host:port` (TCP) or `unix:<path>`. The resolved address
 //! is printed as `listening on <addr>` once the daemon is accepting,
-//! so scripts can wait for readiness. The width of the pool that
-//! compiles a batch's misses honors `DBDS_UNIT_THREADS`.
+//! so scripts can wait for readiness. `--max-queue N` is the number of
+//! compile requests that may be in flight (admitted and not yet
+//! answered) at once; further ones are shed with `overloaded`. Each is
+//! compiled on its connection's thread, so `N` is also the daemon's
+//! compile concurrency.
 
 use dbds_server::{serve, ServerConfig, StoreChoice};
 use std::process::ExitCode;

@@ -9,7 +9,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 
-/// One connection to a running daemon.
+/// One end of a daemon connection: what [`Client::connect`] returns,
+/// and what the daemon's accept loop wraps an accepted socket in.
 #[derive(Debug)]
 pub enum Client {
     /// TCP transport.
@@ -44,6 +45,13 @@ impl Write for Client {
 }
 
 impl Client {
+    /// The TCP variant, on either end. Frames are whole messages: never
+    /// hold one back for an ACK.
+    pub(crate) fn tcp(stream: TcpStream) -> std::io::Result<Client> {
+        stream.set_nodelay(true)?;
+        Ok(Client::Tcp(stream))
+    }
+
     /// Connects to `addr`: `host:port` for TCP or `unix:<path>` for a
     /// Unix domain socket (the same syntax `dbds-server --listen`
     /// takes).
@@ -57,12 +65,9 @@ impl Client {
                 .map(Client::Unix)
                 .map_err(|e| format!("connect {addr}: {e}"))
         } else {
-            let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-            // Frames are whole requests: never hold one back for an ACK.
-            stream
-                .set_nodelay(true)
-                .map_err(|e| format!("connect {addr}: {e}"))?;
-            Ok(Client::Tcp(stream))
+            TcpStream::connect(addr)
+                .and_then(Client::tcp)
+                .map_err(|e| format!("connect {addr}: {e}"))
         }
     }
 

@@ -1,23 +1,31 @@
-//! The `dbds-server` daemon: socket listeners, a bounded admission
-//! queue with load shedding, and one dispatcher thread over the
-//! [`CompileService`].
+//! The `dbds-server` daemon: a socket in front of the
+//! [`CompileService`], with bounded admission and load shedding.
 //!
-//! Architecture: connection threads parse frames, answer status
-//! directly (it only takes the service's store lock, briefly), and
-//! queue each compile job to the dispatcher. Every store access and
-//! compilation happens on the dispatcher, which drains its queue in
-//! batches (so concurrent clients still get the unit-level parallel
-//! fan-out of [`CompileService::compile_batch`]).
+//! Architecture: one accept thread and one thread per connection. A
+//! connection thread reads a frame, serves it itself — `status` and
+//! `compile` alike go straight to the service, which is `&self` behind
+//! one store lock — and writes the reply. There is no queue and no
+//! hand-off: concurrent clients compile concurrently because they are
+//! on separate threads, so the daemon's compile concurrency is the
+//! number of requests in flight (capped by `max_queue`), not
+//! `DBDS_UNIT_THREADS` — every batch the daemon submits has one unit.
 //!
-//! Determinism: the dispatcher drains its queue in arrival order, so
-//! the store observes its requests in submission order.
+//! Determinism: the service takes the store lock per lookup and per
+//! install and every counter is a sum, so quiescent `status` is a
+//! function of the request multiset for one client and for any number
+//! of clients on distinct keys. Concurrent clients on the *same* key
+//! race for the install (two misses, or a miss and a hit); the served
+//! bytes are identical either way.
 //!
 //! Admission control is a single atomic reserve-or-shed
-//! ([`try_admit`]): the queue slot is reserved by the same
-//! compare-and-swap that checks the bound, so concurrent clients can
-//! never overshoot `max_queue` (the old check-then-enqueue pattern
-//! could, between the load and the increment).
+//! ([`try_admit`]): the slot is reserved by the same compare-and-swap
+//! that checks the bound, so concurrent clients can never overshoot
+//! `max_queue` (the old check-then-enqueue pattern could, between the
+//! load and the increment). The slot is a drop guard held until the
+//! outcome exists — not until the reply is written, so a slow reader
+//! cannot hold one, and an unwinding request returns its own.
 
+use crate::client::Client;
 use crate::json::Json;
 use crate::proto::{
     error_json, read_frame, response_json, write_frame, FrameError, Request, PROTO_VERSION,
@@ -25,13 +33,13 @@ use crate::proto::{
 use crate::service::{CompileService, ServiceConfig, ServiceError};
 use crate::store::{BoundedStore, CompiledStore, DiskStore, MemStore, StoreError};
 use dbds_core::DbdsConfig;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::TcpListener;
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 /// Which store backend the daemon should open.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,13 +80,14 @@ pub struct ServerConfig {
     pub listen: String,
     /// Store backend.
     pub store: StoreChoice,
-    /// Compilation configuration (the unit-pool width honors
-    /// `DBDS_UNIT_THREADS` via its default).
+    /// Compilation configuration. Its `unit_threads` does not set the
+    /// daemon's compile width: each request is a batch of one unit.
     pub base_cfg: DbdsConfig,
     /// Store retry/backoff tuning.
     pub service: ServiceConfig,
-    /// Admission-queue bound: jobs beyond this many waiting are shed
-    /// with a typed `overloaded` response.
+    /// Admission bound: compile requests beyond this many in flight
+    /// (admitted and not yet answered) are shed with a typed
+    /// `overloaded` response. Also the daemon's compile concurrency cap.
     pub max_queue: usize,
     /// Byte budget for the whole store (the sum of stored payload
     /// bytes), enforced by second-chance eviction; `None` = unbounded.
@@ -104,67 +113,30 @@ enum Listener {
     Unix(UnixListener),
 }
 
-/// Either stream flavor; the protocol layer only needs `Read + Write`.
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// One queued unit of dispatcher work.
-enum Job {
-    Compile {
-        req: crate::service::CompileRequest,
-        reply: mpsc::Sender<Json>,
-    },
-    Shutdown {
-        reply: mpsc::Sender<Json>,
-    },
-}
-
-/// A running daemon: the resolved listen address plus the thread
-/// handles needed to join it.
+/// A running daemon: the resolved listen address plus what is needed
+/// to stop and join it.
 #[derive(Debug)]
 pub struct ServerHandle {
     /// The resolved address clients should connect to (`host:port` or
     /// `unix:<path>`), useful when the config asked for port 0.
     pub addr: String,
     shutdown: Arc<AtomicBool>,
+    depth: Arc<AtomicUsize>,
     peak_depth: Arc<AtomicUsize>,
     accept_thread: thread::JoinHandle<()>,
-    dispatcher_thread: thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
     /// Blocks until the daemon has shut down (a client sent
-    /// `shutdown`, or [`ServerHandle::stop`] was called).
+    /// `shutdown`, or [`ServerHandle::stop`] was called): the accept
+    /// loop has ended and every admitted request has its outcome.
     pub fn join(self) {
-        let _ = self.dispatcher_thread.join();
         let _ = self.accept_thread.join();
+        // Requests admitted before the flag was set are still being
+        // served on their connection threads.
+        while self.depth.load(Ordering::SeqCst) > 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// Requests shutdown from the hosting process (equivalent to a
@@ -172,11 +144,11 @@ impl ServerHandle {
     pub fn stop(self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Nudge the accept loop out of `accept()`.
-        let _ = crate::client::Client::connect(&self.addr);
+        let _ = Client::connect(&self.addr);
         self.join();
     }
 
-    /// The highest admission-queue depth observed so far. The
+    /// The highest number of requests in flight observed so far. The
     /// reserve-or-shed admission guarantees this never exceeds
     /// `max_queue` (gated by the multi-client daemon test).
     pub fn peak_queue(&self) -> usize {
@@ -184,19 +156,30 @@ impl ServerHandle {
     }
 }
 
-/// Reserve-or-shed admission: atomically takes a queue slot iff the
-/// depth is under `max`. The check and the reservation are one
-/// compare-and-swap, so the bound holds under any number of concurrent
-/// connection threads.
-fn try_admit(depth: &AtomicUsize, max: usize) -> bool {
+/// One reserved admission slot, returned when dropped — on the normal
+/// path and on unwind alike.
+struct AdmissionSlot<'a>(&'a AtomicUsize);
+
+impl Drop for AdmissionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Reserve-or-shed admission: atomically takes a slot iff the depth is
+/// under `max`. The check and the reservation are one compare-and-swap,
+/// so the bound holds under any number of concurrent connection
+/// threads.
+fn try_admit(depth: &AtomicUsize, max: usize) -> Option<AdmissionSlot<'_>> {
     depth
         .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| {
             (d < max).then_some(d + 1)
         })
-        .is_ok()
+        .ok()
+        .map(|_| AdmissionSlot(depth))
 }
 
-/// Binds the listener and starts the accept + dispatcher threads.
+/// Binds the listener and starts the accept thread.
 ///
 /// # Errors
 ///
@@ -226,16 +209,6 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
     let depth = Arc::new(AtomicUsize::new(0));
     let peak_depth = Arc::new(AtomicUsize::new(0));
 
-    let (jobs, rx) = mpsc::channel::<Job>();
-    let dispatcher_thread = {
-        let service = Arc::clone(&service);
-        let depth = Arc::clone(&depth);
-        thread::Builder::new()
-            .name("dbds-dispatch".into())
-            .spawn(move || dispatcher(&service, &rx, &depth))
-            .map_err(|e| format!("spawn dispatcher: {e}"))?
-    };
-
     let accept_thread = {
         let shutdown = Arc::clone(&shutdown);
         let depth = Arc::clone(&depth);
@@ -248,14 +221,18 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
                 while !shutdown.load(Ordering::SeqCst) {
                     let stream = match listener.accept() {
                         Ok(s) => s,
-                        Err(_) => continue,
+                        Err(_) => {
+                            // A persistent error (fd exhaustion, when
+                            // overloaded) must not spin this thread.
+                            thread::sleep(Duration::from_millis(10));
+                            continue;
+                        }
                     };
                     if shutdown.load(Ordering::SeqCst) {
                         break;
                     }
                     let conn = Conn {
                         service: Arc::clone(&service),
-                        jobs: jobs.clone(),
                         shutdown: Arc::clone(&shutdown),
                         depth: Arc::clone(&depth),
                         peak_depth: Arc::clone(&peak_depth),
@@ -266,8 +243,6 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
                         .name("dbds-conn".into())
                         .spawn(move || connection(stream, &conn));
                 }
-                // Dropping `jobs` here closes the dispatcher queue once
-                // the last connection thread exits too.
             })
             .map_err(|e| format!("spawn accept loop: {e}"))?
     };
@@ -275,9 +250,9 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
     Ok(ServerHandle {
         addr,
         shutdown,
+        depth,
         peak_depth,
         accept_thread,
-        dispatcher_thread,
     })
 }
 
@@ -297,53 +272,10 @@ fn bind(listen: &str) -> Result<(Listener, String), String> {
 }
 
 impl Listener {
-    fn accept(&self) -> std::io::Result<Stream> {
+    fn accept(&self) -> std::io::Result<Client> {
         match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                // Frames are whole responses: never hold one back for
-                // an ACK.
-                s.set_nodelay(true)?;
-                Ok(Stream::Tcp(s))
-            }
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-        }
-    }
-}
-
-/// The dispatcher: drains the job queue in batches, in arrival order.
-fn dispatcher(service: &CompileService, rx: &mpsc::Receiver<Job>, depth: &AtomicUsize) {
-    while let Ok(first) = rx.recv() {
-        // Batch: everything already waiting rides along with the job
-        // that woke us, so a burst of clients compiles in one parallel
-        // fan-out instead of serially.
-        let mut jobs = vec![first];
-        while let Ok(job) = rx.try_recv() {
-            jobs.push(job);
-        }
-
-        let mut compile_jobs = Vec::new();
-        let mut stop = false;
-        for job in jobs {
-            match job {
-                Job::Compile { req, reply } => compile_jobs.push((req, reply)),
-                Job::Shutdown { reply } => {
-                    let _ = reply.send(Json::Obj(vec![("ok".into(), Json::Bool(true))]));
-                    stop = true;
-                }
-            }
-        }
-        // Only compile jobs hold admission slots.
-        depth.fetch_sub(compile_jobs.len(), Ordering::SeqCst);
-
-        let reqs: Vec<_> = compile_jobs.iter().map(|(r, _)| r.clone()).collect();
-        let outcomes = service.compile_batch(&reqs);
-        for ((_req, reply), outcome) in compile_jobs.into_iter().zip(&outcomes) {
-            let _ = reply.send(response_json(outcome));
-        }
-
-        if stop {
-            return;
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Client::tcp(s)),
+            Listener::Unix(l) => l.accept().map(|(s, _)| Client::Unix(s)),
         }
     }
 }
@@ -352,7 +284,6 @@ fn dispatcher(service: &CompileService, rx: &mpsc::Receiver<Job>, depth: &Atomic
 /// site readable.
 struct Conn {
     service: Arc<CompileService>,
-    jobs: mpsc::Sender<Job>,
     shutdown: Arc<AtomicBool>,
     depth: Arc<AtomicUsize>,
     peak_depth: Arc<AtomicUsize>,
@@ -363,7 +294,7 @@ struct Conn {
 /// Writes a response frame; an oversized payload is replaced by the
 /// typed `frame-too-large` error on the still-intact stream. Returns
 /// `false` when the connection is dead.
-fn write_response(stream: &mut Stream, v: &Json) -> bool {
+fn write_response(stream: &mut Client, v: &Json) -> bool {
     match write_frame(stream, v) {
         Ok(()) => true,
         Err(FrameError::TooLarge(_)) => {
@@ -373,9 +304,9 @@ fn write_response(stream: &mut Stream, v: &Json) -> bool {
     }
 }
 
-/// One client connection: read frames, queue compile jobs to the
-/// dispatcher, answer status inline, relay replies.
-fn connection(mut stream: Stream, conn: &Conn) {
+/// One client connection: read a frame, serve it on this thread, write
+/// the reply.
+fn connection(mut stream: Client, conn: &Conn) {
     loop {
         let frame = match read_frame(&mut stream) {
             Ok(Some(v)) => v,
@@ -399,9 +330,9 @@ fn connection(mut stream: Stream, conn: &Conn) {
 
         match request {
             Request::Status => {
-                // Served inline: status only takes the store lock, it
-                // never compiles, so it needs no queue slot — the lock
-                // serializes it against in-flight lookups and installs.
+                // Status only takes the store lock, it never compiles,
+                // so it needs no admission slot — the lock serializes
+                // it against in-flight lookups and installs.
                 let mut status = conn.service.status_json();
                 if let Json::Obj(pairs) = &mut status {
                     pairs.insert(0, ("proto".into(), Json::str(PROTO_VERSION)));
@@ -412,49 +343,58 @@ fn connection(mut stream: Stream, conn: &Conn) {
             }
             Request::Shutdown => {
                 conn.shutdown.store(true, Ordering::SeqCst);
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let _ = conn.jobs.send(Job::Shutdown { reply: reply_tx });
-                let ok = reply_rx
-                    .recv()
-                    .unwrap_or_else(|_| Json::Obj(vec![("ok".into(), Json::Bool(true))]));
+                let ok = Json::Obj(vec![("ok".into(), Json::Bool(true))]);
                 let _ = write_response(&mut stream, &ok);
                 // Nudge the accept loop out of its blocking accept()
-                // so it observes the flag and drops its sender.
-                let _ = crate::client::Client::connect(&conn.addr);
+                // so it observes the flag.
+                let _ = Client::connect(&conn.addr);
                 return;
             }
             Request::Compile(req) => {
                 // Admission control: one atomic reserve-or-shed.
-                if !try_admit(&conn.depth, conn.max_queue) {
+                let Some(slot) = try_admit(&conn.depth, conn.max_queue) else {
                     conn.service.record_shed(1);
                     if !write_response(&mut stream, &error_json(&ServiceError::Overloaded)) {
                         return;
                     }
                     continue;
-                }
+                };
                 conn.peak_depth
                     .fetch_max(conn.depth.load(Ordering::SeqCst), Ordering::SeqCst);
-
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let job = Job::Compile {
-                    req,
-                    reply: reply_tx,
-                };
-                if conn.jobs.send(job).is_err() {
-                    // Dispatcher is gone (shutdown raced us).
-                    conn.depth.fetch_sub(1, Ordering::SeqCst);
+                // Shutdown raced the check above: `join` may already
+                // have seen a drained depth, so refuse. Read after the
+                // reservation, a clear flag means `join` will see it.
+                if conn.shutdown.load(Ordering::SeqCst) {
+                    drop(slot);
                     let _ = write_response(&mut stream, &error_json(&ServiceError::Overloaded));
-                    return;
+                    continue;
                 }
-                match reply_rx.recv() {
-                    Ok(json) => {
-                        if !write_response(&mut stream, &json) {
-                            return;
-                        }
-                    }
-                    Err(_) => return,
+
+                let outcomes = conn.service.compile_batch(std::slice::from_ref(&req));
+                // The outcome exists: a slow reader holds no slot.
+                drop(slot);
+                if !write_response(&mut stream, &response_json(&outcomes[0])) {
+                    return;
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unwinding_request_returns_its_admission_slot() {
+        let depth = AtomicUsize::new(0);
+        let unwound = std::panic::catch_unwind(|| {
+            let _slot = try_admit(&depth, 1).expect("a free slot");
+            assert!(try_admit(&depth, 1).is_none(), "the bound is 1");
+            panic!("request panicked while holding its slot");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(depth.load(Ordering::SeqCst), 0);
+        assert!(try_admit(&depth, 1).is_some(), "the slot is free again");
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! A long-running daemon that accepts compile requests (a workload
 //! name or inline IR, an opt level, an optional deadline) over a Unix
-//! or TCP socket, dispatches them onto the unit-level parallel
-//! compilation pool, and memoizes verified results in a
-//! content-addressed store keyed by graph content hash × configuration
-//! fingerprint. There is one store behind one lock — in memory or one
+//! or TCP socket, serves each on the thread of the connection it
+//! arrived on, and memoizes verified results in a content-addressed
+//! store keyed by graph content hash × configuration fingerprint. There is one store behind one lock — in memory or one
 //! directory of `<key>.entry` files, optionally under a total byte
 //! budget.
 //!

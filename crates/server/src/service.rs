@@ -2,7 +2,9 @@
 //! verification, parallel fresh compilation, and the graceful
 //! degradation ladder that keeps the service correct when the store is
 //! not. One store and its counters sit behind one lock; only the fresh
-//! compiles of a batch's misses run outside it.
+//! compiles of a batch's misses run outside it. Any number of threads
+//! may call in at once (the daemon's connection threads do, one
+//! single-request batch each).
 //!
 //! # Degradation ladder
 //!
@@ -230,7 +232,8 @@ struct Slot {
 
 /// Linear backoff steps are capped here so the sleep can never
 /// overflow (`Duration × u32` panics on overflow) and a misconfigured
-/// retry count cannot stall the dispatcher for minutes.
+/// retry count cannot stall a request — and, since the backoff sleeps
+/// under the store lock, every other request — for minutes.
 const BACKOFF_CAP_STEPS: u32 = 8;
 
 /// The backoff before retry number `attempt` (1-based): linear in the

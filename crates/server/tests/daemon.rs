@@ -308,3 +308,138 @@ fn daemon_hits_entries_put_through_store_choice_open() {
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A compile slow enough (hundreds of milliseconds even in a release
+/// build) that a hit served meanwhile finishes first by a wide margin.
+fn slow_req() -> CompileRequest {
+    CompileRequest {
+        level: OptLevel::Backtracking,
+        ..compile_req("scalac")
+    }
+}
+
+/// A connection thread serves its own request: a run of hits on one
+/// connection does not wait for another connection's compile. (Behind a
+/// shared dispatcher the first hit queued until the compile had
+/// finished.)
+#[test]
+fn hits_are_answered_while_another_connections_miss_compiles() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let handle = serve(ServerConfig::default()).expect("serve");
+    let mut fast = Client::connect(&handle.addr).expect("connect");
+    let cold = fast.compile(compile_req("wordcount")).expect("rpc");
+    assert!(!cold.expect("cold request failed").cached);
+
+    let slow_replied = Arc::new(AtomicBool::new(false));
+    let slow = {
+        let addr = handle.addr.clone();
+        let replied = Arc::clone(&slow_replied);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).expect("connect");
+            let out = client.compile(slow_req()).expect("rpc");
+            replied.store(true, Ordering::SeqCst);
+            out
+        })
+    };
+    // Two lookups so far — the cold request above and the slow one —
+    // so the slow compile has begun.
+    while counter(&fast.status().expect("status"), "requests") < 2 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    for _ in 0..16 {
+        let warm = fast.compile(compile_req("wordcount")).expect("rpc");
+        assert!(warm.expect("warm request failed").cached);
+    }
+    assert!(
+        !slow_replied.load(Ordering::SeqCst),
+        "the hits were answered only after the other connection's compile"
+    );
+
+    assert!(!slow.join().expect("slow client").expect("slow").cached);
+    fast.shutdown().expect("shutdown");
+    handle.join();
+}
+
+/// The same distinct-key requests leave byte-identical quiescent status
+/// whether one client issues them or four do concurrently: every
+/// counter is a sum taken under the store lock.
+#[test]
+fn status_is_identical_for_one_client_and_four_concurrent_clients() {
+    const NAMES: [&str; 8] = [
+        "wordcount",
+        "charcount",
+        "charhist",
+        "chisquare",
+        "branchchain",
+        "corrcond",
+        "testladder",
+        "bufdecode",
+    ];
+    // Each client asks for its keys twice: a miss, then a hit.
+    let run = |client: &mut Client, names: &[&str]| {
+        for pass_hits in [false, true] {
+            for name in names {
+                let served = client.compile(compile_req(name)).expect("rpc");
+                assert_eq!(served.expect("request failed").cached, pass_hits, "{name}");
+            }
+        }
+    };
+    let status_after = |clients: usize| {
+        let handle = serve(ServerConfig::default()).expect("serve");
+        std::thread::scope(|scope| {
+            for names in NAMES.chunks(NAMES.len() / clients) {
+                let addr = &handle.addr;
+                scope.spawn(move || run(&mut Client::connect(addr).expect("connect"), names));
+            }
+        });
+        let mut client = Client::connect(&handle.addr).expect("connect");
+        let status = client.status().expect("status").pretty();
+        client.shutdown().expect("shutdown");
+        handle.join();
+        status
+    };
+    assert_eq!(status_after(1), status_after(4));
+}
+
+/// `shutdown` while another connection's compile is in flight: that
+/// request is still answered in full, and `join` returns only once its
+/// outcome exists — observed as the entry already being in the store.
+#[test]
+fn shutdown_drains_the_in_flight_request_before_join_returns() {
+    let dir = std::env::temp_dir().join(format!("dbds-daemon-drain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let choice = StoreChoice::Disk(dir.clone());
+    let handle = serve(ServerConfig {
+        store: choice.clone(),
+        ..ServerConfig::default()
+    })
+    .expect("serve");
+
+    let in_flight = {
+        let addr = handle.addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).expect("connect");
+            client.compile(slow_req()).expect("rpc")
+        })
+    };
+    while handle.peak_queue() == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let mut other = Client::connect(&handle.addr).expect("connect");
+    other.shutdown().expect("shutdown");
+    handle.join();
+
+    let svc = CompileService::new(choice.open(), Default::default(), ServiceConfig::default());
+    let stored = svc.compile_batch(&[slow_req()]).remove(0);
+    let stored = stored.expect("in-process lookup");
+    assert!(stored.cached, "join returned before the compile committed");
+
+    let served = in_flight.join().expect("client thread");
+    let served = served.expect("the in-flight request must be answered");
+    assert!(!served.cached);
+    assert_eq!(served.artifact, stored.artifact);
+    let _ = std::fs::remove_dir_all(&dir);
+}
