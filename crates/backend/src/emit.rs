@@ -453,9 +453,11 @@ mod tests {
             },
             Type::Int,
         );
-        if let dbds_ir::Inst::Phi { inputs } = g.inst_mut(i) {
-            inputs[1] = inc;
-        }
+        g.rewrite_inputs(i, |inst| {
+            if let dbds_ir::Inst::Phi { inputs } = inst {
+                inputs[1] = inc;
+            }
+        });
         let m = compile_to_machine_code(&g);
         assert!(m.size() > 20);
         // The back-edge update (i ← i+1) can never be coalesced because

@@ -311,9 +311,11 @@ mod tests {
             },
             Type::Int,
         );
-        if let dbds_ir::Inst::Phi { inputs } = g.inst_mut(i) {
-            inputs[1] = inc;
-        }
+        g.rewrite_inputs(i, |inst| {
+            if let dbds_ir::Inst::Phi { inputs } = inst {
+                inputs[1] = inc;
+            }
+        });
         let lin = Linearization::compute(&g);
         let ivs = live_intervals(&g, &lin);
         let find = |v: dbds_ir::InstId| ivs.iter().find(|iv| iv.value == v).unwrap();

@@ -348,11 +348,15 @@ fn corrupt(g: &mut Graph) {
     // (arity mismatch).
     let first_phi: Option<InstId> = g.blocks().flat_map(|b| g.phis(b).to_vec()).next();
     if let Some(phi) = first_phi {
-        if let Inst::Phi { inputs } = g.inst_mut(phi) {
-            if let Some(&dup) = inputs.first() {
-                inputs.push(dup);
-                return;
+        let widened = g.rewrite_inputs(phi, |inst| match inst {
+            Inst::Phi { inputs } if !inputs.is_empty() => {
+                inputs.push(inputs[0]);
+                true
             }
+            _ => false,
+        });
+        if widened {
+            return;
         }
     }
     // Fallback: detach an instruction that still has uses (dangling-use

@@ -243,7 +243,7 @@ impl Walk<'_> {
                     run_dst(
                         g,
                         self.model,
-                        self.freqs,
+                        path_probability(g, self.freqs, b, s),
                         &mut fuel,
                         dst_env,
                         b,
@@ -330,7 +330,6 @@ pub fn audit_opportunities(
     s: &SimulationResult,
 ) -> Option<Vec<Opportunity>> {
     let chain = dominator_chain(g, cache, s.pred)?;
-    let freqs = cache.frequencies(g);
     // Accumulate facts along the chain exactly like `Walk::visit`:
     // a child with its parent as sole predecessor extends the parent's
     // facts through the edge condition; any other child starts pure.
@@ -357,7 +356,10 @@ pub fn audit_opportunities(
     let results = run_dst(
         g,
         model,
-        &freqs,
+        // Only the opportunities are read back, and they do not depend on
+        // the path's probability: no loop forest or block frequencies are
+        // rebuilt for a graph the previous duplication just changed.
+        0.0,
         // Auditing never charges the phase's fuel.
         &mut 0,
         env,
@@ -406,14 +408,26 @@ fn assume_edge(g: &Graph, env: &mut FactEnv, b: BlockId, s: BlockId) {
     }
 }
 
+/// The relative execution probability of the path through `pred → merge`
+/// (§5.3): `pred`'s frequency times the edge probability, normalized by
+/// the hottest block.
+fn path_probability(g: &Graph, freqs: &BlockFrequencies, pred: BlockId, merge: BlockId) -> f64 {
+    if freqs.max_freq() > 0.0 {
+        freqs.freq(pred) * dbds_analysis::edge_probability(g, pred, merge) / freqs.max_freq()
+    } else {
+        0.0
+    }
+}
+
 /// Runs one duplication simulation traversal for `(pred, merge)` under
 /// `env` (the facts valid at the end of `pred` plus the edge condition),
-/// adding what it visited (`insts + 1` per segment) to `fuel`.
+/// adding what it visited (`insts + 1` per segment) to `fuel`. Every
+/// result carries `probability` ([`path_probability`]) unchanged.
 #[allow(clippy::too_many_arguments)]
 fn run_dst(
     g: &Graph,
     model: &CostModel,
-    freqs: &BlockFrequencies,
+    probability: f64,
     fuel: &mut u64,
     mut env: FactEnv,
     pred: BlockId,
@@ -421,12 +435,6 @@ fn run_dst(
     max_path_len: usize,
     branch_split: bool,
 ) -> Vec<SimulationResult> {
-    let probability = if freqs.max_freq() > 0.0 {
-        freqs.freq(pred) * dbds_analysis::edge_probability(g, pred, merge) / freqs.max_freq()
-    } else {
-        0.0
-    };
-
     let mut acc = SegmentAcc {
         opportunities: Vec::new(),
         cycles_saved: 0.0,

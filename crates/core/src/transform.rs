@@ -11,7 +11,7 @@
 //! transformation requires.
 
 use crate::faultinject::fault_point;
-use dbds_ir::{BlockId, Graph, Inst, InstId};
+use dbds_ir::{BlockId, Graph, Inst, InstId, Use};
 use dbds_opt::{SsaBuilder, SsaRepairError};
 use std::collections::HashMap;
 use std::error::Error;
@@ -189,8 +189,8 @@ pub fn try_duplicate(
 
     // SSA repair: values defined in `merge` that are used outside of it
     // now have two definitions (original and copy). Rewrite such uses to
-    // the reaching definition, inserting φs on demand. A single scan
-    // collects the use sites of every repaired value at once.
+    // the reaching definition, inserting φs on demand. The use sites of
+    // every repaired value are read off the def-use lists up front.
     fault_point("transform/ssa-repair", Some(g));
     let defined: Vec<InstId> = phis.iter().chain(body.iter()).copied().collect();
     let sites = collect_use_sites(g, merge, copy, &defined);
@@ -209,6 +209,7 @@ pub fn try_duplicate(
 }
 
 /// One out-of-copy use of a repaired value.
+#[derive(Debug, PartialEq, Eq)]
 enum UseSite {
     /// Operand of a non-φ instruction.
     Operand { user: InstId, block: BlockId },
@@ -218,8 +219,12 @@ enum UseSite {
     TermInput { block: BlockId },
 }
 
-/// Collects, in one pass, the use sites that need repair for every value
-/// of `defined` (the merge block's φs and body instructions).
+/// Collects, up front, the use sites that need repair for every value of
+/// `defined` (the merge block's φs and body instructions), read off each
+/// value's def-use list — O(uses), no walk over the graph. A value's
+/// sites come in layout order (block index, position in block, φ slot,
+/// terminator last): [`repair_value`] creates φs on demand as it meets
+/// them, so the order fixes every new `InstId`.
 ///
 /// φ-input sites are collected even inside the merge block itself: when
 /// the merge is a loop header, its remaining φs read loop-carried values
@@ -229,6 +234,55 @@ enum UseSite {
 /// substituted), and edges from merge/copy carry the local definitions
 /// unchanged.
 fn collect_use_sites(
+    g: &Graph,
+    merge: BlockId,
+    copy: BlockId,
+    defined: &[InstId],
+) -> HashMap<InstId, Vec<UseSite>> {
+    let local = |b: BlockId| b == merge || b == copy;
+    let mut sites: HashMap<InstId, Vec<UseSite>> = HashMap::new();
+    for &v in defined {
+        let mut v_sites = Vec::new();
+        for user in g.users_in_layout_order(v) {
+            match user {
+                Use::Inst(i) => {
+                    let b = g.block_of(i).expect("use lists hold attached users only");
+                    match g.inst(i) {
+                        Inst::Phi { inputs } if b != copy => {
+                            for (input, &p) in inputs.iter().zip(g.preds(b)) {
+                                if *input == v && !local(p) {
+                                    v_sites.push(UseSite::PhiInput { user: i, pred: p });
+                                }
+                            }
+                        }
+                        Inst::Phi { .. } => {}
+                        // Intra-block uses stay with the local def.
+                        _ if local(b) => {}
+                        _ => v_sites.push(UseSite::Operand { user: i, block: b }),
+                    }
+                }
+                Use::Term(b) if local(b) => {}
+                Use::Term(b) => v_sites.push(UseSite::TermInput { block: b }),
+            }
+        }
+        if !v_sites.is_empty() {
+            sites.insert(v, v_sites);
+        }
+    }
+    #[cfg(any(debug_assertions, feature = "debug-snapshot-check"))]
+    assert_eq!(
+        sites,
+        collect_use_sites_by_scan(g, merge, copy, defined),
+        "use lists diverged from the whole-graph scan"
+    );
+    sites
+}
+
+/// The whole-graph scan [`collect_use_sites`] replaced, kept as the
+/// reference the list-driven form is checked against (debug and
+/// `debug-snapshot-check` builds only).
+#[cfg(any(debug_assertions, feature = "debug-snapshot-check"))]
+fn collect_use_sites_by_scan(
     g: &Graph,
     merge: BlockId,
     copy: BlockId,
@@ -314,10 +368,12 @@ fn repair_value(
             UseSite::Operand { user, block } => {
                 let reaching = ssa.try_value_at_start(g, *block)?;
                 if reaching != v {
-                    g.inst_mut(*user).for_each_input_mut(|op| {
-                        if *op == v {
-                            *op = reaching;
-                        }
+                    g.rewrite_inputs(*user, |inst| {
+                        inst.for_each_input_mut(|op| {
+                            if *op == v {
+                                *op = reaching;
+                            }
+                        })
                     });
                 }
             }
@@ -334,13 +390,15 @@ fn repair_value(
                         .enumerate()
                         .filter_map(|(ix, &p)| (p == *pred).then_some(ix))
                         .collect();
-                    if let Inst::Phi { inputs } = g.inst_mut(*user) {
-                        for ix in pred_positions {
-                            if inputs[ix] == v {
-                                inputs[ix] = reaching;
+                    g.rewrite_inputs(*user, |inst| {
+                        if let Inst::Phi { inputs } = inst {
+                            for ix in pred_positions {
+                                if inputs[ix] == v {
+                                    inputs[ix] = reaching;
+                                }
                             }
                         }
-                    }
+                    });
                 }
             }
             UseSite::TermInput { block } => {
@@ -712,12 +770,16 @@ mod tests {
             },
             Type::Int,
         );
-        if let Inst::Phi { inputs } = g.inst_mut(i) {
-            inputs[1] = iplus;
-        }
-        if let Inst::Phi { inputs } = g.inst_mut(acc) {
-            inputs[1] = acc2;
-        }
+        g.rewrite_inputs(i, |inst| {
+            if let Inst::Phi { inputs } = inst {
+                inputs[1] = iplus;
+            }
+        });
+        g.rewrite_inputs(acc, |inst| {
+            if let Inst::Phi { inputs } = inst {
+                inputs[1] = acc2;
+            }
+        });
         verify(&g).unwrap();
         let reference = execute(&g, &[Value::Int(6)]);
         // acc = +2 (i=0 even? wait: bodyb on even → inc=2) …
@@ -767,12 +829,16 @@ mod tests {
             },
             Type::Int,
         );
-        if let Inst::Phi { inputs } = g.inst_mut(i) {
-            inputs[1] = inc;
-        }
-        if let Inst::Phi { inputs } = g.inst_mut(inv) {
-            inputs[1] = inv; // self-input: invariant around the loop
-        }
+        g.rewrite_inputs(i, |inst| {
+            if let Inst::Phi { inputs } = inst {
+                inputs[1] = inc;
+            }
+        });
+        g.rewrite_inputs(inv, |inst| {
+            if let Inst::Phi { inputs } = inst {
+                inputs[1] = inv; // self-input: invariant around the loop
+            }
+        });
         verify(&g).unwrap();
         let reference: Vec<_> = [0i64, 3, 7]
             .iter()

@@ -254,7 +254,8 @@ impl GraphBuilder {
     }
 
     /// Finishes construction and returns the graph.
-    pub fn finish(self) -> Graph {
+    pub fn finish(mut self) -> Graph {
+        self.graph.trim_use_lists();
         self.graph
     }
 
@@ -346,9 +347,11 @@ mod tests {
             },
             Type::Int,
         );
-        if let Inst::Phi { inputs } = g.inst_mut(i) {
-            inputs[1] = inc;
-        }
+        g.rewrite_inputs(i, |inst| {
+            if let Inst::Phi { inputs } = inst {
+                inputs[1] = inc;
+            }
+        });
         assert_eq!(g.inst(i).collect_inputs(), vec![zero, inc]);
     }
 

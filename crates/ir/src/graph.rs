@@ -7,11 +7,19 @@
 //! the *i*-th input of every φ corresponds to the *i*-th predecessor — the
 //! edge-mutation API below is the only way to change edges and keeps this
 //! alignment invariant intact.
+//!
+//! Beside the arenas the graph keeps def-use lists ([`Graph::uses`]): per
+//! value, one entry per live operand slot that mentions it. Every
+//! mutating primitive maintains them — there is no way to change an
+//! operand that bypasses them ([`Graph::rewrite_inputs`] is the only
+//! mutable access to an instruction payload) — so replacing a value or
+//! finding its users costs O(uses), not a walk over the arena.
 
 use crate::classes::ClassTable;
 use crate::ids::{BlockId, InstId};
 use crate::inst::{Inst, Terminator};
 use crate::types::Type;
+use crate::uses::{Use, UseLists};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -121,6 +129,43 @@ impl UndoLog {
     }
 }
 
+/// An instruction payload handed out for rewriting. Dropping it brings the
+/// use lists in line with whatever the operands are by then — also when
+/// the rewriting closure unwinds half-way, so a rollback that follows
+/// finds lists that match the slots it retracts.
+struct OperandRewrite<'a> {
+    data: &'a mut InstData,
+    uses: &'a mut UseLists,
+    /// The operands before the rewrite, in slot order.
+    before: &'a [InstId],
+    user: Use,
+}
+
+impl Drop for OperandRewrite<'_> {
+    fn drop(&mut self) {
+        if self.data.block.is_none() {
+            return;
+        }
+        // Slot by slot: an operand that stayed put costs nothing.
+        let (uses, before, user) = (&mut *self.uses, self.before, self.user);
+        let mut slot = 0;
+        self.data.inst.for_each_input(|new| {
+            match before.get(slot) {
+                Some(&old) if old == new => {}
+                Some(&old) => {
+                    uses.remove(old, user);
+                    uses.add(new, user);
+                }
+                None => uses.add(new, user),
+            }
+            slot += 1;
+        });
+        for &old in before.iter().skip(slot) {
+            uses.remove(old, user);
+        }
+    }
+}
+
 /// Cumulative undo-log counters of a [`Graph`], as returned by
 /// [`Graph::undo_stats`]. All three values are deterministic functions
 /// of the mutation sequence (no timing).
@@ -204,6 +249,14 @@ pub struct Graph {
     value_version: u64,
     /// Open transactions and their first-touch backups.
     undo: UndoLog,
+    /// Def-use lists: per value, one entry per live operand slot (operand
+    /// of an attached instruction, or of any block's terminator) that
+    /// mentions it. A side table, not arena slots: the undo log never
+    /// backs it up — rollback re-derives it from the slots it restores.
+    uses: UseLists,
+    /// Reused by [`Graph::rewrite_inputs`] to hold an instruction's
+    /// operands from before the rewrite (no allocation per call).
+    input_scratch: Vec<InstId>,
 }
 
 impl Clone for Graph {
@@ -223,6 +276,8 @@ impl Clone for Graph {
             cfg_version: self.cfg_version,
             value_version: self.value_version,
             undo: UndoLog::default(),
+            uses: self.uses.clone(),
+            input_scratch: Vec::new(),
         }
     }
 }
@@ -247,6 +302,8 @@ impl Graph {
             cfg_version: fresh_version(),
             value_version: 0,
             undo: UndoLog::default(),
+            uses: UseLists::default(),
+            input_scratch: Vec::new(),
         };
         g.value_version = g.cfg_version;
         for (i, &ty) in params.iter().enumerate() {
@@ -347,6 +404,35 @@ impl Graph {
         self.undo.note_peak();
     }
 
+    /// Adds the use-list entries instruction `id` contributes in its
+    /// current state: one per operand if attached, none if detached.
+    fn record_inst_uses(&mut self, id: InstId) {
+        let (data, uses) = (&self.insts[id.index()], &mut self.uses);
+        if data.block.is_some() {
+            data.inst.for_each_input(|v| uses.add(v, Use::Inst(id)));
+        }
+    }
+
+    /// Removes the entries [`Graph::record_inst_uses`] would add.
+    fn retract_inst_uses(&mut self, id: InstId) {
+        let (data, uses) = (&self.insts[id.index()], &mut self.uses);
+        if data.block.is_some() {
+            data.inst.for_each_input(|v| uses.remove(v, Use::Inst(id)));
+        }
+    }
+
+    /// Adds one use-list entry per operand of `b`'s terminator.
+    fn record_term_uses(&mut self, b: BlockId) {
+        let (term, uses) = (&self.blocks[b.index()].term, &mut self.uses);
+        term.for_each_input(|v| uses.add(v, Use::Term(b)));
+    }
+
+    /// Removes the entries [`Graph::record_term_uses`] would add.
+    fn retract_term_uses(&mut self, b: BlockId) {
+        let (term, uses) = (&self.blocks[b.index()].term, &mut self.uses);
+        term.for_each_input(|v| uses.remove(v, Use::Term(b)));
+    }
+
     /// Opens a transaction: subsequent mutations record first-touch
     /// backups so [`Graph::rollback_txn`] can restore this exact state —
     /// arena contents *and* version stamps — in O(slots touched).
@@ -402,14 +488,33 @@ impl Graph {
             .pop()
             .expect("rollback_txn without an open transaction");
         let entries = frame.entries();
+        // The use lists are a function of the live operand slots, and the
+        // frame names every slot that changed since `begin_txn`: retract
+        // what those slots contribute now, restore them, and record what
+        // the restored slots contribute — O(slots touched), nothing logged.
+        for &idx in frame.saved_insts.keys() {
+            self.retract_inst_uses(InstId::from_index(idx));
+        }
+        for idx in frame.base_insts..self.insts.len() {
+            self.retract_inst_uses(InstId::from_index(idx));
+        }
+        for &idx in frame.saved_blocks.keys() {
+            self.retract_term_uses(BlockId::from_index(idx));
+        }
+        for idx in frame.base_blocks..self.blocks.len() {
+            self.retract_term_uses(BlockId::from_index(idx));
+        }
+        self.uses.truncate(frame.base_insts);
+        self.insts.truncate(frame.base_insts);
+        self.blocks.truncate(frame.base_blocks);
         for (idx, data) in frame.saved_insts {
             self.insts[idx] = data;
+            self.record_inst_uses(InstId::from_index(idx));
         }
         for (idx, data) in frame.saved_blocks {
             self.blocks[idx] = data;
+            self.record_term_uses(BlockId::from_index(idx));
         }
-        self.insts.truncate(frame.base_insts);
-        self.blocks.truncate(frame.base_blocks);
         self.cfg_version = frame.cfg_version;
         self.value_version = frame.value_version;
         self.undo.rollbacks += 1;
@@ -425,8 +530,12 @@ impl Graph {
     fn assert_matches_shadow(&self, shadow: &Graph) {
         let digest = |g: &Graph| {
             format!(
-                "{:?}|{:?}|{}|{}",
-                g.insts, g.blocks, g.cfg_version, g.value_version
+                "{:?}|{:?}|{}|{}|{:?}",
+                g.insts,
+                g.blocks,
+                g.cfg_version,
+                g.value_version,
+                g.uses.canonical()
             )
         };
         assert_eq!(
@@ -542,14 +651,28 @@ impl Graph {
         &self.insts[id.index()].inst
     }
 
-    /// Mutable access to the instruction payload of `id`.
+    /// Runs `f` on the instruction payload of `id` and returns its result
+    /// — the only mutable access to a payload. The operands are compared
+    /// before and after, and the use lists updated by the difference, so
+    /// no operand can change behind their back.
     ///
     /// Callers must not change the number of φ inputs through this (use the
     /// edge API), nor change the produced type.
-    pub fn inst_mut(&mut self, id: InstId) -> &mut Inst {
+    pub fn rewrite_inputs<R>(&mut self, id: InstId, f: impl FnOnce(&mut Inst) -> R) -> R {
         self.touch_inst(id);
         self.bump_value();
-        &mut self.insts[id.index()].inst
+        let before = &mut self.input_scratch;
+        before.clear();
+        let data = &mut self.insts[id.index()];
+        data.inst.for_each_input(|v| before.push(v));
+        let rewrite = OperandRewrite {
+            data,
+            uses: &mut self.uses,
+            before,
+            user: Use::Inst(id),
+        };
+        f(&mut rewrite.data.inst)
+        // `rewrite` drops here and settles the use lists.
     }
 
     /// The result type of `id`.
@@ -671,6 +794,8 @@ impl Graph {
             ty,
             block: Some(b),
         });
+        self.uses.grow();
+        self.record_inst_uses(id);
         id
     }
 
@@ -683,6 +808,7 @@ impl Graph {
             self.touch_block(b);
         }
         self.bump_value();
+        self.retract_inst_uses(id);
         if let Some(b) = self.insts[id.index()].block.take() {
             let insts = &mut self.blocks[b.index()].insts;
             let pos = insts
@@ -724,7 +850,16 @@ impl Graph {
             self.touch_block(s);
             self.blocks[s.index()].preds.push(b);
         }
-        self.blocks[b.index()].term = term;
+        self.replace_term(b, term);
+    }
+
+    /// Swaps `b`'s terminator for `term`, moving the use-list entries of
+    /// its operands along. Edge bookkeeping is the caller's.
+    fn replace_term(&mut self, b: BlockId, term: Terminator) -> Terminator {
+        self.retract_term_uses(b);
+        let old = std::mem::replace(&mut self.blocks[b.index()].term, term);
+        self.record_term_uses(b);
+        old
     }
 
     /// Redirects the control-flow edge `from → old_to` to point at
@@ -801,7 +936,7 @@ impl Graph {
         for (s, inputs) in succs.iter().zip(phi_inputs) {
             self.add_pred_with_phi_inputs(*s, b, inputs);
         }
-        self.blocks[b.index()].term = term;
+        self.replace_term(b, term);
     }
 
     /// Adds the edge `from → to` implied by `from`'s terminator already
@@ -825,6 +960,7 @@ impl Graph {
                 Inst::Phi { inputs } => inputs.push(input),
                 _ => unreachable!("phi prefix returned a non-phi"),
             }
+            self.uses.add(input, Use::Inst(*phi));
         }
     }
 
@@ -839,7 +975,8 @@ impl Graph {
             self.touch_inst(phi);
             match &mut self.insts[phi.index()].inst {
                 Inst::Phi { inputs } => {
-                    inputs.remove(idx);
+                    let dropped = inputs.remove(idx);
+                    self.uses.remove(dropped, Use::Inst(phi));
                 }
                 _ => unreachable!("phi prefix returned a non-phi"),
             }
@@ -868,7 +1005,7 @@ impl Graph {
             (else_bb, then_bb)
         };
         self.remove_pred(dropped, b);
-        self.blocks[b.index()].term = Terminator::Jump { target: taken };
+        self.replace_term(b, Terminator::Jump { target: taken });
     }
 
     /// Applies `f` to every value operand of `b`'s terminator, leaving its
@@ -877,7 +1014,11 @@ impl Graph {
     pub fn patch_terminator_inputs(&mut self, b: BlockId, f: impl FnMut(&mut InstId)) {
         self.touch_block(b);
         self.bump_value();
-        self.blocks[b.index()].term.for_each_input_mut(f);
+        // On a copy, so that a panicking `f` leaves terminator and use
+        // lists as they were.
+        let mut term = self.blocks[b.index()].term.clone();
+        term.for_each_input_mut(f);
+        self.replace_term(b, term);
     }
 
     /// Sets the probability of the branch terminating `b`.
@@ -896,75 +1037,211 @@ impl Graph {
         }
     }
 
-    /// Rewrites every use of `old` (in instructions and terminators of all
-    /// blocks) to `new`.
+    /// Rewrites every use of `old` (in attached instructions and in the
+    /// terminators of all blocks) to `new`. O(uses of `old`).
     pub fn replace_all_uses(&mut self, old: InstId, new: InstId) {
         assert_ne!(old, new, "cannot replace a value with itself");
+        #[cfg(any(debug_assertions, feature = "debug-snapshot-check"))]
+        self.assert_uses_match_scan(old);
         self.bump_value();
-        for idx in 0..self.insts.len() {
-            if self.insts[idx].block.is_none() {
-                continue;
-            }
-            let mut uses_old = false;
-            self.insts[idx].inst.for_each_input(|i| {
-                if i == old {
-                    uses_old = true;
+        for user in self.uses.held_for(old) {
+            // A user holding `old` in several slots is listed once per
+            // slot; its first visit rewrites them all.
+            let rewrite = |slot: &mut InstId| {
+                if *slot == old {
+                    *slot = new;
                 }
-            });
-            if !uses_old {
-                continue;
-            }
-            self.touch_inst(InstId::from_index(idx));
-            self.insts[idx].inst.for_each_input_mut(|i| {
-                if *i == old {
-                    *i = new;
+            };
+            match user {
+                Use::Inst(i) => {
+                    self.touch_inst(i);
+                    self.insts[i.index()].inst.for_each_input_mut(rewrite);
                 }
-            });
+                Use::Term(b) => {
+                    self.touch_block(b);
+                    self.blocks[b.index()].term.for_each_input_mut(rewrite);
+                }
+            }
         }
-        for idx in 0..self.blocks.len() {
-            let mut uses_old = false;
-            self.blocks[idx].term.for_each_input(|i| {
-                if i == old {
-                    uses_old = true;
+        self.uses.rename(old, new);
+    }
+
+    /// The operand slots that mention `v`, one item per slot, in no
+    /// particular order (see [`Graph::users_in_layout_order`]). Only live
+    /// slots count: operands of attached instructions and of every
+    /// block's terminator. Empty for an id outside the arena.
+    pub fn uses(&self, v: InstId) -> impl Iterator<Item = Use> + '_ {
+        self.uses.of(v)
+    }
+
+    /// The distinct users of `v` in layout order: by block index, then
+    /// position within the block, a block's terminator last — the order a
+    /// walk over all blocks meets them in.
+    pub fn users_in_layout_order(&self, v: InstId) -> Vec<Use> {
+        let mut keyed: Vec<(BlockId, usize, Use)> = self
+            .uses(v)
+            .map(|user| match user {
+                Use::Inst(i) => {
+                    let b = self.insts[i.index()]
+                        .block
+                        .expect("use lists hold attached users only");
+                    (b, 0, user)
                 }
-            });
-            if !uses_old {
-                continue;
+                Use::Term(b) => (b, usize::MAX, user),
+            })
+            .collect();
+        if keyed.len() > 1 {
+            for (b, pos, user) in &mut keyed {
+                if let Use::Inst(i) = *user {
+                    let insts = &self.blocks[b.index()].insts;
+                    *pos = insts
+                        .iter()
+                        .position(|&x| x == i)
+                        .expect("inst missing from its block");
+                }
             }
-            self.touch_block(BlockId::from_index(idx));
-            self.blocks[idx].term.for_each_input_mut(|i| {
-                if *i == old {
-                    *i = new;
-                }
-            });
+            keyed.sort_unstable();
+            keyed.dedup();
         }
+        keyed.into_iter().map(|(_, _, user)| user).collect()
     }
 
     /// Counts how many operands across the graph reference `id`.
+    /// O(uses of `id`).
     pub fn use_count(&self, id: InstId) -> usize {
-        let mut n = 0;
-        for data in &self.insts {
-            if data.block.is_some() {
-                data.inst.for_each_input(|i| {
-                    if i == id {
-                        n += 1;
-                    }
-                });
-            }
-        }
-        for block in &self.blocks {
-            block.term.for_each_input(|i| {
-                if i == id {
-                    n += 1;
-                }
-            });
-        }
-        n
+        #[cfg(any(debug_assertions, feature = "debug-snapshot-check"))]
+        self.assert_uses_match_scan(id);
+        self.uses.held_for(id).len()
     }
 
     /// Returns `true` if any live instruction or terminator uses `id`.
+    /// O(1).
     pub fn has_uses(&self, id: InstId) -> bool {
-        self.use_count(id) > 0
+        self.uses.any(id)
+    }
+
+    /// The reference form of the use lists: every live operand slot,
+    /// found by walking both arenas, handed to `f` as `(value, user)`.
+    fn scan_uses(&self, mut f: impl FnMut(InstId, Use)) {
+        for (idx, data) in self.insts.iter().enumerate() {
+            if data.block.is_some() {
+                let user = Use::Inst(InstId::from_index(idx));
+                data.inst.for_each_input(|v| f(v, user));
+            }
+        }
+        for (idx, block) in self.blocks.iter().enumerate() {
+            let user = Use::Term(BlockId::from_index(idx));
+            block.term.for_each_input(|v| f(v, user));
+        }
+    }
+
+    /// Differential check of the maintained list of `v` against the arena
+    /// walk it replaced (debug and `debug-snapshot-check` builds only).
+    #[cfg(any(debug_assertions, feature = "debug-snapshot-check"))]
+    fn assert_uses_match_scan(&self, v: InstId) {
+        let mut scanned = Vec::new();
+        self.scan_uses(|value, user| {
+            if value == v {
+                scanned.push(user);
+            }
+        });
+        scanned.sort_unstable();
+        let mut listed = self.uses.held_for(v);
+        listed.sort_unstable();
+        assert_eq!(listed, scanned, "use list of {v} diverged from the scan");
+    }
+
+    /// How many operand slots of `user` mention `v` right now (none if
+    /// the user is detached or does not exist).
+    fn slots_mentioning(&self, user: Use, v: InstId) -> u32 {
+        let mut slots = 0;
+        let count = |input: InstId| slots += u32::from(input == v);
+        match user {
+            Use::Inst(i) => {
+                let attached = self.insts.get(i.index()).filter(|d| d.block.is_some());
+                if let Some(data) = attached {
+                    data.inst.for_each_input(count);
+                }
+            }
+            Use::Term(b) => {
+                if let Some(block) = self.blocks.get(b.index()) {
+                    block.term.for_each_input(count);
+                }
+            }
+        }
+        slots
+    }
+
+    /// Compares every use list against a from-scratch recount over the
+    /// operands and returns `(value, entries held, entries expected)` for
+    /// each value whose list is not the recounted multiset. O(graph), no
+    /// sorting; what the `use-list-mismatch` lint reports.
+    ///
+    /// A list is exact iff it is as long as the number of slots that
+    /// mention the value and each user it names appears exactly as often
+    /// as that user's slots mention the value: the second makes the list
+    /// a sub-multiset of the slots, the first leaves no slot out.
+    pub(crate) fn use_list_mismatches(&self) -> Vec<(InstId, usize, usize)> {
+        let n = self.insts.len();
+        let mut expected = vec![0u32; n];
+        let mut stray_slots: Vec<(InstId, Use)> = Vec::new();
+        self.scan_uses(|v, user| match expected.get_mut(v.index()) {
+            Some(slots) => *slots += 1,
+            None => stray_slots.push((v, user)),
+        });
+
+        // Per user: the value whose list last named it, and how often.
+        const UNSEEN: (u32, u32) = (u32::MAX, 0);
+        let mut seen_inst = vec![UNSEEN; n];
+        let mut seen_term = vec![UNSEEN; self.blocks.len()];
+        let mut out = Vec::new();
+        for (idx, &slots) in expected.iter().enumerate() {
+            let v = InstId::from_index(idx);
+            let (mut held, mut known_users) = (0u32, true);
+            for user in self.uses.of(v) {
+                held += 1;
+                let seen = match user {
+                    Use::Inst(i) => seen_inst.get_mut(i.index()),
+                    Use::Term(b) => seen_term.get_mut(b.index()),
+                };
+                match seen {
+                    Some(seen) if seen.0 == v.0 => seen.1 += 1,
+                    Some(seen) => *seen = (v.0, 1),
+                    None => known_users = false,
+                }
+            }
+            let exact = held == slots
+                && known_users
+                && self.uses.of(v).all(|user| {
+                    let named = match user {
+                        Use::Inst(i) => seen_inst[i.index()].1,
+                        Use::Term(b) => seen_term[b.index()].1,
+                    };
+                    named == self.slots_mentioning(user, v)
+                });
+            if !exact {
+                out.push((v, held as usize, slots as usize));
+            }
+        }
+
+        stray_slots.sort_unstable();
+        let strays = self.uses.sorted_strays();
+        if strays != stray_slots {
+            let mut values: Vec<InstId> = strays.iter().chain(&stray_slots).map(|e| e.0).collect();
+            values.sort_unstable();
+            values.dedup();
+            for v in values {
+                let run_of = |all: &[(InstId, Use)]| -> Vec<Use> {
+                    let run = all.iter().filter(|e| e.0 == v);
+                    run.map(|e| e.1).collect()
+                };
+                let (held, slots) = (run_of(&strays), run_of(&stray_slots));
+                if held != slots {
+                    out.push((v, held.len(), slots.len()));
+                }
+            }
+        }
+        out
     }
 
     /// Moves every non-φ instruction of `from` (in order) to the end of
@@ -996,7 +1273,7 @@ impl Graph {
         self.blocks[to.index()].insts.extend(moved);
         // Transfer the terminator: reuse the edge bookkeeping by first
         // clearing `from`'s terminator, then installing it on `to`.
-        let term = std::mem::replace(&mut self.blocks[from.index()].term, Terminator::Deopt);
+        let term = self.replace_term(from, Terminator::Deopt);
         for s in term.successors() {
             // Rewrite pred entries of successors from `from` to `to`.
             let idx = self.pred_index(s, from);
@@ -1005,7 +1282,7 @@ impl Graph {
         }
         // `to`'s old terminator was Jump{from}; drop its pred entry.
         self.remove_pred(from, to);
-        self.blocks[to.index()].term = term;
+        self.replace_term(to, term);
     }
 
     /// Test hook: drops `b`'s `idx`-th predecessor entry *without* touching
@@ -1017,6 +1294,20 @@ impl Graph {
         self.touch_block(b);
         self.bump_cfg();
         self.blocks[b.index()].preds.remove(idx);
+    }
+
+    /// Gives back the growth slack of the use lists — for a graph that is
+    /// done growing and will be kept (a clone carries none to begin with).
+    pub(crate) fn trim_use_lists(&mut self) {
+        self.uses.shrink_to_fit();
+    }
+
+    /// Test hook: drops one entry of `v`'s use list without touching any
+    /// operand — a state no public primitive can produce. Not recorded in
+    /// the undo log: the lists are not footprint slots.
+    #[cfg(test)]
+    pub(crate) fn break_use_list(&mut self, v: InstId) {
+        self.uses.break_list(v);
     }
 
     /// Takes a checkpoint of the whole graph.
@@ -1416,12 +1707,196 @@ mod tests {
         assert!(!reach.contains(&orphan));
     }
 
-    /// Debug digest of everything rollback promises to restore.
+    /// Debug digest of everything rollback promises to restore — the
+    /// use lists as a multiset, since rollback may reorder them.
     fn digest(g: &Graph) -> String {
         format!(
-            "{:?}|{:?}|{}|{}",
-            g.insts, g.blocks, g.cfg_version, g.value_version
+            "{:?}|{:?}|{}|{}|{:?}",
+            g.insts,
+            g.blocks,
+            g.cfg_version,
+            g.value_version,
+            g.uses.canonical()
         )
+    }
+
+    fn uses_of(g: &Graph, v: InstId) -> Vec<Use> {
+        g.uses(v).collect()
+    }
+
+    #[track_caller]
+    fn assert_lists_exact(g: &Graph) {
+        assert_eq!(g.use_list_mismatches(), vec![]);
+    }
+
+    #[test]
+    fn use_lists_follow_every_primitive() {
+        let (mut g, bt, _bf, bm, phi) = figure1();
+        let (entry, x) = (g.entry(), g.param_values()[0]);
+        assert_lists_exact(&g);
+        // x: the compare, the φ. zero: the compare, the φ.
+        assert_eq!(g.use_count(x), 2);
+        let add = *g.block_insts(bm).last().unwrap();
+        assert_eq!(uses_of(&g, phi), vec![Use::Inst(add)]);
+
+        let c = g.insert_inst(entry, 1, Inst::Const(ConstValue::Int(7)), Type::Int);
+        let sq = g.append_inst(
+            bm,
+            Inst::Binary {
+                op: BinOp::Mul,
+                lhs: phi,
+                rhs: phi,
+            },
+            Type::Int,
+        );
+        assert_eq!(g.uses(phi).filter(|&u| u == Use::Inst(sq)).count(), 2);
+        assert_lists_exact(&g);
+
+        g.rewrite_inputs(sq, |inst| {
+            if let Inst::Binary { rhs, .. } = inst {
+                *rhs = c;
+            }
+        });
+        assert_eq!(uses_of(&g, c), vec![Use::Inst(sq)]);
+        assert_lists_exact(&g);
+
+        g.patch_terminator_inputs(bm, |v| *v = sq);
+        assert_eq!(uses_of(&g, sq), vec![Use::Term(bm)]);
+        g.replace_all_uses(phi, c);
+        assert!(!g.has_uses(phi));
+        assert_eq!(g.use_count(c), 3);
+        assert_lists_exact(&g);
+
+        // Edge edits move φ slots; a detached instruction uses nothing.
+        let copy = g.add_block();
+        g.set_terminator(copy, Terminator::Return { value: Some(c) });
+        g.retarget_edge(bt, bm, copy, &[]);
+        assert_lists_exact(&g);
+        let extra = g.add_block();
+        g.install_terminator_with_phi_inputs(extra, Terminator::Jump { target: bm }, &[vec![c]]);
+        assert_lists_exact(&g);
+        g.fold_branch(entry, false);
+        assert_lists_exact(&g);
+        g.remove_inst(phi);
+        assert_eq!(g.use_count(x), 1);
+        assert_lists_exact(&g);
+
+        let copied = g.clone();
+        assert_eq!(copied.uses.canonical(), g.uses.canonical());
+    }
+
+    #[test]
+    fn mismatch_check_sees_wrong_users_behind_a_right_count() {
+        let (mut g, _bt, _bf, bm, phi) = figure1();
+        let x = g.param_values()[0];
+        let cmp = g.block_insts(g.entry())[2];
+        // x is used by the compare and the φ; name the compare twice.
+        g.uses.remove(x, Use::Inst(phi));
+        g.uses.add(x, Use::Inst(cmp));
+        assert_eq!(g.use_list_mismatches(), vec![(x, 2, 2)]);
+        // A user that does not mention the value at all.
+        g.uses.remove(x, Use::Inst(cmp));
+        g.uses.add(x, Use::Term(bm));
+        assert_eq!(g.use_list_mismatches(), vec![(x, 2, 2)]);
+        g.uses.remove(x, Use::Term(bm));
+        g.uses.add(x, Use::Inst(phi));
+        assert_lists_exact(&g);
+    }
+
+    #[test]
+    fn a_rewrite_that_unwinds_half_way_leaves_exact_lists() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (mut g, _bt, _bf, bm, phi) = figure1();
+        let x = g.param_values()[0];
+        let add = *g.block_insts(bm).last().unwrap();
+        let before = digest(&g);
+        g.begin_txn();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            g.rewrite_inputs(add, |inst| {
+                inst.for_each_input_mut(|slot| *slot = x);
+                panic!("after the operands changed");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(uses_of(&g, phi), vec![]);
+        assert_lists_exact(&g);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            g.patch_terminator_inputs(bm, |_| panic!("before the operand changed"));
+        }));
+        assert!(unwound.is_err());
+        assert_lists_exact(&g);
+        g.rollback_txn();
+        assert_eq!(digest(&g), before);
+    }
+
+    #[test]
+    fn merge_block_into_pred_moves_terminator_uses() {
+        let mut g = Graph::new("mb", &[Type::Int], empty_table());
+        let (entry, x) = (g.entry(), g.param_values()[0]);
+        let b1 = g.add_block();
+        g.set_terminator(entry, Terminator::Jump { target: b1 });
+        g.set_terminator(b1, Terminator::Return { value: Some(x) });
+        assert_eq!(uses_of(&g, x), vec![Use::Term(b1)]);
+        g.merge_block_into_pred(b1, entry);
+        assert_eq!(uses_of(&g, x), vec![Use::Term(entry)]);
+        assert_lists_exact(&g);
+    }
+
+    #[test]
+    fn users_in_layout_order_sorts_and_dedups() {
+        let (mut g, _bt, _bf, bm, phi) = figure1();
+        let (entry, x) = (g.entry(), g.param_values()[0]);
+        let sq = g.append_inst(
+            bm,
+            Inst::Binary {
+                op: BinOp::Mul,
+                lhs: x,
+                rhs: x,
+            },
+            Type::Int,
+        );
+        let neg = g.insert_inst(entry, 1, Inst::Neg(x), Type::Int);
+        g.patch_terminator_inputs(bm, |v| *v = x);
+        let cmp = g.block_insts(entry)[3];
+        assert_eq!(
+            g.users_in_layout_order(x),
+            vec![
+                Use::Inst(neg),
+                Use::Inst(cmp),
+                Use::Inst(phi),
+                Use::Inst(sq),
+                Use::Term(bm)
+            ]
+        );
+    }
+
+    #[test]
+    fn forward_references_wait_as_strays_until_the_arena_covers_them() {
+        // The parser's order: terminators first, naming values that do
+        // not exist yet; rollback must put the strays back.
+        let mut g = Graph::new("fwd", &[], empty_table());
+        let entry = g.entry();
+        g.set_terminator(
+            entry,
+            Terminator::Return {
+                value: Some(InstId(1)),
+            },
+        );
+        assert_eq!(g.use_count(InstId(1)), 1);
+        assert_eq!(g.uses(InstId(1)).count(), 0, "not in the arena yet");
+        assert_lists_exact(&g);
+        let before = digest(&g);
+
+        g.begin_txn();
+        let a = g.append_inst(entry, Inst::Const(ConstValue::Int(1)), Type::Int);
+        let b = g.append_inst(entry, Inst::Neg(InstId(2)), Type::Int);
+        assert_eq!((a, b), (InstId(0), InstId(1)));
+        assert_eq!(uses_of(&g, b), vec![Use::Term(entry)]);
+        assert_eq!(g.use_count(InstId(2)), 1);
+        assert_lists_exact(&g);
+        g.rollback_txn();
+        assert_eq!(digest(&g), before);
+        assert_lists_exact(&g);
     }
 
     #[test]

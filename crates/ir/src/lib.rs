@@ -62,6 +62,7 @@ pub mod lint;
 mod parse;
 mod print;
 mod types;
+mod uses;
 mod verify;
 
 pub use builder::GraphBuilder;
@@ -80,4 +81,5 @@ pub use lint::{
 pub use parse::{parse_graph, parse_module, Module, ParseError};
 pub use print::{print_class_table, print_graph};
 pub use types::{ConstValue, Type};
+pub use uses::Use;
 pub use verify::{verify, VerifyErrors};

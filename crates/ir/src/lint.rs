@@ -169,6 +169,11 @@ declare_lints! {
     /// although neither block dominates the other (emitted by
     /// dbds-core's post-duplication check).
     FrontierViolation = "frontier-violation" => Error,
+    /// A value's def-use list ([`Graph::uses`]) is not the multiset of
+    /// live operand slots that mention it: some mutation changed an
+    /// operand behind the lists' back. Whole-graph only — the lists are
+    /// a side table, not slots of a transaction footprint.
+    UseListMismatch = "use-list-mismatch" => Error,
 }
 
 impl fmt::Display for LintId {
@@ -335,6 +340,7 @@ impl Default for LintRegistry {
                 Box::new(DominancePass),
                 Box::new(HygienePass),
                 Box::new(ReverseCfgPass),
+                Box::new(UseListPass),
             ],
         }
     }
@@ -357,6 +363,7 @@ impl LintRegistry {
                 Box::new(TypePass),
                 Box::new(DominancePass),
                 Box::new(ReverseCfgPass),
+                Box::new(UseListPass),
             ],
         }
     }
@@ -987,6 +994,34 @@ impl LintPass for DominancePass {
         }
         for &b in &dom.rpo {
             dominance_rules(g, &dom, &pos, b, &mut s);
+        }
+    }
+}
+
+/// The def-use lists against a from-scratch recount over the operands.
+/// Not a per-block rule: a list is a property of every slot that could
+/// mention the value, so [`lint_footprint`] does not run it.
+struct UseListPass;
+
+impl LintPass for UseListPass {
+    fn name(&self) -> &'static str {
+        "use-lists"
+    }
+
+    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
+        let mut s = Sink { out };
+        for (v, held, expected) in g.use_list_mismatches() {
+            let block = (v.index() < g.inst_count())
+                .then(|| g.block_of(v))
+                .flatten();
+            s.emit(
+                LintId::UseListMismatch,
+                block,
+                Some(v),
+                format!(
+                    "use list of {v} holds {held} entries, {expected} operand slots mention it"
+                ),
+            );
         }
     }
 }
@@ -1825,6 +1860,33 @@ mod tests {
         assert!(!lint(&g).is_clean(), "the whole-graph pass agrees");
         g.rollback_txn();
         assert!(lint(&g).is_clean());
+    }
+
+    #[test]
+    fn dropped_use_list_entry_is_caught_by_the_whole_graph_lint_only() {
+        // x loses one use-list entry while every operand still names it:
+        // no block's slot is wrong, so only the recount can see it.
+        let mut g = diamond();
+        let before = SimpleDomTree::compute(&g);
+        let x = g.param_values()[0];
+        g.begin_txn();
+        let footprint = g.txn_footprint();
+        g.break_use_list(x);
+        assert_eq!(
+            g.txn_footprint(),
+            footprint,
+            "lists are not footprint slots"
+        );
+        assert!(footprint_report(&g, &before).is_clean());
+
+        let report = lint(&g);
+        assert_eq!(report.count_of(LintId::UseListMismatch), 1);
+        assert_eq!(report.error_count(), 1);
+        let d = report.errors().next().expect("one error");
+        assert_eq!((d.block, d.inst), (Some(g.entry()), Some(x)));
+        let errs = crate::verify(&g).expect_err("verify runs the use-list pass");
+        assert!(errs.problems[0].contains("use list of v0 holds 1 entries, 2 operand slots"));
+        g.commit_txn();
     }
 
     #[test]

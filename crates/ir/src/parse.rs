@@ -293,7 +293,13 @@ fn parse_func(lines: &[(usize, String)], table: Arc<ClassTable>) -> PResult<(usi
         for entry in &bs.stmts[..bs.stmts.len() - 1] {
             let (lineno, line) = entry;
             let (vname, ty, opsrc) = split_def(line, *lineno, &table)?;
-            let (inst, operands) = parse_inst(opsrc, *lineno, &table, &block_ids, &graph, block)?;
+            let (mut inst, operands) =
+                parse_inst(opsrc, *lineno, &table, &block_ids, &graph, block)?;
+            // Operands that only name earlier values — nearly all do — go
+            // in resolved; forward references keep their placeholder and
+            // wait for the patch below.
+            let known: Option<Vec<InstId>> =
+                operands.iter().map(|n| values.get(n).copied()).collect();
             let id = if inst.is_phi() {
                 let n = graph.preds(block).len();
                 if operands.len() != n {
@@ -305,51 +311,56 @@ fn parse_func(lines: &[(usize, String)], table: Arc<ClassTable>) -> PResult<(usi
                         ),
                     ));
                 }
-                graph.append_phi(block, vec![InstId(0); n], ty)
+                let inputs = known.clone();
+                graph.append_phi(block, inputs.unwrap_or(vec![next_inst_id(&graph); n]), ty)
             } else {
+                if let Some(known) = &known {
+                    let mut resolved = known.iter();
+                    inst.for_each_input_mut(|slot| {
+                        *slot = *resolved.next().expect("one name per operand");
+                    });
+                }
                 graph.append_inst(block, inst, ty)
             };
             if values.insert(vname.clone(), id).is_some() {
                 return Err(err(*lineno, &format!("value `{vname}` defined twice")));
             }
-            inst_patches.push(InstPatch {
-                id,
-                line: *lineno,
-                operands,
-            });
+            if known.is_none() {
+                inst_patches.push(InstPatch {
+                    id,
+                    line: *lineno,
+                    operands,
+                });
+            }
         }
     }
 
-    // Patch all operands now that every value name is known.
-    let lookup = |name: &str, line: usize| -> PResult<InstId> {
-        values
-            .get(name)
-            .copied()
-            .ok_or_else(|| err(line, &format!("unknown value `{name}`")))
+    // Patch the remaining operands now that every value name is known:
+    // the forward references among the instructions, then the terminators
+    // (set before any value existed). Terminators go newest first — their
+    // placeholder uses of `InstId(0)` leave its use list from the end they
+    // were added at.
+    let resolve = |names: &[String], line: usize| -> PResult<Vec<InstId>> {
+        let lookup = |name: &String| values.get(name).copied();
+        let resolved = names
+            .iter()
+            .map(|name| lookup(name).ok_or_else(|| err(line, &format!("unknown value `{name}`"))));
+        resolved.collect()
     };
     for patch in &inst_patches {
-        let resolved: Vec<InstId> = patch
-            .operands
-            .iter()
-            .map(|n| lookup(n, patch.line))
-            .collect::<PResult<_>>()?;
-        let mut k = 0;
-        graph.inst_mut(patch.id).for_each_input_mut(|slot| {
-            *slot = resolved[k];
-            k += 1;
+        let mut resolved = resolve(&patch.operands, patch.line)?.into_iter();
+        graph.rewrite_inputs(patch.id, |inst| {
+            inst.for_each_input_mut(|slot| *slot = resolved.next().expect("one name per operand"))
         });
-        debug_assert_eq!(k, resolved.len());
     }
-    for patch in &term_patches {
-        let resolved: Vec<InstId> = patch
-            .operands
-            .iter()
-            .map(|n| lookup(n, patch.line))
-            .collect::<PResult<_>>()?;
-        let mut k = 0;
+    let term_operands: Vec<Vec<InstId>> = term_patches
+        .iter()
+        .map(|patch| resolve(&patch.operands, patch.line))
+        .collect::<PResult<_>>()?;
+    for (patch, resolved) in term_patches.iter().zip(term_operands).rev() {
+        let mut resolved = resolved.into_iter();
         graph.patch_terminator_inputs(patch.block, |slot| {
-            *slot = resolved[k];
-            k += 1;
+            *slot = resolved.next().expect("one name per operand");
         });
     }
 
@@ -391,6 +402,13 @@ fn parse_class(s: &str, lineno: usize, table: &ClassTable) -> PResult<ClassId> {
         .ok_or_else(|| err(lineno, &format!("unknown class `{}`", s.trim())))
 }
 
+/// The id the next appended instruction gets. Unresolved operands point
+/// at their own instruction until patched, so every placeholder use sits
+/// in a use list of its own instead of piling up in one value's.
+fn next_inst_id(graph: &Graph) -> InstId {
+    InstId::from_index(graph.inst_count())
+}
+
 /// Parses an instruction body; returns the instruction with dummy operand
 /// ids plus the operand names in `for_each_input_mut` order.
 fn parse_inst(
@@ -405,7 +423,7 @@ fn parse_inst(
         Some((o, r)) => (o, r.trim()),
         None => (src, ""),
     };
-    let d = InstId(0); // dummy, patched later
+    let d = next_inst_id(graph); // dummy, patched later
     let args = |n: usize| -> PResult<Vec<String>> {
         let parts: Vec<String> = rest
             .split(',')

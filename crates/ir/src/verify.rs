@@ -255,9 +255,11 @@ mod tests {
             },
             Type::Int,
         );
-        if let Inst::Phi { inputs } = g.inst_mut(i) {
-            inputs[1] = inc;
-        }
+        g.rewrite_inputs(i, |inst| {
+            if let Inst::Phi { inputs } = inst {
+                inputs[1] = inc;
+            }
+        });
         verify(&g).unwrap();
     }
 

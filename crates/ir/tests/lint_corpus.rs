@@ -3,7 +3,9 @@
 //! unhygienic) graph, proving each pass actually fires on the defect it
 //! is named for. The non-graph lints have fail-first coverage next to
 //! their implementations: `StaleAnalysis` in `dbds-analysis`'s cache
-//! audit tests, `NonFiniteBenefit`/`NegativeAccruedSize` in
+//! audit tests, `UseListMismatch` beside the test-only hook that breaks a
+//! def-use list (`dbds-ir`'s own `lint` unit tests — no public primitive
+//! can produce the defect), `NonFiniteBenefit`/`NegativeAccruedSize` in
 //! `dbds-core`'s `lint_simulation` tests, `Misprediction` in
 //! `dbds-core`'s prediction-audit tests, and `FrontierViolation` in
 //! `dbds-core`'s post-duplication frontier-check tests.
@@ -80,9 +82,11 @@ fn phi_placement_fires_on_arity_mismatch() {
     let phi = g.phis(bm)[0];
     // Drop one input behind the builder's back: one input left, two
     // predecessors.
-    if let Inst::Phi { inputs } = g.inst_mut(phi) {
-        inputs.pop();
-    }
+    g.rewrite_inputs(phi, |inst| {
+        if let Inst::Phi { inputs } = inst {
+            inputs.pop();
+        }
+    });
     expect_lint(&lint(&g), LintId::PhiPlacement);
 }
 
@@ -261,8 +265,9 @@ fn hygiene_lints_are_warnings_and_do_not_fail_verify() {
 
 #[test]
 fn every_graph_level_lint_has_a_corpus_entry() {
-    // The four non-graph lints are exercised in their home crates (see
-    // the module docs); everything else must fire somewhere above. This
+    // The non-graph lints, and the one no public edit can trigger, are
+    // exercised in their home crates (see the module docs); everything
+    // else must fire somewhere above. This
     // keeps the corpus honest when a new LintId lands.
     let graph_level = [
         LintId::GraphConsistency,
@@ -284,6 +289,7 @@ fn every_graph_level_lint_has_a_corpus_entry() {
         LintId::NegativeAccruedSize,
         LintId::Misprediction,
         LintId::FrontierViolation,
+        LintId::UseListMismatch,
     ];
     for id in LintId::ALL {
         assert!(

@@ -9,10 +9,15 @@
 //! The mutation menu deliberately includes edits that leave the graph
 //! unhygienic (dangling φ inputs, unreachable blocks): rollback has to be
 //! byte-identical on *any* intermediate state, not just clean ones.
+//!
+//! The same sequences drive the def-use lists: after every step — inside
+//! nested transactions with random commits and rollbacks, and on a clone
+//! — each value's maintained list must equal, as a multiset, a recount
+//! made here from the public operand accessors alone.
 
 use dbds_ir::{
     lint, print_graph, BlockId, ClassTable, CmpOp, ConstValue, Graph, GraphBuilder, Inst, InstId,
-    Terminator, Type,
+    LintId, Terminator, Type, Use,
 };
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -36,12 +41,41 @@ fn diamond() -> Graph {
     b.finish()
 }
 
+/// The def-use lists recounted from scratch: every operand of every
+/// listed instruction and of every terminator, grouped by value, sorted.
+fn recount_uses(g: &Graph) -> Vec<Vec<Use>> {
+    let mut uses = vec![Vec::new(); g.inst_count()];
+    for b in g.blocks() {
+        for &i in g.block_insts(b) {
+            g.inst(i)
+                .for_each_input(|v| uses[v.index()].push(Use::Inst(i)));
+        }
+        g.terminator(b)
+            .for_each_input(|v| uses[v.index()].push(Use::Term(b)));
+    }
+    uses.iter_mut().for_each(|list| list.sort_unstable());
+    uses
+}
+
+/// The maintained def-use lists, each sorted (they are multisets).
+fn held_uses(g: &Graph) -> Vec<Vec<Use>> {
+    (0..g.inst_count())
+        .map(|v| {
+            let mut list: Vec<Use> = g.uses(InstId::from_index(v)).collect();
+            list.sort_unstable();
+            list
+        })
+        .collect()
+}
+
 /// A total textual fingerprint of the graph built from public API only:
 /// the printed body, every block's predecessor list and terminator, the
-/// instruction arena contents by id, and both version stamps. Two equal
-/// digests mean the observable graph states are identical.
+/// instruction arena contents by id, the def-use lists and both version
+/// stamps. Two equal digests mean the observable graph states are
+/// identical.
 fn digest(g: &Graph) -> String {
     let mut out = print_graph(g);
+    let _ = writeln!(out, "uses={:?}", held_uses(g));
     for b in g.blocks() {
         let _ = writeln!(
             out,
@@ -69,13 +103,22 @@ fn digest(g: &Graph) -> String {
     out
 }
 
-/// One encoded mutation. `created` tracks constants this sequence
-/// appended so removals and use-rewrites target live, sequence-owned
+/// Number of mutation kinds [`apply`] decodes.
+const KINDS: u8 = 12;
+
+/// One encoded mutation. `created` tracks the instructions this sequence
+/// added so removals and use-rewrites target live, sequence-owned
 /// instructions.
 fn apply(g: &mut Graph, created: &mut Vec<InstId>, kind: u8, bsel: u8, csel: u8, val: i64) {
     let blocks: Vec<BlockId> = g.blocks().collect();
     let b = blocks[bsel as usize % blocks.len()];
-    match kind % 6 {
+    // Some int value to use as an operand: a sequence-owned one when
+    // there is any, else the parameter.
+    let pick = |created: &[InstId], sel: usize| match created.len() {
+        0 => g.param_values()[0],
+        n => created[sel % n],
+    };
+    match kind % KINDS {
         0 => {
             g.add_block();
         }
@@ -103,7 +146,7 @@ fn apply(g: &mut Graph, created: &mut Vec<InstId>, kind: u8, bsel: u8, csel: u8,
                 g.set_branch_probability(b, f64::from(csel % 10) / 10.0);
             }
         }
-        _ => {
+        5 => {
             // `set_terminator` refuses edges into φ-bearing blocks, so
             // the retarget op only aims at φ-free candidates.
             let candidates: Vec<BlockId> = blocks
@@ -116,12 +159,82 @@ fn apply(g: &mut Graph, created: &mut Vec<InstId>, kind: u8, bsel: u8, csel: u8,
                 g.set_terminator(b, Terminator::Jump { target });
             }
         }
+        6 => {
+            // An instruction with operands (one value in two slots when
+            // the picks coincide), inserted right after the φ prefix.
+            let (lhs, rhs) = (pick(created, csel as usize), pick(created, val as usize));
+            let at = g.phis(b).len();
+            let op = dbds_ir::BinOp::Add;
+            let sum = g.insert_inst(b, at, Inst::Binary { op, lhs, rhs }, Type::Int);
+            created.push(sum);
+        }
+        7 => {
+            // Rewrite the first operand of some attached instruction.
+            let users: Vec<InstId> = blocks
+                .iter()
+                .flat_map(|&bl| g.block_insts(bl).to_vec())
+                .filter(|&i| !g.inst(i).collect_inputs().is_empty())
+                .collect();
+            if !users.is_empty() {
+                let user = users[csel as usize % users.len()];
+                let to = pick(created, val as usize);
+                g.rewrite_inputs(user, |inst| {
+                    let mut first = true;
+                    inst.for_each_input_mut(|slot| {
+                        if std::mem::take(&mut first) {
+                            *slot = to;
+                        }
+                    });
+                });
+            }
+        }
+        8 => {
+            let succs = g.succs(b);
+            if !succs.is_empty() {
+                let old_to = succs[csel as usize % succs.len()];
+                let new_to = blocks[val.unsigned_abs() as usize % blocks.len()];
+                if new_to == old_to || !succs.contains(&new_to) {
+                    let inputs = vec![pick(created, csel as usize); g.phis(new_to).len()];
+                    g.retarget_edge(b, old_to, new_to, &inputs);
+                }
+            }
+        }
+        9 => {
+            if matches!(g.terminator(b), Terminator::Branch { .. }) {
+                g.fold_branch(b, csel & 1 == 0);
+            }
+        }
+        10 => {
+            let value = Some(pick(created, csel as usize));
+            g.set_terminator(b, Terminator::Return { value });
+        }
+        _ => {
+            let mergeable = blocks.iter().copied().find(|&from| {
+                let preds = g.preds(from);
+                from != g.entry()
+                    && preds.len() == 1
+                    && preds[0] != from
+                    && g.succs(preds[0]) == [from]
+                    && g.phis(from).is_empty()
+            });
+            if let Some(from) = mergeable {
+                g.merge_block_into_pred(from, g.preds(from)[0]);
+            }
+        }
     }
 }
 
 /// Strategy: a sequence of up to 24 encoded mutations.
 fn ops() -> impl Strategy<Value = Vec<(u8, u8, u8, i64)>> {
-    collection::vec((0u8..6, 0u8..16, 0u8..16, -100i64..100), 1..24)
+    collection::vec((0u8..KINDS, 0u8..16, 0u8..16, -100i64..100), 1..24)
+}
+
+/// Asserts the maintained lists are exactly the recounted multisets —
+/// by this file's own recount and by the whole-graph lint.
+#[track_caller]
+fn check_lists(g: &Graph) {
+    assert_eq!(held_uses(g), recount_uses(g));
+    assert_eq!(lint(g).count_of(LintId::UseListMismatch), 0);
 }
 
 proptest! {
@@ -199,5 +312,49 @@ proptest! {
 
         prop_assert_eq!(&digest(&g), &base);
         prop_assert_eq!(g.txn_depth(), 0);
+    }
+
+    /// The def-use lists equal a from-scratch recount after every single
+    /// mutation, whatever mix of nested begin / commit / rollback
+    /// surrounds it, and a clone carries its own exact copy.
+    #[test]
+    fn use_lists_match_a_recount_after_every_step(
+        seq in ops(),
+        ctl in collection::vec(0u8..8, 24),
+    ) {
+        let mut g = diamond();
+        let mut created = Vec::new();
+        check_lists(&g);
+        for (&(k, b, c, v), &txn) in seq.iter().zip(&ctl) {
+            match txn {
+                0 => g.begin_txn(),
+                1 if g.txn_depth() > 0 => {
+                    g.commit_txn();
+                }
+                2 if g.txn_depth() > 0 => {
+                    g.rollback_txn();
+                    created.retain(|i: &InstId| i.index() < g.inst_count());
+                    check_lists(&g);
+                }
+                _ => {}
+            }
+            apply(&mut g, &mut created, k, b, c, v);
+            check_lists(&g);
+        }
+
+        // A clone is an independent timeline with its own lists.
+        let original = digest(&g);
+        let mut copy = g.clone();
+        check_lists(&copy);
+        for &(k, b, c, v) in &seq {
+            apply(&mut copy, &mut created, k, b, c, v);
+            check_lists(&copy);
+        }
+        prop_assert_eq!(&digest(&g), &original);
+
+        while g.txn_depth() > 0 {
+            g.rollback_txn();
+            check_lists(&g);
+        }
     }
 }

@@ -2,7 +2,6 @@
 //! instructions.
 
 use dbds_ir::{Graph, InstId, Terminator};
-use std::collections::HashMap;
 
 /// Disconnects and empties all blocks unreachable from the entry.
 /// Returns `true` when anything changed.
@@ -35,38 +34,58 @@ pub fn remove_unreachable_blocks(g: &mut Graph) -> bool {
 
 /// Removes pure instructions whose values are unused, cascading through
 /// operand chains. Returns `true` when anything changed.
+///
+/// A worklist over the graph's use counts: one pass seeds it with every
+/// unused removable instruction, and each removal pushes the operands it
+/// was the last user of — no recount of the graph per round.
 pub fn remove_dead_instructions(g: &mut Graph) -> bool {
-    let mut changed = false;
-    loop {
-        // Count uses of every live instruction.
-        let mut uses: HashMap<InstId, usize> = HashMap::new();
-        let blocks: Vec<_> = g.blocks().collect();
-        for &b in &blocks {
-            for &i in g.block_insts(b) {
-                g.inst(i).for_each_input(|input| {
-                    *uses.entry(input).or_insert(0) += 1;
-                });
+    let dead = |g: &Graph, i: InstId| !g.has_uses(i) && g.inst(i).removable_if_unused();
+    let mut worklist: Vec<InstId> = g
+        .blocks()
+        .flat_map(|b| g.block_insts(b))
+        .copied()
+        .filter(|&i| dead(g, i))
+        .collect();
+    let changed = !worklist.is_empty();
+    while let Some(i) = worklist.pop() {
+        let operands = g.inst(i).collect_inputs();
+        g.remove_inst(i);
+        for (k, &op) in operands.iter().enumerate() {
+            // Queue each newly unused operand once, however many of the
+            // removed instruction's slots named it.
+            let attached = op.index() < g.inst_count() && g.block_of(op).is_some();
+            if attached && dead(g, op) && !operands[..k].contains(&op) {
+                worklist.push(op);
             }
-            g.terminator(b).for_each_input(|input| {
+        }
+    }
+    #[cfg(debug_assertions)]
+    assert!(
+        !any_dead_by_recount(g),
+        "worklist DCE left an unused removable instruction behind"
+    );
+    changed
+}
+
+/// One round of the whole-graph recount the worklist replaced: does any
+/// attached removable instruction have no use? Kept as the reference the
+/// worklist's fixpoint is checked against (debug builds only).
+#[cfg(debug_assertions)]
+fn any_dead_by_recount(g: &Graph) -> bool {
+    let mut uses: std::collections::HashMap<InstId, usize> = std::collections::HashMap::new();
+    for b in g.blocks() {
+        for &i in g.block_insts(b) {
+            g.inst(i).for_each_input(|input| {
                 *uses.entry(input).or_insert(0) += 1;
             });
         }
-        let mut removed_any = false;
-        for &b in &blocks {
-            let snapshot: Vec<InstId> = g.block_insts(b).to_vec();
-            for i in snapshot {
-                if uses.get(&i).copied().unwrap_or(0) == 0 && g.inst(i).removable_if_unused() {
-                    g.remove_inst(i);
-                    removed_any = true;
-                }
-            }
-        }
-        if !removed_any {
-            break;
-        }
-        changed = true;
+        g.terminator(b).for_each_input(|input| {
+            *uses.entry(input).or_insert(0) += 1;
+        });
     }
-    changed
+    g.blocks()
+        .flat_map(|b| g.block_insts(b))
+        .any(|&i| uses.get(&i).copied().unwrap_or(0) == 0 && g.inst(i).removable_if_unused())
 }
 
 /// Runs both DCE phases.

@@ -15,7 +15,7 @@ use dbds_ir::{BinOp, ClassId, CmpOp, ConstValue, FieldId, Graph, Inst, InstId};
 use std::collections::HashMap;
 
 /// A hashable structural key for a pure instruction.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Key {
     Const(ConstValue),
     Binary(BinOp, InstId, InstId),
@@ -69,18 +69,23 @@ fn key_of(g: &Graph, i: InstId) -> Option<Key> {
 pub fn global_value_numbering(g: &mut Graph, cache: &mut AnalysisCache) -> usize {
     let dt = cache.domtree(g);
     let mut removed = 0;
-    walk(g, &dt, g.entry(), &HashMap::new(), &mut removed);
+    walk(g, &dt, g.entry(), &mut HashMap::new(), &mut removed);
     removed
 }
 
+/// Visits `b` and its dominator-tree subtree with `table` holding the
+/// keys defined in dominating positions. One table for the whole walk:
+/// a block only ever inserts keys the table did not hold, so removing
+/// them again when the walk leaves the block restores the parent's view
+/// exactly.
 fn walk(
     g: &mut Graph,
     dt: &DomTree,
     b: dbds_ir::BlockId,
-    inherited: &HashMap<Key, InstId>,
+    table: &mut HashMap<Key, InstId>,
     removed: &mut usize,
 ) {
-    let mut table = inherited.clone();
+    let mut inserted: Vec<Key> = Vec::new();
     for i in g.block_insts(b).to_vec() {
         if g.block_of(i) != Some(b) {
             continue;
@@ -94,11 +99,15 @@ fn walk(
             }
             None => {
                 table.insert(key, i);
+                inserted.push(key);
             }
         }
     }
-    for &child in dt.children(b).to_vec().iter() {
-        walk(g, dt, child, &table, removed);
+    for &child in dt.children(b) {
+        walk(g, dt, child, table, removed);
+    }
+    for key in inserted {
+        table.remove(&key);
     }
 }
 

@@ -14,14 +14,14 @@
 
 use crate::ssa_repair::SsaBuilder;
 use dbds_analysis::reverse_postorder;
-use dbds_ir::{BlockId, ClassId, CmpOp, ConstValue, FieldId, Graph, Inst, InstId, Type};
+use dbds_ir::{BlockId, ClassId, CmpOp, ConstValue, FieldId, Graph, Inst, InstId, Type, Use};
 use std::collections::HashMap;
 
 /// Loads and `(store, stored value)` pairs of one field of an allocation.
 type FieldAccesses = (Vec<InstId>, Vec<(InstId, InstId)>);
 
 /// One classified use of an allocation.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 enum AllocUse {
     Load {
         inst: InstId,
@@ -61,69 +61,80 @@ pub fn scalar_replace(g: &mut Graph) -> usize {
     removed
 }
 
-/// Classifies every use of `alloc`. Returns `None` when the object
-/// escapes (or a use cannot be folded away).
+/// Classifies every use of `alloc`, read off its def-use list in layout
+/// order (block index, position in block — the order the loads and
+/// stores are later grouped and replaced in). Returns `None` when the
+/// object escapes (or a use cannot be folded away).
 fn classify_uses(g: &Graph, alloc: InstId) -> Option<Vec<AllocUse>> {
+    let classified = g
+        .users_in_layout_order(alloc)
+        .into_iter()
+        .map(|user| match user {
+            Use::Inst(i) => classify_use(g, alloc, i),
+            Use::Term(_) => None, // returned
+        })
+        .collect();
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        classified,
+        classify_uses_by_scan(g, alloc),
+        "use list of {alloc} diverged from the whole-graph scan"
+    );
+    classified
+}
+
+/// Classifies the use of `alloc` by instruction `i`; `None` is an escape.
+fn classify_use(g: &Graph, alloc: InstId, i: InstId) -> Option<AllocUse> {
+    match g.inst(i) {
+        Inst::LoadField { object, field } if *object == alloc => Some(AllocUse::Load {
+            inst: i,
+            field: *field,
+        }),
+        Inst::StoreField {
+            object,
+            field,
+            value,
+        } if *object == alloc && *value != alloc => Some(AllocUse::Store {
+            inst: i,
+            field: *field,
+            value: *value,
+        }),
+        Inst::InstanceOf { object, .. } if *object == alloc => Some(AllocUse::Test { inst: i }),
+        Inst::Compare {
+            op: CmpOp::Eq | CmpOp::Ne,
+            lhs,
+            rhs,
+        } => {
+            // Identity comparison folds when the other side is a
+            // null constant, a (different) allocation, or the
+            // object itself.
+            let other = if *lhs == alloc { *rhs } else { *lhs };
+            let foldable = other == alloc
+                || matches!(g.inst(other), Inst::Const(c) if c.is_null())
+                || matches!(g.inst(other), Inst::New { .. });
+            // An unknown reference would survive.
+            foldable.then_some(AllocUse::Test { inst: i })
+        }
+        _ => None, // any other use is an escape
+    }
+}
+
+/// The whole-graph scan [`classify_uses`] replaced, kept as the reference
+/// the list-driven form is checked against (debug builds only).
+#[cfg(debug_assertions)]
+fn classify_uses_by_scan(g: &Graph, alloc: InstId) -> Option<Vec<AllocUse>> {
     let mut uses = Vec::new();
     for b in g.blocks() {
         for &i in g.block_insts(b) {
             let mut mentions = false;
-            g.inst(i).for_each_input(|input| {
-                if input == alloc {
-                    mentions = true;
-                }
-            });
-            if !mentions {
-                continue;
-            }
-            match g.inst(i) {
-                Inst::LoadField { object, field } if *object == alloc => {
-                    uses.push(AllocUse::Load {
-                        inst: i,
-                        field: *field,
-                    });
-                }
-                Inst::StoreField {
-                    object,
-                    field,
-                    value,
-                } if *object == alloc && *value != alloc => {
-                    uses.push(AllocUse::Store {
-                        inst: i,
-                        field: *field,
-                        value: *value,
-                    });
-                }
-                Inst::InstanceOf { object, .. } if *object == alloc => {
-                    uses.push(AllocUse::Test { inst: i });
-                }
-                Inst::Compare {
-                    op: CmpOp::Eq | CmpOp::Ne,
-                    lhs,
-                    rhs,
-                } => {
-                    // Identity comparison folds when the other side is a
-                    // null constant, a (different) allocation, or the
-                    // object itself.
-                    let other = if *lhs == alloc { *rhs } else { *lhs };
-                    let foldable = other == alloc
-                        || matches!(g.inst(other), Inst::Const(c) if c.is_null())
-                        || matches!(g.inst(other), Inst::New { .. });
-                    if foldable {
-                        uses.push(AllocUse::Test { inst: i });
-                    } else {
-                        return None; // unknown reference: would survive
-                    }
-                }
-                _ => return None, // any other use is an escape
+            g.inst(i).for_each_input(|input| mentions |= input == alloc);
+            if mentions {
+                uses.push(classify_use(g, alloc, i)?);
             }
         }
         let mut escapes_via_term = false;
-        g.terminator(b).for_each_input(|input| {
-            if input == alloc {
-                escapes_via_term = true; // returned
-            }
-        });
+        g.terminator(b)
+            .for_each_input(|input| escapes_via_term |= input == alloc);
         if escapes_via_term {
             return None;
         }
@@ -514,9 +525,11 @@ mod tests {
             },
             Type::Int,
         );
-        if let Inst::Phi { inputs } = g.inst_mut(i) {
-            inputs[1] = iplus;
-        }
+        g.rewrite_inputs(i, |inst| {
+            if let Inst::Phi { inputs } = inst {
+                inputs[1] = iplus;
+            }
+        });
         verify(&g).unwrap();
         assert_eq!(scalar_replace(&mut g), 1);
         verify(&g).unwrap();

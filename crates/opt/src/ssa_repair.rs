@@ -164,10 +164,10 @@ impl SsaBuilder {
                 for &p in &preds {
                     inputs.push(self.try_value_at_end(g, p)?);
                 }
-                match g.inst_mut(phi) {
-                    Inst::Phi { inputs: slots } => slots.clone_from(&inputs),
-                    _ => return Err(SsaRepairError::NotAPhi(phi)),
+                if !g.inst(phi).is_phi() {
+                    return Err(SsaRepairError::NotAPhi(phi));
                 }
+                g.rewrite_inputs(phi, |inst| *inst = Inst::Phi { inputs });
                 Ok(self.try_remove_trivial(g, phi))
             }
         }

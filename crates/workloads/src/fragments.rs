@@ -475,12 +475,16 @@ fn emit_hot_loop(ctx: &mut FragmentCtx<'_>) -> InstId {
     let i_next = ctx.b.add(i, one);
     {
         let g = ctx.b.graph_mut();
-        if let Inst::Phi { inputs } = g.inst_mut(i) {
-            inputs[1] = i_next;
-        }
-        if let Inst::Phi { inputs } = g.inst_mut(acc_phi) {
-            inputs[1] = acc_next;
-        }
+        g.rewrite_inputs(i, |inst| {
+            if let Inst::Phi { inputs } = inst {
+                inputs[1] = i_next;
+            }
+        });
+        g.rewrite_inputs(acc_phi, |inst| {
+            if let Inst::Phi { inputs } = inst {
+                inputs[1] = acc_next;
+            }
+        });
     }
     ctx.b.switch_to(exit);
     let next = ctx.b.new_block();

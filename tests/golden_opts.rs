@@ -1,11 +1,14 @@
 //! Golden tests for the optimization pipeline: small textual IR programs
 //! with assertions on the optimized output (FileCheck style). Each case
 //! pins down one behaviour of the §2 optimization set or its cleanup
-//! passes.
+//! passes. The last test pins the whole compiled corpus byte for byte.
 
 use dbds::analysis::AnalysisCache;
-use dbds::ir::{execute, parse_module, print_graph, verify, Value};
+use dbds::core::{compile, DbdsConfig, OptLevel};
+use dbds::costmodel::CostModel;
+use dbds::ir::{execute, parse_module, print_graph, verify, Fnv64, Value};
 use dbds::opt::optimize_full;
+use dbds::workloads::Suite;
 
 /// Parses, optimizes, verifies, and returns the printed result.
 fn optimized(src: &str) -> String {
@@ -185,5 +188,59 @@ fn optimization_preserves_golden_semantics() {
             execute(&opt, &[Value::Int(x)]).outcome,
             execute(&reference, &[Value::Int(x)]).outcome
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Byte-identity pin: the compiled corpus, every `InstId` included.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over `print_graph` of every unit of `suite` compiled at
+/// `level`, in suite order. The printed form names every value by its
+/// arena index, so an equal digest means every instruction kept its
+/// `InstId`, block and position — not just the same shape.
+fn compiled_digest(suite: Suite, level: OptLevel) -> u64 {
+    let model = CostModel::new();
+    let mut h = Fnv64::new();
+    for w in suite.workloads() {
+        let mut g = w.graph;
+        compile(&mut g, &model, level, &DbdsConfig::default());
+        h.write_str(&print_graph(&g));
+    }
+    h.finish()
+}
+
+/// `(suite, [baseline, dbds, dupalot])`, computed at the parent of the
+/// commit that gave the IR def-use lists: finding users through the
+/// lists instead of arena walks must not move a single instruction.
+const COMPILED_GOLDEN: [(&str, [u64; 3]); 4] = [
+    (
+        "java-dacapo",
+        [0xa78006ea0d309b6b, 0x5d9444b25c4c36aa, 0x56a9dc5db6c312f2],
+    ),
+    (
+        "scala-dacapo",
+        [0x2eecce0e5f1cf1d7, 0xa07f83ead3b61603, 0x12985a152f28fbbe],
+    ),
+    (
+        "micro",
+        [0x400922b857c24a24, 0x87f3cace106d85f3, 0x199eca34cebafed0],
+    ),
+    (
+        "octane",
+        [0x91cda834aa7495b1, 0x39f9777d87b79d6f, 0xb5b87e05ebfb3dfc],
+    ),
+];
+
+#[test]
+fn compiled_corpus_matches_the_golden_digests() {
+    let levels = [OptLevel::Baseline, OptLevel::Dbds, OptLevel::Dupalot];
+    assert_eq!(Suite::ALL.len(), COMPILED_GOLDEN.len());
+    for (suite, (name, golden)) in Suite::ALL.into_iter().zip(COMPILED_GOLDEN) {
+        assert_eq!(suite.id(), name);
+        for (level, want) in levels.into_iter().zip(golden) {
+            let got = compiled_digest(suite, level);
+            assert_eq!(got, want, "{name} at {level:?}: got {got:#018x}");
+        }
     }
 }

@@ -74,13 +74,13 @@ fn corrupt(g: &mut Graph, kind: usize, pick: usize) -> bool {
             let Some(phi) = nth(phis.collect()) else {
                 return false;
             };
-            if let Inst::Phi { inputs } = g.inst_mut(phi) {
-                if let Some(&first) = inputs.first() {
-                    inputs.push(first);
-                    return true;
+            g.rewrite_inputs(phi, |inst| match inst {
+                Inst::Phi { inputs } if !inputs.is_empty() => {
+                    inputs.push(inputs[0]);
+                    true
                 }
-            }
-            false
+                _ => false,
+            })
         }
         // An instruction removed while it still has uses.
         2 => {
@@ -149,9 +149,11 @@ fn corrupt(g: &mut Graph, kind: usize, pick: usize) -> bool {
             let (Some(&flag), Some(user)) = (bools.first(), nth(arith.collect())) else {
                 return false;
             };
-            if let Inst::Binary { lhs, .. } = g.inst_mut(user) {
-                *lhs = flag;
-            }
+            g.rewrite_inputs(user, |inst| {
+                if let Inst::Binary { lhs, .. } = inst {
+                    *lhs = flag;
+                }
+            });
             true
         }
         _ => false,
@@ -332,9 +334,11 @@ fn footprint_lists_touched_and_allocated_slots_in_order() {
     assert_eq!((opened.base_insts, opened.base_blocks), (insts0, blocks0));
 
     // Touch old slots out of index order, allocate new ones in between.
-    if let Inst::Binary { op, .. } = g.inst_mut(user) {
-        *op = BinOp::Add;
-    }
+    g.rewrite_inputs(user, |inst| {
+        if let Inst::Binary { op, .. } = inst {
+            *op = BinOp::Add;
+        }
+    });
     let fresh_block = g.add_block();
     let fresh_inst = g.append_inst(tail, Inst::Const(dbds::ir::ConstValue::Int(1)), Type::Int);
     g.set_branch_probability(g.entry(), 0.25);
