@@ -325,8 +325,9 @@ pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, BailoutReason> {
 /// On success the transaction is committed; on a panic (caught by
 /// [`isolate`]) or an `Err` from `f` it is rolled back, restoring the
 /// graph and its version stamps to the state at entry in O(edits made) —
-/// the undo-log replacement for the whole-graph
-/// [`GraphSnapshot`](dbds_ir::GraphSnapshot) restore. Returns the result
+/// the undo-log replacement for restoring a whole-graph clone (debug
+/// builds still take that clone and compare, see `Graph::rollback_txn`).
+/// Returns the result
 /// alongside the nanoseconds spent on transaction bookkeeping
 /// (begin + commit/rollback), which callers fold into their `undo_ns`
 /// accounting.

@@ -89,8 +89,7 @@ pub struct DbdsConfig {
     /// [`CandidateKind::BranchSplit`] candidates (conditional elimination
     /// through duplication). Priced by the same `shouldDuplicate` tier
     /// and applied through the same transactional machinery as classic
-    /// merge duplication. The default honors `DBDS_BRANCH_SPLIT`
-    /// (`0`/`false` disables) and falls back to
+    /// merge duplication. Defaults to
     /// [`BRANCH_SPLIT_DEFAULT`](crate::BRANCH_SPLIT_DEFAULT).
     pub enable_branch_splitting: bool,
 }
@@ -102,17 +101,6 @@ fn unit_threads_from_env() -> usize {
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(1)
-}
-
-/// The `enable_branch_splitting` default: `DBDS_BRANCH_SPLIT` when set
-/// to a recognizable boolean, else
-/// [`BRANCH_SPLIT_DEFAULT`](crate::BRANCH_SPLIT_DEFAULT).
-fn branch_split_from_env() -> bool {
-    match std::env::var("DBDS_BRANCH_SPLIT").as_deref().map(str::trim) {
-        Ok("0") | Ok("false") | Ok("off") => false,
-        Ok("1") | Ok("true") | Ok("on") => true,
-        _ => crate::simulation::BRANCH_SPLIT_DEFAULT,
-    }
 }
 
 impl Default for DbdsConfig {
@@ -127,7 +115,7 @@ impl Default for DbdsConfig {
             max_path_length: 1,
             guard: GuardConfig::default(),
             unit_threads: unit_threads_from_env(),
-            enable_branch_splitting: branch_split_from_env(),
+            enable_branch_splitting: crate::simulation::BRANCH_SPLIT_DEFAULT,
         }
     }
 }
@@ -812,8 +800,8 @@ struct ChainGuard<'a> {
 
 /// Whether every per-duplication checkpoint also runs the whole-graph
 /// form and compares verdicts: the differential oracle for the scoped
-/// form, on in debug builds and whenever faults are compiled in.
-const DIFFERENTIAL_CHECKPOINTS: bool = cfg!(debug_assertions) || cfg!(feature = "fault-injection");
+/// form.
+const DIFFERENTIAL_CHECKPOINTS: bool = cfg!(debug_assertions);
 
 /// The per-duplication checkpoint: [`checkpoint_scoped`] over the
 /// chain's transaction footprint, then the structural frontier check on

@@ -220,16 +220,7 @@ impl Walk<'_> {
         let g = self.g;
         self.budget.consume(g.block_insts(b).len() as u64 + 1)?;
 
-        // Evaluate this block's instructions to accumulate facts. Fresh
-        // allocations become virtual objects so PEA-style reasoning can see
-        // through them; `record_effects` materializes them on any escape.
-        for &i in g.block_insts(b) {
-            let eval = evaluate(g, &env, i);
-            if let Inst::New { class } = g.inst(i) {
-                env.add_virtual(i, *class);
-            }
-            record_effects(g, &mut env, i, &eval);
-        }
+        accumulate_block_facts(g, &mut env, b);
 
         for s in g.succs(b) {
             if s != b && g.is_merge(s) {
@@ -330,7 +321,7 @@ pub fn audit_opportunities(
     s: &SimulationResult,
 ) -> Option<Vec<Opportunity>> {
     let chain = dominator_chain(g, cache, s.pred)?;
-    // Accumulate facts along the chain exactly like `Walk::visit`:
+    // Accumulate facts along the chain the way `Walk::visit` descends:
     // a child with its parent as sole predecessor extends the parent's
     // facts through the edge condition; any other child starts pure.
     let mut env = FactEnv::new();
@@ -343,13 +334,7 @@ pub fn audit_opportunities(
                 env = env.clone_pure();
             }
         }
-        for &i in g.block_insts(b) {
-            let eval = evaluate(g, &env, i);
-            if let Inst::New { class } = g.inst(i) {
-                env.add_virtual(i, *class);
-            }
-            record_effects(g, &mut env, i, &eval);
-        }
+        accumulate_block_facts(g, &mut env, b);
     }
     assume_edge(g, &mut env, s.pred, s.merge);
 
@@ -389,6 +374,21 @@ pub fn count_mispredictions(recorded: &[Opportunity], rerun: &[Opportunity]) -> 
         .iter()
         .filter(|o| !rerun.iter().any(|r| r.inst == o.inst && r.kind == o.kind))
         .count()
+}
+
+/// Evaluates `b`'s instructions to accumulate facts in `env` — the one
+/// block step shared by [`Walk::visit`] and [`audit_opportunities`], so
+/// the audit replays the walk's facts by construction. Fresh allocations
+/// become virtual objects so PEA-style reasoning can see through them;
+/// `record_effects` materializes them on any escape.
+fn accumulate_block_facts(g: &Graph, env: &mut FactEnv, b: BlockId) {
+    for &i in g.block_insts(b) {
+        let eval = evaluate(g, env, i);
+        if let Inst::New { class } = g.inst(i) {
+            env.add_virtual(i, *class);
+        }
+        record_effects(g, env, i, &eval);
+    }
 }
 
 /// Refines `env` with the branch condition implied by the edge `b → s`.

@@ -209,7 +209,7 @@ pub fn try_duplicate(
 }
 
 /// One out-of-copy use of a repaired value.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 enum UseSite {
     /// Operand of a non-φ instruction.
     Operand { user: InstId, block: BlockId },
@@ -267,78 +267,6 @@ fn collect_use_sites(
         }
         if !v_sites.is_empty() {
             sites.insert(v, v_sites);
-        }
-    }
-    #[cfg(any(debug_assertions, feature = "debug-snapshot-check"))]
-    assert_eq!(
-        sites,
-        collect_use_sites_by_scan(g, merge, copy, defined),
-        "use lists diverged from the whole-graph scan"
-    );
-    sites
-}
-
-/// The whole-graph scan [`collect_use_sites`] replaced, kept as the
-/// reference the list-driven form is checked against (debug and
-/// `debug-snapshot-check` builds only).
-#[cfg(any(debug_assertions, feature = "debug-snapshot-check"))]
-fn collect_use_sites_by_scan(
-    g: &Graph,
-    merge: BlockId,
-    copy: BlockId,
-    defined: &[InstId],
-) -> HashMap<InstId, Vec<UseSite>> {
-    let set: std::collections::HashSet<InstId> = defined.iter().copied().collect();
-    let mut sites: HashMap<InstId, Vec<UseSite>> = HashMap::new();
-    for b in g.blocks() {
-        for &i in g.block_insts(b) {
-            match g.inst(i) {
-                Inst::Phi { inputs } => {
-                    if b == copy {
-                        continue;
-                    }
-                    let preds = g.preds(b);
-                    for (input, &p) in inputs.iter().zip(preds) {
-                        if set.contains(input) && p != merge && p != copy {
-                            sites
-                                .entry(*input)
-                                .or_default()
-                                .push(UseSite::PhiInput { user: i, pred: p });
-                        }
-                    }
-                }
-                inst => {
-                    if b == merge || b == copy {
-                        continue; // intra-block uses stay with the local def
-                    }
-                    let mut used: Vec<InstId> = Vec::new();
-                    inst.for_each_input(|op| {
-                        if set.contains(&op) && !used.contains(&op) {
-                            used.push(op);
-                        }
-                    });
-                    for v in used {
-                        sites
-                            .entry(v)
-                            .or_default()
-                            .push(UseSite::Operand { user: i, block: b });
-                    }
-                }
-            }
-        }
-        if b != merge && b != copy {
-            let mut used: Vec<InstId> = Vec::new();
-            g.terminator(b).for_each_input(|op| {
-                if set.contains(&op) && !used.contains(&op) {
-                    used.push(op);
-                }
-            });
-            for v in used {
-                sites
-                    .entry(v)
-                    .or_default()
-                    .push(UseSite::TermInput { block: b });
-            }
         }
     }
     sites

@@ -86,10 +86,9 @@ struct TxnFrame {
     /// this frame was open (only slots below the bases are recorded).
     saved_insts: HashMap<usize, InstData>,
     saved_blocks: HashMap<usize, BlockData>,
-    /// Differential-checking shadow: a full snapshot taken at
-    /// `begin_txn`, cross-checked against the undo-log restore on every
-    /// rollback.
-    #[cfg(feature = "debug-snapshot-check")]
+    /// Differential oracle: a full clone taken at `begin_txn`,
+    /// cross-checked against the undo-log restore on every rollback.
+    #[cfg(debug_assertions)]
     shadow: Box<Graph>,
 }
 
@@ -227,8 +226,8 @@ pub struct TxnFootprint {
 /// Mutations can be bracketed by [`Graph::begin_txn`] /
 /// [`Graph::commit_txn`] / [`Graph::rollback_txn`]: rollback restores
 /// the graph *and* its version stamps to the `begin_txn` state in
-/// O(slots touched) instead of the O(graph) a
-/// [`snapshot`](Graph::snapshot)-and-restore costs. Transactions nest.
+/// O(slots touched) instead of the O(graph) a clone-and-restore costs.
+/// Transactions nest.
 #[derive(Debug)]
 pub struct Graph {
     /// Human-readable compilation unit name.
@@ -446,7 +445,7 @@ impl Graph {
             value_version: self.value_version,
             saved_insts: HashMap::new(),
             saved_blocks: HashMap::new(),
-            #[cfg(feature = "debug-snapshot-check")]
+            #[cfg(debug_assertions)]
             shadow: Box::new(self.clone()),
         };
         self.undo.frames.push(frame);
@@ -473,14 +472,13 @@ impl Graph {
     /// restored, slots allocated inside the transaction are dropped, and
     /// both version stamps return to their `begin_txn` values. Because
     /// stamps are never reused, analysis-cache entries recorded under the
-    /// pre-txn stamps become valid again — exactly as restoring a
-    /// [`GraphSnapshot`] would. Returns the number of entries restored.
+    /// pre-txn stamps become valid again — exactly as restoring a clone
+    /// taken at `begin_txn` would. Returns the number of entries restored.
     ///
     /// # Panics
     ///
-    /// Panics if no transaction is open, or (with the
-    /// `debug-snapshot-check` feature) if the undo-log restore diverges
-    /// from a full snapshot restore.
+    /// Panics if no transaction is open, or (with `debug_assertions`) if
+    /// the undo-log restore diverges from a full snapshot restore.
     pub fn rollback_txn(&mut self) -> usize {
         let frame = self
             .undo
@@ -518,15 +516,14 @@ impl Graph {
         self.cfg_version = frame.cfg_version;
         self.value_version = frame.value_version;
         self.undo.rollbacks += 1;
-        #[cfg(feature = "debug-snapshot-check")]
+        #[cfg(debug_assertions)]
         self.assert_matches_shadow(&frame.shadow);
         entries
     }
 
-    /// Differential cross-check of the undo-log restore against the full
-    /// snapshot taken at `begin_txn`. Compiled in only with the
-    /// `debug-snapshot-check` feature.
-    #[cfg(feature = "debug-snapshot-check")]
+    /// Differential oracle: the undo-log restore against the full clone
+    /// taken at `begin_txn`.
+    #[cfg(debug_assertions)]
     fn assert_matches_shadow(&self, shadow: &Graph) {
         let digest = |g: &Graph| {
             format!(
@@ -1041,7 +1038,7 @@ impl Graph {
     /// terminators of all blocks) to `new`. O(uses of `old`).
     pub fn replace_all_uses(&mut self, old: InstId, new: InstId) {
         assert_ne!(old, new, "cannot replace a value with itself");
-        #[cfg(any(debug_assertions, feature = "debug-snapshot-check"))]
+        #[cfg(debug_assertions)]
         self.assert_uses_match_scan(old);
         self.bump_value();
         for user in self.uses.held_for(old) {
@@ -1103,13 +1100,34 @@ impl Graph {
             keyed.sort_unstable();
             keyed.dedup();
         }
-        keyed.into_iter().map(|(_, _, user)| user).collect()
+        let ordered: Vec<Use> = keyed.into_iter().map(|(_, _, user)| user).collect();
+        #[cfg(debug_assertions)]
+        self.assert_ordered_users_match_scan(v, &ordered);
+        ordered
+    }
+
+    /// Differential oracle: the ordered distinct users of `v` against
+    /// the walk over all blocks the lists replaced — every consumer that
+    /// depends on layout order reads it through
+    /// [`Graph::users_in_layout_order`], so this one check covers them.
+    #[cfg(debug_assertions)]
+    fn assert_ordered_users_match_scan(&self, v: InstId, ordered: &[Use]) {
+        let mut scanned = Vec::new();
+        for (idx, block) in self.blocks.iter().enumerate() {
+            let term = Use::Term(BlockId::from_index(idx));
+            let users = block.insts.iter().map(|&i| Use::Inst(i)).chain([term]);
+            scanned.extend(users.filter(|&user| self.slots_mentioning(user, v) > 0));
+        }
+        assert_eq!(
+            ordered, scanned,
+            "ordered users of {v} diverged from the scan"
+        );
     }
 
     /// Counts how many operands across the graph reference `id`.
     /// O(uses of `id`).
     pub fn use_count(&self, id: InstId) -> usize {
-        #[cfg(any(debug_assertions, feature = "debug-snapshot-check"))]
+        #[cfg(debug_assertions)]
         self.assert_uses_match_scan(id);
         self.uses.held_for(id).len()
     }
@@ -1135,9 +1153,9 @@ impl Graph {
         }
     }
 
-    /// Differential check of the maintained list of `v` against the arena
-    /// walk it replaced (debug and `debug-snapshot-check` builds only).
-    #[cfg(any(debug_assertions, feature = "debug-snapshot-check"))]
+    /// Differential oracle: the maintained list of `v` against the arena
+    /// walk it replaced.
+    #[cfg(debug_assertions)]
     fn assert_uses_match_scan(&self, v: InstId) {
         let mut scanned = Vec::new();
         self.scan_uses(|value, user| {
@@ -1310,47 +1328,14 @@ impl Graph {
         self.uses.break_list(v);
     }
 
-    /// Takes a checkpoint of the whole graph.
-    ///
-    /// The snapshot keeps the current version stamps (see
-    /// [`Graph::version`]): because stamps are globally unique and never
-    /// reused, restoring the snapshot later makes any analysis-cache entry
-    /// keyed on the snapshot's stamp valid again, and entries computed for
-    /// states diverged in between can never be mistaken for it.
-    pub fn snapshot(&self) -> GraphSnapshot {
-        GraphSnapshot {
-            graph: self.clone(),
-        }
-    }
-}
-
-/// An owned checkpoint of a [`Graph`], taken with [`Graph::snapshot`].
-///
-/// Used by the phase driver's bailout-and-recovery path (and the
-/// backtracking baseline) to roll a graph back to the last verified state
-/// after a failed or rejected transformation.
-#[derive(Clone, Debug)]
-pub struct GraphSnapshot {
-    graph: Graph,
-}
-
-impl GraphSnapshot {
-    /// Number of attached instructions held by the snapshot — the cost
-    /// driver of checkpointing (§3.1 prices backtracking by exactly this
-    /// copy volume).
-    pub fn live_inst_count(&self) -> usize {
-        self.graph.live_inst_count()
-    }
-
-    /// Restores the snapshot into `g`, consuming it.
-    pub fn restore(self, g: &mut Graph) {
-        *g = self.graph;
-    }
-
-    /// Restores the snapshot into `g`, keeping it available for further
-    /// rollbacks to the same state.
-    pub fn restore_cloned(&self, g: &mut Graph) {
-        *g = self.graph.clone();
+    /// Test hook: corrupts the innermost frame's first-touch backup of
+    /// `id` — a state no primitive can produce; rollback then restores a
+    /// value the slot never had.
+    #[cfg(test)]
+    pub(crate) fn tamper_saved_inst(&mut self, id: InstId) {
+        let frame = self.undo.frames.last_mut().expect("an open transaction");
+        let saved = frame.saved_insts.get_mut(&id.index());
+        saved.expect("slot is backed up").ty = Type::Void;
     }
 }
 
@@ -1997,7 +1982,7 @@ mod tests {
     #[test]
     fn rollback_matches_snapshot_restore() {
         let (mut g, _bt, _bf, bm, phi) = figure1();
-        let snap = g.snapshot();
+        let snap = g.clone();
 
         g.begin_txn();
         let c = g.append_inst(bm, Inst::Const(ConstValue::Int(11)), Type::Int);
@@ -2005,9 +1990,33 @@ mod tests {
         g.fold_branch(g.entry(), true);
         g.rollback_txn();
 
-        let mut restored = g.clone();
-        snap.restore(&mut restored);
-        assert_eq!(digest(&g), digest(&restored));
+        assert_eq!(digest(&g), digest(&snap));
+    }
+
+    // The two fail-first cases below only hold where the oracles are
+    // compiled: they fail (no panic) if `debug_assertions` stops arming
+    // the shadow compare or the ordered-users scan.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "diverged from snapshot restore")]
+    fn tampered_backup_is_caught_by_the_shadow_compare() {
+        let (mut g, _bt, _bf, bm, phi) = figure1();
+        g.begin_txn();
+        // Inner frame: its backup of φ is what gets corrupted.
+        g.begin_txn();
+        g.remove_inst(phi);
+        assert_eq!(g.block_insts(bm).len(), 2);
+        g.tamper_saved_inst(phi);
+        g.rollback_txn();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "diverged from the scan")]
+    fn broken_use_list_is_caught_where_ordered_users_are_read() {
+        let (mut g, _bt, _bf, _bm, phi) = figure1();
+        g.break_use_list(phi);
+        g.users_in_layout_order(phi);
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod verify;
 
 pub use builder::GraphBuilder;
 pub use classes::{ClassInfo, ClassTable, FieldInfo};
-pub use graph::{Graph, GraphSnapshot, InstData, TxnFootprint, UndoStats};
+pub use graph::{Graph, InstData, TxnFootprint, UndoStats};
 pub use hash::{content_hash, fnv1a, Fnv64};
 pub use ids::{BlockId, ClassId, FieldId, InstId};
 pub use inst::{BinOp, CmpOp, Inst, InstKind, KindCounts, Terminator};
@@ -75,7 +75,7 @@ pub use interp::{
     execute, execute_with_heap, ExecResult, Heap, Outcome, Trap, Value, DEFAULT_FUEL,
 };
 pub use lint::{
-    lint, lint_footprint, Diagnostic, Dominance, FootprintScratch, LintId, LintPass, LintRegistry,
+    lint, lint_footprint, lint_soundness, Diagnostic, Dominance, FootprintScratch, LintId,
     LintReport, Severity,
 };
 pub use parse::{parse_graph, parse_module, Module, ParseError};

@@ -8,19 +8,19 @@
 //!
 //! - [`Diagnostic`]: one finding — lint id, severity, optional block /
 //!   instruction anchor and the human-readable message.
-//! - [`LintPass`] / [`LintRegistry`]: graph-level passes and the registry
-//!   that runs them. [`LintRegistry::default`] holds every built-in pass;
-//!   higher layers (dbds-analysis' cached-analysis audit, dbds-core's
-//!   cost-sanity and prediction audits) contribute [`Diagnostic`]s for
-//!   the non-graph lints of [`LintId`] through [`LintReport::extend`].
+//! - [`lint`] / [`lint_soundness`]: the graph-level passes, plain
+//!   functions run in a fixed order. Higher layers (dbds-analysis'
+//!   cached-analysis audit, dbds-core's cost-sanity and prediction
+//!   audits) contribute [`Diagnostic`]s for the non-graph lints of
+//!   [`LintId`] through [`LintReport::extend`].
 //! - [`LintReport`]: the sorted, deterministic result. Diagnostics are
 //!   ordered by (block, instruction, lint, message) regardless of the
 //!   order passes emitted them, so two runs over the same graph render
 //!   byte-identical output.
 //!
 //! [`crate::verify`] is a thin wrapper over this module: it runs the
-//! passes that can emit error-severity lints
-//! ([`LintRegistry::soundness`]) and reports their messages.
+//! passes that can emit error-severity lints ([`lint_soundness`]) and
+//! reports their messages.
 //!
 //! Every error-severity rule is a function of one block (see the rule
 //! functions below the passes); the whole-graph passes loop them over
@@ -307,90 +307,41 @@ impl fmt::Display for LintReport {
     }
 }
 
-/// One registered graph-level lint pass.
-pub trait LintPass {
-    /// Stable pass name (for listings and debugging).
-    fn name(&self) -> &'static str;
-    /// Runs the pass over `g`, pushing findings into `out`.
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>);
+/// Runs the passes that can emit an error-severity lint — what
+/// [`crate::verify`] runs: everything [`lint`] runs except the warn-only
+/// hygiene pass.
+pub fn lint_soundness(g: &Graph) -> LintReport {
+    let mut out = Vec::new();
+    soundness_passes(g, &mut Sink { out: &mut out });
+    LintReport::from_diagnostics(out)
 }
 
-/// The ordered collection of graph-level passes to run.
-pub struct LintRegistry {
-    passes: Vec<Box<dyn LintPass>>,
-}
-
-impl fmt::Debug for LintRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LintRegistry")
-            .field("passes", &self.pass_names())
-            .finish()
-    }
-}
-
-impl Default for LintRegistry {
-    /// Every built-in pass: the four soundness checks the verifier always
-    /// ran, plus the CFG-hygiene pass.
-    fn default() -> Self {
-        LintRegistry {
-            passes: vec![
-                Box::new(EdgePass),
-                Box::new(BlockPass),
-                Box::new(TypePass),
-                Box::new(DominancePass),
-                Box::new(HygienePass),
-                Box::new(ReverseCfgPass),
-                Box::new(UseListPass),
-            ],
-        }
-    }
-}
-
-impl LintRegistry {
-    /// An empty registry (add passes with [`LintRegistry::register`]).
-    pub fn new() -> Self {
-        LintRegistry { passes: Vec::new() }
-    }
-
-    /// The built-in passes that can emit an error-severity lint — what
-    /// [`crate::verify`] runs. Everything [`LintRegistry::default`] holds
-    /// except the warn-only hygiene pass.
-    pub fn soundness() -> Self {
-        LintRegistry {
-            passes: vec![
-                Box::new(EdgePass),
-                Box::new(BlockPass),
-                Box::new(TypePass),
-                Box::new(DominancePass),
-                Box::new(ReverseCfgPass),
-                Box::new(UseListPass),
-            ],
-        }
-    }
-
-    /// Appends a pass to the run order.
-    pub fn register(&mut self, pass: Box<dyn LintPass>) {
-        self.passes.push(pass);
-    }
-
-    /// The registered pass names, in run order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs every registered pass over `g`.
-    pub fn run(&self, g: &Graph) -> LintReport {
-        let mut out = Vec::new();
-        for pass in &self.passes {
-            pass.run(g, &mut out);
-        }
-        LintReport::from_diagnostics(out)
-    }
-}
-
-/// Runs the default registry (all built-in passes) over `g`.
+/// Runs every built-in pass over `g`: the soundness passes plus CFG
+/// hygiene.
 pub fn lint(g: &Graph) -> LintReport {
-    LintRegistry::default().run(g)
+    let mut out = Vec::new();
+    let mut s = Sink { out: &mut out };
+    soundness_passes(g, &mut s);
+    hygiene_pass(g, &mut s);
+    LintReport::from_diagnostics(out)
+}
+
+/// The error-capable passes. The report is sorted, so their order is
+/// not observable.
+fn soundness_passes(g: &Graph, s: &mut Sink<'_>) {
+    edge_pass(g, s);
+    // Block layout: instruction↔block records, φ placement and arity,
+    // param placement, dangling value references.
+    for b in g.blocks() {
+        layout_rules(g, b, s);
+    }
+    // Per-instruction type rules plus branch-condition typing.
+    for b in g.blocks() {
+        type_rules(g, b, s);
+    }
+    dominance_pass(g, s);
+    reverse_cfg_pass(g, s);
+    use_list_pass(g, s);
 }
 
 /// Shared emit helper for the built-in rules.
@@ -905,124 +856,62 @@ fn dominance_rules(g: &Graph, dom: &impl Dominance, pos: &[u32], b: BlockId, s: 
 
 /// Edge bookkeeping: pred/succ symmetry, entry predecessors, duplicate
 /// branch targets, branch probabilities, unreachable predecessors.
-struct EdgePass;
-
-impl LintPass for EdgePass {
-    fn name(&self) -> &'static str {
-        "edges"
+fn edge_pass(g: &Graph, s: &mut Sink<'_>) {
+    for b in g.blocks() {
+        edge_rules(g, b, s);
     }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        for b in g.blocks() {
-            edge_rules(g, b, &mut s);
-        }
-        // Reachable blocks must not have unreachable predecessors: the
-        // cleanup pass must disconnect dead code before verification.
-        // A property of global reachability, not of any one block's slot.
-        let mut reachable = vec![false; g.block_count()];
-        for b in g.reachable_blocks() {
-            reachable[b.index()] = true;
-        }
-        for b in g.blocks().filter(|b| reachable[b.index()]) {
-            for &p in g.preds(b) {
-                if !reachable[p.index()] {
-                    s.emit(
-                        LintId::GraphConsistency,
-                        Some(b),
-                        None,
-                        format!("reachable {b} has unreachable predecessor {p}"),
-                    );
-                }
+    // Reachable blocks must not have unreachable predecessors: the
+    // cleanup pass must disconnect dead code before verification.
+    // A property of global reachability, not of any one block's slot.
+    let mut reachable = vec![false; g.block_count()];
+    for b in g.reachable_blocks() {
+        reachable[b.index()] = true;
+    }
+    for b in g.blocks().filter(|b| reachable[b.index()]) {
+        for &p in g.preds(b) {
+            if !reachable[p.index()] {
+                s.emit(
+                    LintId::GraphConsistency,
+                    Some(b),
+                    None,
+                    format!("reachable {b} has unreachable predecessor {p}"),
+                );
             }
-        }
-    }
-}
-
-/// Block layout: instruction↔block records, φ placement and arity, param
-/// placement, dangling value references.
-struct BlockPass;
-
-impl LintPass for BlockPass {
-    fn name(&self) -> &'static str {
-        "blocks"
-    }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        for b in g.blocks() {
-            layout_rules(g, b, &mut s);
-        }
-    }
-}
-
-/// Per-instruction type rules plus branch-condition typing.
-struct TypePass;
-
-impl LintPass for TypePass {
-    fn name(&self) -> &'static str {
-        "types"
-    }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        for b in g.blocks() {
-            type_rules(g, b, &mut s);
         }
     }
 }
 
 /// The SSA dominance property: every use is dominated by its definition,
 /// and every φ input dominates (the end of) its predecessor.
-struct DominancePass;
-
-impl LintPass for DominancePass {
-    fn name(&self) -> &'static str {
-        "dominance"
+fn dominance_pass(g: &Graph, s: &mut Sink<'_>) {
+    let dom = SimpleDomTree::compute(g);
+    // Position of each instruction within its block, for the
+    // same-block checks.
+    let mut pos = vec![NO_POS; g.inst_count()];
+    for b in g.blocks() {
+        for (k, &i) in g.block_insts(b).iter().enumerate() {
+            pos[i.index()] = k as u32;
+        }
     }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        let dom = SimpleDomTree::compute(g);
-        // Position of each instruction within its block, for the
-        // same-block checks.
-        let mut pos = vec![NO_POS; g.inst_count()];
-        for b in g.blocks() {
-            for (k, &i) in g.block_insts(b).iter().enumerate() {
-                pos[i.index()] = k as u32;
-            }
-        }
-        for &b in &dom.rpo {
-            dominance_rules(g, &dom, &pos, b, &mut s);
-        }
+    for &b in &dom.rpo {
+        dominance_rules(g, &dom, &pos, b, s);
     }
 }
 
 /// The def-use lists against a from-scratch recount over the operands.
 /// Not a per-block rule: a list is a property of every slot that could
 /// mention the value, so [`lint_footprint`] does not run it.
-struct UseListPass;
-
-impl LintPass for UseListPass {
-    fn name(&self) -> &'static str {
-        "use-lists"
-    }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        for (v, held, expected) in g.use_list_mismatches() {
-            let block = (v.index() < g.inst_count())
-                .then(|| g.block_of(v))
-                .flatten();
-            s.emit(
-                LintId::UseListMismatch,
-                block,
-                Some(v),
-                format!(
-                    "use list of {v} holds {held} entries, {expected} operand slots mention it"
-                ),
-            );
-        }
+fn use_list_pass(g: &Graph, s: &mut Sink<'_>) {
+    for (v, held, expected) in g.use_list_mismatches() {
+        let block = (v.index() < g.inst_count())
+            .then(|| g.block_of(v))
+            .flatten();
+        s.emit(
+            LintId::UseListMismatch,
+            block,
+            Some(v),
+            format!("use list of {v} holds {held} entries, {expected} operand slots mention it"),
+        );
     }
 }
 
@@ -1251,73 +1140,64 @@ fn stale_use_rules(
 
 /// CFG hygiene: findings the soundness checks cannot express — populated
 /// dead blocks, trivial φs, critical edges into merges. All warn-severity.
-struct HygienePass;
-
-impl LintPass for HygienePass {
-    fn name(&self) -> &'static str {
-        "hygiene"
+fn hygiene_pass(g: &Graph, s: &mut Sink<'_>) {
+    let mut reachable = vec![false; g.block_count()];
+    for b in g.reachable_blocks() {
+        reachable[b.index()] = true;
     }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        let mut reachable = vec![false; g.block_count()];
-        for b in g.reachable_blocks() {
-            reachable[b.index()] = true;
+    for b in g.blocks() {
+        if !reachable[b.index()] && !g.block_insts(b).is_empty() {
+            s.emit(
+                LintId::UnreachableBlock,
+                Some(b),
+                None,
+                format!(
+                    "unreachable {b} still holds {} instructions",
+                    g.block_insts(b).len()
+                ),
+            );
         }
-        for b in g.blocks() {
-            if !reachable[b.index()] && !g.block_insts(b).is_empty() {
-                s.emit(
-                    LintId::UnreachableBlock,
-                    Some(b),
-                    None,
-                    format!(
-                        "unreachable {b} still holds {} instructions",
-                        g.block_insts(b).len()
-                    ),
-                );
-            }
-            for &i in g.phis(b) {
-                if let Inst::Phi { inputs } = g.inst(i) {
-                    let mut distinct: Option<InstId> = None;
-                    let mut trivial = true;
-                    for &input in inputs {
-                        if input == i {
-                            continue; // self-reference through a back edge
-                        }
-                        match distinct {
-                            None => distinct = Some(input),
-                            Some(d) if d == input => {}
-                            Some(_) => {
-                                trivial = false;
-                                break;
-                            }
-                        }
+        for &i in g.phis(b) {
+            if let Inst::Phi { inputs } = g.inst(i) {
+                let mut distinct: Option<InstId> = None;
+                let mut trivial = true;
+                for &input in inputs {
+                    if input == i {
+                        continue; // self-reference through a back edge
                     }
-                    if trivial && !inputs.is_empty() {
-                        s.emit(
-                            LintId::TrivialPhi,
-                            Some(b),
-                            Some(i),
-                            format!("{b}: phi {i} is trivial (every input is the same value)"),
-                        );
+                    match distinct {
+                        None => distinct = Some(input),
+                        Some(d) if d == input => {}
+                        Some(_) => {
+                            trivial = false;
+                            break;
+                        }
                     }
                 }
+                if trivial && !inputs.is_empty() {
+                    s.emit(
+                        LintId::TrivialPhi,
+                        Some(b),
+                        Some(i),
+                        format!("{b}: phi {i} is trivial (every input is the same value)"),
+                    );
+                }
             }
-            let succs = g.succs(b);
-            if succs.len() > 1 {
-                for succ in succs {
-                    if g.preds(succ).len() > 1 {
-                        s.emit(
-                            LintId::CriticalEdge,
-                            Some(b),
-                            None,
-                            format!(
-                                "critical edge {b} -> {succ} into a merge ({} successors, {} predecessors)",
-                                g.succs(b).len(),
-                                g.preds(succ).len()
-                            ),
-                        );
-                    }
+        }
+        let succs = g.succs(b);
+        if succs.len() > 1 {
+            for succ in succs {
+                if g.preds(succ).len() > 1 {
+                    s.emit(
+                        LintId::CriticalEdge,
+                        Some(b),
+                        None,
+                        format!(
+                            "critical edge {b} -> {succ} into a merge ({} successors, {} predecessors)",
+                            g.succs(b).len(),
+                            g.preds(succ).len()
+                        ),
+                    );
                 }
             }
         }
@@ -1330,102 +1210,93 @@ impl LintPass for HygienePass {
 /// (post-dominator tree with virtual exit, frontiers, control-dependence
 /// graph) live in `dbds-analysis`; this pass reimplements just enough on
 /// a [`SimplePostDom`] to stay dependency-cycle-free, mirroring how
-/// [`DominancePass`] relates to the cached `DomTree`.
-struct ReverseCfgPass;
-
-impl LintPass for ReverseCfgPass {
-    fn name(&self) -> &'static str {
-        "reverse-cfg"
+/// [`dominance_pass`] relates to the cached `DomTree`.
+fn reverse_cfg_pass(g: &Graph, s: &mut Sink<'_>) {
+    let n = g.block_count();
+    let mut reachable = vec![false; n];
+    for b in g.reachable_blocks() {
+        reachable[b.index()] = true;
+    }
+    // Backward reachability from the exit blocks.
+    let mut reaches_exit = vec![false; n];
+    let mut work: Vec<BlockId> = Vec::new();
+    for b in g.blocks() {
+        if reachable[b.index()] && g.succs(b).is_empty() {
+            reaches_exit[b.index()] = true;
+            work.push(b);
+        }
+    }
+    while let Some(b) = work.pop() {
+        for &p in g.preds(b) {
+            if reachable[p.index()] && !reaches_exit[p.index()] {
+                reaches_exit[p.index()] = true;
+                work.push(p);
+            }
+        }
+    }
+    for b in g.blocks() {
+        if reachable[b.index()] && !reaches_exit[b.index()] {
+            s.emit(
+                LintId::NoExitPath,
+                Some(b),
+                None,
+                format!("reachable {b} has no path to any exit block"),
+            );
+        }
     }
 
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        let n = g.block_count();
-        let mut reachable = vec![false; n];
-        for b in g.reachable_blocks() {
-            reachable[b.index()] = true;
+    // Control-dependence vs. probability cross-check: code that is
+    // control dependent on a branch edge the profile says never
+    // executes (probability exactly 0 toward it) contradicts the
+    // profile the whole trade-off tier prices with. The chain walk is
+    // Ferrante's: everything from the dead successor up to (exclusive)
+    // the branch's immediate post-dominator is decided by that edge.
+    let pd = SimplePostDom::compute(g, &reaches_exit);
+    for a in g.blocks() {
+        if !reaches_exit[a.index()] {
+            continue;
         }
-        // Backward reachability from the exit blocks.
-        let mut reaches_exit = vec![false; n];
-        let mut work: Vec<BlockId> = Vec::new();
-        for b in g.blocks() {
-            if reachable[b.index()] && g.succs(b).is_empty() {
-                reaches_exit[b.index()] = true;
-                work.push(b);
+        let Terminator::Branch {
+            then_bb,
+            else_bb,
+            prob_then,
+            ..
+        } = g.terminator(a)
+        else {
+            continue;
+        };
+        let dead_succ = if *prob_then == 0.0 {
+            Some(*then_bb)
+        } else if *prob_then == 1.0 {
+            Some(*else_bb)
+        } else {
+            None
+        };
+        let Some(dead) = dead_succ else { continue };
+        let target = pd.ipdom(a);
+        let mut runner = Some(dead);
+        while runner != target {
+            let Some(r) = runner else { break };
+            if !reaches_exit[r.index()] {
+                break;
             }
-        }
-        while let Some(b) = work.pop() {
-            for &p in g.preds(b) {
-                if reachable[p.index()] && !reaches_exit[p.index()] {
-                    reaches_exit[p.index()] = true;
-                    work.push(p);
-                }
-            }
-        }
-        for b in g.blocks() {
-            if reachable[b.index()] && !reaches_exit[b.index()] {
+            if !g.block_insts(r).is_empty() {
                 s.emit(
-                    LintId::NoExitPath,
-                    Some(b),
+                    LintId::ControlDepViolation,
+                    Some(r),
                     None,
-                    format!("reachable {b} has no path to any exit block"),
+                    format!(
+                        "{r} is control dependent on the never-taken edge {a} -> {dead} \
+                         (probability {prob_then} branch)"
+                    ),
                 );
             }
-        }
-
-        // Control-dependence vs. probability cross-check: code that is
-        // control dependent on a branch edge the profile says never
-        // executes (probability exactly 0 toward it) contradicts the
-        // profile the whole trade-off tier prices with. The chain walk is
-        // Ferrante's: everything from the dead successor up to (exclusive)
-        // the branch's immediate post-dominator is decided by that edge.
-        let pd = SimplePostDom::compute(g, &reaches_exit);
-        for a in g.blocks() {
-            if !reaches_exit[a.index()] {
-                continue;
-            }
-            let Terminator::Branch {
-                then_bb,
-                else_bb,
-                prob_then,
-                ..
-            } = g.terminator(a)
-            else {
-                continue;
-            };
-            let dead_succ = if *prob_then == 0.0 {
-                Some(*then_bb)
-            } else if *prob_then == 1.0 {
-                Some(*else_bb)
-            } else {
-                None
-            };
-            let Some(dead) = dead_succ else { continue };
-            let target = pd.ipdom(a);
-            let mut runner = Some(dead);
-            while runner != target {
-                let Some(r) = runner else { break };
-                if !reaches_exit[r.index()] {
-                    break;
-                }
-                if !g.block_insts(r).is_empty() {
-                    s.emit(
-                        LintId::ControlDepViolation,
-                        Some(r),
-                        None,
-                        format!(
-                            "{r} is control dependent on the never-taken edge {a} -> {dead} \
-                             (probability {prob_then} branch)"
-                        ),
-                    );
-                }
-                runner = pd.ipdom(r);
-            }
+            runner = pd.ipdom(r);
         }
     }
 }
 
-/// A minimal post-dominator tree used only by [`ReverseCfgPass`],
+/// A minimal post-dominator tree used only by [`reverse_cfg_pass`],
 /// restricted to blocks that reach an exit (the pass warns about the rest
 /// separately, so no virtual-exit/pseudo-exit machinery is needed here).
 /// The full analysis lives in `dbds-analysis`; this one avoids a
@@ -1797,7 +1668,7 @@ mod tests {
     #[test]
     fn soundness_registry_finds_exactly_the_errors() {
         // Use-before-def plus a type error: the error-capable passes
-        // report what the full registry reports at error severity.
+        // report what the full set reports at error severity.
         let mut g = Graph::new("errs", &[], empty_table());
         let e = g.entry();
         let t = g.append_inst(e, Inst::Const(ConstValue::Bool(true)), Type::Bool);
@@ -1805,13 +1676,18 @@ mod tests {
         g.set_terminator(e, Terminator::Return { value: Some(neg) });
         for g in [g, diamond()] {
             let all = lint(&g);
-            let sound = LintRegistry::soundness().run(&g);
+            let sound = lint_soundness(&g);
             assert_eq!(
                 all.errors().collect::<Vec<_>>(),
                 sound.errors().collect::<Vec<_>>()
             );
         }
-        assert!(!LintRegistry::soundness().pass_names().contains(&"hygiene"));
+        // The warn-only hygiene pass is the one thing `lint` adds.
+        let mut g = diamond();
+        let dead = g.add_block();
+        g.append_inst(dead, Inst::Const(ConstValue::Int(1)), Type::Int);
+        assert_eq!(lint(&g).count_of(LintId::UnreachableBlock), 1);
+        assert_eq!(lint_soundness(&g).warning_count(), 0);
     }
 
     /// The footprint check on `g`'s open transaction against the
@@ -1906,30 +1782,6 @@ mod tests {
             assert!(report.is_clean(), "{report}");
             g.commit_txn();
         }
-    }
-
-    #[test]
-    fn registry_can_register_custom_pass() {
-        struct Always;
-        impl LintPass for Always {
-            fn name(&self) -> &'static str {
-                "always"
-            }
-            fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-                out.push(Diagnostic::new(
-                    LintId::UnreachableBlock,
-                    Some(g.entry()),
-                    None,
-                    "custom pass fired".into(),
-                ));
-            }
-        }
-        let mut reg = LintRegistry::new();
-        reg.register(Box::new(Always));
-        let report = reg.run(&diamond());
-        assert_eq!(report.warning_count(), 1);
-        assert!(report.is_clean());
-        assert!(reg.pass_names().contains(&"always"));
     }
 
     #[test]

@@ -227,8 +227,8 @@ impl UseLists {
     }
 
     /// Every `(value, user)` entry, sorted — the multiset in canonical
-    /// form, for comparing two tables.
-    #[cfg(any(test, feature = "debug-snapshot-check"))]
+    /// form, for comparing two tables (the undo shadow oracle and tests).
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn canonical(&self) -> Vec<(InstId, Use)> {
         let mut all: Vec<(InstId, Use)> = self.strays.clone();
         for index in 0..self.heads.len() {

@@ -8,12 +8,12 @@
 //!
 //! Since the lint framework landed, [`verify`] is a thin wrapper over
 //! [`crate::lint`]: it runs the passes that can emit an error-severity
-//! lint ([`LintRegistry::soundness`]) and reports those diagnostics as a
+//! lint ([`lint_soundness`]) and reports those diagnostics as a
 //! flat [`VerifyErrors`]. Warn-severity hygiene findings do not fail
 //! verification and the warn-only pass is not even run; consume
 //! [`crate::lint::lint`] directly to see them.
 
-use crate::lint::{LintRegistry, Severity};
+use crate::lint::{lint_soundness, Severity};
 use crate::Graph;
 use std::error::Error;
 use std::fmt;
@@ -63,7 +63,7 @@ impl Error for VerifyErrors {}
 /// SSA form. Problems arrive in the lint report's deterministic
 /// (block, instruction, lint) order.
 pub fn verify(g: &Graph) -> Result<(), VerifyErrors> {
-    let report = LintRegistry::soundness().run(g);
+    let report = lint_soundness(g);
     let problems: Vec<String> = report
         .diagnostics()
         .iter()

@@ -1,6 +1,6 @@
 //! Property tests for the undo log: for random mutation sequences over a
 //! well-formed seed graph, `rollback_txn` must restore *exactly* the
-//! state a [`GraphSnapshot`] taken at `begin_txn` would restore — same
+//! state a clone taken at `begin_txn` would restore — same
 //! printed graph, same predecessor lists, same version stamps, and the
 //! same lint report. Nested transactions must unwind one mark at a time,
 //! and a committed inner transaction must stay transparent to an outer
@@ -238,13 +238,13 @@ fn check_lists(g: &Graph) {
 }
 
 proptest! {
-    /// `rollback_txn` is byte-identical to restoring a `GraphSnapshot`
-    /// taken at `begin_txn`: printed graph, arena contents, version
+    /// `rollback_txn` is byte-identical to restoring a clone taken at
+    /// `begin_txn`: printed graph, arena contents, version
     /// stamps and the lint report all agree.
     #[test]
     fn rollback_matches_snapshot_restore(seq in ops()) {
         let mut g = diamond();
-        let snap = g.snapshot();
+        let snap = g.clone();
         let lint_before = lint(&g).to_string();
 
         g.begin_txn();
@@ -256,9 +256,7 @@ proptest! {
 
         let rolled = digest(&g);
         let lint_rolled = lint(&g).to_string();
-        let mut restored = diamond();
-        snap.restore(&mut restored);
-        prop_assert_eq!(&rolled, &digest(&restored));
+        prop_assert_eq!(&rolled, &digest(&snap));
         prop_assert_eq!(&lint_rolled, &lint_before);
         prop_assert_eq!(g.txn_depth(), 0);
     }

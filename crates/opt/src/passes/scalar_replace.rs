@@ -21,7 +21,7 @@ use std::collections::HashMap;
 type FieldAccesses = (Vec<InstId>, Vec<(InstId, InstId)>);
 
 /// One classified use of an allocation.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 enum AllocUse {
     Load {
         inst: InstId,
@@ -66,21 +66,13 @@ pub fn scalar_replace(g: &mut Graph) -> usize {
 /// stores are later grouped and replaced in). Returns `None` when the
 /// object escapes (or a use cannot be folded away).
 fn classify_uses(g: &Graph, alloc: InstId) -> Option<Vec<AllocUse>> {
-    let classified = g
-        .users_in_layout_order(alloc)
+    g.users_in_layout_order(alloc)
         .into_iter()
         .map(|user| match user {
             Use::Inst(i) => classify_use(g, alloc, i),
             Use::Term(_) => None, // returned
         })
-        .collect();
-    #[cfg(debug_assertions)]
-    assert_eq!(
-        classified,
-        classify_uses_by_scan(g, alloc),
-        "use list of {alloc} diverged from the whole-graph scan"
-    );
-    classified
+        .collect()
 }
 
 /// Classifies the use of `alloc` by instruction `i`; `None` is an escape.
@@ -117,29 +109,6 @@ fn classify_use(g: &Graph, alloc: InstId, i: InstId) -> Option<AllocUse> {
         }
         _ => None, // any other use is an escape
     }
-}
-
-/// The whole-graph scan [`classify_uses`] replaced, kept as the reference
-/// the list-driven form is checked against (debug builds only).
-#[cfg(debug_assertions)]
-fn classify_uses_by_scan(g: &Graph, alloc: InstId) -> Option<Vec<AllocUse>> {
-    let mut uses = Vec::new();
-    for b in g.blocks() {
-        for &i in g.block_insts(b) {
-            let mut mentions = false;
-            g.inst(i).for_each_input(|input| mentions |= input == alloc);
-            if mentions {
-                uses.push(classify_use(g, alloc, i)?);
-            }
-        }
-        let mut escapes_via_term = false;
-        g.terminator(b)
-            .for_each_input(|input| escapes_via_term |= input == alloc);
-        if escapes_via_term {
-            return None;
-        }
-    }
-    Some(uses)
 }
 
 fn replace_allocation(g: &mut Graph, alloc: InstId, class: ClassId, uses: Vec<AllocUse>) {
