@@ -327,10 +327,9 @@ pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, BailoutReason> {
 /// graph and its version stamps to the state at entry in O(edits made) —
 /// the undo-log replacement for restoring a whole-graph clone (debug
 /// builds still take that clone and compare, see `Graph::rollback_txn`).
-/// Returns the result
-/// alongside the nanoseconds spent on transaction bookkeeping
-/// (begin + commit/rollback), which callers fold into their `undo_ns`
-/// accounting.
+/// Returns the result alongside the nanoseconds spent on transaction
+/// bookkeeping (begin + commit/rollback), which callers fold into their
+/// `undo_ns` accounting.
 ///
 /// # Errors
 ///

@@ -171,9 +171,6 @@ pub fn simulate_paths_budgeted(
     branch_split: bool,
 ) -> SimulationOutcome {
     let dt = cache.domtree(g);
-    // `frequencies` pulls the loop forest through the cache itself; this
-    // extra counted lookup keeps `analysis.cache_hits` at its pinned value.
-    let _loops = cache.loops(g);
     let freqs = cache.frequencies(g);
     let mut walk = Walk {
         g,

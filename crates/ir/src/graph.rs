@@ -2000,12 +2000,11 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "diverged from snapshot restore")]
     fn tampered_backup_is_caught_by_the_shadow_compare() {
-        let (mut g, _bt, _bf, bm, phi) = figure1();
+        let (mut g, _bt, _bf, _bm, phi) = figure1();
         g.begin_txn();
         // Inner frame: its backup of φ is what gets corrupted.
         g.begin_txn();
         g.remove_inst(phi);
-        assert_eq!(g.block_insts(bm).len(), 2);
         g.tamper_saved_inst(phi);
         g.rollback_txn();
     }

@@ -22,11 +22,10 @@
 //! passes that can emit error-severity lints ([`lint_soundness`]) and
 //! reports their messages.
 //!
-//! Every error-severity rule is a function of one block (see the rule
-//! functions below the passes); the whole-graph passes loop them over
-//! all blocks, and [`lint_footprint`] runs the same functions over the
-//! slots an undo-log transaction touched — the O(edit) checkpoint of the
-//! phase driver.
+//! Every error-severity rule is a function of one block (the `*_rules`
+//! functions); the whole-graph passes loop them over all blocks, and
+//! [`lint_footprint`] runs the same functions over the slots an undo-log
+//! transaction touched — the O(edit) checkpoint of the phase driver.
 //!
 //! # Examples
 //!
