@@ -182,9 +182,8 @@ impl AnalysisCache {
         )
     }
 
-    /// The dominance and post-dominance frontiers of `g`. Pulls the
-    /// dominator and post-dominator trees through the cache; counted
-    /// under the `rev_*` stats.
+    /// The dominance frontiers of `g`. Pulls the dominator tree through
+    /// the cache; counted under the `rev_*` stats.
     pub fn frontiers(&mut self, g: &Graph) -> Arc<DomFrontiers> {
         cached!(
             self,
@@ -195,8 +194,7 @@ impl AnalysisCache {
             rev_invalidations,
             {
                 let dt = self.domtree(g);
-                let pd = self.postdom(g);
-                DomFrontiers::compute(g, &dt, &pd)
+                DomFrontiers::compute(g, &dt)
             }
         )
     }
@@ -460,23 +458,15 @@ fn audit_frontiers(
         return;
     };
     let g = fresh.g;
-    fresh.dt();
-    fresh.pd();
-    let (dt, pd) = (
-        fresh.dt.as_ref().expect("just computed"),
-        fresh.pd.as_ref().expect("just computed"),
-    );
-    let recomputed = DomFrontiers::compute(g, dt, pd);
+    let recomputed = DomFrontiers::compute(g, fresh.dt());
     for b in g.blocks() {
-        if slot.value.df(b) != recomputed.df(b) || slot.value.pdf(b) != recomputed.pdf(b) {
+        if slot.value.df(b) != recomputed.df(b) {
             out.push(stale_at(
                 Some(b),
                 format!(
-                    "cached frontiers stamped current disagree at {b}: df {:?}/pdf {:?} vs recomputed df {:?}/pdf {:?}",
+                    "cached frontiers stamped current disagree at {b}: df {:?} vs recomputed {:?}",
                     slot.value.df(b),
-                    slot.value.pdf(b),
-                    recomputed.df(b),
-                    recomputed.pdf(b)
+                    recomputed.df(b)
                 ),
             ));
         }
@@ -554,17 +544,18 @@ mod tests {
         let before = cache.stats();
         let cd1 = cache.control_dep(&g);
         let f1 = cache.frontiers(&g);
-        // control_dep misses + pulls postdom (miss); frontiers misses +
-        // hits postdom, and pulls the already-warm domtree as a forward
-        // hit. No forward misses.
+        // control_dep misses + pulls postdom (miss); frontiers misses
+        // and pulls only the already-warm domtree, a forward hit. No
+        // forward misses.
         assert_eq!(cache.stats().rev_misses, 3);
-        assert_eq!(cache.stats().rev_hits, 1);
+        assert_eq!(cache.stats().rev_hits, 0);
         assert_eq!(cache.stats().misses, before.misses);
+        assert_eq!(cache.stats().hits, before.hits + 1);
         let cd2 = cache.control_dep(&g);
         let f2 = cache.frontiers(&g);
         assert!(Arc::ptr_eq(&cd1, &cd2));
         assert!(Arc::ptr_eq(&f1, &f2));
-        assert_eq!(cache.stats().rev_hits, 3);
+        assert_eq!(cache.stats().rev_hits, 2);
         assert_eq!(cache.stats().rev_misses, 3);
         assert_eq!(cache.stats().rev_invalidations, 0);
     }

@@ -6,8 +6,10 @@
 //! executes. The construction walks, for every split block `a` and each
 //! of its successors `s`, the immediate-post-dominator chain from `s` up
 //! to (exclusive) `ipdom(a)`; every block on the walk is control
-//! dependent on `a`. This is the same chain walk as the post-dominance
-//! frontier, recorded edge-wise in both directions.
+//! dependent on `a`. This is the chain walk of the dominance-frontier
+//! construction on the reversed CFG, recorded edge-wise in both
+//! directions ([`ControlDepGraph::controllers`] is the post-dominance
+//! frontier).
 
 use crate::postdom::PostDomTree;
 use dbds_ir::{BlockId, Graph};

@@ -1,88 +1,56 @@
-//! Dominance frontiers and post-dominance frontiers.
+//! Dominance frontiers.
 //!
-//! Both directions use the Cooper–Harvey–Kennedy frontier construction:
-//! for every join block, walk each predecessor's idom chain up to the
-//! join's immediate dominator, adding the join to every frontier on the
-//! way. The post-dominance frontier is the exact dual, computed over the
-//! reversed CFG via [`PostDomTree`] (so every *split* block contributes,
-//! walking immediate post-dominator chains from each successor; chains
-//! may terminate at the virtual exit).
+//! The Cooper–Harvey–Kennedy frontier construction: for every join
+//! block, walk each predecessor's idom chain up to the join's immediate
+//! dominator, adding the join to every frontier on the way.
 //!
 //! `DF(b)` is where dominance of `b` ends — the blocks needing φs for
-//! definitions in `b` (the SSA-repair placement set); `PDF(b)` is the set
-//! of branches that decide whether `b` executes, which is exactly the
-//! control-dependence relation read the other way around.
+//! definitions in `b` (the SSA-repair placement set). Its dual on the
+//! reversed CFG, the set of branches that decide whether `b` executes,
+//! is [`ControlDepGraph::controllers`](crate::ControlDepGraph::controllers).
 
 use crate::domtree::DomTree;
-use crate::postdom::PostDomTree;
 use dbds_ir::{BlockId, Graph};
 
-/// Dominance and post-dominance frontiers over the reachable blocks of a
-/// [`Graph`]. Frontier sets are sorted by block index and deduplicated.
+/// Dominance frontiers over the reachable blocks of a [`Graph`]. Frontier
+/// sets are sorted by block index and deduplicated.
 #[derive(Clone, Debug)]
 pub struct DomFrontiers {
     df: Vec<Vec<BlockId>>,
-    pdf: Vec<Vec<BlockId>>,
 }
 
 impl DomFrontiers {
-    /// Computes both frontiers of `g` from its dominator and
-    /// post-dominator trees.
-    pub fn compute(g: &Graph, dt: &DomTree, pd: &PostDomTree) -> Self {
-        let n = g.block_count();
-        let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        let mut pdf: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-
+    /// Computes the frontiers of `g` from its dominator tree.
+    pub fn compute(g: &Graph, dt: &DomTree) -> Self {
+        let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); g.block_count()];
+        // Join blocks push themselves up each predecessor's idom chain.
         for &b in dt.reverse_postorder() {
-            // Forward frontier: join blocks push themselves up each
-            // predecessor's idom chain.
-            if g.preds(b).len() >= 2 {
-                let target = dt.idom(b);
-                for &p in g.preds(b) {
-                    if !dt.is_reachable(p) {
-                        continue;
-                    }
-                    let mut runner = Some(p);
-                    while runner != target {
-                        let Some(r) = runner else { break };
-                        df[r.index()].push(b);
-                        runner = dt.idom(r);
-                    }
-                }
+            if g.preds(b).len() < 2 {
+                continue;
             }
-            // Reverse frontier: split blocks push themselves up each
-            // successor's ipdom chain (`None` is the virtual exit).
-            if g.succs(b).len() >= 2 && pd.in_domain(b) {
-                let target = pd.ipdom(b);
-                for s in g.succs(b) {
-                    if !pd.in_domain(s) {
-                        continue;
-                    }
-                    let mut runner = Some(s);
-                    while runner != target {
-                        let Some(r) = runner else { break };
-                        pdf[r.index()].push(b);
-                        runner = pd.ipdom(r);
-                    }
+            let target = dt.idom(b);
+            for &p in g.preds(b) {
+                if !dt.is_reachable(p) {
+                    continue;
+                }
+                let mut runner = Some(p);
+                while runner != target {
+                    let Some(r) = runner else { break };
+                    df[r.index()].push(b);
+                    runner = dt.idom(r);
                 }
             }
         }
-
-        for set in df.iter_mut().chain(pdf.iter_mut()) {
+        for set in &mut df {
             set.sort_unstable();
             set.dedup();
         }
-        DomFrontiers { df, pdf }
+        DomFrontiers { df }
     }
 
     /// The dominance frontier of `b` (sorted, deduplicated).
     pub fn df(&self, b: BlockId) -> &[BlockId] {
         &self.df[b.index()]
-    }
-
-    /// The post-dominance frontier of `b` (sorted, deduplicated).
-    pub fn pdf(&self, b: BlockId) -> &[BlockId] {
-        &self.pdf[b.index()]
     }
 }
 
@@ -93,7 +61,7 @@ mod tests {
     use std::sync::Arc;
 
     fn frontiers(g: &Graph) -> DomFrontiers {
-        DomFrontiers::compute(g, &DomTree::compute(g), &PostDomTree::compute(g))
+        DomFrontiers::compute(g, &DomTree::compute(g))
     }
 
     fn diamond() -> (Graph, BlockId, BlockId, BlockId) {
@@ -123,11 +91,6 @@ mod tests {
         assert_eq!(f.df(bf), &[bm]);
         assert!(f.df(e).is_empty());
         assert!(f.df(bm).is_empty());
-        // Dually, the arms' post-dominance ends at the split.
-        assert_eq!(f.pdf(bt), &[e]);
-        assert_eq!(f.pdf(bf), &[e]);
-        assert!(f.pdf(e).is_empty());
-        assert!(f.pdf(bm).is_empty());
     }
 
     #[test]
@@ -153,8 +116,5 @@ mod tests {
         // body's.
         assert_eq!(f.df(header), &[header]);
         assert_eq!(f.df(body), &[header]);
-        // The loop breaks post-dominance at the header's branch.
-        assert_eq!(f.pdf(body), &[header]);
-        assert_eq!(f.pdf(header), &[header]);
     }
 }

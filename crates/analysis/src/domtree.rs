@@ -34,63 +34,12 @@ impl DomTree {
         for (i, &b) in rpo.iter().enumerate() {
             rpo_index[b.index()] = i;
         }
-
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[g.entry().index()] = Some(g.entry());
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in g.preds(b) {
-                    if idom[p.index()].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_index, p, cur),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[b.index()] != Some(ni) {
-                        idom[b.index()] = Some(ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        // The entry's self-idom is an algorithmic artifact; expose None.
-        idom[g.entry().index()] = None;
-
-        let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for &b in &rpo {
-            if let Some(p) = idom[b.index()] {
-                children[p.index()].push(b);
-            }
-        }
-
-        // Euler tour for O(1) dominance queries.
-        let mut pre = vec![usize::MAX; n];
-        let mut post = vec![usize::MAX; n];
-        let mut clock = 0;
-        let mut stack: Vec<(BlockId, usize)> = vec![(g.entry(), 0)];
-        pre[g.entry().index()] = clock;
-        clock += 1;
-        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let ch = &children[b.index()];
-            if *next < ch.len() {
-                let c = ch[*next];
-                *next += 1;
-                pre[c.index()] = clock;
-                clock += 1;
-                stack.push((c, 0));
-            } else {
-                post[b.index()] = clock;
-                clock += 1;
-                stack.pop();
-            }
-        }
-
+        let Solved {
+            idom,
+            children,
+            pre,
+            post,
+        } = solve(&rpo, &rpo_index, |b| g.preds(b).iter().copied());
         DomTree {
             idom,
             children,
@@ -157,13 +106,105 @@ impl DomTree {
     }
 }
 
-fn intersect(idom: &[Option<BlockId>], rpo_index: &[usize], a: BlockId, b: BlockId) -> BlockId {
+/// What [`solve`] returns, every table indexed by node: the immediate
+/// dominator (`None` for the root and for nodes outside `order`), the
+/// tree children in `order` order, and the Euler-tour interval that makes
+/// "`a` dominates `b`" the O(1) test `pre[a] <= pre[b] && post[b] <=
+/// post[a]`.
+pub(crate) struct Solved {
+    pub idom: Vec<Option<BlockId>>,
+    pub children: Vec<Vec<BlockId>>,
+    pub pre: Vec<usize>,
+    pub post: Vec<usize>,
+}
+
+/// The one Cooper–Harvey–Kennedy solver of this crate: the dominator tree
+/// of whatever graph `preds` describes, rooted at `order[0]`. `order` is a
+/// reverse postorder of the nodes reachable from the root and
+/// `order_index` its inverse (its length is the node count). The
+/// dominator tree passes the CFG's predecessor lists; the post-dominator
+/// tree passes the successor lists plus a virtual exit node.
+pub(crate) fn solve<I>(
+    order: &[BlockId],
+    order_index: &[usize],
+    preds: impl Fn(BlockId) -> I,
+) -> Solved
+where
+    I: IntoIterator<Item = BlockId>,
+{
+    let n = order_index.len();
+    let root = order[0];
+    let mut idom: Vec<Option<BlockId>> = vec![None; n];
+    idom[root.index()] = Some(root);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in order.iter().skip(1) {
+            let mut new_idom: Option<BlockId> = None;
+            for p in preds(b) {
+                if idom[p.index()].is_none() {
+                    continue;
+                }
+                new_idom = Some(match new_idom {
+                    None => p,
+                    Some(cur) => intersect(&idom, order_index, p, cur),
+                });
+            }
+            if let Some(ni) = new_idom {
+                if idom[b.index()] != Some(ni) {
+                    idom[b.index()] = Some(ni);
+                    changed = true;
+                }
+            }
+        }
+    }
+    // The root's self-idom is an algorithmic artifact; expose None.
+    idom[root.index()] = None;
+
+    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+    for &b in order {
+        if let Some(p) = idom[b.index()] {
+            children[p.index()].push(b);
+        }
+    }
+
+    // Euler tour for O(1) dominance queries.
+    let mut pre = vec![usize::MAX; n];
+    let mut post = vec![usize::MAX; n];
+    let mut clock = 0;
+    let mut stack: Vec<(BlockId, usize)> = vec![(root, 0)];
+    pre[root.index()] = clock;
+    clock += 1;
+    while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+        let ch = &children[b.index()];
+        if *next < ch.len() {
+            let c = ch[*next];
+            *next += 1;
+            pre[c.index()] = clock;
+            clock += 1;
+            stack.push((c, 0));
+        } else {
+            post[b.index()] = clock;
+            clock += 1;
+            stack.pop();
+        }
+    }
+
+    Solved {
+        idom,
+        children,
+        pre,
+        post,
+    }
+}
+
+fn intersect(idom: &[Option<BlockId>], order_index: &[usize], a: BlockId, b: BlockId) -> BlockId {
     let (mut a, mut b) = (a, b);
     while a != b {
-        while rpo_index[a.index()] > rpo_index[b.index()] {
+        while order_index[a.index()] > order_index[b.index()] {
             a = idom[a.index()].expect("processed block has idom");
         }
-        while rpo_index[b.index()] > rpo_index[a.index()] {
+        while order_index[b.index()] > order_index[a.index()] {
             b = idom[b.index()].expect("processed block has idom");
         }
     }
@@ -175,16 +216,16 @@ pub fn reverse_postorder(g: &Graph) -> Vec<BlockId> {
     let n = g.block_count();
     let mut visited = vec![false; n];
     let mut post: Vec<BlockId> = Vec::new();
-    let mut stack: Vec<(BlockId, usize)> = vec![(g.entry(), 0)];
+    // Each frame owns its block's successors, fetched once at the push.
+    let mut stack: Vec<(BlockId, Vec<BlockId>, usize)> = vec![(g.entry(), g.succs(g.entry()), 0)];
     visited[g.entry().index()] = true;
-    while let Some(&mut (b, ref mut child)) = stack.last_mut() {
-        let succs = g.succs(b);
+    while let Some(&mut (b, ref succs, ref mut child)) = stack.last_mut() {
         if *child < succs.len() {
             let s = succs[*child];
             *child += 1;
             if !visited[s.index()] {
                 visited[s.index()] = true;
-                stack.push((s, 0));
+                stack.push((s, g.succs(s), 0));
             }
         } else {
             post.push(b);

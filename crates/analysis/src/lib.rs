@@ -7,10 +7,11 @@
 //! `shouldDuplicate` heuristic), and value [`Stamp`]s with the refinement
 //! rules conditional elimination applies along dominating conditions.
 //! The reverse-CFG structure is equally first-class: post-dominator
-//! trees ([`PostDomTree`], over the reversed CFG with a virtual exit),
-//! dominance/post-dominance frontiers ([`DomFrontiers`]) and the
-//! control-dependence graph ([`ControlDepGraph`]) drive the
-//! branch-splitting candidates and the reverse-CFG lints.
+//! trees ([`PostDomTree`]: the same dominator solver run over the
+//! reversed CFG with a virtual exit) and the control-dependence graph
+//! ([`ControlDepGraph`]) drive the branch-splitting candidates and the
+//! reverse-CFG lints; dominance frontiers ([`DomFrontiers`]) are the
+//! SSA-repair placement sets the frontier lint re-derives.
 //!
 //! # Examples
 //!

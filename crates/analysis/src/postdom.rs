@@ -3,31 +3,28 @@
 //! The post-dominator tree is the dominator tree of the *reversed* CFG
 //! rooted at a virtual exit node. Because [`Graph`] terminators have at
 //! most two successors, the reversed graph cannot be materialized as a
-//! real `Graph`; instead the Cooper–Harvey–Kennedy iteration runs
-//! directly over reversed edge queries (`succs` become predecessors and
-//! vice versa), with the virtual exit held at an internal index past the
-//! real blocks. Every reachable block with no successors is an exit; a
-//! region that cannot reach any exit (an infinite loop) is handled by
-//! deterministically attaching its earliest block (in forward reverse
-//! postorder) to the virtual exit as a pseudo-exit, so the tree always
-//! covers every entry-reachable block.
+//! real `Graph`; instead the crate's one dominator solver
+//! ([`crate::domtree`]) runs over reversed edge queries (`succs` become
+//! predecessors and vice versa), with the virtual exit as one extra node
+//! past the real blocks. This module owns what is particular to the
+//! reverse direction: choosing the exits. Every reachable block with no
+//! successors is an exit; a region that cannot reach any exit (an
+//! infinite loop) is handled by deterministically attaching its earliest
+//! block (in forward reverse postorder) to the virtual exit as a
+//! pseudo-exit, so the tree always covers every entry-reachable block.
 
-use crate::domtree::reverse_postorder;
+use crate::domtree::{reverse_postorder, solve, Solved};
 use dbds_ir::{BlockId, Graph};
-
-/// The internal parent index of a block whose immediate post-dominator is
-/// the virtual exit.
-const VIRTUAL: usize = usize::MAX - 1;
-/// Marker for blocks outside the analysis domain (unreachable from the
-/// entry block).
-const OUTSIDE: usize = usize::MAX;
 
 /// A post-dominator tree over the entry-reachable blocks of a [`Graph`].
 #[derive(Clone, Debug)]
 pub struct PostDomTree {
-    /// Immediate post-dominator per block: a real block index, [`VIRTUAL`]
-    /// when the parent is the virtual exit, or [`OUTSIDE`].
-    ipdom: Vec<usize>,
+    /// The virtual exit: the node one past the real blocks.
+    virtual_exit: BlockId,
+    /// Immediate post-dominator per block: a real block, the virtual
+    /// exit, or `None` outside the analysis domain (unreachable from the
+    /// entry block).
+    ipdom: Vec<Option<BlockId>>,
     /// Children in the post-dominator tree, per real block.
     children: Vec<Vec<BlockId>>,
     /// Children of the virtual exit: real exits first (in forward RPO
@@ -35,10 +32,10 @@ pub struct PostDomTree {
     roots: Vec<BlockId>,
     /// Pseudo-exits chosen for regions that cannot reach a real exit.
     pseudo_exits: Vec<BlockId>,
-    /// Euler-tour entry time per block (virtual exit excluded; roots are
-    /// tour roots).
+    /// Euler-tour entry time per node, the tour rooted at the virtual
+    /// exit.
     pre: Vec<usize>,
-    /// Euler-tour exit time per block.
+    /// Euler-tour exit time per node.
     post: Vec<usize>,
 }
 
@@ -71,89 +68,35 @@ impl PostDomTree {
             }
         }
 
-        // Reverse postorder of the reversed graph, starting at the virtual
-        // exit whose reversed successors are the exit set.
-        let rev_rpo = reversed_rpo(g, n, &exits, &in_domain);
-        let mut rev_index = vec![OUTSIDE; n];
-        for (i, &b) in rev_rpo.iter().enumerate() {
-            rev_index[b.index()] = i + 1; // index 0 is the virtual exit
+        // Reverse postorder of the reversed graph from the virtual exit,
+        // whose reversed successors are the exit set.
+        let virtual_exit = BlockId::from_index(n);
+        let mut order = vec![virtual_exit];
+        order.extend(reversed_rpo(g, n, &exits, &in_domain));
+        let mut order_index = vec![usize::MAX; n + 1];
+        for (i, &b) in order.iter().enumerate() {
+            order_index[b.index()] = i;
         }
-
-        // CHK iteration over the reversed graph. `ipdom` is indexed by
-        // real block; the virtual exit is its own fixed point.
-        let is_exit = {
-            let mut v = vec![false; n];
-            for &e in &exits {
-                v[e.index()] = true;
-            }
-            v
-        };
-        let mut ipdom = vec![OUTSIDE; n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &rev_rpo {
-                // Reversed predecessors of `b` are its forward successors,
-                // plus the virtual exit when `b` is an exit.
-                let mut new_ipdom = if is_exit[b.index()] {
-                    Some(VIRTUAL)
-                } else {
-                    None
-                };
-                for s in g.succs(b) {
-                    if ipdom[s.index()] == OUTSIDE {
-                        continue;
-                    }
-                    new_ipdom = Some(match new_ipdom {
-                        None => s.index(),
-                        Some(cur) => intersect(&ipdom, &rev_index, s.index(), cur),
-                    });
-                }
-                if let Some(ni) = new_ipdom {
-                    if ipdom[b.index()] != ni {
-                        ipdom[b.index()] = ni;
-                        changed = true;
-                    }
-                }
-            }
+        let mut is_exit = vec![false; n];
+        for &e in &exits {
+            is_exit[e.index()] = true;
         }
-
-        let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        let mut roots = Vec::new();
-        for &b in &rev_rpo {
-            match ipdom[b.index()] {
-                VIRTUAL => roots.push(b),
-                OUTSIDE => {}
-                p => children[p].push(b),
-            }
-        }
-
-        // Euler tour rooted at the virtual exit (each root starts a
-        // subtree) for O(1) post-dominance queries.
-        let mut pre = vec![OUTSIDE; n];
-        let mut post = vec![OUTSIDE; n];
-        let mut clock = 0;
-        for &r in &roots {
-            let mut stack: Vec<(BlockId, usize)> = vec![(r, 0)];
-            pre[r.index()] = clock;
-            clock += 1;
-            while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-                let ch = &children[b.index()];
-                if *next < ch.len() {
-                    let c = ch[*next];
-                    *next += 1;
-                    pre[c.index()] = clock;
-                    clock += 1;
-                    stack.push((c, 0));
-                } else {
-                    post[b.index()] = clock;
-                    clock += 1;
-                    stack.pop();
-                }
-            }
-        }
+        // Reversed predecessors of `b` are its forward successors, plus
+        // the virtual exit when `b` is an exit.
+        let Solved {
+            idom: ipdom,
+            mut children,
+            pre,
+            post,
+        } = solve(&order, &order_index, |b| {
+            g.succs(b)
+                .into_iter()
+                .chain(is_exit[b.index()].then_some(virtual_exit))
+        });
+        let roots = children.pop().expect("the virtual exit's slot");
 
         PostDomTree {
+            virtual_exit,
             ipdom,
             children,
             roots,
@@ -166,15 +109,12 @@ impl PostDomTree {
     /// The immediate post-dominator of `b`: `None` when `b`'s parent is
     /// the virtual exit (a real or pseudo exit) or `b` is unreachable.
     pub fn ipdom(&self, b: BlockId) -> Option<BlockId> {
-        match self.ipdom[b.index()] {
-            VIRTUAL | OUTSIDE => None,
-            p => Some(BlockId::from_index(p)),
-        }
+        self.ipdom[b.index()].filter(|&p| p != self.virtual_exit)
     }
 
     /// Is `b`'s immediate post-dominator the virtual exit?
     pub fn is_root(&self, b: BlockId) -> bool {
-        self.ipdom[b.index()] == VIRTUAL
+        self.ipdom[b.index()] == Some(self.virtual_exit)
     }
 
     /// The children of `b` in the post-dominator tree.
@@ -210,7 +150,7 @@ impl PostDomTree {
 
     /// Is `b` in the analysis domain (reachable from the entry block)?
     pub fn in_domain(&self, b: BlockId) -> bool {
-        self.ipdom[b.index()] != OUTSIDE
+        self.ipdom[b.index()].is_some()
     }
 }
 
@@ -268,27 +208,6 @@ fn reversed_rpo(g: &Graph, n: usize, exits: &[BlockId], in_domain: &[bool]) -> V
     }
     post.reverse();
     post
-}
-
-fn intersect(ipdom: &[usize], rev_index: &[usize], a: usize, b: usize) -> usize {
-    // Indices into `rev_index` space: the virtual exit is position 0.
-    let pos = |x: usize| {
-        if x == VIRTUAL {
-            0
-        } else {
-            rev_index[x]
-        }
-    };
-    let (mut a, mut b) = (a, b);
-    while a != b {
-        while pos(a) > pos(b) {
-            a = ipdom[a];
-        }
-        while pos(b) > pos(a) {
-            b = ipdom[b];
-        }
-    }
-    a
 }
 
 #[cfg(test)]

@@ -3,10 +3,12 @@
 //! path passes through `a`, i.e. removing `a` makes `b` unreachable —
 //! and the reverse-CFG analyses agree with their definitions: the
 //! post-dominator tree with path-to-exit cuts, and the control-dependence
-//! graph with the naive Ferrante–Ottenstein–Warren edge scan.
+//! graph with the naive Ferrante–Ottenstein–Warren edge scan. The
+//! post-dominator tree is also pinned, field for field, to what the
+//! stand-alone solver it used to have produced.
 
 use dbds_analysis::{ControlDepGraph, DomTree, PostDomTree};
-use dbds_ir::{BlockId, ClassTable, Graph, Terminator, Type};
+use dbds_ir::{BlockId, ClassTable, Fnv64, Graph, Terminator, Type};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -98,6 +100,54 @@ fn reaches_exit_avoiding(g: &Graph, from: BlockId, exits: &[BlockId], blocked: B
     }
     false
 }
+
+/// Everything a [`PostDomTree`] exposes — `ipdom`, root and domain
+/// membership, `children` order, `roots` order, `pseudo_exits` order —
+/// over 4096 fixed pseudo-random CFGs of `sizes` blocks, as one digest.
+fn postdom_digest(sizes: std::ops::Range<usize>, seed: u64) -> u64 {
+    let mut h = Fnv64::new();
+    let mut state = seed;
+    let mut next = || {
+        // Knuth's MMIX LCG; the high bits are the random ones.
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let list = |h: &mut Fnv64, blocks: &[BlockId]| {
+        h.write_u64(blocks.len() as u64);
+        for b in blocks {
+            h.write_u64(b.index() as u64);
+        }
+    };
+    for _ in 0..4096 {
+        let n = sizes.start + next() as usize % sizes.len();
+        let choices: Vec<u8> = (0..n).map(|_| (next() % 8) as u8).collect();
+        let g = random_cfg(n, &choices);
+        let pd = PostDomTree::compute(&g);
+        for b in g.blocks() {
+            h.write_u64(pd.ipdom(b).map_or(u64::MAX, |p| p.index() as u64));
+            h.write_u64(u64::from(pd.is_root(b)) | u64::from(pd.in_domain(b)) << 1);
+            list(&mut h, pd.children(b));
+        }
+        list(&mut h, pd.roots());
+        list(&mut h, pd.pseudo_exits());
+    }
+    h.finish()
+}
+
+/// The digests were computed on the commit before `PostDomTree` moved
+/// onto the shared dominator solver, so a mismatch is a behaviour change
+/// of the tree (a parent, or the order of a child / root list), not a
+/// stale pin.
+#[test]
+fn postdom_tree_matches_the_pinned_digests() {
+    assert_eq!(postdom_digest(2..10, 1), GOLDEN_POSTDOM_SMALL);
+    assert_eq!(postdom_digest(10..40, 2), GOLDEN_POSTDOM_LARGE);
+}
+
+const GOLDEN_POSTDOM_SMALL: u64 = 0x9184_9cf3_acd3_722c;
+const GOLDEN_POSTDOM_LARGE: u64 = 0x6be7_fd31_c150_8254;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]

@@ -20,7 +20,7 @@
 //! from-scratch consistency layer runs once more per iteration.
 
 use crate::simulation::SimulationResult;
-use dbds_analysis::{DomFrontiers, DomTree, PostDomTree};
+use dbds_analysis::{DomFrontiers, DomTree};
 use dbds_ir::lint::{Diagnostic, LintId};
 use dbds_ir::{BlockId, Graph};
 
@@ -126,8 +126,8 @@ fn definition_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
 /// one block: every join walks each reachable predecessor's idom chain
 /// up to (exclusive) its own immediate dominator and enters the frontier
 /// of every block on the way — here only `b` is collected. The same walk
-/// [`DomFrontiers`] does for all blocks at once, without needing a
-/// post-dominator tree or the whole table.
+/// [`DomFrontiers`] does for all blocks at once, without building the
+/// whole table.
 fn join_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
     let mut out = Vec::new();
     for &y in dt.reverse_postorder() {
@@ -233,21 +233,20 @@ fn frontier_verdict<F: AsRef<[BlockId]>>(
 /// arises on hand-mutated graphs).
 ///
 /// This is the whole-graph reference form: it builds the dominator
-/// tree, the post-dominator tree and the full frontier table from
-/// scratch. The phase driver's per-duplication check is
+/// tree and the full frontier table from scratch. The phase driver's
+/// per-duplication check is
 /// [`lint_frontier_in`], which answers from a dominator tree the caller
 /// already has.
 pub fn lint_frontier(g: &Graph, copy: BlockId, merge: BlockId) -> Option<Diagnostic> {
     let dt = DomTree::compute(g);
-    let pd = PostDomTree::compute(g);
-    let df = DomFrontiers::compute(g, &dt, &pd);
+    let df = DomFrontiers::compute(g, &dt);
     frontier_verdict(g, &dt, copy, merge, |b| df.df(b))
 }
 
 /// [`lint_frontier`] against a dominator tree the caller already holds
 /// (the phase passes the cached one): only `DF(copy)` and `DF(merge)`
-/// are computed, each by both constructions, with no post-dominator tree
-/// and no whole-graph frontier table. Same verdicts and messages.
+/// are computed, each by both constructions, with no whole-graph
+/// frontier table. Same verdicts and messages.
 pub fn lint_frontier_in(
     g: &Graph,
     dt: &DomTree,
@@ -263,8 +262,7 @@ pub fn lint_frontier_in(
 /// immediately after one duplication.)
 pub(crate) fn lint_frontier_boundary(g: &Graph, blocks: &[BlockId]) -> Option<Diagnostic> {
     let dt = DomTree::compute(g);
-    let pd = PostDomTree::compute(g);
-    let df = DomFrontiers::compute(g, &dt, &pd);
+    let df = DomFrontiers::compute(g, &dt);
     blocks
         .iter()
         .filter(|&&b| dt.is_reachable(b))

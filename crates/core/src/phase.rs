@@ -226,7 +226,8 @@ pub struct PhaseStats {
     /// simulation tier broke its §4.1→§5 prediction contract.
     pub mispredictions: usize,
     /// Accepted candidates skipped because earlier duplications in the
-    /// same round touched a block they depend on, invalidating their
+    /// same round changed a block they depend on (read off the round's
+    /// undo-log frame, [`Graph::txn_footprint`]), invalidating their
     /// recorded facts. Ordinary intra-round staleness, not a contract
     /// violation: the next iteration re-simulates them with fresh facts.
     pub stale_skips: usize,
@@ -343,15 +344,6 @@ pub fn run_dbds(
 
     for _ in 0..cfg.max_iterations {
         stats.iterations += 1;
-        if cfg.enable_branch_splitting {
-            // Pre-warm the reverse-CFG analyses at the exact graph
-            // version the DSTs are about to analyze: the control-
-            // dependence cross-check and the interference frontiers
-            // below then revalidate as pure cache hits.
-            cache.postdom(g);
-            cache.frontiers(g);
-            cache.control_dep(g);
-        }
         let t = Instant::now();
         let sim = simulate_paths_budgeted(
             g,
@@ -407,8 +399,11 @@ pub fn run_dbds(
         // owned copies of what we need. Branch-split candidates carry a
         // simulation-time claim — "the final path element is selected by
         // the branch we are about to fold" — that must agree with the
-        // control-dependence graph of the exact graph the DSTs analyzed
-        // (a pure cache hit after the pre-warm above). A disagreement
+        // control-dependence graph of the exact graph the DSTs analyzed:
+        // nothing has mutated it yet, so the first accepted branch-split
+        // candidate computes the graph (and the post-dominator tree under
+        // it) and the rest of the round's candidates hit it; a round
+        // without one computes no reverse-CFG analysis. A disagreement
         // means the fold would not eliminate a real control dependence;
         // the candidate is dropped as a recovered bailout.
         let mut plan: Vec<SimulationResult> = Vec::with_capacity(selection.accepted.len());
@@ -447,23 +442,13 @@ pub fn run_dbds(
             .iter()
             .map(|s| dominator_chain(g, cache, s.pred))
             .collect();
-        // Dominance frontiers of the accepted merges, still at the pre-
-        // mutation version (pure cache hits after the pre-warm): a
-        // duplication's SSA repair can insert φs anywhere in DF(merge),
-        // so those blocks join the round's interference footprint once
-        // the candidate is applied.
-        let plan_frontiers: Vec<Vec<BlockId>> = if cfg.enable_branch_splitting {
-            plan.iter()
-                .map(|s| cache.frontiers(g).df(s.merge).to_vec())
-                .collect()
-        } else {
-            vec![Vec::new(); plan.len()]
-        };
         let mut cumulative = 0.0;
         let t = Instant::now();
         let mut guard_here: u128 = 0;
         let mut undo_here: u128 = 0;
-        // Refresh the recovery mark: everything up to here verified.
+        // Refresh the recovery mark: everything up to here verified. The
+        // frame opened here is also the round's interference record: its
+        // footprint is every slot the round's duplications have changed.
         let tg = Instant::now();
         if recovery_open {
             g.commit_txn();
@@ -477,11 +462,7 @@ pub fn run_dbds(
         // What this round's applied candidates contribute to the stats,
         // merged only once the round's boundary check has passed.
         let mut round = RoundTally::default();
-        // Blocks mutated by duplications applied earlier this round: the
-        // interference footprint the prediction audit classifies failed
-        // re-checks against.
-        let mut mutated: HashSet<BlockId> = HashSet::new();
-        for (i, (s, sim_chain)) in plan.iter().zip(&plan_chains).enumerate() {
+        for (s, sim_chain) in plan.iter().zip(&plan_chains) {
             // Re-validate: earlier duplications this round may have
             // restructured the pair.
             if !g.is_merge(s.merge) || !g.succs(s.pred).contains(&s.merge) {
@@ -508,22 +489,32 @@ pub fn run_dbds(
                     None => s.opportunities.len(),
                 };
                 if missed > 0 {
-                    // Stale when a duplication this round touched a
-                    // block the candidate's facts flow through (its
-                    // sim-time dominator chain, merge or path), or when
-                    // the chain itself drifted — either way the recorded
-                    // facts describe a graph that no longer exists. A
-                    // failed re-check on an *undisturbed* candidate is a
-                    // genuine misprediction.
-                    let stale = !mutated.is_empty()
+                    // Stale when the round has changed a slot of a block
+                    // the candidate's facts flow through (its sim-time
+                    // dominator chain, merge or path), or when the chain
+                    // itself drifted — either way the recorded facts
+                    // describe a graph that no longer exists. A failed
+                    // re-check on an *undisturbed* candidate is a genuine
+                    // misprediction. Every chain's own transaction has
+                    // closed, so the innermost open frame is the round's
+                    // recovery frame and its footprint is the exact
+                    // record of what the round changed.
+                    let fp = g.txn_footprint();
+                    let stale = !(fp.blocks.is_empty() && fp.insts.is_empty())
                         && match (sim_chain, dominator_chain(g, cache, s.pred)) {
                             (Some(old), Some(now)) => {
-                                *old != now
-                                    || old
+                                *old != now || {
+                                    let changed: HashSet<BlockId> = fp
+                                        .insts
                                         .iter()
+                                        .filter_map(|&i| g.block_of(i))
+                                        .chain(fp.blocks.iter().copied())
+                                        .collect();
+                                    old.iter()
                                         .chain(std::iter::once(&s.merge))
                                         .chain(&s.path)
-                                        .any(|b| mutated.contains(b))
+                                        .any(|b| changed.contains(b))
+                                }
                             }
                             _ => true,
                         };
@@ -545,8 +536,6 @@ pub fn run_dbds(
             };
             match apply_chain(g, s, guard) {
                 Ok(chain) => {
-                    mutated.extend(chain.touched.iter().copied());
-                    mutated.extend(plan_frontiers[i].iter().copied());
                     cumulative += s.weighted_benefit();
                     round.absorb(chain, s);
                 }
@@ -698,11 +687,6 @@ struct ChainOutcome {
     duplications: usize,
     work: u64,
     visited: Vec<BlockId>,
-    /// Every block the chain mutated: the predecessor (retargeted
-    /// terminator), the merge (φs and predecessor list shrank), the
-    /// fresh copy, and the successors of both (their φs gained the
-    /// copy's edge). Feeds the round's interference footprint.
-    touched: Vec<BlockId>,
     /// The copy and merge of every step: the blocks whose dominance
     /// frontiers the round's boundary check re-derives from scratch.
     frontier_blocks: Vec<BlockId>,
@@ -712,11 +696,6 @@ fn record_step(out: &mut ChainOutcome, g: &Graph, dup: &Duplication) {
     out.visited.push(dup.merge);
     out.duplications += 1;
     out.work += g.block_insts(dup.merge).len() as u64;
-    out.touched.push(dup.pred);
-    out.touched.push(dup.merge);
-    out.touched.push(dup.copy);
-    out.touched.extend(g.succs(dup.copy));
-    out.touched.extend(g.succs(dup.merge));
     out.frontier_blocks.push(dup.copy);
     out.frontier_blocks.push(dup.merge);
 }
@@ -1312,13 +1291,12 @@ mod tests {
         }
     }
 
-    /// Listing 1 shaped so the cold path decides the second conditional:
-    /// on the `bf` edge the merge's φ is the constant 13, so `13 > 12`
-    /// folds and the DST continues through the decided branch into
-    /// `b12` — a branch-split candidate.
-    fn split_listing() -> Graph {
-        let mut b = GraphBuilder::new("split", &[Type::Int], empty_table());
-        let i = b.param(0);
+    /// Appends Listing 1, shaped so the cold path decides the second
+    /// conditional, to the current block of `b`: on the `bf` edge the
+    /// merge's φ is the constant 13, so `13 > 12` folds and the DST
+    /// continues through the decided branch into `b12` — a branch-split
+    /// candidate.
+    fn append_split_listing(b: &mut GraphBuilder, i: dbds_ir::InstId) {
         let zero = b.iconst(0);
         let thirteen = b.iconst(13);
         let twelve = b.iconst(12);
@@ -1345,6 +1323,12 @@ mod tests {
         b.ret(Some(q));
         b.switch_to(bi);
         b.ret(Some(i));
+    }
+
+    fn split_listing() -> Graph {
+        let mut b = GraphBuilder::new("split", &[Type::Int], empty_table());
+        let i = b.param(0);
+        append_split_listing(&mut b, i);
         b.finish()
     }
 
@@ -1394,18 +1378,45 @@ mod tests {
 
     #[test]
     fn reverse_analyses_hit_the_cache_during_the_phase() {
-        // The pre-warm computes postdom/frontiers/control-dep once per
-        // iteration; the CDG cross-check and the interference frontiers
-        // then revalidate as pure hits at the same version.
-        let mut g = split_listing();
+        // Two split listings under one entry branch, so one
+        // round accepts two branch-split candidates: the control-
+        // dependence cross-check of the first computes the CDG and the
+        // post-dominator tree under it (two reverse misses, at the graph
+        // version the DSTs analyzed) and the second is a pure hit.
+        // Nothing else in the phase asks for a reverse-CFG analysis.
+        let mut b = GraphBuilder::new("splits", &[Type::Int, Type::Bool], empty_table());
+        let (i, side) = (b.param(0), b.param(1));
+        let (left, right) = (b.new_block(), b.new_block());
+        b.branch(side, left, right, 0.5);
+        for start in [left, right] {
+            b.switch_to(start);
+            append_split_listing(&mut b, i);
+        }
+        let mut g = b.finish();
+        let cfg = DbdsConfig {
+            max_iterations: 1,
+            ..DbdsConfig::default()
+        };
+        let stats = compile(&mut g, &CostModel::new(), OptLevel::Dupalot, &cfg);
+        assert_eq!(stats.split_applied, 2, "stats: {stats:?}");
+        assert_eq!(stats.cache.rev_misses, 2, "stats: {stats:?}");
+        assert_eq!(stats.cache.rev_hits, 1, "stats: {stats:?}");
+        assert_eq!(stats.cache.rev_invalidations, 0, "stats: {stats:?}");
+    }
+
+    #[test]
+    fn a_unit_without_split_candidates_computes_no_reverse_analysis() {
+        let mut g = figure1();
         let stats = compile(
             &mut g,
             &CostModel::new(),
             OptLevel::Dbds,
             &DbdsConfig::default(),
         );
-        assert!(stats.cache.rev_misses > 0, "stats: {stats:?}");
-        assert!(stats.cache.rev_hits > 0, "stats: {stats:?}");
+        assert!(stats.duplications >= 1, "stats: {stats:?}");
+        assert_eq!(stats.split_candidates, 0, "stats: {stats:?}");
+        assert_eq!(stats.cache.rev_misses, 0, "stats: {stats:?}");
+        assert_eq!(stats.cache.rev_hits, 0, "stats: {stats:?}");
     }
 
     #[test]

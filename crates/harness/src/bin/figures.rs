@@ -44,6 +44,9 @@ use dbds_harness::{
 use dbds_workloads::Suite;
 use std::time::Instant;
 
+/// The configurations both compile-cache sessions replay.
+const LEVELS: [OptLevel; 3] = [OptLevel::Baseline, OptLevel::Dbds, OptLevel::Dupalot];
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let model = CostModel::new();
@@ -194,28 +197,17 @@ fn main() {
 
 /// Runs the standard two-pass compile-cache session in-process (the
 /// first pass populates the store, the second measures it) and returns
-/// the per-pass counters for the report's `store` block.
+/// the per-pass counters for the report's `store` block. The store is
+/// advisory by design: a directory that cannot be opened falls back to
+/// memory rather than failing the report.
 fn cache_session(choice: &str, cfg: &DbdsConfig) -> dbds_server::SessionReport {
-    use dbds_server::{run_session, CompileService, CompiledStore, DiskStore, MemStore};
-    let store: Box<dyn CompiledStore> = if choice == "mem" {
-        Box::new(MemStore::new())
-    } else {
-        match DiskStore::open(choice) {
-            Ok(s) => Box::new(s),
-            Err(e) => {
-                // The store is advisory by design: fall back to memory
-                // rather than failing the report.
-                eprintln!("cannot open store {choice}: {e}; using in-memory cache");
-                Box::new(MemStore::new())
-            }
-        }
+    use dbds_server::{run_session, CompileService, ServiceConfig, StoreChoice};
+    let store = match choice {
+        "mem" => StoreChoice::Mem,
+        dir => StoreChoice::Disk(dir.into()),
     };
-    let svc = CompileService::new(store, cfg.clone(), dbds_server::ServiceConfig::default());
-    run_session(
-        &svc,
-        &[OptLevel::Baseline, OptLevel::Dbds, OptLevel::Dupalot],
-        2,
-    )
+    let svc = CompileService::new(store.open(), cfg.clone(), ServiceConfig::default());
+    run_session(&svc, &LEVELS, 2)
 }
 
 /// Replays the two-pass session against a live daemon over the wire
@@ -223,34 +215,8 @@ fn cache_session(choice: &str, cfg: &DbdsConfig) -> dbds_server::SessionReport {
 /// report (no timings — output is deterministic given the server
 /// state).
 fn client_session(addr: &str) -> Result<(), String> {
-    use dbds_server::{Client, CompileRequest, CompileSource};
-    let mut client = Client::connect(addr)?;
-    let levels = [OptLevel::Baseline, OptLevel::Dbds, OptLevel::Dupalot];
-    let names: Vec<String> = dbds_workloads::all_workloads()
-        .into_iter()
-        .map(|w| w.name)
-        .collect();
-    for pass in 1..=2 {
-        let (mut hits, mut misses, mut errors) = (0u64, 0u64, 0u64);
-        for name in &names {
-            for level in levels {
-                let outcome = client.compile(CompileRequest {
-                    source: CompileSource::Workload(name.clone()),
-                    level,
-                    deadline_ms: None,
-                })?;
-                match outcome {
-                    Ok(served) if served.cached => hits += 1,
-                    Ok(_) => misses += 1,
-                    Err(_) => errors += 1,
-                }
-            }
-        }
-        println!(
-            "pass {pass}: {} requests, {hits} hits, {misses} misses, {errors} errors",
-            names.len() * levels.len()
-        );
-    }
+    let mut client = dbds_server::Client::connect(addr)?;
+    client.session(&LEVELS, 2)?;
     print!("{}", client.status()?.pretty());
     Ok(())
 }

@@ -5,11 +5,13 @@
 //! counter is aggregated. The result feeds the CI lint gate: the build
 //! fails on any error-severity diagnostic or any misprediction.
 
+use crate::report::obj;
 use dbds_analysis::AnalysisCache;
 use dbds_core::par::run_units;
 use dbds_core::{lint_simulation, run_dbds, simulate, DbdsConfig, SelectionMode};
 use dbds_costmodel::CostModel;
 use dbds_ir::{Diagnostic, LintId, Severity};
+use dbds_server::json::Json;
 use dbds_workloads::{Suite, Workload};
 use std::fmt::Write as _;
 
@@ -146,33 +148,27 @@ pub fn format_lint(audit: &LintAudit) -> String {
     out
 }
 
-/// Renders the lint sweep as stable-ordered JSON (hand-rolled — the
-/// build has no serde). Unlike [`crate::format_json`] there is no
+/// Renders the lint sweep as a stable-ordered [`Json`] tree in its
+/// `pretty` layout. Unlike [`crate::format_json`] there is no
 /// `unit_threads` field at all: the sweep is byte-identical across
 /// thread counts, so CI diffs it without filtering.
 pub fn format_lint_json(audit: &LintAudit) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"workloads\": {},", audit.workloads);
-    let _ = writeln!(out, "  \"graphs_linted\": {},", audit.graphs_linted);
-    let _ = writeln!(out, "  \"mispredictions\": {},", audit.mispredictions);
-    let _ = writeln!(out, "  \"errors\": {},", audit.error_count());
-    let _ = writeln!(out, "  \"warnings\": {},", audit.warning_count());
-    let _ = writeln!(out, "  \"lints\": [");
-    let last = audit.counts.len().saturating_sub(1);
-    for (i, &(lint, n)) in audit.counts.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{ \"lint\": \"{}\", \"severity\": \"{}\", \"count\": {} }}{}",
-            lint.name(),
-            lint.severity().name(),
-            n,
-            if i < last { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    let lints = audit.counts.iter().map(|&(lint, n)| {
+        obj([
+            ("lint", Json::str(lint.name())),
+            ("severity", Json::str(lint.severity().name())),
+            ("count", Json::num(n)),
+        ])
+    });
+    obj([
+        ("workloads", Json::num(audit.workloads)),
+        ("graphs_linted", Json::num(audit.graphs_linted)),
+        ("mispredictions", Json::num(audit.mispredictions)),
+        ("errors", Json::num(audit.error_count())),
+        ("warnings", Json::num(audit.warning_count())),
+        ("lints", Json::Arr(lints.collect())),
+    ])
+    .pretty()
 }
 
 #[cfg(test)]

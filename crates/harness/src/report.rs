@@ -7,6 +7,7 @@
 use crate::metrics::geomean_pct;
 use crate::runner::{Metric, SuiteResult};
 use dbds_core::OptLevel;
+use dbds_server::json::Json;
 use dbds_server::SessionReport;
 use std::fmt::Write as _;
 
@@ -174,8 +175,8 @@ pub fn format_summary(results: &[SuiteResult]) -> String {
 }
 
 /// Renders the machine-readable suite report: every *deterministic*
-/// measurement of every benchmark/configuration, as stable-ordered JSON
-/// (hand-rolled — the build has no serde).
+/// measurement of every benchmark/configuration, as a stable-ordered
+/// [`Json`] tree in its `pretty` layout.
 ///
 /// Two invariants CI's determinism gate relies on:
 ///
@@ -197,173 +198,65 @@ pub fn format_json(
     unit_threads: usize,
     store: Option<&SessionReport>,
 ) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"unit_threads\": {unit_threads},");
-    match store {
-        None => {
-            let _ = writeln!(out, "  \"store\": null,");
-        }
-        Some(session) => {
-            let _ = writeln!(out, "  \"store\": {{");
-            let _ = writeln!(out, "    \"backend\": {},", json_str(&session.backend));
-            let _ = writeln!(out, "    \"evictions\": {},", session.evictions);
-            let _ = writeln!(out, "    \"passes\": [");
-            for (pi, pass) in session.passes.iter().enumerate() {
-                let _ = writeln!(out, "      {{");
-                let _ = writeln!(out, "        \"pass\": {},", pi + 1);
-                let _ = writeln!(out, "        \"served\": {},", pass.served);
-                for (name, value) in pass.counters.fields() {
-                    let _ = writeln!(out, "        \"{name}\": {value},");
-                }
-                let _ = writeln!(
-                    out,
-                    "        \"hit_rate_pct\": {:?}",
-                    session.hit_rate(pi) * 100.0
-                );
-                let _ = writeln!(
-                    out,
-                    "      }}{}",
-                    if pi + 1 < session.passes.len() {
-                        ","
-                    } else {
-                        ""
-                    }
-                );
-            }
-            let _ = writeln!(out, "    ],");
-            let _ = writeln!(out, "    \"totals\": {{");
-            let totals = session.totals.fields();
-            for (i, (name, value)) in totals.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "      \"{name}\": {value}{}",
-                    if i + 1 < totals.len() { "," } else { "" }
-                );
-            }
-            let _ = writeln!(out, "    }}");
-            let _ = writeln!(out, "  }},");
-        }
-    }
-    let _ = writeln!(out, "  \"suites\": [");
-    for (si, r) in results.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"suite\": {},", json_str(r.suite.id()));
-        let _ = writeln!(out, "      \"benchmarks\": [");
-        for (bi, row) in r.rows.iter().enumerate() {
-            let _ = writeln!(out, "        {{");
-            let _ = writeln!(out, "          \"name\": {},", json_str(&row.name));
-            let _ = writeln!(out, "          \"configs\": [");
+    let config = |level: OptLevel, m: &crate::metrics::Metrics| {
+        let s = &m.stats;
+        let recovered = s.bailouts.iter().filter(|b| b.recovered).count();
+        obj([
+            ("level", Json::str(level.name())),
+            ("raw_cycles", Json::num(m.raw_cycles)),
+            ("peak_cycles", Json::Num(format!("{:?}", m.peak_cycles))),
+            ("code_size", Json::num(m.code_size)),
+            ("work", Json::num(m.work)),
+            ("iterations", Json::num(s.iterations)),
+            ("candidates", Json::num(s.candidates)),
+            ("duplications", Json::num(s.duplications)),
+            ("final_size", Json::num(s.final_size)),
+            ("cache_hits", Json::num(s.cache.hits)),
+            ("cache_misses", Json::num(s.cache.misses)),
+            ("cache_invalidations", Json::num(s.cache.invalidations)),
+            ("rev_cache_hits", Json::num(s.cache.rev_hits)),
+            ("rev_cache_misses", Json::num(s.cache.rev_misses)),
+            (
+                "rev_cache_invalidations",
+                Json::num(s.cache.rev_invalidations),
+            ),
+            ("split_candidates", Json::num(s.split_candidates)),
+            ("split_applied", Json::num(s.split_applied)),
+            ("frontier_violations", Json::num(s.frontier_violations)),
+            ("mispredictions", Json::num(s.mispredictions)),
+            ("stale_skips", Json::num(s.stale_skips)),
+            ("undo_edits", Json::num(s.undo_edits)),
+            ("undo_rollbacks", Json::num(s.undo_rollbacks)),
+            ("undo_peak", Json::num(s.undo_peak)),
+            ("bailouts", Json::num(s.bailouts.len())),
+            ("bailouts_recovered", Json::num(recovered)),
+        ])
+    };
+    let suites = results.iter().map(|r| {
+        let benchmarks = r.rows.iter().map(|row| {
             let levels = [OptLevel::Baseline, OptLevel::Dbds, OptLevel::Dupalot];
-            for (li, &level) in levels.iter().enumerate() {
-                let m = match level {
-                    OptLevel::Baseline => &row.baseline,
-                    OptLevel::Dbds => &row.dbds,
-                    _ => &row.dupalot,
-                };
-                let s = &m.stats;
-                let recovered = s.bailouts.iter().filter(|b| b.recovered).count();
-                let _ = writeln!(out, "            {{");
-                let _ = writeln!(out, "              \"level\": {},", json_str(level.name()));
-                let _ = writeln!(out, "              \"raw_cycles\": {},", m.raw_cycles);
-                let _ = writeln!(out, "              \"peak_cycles\": {:?},", m.peak_cycles);
-                let _ = writeln!(out, "              \"code_size\": {},", m.code_size);
-                let _ = writeln!(out, "              \"work\": {},", m.work);
-                let _ = writeln!(out, "              \"iterations\": {},", s.iterations);
-                let _ = writeln!(out, "              \"candidates\": {},", s.candidates);
-                let _ = writeln!(out, "              \"duplications\": {},", s.duplications);
-                let _ = writeln!(out, "              \"final_size\": {},", s.final_size);
-                let _ = writeln!(out, "              \"cache_hits\": {},", s.cache.hits);
-                let _ = writeln!(out, "              \"cache_misses\": {},", s.cache.misses);
-                let _ = writeln!(
-                    out,
-                    "              \"cache_invalidations\": {},",
-                    s.cache.invalidations
-                );
-                let _ = writeln!(
-                    out,
-                    "              \"rev_cache_hits\": {},",
-                    s.cache.rev_hits
-                );
-                let _ = writeln!(
-                    out,
-                    "              \"rev_cache_misses\": {},",
-                    s.cache.rev_misses
-                );
-                let _ = writeln!(
-                    out,
-                    "              \"rev_cache_invalidations\": {},",
-                    s.cache.rev_invalidations
-                );
-                let _ = writeln!(
-                    out,
-                    "              \"split_candidates\": {},",
-                    s.split_candidates
-                );
-                let _ = writeln!(out, "              \"split_applied\": {},", s.split_applied);
-                let _ = writeln!(
-                    out,
-                    "              \"frontier_violations\": {},",
-                    s.frontier_violations
-                );
-                let _ = writeln!(
-                    out,
-                    "              \"mispredictions\": {},",
-                    s.mispredictions
-                );
-                let _ = writeln!(out, "              \"stale_skips\": {},", s.stale_skips);
-                let _ = writeln!(out, "              \"undo_edits\": {},", s.undo_edits);
-                let _ = writeln!(
-                    out,
-                    "              \"undo_rollbacks\": {},",
-                    s.undo_rollbacks
-                );
-                let _ = writeln!(out, "              \"undo_peak\": {},", s.undo_peak);
-                let _ = writeln!(out, "              \"bailouts\": {},", s.bailouts.len());
-                let _ = writeln!(out, "              \"bailouts_recovered\": {recovered}");
-                let _ = writeln!(
-                    out,
-                    "            }}{}",
-                    if li + 1 < levels.len() { "," } else { "" }
-                );
-            }
-            let _ = writeln!(out, "          ]");
-            let _ = writeln!(
-                out,
-                "        }}{}",
-                if bi + 1 < r.rows.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "      ]");
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if si + 1 < results.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+            let configs = levels.map(|level| config(level, row.pick_metrics(level)));
+            obj([
+                ("name", Json::str(row.name.clone())),
+                ("configs", Json::Arr(configs.into())),
+            ])
+        });
+        obj([
+            ("suite", Json::str(r.suite.id())),
+            ("benchmarks", Json::Arr(benchmarks.collect())),
+        ])
+    });
+    obj([
+        ("unit_threads", Json::num(unit_threads)),
+        ("store", store.map_or(Json::Null, SessionReport::to_json)),
+        ("suites", Json::Arr(suites.collect())),
+    ])
+    .pretty()
 }
 
-/// Minimal JSON string escaping (names and ids are plain ASCII, but stay
-/// safe on quotes and backslashes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A [`Json`] object from `(key, value)` pairs, in order.
+pub(crate) fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
+    Json::Obj(pairs.map(|(k, v)| (k.to_string(), v)).into())
 }
 
 /// One row of the backtracking-vs-simulation comparison (§3.1).
@@ -452,10 +345,10 @@ mod tests {
         let cache = result.cache_totals(dbds_core::OptLevel::Dbds);
         assert!(cache.misses as usize >= result.rows.len());
         assert!(cache.hits > 0);
-        // The reverse-CFG analyses (postdom / frontiers / control-dep)
-        // are live across the suite: computed at least once and then
-        // revalidated as pure hits by the CDG cross-check and the
-        // interference frontiers.
+        // The reverse-CFG analyses (postdom / control-dep) are live
+        // across the suite: computed when a round accepts its first
+        // split candidate, and hit by the CDG cross-check of the round's
+        // further split candidates.
         assert!(cache.rev_misses > 0, "{cache:?}");
         assert!(cache.rev_hits > 0, "{cache:?}");
         assert!(text.contains("Branch splitting"), "{text}");

@@ -149,28 +149,6 @@ fn session(client: &mut Client, rest: &[String]) -> Result<ExitCode, String> {
             }
         }
     }
-    let names: Vec<String> = dbds_workloads::all_workloads()
-        .into_iter()
-        .map(|w| w.name)
-        .collect();
-    for pass in 1..=passes {
-        let (mut hits, mut misses, mut errors) = (0u64, 0u64, 0u64);
-        for name in &names {
-            let outcome = client.compile(CompileRequest {
-                source: CompileSource::Workload(name.clone()),
-                level,
-                deadline_ms: None,
-            })?;
-            match outcome {
-                Ok(served) if served.cached => hits += 1,
-                Ok(_) => misses += 1,
-                Err(_) => errors += 1,
-            }
-        }
-        println!(
-            "pass {pass}: {} requests, {hits} hits, {misses} misses, {errors} errors",
-            names.len()
-        );
-    }
+    client.session(&[level], passes)?;
     Ok(ExitCode::SUCCESS)
 }

@@ -4,7 +4,8 @@
 
 use crate::json::Json;
 use crate::proto::{parse_response, read_frame, write_frame, Request};
-use crate::service::{CompileOutcome, CompileRequest};
+use crate::service::{session_requests, CompileOutcome, CompileRequest};
+use dbds_core::OptLevel;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -93,6 +94,35 @@ impl Client {
     pub fn compile(&mut self, req: CompileRequest) -> Result<CompileOutcome, String> {
         let json = self.request(&Request::Compile(req))?;
         parse_response(&json)
+    }
+
+    /// The standard repeated-workload session over the wire: every
+    /// built-in workload at every `level`, `passes` times over, printing
+    /// one hit/miss/error tally line per pass to stdout as it completes
+    /// (no timings — the output is deterministic given the server
+    /// state).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on the first protocol violation; typed service
+    /// errors are tallied, not returned.
+    pub fn session(&mut self, levels: &[OptLevel], passes: usize) -> Result<(), String> {
+        let reqs = session_requests(levels);
+        for pass in 1..=passes {
+            let (mut hits, mut misses, mut errors) = (0u64, 0u64, 0u64);
+            for req in &reqs {
+                match self.compile(req.clone())? {
+                    Ok(served) if served.cached => hits += 1,
+                    Ok(_) => misses += 1,
+                    Err(_) => errors += 1,
+                }
+            }
+            println!(
+                "pass {pass}: {} requests, {hits} hits, {misses} misses, {errors} errors",
+                reqs.len()
+            );
+        }
+        Ok(())
     }
 
     /// Fetches the status report.

@@ -1,10 +1,10 @@
-//! A minimal JSON tree: parse, compact printing, and a pretty printer
-//! that reproduces the harness report layout byte-for-byte.
+//! A minimal JSON tree: parse, compact printing, and the pretty printer
+//! that lays out the harness reports.
 //!
-//! The build environment has no serde, and the harness already emits
-//! hand-rolled JSON reports. This module closes the loop: the wire
-//! protocol and the report round-trip tests parse into a [`Json`]
-//! tree and print back out. Two fidelity guarantees the tests rely on:
+//! The build environment has no serde. The wire protocol, the status
+//! report and the harness's `--json` reports are all [`Json`] trees
+//! (`compact` on the wire, `pretty` in files), and the report round-trip
+//! tests parse them back. Two fidelity guarantees the tests rely on:
 //!
 //! - **Numbers keep their source text.** `1843.0` (an `f64` printed via
 //!   `{:?}`) must not collapse to `1843` on reserialization, so
@@ -139,10 +139,10 @@ impl Json {
         }
     }
 
-    /// Multi-line rendering in the harness-report style: two-space
-    /// indent, every container element on its own line, `"key": value`,
-    /// and a trailing newline. `format_json → parse → pretty` is the
-    /// identity (the round-trip test in `dbds-harness` gates it).
+    /// Multi-line rendering, the layout of the harness reports:
+    /// two-space indent, every container element on its own line,
+    /// `"key": value`, and a trailing newline. `pretty → parse → pretty`
+    /// is the identity (the round-trip test in `dbds-harness` gates it).
     pub fn pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);
@@ -183,8 +183,8 @@ impl Json {
     }
 }
 
-/// Escapes a string into a quoted JSON literal — the same minimal
-/// escaping the harness report uses.
+/// Escapes a string into a quoted JSON literal (quotes, backslashes,
+/// newlines and control characters).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

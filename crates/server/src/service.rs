@@ -560,14 +560,35 @@ impl SessionReport {
             p.counters.hits as f64 / looked as f64
         }
     }
+
+    /// JSON object in stable report order — the `store` block of the
+    /// harness report. Every value is deterministic (store traffic is
+    /// sequential in submission order).
+    pub fn to_json(&self) -> Json {
+        let passes = self.passes.iter().enumerate().map(|(i, pass)| {
+            let mut pairs = vec![
+                ("pass".into(), Json::num(i + 1)),
+                ("served".into(), Json::num(pass.served)),
+            ];
+            let counters = pass.counters.fields();
+            pairs.extend(counters.map(|(k, v)| (k.to_string(), Json::num(v))));
+            let pct = self.hit_rate(i) * 100.0;
+            pairs.push(("hit_rate_pct".into(), Json::Num(format!("{pct:?}"))));
+            Json::Obj(pairs)
+        });
+        Json::Obj(vec![
+            ("backend".into(), Json::str(self.backend.clone())),
+            ("evictions".into(), Json::num(self.evictions)),
+            ("passes".into(), Json::Arr(passes.collect())),
+            ("totals".into(), self.totals.to_json()),
+        ])
+    }
 }
 
-/// The standard repeated-workload session: every built-in workload at
-/// every `level`, `passes` times over. The first pass populates the
-/// store; later passes measure its effectiveness (the acceptance gate
-/// asserts a >90% second-pass hit rate).
-pub fn run_session(svc: &CompileService, levels: &[OptLevel], passes: usize) -> SessionReport {
-    let reqs: Vec<CompileRequest> = all_workloads()
+/// One pass of the standard session: every built-in workload at every
+/// `level`, workload-major.
+pub(crate) fn session_requests(levels: &[OptLevel]) -> Vec<CompileRequest> {
+    all_workloads()
         .iter()
         .flat_map(|w| {
             levels.iter().map(|&level| CompileRequest {
@@ -576,7 +597,15 @@ pub fn run_session(svc: &CompileService, levels: &[OptLevel], passes: usize) -> 
                 deadline_ms: None,
             })
         })
-        .collect();
+        .collect()
+}
+
+/// The standard repeated-workload session: every built-in workload at
+/// every `level`, `passes` times over. The first pass populates the
+/// store; later passes measure its effectiveness (the acceptance gate
+/// asserts a >90% second-pass hit rate).
+pub fn run_session(svc: &CompileService, levels: &[OptLevel], passes: usize) -> SessionReport {
+    let reqs = session_requests(levels);
     let mut report = SessionReport {
         backend: svc.backend().to_string(),
         ..SessionReport::default()
