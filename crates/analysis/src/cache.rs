@@ -11,6 +11,13 @@
 //! value rewrites (constant folding, use replacement) leave `cfg_version`
 //! untouched, so all entries survive them.
 //!
+//! The dominance *relation* ([`Dominators`]) has a slot of its own beside
+//! the dominator tree's: it is the one entry that can follow a mutation
+//! instead of being recomputed after it
+//! ([`AnalysisCache::dominators_after_duplication`]). Readers that depend
+//! on the CFG order keep asking for [`AnalysisCache::domtree`], which is
+//! only ever a from-scratch build.
+//!
 //! Entries are returned as [`Arc`]s so callers can hold several analyses
 //! at once (the simulation walk needs dominators *and* frequencies) while
 //! the cache stays mutably borrowable in between.
@@ -38,9 +45,11 @@
 //! # Ok::<(), dbds_ir::ParseError>(())
 //! ```
 
-use crate::{BlockFrequencies, ControlDepGraph, DomFrontiers, DomTree, LoopForest, PostDomTree};
+use crate::{
+    BlockFrequencies, ControlDepGraph, DomFrontiers, DomTree, Dominators, LoopForest, PostDomTree,
+};
 use dbds_ir::lint::{Diagnostic, LintId};
-use dbds_ir::Graph;
+use dbds_ir::{BlockId, Graph};
 use std::sync::Arc;
 
 /// Hit/miss/invalidation counters of an [`AnalysisCache`].
@@ -49,9 +58,10 @@ use std::sync::Arc;
 /// into `hits`/`misses`/`invalidations`; the reverse-CFG analyses
 /// (post-dominators, frontiers, control dependence) keep their own
 /// `rev_*` counters so the long-standing forward-counter pins stay
-/// meaningful. Every lookup is either a hit or a miss; invalidations
-/// count the misses that discarded a stale entry (as opposed to
-/// cold-start misses on an empty slot).
+/// meaningful. Every lookup is a hit, a miss or — for the dominance
+/// relation carried across a duplication — a patch; invalidations count
+/// the misses that discarded a stale entry (as opposed to cold-start
+/// misses on an empty slot).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Forward-analysis lookups served from a still-valid entry.
@@ -66,6 +76,14 @@ pub struct CacheStats {
     pub rev_misses: u64,
     /// Reverse-CFG entries discarded because the CFG epoch moved on.
     pub rev_invalidations: u64,
+    /// Dominance relations derived from the previous one by
+    /// [`Dominators::after_duplication`] instead of being rebuilt.
+    /// Neither a hit nor a miss.
+    pub patches: u64,
+    /// Blocks whose predecessor or successor list a dominator build or
+    /// patch made through the cache read: every reachable block for a
+    /// from-scratch build, the merge and its copy for a patch.
+    pub dom_blocks_visited: u64,
 }
 
 impl CacheStats {
@@ -77,6 +95,8 @@ impl CacheStats {
         self.rev_hits += other.rev_hits;
         self.rev_misses += other.rev_misses;
         self.rev_invalidations += other.rev_invalidations;
+        self.patches += other.patches;
+        self.dom_blocks_visited += other.dom_blocks_visited;
     }
 }
 
@@ -98,6 +118,7 @@ struct Slot<T> {
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
     domtree: Option<Slot<DomTree>>,
+    dominators: Option<Slot<Dominators>>,
     loops: Option<Slot<LoopForest>>,
     frequencies: Option<Slot<BlockFrequencies>>,
     postdom: Option<Slot<PostDomTree>>,
@@ -135,17 +156,66 @@ impl AnalysisCache {
     }
 
     /// The dominator tree of `g`, recomputing only if the CFG changed
-    /// since the last lookup.
+    /// since the last lookup. Never a patched entry: the tree carries the
+    /// CFG order, which only a from-scratch build knows.
     pub fn domtree(&mut self, g: &Graph) -> Arc<DomTree> {
-        cached!(
-            self,
-            g,
-            domtree,
-            hits,
-            misses,
-            invalidations,
-            DomTree::compute(g)
-        )
+        cached!(self, g, domtree, hits, misses, invalidations, {
+            let dt = DomTree::compute(g);
+            self.stats.dom_blocks_visited += dt.reverse_postorder().len() as u64;
+            dt
+        })
+    }
+
+    /// The dominance relation of `g`: the relation slot when it is
+    /// current (a hit), else the relation of [`AnalysisCache::domtree`],
+    /// which counts the lookup as its own hit or miss.
+    pub fn dominators(&mut self, g: &Graph) -> Arc<Dominators> {
+        let version = g.cfg_version();
+        if let Some(slot) = self.dominators.as_ref().filter(|s| s.version == version) {
+            self.stats.hits += 1;
+            return Arc::clone(&slot.value);
+        }
+        let value = Arc::clone(self.domtree(g).relation());
+        self.dominators = Some(Slot {
+            version,
+            value: Arc::clone(&value),
+        });
+        value
+    }
+
+    /// The dominance relation of `g`, which differs from the graph `prev`
+    /// describes by one tail duplication of `merge` into `pred` that
+    /// created `copy`: `prev` patched in O(edit)
+    /// ([`Dominators::after_duplication`], counted in
+    /// [`CacheStats::patches`]), or [`AnalysisCache::dominators`] when the
+    /// slot is already current or the patch declines.
+    pub fn dominators_after_duplication(
+        &mut self,
+        g: &Graph,
+        prev: &Dominators,
+        pred: BlockId,
+        merge: BlockId,
+        copy: BlockId,
+    ) -> Arc<Dominators> {
+        let version = g.cfg_version();
+        let current = self
+            .dominators
+            .as_ref()
+            .is_some_and(|s| s.version == version);
+        let patched = (!current)
+            .then(|| prev.after_duplication(g, pred, merge, copy))
+            .flatten();
+        let Some(patched) = patched else {
+            return self.dominators(g);
+        };
+        self.stats.patches += 1;
+        self.stats.dom_blocks_visited += 2;
+        let value = Arc::new(patched);
+        self.dominators = Some(Slot {
+            version,
+            value: Arc::clone(&value),
+        });
+        value
     }
 
     /// The loop forest of `g`, recomputing only if the CFG changed since
@@ -225,6 +295,7 @@ impl AnalysisCache {
     /// cold-start misses, not invalidations.
     pub fn clear(&mut self) {
         self.domtree = None;
+        self.dominators = None;
         self.loops = None;
         self.frequencies = None;
         self.postdom = None;
@@ -314,6 +385,7 @@ type AuditFn = fn(&AnalysisCache, &mut FreshAnalyses<'_>, &mut Vec<Diagnostic>);
 /// slot cannot be added without updating both.
 const AUDIT_REGISTRY: &[(&str, AuditFn)] = &[
     ("domtree", audit_domtree),
+    ("dominators", audit_dominators),
     ("loops", audit_loops),
     ("frequencies", audit_frequencies),
     ("postdom", audit_postdom),
@@ -333,24 +405,45 @@ fn audit_domtree(cache: &AnalysisCache, fresh: &mut FreshAnalyses<'_>, out: &mut
     else {
         return;
     };
-    let g = fresh.g;
     let fresh = fresh.dt();
-    for b in g.blocks() {
-        if slot.value.idom(b) != fresh.idom(b) {
-            out.push(stale_at(
-                Some(b),
-                format!(
-                    "cached domtree stamped current disagrees at {b}: idom {:?} vs recomputed {:?}",
-                    slot.value.idom(b),
-                    fresh.idom(b)
-                ),
-            ));
-        }
-    }
+    relation_divergences("domtree", &slot.value, fresh, out);
     if slot.value.reverse_postorder() != fresh.reverse_postorder() {
         out.push(stale_at(
             None,
             "cached domtree stamped current has a divergent reverse postorder".to_string(),
+        ));
+    }
+}
+
+fn audit_dominators(
+    cache: &AnalysisCache,
+    fresh: &mut FreshAnalyses<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
+    let Some(slot) = cache
+        .dominators
+        .as_ref()
+        .filter(|s| s.version == fresh.version)
+    else {
+        return;
+    };
+    relation_divergences("dominators", &slot.value, fresh.dt(), out);
+}
+
+/// One finding per block on which a cached dominance relation stamped
+/// current and the recomputed one disagree.
+fn relation_divergences(
+    what: &str,
+    cached: &Dominators,
+    fresh: &Dominators,
+    out: &mut Vec<Diagnostic>,
+) {
+    for (b, cached, fresh) in cached.divergences(fresh) {
+        out.push(stale_at(
+            Some(b),
+            format!(
+                "cached {what} stamped current disagrees at {b}: idom {cached:?} vs recomputed {fresh:?}"
+            ),
         ));
     }
 }
@@ -618,6 +711,58 @@ mod tests {
     }
 
     #[test]
+    fn relation_slot_follows_a_duplication_by_patch() {
+        use dbds_ir::Terminator;
+        let mut g = diamond();
+        let mut cache = AnalysisCache::new();
+        let before = cache.dominators(&g);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 0));
+        assert_eq!(cache.stats().dom_blocks_visited, 4);
+        // The ordered tree of the same epoch shares the relation.
+        assert!(Arc::ptr_eq(&before, cache.domtree(&g).relation()));
+
+        // Tail-duplicate bm into bt.
+        let (bt, bm) = (g.blocks().nth(1).unwrap(), g.blocks().nth(3).unwrap());
+        let copy = g.add_block();
+        g.set_terminator(copy, Terminator::Return { value: None });
+        g.retarget_edge(bt, bm, copy, &[]);
+        let base = cache.stats();
+        let after = cache.dominators_after_duplication(&g, &before, bt, bm, copy);
+        assert_eq!(after.idom(copy), Some(bt));
+        assert_eq!(after.idom(bm), Some(g.blocks().nth(2).unwrap()));
+        // A patch is neither hit nor miss, and read two blocks' edges.
+        let now = cache.stats();
+        assert_eq!((now.patches, now.misses, now.hits), (1, 1, base.hits));
+        assert_eq!(now.dom_blocks_visited, base.dom_blocks_visited + 2);
+        // The patched slot serves lookups; the ordered tree is rebuilt.
+        assert!(Arc::ptr_eq(&after, &cache.dominators(&g)));
+        assert!(Arc::ptr_eq(
+            &after,
+            &cache.dominators_after_duplication(&g, &before, bt, bm, copy)
+        ));
+        assert_eq!(cache.stats().hits, base.hits + 2);
+        let dt = cache.domtree(&g);
+        assert_eq!(cache.stats().misses, 2);
+        assert!(!Arc::ptr_eq(&after, dt.relation()));
+        assert!(cache.audit(&g).is_empty());
+    }
+
+    #[test]
+    fn a_declined_patch_is_an_ordinary_miss() {
+        let mut g = diamond();
+        let mut cache = AnalysisCache::new();
+        let before = cache.dominators(&g);
+        // Not a duplication at all: just a fresh unreachable block.
+        let orphan = g.add_block();
+        let (bt, bm) = (g.blocks().nth(1).unwrap(), g.blocks().nth(3).unwrap());
+        let after = cache.dominators_after_duplication(&g, &before, bt, bm, orphan);
+        assert!(!after.is_reachable(orphan));
+        assert_eq!(cache.stats().patches, 0);
+        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(cache.stats().invalidations, 1);
+    }
+
+    #[test]
     fn audit_accepts_consistent_cache() {
         let g = diamond();
         let mut cache = AnalysisCache::new();
@@ -673,6 +818,25 @@ mod tests {
     }
 
     #[test]
+    fn audit_detects_a_forged_relation() {
+        // The relation slot under the same forgery: the ordered tree's
+        // slot is left stale, so only the relation's auditor can fire.
+        let mut g = diamond();
+        let mut cache = AnalysisCache::new();
+        cache.dominators(&g);
+        use dbds_ir::Terminator;
+        let bt = g.blocks().nth(1).unwrap();
+        let bf = g.blocks().nth(2).unwrap();
+        g.set_terminator(bf, Terminator::Jump { target: bt });
+        cache.dominators.as_mut().unwrap().version = g.cfg_version();
+        let findings = cache.audit(&g);
+        assert!(!findings.is_empty());
+        assert!(findings
+            .iter()
+            .all(|d| d.lint == LintId::StaleAnalysis && d.message.contains("dominators")));
+    }
+
+    #[test]
     fn audit_detects_forged_reverse_entries() {
         // The same forgery through the registry's reverse-CFG auditors:
         // retargeting bf to bt changes post-dominance, frontiers and
@@ -709,6 +873,7 @@ mod tests {
         // the registry) is a compile error.
         let AnalysisCache {
             domtree,
+            dominators,
             loops,
             frequencies,
             postdom,
@@ -718,6 +883,7 @@ mod tests {
         } = AnalysisCache::new();
         let slots = [
             ("domtree", domtree.is_none()),
+            ("dominators", dominators.is_none()),
             ("loops", loops.is_none()),
             ("frequencies", frequencies.is_none()),
             ("postdom", postdom.is_none()),

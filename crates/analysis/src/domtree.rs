@@ -1,28 +1,319 @@
 //! Dominator tree construction and queries.
 //!
-//! Uses the Cooper–Harvey–Kennedy iterative algorithm over a reverse
-//! postorder of the CFG, then numbers the dominator tree with an Euler
-//! interval so that [`DomTree::dominates`] is O(1). The DBDS simulation
-//! tier (§4.1 of the paper) is a depth-first traversal of this tree.
+//! Two types, split by what their readers depend on:
+//!
+//! - [`Dominators`] is the dominance *relation* — `idom`, O(1)
+//!   [`dominates`](Dominators::dominates) from a pre-order numbering of
+//!   the tree, reachability. It is a function of the CFG's edge set alone,
+//!   which is why one tail duplication can be applied to it directly
+//!   ([`Dominators::after_duplication`]) without looking at the rest of
+//!   the graph. The guard of the DBDS phase reads only this.
+//! - [`DomTree`] adds the *CFG order*: the reverse postorder and the
+//!   dominator-tree children in that order. Traversals (the simulation
+//!   walk of §4.1, GVN, canonicalization, loops, frequencies) read it, and
+//!   their visiting order decides every `InstId` they create, so a
+//!   `DomTree` is only ever built from scratch: the Cooper–Harvey–Kennedy
+//!   iterative algorithm over a reverse postorder of the CFG.
+//!
+//! `DomTree` derefs to its `Dominators`.
 
 use dbds_ir::{BlockId, Graph};
+use std::sync::Arc;
 
-/// A dominator tree over the reachable blocks of a [`Graph`].
+/// Pre-order number of a block outside the tree.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// The dominance relation over the blocks reachable from a root.
+///
+/// Flat arrays throughout: the tree's children in CSR form and a
+/// pre-order numbering under which the subtree of `b` is the contiguous
+/// slice [`Dominators::subtree`], so "`a` dominates `b`" is two integer
+/// compares.
 #[derive(Clone, Debug)]
-pub struct DomTree {
-    /// Immediate dominator per block (`None` for the entry block and for
+pub struct Dominators {
+    root: BlockId,
+    /// Immediate dominator per block (`None` for the root and for
     /// unreachable blocks).
     idom: Vec<Option<BlockId>>,
-    /// Children in the dominator tree.
-    children: Vec<Vec<BlockId>>,
+    /// The children of `b` are `child_list[child_start[b]..child_start[b + 1]]`.
+    child_start: Vec<u32>,
+    child_list: Vec<BlockId>,
+    /// Pre-order number per block ([`UNREACHABLE`] outside the tree).
+    pre: Vec<u32>,
+    /// One past the largest pre-order number in the block's subtree (0
+    /// outside the tree, so the interval test fails there unaided).
+    end: Vec<u32>,
+    /// The reachable blocks by pre-order number: `order[pre[b]] == b`.
+    order: Vec<BlockId>,
+}
+
+impl Dominators {
+    /// The relation whose tree is given by `idom` (`None` for `root` and
+    /// for every block outside the tree), with each block's children
+    /// ordered by block index. `idom` must describe a tree rooted at
+    /// `root`.
+    pub fn from_idoms(root: BlockId, idom: Vec<Option<BlockId>>) -> Self {
+        let blocks = (0..idom.len()).map(BlockId::from_index);
+        Self::number(root, idom, blocks)
+    }
+
+    /// Builds the CSR children (each list in `fill` order) and the
+    /// pre-order numbering from the `idom` array alone — no edge of the
+    /// CFG is read. Shared by the from-scratch build, which passes a
+    /// reverse postorder, and by the patch.
+    pub(crate) fn number(
+        root: BlockId,
+        mut idom: Vec<Option<BlockId>>,
+        fill: impl Iterator<Item = BlockId>,
+    ) -> Self {
+        let n = idom.len();
+        idom[root.index()] = None;
+        let mut child_start = vec![0u32; n + 1];
+        for p in idom.iter().flatten() {
+            child_start[p.index() + 1] += 1;
+        }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let mut cursor = child_start[..n].to_vec();
+        let mut child_list = vec![root; child_start[n] as usize];
+        for b in fill {
+            if let Some(p) = idom[b.index()] {
+                child_list[cursor[p.index()] as usize] = b;
+                cursor[p.index()] += 1;
+            }
+        }
+
+        // Depth-first numbering; the way back up is the idom array, so no
+        // stack is kept.
+        cursor.copy_from_slice(&child_start[..n]);
+        let mut pre = vec![UNREACHABLE; n];
+        let mut end = vec![0u32; n];
+        let mut order = Vec::with_capacity(child_list.len() + 1);
+        pre[root.index()] = 0;
+        order.push(root);
+        let mut cur = root;
+        loop {
+            let i = cur.index();
+            if cursor[i] < child_start[i + 1] {
+                cur = child_list[cursor[i] as usize];
+                cursor[i] += 1;
+                pre[cur.index()] = order.len() as u32;
+                order.push(cur);
+            } else {
+                end[i] = order.len() as u32;
+                match idom[i] {
+                    Some(p) => cur = p,
+                    None => break,
+                }
+            }
+        }
+
+        Dominators {
+            root,
+            idom,
+            child_start,
+            child_list,
+            pre,
+            end,
+            order,
+        }
+    }
+
+    /// How many blocks the relation is defined over (reachable or not).
+    pub fn block_count(&self) -> usize {
+        self.idom.len()
+    }
+
+    /// The immediate dominator of `b` (`None` for the entry block or an
+    /// unreachable block).
+    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
+        self.idom[b.index()]
+    }
+
+    /// Does `a` dominate `b` (reflexively)? O(1). Unreachable blocks
+    /// neither dominate nor are dominated.
+    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+        let pb = self.pre[b.index()];
+        self.pre[a.index()] <= pb && pb < self.end[a.index()]
+    }
+
+    /// Does `a` strictly dominate `b`?
+    pub fn strictly_dominates(&self, a: BlockId, b: BlockId) -> bool {
+        a != b && self.dominates(a, b)
+    }
+
+    /// Is `b` reachable from the entry block?
+    pub fn is_reachable(&self, b: BlockId) -> bool {
+        self.pre[b.index()] != UNREACHABLE
+    }
+
+    /// The blocks `b` dominates, `b` first, in pre-order of the tree
+    /// (empty when `b` is unreachable).
+    pub fn subtree(&self, b: BlockId) -> &[BlockId] {
+        if !self.is_reachable(b) {
+            return &[];
+        }
+        &self.order[self.pre[b.index()] as usize..self.end[b.index()] as usize]
+    }
+
+    /// Every block on which `self` and `other` are not the same relation
+    /// — the idom or the reachability differs, or only one of them covers
+    /// the block — with the idom each has for it.
+    pub fn divergences<'a>(
+        &'a self,
+        other: &'a Dominators,
+    ) -> impl Iterator<Item = (BlockId, Option<BlockId>, Option<BlockId>)> + 'a {
+        let view = |d: &Dominators, i: usize| {
+            let idom = d.idom.get(i).copied().flatten();
+            (idom, d.pre.get(i).is_some_and(|&p| p != UNREACHABLE))
+        };
+        (0..self.idom.len().max(other.idom.len())).filter_map(move |i| {
+            let (mine, theirs) = (view(self, i), view(other, i));
+            let covered = i < self.idom.len().min(other.idom.len());
+            (mine != theirs || !covered).then(|| (BlockId::from_index(i), mine.0, theirs.0))
+        })
+    }
+
+    /// The children of `b` in the dominator tree, in the order the
+    /// relation was numbered with.
+    pub(crate) fn children(&self, b: BlockId) -> &[BlockId] {
+        let i = b.index();
+        &self.child_list[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+    }
+
+    /// The nearest common ancestor of two reachable blocks.
+    fn nca(&self, mut a: BlockId, mut b: BlockId) -> BlockId {
+        // A block with the larger pre-order number is no ancestor of the
+        // other, so it is the one that moves up.
+        while a != b {
+            if self.pre[a.index()] > self.pre[b.index()] {
+                a = self.idom[a.index()].expect("a non-root block of the tree has an idom");
+            } else {
+                b = self.idom[b.index()].expect("a non-root block of the tree has an idom");
+            }
+        }
+        a
+    }
+
+    /// The relation of `g`, given that `self` was the relation of `g`
+    /// immediately before one tail duplication: the fresh block `copy`
+    /// took over the edge `pred → merge` and branches to `merge`'s
+    /// successors. Exact, and O(|preds(merge)| + |children(merge)| + the
+    /// idom-chain walks of one nearest-common-ancestor query) plus the
+    /// renumbering, which reads only the patched `idom` array: of the
+    /// graph, only the predecessor and successor lists of `merge` and
+    /// `copy` are read.
+    ///
+    /// What one duplication moves (DESIGN.md §6 has the argument):
+    /// `idom(copy) = pred`. If `merge` dominated `pred` — a back-edge
+    /// predecessor — nothing else does. Otherwise `merge` stops dominating
+    /// anything but itself, because `copy` reaches the same successors
+    /// without it. Let `R` be the remaining predecessors of `merge`
+    /// (itself excepted). If every one of them is `copy` or was dominated
+    /// by `merge`, the duplicated edge was the only way in: `merge`'s
+    /// children re-parent to `copy`, and so does `merge`, at the nearest
+    /// common ancestor of `R`. If not, the children re-parent to `merge`'s
+    /// old idom and `merge` to the nearest common ancestor of `R` above
+    /// it. No other block's idom changes.
+    ///
+    /// Returns `None` — rebuild from scratch — when the difference between
+    /// `self` and `g` is not of that shape: `copy` is not the one block
+    /// `g` has more, `merge` is the entry, `pred` still precedes `merge`,
+    /// `preds(copy) != [pred]`, `succs(copy) != succs(merge)`, `pred`,
+    /// `merge` or a remaining predecessor was unreachable, or `merge` has
+    /// no predecessor left.
+    pub fn after_duplication(
+        &self,
+        g: &Graph,
+        pred: BlockId,
+        merge: BlockId,
+        copy: BlockId,
+    ) -> Option<Dominators> {
+        let n = self.idom.len();
+        if g.block_count() != n + 1
+            || copy.index() != n
+            || pred.index() >= n
+            || merge.index() >= n
+            || merge == self.root
+            || !self.is_reachable(pred)
+            || !self.is_reachable(merge)
+            || g.preds(copy) != [pred]
+            || *g.succs(copy) != *g.succs(merge)
+        {
+            return None;
+        }
+        let remaining = || g.preds(merge).iter().copied().filter(|&q| q != merge);
+        if remaining().next().is_none()
+            || remaining().any(|q| q == pred || (q != copy && !self.is_reachable(q)))
+        {
+            return None;
+        }
+
+        let mut idom = Vec::with_capacity(n + 1);
+        idom.extend_from_slice(&self.idom);
+        idom.push(Some(pred));
+        if !self.dominates(merge, pred) {
+            let old_idom = self.idom[merge.index()].expect("a reachable non-root block");
+            let sole_entry = remaining().all(|q| q == copy || self.dominates(merge, q));
+            // Nearest common ancestors are taken in the old tree: on the
+            // blocks each case maps `R` to, it and the new tree agree.
+            let (children_to, merge_to) = if sole_entry {
+                // `merge` hangs at `copy` when `copy` is one of `R` or
+                // `R` spans several of `merge`'s old children, else
+                // inside the one child subtree `R` lies in.
+                let below = if remaining().any(|q| q == copy) {
+                    copy
+                } else {
+                    let a = remaining()
+                        .reduce(|a, q| self.nca(a, q))
+                        .expect("merge has a predecessor left");
+                    if a == merge {
+                        copy
+                    } else {
+                        a
+                    }
+                };
+                (copy, below)
+            } else {
+                let above = remaining()
+                    .map(|q| match q {
+                        q if q == copy => pred,
+                        q if self.dominates(merge, q) => old_idom,
+                        q => q,
+                    })
+                    .reduce(|a, q| self.nca(a, q))
+                    .expect("merge has a predecessor left");
+                (old_idom, above)
+            };
+            for &c in self.children(merge) {
+                idom[c.index()] = Some(children_to);
+            }
+            idom[merge.index()] = Some(merge_to);
+        }
+        Some(Dominators::from_idoms(self.root, idom))
+    }
+}
+
+/// A dominator tree over the reachable blocks of a [`Graph`]: the
+/// [`Dominators`] relation (which it derefs to) plus the reverse
+/// postorder of the CFG it was solved over. Always built from scratch.
+#[derive(Clone, Debug)]
+pub struct DomTree {
+    /// Numbered with the children in reverse postorder.
+    relation: Arc<Dominators>,
     /// Reverse postorder of the reachable blocks.
     rpo: Vec<BlockId>,
     /// Position of each block in `rpo` (`usize::MAX` if unreachable).
     rpo_index: Vec<usize>,
-    /// Euler-tour entry time per block in the dominator tree.
-    pre: Vec<usize>,
-    /// Euler-tour exit time per block in the dominator tree.
-    post: Vec<usize>,
+}
+
+impl std::ops::Deref for DomTree {
+    type Target = Dominators;
+
+    fn deref(&self) -> &Dominators {
+        &self.relation
+    }
 }
 
 impl DomTree {
@@ -34,51 +325,25 @@ impl DomTree {
         for (i, &b) in rpo.iter().enumerate() {
             rpo_index[b.index()] = i;
         }
-        let Solved {
-            idom,
-            children,
-            pre,
-            post,
-        } = solve(&rpo, &rpo_index, |b| g.preds(b).iter().copied());
+        let idom = solve(&rpo, &rpo_index, |b| g.preds(b).iter().copied());
+        let relation = Arc::new(Dominators::number(g.entry(), idom, rpo.iter().copied()));
         DomTree {
-            idom,
-            children,
+            relation,
             rpo,
             rpo_index,
-            pre,
-            post,
         }
     }
 
-    /// The immediate dominator of `b` (`None` for the entry block or an
-    /// unreachable block).
-    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom[b.index()]
+    /// The dominance relation on its own, shareable with readers that do
+    /// not need the CFG order.
+    pub fn relation(&self) -> &Arc<Dominators> {
+        &self.relation
     }
 
     /// The children of `b` in the dominator tree, ordered by reverse
     /// postorder of the CFG.
     pub fn children(&self, b: BlockId) -> &[BlockId] {
-        &self.children[b.index()]
-    }
-
-    /// Does `a` dominate `b` (reflexively)? O(1). Unreachable blocks
-    /// neither dominate nor are dominated.
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if !self.is_reachable(a) || !self.is_reachable(b) {
-            return false;
-        }
-        self.pre[a.index()] <= self.pre[b.index()] && self.post[b.index()] <= self.post[a.index()]
-    }
-
-    /// Does `a` strictly dominate `b`?
-    pub fn strictly_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        a != b && self.dominates(a, b)
-    }
-
-    /// Is `b` reachable from the entry block?
-    pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo_index[b.index()] != usize::MAX
+        self.relation.children(b)
     }
 
     /// The reverse postorder of the reachable blocks (entry first).
@@ -99,27 +364,14 @@ impl DomTree {
 
     /// Depth-first preorder of the dominator tree (entry first). This is
     /// the traversal order of the DBDS simulation tier.
-    pub fn preorder(&self) -> Vec<BlockId> {
-        let mut order: Vec<BlockId> = self.rpo.clone();
-        order.sort_by_key(|b| self.pre[b.index()]);
-        order
+    pub fn preorder(&self) -> &[BlockId] {
+        &self.relation.order
     }
 }
 
-/// What [`solve`] returns, every table indexed by node: the immediate
-/// dominator (`None` for the root and for nodes outside `order`), the
-/// tree children in `order` order, and the Euler-tour interval that makes
-/// "`a` dominates `b`" the O(1) test `pre[a] <= pre[b] && post[b] <=
-/// post[a]`.
-pub(crate) struct Solved {
-    pub idom: Vec<Option<BlockId>>,
-    pub children: Vec<Vec<BlockId>>,
-    pub pre: Vec<usize>,
-    pub post: Vec<usize>,
-}
-
-/// The one Cooper–Harvey–Kennedy solver of this crate: the dominator tree
-/// of whatever graph `preds` describes, rooted at `order[0]`. `order` is a
+/// The one Cooper–Harvey–Kennedy solver of this crate: the immediate
+/// dominators (`None` for the root and for nodes outside `order`) of
+/// whatever graph `preds` describes, rooted at `order[0]`. `order` is a
 /// reverse postorder of the nodes reachable from the root and
 /// `order_index` its inverse (its length is the node count). The
 /// dominator tree passes the CFG's predecessor lists; the post-dominator
@@ -128,7 +380,7 @@ pub(crate) fn solve<I>(
     order: &[BlockId],
     order_index: &[usize],
     preds: impl Fn(BlockId) -> I,
-) -> Solved
+) -> Vec<Option<BlockId>>
 where
     I: IntoIterator<Item = BlockId>,
 {
@@ -160,42 +412,7 @@ where
     }
     // The root's self-idom is an algorithmic artifact; expose None.
     idom[root.index()] = None;
-
-    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-    for &b in order {
-        if let Some(p) = idom[b.index()] {
-            children[p.index()].push(b);
-        }
-    }
-
-    // Euler tour for O(1) dominance queries.
-    let mut pre = vec![usize::MAX; n];
-    let mut post = vec![usize::MAX; n];
-    let mut clock = 0;
-    let mut stack: Vec<(BlockId, usize)> = vec![(root, 0)];
-    pre[root.index()] = clock;
-    clock += 1;
-    while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-        let ch = &children[b.index()];
-        if *next < ch.len() {
-            let c = ch[*next];
-            *next += 1;
-            pre[c.index()] = clock;
-            clock += 1;
-            stack.push((c, 0));
-        } else {
-            post[b.index()] = clock;
-            clock += 1;
-            stack.pop();
-        }
-    }
-
-    Solved {
-        idom,
-        children,
-        pre,
-        post,
-    }
+    idom
 }
 
 fn intersect(idom: &[Option<BlockId>], order_index: &[usize], a: BlockId, b: BlockId) -> BlockId {
@@ -217,9 +434,9 @@ pub fn reverse_postorder(g: &Graph) -> Vec<BlockId> {
     let mut visited = vec![false; n];
     let mut post: Vec<BlockId> = Vec::new();
     // Each frame owns its block's successors, fetched once at the push.
-    let mut stack: Vec<(BlockId, Vec<BlockId>, usize)> = vec![(g.entry(), g.succs(g.entry()), 0)];
+    let mut stack = vec![(g.entry(), g.succs(g.entry()), 0)];
     visited[g.entry().index()] = true;
-    while let Some(&mut (b, ref succs, ref mut child)) = stack.last_mut() {
+    while let Some(&mut (b, succs, ref mut child)) = stack.last_mut() {
         if *child < succs.len() {
             let s = succs[*child];
             *child += 1;
@@ -352,7 +569,7 @@ mod tests {
         let pre = dt.preorder();
         assert_eq!(pre[0], g.entry());
         let pos = |b: BlockId| pre.iter().position(|&x| x == b).unwrap();
-        for &b in &pre {
+        for &b in pre {
             if let Some(p) = dt.idom(b) {
                 assert!(pos(p) < pos(b));
             }

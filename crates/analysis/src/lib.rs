@@ -50,7 +50,7 @@ mod stamps;
 pub use cache::{AnalysisCache, CacheStats};
 pub use controldep::ControlDepGraph;
 pub use domfrontier::DomFrontiers;
-pub use domtree::{reverse_postorder, DomTree};
+pub use domtree::{reverse_postorder, DomTree, Dominators};
 pub use frequency::{edge_probability, BlockFrequencies, LOOP_FACTOR, MAX_FREQUENCY};
 pub use loops::{LoopForest, LoopInfo};
 pub use postdom::PostDomTree;

@@ -13,7 +13,7 @@
 //! block (in forward reverse postorder) to the virtual exit as a
 //! pseudo-exit, so the tree always covers every entry-reachable block.
 
-use crate::domtree::{reverse_postorder, solve, Solved};
+use crate::domtree::{reverse_postorder, solve, Dominators};
 use dbds_ir::{BlockId, Graph};
 
 /// A post-dominator tree over the entry-reachable blocks of a [`Graph`].
@@ -21,22 +21,13 @@ use dbds_ir::{BlockId, Graph};
 pub struct PostDomTree {
     /// The virtual exit: the node one past the real blocks.
     virtual_exit: BlockId,
-    /// Immediate post-dominator per block: a real block, the virtual
-    /// exit, or `None` outside the analysis domain (unreachable from the
-    /// entry block).
-    ipdom: Vec<Option<BlockId>>,
-    /// Children in the post-dominator tree, per real block.
-    children: Vec<Vec<BlockId>>,
-    /// Children of the virtual exit: real exits first (in forward RPO
-    /// order), then pseudo-exits of infinite regions.
-    roots: Vec<BlockId>,
+    /// The dominance relation of the reversed CFG, rooted at the virtual
+    /// exit, children in reverse postorder of the reversed CFG. A block's
+    /// parent is a real block, the virtual exit, or `None` outside the
+    /// analysis domain (unreachable from the entry block).
+    tree: Dominators,
     /// Pseudo-exits chosen for regions that cannot reach a real exit.
     pseudo_exits: Vec<BlockId>,
-    /// Euler-tour entry time per node, the tour rooted at the virtual
-    /// exit.
-    pre: Vec<usize>,
-    /// Euler-tour exit time per node.
-    post: Vec<usize>,
 }
 
 impl PostDomTree {
@@ -83,49 +74,40 @@ impl PostDomTree {
         }
         // Reversed predecessors of `b` are its forward successors, plus
         // the virtual exit when `b` is an exit.
-        let Solved {
-            idom: ipdom,
-            mut children,
-            pre,
-            post,
-        } = solve(&order, &order_index, |b| {
+        let ipdom = solve(&order, &order_index, |b| {
             g.succs(b)
                 .into_iter()
                 .chain(is_exit[b.index()].then_some(virtual_exit))
         });
-        let roots = children.pop().expect("the virtual exit's slot");
+        let tree = Dominators::number(virtual_exit, ipdom, order.iter().copied());
 
         PostDomTree {
             virtual_exit,
-            ipdom,
-            children,
-            roots,
+            tree,
             pseudo_exits,
-            pre,
-            post,
         }
     }
 
     /// The immediate post-dominator of `b`: `None` when `b`'s parent is
     /// the virtual exit (a real or pseudo exit) or `b` is unreachable.
     pub fn ipdom(&self, b: BlockId) -> Option<BlockId> {
-        self.ipdom[b.index()].filter(|&p| p != self.virtual_exit)
+        self.tree.idom(b).filter(|&p| p != self.virtual_exit)
     }
 
     /// Is `b`'s immediate post-dominator the virtual exit?
     pub fn is_root(&self, b: BlockId) -> bool {
-        self.ipdom[b.index()] == Some(self.virtual_exit)
+        self.tree.idom(b) == Some(self.virtual_exit)
     }
 
     /// The children of `b` in the post-dominator tree.
     pub fn children(&self, b: BlockId) -> &[BlockId] {
-        &self.children[b.index()]
+        self.tree.children(b)
     }
 
     /// The children of the virtual exit: real exits first, then
     /// pseudo-exits of infinite regions.
     pub fn roots(&self) -> &[BlockId] {
-        &self.roots
+        self.tree.children(self.virtual_exit)
     }
 
     /// Blocks deterministically attached to the virtual exit because
@@ -137,10 +119,7 @@ impl PostDomTree {
     /// Does `a` post-dominate `b` (reflexively)? O(1). Blocks outside the
     /// domain neither post-dominate nor are post-dominated.
     pub fn post_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if !self.in_domain(a) || !self.in_domain(b) {
-            return false;
-        }
-        self.pre[a.index()] <= self.pre[b.index()] && self.post[b.index()] <= self.post[a.index()]
+        self.tree.dominates(a, b)
     }
 
     /// Does `a` strictly post-dominate `b`?
@@ -150,7 +129,7 @@ impl PostDomTree {
 
     /// Is `b` in the analysis domain (reachable from the entry block)?
     pub fn in_domain(&self, b: BlockId) -> bool {
-        self.ipdom[b.index()].is_some()
+        self.tree.is_reachable(b)
     }
 }
 

@@ -5,9 +5,11 @@
 //! post-dominator tree with path-to-exit cuts, and the control-dependence
 //! graph with the naive Ferrante–Ottenstein–Warren edge scan. The
 //! post-dominator tree is also pinned, field for field, to what the
-//! stand-alone solver it used to have produced.
+//! stand-alone solver it used to have produced. The dominance relation
+//! patched across tail duplications ([`Dominators::after_duplication`])
+//! is held to the from-scratch build after every step.
 
-use dbds_analysis::{ControlDepGraph, DomTree, PostDomTree};
+use dbds_analysis::{ControlDepGraph, DomTree, Dominators, PostDomTree};
 use dbds_ir::{BlockId, ClassTable, Fnv64, Graph, Terminator, Type};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -149,6 +151,290 @@ fn postdom_tree_matches_the_pinned_digests() {
 const GOLDEN_POSTDOM_SMALL: u64 = 0x9184_9cf3_acd3_722c;
 const GOLDEN_POSTDOM_LARGE: u64 = 0x6be7_fd31_c150_8254;
 
+/// Tail-duplicates `merge` into `pred` the way the transform edits the
+/// CFG: a fresh block takes a copy of `merge`'s terminator, then the edge
+/// `pred -> merge` is retargeted to it. (No φs in these graphs.)
+fn tail_duplicate(g: &mut Graph, pred: BlockId, merge: BlockId) -> BlockId {
+    let copy = g.add_block();
+    g.set_terminator(copy, g.terminator(merge).clone());
+    g.retarget_edge(pred, merge, copy, &[]);
+    copy
+}
+
+fn edges(g: &Graph) -> Vec<(BlockId, BlockId)> {
+    g.blocks()
+        .flat_map(|p| g.succs(p).into_iter().map(move |m| (p, m)))
+        .collect()
+}
+
+/// `rel` against a from-scratch build of `g`: every idom, reachability
+/// and all pairs of `dominates`.
+fn assert_is_relation_of(rel: &Dominators, g: &Graph, context: &str) {
+    let fresh = DomTree::compute(g);
+    assert_eq!(rel.block_count(), g.block_count(), "{context}");
+    for a in g.blocks() {
+        assert_eq!(rel.idom(a), fresh.idom(a), "idom({a}) {context}\n{g}");
+        assert_eq!(
+            rel.is_reachable(a),
+            fresh.is_reachable(a),
+            "is_reachable({a}) {context}\n{g}"
+        );
+        for b in g.blocks() {
+            assert_eq!(
+                rel.dominates(a, b),
+                fresh.dominates(a, b),
+                "{a} dom {b} {context}\n{g}"
+            );
+        }
+    }
+}
+
+/// Which arm of the patch rule a duplication exercises, judged on the
+/// relation before it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Shape {
+    /// `merge` dominated `pred`.
+    BackEdge,
+    /// Every other way into `merge` came from below it.
+    SoleEntry,
+    /// `merge` keeps an entry that does not pass through the copy.
+    Shared,
+    /// The patch declined.
+    Declined,
+}
+
+/// Runs `picks.len()` tail duplications on `g`, each on the edge its
+/// pick selects among *all* edges (unreachable sources, the entry as
+/// target, self-loops and fresh copies included), carrying one relation
+/// through by patching and falling back to a from-scratch build only
+/// when the patch declines. Returns the shape of every step.
+fn duplicate_and_patch(g: &mut Graph, picks: &[usize]) -> Vec<Shape> {
+    let mut rel: Dominators = (**DomTree::compute(g).relation()).clone();
+    let mut shapes = Vec::new();
+    for &pick in picks {
+        let all = edges(g);
+        if all.is_empty() {
+            break;
+        }
+        let (pred, merge) = all[pick % all.len()];
+        let back_edge = rel.dominates(merge, pred);
+        let copy = tail_duplicate(g, pred, merge);
+        match rel.after_duplication(g, pred, merge, copy) {
+            Some(patched) => {
+                assert_is_relation_of(
+                    &patched,
+                    g,
+                    &format!("after duplicating {merge} into {pred} as {copy}"),
+                );
+                shapes.push(if back_edge {
+                    Shape::BackEdge
+                } else if patched
+                    .idom(merge)
+                    .is_some_and(|d| patched.dominates(copy, d))
+                {
+                    Shape::SoleEntry
+                } else {
+                    Shape::Shared
+                });
+                rel = patched;
+            }
+            None => {
+                shapes.push(Shape::Declined);
+                rel = (**DomTree::compute(g).relation()).clone();
+            }
+        }
+    }
+    shapes
+}
+
+/// A fixed pseudo-random corpus large enough that every arm of the rule,
+/// and the fallback, is taken many times — so the property test below is
+/// not vacuously green on one shape.
+#[test]
+fn patched_relation_matches_from_scratch_on_a_fixed_corpus() {
+    let mut state = 23u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut seen = [0usize; 4];
+    for _ in 0..3000 {
+        let n = 2 + next() as usize % 14;
+        let choices: Vec<u8> = (0..n).map(|_| (next() % 8) as u8).collect();
+        let mut g = random_cfg(n, &choices);
+        let picks: Vec<usize> = (0..6).map(|_| next() as usize).collect();
+        for shape in duplicate_and_patch(&mut g, &picks) {
+            seen[shape as usize] += 1;
+        }
+    }
+    for (shape, count) in [
+        Shape::BackEdge,
+        Shape::SoleEntry,
+        Shape::Shared,
+        Shape::Declined,
+    ]
+    .into_iter()
+    .zip(seen)
+    {
+        assert!(count >= 100, "{shape:?} taken only {count} times");
+    }
+}
+
+/// entry → {bt, bf} → bm → {left, right} → out, `left → bm` a back edge.
+fn looped_diamond() -> (Graph, [BlockId; 6]) {
+    let mut g = Graph::new("shapes", &[Type::Bool], Arc::new(ClassTable::new()));
+    let cond = g.param_values()[0];
+    let [bt, bf, bm, left, right, out] = [(); 6].map(|()| g.add_block());
+    let branch = |then_bb, else_bb| Terminator::Branch {
+        cond,
+        then_bb,
+        else_bb,
+        prob_then: 0.5,
+    };
+    g.set_terminator(g.entry(), branch(bt, bf));
+    g.set_terminator(bt, Terminator::Jump { target: bm });
+    g.set_terminator(bf, Terminator::Jump { target: bm });
+    g.set_terminator(bm, branch(left, right));
+    g.set_terminator(left, branch(bm, out));
+    g.set_terminator(right, Terminator::Jump { target: out });
+    g.set_terminator(out, Terminator::Return { value: None });
+    (g, [bt, bf, bm, left, right, out])
+}
+
+/// Every shape the patch declines, one by one. (`pred` listed twice in
+/// `preds(merge)` is the one listed fallback no graph can reach: every
+/// primitive that installs a terminator rejects `branch c, s, s`. What
+/// is left of it — `pred` still preceding `merge` — is the "edge was not
+/// retargeted" case below.)
+#[test]
+fn after_duplication_declines_what_is_not_one_tail_duplication() {
+    let relation = |g: &Graph| Arc::clone(DomTree::compute(g).relation());
+
+    // The shapes it does cover, on the same graph, for contrast.
+    let (mut g, [bt, _, bm, left, ..]) = looped_diamond();
+    let before = relation(&g);
+    let copy = tail_duplicate(&mut g, bt, bm);
+    let shared = before.after_duplication(&g, bt, bm, copy).unwrap();
+    assert_is_relation_of(&shared, &g, "shared entry");
+    let copy2 = tail_duplicate(&mut g, left, bm);
+    let back = shared.after_duplication(&g, left, bm, copy2).unwrap();
+    assert_is_relation_of(&back, &g, "back-edge predecessor");
+    assert_eq!(back.idom(copy2), Some(left));
+
+    // The loop's sole entry: bm is entered from bf and, below it, left.
+    let (mut g, [bt, bf, bm, left, right, _]) = looped_diamond();
+    g.set_terminator(bt, Terminator::Return { value: None });
+    let before = relation(&g);
+    let copy = tail_duplicate(&mut g, bf, bm);
+    let sole = before.after_duplication(&g, bf, bm, copy).unwrap();
+    assert_is_relation_of(&sole, &g, "sole entry");
+    assert_eq!(sole.idom(left), Some(copy));
+    assert_eq!(sole.idom(right), Some(copy));
+    assert_eq!(sole.idom(bm), Some(left));
+
+    // A stale relation: `g` has more than one block the relation lacks.
+    let (mut g, [bt, _, bm, ..]) = looped_diamond();
+    let before = relation(&g);
+    g.add_block();
+    let copy = tail_duplicate(&mut g, bt, bm);
+    assert!(before.after_duplication(&g, bt, bm, copy).is_none());
+    // ... or `copy` is not the new block.
+    assert!(relation(&g).after_duplication(&g, bt, bm, bt).is_none());
+
+    // `merge` is the entry (only a malformed graph has an edge into it).
+    let (mut g, [.., out]) = looped_diamond();
+    g.set_terminator(out, Terminator::Jump { target: g.entry() });
+    let before = relation(&g);
+    let entry = g.entry();
+    let copy = tail_duplicate(&mut g, out, entry);
+    assert!(before.after_duplication(&g, out, entry, copy).is_none());
+
+    // The edge was not retargeted: `pred` still precedes `merge`.
+    let (mut g, [bt, _, bm, left, ..]) = looped_diamond();
+    let before = relation(&g);
+    let copy = g.add_block();
+    g.set_terminator(copy, g.terminator(bm).clone());
+    assert!(before.after_duplication(&g, bt, bm, copy).is_none());
+    // ... nor is it when a different edge of `pred` was: left's exit edge
+    // goes to the copy, so preds(copy) == [left] while left -> bm stands.
+    let (_, [.., out]) = looped_diamond();
+    g.retarget_edge(left, out, copy, &[]);
+    assert_eq!(g.preds(copy), [left]);
+    assert!(before.after_duplication(&g, left, bm, copy).is_none());
+
+    // preds(copy) != [pred].
+    let (mut g, [bt, bf, bm, ..]) = looped_diamond();
+    let before = relation(&g);
+    let copy = tail_duplicate(&mut g, bt, bm);
+    assert!(before.after_duplication(&g, bf, bm, copy).is_none());
+
+    // succs(copy) != succs(merge): a self-looping merge duplicated into
+    // itself hands its own back edge to the copy.
+    let (mut g, [_, _, bm, left, right, _]) = looped_diamond();
+    g.set_terminator(left, Terminator::Return { value: None });
+    g.set_terminator(right, Terminator::Return { value: None });
+    let cond = g.param_values()[0];
+    g.set_terminator(
+        bm,
+        Terminator::Branch {
+            cond,
+            then_bb: bm,
+            else_bb: left,
+            prob_then: 0.5,
+        },
+    );
+    let before = relation(&g);
+    let copy = tail_duplicate(&mut g, bm, bm);
+    assert!(before.after_duplication(&g, bm, bm, copy).is_none());
+
+    // An unreachable `pred`, an unreachable `merge`, an unreachable
+    // remaining predecessor.
+    let (mut g, [bt, _, bm, ..]) = looped_diamond();
+    let (orphan, orphan2) = (g.add_block(), g.add_block());
+    g.set_terminator(orphan, Terminator::Jump { target: bm });
+    g.set_terminator(orphan2, Terminator::Jump { target: orphan });
+    let before = relation(&g);
+    let mut h = g.clone();
+    let copy = tail_duplicate(&mut h, orphan, bm);
+    assert!(before.after_duplication(&h, orphan, bm, copy).is_none());
+    let mut h = g.clone();
+    let copy = tail_duplicate(&mut h, orphan2, orphan);
+    assert!(before
+        .after_duplication(&h, orphan2, orphan, copy)
+        .is_none());
+    let mut h = g.clone();
+    let copy = tail_duplicate(&mut h, bt, bm);
+    assert!(before.after_duplication(&h, bt, bm, copy).is_none());
+
+    // No predecessor left: `pred` was the only one.
+    let (mut g, [bt, ..]) = looped_diamond();
+    let lone = g.add_block();
+    g.set_terminator(lone, Terminator::Return { value: None });
+    g.set_terminator(bt, Terminator::Jump { target: lone });
+    let before = relation(&g);
+    let copy = tail_duplicate(&mut g, bt, lone);
+    assert!(before.after_duplication(&g, bt, lone, copy).is_none());
+}
+
+#[test]
+fn from_idoms_numbers_the_tree_it_is_given() {
+    let (g, _) = looped_diamond();
+    let dt = DomTree::compute(&g);
+    let idoms = g.blocks().map(|b| dt.idom(b)).collect();
+    let rel = Dominators::from_idoms(g.entry(), idoms);
+    assert_is_relation_of(&rel, &g, "from_idoms");
+    for b in g.blocks() {
+        let mut expected: Vec<BlockId> = g.blocks().filter(|&x| dt.dominates(b, x)).collect();
+        let mut subtree = rel.subtree(b).to_vec();
+        assert_eq!(subtree.first(), Some(&b));
+        subtree.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(subtree, expected, "subtree({b})");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -259,5 +545,15 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn patched_relation_matches_from_scratch(
+        n in 2usize..12,
+        choices in proptest::collection::vec(0u8..8, 12),
+        picks in proptest::collection::vec(0usize..1000, 1..8),
+    ) {
+        let mut g = random_cfg(n, &choices);
+        duplicate_and_patch(&mut g, &picks);
     }
 }

@@ -33,12 +33,13 @@
 //! other: one unit's fuel exhaustion, deadline miss or contained panic
 //! never charges or silences a neighbor.
 
-use dbds_analysis::{AnalysisCache, DomTree};
+use dbds_analysis::{AnalysisCache, Dominators};
 use dbds_ir::{BlockId, Dominance, FootprintScratch, Graph, VerifyErrors};
 use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
@@ -228,11 +229,11 @@ pub fn checkpoint(g: &Graph) -> Result<(), BailoutReason> {
     dbds_ir::verify(g).map_err(|e| BailoutReason::VerifierRejected(e.summary()))
 }
 
-/// dbds-analysis' dominator tree as the relation
+/// dbds-analysis' dominance relation as the one
 /// [`dbds_ir::lint_footprint`] checks against.
 struct TreeDominance<T>(T);
 
-impl<T: std::ops::Deref<Target = DomTree>> Dominance for TreeDominance<T> {
+impl<T: std::ops::Deref<Target = Dominators>> Dominance for TreeDominance<T> {
     fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         self.0.dominates(a, b)
     }
@@ -245,8 +246,8 @@ impl<T: std::ops::Deref<Target = DomTree>> Dominance for TreeDominance<T> {
 /// The O(edit) form of [`checkpoint`], for use inside an open
 /// transaction: runs the verifier's error-severity rules over the
 /// innermost transaction's footprint ([`Graph::txn_footprint`]) instead
-/// of the whole graph. `before` must be the dominator tree of `g` as it
-/// was when that transaction opened; the current tree comes from
+/// of the whole graph. `before` must be the dominance relation of `g` as
+/// it was when that transaction opened; the current one comes from
 /// `cache` (one miss if the transaction changed the CFG, and the next
 /// lookup at this version hits).
 ///
@@ -264,15 +265,28 @@ impl<T: std::ops::Deref<Target = DomTree>> Dominance for TreeDominance<T> {
 pub fn checkpoint_scoped(
     g: &Graph,
     cache: &mut AnalysisCache,
-    before: &DomTree,
+    before: &Dominators,
     scratch: &mut FootprintScratch,
+) -> Result<(), BailoutReason> {
+    checkpoint_footprint(g, before, scratch, || cache.dominators(g))
+}
+
+/// [`checkpoint_scoped`] with the current relation supplied by `after`,
+/// which is only called once the edge rules have passed — so a relation
+/// patched from `g`'s predecessor and successor lists never reads
+/// inconsistent mirrors.
+pub(crate) fn checkpoint_footprint(
+    g: &Graph,
+    before: &Dominators,
+    scratch: &mut FootprintScratch,
+    after: impl FnOnce() -> Arc<Dominators>,
 ) -> Result<(), BailoutReason> {
     let report = dbds_ir::lint_footprint(
         g,
         &g.txn_footprint(),
         scratch,
         &TreeDominance(before),
-        || TreeDominance(cache.domtree(g)),
+        || TreeDominance(after()),
     );
     let problems: Vec<String> = report.errors().map(|d| d.message.clone()).collect();
     if problems.is_empty() {

@@ -15,12 +15,14 @@
 //! merge's dominance frontiers must match a definition-based
 //! recomputation over the forward edges, and — whenever neither block
 //! dominates the other — must be equal to each other. The phase driver
-//! runs its cached-tree form [`lint_frontier_in`] after every applied
+//! runs its cached-relation form [`lint_frontier_in`] after every applied
 //! duplication and rolls the transaction back on a violation; the
-//! from-scratch consistency layer runs once more per iteration.
+//! from-scratch consistency layer runs once more per iteration, where the
+//! relation the round patched along is also held, idom by idom, to the
+//! from-scratch tree ([`LintId::StaleAnalysis`]).
 
 use crate::simulation::SimulationResult;
-use dbds_analysis::{DomFrontiers, DomTree};
+use dbds_analysis::{DomFrontiers, DomTree, Dominators};
 use dbds_ir::lint::{Diagnostic, LintId};
 use dbds_ir::{BlockId, Graph};
 
@@ -99,18 +101,15 @@ pub fn lint_simulation(results: &[SimulationResult], current_size: u64) -> Vec<D
 /// The dominance frontier of `b` recomputed straight from the
 /// definition — `DF(b) = { y : ∃ q ∈ preds(y), b dom q, b !sdom y }` —
 /// but discovered by walking the *forward* edges of every block `b`
-/// dominates. The Cytron-style [`DomFrontiers`] construction walks idom
-/// chains from each join's *predecessor* list, so comparing the two
-/// cross-checks the pred/succ mirrors the CFG repair must keep in sync.
-/// Like the join-driven construction, only genuine joins (two or more
-/// predecessors) enter a frontier.
-fn definition_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
+/// dominates (its subtree in the dominator tree). The Cytron-style
+/// [`DomFrontiers`] construction walks idom chains from each join's
+/// *predecessor* list, so comparing the two cross-checks the pred/succ
+/// mirrors the CFG repair must keep in sync. Like the join-driven
+/// construction, only genuine joins (two or more predecessors) enter a
+/// frontier.
+fn definition_frontier(g: &Graph, dt: &Dominators, b: BlockId) -> Vec<BlockId> {
     let mut out = Vec::new();
-    for i in 0..g.block_count() {
-        let q = BlockId(i as u32);
-        if !dt.is_reachable(q) || !dt.dominates(b, q) {
-            continue;
-        }
+    for &q in dt.subtree(b) {
         for y in g.succs(q) {
             if g.preds(y).len() >= 2 && !dt.strictly_dominates(b, y) {
                 out.push(y);
@@ -123,15 +122,15 @@ fn definition_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
 }
 
 /// `DF(b)` by the Cytron-style join-driven construction, restricted to
-/// one block: every join walks each reachable predecessor's idom chain
-/// up to (exclusive) its own immediate dominator and enters the frontier
-/// of every block on the way — here only `b` is collected. The same walk
-/// [`DomFrontiers`] does for all blocks at once, without building the
-/// whole table.
-fn join_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
+/// one block: every reachable join walks each reachable predecessor's
+/// idom chain up to (exclusive) its own immediate dominator and enters
+/// the frontier of every block on the way — here only `b` is collected.
+/// The same walk [`DomFrontiers`] does for all blocks at once, without
+/// building the whole table.
+fn join_frontier(g: &Graph, dt: &Dominators, b: BlockId) -> Vec<BlockId> {
     let mut out = Vec::new();
-    for &y in dt.reverse_postorder() {
-        if g.preds(y).len() < 2 {
+    for y in g.blocks() {
+        if g.preds(y).len() < 2 || !dt.is_reachable(y) {
             continue;
         }
         let target = dt.idom(y);
@@ -150,7 +149,6 @@ fn join_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
             }
         }
     }
-    out.sort_unstable();
     out
 }
 
@@ -163,7 +161,7 @@ fn frontier_violation(copy: BlockId, message: String) -> Diagnostic {
 /// [`definition_frontier`]. Diagnostics anchor to `copy`.
 fn frontier_consistency(
     g: &Graph,
-    dt: &DomTree,
+    dt: &Dominators,
     copy: BlockId,
     b: BlockId,
     joins: &[BlockId],
@@ -183,7 +181,7 @@ fn frontier_consistency(
 /// join-driven frontier of a block.
 fn frontier_verdict<F: AsRef<[BlockId]>>(
     g: &Graph,
-    dt: &DomTree,
+    dt: &Dominators,
     copy: BlockId,
     merge: BlockId,
     joins: impl Fn(BlockId) -> F,
@@ -235,33 +233,64 @@ fn frontier_verdict<F: AsRef<[BlockId]>>(
 /// This is the whole-graph reference form: it builds the dominator
 /// tree and the full frontier table from scratch. The phase driver's
 /// per-duplication check is
-/// [`lint_frontier_in`], which answers from a dominator tree the caller
-/// already has.
+/// [`lint_frontier_in`], which answers from a dominance relation the
+/// caller already has.
 pub fn lint_frontier(g: &Graph, copy: BlockId, merge: BlockId) -> Option<Diagnostic> {
     let dt = DomTree::compute(g);
     let df = DomFrontiers::compute(g, &dt);
     frontier_verdict(g, &dt, copy, merge, |b| df.df(b))
 }
 
-/// [`lint_frontier`] against a dominator tree the caller already holds
-/// (the phase passes the cached one): only `DF(copy)` and `DF(merge)`
-/// are computed, each by both constructions, with no whole-graph
-/// frontier table. Same verdicts and messages.
+/// [`lint_frontier`] against a dominance relation the caller already
+/// holds (the phase passes the one it patched for this duplication):
+/// only `DF(copy)` and `DF(merge)` are computed, each by both
+/// constructions, with no whole-graph frontier table. Same verdicts and
+/// messages.
 pub fn lint_frontier_in(
     g: &Graph,
-    dt: &DomTree,
+    dt: &Dominators,
     copy: BlockId,
     merge: BlockId,
 ) -> Option<Diagnostic> {
     frontier_verdict(g, dt, copy, merge, |b| join_frontier(g, dt, b))
 }
 
-/// Layer 1 of [`lint_frontier`] over `blocks`, on analyses built from
-/// scratch: the iteration-boundary backstop for the per-duplication
-/// checks, which trusted the cached tree. (Layer 2 only holds
-/// immediately after one duplication.)
-pub(crate) fn lint_frontier_boundary(g: &Graph, blocks: &[BlockId]) -> Option<Diagnostic> {
+/// The first block on which `relation` is not the dominance relation
+/// `fresh` — its idom or its reachability differs — as a
+/// [`LintId::StaleAnalysis`] finding.
+fn relation_divergence(fresh: &Dominators, relation: &Dominators) -> Option<Diagnostic> {
+    relation.divergences(fresh).next().map(|(b, patched, fresh)| {
+        Diagnostic::new(
+            LintId::StaleAnalysis,
+            Some(b),
+            None,
+            format!(
+                "stale-analysis: the patched dominance relation has idom({b}) = {patched:?}, a from-scratch build {fresh:?}"
+            ),
+        )
+    })
+}
+
+/// The whole-graph reference form of a patched dominance relation: a
+/// from-scratch build of `g` compared with it on every block.
+pub(crate) fn lint_relation(g: &Graph, relation: &Dominators) -> Option<Diagnostic> {
+    relation_divergence(&DomTree::compute(g), relation)
+}
+
+/// The iteration-boundary backstop for the per-duplication checks, which
+/// trusted the relation the round patched along, on analyses built from
+/// scratch: `relation` (the round's last) must be the from-scratch one,
+/// and layer 1 of [`lint_frontier`] must hold over `blocks`. (Layer 2
+/// only holds immediately after one duplication.)
+pub(crate) fn lint_frontier_boundary(
+    g: &Graph,
+    blocks: &[BlockId],
+    relation: &Dominators,
+) -> Option<Diagnostic> {
     let dt = DomTree::compute(g);
+    if let Some(d) = relation_divergence(&dt, relation) {
+        return Some(d);
+    }
     let df = DomFrontiers::compute(g, &dt);
     blocks
         .iter()
@@ -386,6 +415,36 @@ mod tests {
         let orphan = g.add_block();
         g.set_terminator(orphan, dbds_ir::Terminator::Return { value: None });
         assert!(lint_frontier(&g, bt, orphan).is_none());
+    }
+
+    #[test]
+    fn boundary_holds_the_rounds_relation_to_a_from_scratch_tree() {
+        // Fail-first for the LintId::StaleAnalysis boundary rejection.
+        let (mut g, bt, _bf, bm) = diamond();
+        let before = DomTree::compute(&g);
+        let dup = crate::transform::duplicate(&mut g, bt, bm);
+        let blocks = [dup.copy, dup.merge];
+        let patched = before
+            .after_duplication(&g, dup.pred, dup.merge, dup.copy)
+            .expect("a plain tail duplication is patched");
+        assert_eq!(lint_relation(&g, &patched), None);
+        assert_eq!(lint_frontier_boundary(&g, &blocks, &patched), None);
+
+        // The relation of the graph before the duplication.
+        let d = lint_frontier_boundary(&g, &blocks, &before).expect("one block short");
+        assert_eq!(d.lint, LintId::StaleAnalysis);
+        // The right blocks, `bm` still hanging where it used to.
+        let mut idoms: Vec<Option<BlockId>> = g.blocks().map(|b| patched.idom(b)).collect();
+        idoms[bm.index()] = before.idom(bm);
+        let stale = Dominators::from_idoms(g.entry(), idoms);
+        for d in [
+            lint_relation(&g, &stale),
+            lint_frontier_boundary(&g, &blocks, &stale),
+        ] {
+            let d = d.expect("a stale idom must be flagged");
+            assert_eq!((d.lint, d.block), (LintId::StaleAnalysis, Some(bm)));
+            assert!(d.message.starts_with("stale-analysis"), "{}", d.message);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! merges not yet duplicated.
 
 use crate::bailout::{
-    checkpoint, checkpoint_scoped, transact, BailoutReason, BailoutRecord, Budget, GuardConfig,
+    checkpoint, checkpoint_footprint, transact, BailoutReason, BailoutRecord, Budget, GuardConfig,
     Tier,
 };
 use crate::faultinject::fault_point;
@@ -19,11 +19,12 @@ use crate::simulation::{
 };
 use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
 use crate::transform::{try_duplicate, Duplication};
-use dbds_analysis::{AnalysisCache, CacheStats};
+use dbds_analysis::{AnalysisCache, CacheStats, Dominators};
 use dbds_costmodel::CostModel;
 use dbds_ir::{BlockId, Diagnostic, FootprintScratch, Graph, LintId};
 use dbds_opt::{optimize_full, optimize_once, OptKind};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The compiler configuration under evaluation — the paper's benchmark
@@ -280,6 +281,8 @@ impl PhaseStats {
             rev_hits: now.rev_hits - base.rev_hits,
             rev_misses: now.rev_misses - base.rev_misses,
             rev_invalidations: now.rev_invalidations - base.rev_invalidations,
+            patches: now.patches - base.patches,
+            dom_blocks_visited: now.dom_blocks_visited - base.dom_blocks_visited,
         };
     }
 }
@@ -557,19 +560,26 @@ pub fn run_dbds(
         }
         if round.duplications > 0 {
             // Boundary check: the per-duplication checkpoints covered the
-            // slots each duplication touched and trusted the cached
-            // dominator tree; the whole-graph verifier (own dominator
-            // tree) and the from-scratch frontier consistency check run
-            // once here, for the rules that are not a function of the
-            // touched slots. A rejection rolls the whole round back to
-            // the recovery mark taken at its start.
+            // slots each duplication touched and trusted the dominance
+            // relation patched from one duplication to the next; the
+            // whole-graph verifier (own dominator tree) and the
+            // from-scratch tree — against the relation the round ended
+            // on, and for the frontier consistency check — run once
+            // here, for the rules that are not a function of the touched
+            // slots. A rejection rolls the whole round back to the
+            // recovery mark taken at its start.
             let tg = Instant::now();
             round.frontier_blocks.sort_unstable();
             round.frontier_blocks.dedup();
+            let relation = round
+                .relation
+                .take()
+                .expect("a round with a duplication has its relation");
             let verdict = checkpoint(g).map_err(Rejection::from).and_then(|()| {
                 Rejection::unless_clean(crate::lint::lint_frontier_boundary(
                     g,
                     &round.frontier_blocks,
+                    &relation,
                 ))
             });
             let tu = Instant::now();
@@ -583,8 +593,12 @@ pub fn run_dbds(
                     recovery_open = false;
                     round = RoundTally::default();
                     cumulative = 0.0;
-                    if rejection.lint == Some(LintId::FrontierViolation) {
-                        stats.frontier_violations += 1;
+                    match rejection.lint {
+                        Some(LintId::FrontierViolation) => stats.frontier_violations += 1,
+                        // The relation slot is what went wrong: the next
+                        // lookup rebuilds it honestly.
+                        Some(LintId::StaleAnalysis) => cache.clear(),
+                        _ => {}
                     }
                     stats.bailouts.push(BailoutRecord {
                         reason: rejection.reason,
@@ -690,6 +704,9 @@ struct ChainOutcome {
     /// The copy and merge of every step: the blocks whose dominance
     /// frontiers the round's boundary check re-derives from scratch.
     frontier_blocks: Vec<BlockId>,
+    /// The dominance relation after the last step, as the per-step
+    /// checkpoints patched it.
+    relation: Option<Arc<Dominators>>,
 }
 
 fn record_step(out: &mut ChainOutcome, g: &Graph, dup: &Duplication) {
@@ -711,6 +728,9 @@ struct RoundTally {
     opportunities: Vec<OptKind>,
     visited: Vec<BlockId>,
     frontier_blocks: Vec<BlockId>,
+    /// The relation the round's last applied chain ended on: a failed
+    /// chain rolls back to it, so it describes the graph at the boundary.
+    relation: Option<Arc<Dominators>>,
 }
 
 impl RoundTally {
@@ -719,6 +739,7 @@ impl RoundTally {
         self.work += chain.work;
         self.visited.extend(chain.visited);
         self.frontier_blocks.extend(chain.frontier_blocks);
+        self.relation = chain.relation;
         if s.kind == CandidateKind::BranchSplit {
             self.split_applied += 1;
         }
@@ -777,28 +798,57 @@ struct ChainGuard<'a> {
     undo_ns: &'a mut u128,
 }
 
-/// Whether every per-duplication checkpoint also runs the whole-graph
-/// form and compares verdicts: the differential oracle for the scoped
-/// form.
+/// Whether every per-duplication checkpoint also runs its whole-graph
+/// reference forms and compares: the whole-graph checkpoint against the
+/// scoped verdict, and a from-scratch dominator build against the
+/// patched relation.
 const DIFFERENTIAL_CHECKPOINTS: bool = cfg!(debug_assertions);
 
-/// The per-duplication checkpoint: [`checkpoint_scoped`] over the
-/// chain's transaction footprint, then the structural frontier check on
-/// the cached tree — the copy's and merge's dominance frontiers must be
-/// consistent with the edge mirrors, and equal whenever neither block
-/// dominates the other (see [`crate::lint::lint_frontier`]). O(edit)
-/// plus at most one dominator build, which the next candidate's
-/// prediction audit reuses.
+/// A stand-in for a wrong patch rule: what [`TAMPER_PATCH`] holds.
+#[cfg(test)]
+type PatchTamper = fn(&Dominators, &Duplication) -> Dominators;
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: rewrites every relation [`checkpoint_duplication`]
+    /// obtains, the way a wrong patch rule would.
+    static TAMPER_PATCH: std::cell::Cell<Option<PatchTamper>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// The per-duplication checkpoint: the scoped verifier rules over the
+/// chain's transaction footprint, then the structural frontier check —
+/// the copy's and merge's dominance frontiers must be consistent with
+/// the edge mirrors, and equal whenever neither block dominates the
+/// other (see [`crate::lint::lint_frontier`]). Both read the relation of
+/// `g` as it stands, which is `prev` (the relation before this
+/// duplication) patched in O(edit) once the edge rules have passed: no
+/// dominator build unless the patch declines. `before` is the relation
+/// the chain's transaction opened on. Returns the patched relation.
 fn checkpoint_duplication(
     g: &Graph,
     dup: &Duplication,
-    before: &dbds_analysis::DomTree,
+    before: &Dominators,
+    prev: &Dominators,
     cache: &mut AnalysisCache,
     scratch: &mut FootprintScratch,
-) -> Result<(), Rejection> {
-    checkpoint_scoped(g, cache, before, scratch)?;
-    let dt = cache.domtree(g);
-    Rejection::unless_clean(crate::lint::lint_frontier_in(g, &dt, dup.copy, dup.merge))
+) -> Result<Arc<Dominators>, Rejection> {
+    let mut patched = None;
+    checkpoint_footprint(g, before, scratch, || {
+        let after = cache.dominators_after_duplication(g, prev, dup.pred, dup.merge, dup.copy);
+        #[cfg(test)]
+        let after = match TAMPER_PATCH.get() {
+            Some(tamper) => Arc::new(tamper(&after, dup)),
+            None => after,
+        };
+        patched = Some(Arc::clone(&after));
+        after
+    })?;
+    let after = patched.expect("a clean scoped checkpoint asked for the relation");
+    Rejection::unless_clean(crate::lint::lint_frontier_in(
+        g, &after, dup.copy, dup.merge,
+    ))?;
+    Ok(after)
 }
 
 /// The whole-graph reference [`checkpoint_duplication`] is compared
@@ -819,8 +869,9 @@ fn checkpoint_duplication_whole(g: &Graph, dup: &Duplication) -> Result<(), Reje
 /// # Panics
 ///
 /// Under [`DIFFERENTIAL_CHECKPOINTS`], when the scoped and whole-graph
-/// checkpoints disagree on a verdict — raised after the transaction has
-/// closed, so no panic isolation can swallow it.
+/// checkpoints disagree on a verdict, or a patched dominance relation is
+/// not the one a from-scratch build finds — raised after the transaction
+/// has closed, so no panic isolation can swallow it.
 fn apply_chain(
     g: &mut Graph,
     s: &SimulationResult,
@@ -833,40 +884,57 @@ fn apply_chain(
         undo_ns,
     } = guard;
     let tg = Instant::now();
-    // The dominator tree the transaction opens on. Already cached: the
-    // round's chain snapshot or the previous duplication's checkpoint
-    // looked it up at this CFG version.
-    let before = cache.domtree(g);
+    // The dominance relation the transaction opens on. Already cached:
+    // the round's chain snapshot or the previous duplication's checkpoint
+    // left it in the relation slot at this CFG version.
+    let before = cache.dominators(g);
     let mut guard = tg.elapsed().as_nanos();
     let mut rejected_by: Option<LintId> = None;
     let mut disagreement: Option<String> = None;
     let (result, txn_ns) = transact(g, |g| {
+        // The relation before the next duplication: each step's
+        // checkpoint patches it forward.
+        let mut current = Arc::clone(&before);
         let mut verified = |g: &Graph, dup: &Duplication| {
             let tg = Instant::now();
-            let scoped = checkpoint_duplication(g, dup, &before, cache, scratch);
+            let scoped = checkpoint_duplication(g, dup, &before, &current, cache, scratch);
             if DIFFERENTIAL_CHECKPOINTS {
                 let whole = checkpoint_duplication_whole(g, dup);
                 if scoped.is_ok() != whole.is_ok() {
-                    let show = |r: &Result<(), Rejection>| match r {
-                        Ok(()) => "accepted".to_string(),
-                        Err(e) => format!("rejected ({})", e.reason),
+                    let show = |rejection: Option<&Rejection>| match rejection {
+                        None => "accepted".to_string(),
+                        Some(e) => format!("rejected ({})", e.reason),
                     };
                     disagreement.get_or_insert_with(|| {
                         format!(
                             "duplicating {} into {}: scoped checkpoint {}, whole-graph checkpoint {}",
                             dup.merge,
                             dup.pred,
-                            show(&scoped),
-                            show(&whole)
+                            show(scoped.as_ref().err()),
+                            show(whole.as_ref().err())
                         )
+                    });
+                } else if let Some(d) = scoped
+                    .as_ref()
+                    .ok()
+                    .and_then(|after| crate::lint::lint_relation(g, after))
+                {
+                    disagreement.get_or_insert_with(|| {
+                        format!("duplicating {} into {}: {}", dup.merge, dup.pred, d.message)
                     });
                 }
             }
             guard += tg.elapsed().as_nanos();
-            scoped.map_err(|e| {
-                rejected_by = e.lint;
-                e.reason
-            })
+            match scoped {
+                Ok(after) => {
+                    current = after;
+                    Ok(())
+                }
+                Err(e) => {
+                    rejected_by = e.lint;
+                    Err(e.reason)
+                }
+            }
         };
         let reject =
             |e: crate::transform::TransformError| BailoutReason::VerifierRejected(e.to_string());
@@ -888,6 +956,7 @@ fn apply_chain(
             record_step(&mut out, g, &dup);
             verified(g, &dup)?;
         }
+        out.relation = Some(current);
         Ok(out)
     });
     *guard_ns += guard + txn_ns;
@@ -1417,6 +1486,150 @@ mod tests {
         assert_eq!(stats.split_candidates, 0, "stats: {stats:?}");
         assert_eq!(stats.cache.rev_misses, 0, "stats: {stats:?}");
         assert_eq!(stats.cache.rev_hits, 0, "stats: {stats:?}");
+    }
+
+    /// A ladder of eight tests on `x`, each guarding an arm that is one
+    /// Figure 1 diamond on `y`: no arm is on another's dominator chain, so
+    /// one round duplicates in all of them.
+    fn diamond_ladder() -> Graph {
+        let mut b = GraphBuilder::new("ladder", &[Type::Int, Type::Int], empty_table());
+        let (x, y) = (b.param(0), b.param(1));
+        for k in 0..8 {
+            let bound = b.iconst(10 * k);
+            let test = b.cmp(CmpOp::Lt, x, bound);
+            let (arm, next) = (b.new_block(), b.new_block());
+            b.branch(test, arm, next, 0.5);
+            b.switch_to(arm);
+            let zero = b.iconst(k);
+            let c = b.cmp(CmpOp::Gt, y, zero);
+            let (bt, bf, bm) = (b.new_block(), b.new_block(), b.new_block());
+            b.branch(c, bt, bf, 0.5);
+            b.switch_to(bt);
+            b.jump(bm);
+            b.switch_to(bf);
+            b.jump(bm);
+            b.switch_to(bm);
+            let phi = b.phi(vec![y, zero], Type::Int);
+            let two = b.iconst(2);
+            let sum = b.add(two, phi);
+            b.ret(Some(sum));
+            b.switch_to(next);
+        }
+        b.ret(Some(x));
+        b.finish()
+    }
+
+    #[test]
+    fn every_duplication_patches_the_relation_instead_of_rebuilding_it() {
+        let mut g = diamond_ladder();
+        let reference = diamond_ladder();
+        let stats = compile(
+            &mut g,
+            &CostModel::new(),
+            OptLevel::Dupalot,
+            &DbdsConfig::default(),
+        );
+        assert_eq!(stats.duplications, 8, "stats: {stats:?}");
+        assert!(stats.bailouts.is_empty(), "stats: {stats:?}");
+        // Every duplication moved the relation by a patch, none by a
+        // build: the forward misses left are the three analyses each
+        // iteration's simulation asks for, plus one ordered tree for
+        // each optimization round that follows a CFG change — here the
+        // cleanup after the round and the final fixpoint. (One rebuild
+        // per duplication used to put this above `duplications`.)
+        assert_eq!(stats.cache.patches, 8, "stats: {stats:?}");
+        let cfg_changing_opt_rounds = 2;
+        assert!(
+            stats.cache.misses <= 3 * stats.iterations as u64 + cfg_changing_opt_rounds,
+            "stats: {stats:?}"
+        );
+        for (x, y) in [(-3i64, 1i64), (4, -2), (25, 2), (25, 3), (100, 0)] {
+            let args = [Value::Int(x), Value::Int(y)];
+            assert_eq!(
+                execute(&g, &args).outcome,
+                execute(&reference, &args).outcome
+            );
+        }
+    }
+
+    /// A wrong patch rule, for [`TAMPER_PATCH`]: `merge` keeps hanging
+    /// one level too high, as if its idom had not moved down. Passes
+    /// every per-duplication check on Figure 1 — the stale relation
+    /// only claims less dominance than there is.
+    fn stale_merge_idom(rel: &Dominators, dup: &Duplication) -> Dominators {
+        let blocks = || (0..rel.block_count()).map(BlockId::from_index);
+        let mut idoms: Vec<Option<BlockId>> = blocks().map(|b| rel.idom(b)).collect();
+        let parent = rel.idom(dup.merge).expect("the merge stays reachable");
+        idoms[dup.merge.index()] = rel.idom(parent);
+        let root = blocks()
+            .find(|&b| rel.is_reachable(b) && rel.idom(b).is_none())
+            .expect("a relation has a root");
+        Dominators::from_idoms(root, idoms)
+    }
+
+    /// Arms [`TAMPER_PATCH`] until dropped.
+    struct Tampered;
+
+    impl Tampered {
+        fn arm() -> Tampered {
+            TAMPER_PATCH.set(Some(stale_merge_idom));
+            Tampered
+        }
+    }
+
+    impl Drop for Tampered {
+        fn drop(&mut self) {
+            TAMPER_PATCH.set(None);
+        }
+    }
+
+    /// Fail-first for the patched-relation oracle: with every oracle
+    /// armed, a wrong patch is caught at the duplication that made it,
+    /// and loudly — outside the transaction's panic isolation.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the patched dominance relation has idom")]
+    fn tampered_patch_is_caught_by_the_from_scratch_oracle() {
+        let _armed = Tampered::arm();
+        let mut g = figure1();
+        compile(
+            &mut g,
+            &CostModel::new(),
+            OptLevel::Dbds,
+            &DbdsConfig::default(),
+        );
+    }
+
+    /// The same wrong patch in a build without the oracles: the round's
+    /// boundary check holds the relation the round ended on to its own
+    /// from-scratch tree, rolls the round back and drops the cache.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn tampered_patch_is_a_recovered_boundary_bailout_in_release() {
+        let _armed = Tampered::arm();
+        let mut g = figure1();
+        let reference = figure1();
+        let stats = compile(
+            &mut g,
+            &CostModel::new(),
+            OptLevel::Dbds,
+            &DbdsConfig::default(),
+        );
+        assert_eq!(stats.duplications, 0, "stats: {stats:?}");
+        assert!(
+            stats.bailouts.iter().any(|b| b.recovered
+                && b.candidate.is_none()
+                && matches!(&b.reason, BailoutReason::VerifierRejected(m) if m.contains("stale-analysis"))),
+            "bailouts: {:?}",
+            stats.bailouts
+        );
+        checkpoint(&g).unwrap();
+        for v in [-3i64, 0, 5] {
+            assert_eq!(
+                execute(&g, &[Value::Int(v)]).outcome,
+                execute(&reference, &[Value::Int(v)]).outcome,
+            );
+        }
     }
 
     #[test]

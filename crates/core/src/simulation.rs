@@ -266,7 +266,7 @@ impl Walk<'_> {
 }
 
 /// The immediate-dominator chain entry → … → `b` on the current cached
-/// dominator tree, in walk order. `None` when `b` is unreachable. The
+/// dominance relation, in walk order. `None` when `b` is unreachable. The
 /// chain is exactly the set of blocks whose contents determine the fact
 /// environment the simulation tier saw at `b`, which makes it the
 /// interference footprint the optimization tier checks candidates
@@ -276,7 +276,7 @@ pub(crate) fn dominator_chain(
     cache: &mut AnalysisCache,
     b: BlockId,
 ) -> Option<Vec<BlockId>> {
-    let dt = cache.domtree(g);
+    let dt = cache.dominators(g);
     if !dt.is_reachable(b) {
         return None;
     }

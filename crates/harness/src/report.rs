@@ -214,6 +214,8 @@ pub fn format_json(
             ("cache_hits", Json::num(s.cache.hits)),
             ("cache_misses", Json::num(s.cache.misses)),
             ("cache_invalidations", Json::num(s.cache.invalidations)),
+            ("cache_patches", Json::num(s.cache.patches)),
+            ("dom_blocks_visited", Json::num(s.cache.dom_blocks_visited)),
             ("rev_cache_hits", Json::num(s.cache.rev_hits)),
             ("rev_cache_misses", Json::num(s.cache.rev_misses)),
             (
@@ -427,6 +429,8 @@ mod tests {
             "\"rev_cache_hits\"",
             "\"rev_cache_misses\"",
             "\"rev_cache_invalidations\"",
+            "\"cache_patches\"",
+            "\"dom_blocks_visited\"",
             "\"split_candidates\"",
             "\"split_applied\"",
             "\"frontier_violations\"",

@@ -17,7 +17,7 @@
 
 use crate::classes::ClassTable;
 use crate::ids::{BlockId, InstId};
-use crate::inst::{Inst, Terminator};
+use crate::inst::{Inst, Successors, Terminator};
 use crate::types::Type;
 use crate::uses::{Use, UseLists};
 use std::collections::HashMap;
@@ -703,7 +703,7 @@ impl Graph {
     }
 
     /// Successor blocks of `b`, in terminator order.
-    pub fn succs(&self, b: BlockId) -> Vec<BlockId> {
+    pub fn succs(&self, b: BlockId) -> Successors {
         self.blocks[b.index()].term.successors()
     }
 

@@ -569,6 +569,56 @@ impl Inst {
     }
 }
 
+/// The successor blocks of a [`Terminator`]: at most two, held inline.
+/// Derefs to `&[BlockId]` and iterates by value, so it reads like the
+/// `Vec` it replaces without the heap allocation per query.
+#[derive(Clone, Copy)]
+pub struct Successors {
+    len: u8,
+    /// Slots at `len..` are padding and never read.
+    ids: [BlockId; 2],
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    #[inline]
+    fn deref(&self) -> &[BlockId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a> IntoIterator for &'a Successors {
+    type Item = &'a BlockId;
+    type IntoIter = std::slice::Iter<'a, BlockId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Successors {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl<T: AsRef<[BlockId]>> PartialEq<T> for Successors {
+    fn eq(&self, other: &T) -> bool {
+        **self == *other.as_ref()
+    }
+}
+
 /// A basic-block terminator.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Terminator {
@@ -610,14 +660,15 @@ impl Terminator {
     }
 
     /// Successor blocks, in order (then before else for branches).
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump { target } => vec![*target],
+    pub fn successors(&self) -> Successors {
+        let (len, ids) = match self {
+            Terminator::Jump { target } => (1, [*target; 2]),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Return { .. } | Terminator::Deopt => Vec::new(),
-        }
+            } => (2, [*then_bb, *else_bb]),
+            Terminator::Return { .. } | Terminator::Deopt => (0, [BlockId(0); 2]),
+        };
+        Successors { len, ids }
     }
 
     /// Calls `f` on every value operand.
@@ -825,6 +876,10 @@ mod tests {
             prob_then: 0.5,
         };
         assert_eq!(b.successors(), vec![BlockId(1), BlockId(2)]);
+        // A slice by deref, an iterator of ids by value.
+        assert_eq!(b.successors().last(), Some(&BlockId(2)));
+        assert_eq!(j.successors().into_iter().collect::<Vec<_>>(), [BlockId(3)]);
+        assert_eq!(format!("{:?}", b.successors()), "[b1, b2]");
         assert_eq!(
             Terminator::Return { value: None }.successors(),
             Vec::<BlockId>::new()

@@ -70,7 +70,7 @@ pub use classes::{ClassInfo, ClassTable, FieldInfo};
 pub use graph::{Graph, InstData, TxnFootprint, UndoStats};
 pub use hash::{content_hash, fnv1a, Fnv64};
 pub use ids::{BlockId, ClassId, FieldId, InstId};
-pub use inst::{BinOp, CmpOp, Inst, InstKind, KindCounts, Terminator};
+pub use inst::{BinOp, CmpOp, Inst, InstKind, KindCounts, Successors, Terminator};
 pub use interp::{
     execute, execute_with_heap, ExecResult, Heap, Outcome, Trap, Value, DEFAULT_FUEL,
 };
