@@ -255,8 +255,10 @@ impl<T: std::ops::Deref<Target = Dominators>> Dominance for TreeDominance<T> {
 /// opened, `Ok` here implies [`checkpoint`] would pass too, except for
 /// the two rules that are not a function of the edited slots (a
 /// reachable block with an unreachable predecessor, control dependence
-/// on a dead edge) — see [`dbds_ir::lint_footprint`]. The phase driver
-/// re-runs the whole-graph [`checkpoint`] once per iteration for those.
+/// on a dead edge) and for the def-use lists, which it reads as exact
+/// instead of recounting — see [`dbds_ir::lint_footprint`]. The phase
+/// driver re-runs the whole-graph [`checkpoint`] once per iteration for
+/// those.
 ///
 /// # Errors
 ///

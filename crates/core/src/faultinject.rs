@@ -11,7 +11,7 @@
 //! compilation still ends with a verified, interpreter-equivalent graph.
 
 use crate::bailout::BailoutReason;
-use dbds_ir::{Graph, Inst, InstId};
+use dbds_ir::{Graph, Inst, InstId, Use};
 use std::cell::{Cell, RefCell};
 
 /// What an armed [`FaultPlan`] does when its injection point fires.
@@ -359,24 +359,21 @@ fn corrupt(g: &mut Graph) {
             return;
         }
     }
-    // Fallback: detach an instruction that still has uses (dangling-use
-    // violation). Scan for any instruction used by another one.
-    for b in g.reachable_blocks() {
-        for &i in g.block_insts(b) {
-            let mut used = false;
-            for b2 in g.reachable_blocks() {
-                for &u in g.block_insts(b2) {
-                    if u != i {
-                        g.inst(u).for_each_input(|input| used |= input == i);
-                    }
-                }
-                g.terminator(b2).for_each_input(|input| used |= input == i);
-            }
-            if used {
-                g.remove_inst(i);
-                return;
-            }
-        }
+    // Fallback: detach the first instruction some other reachable user
+    // still names (dangling-use violation).
+    let order = g.reachable_blocks();
+    let mut reachable = vec![false; g.block_count()];
+    for &b in &order {
+        reachable[b.index()] = true;
+    }
+    let victim = order.iter().flat_map(|&b| g.block_insts(b)).find(|&&i| {
+        g.uses(i).any(|user| match user {
+            Use::Inst(u) => u != i && g.block_of(u).is_some_and(|b| reachable[b.index()]),
+            Use::Term(b) => reachable[b.index()],
+        })
+    });
+    if let Some(&i) = victim {
+        g.remove_inst(i);
     }
 }
 

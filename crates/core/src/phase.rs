@@ -398,18 +398,17 @@ pub fn run_dbds(
                 recovered: true,
             });
         }
-        // The transform invalidates the borrow of `sim.results`; take
-        // owned copies of what we need. Branch-split candidates carry a
-        // simulation-time claim — "the final path element is selected by
-        // the branch we are about to fold" — that must agree with the
-        // control-dependence graph of the exact graph the DSTs analyzed:
-        // nothing has mutated it yet, so the first accepted branch-split
-        // candidate computes the graph (and the post-dominator tree under
-        // it) and the rest of the round's candidates hit it; a round
-        // without one computes no reverse-CFG analysis. A disagreement
-        // means the fold would not eliminate a real control dependence;
-        // the candidate is dropped as a recovered bailout.
-        let mut plan: Vec<SimulationResult> = Vec::with_capacity(selection.accepted.len());
+        // Branch-split candidates carry a simulation-time claim — "the
+        // final path element is selected by the branch we are about to
+        // fold" — that must agree with the control-dependence graph of
+        // the exact graph the DSTs analyzed: nothing has mutated it yet,
+        // so the first accepted branch-split candidate computes the graph
+        // (and the post-dominator tree under it) and the rest of the
+        // round's candidates hit it; a round without one computes no
+        // reverse-CFG analysis. A disagreement means the fold would not
+        // eliminate a real control dependence; the candidate is dropped
+        // as a recovered bailout.
+        let mut plan: Vec<&SimulationResult> = Vec::with_capacity(selection.accepted.len());
         for s in selection.accepted {
             if s.kind == CandidateKind::BranchSplit {
                 let agreed = s.path.len() >= 2 && {
@@ -430,21 +429,18 @@ pub fn run_dbds(
                     continue;
                 }
             }
-            plan.push(s.clone());
+            plan.push(s);
         }
         if plan.is_empty() {
             break;
         }
-        // Sim-time dominator chains of the accepted candidates, taken
-        // before any duplication this round (the graph is still exactly
-        // the one the simulation tier analyzed). The prediction audit
-        // compares them against the post-mutation chains to tell
-        // ordinary intra-round staleness from a broken simulation
-        // contract.
-        let plan_chains: Vec<Option<Vec<BlockId>>> = plan
-            .iter()
-            .map(|s| dominator_chain(g, cache, s.pred))
-            .collect();
+        // The sim-time dominance relation, taken before any duplication
+        // this round (the graph is still exactly the one the simulation
+        // tier analyzed). A failed prediction audit compares a
+        // candidate's dominator chain on it against the post-mutation
+        // chain to tell ordinary intra-round staleness from a broken
+        // simulation contract.
+        let sim_dominators = cache.dominators(g);
         let mut cumulative = 0.0;
         let t = Instant::now();
         let mut guard_here: u128 = 0;
@@ -465,7 +461,7 @@ pub fn run_dbds(
         // What this round's applied candidates contribute to the stats,
         // merged only once the round's boundary check has passed.
         let mut round = RoundTally::default();
-        for (s, sim_chain) in plan.iter().zip(&plan_chains) {
+        for s in plan {
             // Re-validate: earlier duplications this round may have
             // restructured the pair.
             if !g.is_merge(s.merge) || !g.succs(s.pred).contains(&s.merge) {
@@ -504,9 +500,12 @@ pub fn run_dbds(
                     // record of what the round changed.
                     let fp = g.txn_footprint();
                     let stale = !(fp.blocks.is_empty() && fp.insts.is_empty())
-                        && match (sim_chain, dominator_chain(g, cache, s.pred)) {
+                        && match (
+                            dominator_chain(g, &sim_dominators, s.pred),
+                            dominator_chain(g, &cache.dominators(g), s.pred),
+                        ) {
                             (Some(old), Some(now)) => {
-                                *old != now || {
+                                old != now || {
                                     let changed: HashSet<BlockId> = fp
                                         .insts
                                         .iter()
@@ -885,7 +884,7 @@ fn apply_chain(
     } = guard;
     let tg = Instant::now();
     // The dominance relation the transaction opens on. Already cached:
-    // the round's chain snapshot or the previous duplication's checkpoint
+    // the round's sim-time lookup or the previous duplication's checkpoint
     // left it in the relation slot at this CFG version.
     let before = cache.dominators(g);
     let mut guard = tg.elapsed().as_nanos();

@@ -23,9 +23,9 @@
 
 use crate::bailout::{isolate, BailoutReason, Budget};
 use crate::faultinject::fault_point;
-use dbds_analysis::{AnalysisCache, BlockFrequencies, DomTree};
+use dbds_analysis::{AnalysisCache, BlockFrequencies, DomTree, Dominators};
 use dbds_costmodel::CostModel;
-use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, InstKind, Terminator};
+use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, InstKind, Terminator, Use};
 use dbds_opt::{evaluate, record_effects, FactEnv, OptKind, Synonym, Verdict};
 
 /// One optimization opportunity discovered during a DST.
@@ -265,18 +265,13 @@ impl Walk<'_> {
     }
 }
 
-/// The immediate-dominator chain entry → … → `b` on the current cached
-/// dominance relation, in walk order. `None` when `b` is unreachable. The
+/// The immediate-dominator chain entry → … → `b` on the dominance
+/// relation `dt`, in walk order. `None` when `b` is unreachable. The
 /// chain is exactly the set of blocks whose contents determine the fact
 /// environment the simulation tier saw at `b`, which makes it the
 /// interference footprint the optimization tier checks candidates
 /// against.
-pub(crate) fn dominator_chain(
-    g: &Graph,
-    cache: &mut AnalysisCache,
-    b: BlockId,
-) -> Option<Vec<BlockId>> {
-    let dt = cache.dominators(g);
+pub(crate) fn dominator_chain(g: &Graph, dt: &Dominators, b: BlockId) -> Option<Vec<BlockId>> {
     if !dt.is_reachable(b) {
         return None;
     }
@@ -317,7 +312,7 @@ pub fn audit_opportunities(
     cache: &mut AnalysisCache,
     s: &SimulationResult,
 ) -> Option<Vec<Opportunity>> {
-    let chain = dominator_chain(g, cache, s.pred)?;
+    let chain = dominator_chain(g, &cache.dominators(g), s.pred)?;
     // Accumulate facts along the chain the way `Walk::visit` descends:
     // a child with its parent as sole predecessor extends the parent's
     // facts through the edge condition; any other child starts pure.
@@ -673,32 +668,15 @@ fn simulate_segment(
 /// test, or an input of a φ belonging to `merge` — i.e. duplicating
 /// `merge` removes the only escape.
 fn escapes_only_via_merge_phis(g: &Graph, alloc: InstId, merge: BlockId) -> bool {
-    for b in g.blocks() {
-        for &i in g.block_insts(b) {
-            let mut mentions = false;
-            g.inst(i).for_each_input(|input| mentions |= input == alloc);
-            if !mentions {
-                continue;
-            }
-            let ok = match g.inst(i) {
-                Inst::LoadField { object, .. } => *object == alloc,
-                Inst::StoreField { object, value, .. } => *object == alloc && *value != alloc,
-                Inst::InstanceOf { object, .. } => *object == alloc,
-                Inst::Phi { .. } => g.block_of(i) == Some(merge),
-                _ => false,
-            };
-            if !ok {
-                return false;
-            }
-        }
-        let mut in_term = false;
-        g.terminator(b)
-            .for_each_input(|input| in_term |= input == alloc);
-        if in_term {
-            return false;
-        }
-    }
-    true
+    g.uses(alloc).all(|user| match user {
+        Use::Inst(i) => match g.inst(i) {
+            Inst::LoadField { object, .. } | Inst::InstanceOf { object, .. } => *object == alloc,
+            Inst::StoreField { object, value, .. } => *object == alloc && *value != alloc,
+            Inst::Phi { .. } => g.block_of(i) == Some(merge),
+            _ => false,
+        },
+        Use::Term(_) => false,
+    })
 }
 
 #[cfg(test)]
@@ -888,6 +866,110 @@ mod tests {
         // Negative size contribution from the removed allocation.
         let rpass = results.iter().find(|r| r.pred == bpass).unwrap();
         assert!(ralloc.size_cost < rpass.size_cost);
+    }
+
+    #[test]
+    fn escape_check_judges_every_kind_of_user() {
+        // entry: fresh = new A; branch → {bt, bf} → bm: p = φ(fresh, a).
+        // Each case adds one more user of `fresh` to this graph.
+        let mut t = ClassTable::new();
+        let acls = t.add_class("A");
+        let fx = t.add_field(acls, "x", Type::Int);
+        let fnext = t.add_field(acls, "next", Type::Ref(acls));
+        let mut b = GraphBuilder::new("esc", &[Type::Ref(acls), Type::Bool], Arc::new(t));
+        let (a, c) = (b.param(0), b.param(1));
+        let fresh = b.new_object(acls);
+        let zero = b.iconst(0);
+        let (bt, bf, bm) = (b.new_block(), b.new_block(), b.new_block());
+        b.branch(c, bt, bf, 0.5);
+        b.switch_to(bt);
+        b.jump(bm);
+        b.switch_to(bf);
+        b.jump(bm);
+        b.switch_to(bm);
+        b.phi(vec![fresh, a], Type::Ref(acls));
+        b.ret(None);
+        let base = b.finish();
+
+        let user = |inst: Inst, ty: Type| {
+            move |g: &mut Graph| {
+                g.append_inst(bt, inst.clone(), ty);
+            }
+        };
+        type Edit = Box<dyn Fn(&mut Graph)>;
+        let store = |object, field, value| Inst::StoreField {
+            object,
+            field,
+            value,
+        };
+        let cases: Vec<(&str, Edit, BlockId, bool)> = vec![
+            ("phi of the merge", Box::new(|_| {}), bm, true),
+            ("phi of another block", Box::new(|_| {}), bt, false),
+            (
+                "field load on it",
+                Box::new(user(
+                    Inst::LoadField {
+                        object: fresh,
+                        field: fx,
+                    },
+                    Type::Int,
+                )),
+                bm,
+                true,
+            ),
+            (
+                "field store on it",
+                Box::new(user(store(fresh, fx, zero), Type::Void)),
+                bm,
+                true,
+            ),
+            (
+                "stored as the value",
+                Box::new(user(store(a, fnext, fresh), Type::Void)),
+                bm,
+                false,
+            ),
+            (
+                "stored into itself",
+                Box::new(user(store(fresh, fnext, fresh), Type::Void)),
+                bm,
+                false,
+            ),
+            (
+                "instanceof",
+                Box::new(user(
+                    Inst::InstanceOf {
+                        object: fresh,
+                        class: acls,
+                    },
+                    Type::Bool,
+                )),
+                bm,
+                true,
+            ),
+            (
+                "call argument",
+                Box::new(user(Inst::Invoke { args: vec![fresh] }, Type::Int)),
+                bm,
+                false,
+            ),
+            (
+                "terminator use",
+                Box::new(move |g| g.set_terminator(bm, Terminator::Return { value: Some(fresh) })),
+                bm,
+                false,
+            ),
+        ];
+        for (name, edit, merge, expected) in cases {
+            let mut g = base.clone();
+            edit(&mut g);
+            dbds_ir::verify(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                escapes_only_via_merge_phis(&g, fresh, merge),
+                expected,
+                "{name}"
+            );
+        }
     }
 
     #[test]

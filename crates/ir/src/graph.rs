@@ -198,6 +198,10 @@ pub struct TxnFootprint {
     /// Block slots whose instruction list, terminator or predecessor
     /// list was mutated, or that were allocated inside the transaction.
     pub blocks: Vec<BlockId>,
+    /// The blocks that owned the backed-up instructions when the
+    /// transaction opened (sorted, distinct): where an instruction whose
+    /// record moved away may still be listed.
+    pub owners_at_open: Vec<BlockId>,
     /// Instruction slots at or past this index were allocated inside the
     /// transaction.
     pub base_insts: usize,
@@ -560,9 +564,14 @@ impl Graph {
         let mut blocks: Vec<usize> = frame.saved_blocks.keys().copied().collect();
         blocks.sort_unstable();
         blocks.extend(frame.base_blocks..self.blocks.len());
+        let saved = frame.saved_insts.values();
+        let mut owners_at_open: Vec<BlockId> = saved.filter_map(|data| data.block).collect();
+        owners_at_open.sort_unstable();
+        owners_at_open.dedup();
         TxnFootprint {
             insts: insts.into_iter().map(InstId::from_index).collect(),
             blocks: blocks.into_iter().map(BlockId::from_index).collect(),
+            owners_at_open,
             base_insts: frame.base_insts,
             base_blocks: frame.base_blocks,
         }
@@ -1328,10 +1337,21 @@ impl Graph {
         self.uses.break_list(v);
     }
 
+    /// Test hook: re-records `id` as belonging to `to` *without* touching
+    /// any block's instruction list — a listing/record mismatch no public
+    /// primitive can produce, recorded in the undo log like any other
+    /// edit. The use lists stay exact: `id` is attached before and after.
+    #[cfg(test)]
+    pub(crate) fn move_inst_record(&mut self, id: InstId, to: BlockId) {
+        self.touch_inst(id);
+        self.bump_value();
+        self.insts[id.index()].block = Some(to);
+    }
+
     /// Test hook: corrupts the innermost frame's first-touch backup of
     /// `id` — a state no primitive can produce; rollback then restores a
     /// value the slot never had.
-    #[cfg(test)]
+    #[cfg(all(test, debug_assertions))]
     pub(crate) fn tamper_saved_inst(&mut self, id: InstId) {
         let frame = self.undo.frames.last_mut().expect("an open transaction");
         let saved = frame.saved_insts.get_mut(&id.index());

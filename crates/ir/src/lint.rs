@@ -49,6 +49,7 @@ use crate::graph::TxnFootprint;
 use crate::ids::{BlockId, InstId};
 use crate::inst::{CmpOp, Inst, Terminator};
 use crate::types::{ConstValue, Type};
+use crate::uses::Use;
 use crate::Graph;
 use std::fmt;
 
@@ -918,51 +919,57 @@ fn use_list_pass(g: &Graph, s: &mut Sink<'_>) {
 // The scoped form: the same rules over a transaction's footprint.
 // ---------------------------------------------------------------------
 
-/// Reusable working memory of [`lint_footprint`]: dense per-block and
-/// per-instruction flag tables plus the position table of
-/// [`dominance_rules`]. Keeping one across calls makes the check
-/// allocation-free once the tables have grown to the graph's size.
+/// Reusable working memory of [`lint_footprint`]: the dense per-block
+/// flag table, the position table of [`dominance_rules`] (all [`NO_POS`]
+/// between calls) and the φ users of the value in hand. Keeping one
+/// across calls makes the check allocation-free once the tables have
+/// grown to the graph's size.
 #[derive(Debug, Default)]
 pub struct FootprintScratch {
     block_flags: Vec<u8>,
-    inst_flags: Vec<u8>,
     pos: Vec<u32>,
+    phi_users: Vec<InstId>,
 }
 
 /// Block flag: the block slot itself is in the footprint.
 const DIRTY: u8 = 1;
 /// Block flag: every per-block rule runs on it — a footprint block, or
-/// one that lists a footprint instruction.
+/// one that lists (or listed, when the transaction opened) a footprint
+/// instruction.
 const CHECKED: u8 = 2;
 /// Block flag: stopped dominating a block it dominated when the
 /// transaction opened.
 const SHRUNK: u8 = 4;
-/// Instruction flag: an attached value whose uses in unchecked blocks
-/// get their dominance re-checked.
-const VALUE: u8 = 1;
-/// Instruction flag: a footprint instruction that is now detached.
-const REMOVED: u8 = 2;
 
 /// Checks the error-severity rules on exactly the part of `g` that the
 /// transaction described by `fp` ([`Graph::txn_footprint`]) can have
-/// broken, in O(footprint) rule evaluations plus one flag-test scan over
-/// the operands of the rest of the graph.
+/// broken, in O(footprint) rule evaluations plus O(uses of the value
+/// set) — the def-use lists ([`Graph::uses`]) name every operand slot
+/// outside the footprint that the edit can have invalidated, so no
+/// instruction of the rest of the graph is read. (Flag-test loops over
+/// the *blocks* remain.)
 ///
 /// **Contract.** If `g` passed [`crate::verify`] when the transaction
 /// opened and this returns a clean report, every error-severity lint of
 /// the whole-graph passes is clean too, *except* the two that are not a
-/// function of the edited slots: "reachable block has an unreachable
-/// predecessor" and [`LintId::ControlDepViolation`]. Callers re-run the
-/// whole-graph [`crate::verify`] at a coarser boundary for those.
+/// function of the edited slots — "reachable block has an unreachable
+/// predecessor" and [`LintId::ControlDepViolation`] — and
+/// [`LintId::UseListMismatch`]: the lists are taken as exact here (every
+/// mutating primitive maintains them), so a stale use hidden behind a
+/// corrupt list is left to the recount. Callers re-run the whole-graph
+/// [`crate::verify`] at a coarser boundary for all three.
 ///
 /// How each family is covered (`checked` = footprint blocks plus blocks
-/// listing a footprint instruction):
+/// that list a footprint instruction now or did when the transaction
+/// opened):
 ///
 /// - *Edges, layout, types*: the per-block rules on every checked block.
 ///   A mirror can also break from the far side, so unchecked blocks
-///   bordering a footprint block re-run the edge rules; a stale listing
-///   or a use of a now-detached footprint instruction can sit anywhere,
-///   so the scan below tests every listed instruction for them.
+///   bordering a footprint block re-run the edge rules. A listing that
+///   disagrees with an edited instruction record sits in a checked block
+///   (the record's old or new owner, or a block whose list changed); a
+///   use of a now-detached footprint instruction can sit anywhere and is
+///   found on that instruction's use list.
 /// - *SSA dominance*: in full on every checked block that is reachable.
 ///   An unchecked use can only have been invalidated from afar: either
 ///   its definition is a footprint instruction (moved), or the
@@ -973,10 +980,10 @@ const REMOVED: u8 = 2;
 ///   changed), `d` dominated `y` at open and no longer does. So walking
 ///   `before`'s idom chain from each footprint block and testing each
 ///   ancestor against `after` finds every such `d`; their values, and
-///   the attached footprint instructions, form the value set whose
-///   remaining uses the scan re-checks. Blocks that were unreachable at
-///   open and are reachable now had no checked uses before and get the
-///   dominance rules in full.
+///   the attached footprint instructions, form the value set whose use
+///   lists are walked for users in unchecked blocks. Blocks that were
+///   unreachable at open and are reachable now had no checked uses
+///   before and get the dominance rules in full.
 ///
 /// `before` is the dominance relation at the matching `begin_txn`;
 /// `after` — the relation of `g` as it stands — is only requested once
@@ -992,26 +999,20 @@ pub fn lint_footprint<A: Dominance>(
 ) -> LintReport {
     let FootprintScratch {
         block_flags,
-        inst_flags,
         pos,
+        phi_users,
     } = scratch;
     block_flags.clear();
     block_flags.resize(g.block_count(), 0);
-    inst_flags.clear();
-    inst_flags.resize(g.inst_count(), 0);
-    pos.clear();
-    pos.resize(g.inst_count(), NO_POS);
+    if pos.len() < g.inst_count() {
+        pos.resize(g.inst_count(), NO_POS);
+    }
     for &b in &fp.blocks {
         block_flags[b.index()] |= DIRTY | CHECKED;
     }
-    for &i in &fp.insts {
-        match g.block_of(i) {
-            Some(b) => {
-                inst_flags[i.index()] |= VALUE;
-                block_flags[b.index()] |= CHECKED;
-            }
-            None => inst_flags[i.index()] |= REMOVED,
-        }
+    let owners_now = fp.insts.iter().filter_map(|&i| g.block_of(i));
+    for b in owners_now.chain(fp.owners_at_open.iter().copied()) {
+        block_flags[b.index()] |= CHECKED;
     }
 
     let mut out = Vec::new();
@@ -1047,20 +1048,25 @@ pub fn lint_footprint<A: Dominance>(
         }
         let mut up = before.idom(y);
         while let Some(d) = up {
-            if block_flags[d.index()] & SHRUNK == 0 && !after.dominates(d, y) {
+            if !after.dominates(d, y) {
                 block_flags[d.index()] |= SHRUNK;
-                for &i in g.block_insts(d) {
-                    inst_flags[i.index()] |= VALUE;
-                }
             }
             up = before.idom(d);
         }
     }
+    let newly_reachable = |b: BlockId| b.index() < fp.base_blocks && !before.is_reachable(b);
+    // `None` on a checked block, else whether uses there get their
+    // dominance re-checked: the block is reachable, and was at open.
+    let recheck = |b: BlockId| {
+        let unchecked = block_flags[b.index()] & CHECKED == 0;
+        unchecked.then(|| after.is_reachable(b) && !newly_reachable(b))
+    };
+    for &i in &fp.insts {
+        stale_uses(g, &after, recheck, phi_users, i, &mut s);
+    }
     for b in g.blocks() {
-        let checked = block_flags[b.index()] & CHECKED != 0;
-        let reachable = after.is_reachable(b);
-        let newly_reachable = reachable && b.index() < fp.base_blocks && !before.is_reachable(b);
-        if reachable && (checked || newly_reachable) {
+        let flags = block_flags[b.index()];
+        if after.is_reachable(b) && (flags & CHECKED != 0 || newly_reachable(b)) {
             for (k, &i) in g.block_insts(b).iter().enumerate() {
                 pos[i.index()] = k as u32;
             }
@@ -1069,72 +1075,65 @@ pub fn lint_footprint<A: Dominance>(
                 pos[i.index()] = NO_POS;
             }
         }
-        if !checked {
-            stale_use_rules(
-                g,
-                &after,
-                inst_flags,
-                b,
-                reachable && !newly_reachable,
-                &mut s,
-            );
+        if flags & SHRUNK != 0 {
+            // Footprint instructions had their turn above.
+            let listed = g.block_insts(b).iter();
+            for &i in listed.filter(|i| fp.insts.binary_search(i).is_err()) {
+                stale_uses(g, &after, recheck, phi_users, i, &mut s);
+            }
         }
     }
     LintReport::from_diagnostics(out)
 }
 
-/// The scan [`lint_footprint`] runs on a block none of whose slots are
-/// in the footprint: listings that disagree with the (possibly edited)
-/// instruction record, uses of detached footprint instructions, and —
-/// when `check_dominance` — uses of [`VALUE`]-flagged instructions whose
-/// definition no longer dominates them. Same-block operand uses are
-/// skipped: neither list position changed.
-fn stale_use_rules(
+/// The value-set rule of [`lint_footprint`] for one value: one diagnostic
+/// per operand slot of an unchecked block that mentions `v`, read off
+/// `v`'s use list — a dangling use if `v` is detached, else, where
+/// `recheck` says so, a use that `v`'s block does not dominate. Same-block
+/// operand uses pass: neither list position changed. A user's block is
+/// the one its record names; a record that disagrees with a listing puts
+/// both blocks among the checked ones.
+fn stale_uses(
     g: &Graph,
     dom: &impl Dominance,
-    inst_flags: &[u8],
-    b: BlockId,
-    check_dominance: bool,
+    recheck: impl Fn(BlockId) -> Option<bool>,
+    phi_users: &mut Vec<InstId>,
+    v: InstId,
     s: &mut Sink<'_>,
 ) {
-    let flags = |v: InstId| inst_flags.get(v.index()).copied().unwrap_or(0);
-    let operand = |s: &mut Sink<'_>, at: Option<InstId>, input: InstId| {
-        let f = flags(input);
-        if f & REMOVED != 0 {
-            s.removed_use(b, at, input);
-        } else if check_dominance && f & VALUE != 0 {
-            let dominated = g
-                .block_of(input)
-                .is_some_and(|db| db == b || dom.dominates(db, b));
-            if !dominated {
-                s.undominated_use(b, at, input);
-            }
-        }
-    };
-    for &i in g.block_insts(b) {
-        if g.block_of(i) != Some(b) {
-            s.misfiled(b, i, g.block_of(i));
-        }
-        match g.inst(i) {
-            Inst::Phi { inputs } => {
-                for (k, &input) in inputs.iter().enumerate() {
-                    let f = flags(input);
-                    if f & REMOVED != 0 {
-                        s.removed_use(b, Some(i), input);
-                    } else if check_dominance && f & VALUE != 0 {
-                        if let Some(&pred) = g.preds(b).get(k) {
-                            if !available_at_end(g, dom, input, pred) {
-                                s.undominated_phi_input(b, i, input, pred);
-                            }
-                        }
-                    }
-                }
-            }
-            inst => inst.for_each_input(|input| operand(s, Some(i), input)),
+    let def = g.block_of(v);
+    phi_users.clear();
+    for user in g.uses(v) {
+        let (b, at) = match user {
+            Use::Inst(i) => match g.block_of(i) {
+                Some(b) => (b, Some(i)),
+                None => continue,
+            },
+            Use::Term(b) => (b, None),
+        };
+        let Some(check_dominance) = recheck(b) else {
+            continue;
+        };
+        match (def, at) {
+            (None, _) => s.removed_use(b, at, v),
+            (Some(_), _) if !check_dominance => {}
+            // Listed once per slot; each φ is judged once, below.
+            (Some(_), Some(i)) if g.inst(i).is_phi() => phi_users.push(i),
+            (Some(db), _) if db == b || dom.dominates(db, b) => {}
+            (Some(_), _) => s.undominated_use(b, at, v),
         }
     }
-    g.terminator(b)
-        .for_each_input(|input| operand(s, None, input));
+    phi_users.sort_unstable();
+    phi_users.dedup();
+    for &phi in phi_users.iter() {
+        if let (Some(b), Inst::Phi { inputs }) = (g.block_of(phi), g.inst(phi)) {
+            for (&input, &pred) in inputs.iter().zip(g.preds(b)) {
+                if input == v && !available_at_end(g, dom, v, pred) {
+                    s.undominated_phi_input(b, phi, v, pred);
+                }
+            }
+        }
+    }
 }
 
 /// CFG hygiene: findings the soundness checks cannot express — populated
@@ -1762,6 +1761,87 @@ mod tests {
         let errs = crate::verify(&g).expect_err("verify runs the use-list pass");
         assert!(errs.problems[0].contains("use list of v0 holds 1 entries, 2 operand slots"));
         g.commit_txn();
+    }
+
+    #[test]
+    fn stale_use_behind_a_dropped_list_entry_waits_for_the_whole_graph_lint() {
+        // The trust boundary of the scoped form. entry → {bt, bf} → bm →
+        // tail → tail2; `v` is defined in bm and used only in tail2.
+        // Retargeting bt past bm leaves that use undominated in a block
+        // the edit never touched: the scoped check finds it on `v`'s use
+        // list — and only there, so once the list has lost the entry it
+        // takes the recount to reject the graph.
+        let mut b = GraphBuilder::new("tail", &[Type::Int], empty_table());
+        let x = b.param(0);
+        let zero = b.iconst(0);
+        let c = b.cmp(CmpOp::Gt, x, zero);
+        let (bt, bf, bm) = (b.new_block(), b.new_block(), b.new_block());
+        let (tail, tail2) = (b.new_block(), b.new_block());
+        b.branch(c, bt, bf, 0.5);
+        b.switch_to(bt);
+        b.jump(bm);
+        b.switch_to(bf);
+        b.jump(bm);
+        b.switch_to(bm);
+        let v = b.add(x, x);
+        b.jump(tail);
+        b.switch_to(tail);
+        b.jump(tail2);
+        b.switch_to(tail2);
+        let user = b.neg(v);
+        b.ret(Some(user));
+        let mut g = b.finish();
+        assert!(lint(&g).is_clean());
+        let before = SimpleDomTree::compute(&g);
+
+        g.begin_txn();
+        let bypass = g.add_block();
+        g.set_terminator(bypass, Terminator::Jump { target: tail });
+        g.retarget_edge(bt, bm, bypass, &[]);
+        assert!(!g.txn_footprint().blocks.contains(&tail2));
+        let scoped = footprint_report(&g, &before);
+        assert_eq!(scoped.count_of(LintId::SsaDominance), 1, "{scoped}");
+
+        g.break_use_list(v);
+        assert!(footprint_report(&g, &before).is_clean());
+        let whole = lint(&g);
+        assert_eq!(whole.count_of(LintId::UseListMismatch), 1, "{whole}");
+        assert_eq!(whole.count_of(LintId::SsaDominance), 1, "{whole}");
+        let problems = crate::verify(&g).expect_err("verify recounts").problems;
+        assert!(problems.iter().any(|p| p.contains("use list of")));
+        assert!(problems.iter().any(|p| p.contains("not dominated")));
+        g.commit_txn();
+    }
+
+    #[test]
+    fn moved_record_is_caught_in_the_block_that_still_lists_it() {
+        // `zero` now records bt while the entry block — none of whose
+        // slots changed — still lists it. The entry block owned it when
+        // the transaction opened, so it is a checked block and its layout
+        // rule sees the mismatch before dominance is ever requested.
+        let mut g = diamond();
+        let before = SimpleDomTree::compute(&g);
+        let (entry, bt) = (g.entry(), BlockId(1));
+        let zero = g.block_insts(entry)[1];
+        g.begin_txn();
+        g.move_inst_record(zero, bt);
+        let fp = g.txn_footprint();
+        assert_eq!(fp.insts, vec![zero]);
+        assert!(fp.blocks.is_empty(), "no block slot changed");
+        assert_eq!(fp.owners_at_open, vec![entry]);
+        let report = lint_footprint(
+            &g,
+            &fp,
+            &mut FootprintScratch::default(),
+            &before,
+            || -> SimpleDomTree { panic!("dominance requested on a misfiled instruction") },
+        );
+        assert!(report
+            .errors()
+            .any(|d| d.lint == LintId::GraphConsistency && d.block == Some(entry)));
+        assert!(!lint(&g).is_clean(), "the whole-graph pass agrees");
+        g.rollback_txn();
+        assert!(lint(&g).is_clean());
     }
 
     #[test]
