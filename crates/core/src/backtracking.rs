@@ -5,8 +5,8 @@
 //! only if the static performance estimate improved (otherwise roll the
 //! attempt back). The paper's Algorithm 1 takes a whole-graph backup per
 //! attempt — the copy operation alone increased compilation time by
-//! roughly an order of magnitude, which the benchmark
-//! `backtracking_vs_simulation` reproduces. Our implementation brackets
+//! roughly an order of magnitude, which `figures --table backtracking`
+//! reproduces. Our implementation brackets
 //! each attempt in an IR undo-log transaction instead, so rollback costs
 //! O(edits made); the unavoidable Algorithm-1 cost that remains is the
 //! duplication itself plus the full re-optimization per attempt, and the

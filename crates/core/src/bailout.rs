@@ -5,8 +5,8 @@
 //! down the compiler. This module provides the pieces the three tiers
 //! share:
 //!
-//! - [`GuardConfig`] — fuel / deadline budgets and the checkpoint switch,
-//!   part of [`DbdsConfig`](crate::DbdsConfig).
+//! - [`GuardConfig`] — fuel / deadline budgets, part of
+//!   [`DbdsConfig`](crate::DbdsConfig).
 //! - [`Budget`] — cooperative accounting the simulation, trade-off and
 //!   optimization tiers poll; exhaustion becomes a structured
 //!   [`BailoutReason`] instead of unbounded work.

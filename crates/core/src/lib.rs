@@ -85,7 +85,7 @@ pub use bailout::{
     checkpoint, checkpoint_scoped, isolate, transact, BailoutReason, BailoutRecord, Budget,
     GuardConfig, Tier,
 };
-pub use lint::{lint_frontier, lint_frontier_in, lint_simulation};
+pub use lint::{lint_frontier, lint_simulation, lint_tail_copy};
 pub use phase::{compile, run_dbds, DbdsConfig, OptLevel, PhaseStats};
 pub use simulation::{
     audit_opportunities, count_mispredictions, simulate, simulate_paths, simulate_paths_budgeted,

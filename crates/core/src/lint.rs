@@ -14,12 +14,13 @@
 //! ([`LintId::FrontierViolation`]): the fresh copy's and its source
 //! merge's dominance frontiers must match a definition-based
 //! recomputation over the forward edges, and — whenever neither block
-//! dominates the other — must be equal to each other. The phase driver
-//! runs its cached-relation form [`lint_frontier_in`] after every applied
-//! duplication and rolls the transaction back on a violation; the
-//! from-scratch consistency layer runs once more per iteration, where the
-//! relation the round patched along is also held, idom by idom, to the
-//! from-scratch tree ([`LintId::StaleAnalysis`]).
+//! dominates the other — must be equal to each other. On a graph with
+//! consistent edge mirrors and a correct dominance relation it reduces
+//! to the O(1) tail-copy shape check [`lint_tail_copy`], which the phase
+//! driver runs after every applied duplication, rolling the transaction
+//! back on a violation; at the round boundary the relation the round
+//! patched along is held, idom by idom, to a from-scratch tree
+//! ([`LintId::StaleAnalysis`]).
 
 use crate::simulation::SimulationResult;
 use dbds_analysis::{DomFrontiers, DomTree, Dominators};
@@ -121,37 +122,6 @@ fn definition_frontier(g: &Graph, dt: &Dominators, b: BlockId) -> Vec<BlockId> {
     out
 }
 
-/// `DF(b)` by the Cytron-style join-driven construction, restricted to
-/// one block: every reachable join walks each reachable predecessor's
-/// idom chain up to (exclusive) its own immediate dominator and enters
-/// the frontier of every block on the way — here only `b` is collected.
-/// The same walk [`DomFrontiers`] does for all blocks at once, without
-/// building the whole table.
-fn join_frontier(g: &Graph, dt: &Dominators, b: BlockId) -> Vec<BlockId> {
-    let mut out = Vec::new();
-    for y in g.blocks() {
-        if g.preds(y).len() < 2 || !dt.is_reachable(y) {
-            continue;
-        }
-        let target = dt.idom(y);
-        'preds: for &p in g.preds(y) {
-            if !dt.is_reachable(p) {
-                continue;
-            }
-            let mut runner = Some(p);
-            while runner != target {
-                let Some(r) = runner else { break };
-                if r == b {
-                    out.push(y);
-                    break 'preds;
-                }
-                runner = dt.idom(r);
-            }
-        }
-    }
-    out
-}
-
 fn frontier_violation(copy: BlockId, message: String) -> Diagnostic {
     Diagnostic::new(LintId::FrontierViolation, Some(copy), None, message)
 }
@@ -177,38 +147,6 @@ fn frontier_consistency(
     })
 }
 
-/// Both layers of [`lint_frontier`], given `dt` and a way to get the
-/// join-driven frontier of a block.
-fn frontier_verdict<F: AsRef<[BlockId]>>(
-    g: &Graph,
-    dt: &Dominators,
-    copy: BlockId,
-    merge: BlockId,
-    joins: impl Fn(BlockId) -> F,
-) -> Option<Diagnostic> {
-    // An unreachable merge has an empty frontier by construction, not
-    // by defect.
-    if !dt.is_reachable(merge) {
-        return None;
-    }
-    let (df_copy, df_merge) = (joins(copy), joins(merge));
-    let (df_copy, df_merge) = (df_copy.as_ref(), df_merge.as_ref());
-    if let Some(d) = frontier_consistency(g, dt, copy, copy, df_copy)
-        .or_else(|| frontier_consistency(g, dt, copy, merge, df_merge))
-    {
-        return Some(d);
-    }
-    if !dt.dominates(copy, merge) && !dt.dominates(merge, copy) && df_copy != df_merge {
-        return Some(frontier_violation(
-            copy,
-            format!(
-                "frontier-violation: copy {copy} of {merge} has dominance frontier {df_copy:?} but the merge has {df_merge:?}"
-            ),
-        ));
-    }
-    None
-}
-
 /// The post-duplication dominance-frontier invariant
 /// ([`LintId::FrontierViolation`]), in two layers:
 ///
@@ -232,70 +170,86 @@ fn frontier_verdict<F: AsRef<[BlockId]>>(
 ///
 /// This is the whole-graph reference form: it builds the dominator
 /// tree and the full frontier table from scratch. The phase driver's
-/// per-duplication check is
-/// [`lint_frontier_in`], which answers from a dominance relation the
-/// caller already has.
+/// per-duplication check is [`lint_tail_copy`], which this reduces to.
 pub fn lint_frontier(g: &Graph, copy: BlockId, merge: BlockId) -> Option<Diagnostic> {
     let dt = DomTree::compute(g);
+    // An unreachable merge has an empty frontier by construction, not
+    // by defect.
+    if !dt.is_reachable(merge) {
+        return None;
+    }
     let df = DomFrontiers::compute(g, &dt);
-    frontier_verdict(g, &dt, copy, merge, |b| df.df(b))
-}
-
-/// [`lint_frontier`] against a dominance relation the caller already
-/// holds (the phase passes the one it patched for this duplication):
-/// only `DF(copy)` and `DF(merge)` are computed, each by both
-/// constructions, with no whole-graph frontier table. Same verdicts and
-/// messages.
-pub fn lint_frontier_in(
-    g: &Graph,
-    dt: &Dominators,
-    copy: BlockId,
-    merge: BlockId,
-) -> Option<Diagnostic> {
-    frontier_verdict(g, dt, copy, merge, |b| join_frontier(g, dt, b))
-}
-
-/// The first block on which `relation` is not the dominance relation
-/// `fresh` — its idom or its reachability differs — as a
-/// [`LintId::StaleAnalysis`] finding.
-fn relation_divergence(fresh: &Dominators, relation: &Dominators) -> Option<Diagnostic> {
-    relation.divergences(fresh).next().map(|(b, patched, fresh)| {
-        Diagnostic::new(
-            LintId::StaleAnalysis,
-            Some(b),
-            None,
+    let (df_copy, df_merge) = (df.df(copy), df.df(merge));
+    if let Some(d) = frontier_consistency(g, &dt, copy, copy, df_copy)
+        .or_else(|| frontier_consistency(g, &dt, copy, merge, df_merge))
+    {
+        return Some(d);
+    }
+    if !dt.dominates(copy, merge) && !dt.dominates(merge, copy) && df_copy != df_merge {
+        return Some(frontier_violation(
+            copy,
             format!(
-                "stale-analysis: the patched dominance relation has idom({b}) = {patched:?}, a from-scratch build {fresh:?}"
+                "frontier-violation: copy {copy} of {merge} has dominance frontier {df_copy:?} but the merge has {df_merge:?}"
+            ),
+        ));
+    }
+    None
+}
+
+/// The per-duplication frontier check, in O(1): `copy` must have the
+/// shape of a tail copy of `merge` taken over the edge from `pred` —
+/// `preds(copy) == [pred]` and `succs(copy) == succs(merge)`, as ordered
+/// lists ([`LintId::FrontierViolation`] otherwise).
+///
+/// It is what [`lint_frontier`] reduces to on a graph whose pred/succ
+/// mirrors are consistent (the scoped checkpoint's edge rules) and whose
+/// dominance relation is right (the boundary's relation compare): layer
+/// 1 then compares two constructions of one set and cannot fail, and
+/// layer 2 is set equality of the two successor lists. So it accepts
+/// only what both layers accept, and is strictly stronger — it rejects
+/// swapped branch targets, and it also applies when one block dominates
+/// the other. A real tail duplication always passes: the copy's
+/// terminator is a substituted clone of the merge's.
+pub fn lint_tail_copy(
+    g: &Graph,
+    pred: BlockId,
+    merge: BlockId,
+    copy: BlockId,
+) -> Option<Diagnostic> {
+    let preds = g.preds(copy);
+    if preds != [pred] {
+        return Some(frontier_violation(
+            copy,
+            format!("frontier-violation: copy {copy} of {merge} has predecessors {preds:?}, not [{pred}]"),
+        ));
+    }
+    let (succs_copy, succs_merge) = (g.succs(copy), g.succs(merge));
+    (*succs_copy != *succs_merge).then(|| {
+        frontier_violation(
+            copy,
+            format!(
+                "frontier-violation: copy {copy} of {merge} branches to {succs_copy:?} but the merge to {succs_merge:?}"
             ),
         )
     })
 }
 
 /// The whole-graph reference form of a patched dominance relation: a
-/// from-scratch build of `g` compared with it on every block.
+/// from-scratch build of `g` compared with it on every block. The first
+/// block whose idom or reachability differs is a
+/// [`LintId::StaleAnalysis`] finding. It is oracle 6 after every
+/// duplication in debug builds, and the round boundary's check of the
+/// relation the round ended on in every build.
 pub(crate) fn lint_relation(g: &Graph, relation: &Dominators) -> Option<Diagnostic> {
-    relation_divergence(&DomTree::compute(g), relation)
-}
-
-/// The iteration-boundary backstop for the per-duplication checks, which
-/// trusted the relation the round patched along, on analyses built from
-/// scratch: `relation` (the round's last) must be the from-scratch one,
-/// and layer 1 of [`lint_frontier`] must hold over `blocks`. (Layer 2
-/// only holds immediately after one duplication.)
-pub(crate) fn lint_frontier_boundary(
-    g: &Graph,
-    blocks: &[BlockId],
-    relation: &Dominators,
-) -> Option<Diagnostic> {
-    let dt = DomTree::compute(g);
-    if let Some(d) = relation_divergence(&dt, relation) {
-        return Some(d);
-    }
-    let df = DomFrontiers::compute(g, &dt);
-    blocks
-        .iter()
-        .filter(|&&b| dt.is_reachable(b))
-        .find_map(|&b| frontier_consistency(g, &dt, b, b, df.df(b)))
+    let (b, patched, fresh) = relation.divergences(&DomTree::compute(g)).next()?;
+    Some(Diagnostic::new(
+        LintId::StaleAnalysis,
+        Some(b),
+        None,
+        format!(
+            "stale-analysis: the patched dominance relation has idom({b}) = {patched:?}, a from-scratch build {fresh:?}"
+        ),
+    ))
 }
 
 #[cfg(test)]
@@ -379,6 +333,89 @@ mod tests {
         let (mut g, bt, _bf, bm) = diamond();
         let dup = crate::transform::duplicate(&mut g, bt, bm);
         assert!(lint_frontier(&g, dup.copy, dup.merge).is_none());
+        assert!(lint_tail_copy(&g, dup.pred, dup.merge, dup.copy).is_none());
+    }
+
+    /// Figure 1's diamond whose merge ends in a branch on its φ, already
+    /// duplicated into the true side: `(graph, duplication, then, else)`.
+    fn duplicated_branching_merge() -> (Graph, crate::transform::Duplication, BlockId, BlockId) {
+        use dbds_ir::{ClassTable, CmpOp, GraphBuilder, Type};
+        let mut b = GraphBuilder::new("b", &[Type::Int], std::sync::Arc::new(ClassTable::new()));
+        let x = b.param(0);
+        let zero = b.iconst(0);
+        let c = b.cmp(CmpOp::Gt, x, zero);
+        let (bt, bf, bm, b1, b2) = (
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+        );
+        b.branch(c, bt, bf, 0.5);
+        b.switch_to(bt);
+        b.jump(bm);
+        b.switch_to(bf);
+        b.jump(bm);
+        b.switch_to(bm);
+        let phi = b.phi(vec![x, zero], Type::Int);
+        let c2 = b.cmp(CmpOp::Gt, phi, zero);
+        b.branch(c2, b1, b2, 0.5);
+        b.switch_to(b1);
+        b.ret(Some(zero));
+        b.switch_to(b2);
+        b.ret(Some(x));
+        let mut g = b.finish();
+        let dup = crate::transform::duplicate(&mut g, bt, bm);
+        assert!(lint_tail_copy(&g, dup.pred, dup.merge, dup.copy).is_none());
+        (g, dup, b1, b2)
+    }
+
+    #[test]
+    fn tail_copy_check_rejects_swapped_branch_targets() {
+        // Fail-first for the O(1) frontier check: the copy's branch
+        // targets swapped. The graph still verifies and both frontiers
+        // are still {b1, b2}, so the frontier-set check accepts it; the
+        // copy is no tail copy of the merge any more.
+        let (mut g, dup, b1, b2) = duplicated_branching_merge();
+        let dbds_ir::Terminator::Branch {
+            cond, prob_then, ..
+        } = *g.terminator(dup.copy)
+        else {
+            panic!("the copy ends in the merge's branch");
+        };
+        g.set_terminator(
+            dup.copy,
+            dbds_ir::Terminator::Branch {
+                cond,
+                then_bb: b2,
+                else_bb: b1,
+                prob_then,
+            },
+        );
+        dbds_ir::verify(&g).expect("a swap is structurally clean");
+        assert_eq!(lint_frontier(&g, dup.copy, dup.merge), None);
+        let d = lint_tail_copy(&g, dup.pred, dup.merge, dup.copy).expect("swapped targets");
+        assert_eq!(
+            (d.lint, d.block),
+            (LintId::FrontierViolation, Some(dup.copy))
+        );
+        assert!(
+            d.message.starts_with("frontier-violation:"),
+            "{}",
+            d.message
+        );
+    }
+
+    #[test]
+    fn tail_copy_check_rejects_an_extra_predecessor() {
+        let (mut g, dup, b1, _b2) = duplicated_branching_merge();
+        g.set_terminator(b1, dbds_ir::Terminator::Jump { target: dup.copy });
+        let d = lint_tail_copy(&g, dup.pred, dup.merge, dup.copy).expect("two predecessors");
+        assert_eq!(
+            (d.lint, d.block),
+            (LintId::FrontierViolation, Some(dup.copy))
+        );
+        assert!(d.message.contains("has predecessors"), "{}", d.message);
     }
 
     #[test]
@@ -406,6 +443,7 @@ mod tests {
         let mut g = b.finish();
         let dup = crate::transform::duplicate(&mut g, body, header);
         assert!(lint_frontier(&g, dup.copy, dup.merge).is_none());
+        assert!(lint_tail_copy(&g, dup.pred, dup.merge, dup.copy).is_none());
     }
 
     #[test]
@@ -423,28 +461,21 @@ mod tests {
         let (mut g, bt, _bf, bm) = diamond();
         let before = DomTree::compute(&g);
         let dup = crate::transform::duplicate(&mut g, bt, bm);
-        let blocks = [dup.copy, dup.merge];
         let patched = before
             .after_duplication(&g, dup.pred, dup.merge, dup.copy)
             .expect("a plain tail duplication is patched");
         assert_eq!(lint_relation(&g, &patched), None);
-        assert_eq!(lint_frontier_boundary(&g, &blocks, &patched), None);
 
         // The relation of the graph before the duplication.
-        let d = lint_frontier_boundary(&g, &blocks, &before).expect("one block short");
+        let d = lint_relation(&g, &before).expect("one block short");
         assert_eq!(d.lint, LintId::StaleAnalysis);
         // The right blocks, `bm` still hanging where it used to.
         let mut idoms: Vec<Option<BlockId>> = g.blocks().map(|b| patched.idom(b)).collect();
         idoms[bm.index()] = before.idom(bm);
         let stale = Dominators::from_idoms(g.entry(), idoms);
-        for d in [
-            lint_relation(&g, &stale),
-            lint_frontier_boundary(&g, &blocks, &stale),
-        ] {
-            let d = d.expect("a stale idom must be flagged");
-            assert_eq!((d.lint, d.block), (LintId::StaleAnalysis, Some(bm)));
-            assert!(d.message.starts_with("stale-analysis"), "{}", d.message);
-        }
+        let d = lint_relation(&g, &stale).expect("a stale idom must be flagged");
+        assert_eq!((d.lint, d.block), (LintId::StaleAnalysis, Some(bm)));
+        assert!(d.message.starts_with("stale-analysis"), "{}", d.message);
     }
 
     #[test]

@@ -239,9 +239,10 @@ pub struct PhaseStats {
     /// duplication plus the hop through the statically-decided branch).
     pub split_applied: usize,
     /// Post-duplication dominance-frontier invariant violations: a fresh
-    /// copy and its source merge whose frontiers diverged immediately
-    /// after the transform. Each one rolled its transaction back; a
-    /// nonzero count is an alarm on the SSA/CFG repair.
+    /// copy that, immediately after the transform, was not a tail copy
+    /// of its source merge (one predecessor, the merge's successors), so
+    /// their frontiers could diverge. Each one rolled its transaction
+    /// back; a nonzero count is an alarm on the SSA/CFG repair.
     pub frontier_violations: usize,
     /// Every bailout incident of this compilation, in order.
     pub bailouts: Vec<BailoutRecord>,
@@ -561,26 +562,19 @@ pub fn run_dbds(
             // Boundary check: the per-duplication checkpoints covered the
             // slots each duplication touched and trusted the dominance
             // relation patched from one duplication to the next; the
-            // whole-graph verifier (own dominator tree) and the
-            // from-scratch tree — against the relation the round ended
-            // on, and for the frontier consistency check — run once
-            // here, for the rules that are not a function of the touched
-            // slots. A rejection rolls the whole round back to the
-            // recovery mark taken at its start.
+            // whole-graph verifier (own dominator tree) and one
+            // from-scratch tree, held to the relation the round ended
+            // on, run once here, for the rules that are not a function
+            // of the touched slots. A rejection rolls the whole round
+            // back to the recovery mark taken at its start.
             let tg = Instant::now();
-            round.frontier_blocks.sort_unstable();
-            round.frontier_blocks.dedup();
             let relation = round
                 .relation
                 .take()
                 .expect("a round with a duplication has its relation");
-            let verdict = checkpoint(g).map_err(Rejection::from).and_then(|()| {
-                Rejection::unless_clean(crate::lint::lint_frontier_boundary(
-                    g,
-                    &round.frontier_blocks,
-                    &relation,
-                ))
-            });
+            let verdict = checkpoint(g)
+                .map_err(Rejection::from)
+                .and_then(|()| Rejection::unless_clean(crate::lint::lint_relation(g, &relation)));
             let tu = Instant::now();
             match verdict {
                 Ok(()) => {
@@ -592,12 +586,10 @@ pub fn run_dbds(
                     recovery_open = false;
                     round = RoundTally::default();
                     cumulative = 0.0;
-                    match rejection.lint {
-                        Some(LintId::FrontierViolation) => stats.frontier_violations += 1,
+                    if rejection.lint == Some(LintId::StaleAnalysis) {
                         // The relation slot is what went wrong: the next
                         // lookup rebuilds it honestly.
-                        Some(LintId::StaleAnalysis) => cache.clear(),
-                        _ => {}
+                        cache.clear();
                     }
                     stats.bailouts.push(BailoutRecord {
                         reason: rejection.reason,
@@ -700,9 +692,6 @@ struct ChainOutcome {
     duplications: usize,
     work: u64,
     visited: Vec<BlockId>,
-    /// The copy and merge of every step: the blocks whose dominance
-    /// frontiers the round's boundary check re-derives from scratch.
-    frontier_blocks: Vec<BlockId>,
     /// The dominance relation after the last step, as the per-step
     /// checkpoints patched it.
     relation: Option<Arc<Dominators>>,
@@ -712,8 +701,6 @@ fn record_step(out: &mut ChainOutcome, g: &Graph, dup: &Duplication) {
     out.visited.push(dup.merge);
     out.duplications += 1;
     out.work += g.block_insts(dup.merge).len() as u64;
-    out.frontier_blocks.push(dup.copy);
-    out.frontier_blocks.push(dup.merge);
 }
 
 /// The stats contribution of one round's applied candidates, held back
@@ -726,7 +713,6 @@ struct RoundTally {
     split_applied: usize,
     opportunities: Vec<OptKind>,
     visited: Vec<BlockId>,
-    frontier_blocks: Vec<BlockId>,
     /// The relation the round's last applied chain ended on: a failed
     /// chain rolls back to it, so it describes the graph at the boundary.
     relation: Option<Arc<Dominators>>,
@@ -737,7 +723,6 @@ impl RoundTally {
         self.duplications += chain.duplications;
         self.work += chain.work;
         self.visited.extend(chain.visited);
-        self.frontier_blocks.extend(chain.frontier_blocks);
         self.relation = chain.relation;
         if s.kind == CandidateKind::BranchSplit {
             self.split_applied += 1;
@@ -816,14 +801,15 @@ thread_local! {
 }
 
 /// The per-duplication checkpoint: the scoped verifier rules over the
-/// chain's transaction footprint, then the structural frontier check —
-/// the copy's and merge's dominance frontiers must be consistent with
-/// the edge mirrors, and equal whenever neither block dominates the
-/// other (see [`crate::lint::lint_frontier`]). Both read the relation of
-/// `g` as it stands, which is `prev` (the relation before this
-/// duplication) patched in O(edit) once the edge rules have passed: no
-/// dominator build unless the patch declines. `before` is the relation
-/// the chain's transaction opened on. Returns the patched relation.
+/// chain's transaction footprint, then the O(1) frontier check — the
+/// copy must have the shape of a tail copy of the merge
+/// ([`crate::lint::lint_tail_copy`], what [`crate::lint::lint_frontier`]
+/// reduces to once those rules have passed). The scoped rules read
+/// the relation of `g` as it stands, which is `prev` (the relation
+/// before this duplication) patched in O(edit) once the edge rules have
+/// passed: no dominator build unless the patch declines. `before` is the
+/// relation the chain's transaction opened on. Returns the patched
+/// relation.
 fn checkpoint_duplication(
     g: &Graph,
     dup: &Duplication,
@@ -844,16 +830,21 @@ fn checkpoint_duplication(
         after
     })?;
     let after = patched.expect("a clean scoped checkpoint asked for the relation");
-    Rejection::unless_clean(crate::lint::lint_frontier_in(
-        g, &after, dup.copy, dup.merge,
+    Rejection::unless_clean(crate::lint::lint_tail_copy(
+        g, dup.pred, dup.merge, dup.copy,
     ))?;
     Ok(after)
 }
 
 /// The whole-graph reference [`checkpoint_duplication`] is compared
-/// against under [`DIFFERENTIAL_CHECKPOINTS`].
+/// against under [`DIFFERENTIAL_CHECKPOINTS`]: the tail-copy check runs
+/// here too, so that the stronger fast form is never reported as a
+/// disagreement.
 fn checkpoint_duplication_whole(g: &Graph, dup: &Duplication) -> Result<(), Rejection> {
     checkpoint(g)?;
+    Rejection::unless_clean(crate::lint::lint_tail_copy(
+        g, dup.pred, dup.merge, dup.copy,
+    ))?;
     Rejection::unless_clean(crate::lint::lint_frontier(g, dup.copy, dup.merge))
 }
 

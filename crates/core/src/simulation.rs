@@ -25,7 +25,7 @@ use crate::bailout::{isolate, BailoutReason, Budget};
 use crate::faultinject::fault_point;
 use dbds_analysis::{AnalysisCache, BlockFrequencies, DomTree, Dominators};
 use dbds_costmodel::CostModel;
-use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, InstKind, Terminator, Use};
+use dbds_ir::{BlockId, Graph, Inst, InstId, InstKind, Terminator, Use};
 use dbds_opt::{evaluate, record_effects, FactEnv, OptKind, Synonym, Verdict};
 
 /// One optimization opportunity discovered during a DST.
@@ -222,7 +222,7 @@ impl Walk<'_> {
         for s in g.succs(b) {
             if s != b && g.is_merge(s) {
                 let mut dst_env = env.clone();
-                assume_edge(g, &mut dst_env, b, s);
+                dst_env.assume_edge(g, b, s);
                 self.budget.check()?;
                 let mut fuel = 0;
                 let dst = isolate(|| {
@@ -255,7 +255,7 @@ impl Walk<'_> {
         for &child in dt.children(b) {
             if g.preds(child) == [b] {
                 let mut child_env = env.clone();
-                assume_edge(g, &mut child_env, b, child);
+                child_env.assume_edge(g, b, child);
                 self.visit(child, child_env)?;
             } else {
                 self.visit(child, env.clone_pure())?;
@@ -321,14 +321,14 @@ pub fn audit_opportunities(
         if k > 0 {
             let parent = chain[k - 1];
             if g.preds(b) == [parent] {
-                assume_edge(g, &mut env, parent, b);
+                env.assume_edge(g, parent, b);
             } else {
                 env = env.clone_pure();
             }
         }
         accumulate_block_facts(g, &mut env, b);
     }
-    assume_edge(g, &mut env, s.pred, s.merge);
+    env.assume_edge(g, s.pred, s.merge);
 
     let results = run_dst(
         g,
@@ -380,23 +380,6 @@ fn accumulate_block_facts(g: &Graph, env: &mut FactEnv, b: BlockId) {
             env.add_virtual(i, *class);
         }
         record_effects(g, env, i, &eval);
-    }
-}
-
-/// Refines `env` with the branch condition implied by the edge `b → s`.
-fn assume_edge(g: &Graph, env: &mut FactEnv, b: BlockId, s: BlockId) {
-    if let Terminator::Branch {
-        cond,
-        then_bb,
-        else_bb,
-        ..
-    } = g.terminator(b)
-    {
-        if s == *then_bb {
-            let _ = env.assume_condition(g, *cond, true);
-        } else if s == *else_bb {
-            let _ = env.assume_condition(g, *cond, false);
-        }
     }
 }
 
@@ -626,33 +609,26 @@ fn simulate_segment(
             then_bb,
             else_bb,
             ..
-        } => {
-            let known = env
-                .resolve_full(g, *cond)
-                .konst
-                .and_then(ConstValue::as_bool)
-                .or_else(|| env.stamp_of(g, *cond).as_bool_constant());
-            match known {
-                Some(taken) => {
-                    let saved = f64::from(model.cycles(InstKind::Branch))
-                        - f64::from(model.cycles(InstKind::Jump));
-                    acc.cycles_saved += saved;
-                    acc.size_cost += i64::from(model.size(InstKind::Jump));
-                    acc.opportunities.push(Opportunity {
-                        inst: *cond,
-                        kind: OptKind::ConditionalElim,
-                        cycles_saved: saved,
-                        size_delta: i64::from(model.size(InstKind::Jump))
-                            - i64::from(model.size(InstKind::Branch)),
-                    });
-                    SegmentCont::Folded(if taken { *then_bb } else { *else_bb })
-                }
-                None => {
-                    acc.size_cost += i64::from(model.size(InstKind::Branch));
-                    SegmentCont::Stop
-                }
+        } => match env.branch_decision(g, merge) {
+            Some(taken) => {
+                let saved = f64::from(model.cycles(InstKind::Branch))
+                    - f64::from(model.cycles(InstKind::Jump));
+                acc.cycles_saved += saved;
+                acc.size_cost += i64::from(model.size(InstKind::Jump));
+                acc.opportunities.push(Opportunity {
+                    inst: *cond,
+                    kind: OptKind::ConditionalElim,
+                    cycles_saved: saved,
+                    size_delta: i64::from(model.size(InstKind::Jump))
+                        - i64::from(model.size(InstKind::Branch)),
+                });
+                SegmentCont::Folded(if taken { *then_bb } else { *else_bb })
             }
-        }
+            None => {
+                acc.size_cost += i64::from(model.size(InstKind::Branch));
+                SegmentCont::Stop
+            }
+        },
         Terminator::Jump { target } => {
             acc.size_cost += i64::from(model.size(InstKind::Jump));
             SegmentCont::Jump(*target)

@@ -17,7 +17,7 @@
 //! no mutation) and the canonicalization pass (facts plus graph rewrites).
 
 use dbds_analysis::{refine_by_cmp, refine_by_instanceof, Stamp};
-use dbds_ir::{ClassId, ConstValue, FieldId, Graph, Inst, InstId, Type};
+use dbds_ir::{BlockId, ClassId, ConstValue, FieldId, Graph, Inst, InstId, Terminator, Type};
 use std::collections::HashMap;
 
 /// What a value is known to be equivalent to.
@@ -262,6 +262,44 @@ impl FactEnv {
             Inst::Not(x) => self.assume_condition(g, x, !truth),
             _ => true,
         }
+    }
+
+    /// Applies what the edge `b → s` establishes: `b`'s branch condition
+    /// holds on the edge to its then-successor and fails on the edge to
+    /// its else-successor. Nothing when `b` does not end in a branch.
+    ///
+    /// The one rule the canonicalizer's walk and the simulation tier
+    /// share, so what a DST predicts is what the canonicalizer proves.
+    pub fn assume_edge(&mut self, g: &Graph, b: BlockId, s: BlockId) {
+        if let Terminator::Branch {
+            cond,
+            then_bb,
+            else_bb,
+            ..
+        } = *g.terminator(b)
+        {
+            if s == then_bb {
+                let _ = self.assume_condition(g, cond, true);
+            } else if s == else_bb {
+                let _ = self.assume_condition(g, cond, false);
+            }
+        }
+    }
+
+    /// The way `b`'s branch goes under these facts: `Some(truth)` when
+    /// its condition resolves to a constant or has a constant stamp,
+    /// `None` when it is undecided or `b` does not end in a branch. The
+    /// canonicalizer folds exactly the branches the simulation tier
+    /// predicts a [`ConditionalElim`](crate::OptKind::ConditionalElim)
+    /// for.
+    pub fn branch_decision(&self, g: &Graph, b: BlockId) -> Option<bool> {
+        let Terminator::Branch { cond, .. } = *g.terminator(b) else {
+            return None;
+        };
+        self.resolve_full(g, cond)
+            .konst
+            .and_then(ConstValue::as_bool)
+            .or_else(|| self.stamp_of(g, cond).as_bool_constant())
     }
 }
 

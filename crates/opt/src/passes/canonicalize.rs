@@ -17,7 +17,7 @@
 use crate::env::FactEnv;
 use crate::evaluate::{evaluate, record_effects, OptKind, Verdict};
 use dbds_analysis::{AnalysisCache, DomTree};
-use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, Terminator, Type};
+use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, Type};
 use std::collections::HashMap;
 
 /// Statistics of one canonicalization run.
@@ -97,37 +97,15 @@ fn walk(
     process_block(g, b, &mut env, stats, pool);
 
     // Fold the terminator if its condition is statically known.
-    if let Terminator::Branch { cond, .. } = g.terminator(b) {
-        let cond = *cond;
-        let known = env
-            .resolve_full(g, cond)
-            .konst
-            .and_then(ConstValue::as_bool)
-            .or_else(|| env.stamp_of(g, cond).as_bool_constant());
-        if let Some(t) = known {
-            g.fold_branch(b, t);
-            stats.branch_folds += 1;
-        }
+    if let Some(t) = env.branch_decision(g, b) {
+        g.fold_branch(b, t);
+        stats.branch_folds += 1;
     }
 
     for &s in dt.children(b) {
-        let preds = g.preds(s);
-        if preds == [b] {
+        if g.preds(s) == [b] {
             let mut child_env = env.clone();
-            if let Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-                ..
-            } = g.terminator(b)
-            {
-                let (cond, then_bb, else_bb) = (*cond, *then_bb, *else_bb);
-                if s == then_bb {
-                    let _ = child_env.assume_condition(g, cond, true);
-                } else if s == else_bb {
-                    let _ = child_env.assume_condition(g, cond, false);
-                }
-            }
+            child_env.assume_edge(g, b, s);
             walk(g, dt, s, child_env, stats, pool);
         } else {
             walk(g, dt, s, env.clone_pure(), stats, pool);
@@ -187,7 +165,7 @@ pub(crate) fn process_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbds_ir::{execute, verify, ClassTable, CmpOp, GraphBuilder, Value};
+    use dbds_ir::{execute, verify, ClassTable, CmpOp, GraphBuilder, Terminator, Value};
     use std::sync::Arc;
 
     fn empty_table() -> Arc<ClassTable> {

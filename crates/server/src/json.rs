@@ -210,20 +210,32 @@ pub fn escape(s: &str) -> String {
 ///
 /// Returns a [`JsonError`] with the byte offset of the first problem.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after the value"));
     }
     Ok(v)
 }
 
+/// How many arrays and objects may enclose a value. The decoder
+/// recurses once per level, and it reads frames off the network: past
+/// this, nesting is an error instead of a stack overflow.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects being parsed around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -268,8 +280,8 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -355,19 +367,32 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance by whole UTF-8 characters.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("empty string tail"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // The run up to the next quote or backslash, as one
+                    // slice: both are ASCII, so it ends on a character
+                    // boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
+    }
+
+    /// Parses an array or object (`container`) one nesting level down.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -476,5 +501,32 @@ mod tests {
         assert!(parse("1 2").is_err());
         assert!(parse("\"abc").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Fail-first: a frame of brackets far under `MAX_FRAME` used to
+        // overflow the decoder's stack and abort the process.
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).expect_err("deep nesting is an error");
+        assert!(err.msg.contains("nesting deeper than 64"), "{err}");
+        let nest = |n: usize| format!("{}{}", r#"{"k":["#.repeat(n), "]}".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH / 2)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH / 2 + 1)).is_err());
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // Fail-first: every character used to re-validate the rest of
+        // the input as UTF-8: this input took minutes in a debug build.
+        let body = "aé\u{1F600}\\n\\\"".repeat(1 << 17);
+        let text = format!("\"{body}\"");
+        assert!(text.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.as_str().unwrap(), "aé\u{1F600}\n\"".repeat(1 << 17));
+        assert_eq!(v.compact(), text);
+        assert!(took < std::time::Duration::from_secs(2), "{took:?}");
     }
 }

@@ -123,6 +123,32 @@ fn zero_queue_sheds_with_typed_overloaded() {
     handle.join();
 }
 
+/// Fail-first: a frame of 200 000 `[` bytes — far under `MAX_FRAME` —
+/// used to overflow the decoding thread's stack and abort the whole
+/// daemon. Now the decoder rejects it, that one connection closes, and
+/// every other connection is still served.
+#[test]
+fn a_deeply_nested_frame_closes_its_connection_only() {
+    use std::io::{Read, Write};
+    let handle = serve(ServerConfig::default()).expect("serve");
+    let mut hostile = std::net::TcpStream::connect(&handle.addr).expect("connect");
+    let payload = "[".repeat(200_000);
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(payload.as_bytes());
+    hostile.write_all(&frame).expect("send");
+    let mut rest = Vec::new();
+    hostile
+        .read_to_end(&mut rest)
+        .expect("the daemon closes the connection");
+    assert!(rest.is_empty(), "no reply to an undecodable frame");
+
+    let mut client = Client::connect(&handle.addr).expect("connect");
+    let status = client.status().expect("status is still answered");
+    assert_eq!(counter(&status, "requests"), 0);
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
 /// Regression for the check-then-increment admission race: with many
 /// clients racing, the old two-step admission could admit more jobs
 /// than `max_queue`. The daemon tracks the high-water mark of the queue

@@ -8,7 +8,7 @@
 //! footprint, and the footprint accessor the whole scheme reads.
 
 use dbds::analysis::{AnalysisCache, DomTree};
-use dbds::core::{checkpoint_scoped, lint_frontier, lint_frontier_in, try_duplicate};
+use dbds::core::{checkpoint_scoped, lint_frontier, lint_tail_copy, try_duplicate};
 use dbds::ir::{
     lint, verify, BinOp, BlockId, ClassTable, CmpOp, FootprintScratch, Graph, GraphBuilder, Inst,
     InstId, LintId, Terminator, TxnFootprint, Type,
@@ -165,9 +165,9 @@ proptest! {
 
     /// Inside one transaction: a random run of real duplications, then
     /// (usually) one corruption. After every step the scoped verdict
-    /// equals the whole-graph verdict, the cached-tree frontier check
-    /// equals its from-scratch reference, and rolling the transaction
-    /// back restores a graph that verifies.
+    /// equals the whole-graph verdict, the tail-copy check and its
+    /// from-scratch frontier reference both accept, and rolling the
+    /// transaction back restores a graph that verifies.
     #[test]
     fn scoped_verdict_equals_whole_graph_verdict(
         seed in 0u64..1_000_000,
@@ -190,10 +190,8 @@ proptest! {
             let dup = try_duplicate(&mut g, pred, merge).expect("a live pair duplicates");
             prop_assert!(whole_accepts(&g), "a real duplication keeps the graph valid");
             prop_assert!(scoped_accepts(&g, &before), "no false rejection of a real duplication");
-            prop_assert_eq!(
-                lint_frontier_in(&g, &DomTree::compute(&g), dup.copy, dup.merge),
-                lint_frontier(&g, dup.copy, dup.merge)
-            );
+            prop_assert_eq!(lint_tail_copy(&g, dup.pred, dup.merge, dup.copy), None);
+            prop_assert_eq!(lint_frontier(&g, dup.copy, dup.merge), None);
         }
         // Half the draws take the corruption whose damage lands outside
         // the footprint; it is the one a slot-local check would miss.
