@@ -11,13 +11,14 @@
 //!   optimization tiers poll; exhaustion becomes a structured
 //!   [`BailoutReason`] instead of unbounded work.
 //! - [`checkpoint`] — `dbds_ir::verify` as a phase checkpoint, mapping
-//!   rejection into [`BailoutReason::VerifierRejected`];
-//!   [`checkpoint_scoped`] — the same rules over the open transaction's
-//!   undo-log footprint only, what the phase runs after every
-//!   duplication.
+//!   rejection into [`BailoutReason::VerifierRejected`]. The phase runs
+//!   it once per round, at the round's boundary; only a round the
+//!   boundary rejected is replayed with it after every duplication.
 //! - [`isolate`] — `catch_unwind` with a panic-hook silencer, converting
 //!   a panicking transformation into
-//!   [`BailoutReason::TransformPanicked`] without spamming stderr.
+//!   [`BailoutReason::TransformPanicked`] without spamming stderr. A
+//!   round's optimistic pass runs under it too: until the boundary, the
+//!   graph may hold a corruption nobody has detected yet.
 //! - [`transact`] — [`isolate`] composed with the IR undo log: the
 //!   closure runs inside a [`Graph::begin_txn`] frame that is committed
 //!   on success and rolled back (in O(edits), not O(graph)) on panic or
@@ -33,13 +34,11 @@
 //! other: one unit's fuel exhaustion, deadline miss or contained panic
 //! never charges or silences a neighbor.
 
-use dbds_analysis::{AnalysisCache, Dominators};
-use dbds_ir::{BlockId, Dominance, FootprintScratch, Graph, VerifyErrors};
+use dbds_ir::{BlockId, Graph};
 use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
@@ -227,77 +226,6 @@ impl Budget {
 /// problems.
 pub fn checkpoint(g: &Graph) -> Result<(), BailoutReason> {
     dbds_ir::verify(g).map_err(|e| BailoutReason::VerifierRejected(e.summary()))
-}
-
-/// dbds-analysis' dominance relation as the one
-/// [`dbds_ir::lint_footprint`] checks against.
-struct TreeDominance<T>(T);
-
-impl<T: std::ops::Deref<Target = Dominators>> Dominance for TreeDominance<T> {
-    fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        self.0.dominates(a, b)
-    }
-
-    fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.0.idom(b)
-    }
-}
-
-/// The O(edit) form of [`checkpoint`], for use inside an open
-/// transaction: runs the verifier's error-severity rules over the
-/// innermost transaction's footprint ([`Graph::txn_footprint`]) instead
-/// of the whole graph. `before` must be the dominance relation of `g` as
-/// it was when that transaction opened; the current one comes from
-/// `cache` (one miss if the transaction changed the CFG, and the next
-/// lookup at this version hits).
-///
-/// Given a graph that passed [`checkpoint`] when the transaction
-/// opened, `Ok` here implies [`checkpoint`] would pass too, except for
-/// the two rules that are not a function of the edited slots (a
-/// reachable block with an unreachable predecessor, control dependence
-/// on a dead edge) and for the def-use lists, which it reads as exact
-/// instead of recounting — see [`dbds_ir::lint_footprint`]. The phase
-/// driver re-runs the whole-graph [`checkpoint`] once per iteration for
-/// those.
-///
-/// # Errors
-///
-/// [`BailoutReason::VerifierRejected`] with a one-line digest, like
-/// [`checkpoint`].
-pub fn checkpoint_scoped(
-    g: &Graph,
-    cache: &mut AnalysisCache,
-    before: &Dominators,
-    scratch: &mut FootprintScratch,
-) -> Result<(), BailoutReason> {
-    checkpoint_footprint(g, before, scratch, || cache.dominators(g))
-}
-
-/// [`checkpoint_scoped`] with the current relation supplied by `after`,
-/// which is only called once the edge rules have passed — so a relation
-/// patched from `g`'s predecessor and successor lists never reads
-/// inconsistent mirrors.
-pub(crate) fn checkpoint_footprint(
-    g: &Graph,
-    before: &Dominators,
-    scratch: &mut FootprintScratch,
-    after: impl FnOnce() -> Arc<Dominators>,
-) -> Result<(), BailoutReason> {
-    let report = dbds_ir::lint_footprint(
-        g,
-        &g.txn_footprint(),
-        scratch,
-        &TreeDominance(before),
-        || TreeDominance(after()),
-    );
-    let problems: Vec<String> = report.errors().map(|d| d.message.clone()).collect();
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(BailoutReason::VerifierRejected(
-            VerifyErrors { problems }.summary(),
-        ))
-    }
 }
 
 thread_local! {

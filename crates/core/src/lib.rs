@@ -82,8 +82,7 @@ pub(crate) mod faultinject {
 
 pub use backtracking::{run_backtracking, BacktrackStats};
 pub use bailout::{
-    checkpoint, checkpoint_scoped, isolate, transact, BailoutReason, BailoutRecord, Budget,
-    GuardConfig, Tier,
+    checkpoint, isolate, transact, BailoutReason, BailoutRecord, Budget, GuardConfig, Tier,
 };
 pub use lint::{lint_frontier, lint_simulation, lint_tail_copy};
 pub use phase::{compile, run_dbds, DbdsConfig, OptLevel, PhaseStats};

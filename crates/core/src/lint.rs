@@ -202,8 +202,8 @@ pub fn lint_frontier(g: &Graph, copy: BlockId, merge: BlockId) -> Option<Diagnos
 /// lists ([`LintId::FrontierViolation`] otherwise).
 ///
 /// It is what [`lint_frontier`] reduces to on a graph whose pred/succ
-/// mirrors are consistent (the scoped checkpoint's edge rules) and whose
-/// dominance relation is right (the boundary's relation compare): layer
+/// mirrors are consistent (the round boundary's whole-graph checkpoint)
+/// and whose dominance relation is right (its relation compare): layer
 /// 1 then compares two constructions of one set and cannot fail, and
 /// layer 2 is set equality of the two successor lists. So it accepts
 /// only what both layers accept, and is strictly stronger — it rejects
@@ -239,7 +239,8 @@ pub fn lint_tail_copy(
 /// block whose idom or reachability differs is a
 /// [`LintId::StaleAnalysis`] finding. It is oracle 6 after every
 /// duplication in debug builds, and the round boundary's check of the
-/// relation the round ended on in every build.
+/// relation the round ended on in every build — after every duplication
+/// of a replayed round.
 pub(crate) fn lint_relation(g: &Graph, relation: &Dominators) -> Option<Diagnostic> {
     let (b, patched, fresh) = relation.divergences(&DomTree::compute(g)).next()?;
     Some(Diagnostic::new(

@@ -9,8 +9,7 @@
 //! merges not yet duplicated.
 
 use crate::bailout::{
-    checkpoint, checkpoint_footprint, transact, BailoutReason, BailoutRecord, Budget, GuardConfig,
-    Tier,
+    checkpoint, isolate, transact, BailoutReason, BailoutRecord, Budget, GuardConfig, Tier,
 };
 use crate::faultinject::fault_point;
 use crate::simulation::{
@@ -21,7 +20,7 @@ use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
 use crate::transform::{try_duplicate, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats, Dominators};
 use dbds_costmodel::CostModel;
-use dbds_ir::{BlockId, Diagnostic, FootprintScratch, Graph, LintId};
+use dbds_ir::{BlockId, Diagnostic, Graph, LintId};
 use dbds_opt::{optimize_full, optimize_once, OptKind};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -204,7 +203,8 @@ pub struct PhaseStats {
     /// transaction was open. Deterministic.
     pub undo_edits: u64,
     /// Undo-log transactions rolled back (contained candidate failures,
-    /// rejected backtracking attempts, final-checkpoint recoveries).
+    /// rounds rejected at their boundary, rejected backtracking attempts,
+    /// final-checkpoint recoveries).
     /// Deterministic.
     pub undo_rollbacks: u64,
     /// Peak number of backed-up arena slots the undo log held at any
@@ -339,12 +339,11 @@ pub fn run_dbds(
     let mut visited: HashSet<BlockId> = HashSet::new();
     // Whether the phase-level recovery transaction is open. Its
     // `begin_txn` marks are the states known to verify — recommitted and
-    // reopened at every round start and after every round's boundary
-    // check — so the boundary check can roll a whole round back, and the
-    // final checkpoint rolls back to the latest mark if the compilation
-    // ends on a broken graph.
+    // reopened at every round start and after every round that kept a
+    // duplication — so a round its boundary rejects rolls back whole, and
+    // the final checkpoint rolls back to the latest mark if the
+    // compilation ends on a broken graph.
     let mut recovery_open = false;
-    let mut scratch = FootprintScratch::default();
 
     for _ in 0..cfg.max_iterations {
         stats.iterations += 1;
@@ -435,17 +434,10 @@ pub fn run_dbds(
         if plan.is_empty() {
             break;
         }
-        // The sim-time dominance relation, taken before any duplication
-        // this round (the graph is still exactly the one the simulation
-        // tier analyzed). A failed prediction audit compares a
-        // candidate's dominator chain on it against the post-mutation
-        // chain to tell ordinary intra-round staleness from a broken
-        // simulation contract.
+        // Taken before any duplication this round: the graph is still
+        // exactly the one the simulation tier analyzed.
         let sim_dominators = cache.dominators(g);
-        let mut cumulative = 0.0;
         let t = Instant::now();
-        let mut guard_here: u128 = 0;
-        let mut undo_here: u128 = 0;
         // Refresh the recovery mark: everything up to here verified. The
         // frame opened here is also the round's interference record: its
         // footprint is every slot the round's duplications have changed.
@@ -456,163 +448,55 @@ pub fn run_dbds(
         g.begin_txn();
         recovery_open = true;
         let ns = tg.elapsed().as_nanos();
-        guard_here += ns;
-        undo_here += ns;
-        let mut stopped = None;
-        // What this round's applied candidates contribute to the stats,
-        // merged only once the round's boundary check has passed.
-        let mut round = RoundTally::default();
-        for s in plan {
-            // Re-validate: earlier duplications this round may have
-            // restructured the pair.
-            if !g.is_merge(s.merge) || !g.succs(s.pred).contains(&s.merge) {
-                continue;
-            }
-            if let Err(reason) = budget.check() {
-                stopped = Some(reason);
-                break;
-            }
-            // Prediction audit: re-run the applicability analysis against
-            // the graph as it stands *now* (earlier candidates this round
-            // already mutated it). A recorded opportunity that no longer
-            // fires means the candidate is skipped rather than applied on
-            // a stale promise — classified as an ordinary stale skip when
-            // an earlier duplication this round touched a block the
-            // candidate depends on, and as a misprediction (a simulation-
-            // tier contract violation) otherwise. The audit never charges
-            // the phase's budget.
-            if !s.opportunities.is_empty() {
-                let tg = Instant::now();
-                let rerun = audit_opportunities(g, model, cache, s);
-                let missed = match &rerun {
-                    Some(ops) => count_mispredictions(&s.opportunities, ops),
-                    None => s.opportunities.len(),
-                };
-                if missed > 0 {
-                    // Stale when the round has changed a slot of a block
-                    // the candidate's facts flow through (its sim-time
-                    // dominator chain, merge or path), or when the chain
-                    // itself drifted — either way the recorded facts
-                    // describe a graph that no longer exists. A failed
-                    // re-check on an *undisturbed* candidate is a genuine
-                    // misprediction. Every chain's own transaction has
-                    // closed, so the innermost open frame is the round's
-                    // recovery frame and its footprint is the exact
-                    // record of what the round changed.
-                    let fp = g.txn_footprint();
-                    let stale = !(fp.blocks.is_empty() && fp.insts.is_empty())
-                        && match (
-                            dominator_chain(g, &sim_dominators, s.pred),
-                            dominator_chain(g, &cache.dominators(g), s.pred),
-                        ) {
-                            (Some(old), Some(now)) => {
-                                old != now || {
-                                    let changed: HashSet<BlockId> = fp
-                                        .insts
-                                        .iter()
-                                        .filter_map(|&i| g.block_of(i))
-                                        .chain(fp.blocks.iter().copied())
-                                        .collect();
-                                    old.iter()
-                                        .chain(std::iter::once(&s.merge))
-                                        .chain(&s.path)
-                                        .any(|b| changed.contains(b))
-                                }
-                            }
-                            _ => true,
-                        };
-                    if stale {
-                        stats.stale_skips += 1;
-                    } else {
-                        stats.mispredictions += missed;
-                    }
-                    guard_here += tg.elapsed().as_nanos();
-                    continue;
+        let mut ctx = RoundCtx {
+            model,
+            cache: &mut *cache,
+            budget: &budget,
+            sim_dominators,
+            guard_ns: ns,
+            undo_ns: ns,
+            oracle: None,
+        };
+        // Until the boundary the graph may hold a corruption no check has
+        // seen yet, so a panic anywhere in the pass rejects the pass.
+        let optimistic = isolate(|| run_round(g, &plan, Pass::Optimistic, &mut ctx));
+        ctx.raise_oracle();
+        let round = match optimistic.map_err(Rejection::from).and_then(|r| r) {
+            Ok(round) => round,
+            Err(rejection) => {
+                // Roll the whole round back to the recovery mark taken at
+                // its start, and replay it with the boundary check after
+                // every duplication: what failed costs one candidate, and
+                // the O(graph) check per candidate is paid only here.
+                let tu = Instant::now();
+                g.rollback_txn();
+                g.begin_txn();
+                let ns = tu.elapsed().as_nanos();
+                ctx.guard_ns += ns;
+                ctx.undo_ns += ns;
+                if rejection.lint == Some(LintId::StaleAnalysis) {
+                    // The relation slot is what went wrong: the next
+                    // lookup rebuilds it honestly.
+                    ctx.cache.clear();
                 }
-                guard_here += tg.elapsed().as_nanos();
+                stats.bailouts.push(BailoutRecord {
+                    reason: rejection.reason,
+                    tier: Tier::Optimization,
+                    candidate: None,
+                    recovered: true,
+                });
+                // A replay has no boundary left to reject it.
+                let replay = run_round(g, &plan, Pass::Replay, &mut ctx).unwrap_or_default();
+                ctx.raise_oracle();
+                replay
             }
-            let guard = ChainGuard {
-                cache: &mut *cache,
-                scratch: &mut scratch,
-                guard_ns: &mut guard_here,
-                undo_ns: &mut undo_here,
-            };
-            match apply_chain(g, s, guard) {
-                Ok(chain) => {
-                    cumulative += s.weighted_benefit();
-                    round.absorb(chain, s);
-                }
-                Err(rejection) => {
-                    // Contained failure: `apply_chain`'s transaction
-                    // already rolled the graph back to the last verified
-                    // state; move on to the next candidate.
-                    if rejection.lint == Some(LintId::FrontierViolation) {
-                        stats.frontier_violations += 1;
-                    }
-                    stats.bailouts.push(BailoutRecord {
-                        reason: rejection.reason,
-                        tier: Tier::Optimization,
-                        candidate: Some((s.pred, s.merge)),
-                        recovered: true,
-                    });
-                }
-            }
-        }
-        if round.duplications > 0 {
-            // Boundary check: the per-duplication checkpoints covered the
-            // slots each duplication touched and trusted the dominance
-            // relation patched from one duplication to the next; the
-            // whole-graph verifier (own dominator tree) and one
-            // from-scratch tree, held to the relation the round ended
-            // on, run once here, for the rules that are not a function
-            // of the touched slots. A rejection rolls the whole round
-            // back to the recovery mark taken at its start.
-            let tg = Instant::now();
-            let relation = round
-                .relation
-                .take()
-                .expect("a round with a duplication has its relation");
-            let verdict = checkpoint(g)
-                .map_err(Rejection::from)
-                .and_then(|()| Rejection::unless_clean(crate::lint::lint_relation(g, &relation)));
-            let tu = Instant::now();
-            match verdict {
-                Ok(()) => {
-                    g.commit_txn();
-                    g.begin_txn();
-                }
-                Err(rejection) => {
-                    g.rollback_txn();
-                    recovery_open = false;
-                    round = RoundTally::default();
-                    cumulative = 0.0;
-                    if rejection.lint == Some(LintId::StaleAnalysis) {
-                        // The relation slot is what went wrong: the next
-                        // lookup rebuilds it honestly.
-                        cache.clear();
-                    }
-                    stats.bailouts.push(BailoutRecord {
-                        reason: rejection.reason,
-                        tier: Tier::Optimization,
-                        candidate: None,
-                        recovered: true,
-                    });
-                }
-            }
-            undo_here += tu.elapsed().as_nanos();
-            guard_here += tg.elapsed().as_nanos();
-        }
+        };
+        let (cumulative, stopped) = (round.cumulative, round.stopped.is_some());
         round.merge_into(&mut stats, &mut visited);
-        stats.transform_ns += t.elapsed().as_nanos().saturating_sub(guard_here);
-        stats.guard_ns += guard_here;
-        stats.undo_ns += undo_here;
-        if let Some(reason) = stopped {
-            stats.bailouts.push(BailoutRecord {
-                reason,
-                tier: Tier::Optimization,
-                candidate: None,
-                recovered: false,
-            });
+        stats.transform_ns += t.elapsed().as_nanos().saturating_sub(ctx.guard_ns);
+        stats.guard_ns += ctx.guard_ns;
+        stats.undo_ns += ctx.undo_ns;
+        if stopped {
             break;
         }
         // The optimization tier: apply the enabled optimizations. One
@@ -625,9 +509,10 @@ pub fn run_dbds(
         }
     }
     run_opt_tier(g, cache, &mut stats, true);
-    // Final checkpoint: the per-step verifications already covered the
-    // happy path, so the extra whole-phase verify only runs when faults
-    // are compiled in or something already went wrong this compilation.
+    // Final checkpoint: every round ended on a graph its boundary — or,
+    // after a rejection, its replay, duplication by duplication —
+    // verified, so the extra whole-phase verify only runs when faults are
+    // compiled in or something already went wrong this compilation.
     if cfg!(feature = "fault-injection") || stats.bailouts.iter().any(|b| b.tier != Tier::Tradeoff)
     {
         let tg = Instant::now();
@@ -685,6 +570,170 @@ pub fn run_dbds(
     stats
 }
 
+/// How a round checks the duplications it applies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pass {
+    /// After each duplication the O(1) tail-copy check and the O(edit)
+    /// relation patch; the whole graph is verified once, at the round's
+    /// boundary.
+    Optimistic,
+    /// A round its boundary rejected, run again from its start with the
+    /// boundary check after every duplication, so a failing chain rolls
+    /// back alone.
+    Replay,
+}
+
+/// What a round reads besides the graph and its plan, and the guard time
+/// it spends — across both passes, when the first one is rejected.
+struct RoundCtx<'a> {
+    model: &'a CostModel,
+    cache: &'a mut AnalysisCache,
+    budget: &'a Budget,
+    /// The sim-time dominance relation. A failed prediction audit
+    /// compares a candidate's dominator chain on it against the current
+    /// one to tell ordinary intra-round staleness from a broken
+    /// simulation contract.
+    sim_dominators: Arc<Dominators>,
+    guard_ns: u128,
+    undo_ns: u128,
+    /// The first differential-oracle disagreement of the pass in hand.
+    oracle: Option<String>,
+}
+
+impl RoundCtx<'_> {
+    /// Raises the oracle disagreement the pass just run recorded — after
+    /// the pass, so the optimistic pass's panic isolation cannot swallow
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// When an oracle disagreed.
+    fn raise_oracle(&mut self) {
+        if let Some(d) = self.oracle.take() {
+            panic!("a differential oracle disagrees while {d}");
+        }
+    }
+}
+
+/// Runs one round's plan. Per candidate: re-validation, the budget poll,
+/// the prediction audit with its stale classification, then
+/// [`apply_chain`]. The optimistic pass ends with the round's boundary
+/// check — the whole-graph verifier, then the relation the round patched
+/// along held to a from-scratch tree; on its rejection the caller rolls
+/// the round back and replays it. A round that kept a duplication ends
+/// on a verified graph, the new recovery mark.
+///
+/// # Errors
+///
+/// The boundary's rejection. A replay has no boundary and never fails.
+fn run_round(
+    g: &mut Graph,
+    plan: &[&SimulationResult],
+    pass: Pass,
+    ctx: &mut RoundCtx<'_>,
+) -> Result<RoundTally, Rejection> {
+    let mut round = RoundTally::default();
+    for &s in plan {
+        // Re-validate: earlier duplications this round may have
+        // restructured the pair.
+        if !g.is_merge(s.merge) || !g.succs(s.pred).contains(&s.merge) {
+            continue;
+        }
+        if let Err(reason) = ctx.budget.check() {
+            round.stopped = Some(reason);
+            break;
+        }
+        // Prediction audit: re-run the applicability analysis against
+        // the graph as it stands *now* (earlier candidates this round
+        // already mutated it). A recorded opportunity that no longer
+        // fires means the candidate is skipped rather than applied on a
+        // stale promise — an ordinary stale skip, or a misprediction (a
+        // simulation-tier contract violation). The audit never charges
+        // the phase's budget.
+        if !s.opportunities.is_empty() {
+            let tg = Instant::now();
+            let rerun = audit_opportunities(g, ctx.model, ctx.cache, s);
+            let missed = match &rerun {
+                Some(ops) => count_mispredictions(&s.opportunities, ops),
+                None => s.opportunities.len(),
+            };
+            if missed > 0 {
+                if is_stale(g, ctx.cache, &ctx.sim_dominators, s) {
+                    round.stale_skips += 1;
+                } else {
+                    round.mispredictions += missed;
+                }
+                ctx.guard_ns += tg.elapsed().as_nanos();
+                continue;
+            }
+            ctx.guard_ns += tg.elapsed().as_nanos();
+        }
+        match apply_chain(g, s, pass, ctx) {
+            Ok(chain) => round.absorb(chain, s),
+            Err(rejection) => round.reject(s, rejection),
+        }
+    }
+    if round.duplications > 0 {
+        if pass == Pass::Optimistic {
+            let tg = Instant::now();
+            let relation = round
+                .relation
+                .take()
+                .expect("a round with a duplication has its relation");
+            let verdict = boundary_check(g, &relation);
+            ctx.guard_ns += tg.elapsed().as_nanos();
+            verdict?;
+        }
+        let tu = Instant::now();
+        g.commit_txn();
+        g.begin_txn();
+        let ns = tu.elapsed().as_nanos();
+        ctx.undo_ns += ns;
+        ctx.guard_ns += ns;
+    }
+    Ok(round)
+}
+
+/// Whether a candidate whose prediction audit failed is merely stale:
+/// the round has changed a slot of a block its facts flow through (its
+/// sim-time dominator chain, merge or path), or the chain itself drifted
+/// — either way the recorded facts describe a graph that no longer
+/// exists. A failed re-check on an *undisturbed* candidate is a genuine
+/// misprediction. Every chain's own transaction has closed, so the
+/// innermost open frame is the round's recovery frame and its footprint
+/// is the exact record of what the round changed.
+fn is_stale(
+    g: &Graph,
+    cache: &mut AnalysisCache,
+    sim_dominators: &Dominators,
+    s: &SimulationResult,
+) -> bool {
+    let fp = g.txn_footprint();
+    if fp.blocks.is_empty() && fp.insts.is_empty() {
+        return false;
+    }
+    match (
+        dominator_chain(g, sim_dominators, s.pred),
+        dominator_chain(g, &cache.dominators(g), s.pred),
+    ) {
+        (Some(old), Some(now)) => {
+            old != now || {
+                let changed: HashSet<BlockId> = fp
+                    .insts
+                    .iter()
+                    .filter_map(|&i| g.block_of(i))
+                    .chain(fp.blocks.iter().copied())
+                    .collect();
+                old.iter()
+                    .chain(std::iter::once(&s.merge))
+                    .chain(&s.path)
+                    .any(|b| changed.contains(b))
+            }
+        }
+        _ => true,
+    }
+}
+
 /// What one applied candidate (a merge plus the rest of its accepted
 /// path) contributed.
 #[derive(Default)]
@@ -693,7 +742,7 @@ struct ChainOutcome {
     work: u64,
     visited: Vec<BlockId>,
     /// The dominance relation after the last step, as the per-step
-    /// checkpoints patched it.
+    /// checks patched it.
     relation: Option<Arc<Dominators>>,
 }
 
@@ -703,9 +752,9 @@ fn record_step(out: &mut ChainOutcome, g: &Graph, dup: &Duplication) {
     out.work += g.block_insts(dup.merge).len() as u64;
 }
 
-/// The stats contribution of one round's applied candidates, held back
-/// until the round's boundary check passes (and dropped when it rolls
-/// the round back).
+/// The stats contribution of one round, held back until the round's
+/// boundary check passes (and dropped with the pass when it rolls the
+/// round back, so a discarded pass leaves only its boundary record).
 #[derive(Default)]
 struct RoundTally {
     duplications: usize,
@@ -716,10 +765,21 @@ struct RoundTally {
     /// The relation the round's last applied chain ended on: a failed
     /// chain rolls back to it, so it describes the graph at the boundary.
     relation: Option<Arc<Dominators>>,
+    /// The applied candidates' probability-weighted benefit, against the
+    /// iteration threshold.
+    cumulative: f64,
+    stale_skips: usize,
+    mispredictions: usize,
+    frontier_violations: usize,
+    /// The candidates whose chain was rolled back, in order.
+    bailouts: Vec<BailoutRecord>,
+    /// The budget exhaustion that cut the round short.
+    stopped: Option<BailoutReason>,
 }
 
 impl RoundTally {
     fn absorb(&mut self, chain: ChainOutcome, s: &SimulationResult) {
+        self.cumulative += s.weighted_benefit();
         self.duplications += chain.duplications;
         self.work += chain.work;
         self.visited.extend(chain.visited);
@@ -731,6 +791,20 @@ impl RoundTally {
             .extend(s.opportunities.iter().map(|o| o.kind));
     }
 
+    /// A contained failure: `apply_chain`'s transaction already rolled
+    /// the graph back to the state before the candidate.
+    fn reject(&mut self, s: &SimulationResult, rejection: Rejection) {
+        if rejection.lint == Some(LintId::FrontierViolation) {
+            self.frontier_violations += 1;
+        }
+        self.bailouts.push(BailoutRecord {
+            reason: rejection.reason,
+            tier: Tier::Optimization,
+            candidate: Some((s.pred, s.merge)),
+            recovered: true,
+        });
+    }
+
     fn merge_into(self, stats: &mut PhaseStats, visited: &mut HashSet<BlockId>) {
         stats.duplications += self.duplications;
         stats.work += self.work;
@@ -739,6 +813,18 @@ impl RoundTally {
             *stats.opportunities.entry(kind).or_insert(0) += 1;
         }
         visited.extend(self.visited);
+        stats.stale_skips += self.stale_skips;
+        stats.mispredictions += self.mispredictions;
+        stats.frontier_violations += self.frontier_violations;
+        stats.bailouts.extend(self.bailouts);
+        if let Some(reason) = self.stopped {
+            stats.bailouts.push(BailoutRecord {
+                reason,
+                tier: Tier::Optimization,
+                candidate: None,
+                recovered: false,
+            });
+        }
     }
 }
 
@@ -772,20 +858,8 @@ impl From<Diagnostic> for Rejection {
     }
 }
 
-/// What [`apply_chain`] needs to run guarded: the analysis cache its
-/// checkpoints answer dominance from, their scratch tables, and the
-/// guard / undo time accumulators.
-struct ChainGuard<'a> {
-    cache: &'a mut AnalysisCache,
-    scratch: &'a mut FootprintScratch,
-    guard_ns: &'a mut u128,
-    undo_ns: &'a mut u128,
-}
-
-/// Whether every per-duplication checkpoint also runs its whole-graph
-/// reference forms and compares: the whole-graph checkpoint against the
-/// scoped verdict, and a from-scratch dominator build against the
-/// patched relation.
+/// Whether every duplication the per-duplication check accepts is also
+/// held to the whole-graph reference forms ([`differential_check`]).
 const DIFFERENTIAL_CHECKPOINTS: bool = cfg!(debug_assertions);
 
 /// A stand-in for a wrong patch rule: what [`TAMPER_PATCH`] holds.
@@ -800,122 +874,94 @@ thread_local! {
         const { std::cell::Cell::new(None) };
 }
 
-/// The per-duplication checkpoint: the scoped verifier rules over the
-/// chain's transaction footprint, then the O(1) frontier check — the
-/// copy must have the shape of a tail copy of the merge
+/// The round boundary's check: the whole-graph verifier (its own
+/// dominator tree), then `relation` against a from-scratch tree, idom by
+/// idom.
+fn boundary_check(g: &Graph, relation: &Dominators) -> Result<(), Rejection> {
+    checkpoint(g)?;
+    Rejection::unless_clean(crate::lint::lint_relation(g, relation))
+}
+
+/// The per-duplication check. First the O(1) frontier check: the copy
+/// must have the shape of a tail copy of the merge
 /// ([`crate::lint::lint_tail_copy`], what [`crate::lint::lint_frontier`]
-/// reduces to once those rules have passed). The scoped rules read
-/// the relation of `g` as it stands, which is `prev` (the relation
-/// before this duplication) patched in O(edit) once the edge rules have
-/// passed: no dominator build unless the patch declines. `before` is the
-/// relation the chain's transaction opened on. Returns the patched
-/// relation.
+/// reduces to on a graph the boundary verifies). Then `prev`, the
+/// relation before this duplication, is patched in O(edit) — total on
+/// any graph: on a shape it does not expect it rebuilds from scratch. A
+/// replay follows with the boundary check on the patched relation.
+/// Returns the patched relation.
 fn checkpoint_duplication(
     g: &Graph,
     dup: &Duplication,
-    before: &Dominators,
     prev: &Dominators,
     cache: &mut AnalysisCache,
-    scratch: &mut FootprintScratch,
+    pass: Pass,
 ) -> Result<Arc<Dominators>, Rejection> {
-    let mut patched = None;
-    checkpoint_footprint(g, before, scratch, || {
-        let after = cache.dominators_after_duplication(g, prev, dup.pred, dup.merge, dup.copy);
-        #[cfg(test)]
-        let after = match TAMPER_PATCH.get() {
-            Some(tamper) => Arc::new(tamper(&after, dup)),
-            None => after,
-        };
-        patched = Some(Arc::clone(&after));
-        after
-    })?;
-    let after = patched.expect("a clean scoped checkpoint asked for the relation");
     Rejection::unless_clean(crate::lint::lint_tail_copy(
         g, dup.pred, dup.merge, dup.copy,
     ))?;
+    let after = cache.dominators_after_duplication(g, prev, dup.pred, dup.merge, dup.copy);
+    #[cfg(test)]
+    let after = match TAMPER_PATCH.get() {
+        Some(tamper) => Arc::new(tamper(&after, dup)),
+        None => after,
+    };
+    if pass == Pass::Replay {
+        boundary_check(g, &after)?;
+    }
     Ok(after)
 }
 
-/// The whole-graph reference [`checkpoint_duplication`] is compared
-/// against under [`DIFFERENTIAL_CHECKPOINTS`]: the tail-copy check runs
-/// here too, so that the stronger fast form is never reported as a
-/// disagreement.
-fn checkpoint_duplication_whole(g: &Graph, dup: &Duplication) -> Result<(), Rejection> {
-    checkpoint(g)?;
-    Rejection::unless_clean(crate::lint::lint_tail_copy(
-        g, dup.pred, dup.merge, dup.copy,
-    ))?;
-    Rejection::unless_clean(crate::lint::lint_frontier(g, dup.copy, dup.merge))
+/// Oracles 2 and 6 on a duplication [`checkpoint_duplication`] accepted,
+/// when the whole graph verifies: the from-scratch frontier check must
+/// accept what the tail-copy check accepted, and the patched relation
+/// must be the one a from-scratch build finds. Returns the disagreement.
+fn differential_check(g: &Graph, dup: &Duplication, after: &Dominators) -> Option<String> {
+    checkpoint(g).ok()?;
+    let d = crate::lint::lint_frontier(g, dup.copy, dup.merge)
+        .or_else(|| crate::lint::lint_relation(g, after))?;
+    Some(format!(
+        "duplicating {} into {}: {}",
+        dup.merge, dup.pred, d.message
+    ))
 }
 
 /// Applies one accepted candidate: the `(pred, merge)` duplication plus
 /// the path-based extension into the freshly created copies. The chain
 /// runs inside an undo-log transaction ([`transact`]): each applied
-/// duplication is checked over the transaction's footprint
-/// ([`checkpoint_duplication`]), both typed transform errors and panics
-/// become bailout reasons, and a failing chain is rolled back to its
-/// starting state before this returns.
-///
-/// # Panics
-///
-/// Under [`DIFFERENTIAL_CHECKPOINTS`], when the scoped and whole-graph
-/// checkpoints disagree on a verdict, or a patched dominance relation is
-/// not the one a from-scratch build finds — raised after the transaction
-/// has closed, so no panic isolation can swallow it.
+/// duplication is checked ([`checkpoint_duplication`]), both typed
+/// transform errors and panics become bailout reasons, and a failing
+/// chain is rolled back to its starting state before this returns. Under
+/// [`DIFFERENTIAL_CHECKPOINTS`] the first oracle disagreement is left in
+/// `ctx` for [`RoundCtx::raise_oracle`].
 fn apply_chain(
     g: &mut Graph,
     s: &SimulationResult,
-    guard: ChainGuard<'_>,
+    pass: Pass,
+    ctx: &mut RoundCtx<'_>,
 ) -> Result<ChainOutcome, Rejection> {
-    let ChainGuard {
-        cache,
-        scratch,
-        guard_ns,
-        undo_ns,
-    } = guard;
     let tg = Instant::now();
-    // The dominance relation the transaction opens on. Already cached:
-    // the round's sim-time lookup or the previous duplication's checkpoint
-    // left it in the relation slot at this CFG version.
-    let before = cache.dominators(g);
+    // The dominance relation the chain starts from. Already cached: the
+    // round's sim-time lookup or the previous chain's last patch left it
+    // in the relation slot at this CFG version.
+    let start = ctx.cache.dominators(g);
     let mut guard = tg.elapsed().as_nanos();
     let mut rejected_by: Option<LintId> = None;
-    let mut disagreement: Option<String> = None;
+    let (cache, oracle) = (&mut *ctx.cache, &mut ctx.oracle);
     let (result, txn_ns) = transact(g, |g| {
-        // The relation before the next duplication: each step's
-        // checkpoint patches it forward.
-        let mut current = Arc::clone(&before);
+        // The relation before the next duplication: each step's check
+        // patches it forward.
+        let mut current = start;
         let mut verified = |g: &Graph, dup: &Duplication| {
             let tg = Instant::now();
-            let scoped = checkpoint_duplication(g, dup, &before, &current, cache, scratch);
-            if DIFFERENTIAL_CHECKPOINTS {
-                let whole = checkpoint_duplication_whole(g, dup);
-                if scoped.is_ok() != whole.is_ok() {
-                    let show = |rejection: Option<&Rejection>| match rejection {
-                        None => "accepted".to_string(),
-                        Some(e) => format!("rejected ({})", e.reason),
-                    };
-                    disagreement.get_or_insert_with(|| {
-                        format!(
-                            "duplicating {} into {}: scoped checkpoint {}, whole-graph checkpoint {}",
-                            dup.merge,
-                            dup.pred,
-                            show(scoped.as_ref().err()),
-                            show(whole.as_ref().err())
-                        )
-                    });
-                } else if let Some(d) = scoped
-                    .as_ref()
-                    .ok()
-                    .and_then(|after| crate::lint::lint_relation(g, after))
-                {
-                    disagreement.get_or_insert_with(|| {
-                        format!("duplicating {} into {}: {}", dup.merge, dup.pred, d.message)
-                    });
+            let step = checkpoint_duplication(g, dup, &current, cache, pass);
+            if DIFFERENTIAL_CHECKPOINTS && oracle.is_none() {
+                if let Ok(after) = &step {
+                    *oracle = differential_check(g, dup, after);
                 }
             }
             guard += tg.elapsed().as_nanos();
-            match scoped {
+            match step {
                 Ok(after) => {
                     current = after;
                     Ok(())
@@ -949,11 +995,8 @@ fn apply_chain(
         out.relation = Some(current);
         Ok(out)
     });
-    *guard_ns += guard + txn_ns;
-    *undo_ns += txn_ns;
-    if let Some(d) = disagreement {
-        panic!("checkpoint forms disagree while {d}");
-    }
+    ctx.guard_ns += guard + txn_ns;
+    ctx.undo_ns += txn_ns;
     result.map_err(|reason| Rejection {
         reason,
         lint: rejected_by,
@@ -1542,6 +1585,46 @@ mod tests {
         }
     }
 
+    /// A corruption no per-duplication check reads: the third
+    /// duplication's SSA repair widens the graph's first φ. The boundary
+    /// rejects the round, rolls it back and replays it with the
+    /// whole-graph check after every duplication; the fault has fired, so
+    /// the replay keeps all eight, and the discarded pass leaves nothing
+    /// behind but its boundary record.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_round_rejected_at_its_boundary_is_replayed_one_candidate_at_a_time() {
+        use crate::faultinject::{arm, disarm, FaultKind, FaultPlan};
+        let compile_ladder = || {
+            let mut g = diamond_ladder();
+            let stats = compile(
+                &mut g,
+                &CostModel::new(),
+                OptLevel::Dupalot,
+                &DbdsConfig::default(),
+            );
+            (g, stats)
+        };
+        let (_, clean) = compile_ladder();
+        arm(FaultPlan {
+            site: "transform/ssa-repair",
+            kind: FaultKind::CorruptGraph,
+            nth: 2,
+            seed: 0,
+        });
+        let (g, faulted) = compile_ladder();
+        let (_, fired) = disarm();
+        assert!(fired, "the fault must have been reached");
+        checkpoint(&g).unwrap();
+        assert_eq!(faulted.duplications, 8, "stats: {faulted:?}");
+        assert_eq!(faulted.bailouts.len(), 1, "stats: {faulted:?}");
+        let boundary = &faulted.bailouts[0];
+        assert!(boundary.recovered && boundary.candidate.is_none());
+        assert_eq!(faulted.stale_skips, clean.stale_skips);
+        assert_eq!(faulted.mispredictions, clean.mispredictions);
+        assert_eq!(faulted.opportunities, clean.opportunities);
+    }
+
     /// A wrong patch rule, for [`TAMPER_PATCH`]: `merge` keeps hanging
     /// one level too high, as if its idom had not moved down. Passes
     /// every per-duplication check on Figure 1 — the stale relation
@@ -1592,7 +1675,9 @@ mod tests {
 
     /// The same wrong patch in a build without the oracles: the round's
     /// boundary check holds the relation the round ended on to its own
-    /// from-scratch tree, rolls the round back and drops the cache.
+    /// from-scratch tree, rolls the round back and drops the cache; the
+    /// replay, checking every duplication the same way, rejects each
+    /// candidate on its stale relation.
     #[cfg(not(debug_assertions))]
     #[test]
     fn tampered_patch_is_a_recovered_boundary_bailout_in_release() {
@@ -1606,13 +1691,25 @@ mod tests {
             &DbdsConfig::default(),
         );
         assert_eq!(stats.duplications, 0, "stats: {stats:?}");
+        let stale = |b: &BailoutRecord| {
+            b.recovered
+                && matches!(&b.reason, BailoutReason::VerifierRejected(m) if m.contains("stale-analysis"))
+        };
         assert!(
-            stats.bailouts.iter().any(|b| b.recovered
-                && b.candidate.is_none()
-                && matches!(&b.reason, BailoutReason::VerifierRejected(m) if m.contains("stale-analysis"))),
+            stats
+                .bailouts
+                .iter()
+                .any(|b| stale(b) && b.candidate.is_none()),
             "bailouts: {:?}",
             stats.bailouts
         );
+        let replayed: Vec<&BailoutRecord> = stats
+            .bailouts
+            .iter()
+            .filter(|b| b.candidate.is_some())
+            .collect();
+        assert!(!replayed.is_empty(), "bailouts: {:?}", stats.bailouts);
+        assert!(replayed.iter().all(|b| stale(b)), "{replayed:?}");
         checkpoint(&g).unwrap();
         for v in [-3i64, 0, 5] {
             assert_eq!(

@@ -198,16 +198,6 @@ pub struct TxnFootprint {
     /// Block slots whose instruction list, terminator or predecessor
     /// list was mutated, or that were allocated inside the transaction.
     pub blocks: Vec<BlockId>,
-    /// The blocks that owned the backed-up instructions when the
-    /// transaction opened (sorted, distinct): where an instruction whose
-    /// record moved away may still be listed.
-    pub owners_at_open: Vec<BlockId>,
-    /// Instruction slots at or past this index were allocated inside the
-    /// transaction.
-    pub base_insts: usize,
-    /// Block slots at or past this index were allocated inside the
-    /// transaction.
-    pub base_blocks: usize,
 }
 
 /// An SSA control-flow graph for a single compilation unit.
@@ -564,16 +554,9 @@ impl Graph {
         let mut blocks: Vec<usize> = frame.saved_blocks.keys().copied().collect();
         blocks.sort_unstable();
         blocks.extend(frame.base_blocks..self.blocks.len());
-        let saved = frame.saved_insts.values();
-        let mut owners_at_open: Vec<BlockId> = saved.filter_map(|data| data.block).collect();
-        owners_at_open.sort_unstable();
-        owners_at_open.dedup();
         TxnFootprint {
             insts: insts.into_iter().map(InstId::from_index).collect(),
             blocks: blocks.into_iter().map(BlockId::from_index).collect(),
-            owners_at_open,
-            base_insts: frame.base_insts,
-            base_blocks: frame.base_blocks,
         }
     }
 

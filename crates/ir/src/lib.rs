@@ -74,10 +74,7 @@ pub use inst::{BinOp, CmpOp, Inst, InstKind, KindCounts, Successors, Terminator}
 pub use interp::{
     execute, execute_with_heap, ExecResult, Heap, Outcome, Trap, Value, DEFAULT_FUEL,
 };
-pub use lint::{
-    lint, lint_footprint, lint_soundness, Diagnostic, Dominance, FootprintScratch, LintId,
-    LintReport, Severity,
-};
+pub use lint::{lint, lint_soundness, Diagnostic, LintId, LintReport, Severity};
 pub use parse::{parse_graph, parse_module, Module, ParseError};
 pub use print::{print_class_table, print_graph};
 pub use types::{ConstValue, Type};

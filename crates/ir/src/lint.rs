@@ -22,10 +22,9 @@
 //! passes that can emit error-severity lints ([`lint_soundness`]) and
 //! reports their messages.
 //!
-//! Every error-severity rule is a function of one block (the `*_rules`
-//! functions); the whole-graph passes loop them over all blocks, and
-//! [`lint_footprint`] runs the same functions over the slots an undo-log
-//! transaction touched — the O(edit) checkpoint of the phase driver.
+//! Every error-severity rule that reads one block's slots is a function
+//! of that block (the `*_rules` functions); the whole-graph passes loop
+//! them over all blocks.
 //!
 //! # Examples
 //!
@@ -45,11 +44,9 @@
 //! # Ok::<(), dbds_ir::ParseError>(())
 //! ```
 
-use crate::graph::TxnFootprint;
 use crate::ids::{BlockId, InstId};
 use crate::inst::{CmpOp, Inst, Terminator};
 use crate::types::{ConstValue, Type};
-use crate::uses::Use;
 use crate::Graph;
 use std::fmt;
 
@@ -171,8 +168,7 @@ declare_lints! {
     FrontierViolation = "frontier-violation" => Error,
     /// A value's def-use list ([`Graph::uses`]) is not the multiset of
     /// live operand slots that mention it: some mutation changed an
-    /// operand behind the lists' back. Whole-graph only — the lists are
-    /// a side table, not slots of a transaction footprint.
+    /// operand behind the lists' back.
     UseListMismatch = "use-list-mismatch" => Error,
 }
 
@@ -407,9 +403,7 @@ impl Sink<'_> {
 // Each function checks every rule of its family on ONE block and reads
 // only that block's slot, the slots of the instructions it lists and
 // (for operands) the immutable result type / current owning block of
-// the operand. The whole-graph passes below loop them over every block;
-// `lint_footprint` runs the same functions over a transaction's
-// footprint only.
+// the operand. The whole-graph passes below loop them over every block.
 // ---------------------------------------------------------------------
 
 /// Edge bookkeeping of `b`: entry predecessors, duplicate branch
@@ -782,29 +776,11 @@ fn type_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
     }
 }
 
-/// The dominance relation the SSA rules are checked against. The
-/// whole-graph pass answers from its own private tree; callers of
-/// [`lint_footprint`] supply theirs (dbds-analysis' cached `DomTree`).
-pub trait Dominance {
-    /// Does `a` dominate `b` (reflexively)? Blocks unreachable from the
-    /// entry neither dominate nor are dominated — not even by themselves.
-    fn dominates(&self, a: BlockId, b: BlockId) -> bool;
-
-    /// The immediate dominator of `b`; `None` for the entry block and
-    /// for unreachable blocks.
-    fn idom(&self, b: BlockId) -> Option<BlockId>;
-
-    /// Is `b` reachable from the entry block?
-    fn is_reachable(&self, b: BlockId) -> bool {
-        self.dominates(b, b)
-    }
-}
-
 /// Marker of [`dominance_rules`]' position table for "not listed".
 const NO_POS: u32 = u32::MAX;
 
 /// Is `v` available at the end of `b` (the φ-input rule)?
-fn available_at_end(g: &Graph, dom: &impl Dominance, v: InstId, b: BlockId) -> bool {
+fn available_at_end(g: &Graph, dom: &SimpleDomTree, v: InstId, b: BlockId) -> bool {
     v.index() < g.inst_count() && g.block_of(v).is_some_and(|db| dom.dominates(db, b))
 }
 
@@ -813,7 +789,7 @@ fn available_at_end(g: &Graph, dom: &impl Dominance, v: InstId, b: BlockId) -> b
 /// available at the end of its predecessor. `pos` maps an instruction
 /// index to its position in its block's list ([`NO_POS`] if unlisted);
 /// only the entries of `b`'s own instructions are read.
-fn dominance_rules(g: &Graph, dom: &impl Dominance, pos: &[u32], b: BlockId, s: &mut Sink<'_>) {
+fn dominance_rules(g: &Graph, dom: &SimpleDomTree, pos: &[u32], b: BlockId, s: &mut Sink<'_>) {
     let dominates_use = |v: InstId, use_pos: usize| {
         if v.index() >= g.inst_count() {
             return false;
@@ -900,7 +876,7 @@ fn dominance_pass(g: &Graph, s: &mut Sink<'_>) {
 
 /// The def-use lists against a from-scratch recount over the operands.
 /// Not a per-block rule: a list is a property of every slot that could
-/// mention the value, so [`lint_footprint`] does not run it.
+/// mention the value.
 fn use_list_pass(g: &Graph, s: &mut Sink<'_>) {
     for (v, held, expected) in g.use_list_mismatches() {
         let block = (v.index() < g.inst_count())
@@ -912,227 +888,6 @@ fn use_list_pass(g: &Graph, s: &mut Sink<'_>) {
             Some(v),
             format!("use list of {v} holds {held} entries, {expected} operand slots mention it"),
         );
-    }
-}
-
-// ---------------------------------------------------------------------
-// The scoped form: the same rules over a transaction's footprint.
-// ---------------------------------------------------------------------
-
-/// Reusable working memory of [`lint_footprint`]: the dense per-block
-/// flag table, the position table of [`dominance_rules`] (all [`NO_POS`]
-/// between calls) and the φ users of the value in hand. Keeping one
-/// across calls makes the check allocation-free once the tables have
-/// grown to the graph's size.
-#[derive(Debug, Default)]
-pub struct FootprintScratch {
-    block_flags: Vec<u8>,
-    pos: Vec<u32>,
-    phi_users: Vec<InstId>,
-}
-
-/// Block flag: the block slot itself is in the footprint.
-const DIRTY: u8 = 1;
-/// Block flag: every per-block rule runs on it — a footprint block, or
-/// one that lists (or listed, when the transaction opened) a footprint
-/// instruction.
-const CHECKED: u8 = 2;
-/// Block flag: stopped dominating a block it dominated when the
-/// transaction opened.
-const SHRUNK: u8 = 4;
-
-/// Checks the error-severity rules on exactly the part of `g` that the
-/// transaction described by `fp` ([`Graph::txn_footprint`]) can have
-/// broken, in O(footprint) rule evaluations plus O(uses of the value
-/// set) — the def-use lists ([`Graph::uses`]) name every operand slot
-/// outside the footprint that the edit can have invalidated, so no
-/// instruction of the rest of the graph is read. (Flag-test loops over
-/// the *blocks* remain.)
-///
-/// **Contract.** If `g` passed [`crate::verify`] when the transaction
-/// opened and this returns a clean report, every error-severity lint of
-/// the whole-graph passes is clean too, *except* the two that are not a
-/// function of the edited slots — "reachable block has an unreachable
-/// predecessor" and [`LintId::ControlDepViolation`] — and
-/// [`LintId::UseListMismatch`]: the lists are taken as exact here (every
-/// mutating primitive maintains them), so a stale use hidden behind a
-/// corrupt list is left to the recount. Callers re-run the whole-graph
-/// [`crate::verify`] at a coarser boundary for all three.
-///
-/// How each family is covered (`checked` = footprint blocks plus blocks
-/// that list a footprint instruction now or did when the transaction
-/// opened):
-///
-/// - *Edges, layout, types*: the per-block rules on every checked block.
-///   A mirror can also break from the far side, so unchecked blocks
-///   bordering a footprint block re-run the edge rules. A listing that
-///   disagrees with an edited instruction record sits in a checked block
-///   (the record's old or new owner, or a block whose list changed); a
-///   use of a now-detached footprint instruction can sit anywhere and is
-///   found on that instruction's use list.
-/// - *SSA dominance*: in full on every checked block that is reachable.
-///   An unchecked use can only have been invalidated from afar: either
-///   its definition is a footprint instruction (moved), or the
-///   definition's block lost dominance over it. A block `d` that
-///   dominated `b` at open and no longer does has, on every new
-///   `d`-avoiding path to `b`, a last edge that did not exist at open;
-///   that edge's target `y` is a footprint block (its predecessor list
-///   changed), `d` dominated `y` at open and no longer does. So walking
-///   `before`'s idom chain from each footprint block and testing each
-///   ancestor against `after` finds every such `d`; their values, and
-///   the attached footprint instructions, form the value set whose use
-///   lists are walked for users in unchecked blocks. Blocks that were
-///   unreachable at open and are reachable now had no checked uses
-///   before and get the dominance rules in full.
-///
-/// `before` is the dominance relation at the matching `begin_txn`;
-/// `after` — the relation of `g` as it stands — is only requested once
-/// the edge rules have passed, so it is never built from inconsistent
-/// pred/succ mirrors. Errors found before that point are reported
-/// without the dominance findings.
-pub fn lint_footprint<A: Dominance>(
-    g: &Graph,
-    fp: &TxnFootprint,
-    scratch: &mut FootprintScratch,
-    before: &impl Dominance,
-    after: impl FnOnce() -> A,
-) -> LintReport {
-    let FootprintScratch {
-        block_flags,
-        pos,
-        phi_users,
-    } = scratch;
-    block_flags.clear();
-    block_flags.resize(g.block_count(), 0);
-    if pos.len() < g.inst_count() {
-        pos.resize(g.inst_count(), NO_POS);
-    }
-    for &b in &fp.blocks {
-        block_flags[b.index()] |= DIRTY | CHECKED;
-    }
-    let owners_now = fp.insts.iter().filter_map(|&i| g.block_of(i));
-    for b in owners_now.chain(fp.owners_at_open.iter().copied()) {
-        block_flags[b.index()] |= CHECKED;
-    }
-
-    let mut out = Vec::new();
-    let mut s = Sink { out: &mut out };
-    let dirty = |b: &BlockId| block_flags[b.index()] & DIRTY != 0;
-    for b in g.blocks() {
-        if block_flags[b.index()] & CHECKED != 0 {
-            edge_rules(g, b, &mut s);
-            layout_rules(g, b, &mut s);
-            type_rules(g, b, &mut s);
-        } else {
-            let borders_footprint = g.preds(b).iter().any(dirty)
-                || match g.terminator(b) {
-                    Terminator::Jump { target } => dirty(target),
-                    Terminator::Branch {
-                        then_bb, else_bb, ..
-                    } => dirty(then_bb) || dirty(else_bb),
-                    Terminator::Return { .. } | Terminator::Deopt => false,
-                };
-            if borders_footprint {
-                edge_rules(g, b, &mut s);
-            }
-        }
-    }
-    if !s.out.is_empty() {
-        return LintReport::from_diagnostics(out);
-    }
-
-    let after = after();
-    for &y in &fp.blocks {
-        if y.index() >= fp.base_blocks || !after.is_reachable(y) {
-            continue;
-        }
-        let mut up = before.idom(y);
-        while let Some(d) = up {
-            if !after.dominates(d, y) {
-                block_flags[d.index()] |= SHRUNK;
-            }
-            up = before.idom(d);
-        }
-    }
-    let newly_reachable = |b: BlockId| b.index() < fp.base_blocks && !before.is_reachable(b);
-    // `None` on a checked block, else whether uses there get their
-    // dominance re-checked: the block is reachable, and was at open.
-    let recheck = |b: BlockId| {
-        let unchecked = block_flags[b.index()] & CHECKED == 0;
-        unchecked.then(|| after.is_reachable(b) && !newly_reachable(b))
-    };
-    for &i in &fp.insts {
-        stale_uses(g, &after, recheck, phi_users, i, &mut s);
-    }
-    for b in g.blocks() {
-        let flags = block_flags[b.index()];
-        if after.is_reachable(b) && (flags & CHECKED != 0 || newly_reachable(b)) {
-            for (k, &i) in g.block_insts(b).iter().enumerate() {
-                pos[i.index()] = k as u32;
-            }
-            dominance_rules(g, &after, pos, b, &mut s);
-            for &i in g.block_insts(b) {
-                pos[i.index()] = NO_POS;
-            }
-        }
-        if flags & SHRUNK != 0 {
-            // Footprint instructions had their turn above.
-            let listed = g.block_insts(b).iter();
-            for &i in listed.filter(|i| fp.insts.binary_search(i).is_err()) {
-                stale_uses(g, &after, recheck, phi_users, i, &mut s);
-            }
-        }
-    }
-    LintReport::from_diagnostics(out)
-}
-
-/// The value-set rule of [`lint_footprint`] for one value: one diagnostic
-/// per operand slot of an unchecked block that mentions `v`, read off
-/// `v`'s use list — a dangling use if `v` is detached, else, where
-/// `recheck` says so, a use that `v`'s block does not dominate. Same-block
-/// operand uses pass: neither list position changed. A user's block is
-/// the one its record names; a record that disagrees with a listing puts
-/// both blocks among the checked ones.
-fn stale_uses(
-    g: &Graph,
-    dom: &impl Dominance,
-    recheck: impl Fn(BlockId) -> Option<bool>,
-    phi_users: &mut Vec<InstId>,
-    v: InstId,
-    s: &mut Sink<'_>,
-) {
-    let def = g.block_of(v);
-    phi_users.clear();
-    for user in g.uses(v) {
-        let (b, at) = match user {
-            Use::Inst(i) => match g.block_of(i) {
-                Some(b) => (b, Some(i)),
-                None => continue,
-            },
-            Use::Term(b) => (b, None),
-        };
-        let Some(check_dominance) = recheck(b) else {
-            continue;
-        };
-        match (def, at) {
-            (None, _) => s.removed_use(b, at, v),
-            (Some(_), _) if !check_dominance => {}
-            // Listed once per slot; each φ is judged once, below.
-            (Some(_), Some(i)) if g.inst(i).is_phi() => phi_users.push(i),
-            (Some(db), _) if db == b || dom.dominates(db, b) => {}
-            (Some(_), _) => s.undominated_use(b, at, v),
-        }
-    }
-    phi_users.sort_unstable();
-    phi_users.dedup();
-    for &phi in phi_users.iter() {
-        if let (Some(b), Inst::Phi { inputs }) = (g.block_of(phi), g.inst(phi)) {
-            for (&input, &pred) in inputs.iter().zip(g.preds(b)) {
-                if input == v && !available_at_end(g, dom, v, pred) {
-                    s.undominated_phi_input(b, phi, v, pred);
-                }
-            }
-        }
     }
 }
 
@@ -1492,9 +1247,9 @@ impl SimpleDomTree {
         }
         a
     }
-}
 
-impl Dominance for SimpleDomTree {
+    /// Does `a` dominate `b` (reflexively)? Blocks unreachable from the
+    /// entry neither dominate nor are dominated — not even by themselves.
     fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         if self.rpo_index[a.index()] == usize::MAX || self.rpo_index[b.index()] == usize::MAX {
             return false;
@@ -1509,11 +1264,6 @@ impl Dominance for SimpleDomTree {
                 _ => return false,
             }
         }
-    }
-
-    fn idom(&self, b: BlockId) -> Option<BlockId> {
-        // The entry's self-idom is an artifact of the iteration.
-        self.idom[b.index()].filter(|&i| i != b)
     }
 }
 
@@ -1688,50 +1438,19 @@ mod tests {
         assert_eq!(lint_soundness(&g).warning_count(), 0);
     }
 
-    /// The footprint check on `g`'s open transaction against the
-    /// pass-private dominator trees; `before` is the tree at `begin_txn`.
-    fn footprint_report(g: &Graph, before: &SimpleDomTree) -> LintReport {
-        lint_footprint(
-            g,
-            &g.txn_footprint(),
-            &mut FootprintScratch::default(),
-            before,
-            || SimpleDomTree::compute(g),
-        )
-    }
-
-    #[test]
-    fn footprint_check_is_clean_on_an_untouched_transaction() {
-        let mut g = diamond();
-        let before = SimpleDomTree::compute(&g);
-        g.begin_txn();
-        assert!(footprint_report(&g, &before).is_clean());
-        g.commit_txn();
-    }
-
     #[test]
     fn broken_pred_mirror_is_caught_from_the_untouched_side() {
         // bm loses its entry for bt while bt (untouched, so outside the
-        // footprint) still jumps to it: only the edge rules of bt can see
-        // the mismatch. The dominator tree must not even be requested on
-        // mirrors this inconsistent.
+        // transaction's footprint) still jumps to it: the edge rules of
+        // bt see the mismatch.
         let mut g = diamond();
-        let before = SimpleDomTree::compute(&g);
         let (bt, bm) = (BlockId(1), BlockId(3));
         g.begin_txn();
         g.break_pred_mirror(bm, 0);
         assert_eq!(g.txn_footprint().blocks, vec![bm]);
-        let report = lint_footprint(
-            &g,
-            &g.txn_footprint(),
-            &mut FootprintScratch::default(),
-            &before,
-            || -> SimpleDomTree { panic!("dominance requested on broken edge mirrors") },
-        );
-        assert!(report
+        assert!(lint(&g)
             .errors()
             .any(|d| d.lint == LintId::GraphConsistency && d.block == Some(bt)));
-        assert!(!lint(&g).is_clean(), "the whole-graph pass agrees");
         g.rollback_txn();
         assert!(lint(&g).is_clean());
     }
@@ -1741,7 +1460,6 @@ mod tests {
         // x loses one use-list entry while every operand still names it:
         // no block's slot is wrong, so only the recount can see it.
         let mut g = diamond();
-        let before = SimpleDomTree::compute(&g);
         let x = g.param_values()[0];
         g.begin_txn();
         let footprint = g.txn_footprint();
@@ -1751,7 +1469,6 @@ mod tests {
             footprint,
             "lists are not footprint slots"
         );
-        assert!(footprint_report(&g, &before).is_clean());
 
         let report = lint(&g);
         assert_eq!(report.count_of(LintId::UseListMismatch), 1);
@@ -1765,12 +1482,11 @@ mod tests {
 
     #[test]
     fn stale_use_behind_a_dropped_list_entry_waits_for_the_whole_graph_lint() {
-        // The trust boundary of the scoped form. entry → {bt, bf} → bm →
-        // tail → tail2; `v` is defined in bm and used only in tail2.
-        // Retargeting bt past bm leaves that use undominated in a block
-        // the edit never touched: the scoped check finds it on `v`'s use
-        // list — and only there, so once the list has lost the entry it
-        // takes the recount to reject the graph.
+        // entry → {bt, bf} → bm → tail → tail2; `v` is defined in bm and
+        // used only in tail2. Retargeting bt past bm leaves that use
+        // undominated in a block the edit never touched, and `v`'s list
+        // then loses the entry: the whole-graph passes report both, the
+        // dominance rule reading operands and the recount reading lists.
         let mut b = GraphBuilder::new("tail", &[Type::Int], empty_table());
         let x = b.param(0);
         let zero = b.iconst(0);
@@ -1792,18 +1508,14 @@ mod tests {
         b.ret(Some(user));
         let mut g = b.finish();
         assert!(lint(&g).is_clean());
-        let before = SimpleDomTree::compute(&g);
 
         g.begin_txn();
         let bypass = g.add_block();
         g.set_terminator(bypass, Terminator::Jump { target: tail });
         g.retarget_edge(bt, bm, bypass, &[]);
         assert!(!g.txn_footprint().blocks.contains(&tail2));
-        let scoped = footprint_report(&g, &before);
-        assert_eq!(scoped.count_of(LintId::SsaDominance), 1, "{scoped}");
 
         g.break_use_list(v);
-        assert!(footprint_report(&g, &before).is_clean());
         let whole = lint(&g);
         assert_eq!(whole.count_of(LintId::UseListMismatch), 1, "{whole}");
         assert_eq!(whole.count_of(LintId::SsaDominance), 1, "{whole}");
@@ -1816,11 +1528,9 @@ mod tests {
     #[test]
     fn moved_record_is_caught_in_the_block_that_still_lists_it() {
         // `zero` now records bt while the entry block — none of whose
-        // slots changed — still lists it. The entry block owned it when
-        // the transaction opened, so it is a checked block and its layout
-        // rule sees the mismatch before dominance is ever requested.
+        // slots changed — still lists it: the entry block's layout rule
+        // sees the mismatch.
         let mut g = diamond();
-        let before = SimpleDomTree::compute(&g);
         let (entry, bt) = (g.entry(), BlockId(1));
         let zero = g.block_insts(entry)[1];
         g.begin_txn();
@@ -1828,39 +1538,11 @@ mod tests {
         let fp = g.txn_footprint();
         assert_eq!(fp.insts, vec![zero]);
         assert!(fp.blocks.is_empty(), "no block slot changed");
-        assert_eq!(fp.owners_at_open, vec![entry]);
-        let report = lint_footprint(
-            &g,
-            &fp,
-            &mut FootprintScratch::default(),
-            &before,
-            || -> SimpleDomTree { panic!("dominance requested on a misfiled instruction") },
-        );
-        assert!(report
+        assert!(lint(&g)
             .errors()
             .any(|d| d.lint == LintId::GraphConsistency && d.block == Some(entry)));
-        assert!(!lint(&g).is_clean(), "the whole-graph pass agrees");
         g.rollback_txn();
         assert!(lint(&g).is_clean());
-    }
-
-    #[test]
-    fn scratch_is_reusable_across_graphs_of_different_sizes() {
-        let mut scratch = FootprintScratch::default();
-        for extra in [3usize, 0, 7] {
-            let mut g = diamond();
-            let before = SimpleDomTree::compute(&g);
-            g.begin_txn();
-            for _ in 0..extra {
-                g.add_block();
-                g.append_inst(g.entry(), Inst::Const(ConstValue::Int(1)), Type::Int);
-            }
-            let report = lint_footprint(&g, &g.txn_footprint(), &mut scratch, &before, || {
-                SimpleDomTree::compute(&g)
-            });
-            assert!(report.is_clean(), "{report}");
-            g.commit_txn();
-        }
     }
 
     #[test]
