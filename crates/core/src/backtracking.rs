@@ -21,66 +21,6 @@ use dbds_ir::Graph;
 use dbds_opt::optimize_full;
 use std::time::Instant;
 
-/// Statistics of a backtracking run.
-#[derive(Clone, Debug, Default)]
-pub struct BacktrackStats {
-    /// Tentative duplications tried (each one bracketed in an undo-log
-    /// transaction).
-    pub attempts: usize,
-    /// Duplications kept.
-    pub accepted: usize,
-    /// Outer-loop restarts.
-    pub rounds: usize,
-    /// Estimated code size before.
-    pub initial_size: u64,
-    /// Estimated code size after.
-    pub final_size: u64,
-    /// Instructions actually duplicated across all attempts (the size of
-    /// each tentative copy block) — the real copy work of Algorithm 1,
-    /// not the whole-graph backup volume the snapshot era charged here.
-    pub instructions_copied: u64,
-    /// Primitive IR mutations recorded by the undo log across all
-    /// attempts.
-    pub undo_edits: u64,
-    /// Attempts rolled back (rejected or contained-failure).
-    pub undo_rollbacks: u64,
-    /// Peak backed-up arena slots held by the undo log.
-    pub undo_peak: usize,
-    /// Wall-clock nanoseconds of undo-log bookkeeping. Timing only.
-    pub undo_ns: u128,
-    /// Bailout incidents (budget exhaustion, contained panics).
-    pub bailouts: Vec<BailoutRecord>,
-}
-
-impl From<BacktrackStats> for PhaseStats {
-    fn from(b: BacktrackStats) -> PhaseStats {
-        PhaseStats {
-            iterations: b.rounds,
-            candidates: b.attempts,
-            duplications: b.accepted,
-            opportunities: Default::default(),
-            initial_size: b.initial_size,
-            final_size: b.final_size,
-            work: b.instructions_copied,
-            sim_ns: 0,
-            transform_ns: 0,
-            opt_ns: 0,
-            guard_ns: 0,
-            undo_edits: b.undo_edits,
-            undo_rollbacks: b.undo_rollbacks,
-            undo_peak: b.undo_peak,
-            undo_ns: b.undo_ns,
-            cache: Default::default(),
-            mispredictions: 0,
-            stale_skips: 0,
-            split_candidates: 0,
-            split_applied: 0,
-            frontier_violations: 0,
-            bailouts: b.bailouts,
-        }
-    }
-}
-
 /// Safety bound on outer-loop restarts.
 const MAX_ROUNDS: usize = 64;
 
@@ -95,22 +35,27 @@ const IMPROVEMENT_NOISE: f64 = 1.0;
 /// because the undo log restores the pre-attempt version stamps and
 /// stamps are never reused, so a cache entry can never describe the
 /// wrong timeline.
+///
+/// In the returned stats `iterations` counts outer-loop restarts,
+/// `candidates` the tentative duplications tried, `duplications` those
+/// kept, and `work` the instructions actually copied across all attempts
+/// (the size of each tentative copy block — the real copy work of
+/// Algorithm 1, not the whole-graph backup volume).
 pub fn run_backtracking(
     g: &mut Graph,
     model: &CostModel,
     cfg: &DbdsConfig,
     cache: &mut AnalysisCache,
-) -> BacktrackStats {
-    let mut stats = BacktrackStats::default();
+) -> PhaseStats {
+    let mut stats = PhaseStats::default();
     let undo_base = g.undo_stats();
     let budget = Budget::new(&cfg.guard);
     optimize_full(g, cache);
-    let initial_size = model.graph_size(g);
-    stats.initial_size = initial_size;
+    stats.initial_size = model.graph_size(g);
 
     'outer: loop {
-        stats.rounds += 1;
-        if stats.rounds > MAX_ROUNDS {
+        stats.iterations += 1;
+        if stats.iterations > MAX_ROUNDS {
             break;
         }
         for merge in g.merge_blocks() {
@@ -118,7 +63,7 @@ pub fn run_backtracking(
                 if pred == merge {
                     continue;
                 }
-                stats.attempts += 1;
+                stats.candidates += 1;
                 // The cost Algorithm 1 cannot avoid: the tentative copy
                 // itself. Each instruction the duplication is about to
                 // copy burns fuel — the undo log removed the whole-graph
@@ -146,7 +91,7 @@ pub fn run_backtracking(
                     optimize_full(g, cache);
                     copied
                 }) {
-                    Ok(copied) => stats.instructions_copied += copied,
+                    Ok(copied) => stats.work += copied,
                     Err(reason) => {
                         // Contained: the attempt's transaction doubles
                         // as our recovery checkpoint.
@@ -167,10 +112,11 @@ pub fn run_backtracking(
                 let size = model.graph_size(g);
                 let improved = before - after > IMPROVEMENT_NOISE;
                 let fits = size < cfg.tradeoff.max_unit_size
-                    && (size as f64) < initial_size as f64 * cfg.tradeoff.size_increase_budget;
+                    && (size as f64)
+                        < stats.initial_size as f64 * cfg.tradeoff.size_increase_budget;
                 let tu = Instant::now();
                 if improved && fits {
-                    stats.accepted += 1;
+                    stats.duplications += 1;
                     g.commit_txn();
                     stats.undo_ns += tu.elapsed().as_nanos();
                     // The CFG and block list changed: restart (Algorithm
@@ -185,10 +131,7 @@ pub fn run_backtracking(
         break;
     }
     stats.final_size = model.graph_size(g);
-    let undo = g.undo_stats();
-    stats.undo_edits = undo.edits - undo_base.edits;
-    stats.undo_rollbacks = undo.rollbacks - undo_base.rollbacks;
-    stats.undo_peak = undo.peak_entries;
+    stats.record_undo(g, undo_base);
     stats
 }
 
@@ -232,9 +175,9 @@ mod tests {
             &mut AnalysisCache::new(),
         );
         verify(&g).unwrap();
-        assert!(stats.accepted >= 1, "{stats:?}");
-        assert!(stats.attempts >= stats.accepted);
-        assert!(stats.instructions_copied > 0);
+        assert!(stats.duplications >= 1, "{stats:?}");
+        assert!(stats.candidates >= stats.duplications);
+        assert!(stats.work > 0);
         assert_eq!(execute(&g, &[Value::Int(5)]).outcome, Ok(Value::Int(7)));
         assert_eq!(execute(&g, &[Value::Int(-1)]).outcome, Ok(Value::Int(2)));
     }
@@ -266,8 +209,8 @@ mod tests {
             &DbdsConfig::default(),
             &mut AnalysisCache::new(),
         );
-        assert_eq!(stats.accepted, 0);
-        assert!(stats.attempts >= 2);
+        assert_eq!(stats.duplications, 0);
+        assert!(stats.candidates >= 2);
         verify(&g).unwrap();
     }
 
@@ -284,7 +227,7 @@ mod tests {
             ..DbdsConfig::default()
         };
         let stats = run_backtracking(&mut g, &model, &cfg, &mut AnalysisCache::new());
-        assert_eq!(stats.accepted, 0);
+        assert_eq!(stats.duplications, 0);
         assert!(stats
             .bailouts
             .iter()
@@ -304,14 +247,14 @@ mod tests {
             &DbdsConfig::default(),
             &mut AnalysisCache::new(),
         );
-        assert!(stats.instructions_copied > 0);
+        assert!(stats.work > 0);
     }
 
     #[test]
     fn instructions_copied_counts_duplicated_insts_not_whole_graph() {
-        // Regression: the snapshot era charged `instructions_copied` with
-        // the *whole-graph* live instruction count per attempt. The
-        // counter must now reflect the actual copy work — the size of
+        // Regression: the snapshot era charged the copy-work counter
+        // (`work`) with the *whole-graph* live instruction count per
+        // attempt. It must now reflect the actual copy work — the size of
         // each tentative copy block — which is strictly smaller than
         // attempts × whole-graph size for any non-degenerate graph.
         let mut g = figure1();
@@ -323,18 +266,15 @@ mod tests {
             &DbdsConfig::default(),
             &mut AnalysisCache::new(),
         );
-        assert!(stats.attempts >= 1, "{stats:?}");
-        assert!(stats.instructions_copied > 0, "{stats:?}");
+        assert!(stats.candidates >= 1, "{stats:?}");
+        assert!(stats.work > 0, "{stats:?}");
         assert!(
-            stats.instructions_copied < stats.attempts as u64 * whole_graph,
+            stats.work < stats.candidates as u64 * whole_graph,
             "counter still charges whole-graph copies: {stats:?}"
         );
         // Figure 1's merge holds one φ plus two real instructions; no
         // attempt can copy more than the merge body.
-        assert!(
-            stats.instructions_copied <= stats.attempts as u64 * 3,
-            "{stats:?}"
-        );
+        assert!(stats.work <= stats.candidates as u64 * 3, "{stats:?}");
     }
 
     #[test]
@@ -348,7 +288,7 @@ mod tests {
             &mut AnalysisCache::new(),
         );
         // Every attempt opened a transaction; rejected ones rolled back.
-        let rejected = (stats.attempts - stats.accepted) as u64;
+        let rejected = (stats.candidates - stats.duplications) as u64;
         assert_eq!(stats.undo_rollbacks, rejected, "{stats:?}");
         assert!(stats.undo_edits > 0, "{stats:?}");
         assert!(stats.undo_peak > 0, "{stats:?}");

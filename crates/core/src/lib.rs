@@ -80,7 +80,7 @@ pub(crate) mod faultinject {
     }
 }
 
-pub use backtracking::{run_backtracking, BacktrackStats};
+pub use backtracking::run_backtracking;
 pub use bailout::{
     checkpoint, isolate, transact, BailoutReason, BailoutRecord, Budget, GuardConfig, Tier,
 };

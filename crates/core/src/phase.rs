@@ -20,7 +20,7 @@ use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
 use crate::transform::{try_duplicate, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats, Dominators};
 use dbds_costmodel::CostModel;
-use dbds_ir::{BlockId, Diagnostic, Graph, LintId};
+use dbds_ir::{BlockId, Diagnostic, Graph, LintId, UndoStats};
 use dbds_opt::{optimize_full, optimize_once, OptKind};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -286,6 +286,15 @@ impl PhaseStats {
             dom_blocks_visited: now.dom_blocks_visited - base.dom_blocks_visited,
         };
     }
+
+    /// Copies the undo-log counters accumulated since `base` into these
+    /// stats (`undo_peak` is the log's high-water mark, not a delta).
+    pub(crate) fn record_undo(&mut self, g: &Graph, base: UndoStats) {
+        let now = g.undo_stats();
+        self.undo_edits = now.edits - base.edits;
+        self.undo_rollbacks = now.rollbacks - base.rollbacks;
+        self.undo_peak = now.peak_entries;
+    }
 }
 
 /// Compiles `g` under the given configuration: the duplication phase
@@ -307,8 +316,7 @@ pub fn compile(g: &mut Graph, model: &CostModel, level: OptLevel, cfg: &DbdsConf
         OptLevel::Dbds => run_dbds(g, model, cfg, SelectionMode::CostBenefit, &mut cache),
         OptLevel::Dupalot => run_dbds(g, model, cfg, SelectionMode::Dupalot, &mut cache),
         OptLevel::Backtracking => {
-            let mut stats: PhaseStats =
-                crate::backtracking::run_backtracking(g, model, cfg, &mut cache).into();
+            let mut stats = crate::backtracking::run_backtracking(g, model, cfg, &mut cache);
             stats.record_cache(&cache, CacheStats::default());
             stats
         }
@@ -334,18 +342,14 @@ pub fn run_dbds(
     let undo_base = g.undo_stats();
     let budget = Budget::new(&cfg.guard);
     run_opt_tier(g, cache, &mut stats, true);
-    let initial_size = model.graph_size(g);
-    stats.initial_size = initial_size;
+    stats.initial_size = model.graph_size(g);
     let mut visited: HashSet<BlockId> = HashSet::new();
-    // Whether the phase-level recovery transaction is open. Its
-    // `begin_txn` marks are the states known to verify — recommitted and
-    // reopened at every round start and after every round that kept a
-    // duplication — so a round its boundary rejects rolls back whole, and
-    // the final checkpoint rolls back to the latest mark if the
-    // compilation ends on a broken graph.
+    // Whether the phase-level recovery transaction is open: its marks are
+    // the states known to verify (see [`Round::open`]).
     let mut recovery_open = false;
 
     for _ in 0..cfg.max_iterations {
+        // Tier 1: simulate every predecessor→merge pair.
         stats.iterations += 1;
         let t = Instant::now();
         let sim = simulate_paths_budgeted(
@@ -364,155 +368,68 @@ pub fn run_dbds(
             .filter(|r| r.kind == CandidateKind::BranchSplit)
             .count();
         stats.work += g.live_inst_count() as u64 * 2; // simulation visit
+        let mut round = Round::new(model, cache, &budget);
         for (pred, merge, msg) in sim.panicked {
-            stats.bailouts.push(BailoutRecord {
-                reason: BailoutReason::TransformPanicked(msg),
-                tier: Tier::Simulation,
-                candidate: Some((pred, merge)),
-                recovered: true,
-            });
+            round.settle((pred, merge), Fate::SimPanicked(msg));
         }
-        if let Some(reason) = sim.stopped {
-            stats.bailouts.push(BailoutRecord {
-                reason,
-                tier: Tier::Simulation,
-                candidate: None,
-                recovered: false,
-            });
-            break;
-        }
-        let current_size = model.graph_size(g);
-        let selection = select_with_rejections(
-            &sim.results,
-            &cfg.tradeoff,
-            mode,
-            initial_size,
-            current_size,
-            &visited,
-        );
-        for candidate in selection.size_rejected {
-            stats.bailouts.push(BailoutRecord {
-                reason: BailoutReason::SizeBudgetExceeded,
-                tier: Tier::Tradeoff,
-                candidate: Some(candidate),
-                recovered: true,
-            });
-        }
-        // Branch-split candidates carry a simulation-time claim — "the
-        // final path element is selected by the branch we are about to
-        // fold" — that must agree with the control-dependence graph of
-        // the exact graph the DSTs analyzed: nothing has mutated it yet,
-        // so the first accepted branch-split candidate computes the graph
-        // (and the post-dominator tree under it) and the rest of the
-        // round's candidates hit it; a round without one computes no
-        // reverse-CFG analysis. A disagreement means the fold would not
-        // eliminate a real control dependence; the candidate is dropped
-        // as a recovered bailout.
-        let mut plan: Vec<&SimulationResult> = Vec::with_capacity(selection.accepted.len());
-        for s in selection.accepted {
-            if s.kind == CandidateKind::BranchSplit {
-                let agreed = s.path.len() >= 2 && {
-                    let taken = s.path[s.path.len() - 1];
-                    let split = s.path[s.path.len() - 2];
-                    cache.control_dep(g).depends_on(taken, split)
-                };
-                if !agreed {
-                    stats.bailouts.push(BailoutRecord {
-                        reason: BailoutReason::VerifierRejected(format!(
-                            "control-dependence cross-check rejected branch-split ({} -> {})",
-                            s.pred, s.merge
-                        )),
-                        tier: Tier::Tradeoff,
-                        candidate: Some((s.pred, s.merge)),
-                        recovered: true,
-                    });
-                    continue;
-                }
+        // Tier 2: the trade-off, then the branch-split cross-check.
+        let plan = match sim.stopped {
+            Some(reason) => {
+                round.stop(Tier::Simulation, reason);
+                Vec::new()
             }
-            plan.push(s);
-        }
-        if plan.is_empty() {
-            break;
-        }
-        // Taken before any duplication this round: the graph is still
-        // exactly the one the simulation tier analyzed.
-        let sim_dominators = cache.dominators(g);
-        let t = Instant::now();
-        // Refresh the recovery mark: everything up to here verified. The
-        // frame opened here is also the round's interference record: its
-        // footprint is every slot the round's duplications have changed.
-        let tg = Instant::now();
-        if recovery_open {
-            g.commit_txn();
-        }
-        g.begin_txn();
-        recovery_open = true;
-        let ns = tg.elapsed().as_nanos();
-        let mut ctx = RoundCtx {
-            model,
-            cache: &mut *cache,
-            budget: &budget,
-            sim_dominators,
-            guard_ns: ns,
-            undo_ns: ns,
-            oracle: None,
-        };
-        // Until the boundary the graph may hold a corruption no check has
-        // seen yet, so a panic anywhere in the pass rejects the pass.
-        let optimistic = isolate(|| run_round(g, &plan, Pass::Optimistic, &mut ctx));
-        ctx.raise_oracle();
-        let round = match optimistic.map_err(Rejection::from).and_then(|r| r) {
-            Ok(round) => round,
-            Err(rejection) => {
-                // Roll the whole round back to the recovery mark taken at
-                // its start, and replay it with the boundary check after
-                // every duplication: what failed costs one candidate, and
-                // the O(graph) check per candidate is paid only here.
-                let tu = Instant::now();
-                g.rollback_txn();
-                g.begin_txn();
-                let ns = tu.elapsed().as_nanos();
-                ctx.guard_ns += ns;
-                ctx.undo_ns += ns;
-                if rejection.lint == Some(LintId::StaleAnalysis) {
-                    // The relation slot is what went wrong: the next
-                    // lookup rebuilds it honestly.
-                    ctx.cache.clear();
+            None => {
+                let selection = select_with_rejections(
+                    &sim.results,
+                    &cfg.tradeoff,
+                    mode,
+                    stats.initial_size,
+                    model.graph_size(g),
+                    &visited,
+                );
+                for candidate in selection.size_rejected {
+                    round.settle(candidate, Fate::SizeRejected);
                 }
-                stats.bailouts.push(BailoutRecord {
-                    reason: rejection.reason,
-                    tier: Tier::Optimization,
-                    candidate: None,
-                    recovered: true,
-                });
-                // A replay has no boundary left to reject it.
-                let replay = run_round(g, &plan, Pass::Replay, &mut ctx).unwrap_or_default();
-                ctx.raise_oracle();
-                replay
+                round.cross_check(g, selection.accepted)
             }
         };
-        let (cumulative, stopped) = (round.cumulative, round.stopped.is_some());
-        round.merge_into(&mut stats, &mut visited);
-        stats.transform_ns += t.elapsed().as_nanos().saturating_sub(ctx.guard_ns);
-        stats.guard_ns += ctx.guard_ns;
-        stats.undo_ns += ctx.undo_ns;
-        if stopped {
+        // Tier 3: duplicate what was accepted ...
+        if !plan.is_empty() {
+            round.open(g, &mut recovery_open);
+            round.run(g, &plan);
+        }
+        let (cumulative, stopped) = round.close(&mut stats, &mut visited);
+        if plan.is_empty() || stopped {
             break;
         }
-        // The optimization tier: apply the enabled optimizations. One
-        // pipeline round suffices between iterations (the paper applies
-        // the recorded action steps locally); the full fixpoint runs once
-        // at the end.
+        // ... and apply the enabled optimizations. One pipeline round
+        // suffices between iterations (the paper applies the recorded
+        // action steps locally); the full fixpoint runs once at the end.
         run_opt_tier(g, cache, &mut stats, false);
         if cumulative < cfg.iteration_benefit_threshold {
             break;
         }
     }
     run_opt_tier(g, cache, &mut stats, true);
-    // Final checkpoint: every round ended on a graph its boundary — or,
-    // after a rejection, its replay, duplication by duplication —
-    // verified, so the extra whole-phase verify only runs when faults are
-    // compiled in or something already went wrong this compilation.
+    final_checkpoint(g, cache, &mut stats, recovery_open);
+    stats.final_size = model.graph_size(g);
+    stats.record_cache(cache, cache_base);
+    stats.record_undo(g, undo_base);
+    stats
+}
+
+/// The phase's last guard. Every round ended on a graph its boundary —
+/// or, after a rejection, its replay, duplication by duplication —
+/// verified, so the extra whole-phase verify only runs when faults are
+/// compiled in or something already went wrong this compilation; a graph
+/// it rejects rolls back to the latest recovery mark. Then the recovery
+/// transaction is retired.
+fn final_checkpoint(
+    g: &mut Graph,
+    cache: &mut AnalysisCache,
+    stats: &mut PhaseStats,
+    mut recovery_open: bool,
+) {
     if cfg!(feature = "fault-injection") || stats.bailouts.iter().any(|b| b.tier != Tier::Tradeoff)
     {
         let tg = Instant::now();
@@ -561,13 +478,6 @@ pub fn run_dbds(
         stats.guard_ns += ns;
         stats.undo_ns += ns;
     }
-    stats.final_size = model.graph_size(g);
-    stats.record_cache(cache, cache_base);
-    let undo_now = g.undo_stats();
-    stats.undo_edits = undo_now.edits - undo_base.edits;
-    stats.undo_rollbacks = undo_now.rollbacks - undo_base.rollbacks;
-    stats.undo_peak = undo_now.peak_entries;
-    stats
 }
 
 /// How a round checks the duplications it applies.
@@ -583,24 +493,347 @@ enum Pass {
     Replay,
 }
 
-/// What a round reads besides the graph and its plan, and the guard time
-/// it spends — across both passes, when the first one is rejected.
-struct RoundCtx<'a> {
-    model: &'a CostModel,
-    cache: &'a mut AnalysisCache,
-    budget: &'a Budget,
-    /// The sim-time dominance relation. A failed prediction audit
-    /// compares a candidate's dominator chain on it against the current
-    /// one to tell ordinary intra-round staleness from a broken
-    /// simulation contract.
-    sim_dominators: Arc<Dominators>,
+/// How a candidate left its round — or, logged without a candidate, how
+/// the round's optimistic pass or the round itself ended. [`Round::close`]
+/// turns each into counters and bailout records.
+enum Fate<'s> {
+    /// Simulating the pair panicked; the panic was contained.
+    SimPanicked(String),
+    /// Worth its cost, but a code-size budget turned it away.
+    SizeRejected,
+    /// A branch-split claim the control-dependence graph does not back.
+    ControlDepRejected,
+    /// Earlier duplications this round restructured the pair away.
+    Vanished,
+    /// The prediction audit failed on facts the round had already changed.
+    Stale,
+    /// The prediction audit failed on an undisturbed candidate: this many
+    /// recorded opportunities no longer fire.
+    Mispredicted(usize),
+    /// Applied: every merge its chain duplicated, with that merge's
+    /// instruction count.
+    Applied(&'s SimulationResult, Vec<(BlockId, u64)>),
+    /// A check failed and the chain's transaction rolled it back.
+    RolledBack(Rejection),
+    /// The boundary rejected the optimistic pass (or it panicked): it was
+    /// rolled back, its log discarded, and the round replayed.
+    BoundaryRejected(BailoutReason),
+    /// A budget ran out in this tier: the round, and the phase, end here.
+    Stopped(Tier, BailoutReason),
+}
+
+/// One iteration's candidates: each leaves through [`Round::settle`] into
+/// an ordered log that [`Round::close`] folds into the phase's stats. A
+/// non-empty plan runs behind the recovery mark [`Round::open`] takes;
+/// the round owns the guard and undo time both its passes spend.
+struct Round<'r, 's> {
+    model: &'r CostModel,
+    cache: &'r mut AnalysisCache,
+    budget: &'r Budget,
+    /// The sim-time dominance relation, taken when the round opens. A
+    /// failed prediction audit compares a candidate's dominator chain on
+    /// it against the current one to tell ordinary intra-round staleness
+    /// from a broken simulation contract.
+    sim_dominators: Option<Arc<Dominators>>,
+    /// The relation the pass's last applied chain ended on (a failed chain
+    /// rolls back to it, so it describes the graph at the boundary);
+    /// `None` while the pass has applied nothing.
+    relation: Option<Arc<Dominators>>,
+    opened: Option<Instant>,
     guard_ns: u128,
     undo_ns: u128,
     /// The first differential-oracle disagreement of the pass in hand.
     oracle: Option<String>,
+    log: Vec<(Option<(BlockId, BlockId)>, Fate<'s>)>,
 }
 
-impl RoundCtx<'_> {
+impl<'r, 's> Round<'r, 's> {
+    fn new(model: &'r CostModel, cache: &'r mut AnalysisCache, budget: &'r Budget) -> Self {
+        Round {
+            model,
+            cache,
+            budget,
+            sim_dominators: None,
+            relation: None,
+            opened: None,
+            guard_ns: 0,
+            undo_ns: 0,
+            oracle: None,
+            log: Vec::new(),
+        }
+    }
+
+    /// Logs how `candidate` left the round.
+    fn settle(&mut self, candidate: (BlockId, BlockId), fate: Fate<'s>) {
+        self.log.push((Some(candidate), fate));
+    }
+
+    /// Logs the budget exhaustion that ends the round, and the phase.
+    fn stop(&mut self, tier: Tier, reason: BailoutReason) {
+        self.log.push((None, Fate::Stopped(tier, reason)));
+    }
+
+    /// The accepted candidates whose branch-split claim — "the final path
+    /// element is selected by the branch we are about to fold" — the
+    /// control-dependence graph of the unmutated, simulated graph backs.
+    /// The first branch-split candidate computes that graph (and the
+    /// post-dominator tree under it); a round without one computes no
+    /// reverse-CFG analysis. Where the taken successor post-dominates the
+    /// branch, the fold would eliminate no control dependence.
+    fn cross_check(
+        &mut self,
+        g: &Graph,
+        accepted: Vec<&'s SimulationResult>,
+    ) -> Vec<&'s SimulationResult> {
+        let mut plan = Vec::with_capacity(accepted.len());
+        for s in accepted {
+            let agreed = s.kind != CandidateKind::BranchSplit
+                || s.path.len() >= 2 && {
+                    let taken = s.path[s.path.len() - 1];
+                    let split = s.path[s.path.len() - 2];
+                    self.cache.control_dep(g).depends_on(taken, split)
+                };
+            if agreed {
+                plan.push(s);
+            } else {
+                self.settle((s.pred, s.merge), Fate::ControlDepRejected);
+            }
+        }
+        plan
+    }
+
+    /// Takes the sim-time relation and refreshes the recovery mark:
+    /// everything up to here verified. The mark is retaken after every
+    /// pass that keeps a duplication; a rejected pass, or a broken graph at
+    /// the final checkpoint, rolls back to the latest one. The frame is
+    /// also the round's interference record: its footprint is every slot
+    /// the round's duplications have changed.
+    fn open(&mut self, g: &mut Graph, recovery_open: &mut bool) {
+        // Taken before any duplication this round: the graph is still
+        // exactly the one the simulation tier analyzed.
+        self.sim_dominators = Some(self.cache.dominators(g));
+        let tg = Instant::now();
+        self.opened = Some(tg);
+        if *recovery_open {
+            g.commit_txn();
+        }
+        g.begin_txn();
+        *recovery_open = true;
+        self.charge_undo(tg);
+    }
+
+    /// Runs the plan optimistically. On a boundary rejection or a caught
+    /// panic the round rolls back to the mark [`Round::open`] took, its
+    /// log back to where the pass began, and the plan is replayed with
+    /// the boundary check after every duplication: what failed costs one
+    /// candidate, and the O(graph) check per candidate is paid only here.
+    fn run(&mut self, g: &mut Graph, plan: &[&'s SimulationResult]) {
+        let mark = self.log.len();
+        // Until the boundary the graph may hold a corruption no check has
+        // seen yet, so a panic anywhere in the pass rejects the pass.
+        let optimistic = isolate(|| self.pass(g, plan, Pass::Optimistic));
+        self.raise_oracle();
+        let Err(rejection) = optimistic.map_err(Rejection::from).and_then(|r| r) else {
+            return;
+        };
+        self.log.truncate(mark);
+        let tu = Instant::now();
+        g.rollback_txn();
+        g.begin_txn();
+        self.charge_undo(tu);
+        if rejection.lint == Some(LintId::StaleAnalysis) {
+            // The relation slot is what went wrong: the next lookup
+            // rebuilds it honestly.
+            self.cache.clear();
+        }
+        self.log
+            .push((None, Fate::BoundaryRejected(rejection.reason)));
+        // A replay has no boundary left to reject it.
+        let _ = self.pass(g, plan, Pass::Replay);
+        self.raise_oracle();
+    }
+
+    /// One pass over the plan; every candidate is settled. The optimistic
+    /// pass ends with the round's boundary check — the whole-graph
+    /// verifier, then the relation the pass patched along held to a
+    /// from-scratch tree. A pass that kept a duplication ends on a
+    /// verified graph, the new recovery mark.
+    ///
+    /// # Errors
+    ///
+    /// The boundary's rejection. A replay has no boundary and never fails.
+    fn pass(
+        &mut self,
+        g: &mut Graph,
+        plan: &[&'s SimulationResult],
+        pass: Pass,
+    ) -> Result<(), Rejection> {
+        self.relation = None;
+        for &s in plan {
+            match self.fate(g, s, pass) {
+                Ok(fate) => self.settle((s.pred, s.merge), fate),
+                Err(reason) => {
+                    self.stop(Tier::Optimization, reason);
+                    break;
+                }
+            }
+        }
+        if let Some(relation) = self.relation.take() {
+            if pass == Pass::Optimistic {
+                let tg = Instant::now();
+                let verdict = boundary_check(g, &relation);
+                self.guard_ns += tg.elapsed().as_nanos();
+                verdict?;
+            }
+            let tu = Instant::now();
+            g.commit_txn();
+            g.begin_txn();
+            self.charge_undo(tu);
+        }
+        Ok(())
+    }
+
+    /// Decides one candidate against the graph as it stands now:
+    /// re-validation, the budget poll, the prediction audit with its stale
+    /// classification, then [`Round::apply_chain`].
+    ///
+    /// # Errors
+    ///
+    /// The budget exhaustion that stops the round before this candidate.
+    fn fate(
+        &mut self,
+        g: &mut Graph,
+        s: &'s SimulationResult,
+        pass: Pass,
+    ) -> Result<Fate<'s>, BailoutReason> {
+        // Re-validate: earlier duplications this round may have
+        // restructured the pair.
+        if !g.is_merge(s.merge) || !g.succs(s.pred).contains(&s.merge) {
+            return Ok(Fate::Vanished);
+        }
+        self.budget.check()?;
+        // Prediction audit: re-run the applicability analysis against
+        // the graph as it stands *now* (earlier candidates this round
+        // already mutated it). A recorded opportunity that no longer
+        // fires means the candidate is skipped rather than applied on a
+        // stale promise — an ordinary stale skip, or a misprediction (a
+        // simulation-tier contract violation). The audit never charges
+        // the phase's budget.
+        if !s.opportunities.is_empty() {
+            let tg = Instant::now();
+            let rerun = audit_opportunities(g, self.model, self.cache, s);
+            let missed = match &rerun {
+                Some(ops) => count_mispredictions(&s.opportunities, ops),
+                None => s.opportunities.len(),
+            };
+            let skip = (missed > 0).then(|| {
+                let sim = self.sim_dominators.as_deref().expect("an open round");
+                if is_stale(g, self.cache, sim, s) {
+                    Fate::Stale
+                } else {
+                    Fate::Mispredicted(missed)
+                }
+            });
+            self.guard_ns += tg.elapsed().as_nanos();
+            if let Some(fate) = skip {
+                return Ok(fate);
+            }
+        }
+        Ok(match self.apply_chain(g, s, pass) {
+            Ok(steps) => Fate::Applied(s, steps),
+            Err(rejection) => Fate::RolledBack(rejection),
+        })
+    }
+
+    /// Applies one accepted candidate: the `(pred, merge)` duplication
+    /// plus the path-based extension into the freshly created copies. The
+    /// chain runs inside an undo-log transaction ([`transact`]): each
+    /// applied duplication is checked ([`checkpoint_duplication`]), both
+    /// typed transform errors and panics become bailout reasons, and a
+    /// failing chain is rolled back to its starting state before this
+    /// returns. Returns every duplicated merge with its instruction count
+    /// and leaves the relation the chain ended on in `self.relation`.
+    /// Under [`DIFFERENTIAL_CHECKPOINTS`] the first oracle disagreement is
+    /// left for [`Round::raise_oracle`].
+    fn apply_chain(
+        &mut self,
+        g: &mut Graph,
+        s: &SimulationResult,
+        pass: Pass,
+    ) -> Result<Vec<(BlockId, u64)>, Rejection> {
+        let tg = Instant::now();
+        // The dominance relation the chain starts from. Already cached:
+        // the round's sim-time lookup or the previous chain's last patch
+        // left it in the relation slot at this CFG version.
+        let start = self.cache.dominators(g);
+        let mut guard = tg.elapsed().as_nanos();
+        let mut rejected_by: Option<LintId> = None;
+        let (cache, oracle) = (&mut *self.cache, &mut self.oracle);
+        let (result, txn_ns) = transact(g, |g| {
+            // The relation before the next duplication: each step's check
+            // patches it forward.
+            let mut current = start;
+            let mut verified = |g: &Graph, dup: &Duplication| {
+                let tg = Instant::now();
+                let step = checkpoint_duplication(g, dup, &current, cache, pass);
+                if DIFFERENTIAL_CHECKPOINTS && oracle.is_none() {
+                    if let Ok(after) = &step {
+                        *oracle = differential_check(g, dup, after);
+                    }
+                }
+                guard += tg.elapsed().as_nanos();
+                match step {
+                    Ok(after) => {
+                        current = after;
+                        Ok(())
+                    }
+                    Err(e) => {
+                        rejected_by = e.lint;
+                        Err(e.reason)
+                    }
+                }
+            };
+            let reject = |e: crate::transform::TransformError| {
+                BailoutReason::VerifierRejected(e.to_string())
+            };
+            let step =
+                |g: &Graph, dup: &Duplication| (dup.merge, g.block_insts(dup.merge).len() as u64);
+            let mut dup = try_duplicate(g, s.pred, s.merge).map_err(reject)?;
+            let mut steps = vec![step(g, &dup)];
+            verified(g, &dup)?;
+            // Path-based extension: duplicate the remaining merges of the
+            // accepted path into the freshly created copies. For a
+            // branch-split candidate the last path element is the
+            // successor selected by the copy's statically-decided branch —
+            // it became a merge the moment the copy's terminator targeted
+            // it, so the same guard and transform handle the hop.
+            for &m in &s.path[1..] {
+                if !g.is_merge(m) || !g.succs(dup.copy).contains(&m) {
+                    break;
+                }
+                dup = try_duplicate(g, dup.copy, m).map_err(reject)?;
+                steps.push(step(g, &dup));
+                verified(g, &dup)?;
+            }
+            Ok((steps, current))
+        });
+        self.guard_ns += guard + txn_ns;
+        self.undo_ns += txn_ns;
+        let (steps, relation) = result.map_err(|reason| Rejection {
+            reason,
+            lint: rejected_by,
+        })?;
+        self.relation = Some(relation);
+        Ok(steps)
+    }
+
+    /// Charges undo-log bookkeeping begun at `since` to the guard.
+    fn charge_undo(&mut self, since: Instant) {
+        let ns = since.elapsed().as_nanos();
+        self.guard_ns += ns;
+        self.undo_ns += ns;
+    }
+
     /// Raises the oracle disagreement the pass just run recorded — after
     /// the pass, so the optimistic pass's panic isolation cannot swallow
     /// it.
@@ -613,85 +846,79 @@ impl RoundCtx<'_> {
             panic!("a differential oracle disagrees while {d}");
         }
     }
-}
 
-/// Runs one round's plan. Per candidate: re-validation, the budget poll,
-/// the prediction audit with its stale classification, then
-/// [`apply_chain`]. The optimistic pass ends with the round's boundary
-/// check — the whole-graph verifier, then the relation the round patched
-/// along held to a from-scratch tree; on its rejection the caller rolls
-/// the round back and replays it. A round that kept a duplication ends
-/// on a verified graph, the new recovery mark.
-///
-/// # Errors
-///
-/// The boundary's rejection. A replay has no boundary and never fails.
-fn run_round(
-    g: &mut Graph,
-    plan: &[&SimulationResult],
-    pass: Pass,
-    ctx: &mut RoundCtx<'_>,
-) -> Result<RoundTally, Rejection> {
-    let mut round = RoundTally::default();
-    for &s in plan {
-        // Re-validate: earlier duplications this round may have
-        // restructured the pair.
-        if !g.is_merge(s.merge) || !g.succs(s.pred).contains(&s.merge) {
-            continue;
+    /// Closes the round: its time goes to the phase's timers, and its log
+    /// is folded into `stats` entry by entry — the one place a fate
+    /// becomes counters and bailout records. Returns the applied
+    /// candidates' probability-weighted benefit (against the iteration
+    /// threshold) and whether a budget stopped the round.
+    fn close(self, stats: &mut PhaseStats, visited: &mut HashSet<BlockId>) -> (f64, bool) {
+        if let Some(opened) = self.opened {
+            stats.transform_ns += opened.elapsed().as_nanos().saturating_sub(self.guard_ns);
         }
-        if let Err(reason) = ctx.budget.check() {
-            round.stopped = Some(reason);
-            break;
-        }
-        // Prediction audit: re-run the applicability analysis against
-        // the graph as it stands *now* (earlier candidates this round
-        // already mutated it). A recorded opportunity that no longer
-        // fires means the candidate is skipped rather than applied on a
-        // stale promise — an ordinary stale skip, or a misprediction (a
-        // simulation-tier contract violation). The audit never charges
-        // the phase's budget.
-        if !s.opportunities.is_empty() {
-            let tg = Instant::now();
-            let rerun = audit_opportunities(g, ctx.model, ctx.cache, s);
-            let missed = match &rerun {
-                Some(ops) => count_mispredictions(&s.opportunities, ops),
-                None => s.opportunities.len(),
-            };
-            if missed > 0 {
-                if is_stale(g, ctx.cache, &ctx.sim_dominators, s) {
-                    round.stale_skips += 1;
-                } else {
-                    round.mispredictions += missed;
+        stats.guard_ns += self.guard_ns;
+        stats.undo_ns += self.undo_ns;
+        let (mut cumulative, mut stopped) = (0.0, false);
+        for (candidate, fate) in self.log {
+            let (reason, tier, recovered) = match fate {
+                Fate::SimPanicked(msg) => (
+                    BailoutReason::TransformPanicked(msg),
+                    Tier::Simulation,
+                    true,
+                ),
+                Fate::SizeRejected => (BailoutReason::SizeBudgetExceeded, Tier::Tradeoff, true),
+                Fate::ControlDepRejected => {
+                    let (pred, merge) = candidate.expect("a candidate's fate");
+                    let msg = format!(
+                        "control-dependence cross-check rejected branch-split ({pred} -> {merge})"
+                    );
+                    (BailoutReason::VerifierRejected(msg), Tier::Tradeoff, true)
                 }
-                ctx.guard_ns += tg.elapsed().as_nanos();
-                continue;
-            }
-            ctx.guard_ns += tg.elapsed().as_nanos();
+                Fate::Vanished => continue,
+                Fate::Stale => {
+                    stats.stale_skips += 1;
+                    continue;
+                }
+                Fate::Mispredicted(missed) => {
+                    stats.mispredictions += missed;
+                    continue;
+                }
+                Fate::Applied(s, steps) => {
+                    cumulative += s.weighted_benefit();
+                    stats.duplications += steps.len();
+                    for (merge, insts) in steps {
+                        stats.work += insts;
+                        visited.insert(merge);
+                    }
+                    if s.kind == CandidateKind::BranchSplit {
+                        stats.split_applied += 1;
+                    }
+                    for o in &s.opportunities {
+                        *stats.opportunities.entry(o.kind).or_insert(0) += 1;
+                    }
+                    continue;
+                }
+                Fate::RolledBack(rejection) => {
+                    if rejection.lint == Some(LintId::FrontierViolation) {
+                        stats.frontier_violations += 1;
+                    }
+                    (rejection.reason, Tier::Optimization, true)
+                }
+                Fate::BoundaryRejected(reason) => (reason, Tier::Optimization, true),
+                Fate::Stopped(tier, reason) => {
+                    stopped = true;
+                    (reason, tier, false)
+                }
+            };
+            stats.bailouts.push(BailoutRecord {
+                reason,
+                tier,
+                candidate,
+                recovered,
+            });
         }
-        match apply_chain(g, s, pass, ctx) {
-            Ok(chain) => round.absorb(chain, s),
-            Err(rejection) => round.reject(s, rejection),
-        }
+        (cumulative, stopped)
     }
-    if round.duplications > 0 {
-        if pass == Pass::Optimistic {
-            let tg = Instant::now();
-            let relation = round
-                .relation
-                .take()
-                .expect("a round with a duplication has its relation");
-            let verdict = boundary_check(g, &relation);
-            ctx.guard_ns += tg.elapsed().as_nanos();
-            verdict?;
-        }
-        let tu = Instant::now();
-        g.commit_txn();
-        g.begin_txn();
-        let ns = tu.elapsed().as_nanos();
-        ctx.undo_ns += ns;
-        ctx.guard_ns += ns;
-    }
-    Ok(round)
 }
 
 /// Whether a candidate whose prediction audit failed is merely stale:
@@ -731,100 +958,6 @@ fn is_stale(
             }
         }
         _ => true,
-    }
-}
-
-/// What one applied candidate (a merge plus the rest of its accepted
-/// path) contributed.
-#[derive(Default)]
-struct ChainOutcome {
-    duplications: usize,
-    work: u64,
-    visited: Vec<BlockId>,
-    /// The dominance relation after the last step, as the per-step
-    /// checks patched it.
-    relation: Option<Arc<Dominators>>,
-}
-
-fn record_step(out: &mut ChainOutcome, g: &Graph, dup: &Duplication) {
-    out.visited.push(dup.merge);
-    out.duplications += 1;
-    out.work += g.block_insts(dup.merge).len() as u64;
-}
-
-/// The stats contribution of one round, held back until the round's
-/// boundary check passes (and dropped with the pass when it rolls the
-/// round back, so a discarded pass leaves only its boundary record).
-#[derive(Default)]
-struct RoundTally {
-    duplications: usize,
-    work: u64,
-    split_applied: usize,
-    opportunities: Vec<OptKind>,
-    visited: Vec<BlockId>,
-    /// The relation the round's last applied chain ended on: a failed
-    /// chain rolls back to it, so it describes the graph at the boundary.
-    relation: Option<Arc<Dominators>>,
-    /// The applied candidates' probability-weighted benefit, against the
-    /// iteration threshold.
-    cumulative: f64,
-    stale_skips: usize,
-    mispredictions: usize,
-    frontier_violations: usize,
-    /// The candidates whose chain was rolled back, in order.
-    bailouts: Vec<BailoutRecord>,
-    /// The budget exhaustion that cut the round short.
-    stopped: Option<BailoutReason>,
-}
-
-impl RoundTally {
-    fn absorb(&mut self, chain: ChainOutcome, s: &SimulationResult) {
-        self.cumulative += s.weighted_benefit();
-        self.duplications += chain.duplications;
-        self.work += chain.work;
-        self.visited.extend(chain.visited);
-        self.relation = chain.relation;
-        if s.kind == CandidateKind::BranchSplit {
-            self.split_applied += 1;
-        }
-        self.opportunities
-            .extend(s.opportunities.iter().map(|o| o.kind));
-    }
-
-    /// A contained failure: `apply_chain`'s transaction already rolled
-    /// the graph back to the state before the candidate.
-    fn reject(&mut self, s: &SimulationResult, rejection: Rejection) {
-        if rejection.lint == Some(LintId::FrontierViolation) {
-            self.frontier_violations += 1;
-        }
-        self.bailouts.push(BailoutRecord {
-            reason: rejection.reason,
-            tier: Tier::Optimization,
-            candidate: Some((s.pred, s.merge)),
-            recovered: true,
-        });
-    }
-
-    fn merge_into(self, stats: &mut PhaseStats, visited: &mut HashSet<BlockId>) {
-        stats.duplications += self.duplications;
-        stats.work += self.work;
-        stats.split_applied += self.split_applied;
-        for kind in self.opportunities {
-            *stats.opportunities.entry(kind).or_insert(0) += 1;
-        }
-        visited.extend(self.visited);
-        stats.stale_skips += self.stale_skips;
-        stats.mispredictions += self.mispredictions;
-        stats.frontier_violations += self.frontier_violations;
-        stats.bailouts.extend(self.bailouts);
-        if let Some(reason) = self.stopped {
-            stats.bailouts.push(BailoutRecord {
-                reason,
-                tier: Tier::Optimization,
-                candidate: None,
-                recovered: false,
-            });
-        }
     }
 }
 
@@ -924,83 +1057,6 @@ fn differential_check(g: &Graph, dup: &Duplication, after: &Dominators) -> Optio
         "duplicating {} into {}: {}",
         dup.merge, dup.pred, d.message
     ))
-}
-
-/// Applies one accepted candidate: the `(pred, merge)` duplication plus
-/// the path-based extension into the freshly created copies. The chain
-/// runs inside an undo-log transaction ([`transact`]): each applied
-/// duplication is checked ([`checkpoint_duplication`]), both typed
-/// transform errors and panics become bailout reasons, and a failing
-/// chain is rolled back to its starting state before this returns. Under
-/// [`DIFFERENTIAL_CHECKPOINTS`] the first oracle disagreement is left in
-/// `ctx` for [`RoundCtx::raise_oracle`].
-fn apply_chain(
-    g: &mut Graph,
-    s: &SimulationResult,
-    pass: Pass,
-    ctx: &mut RoundCtx<'_>,
-) -> Result<ChainOutcome, Rejection> {
-    let tg = Instant::now();
-    // The dominance relation the chain starts from. Already cached: the
-    // round's sim-time lookup or the previous chain's last patch left it
-    // in the relation slot at this CFG version.
-    let start = ctx.cache.dominators(g);
-    let mut guard = tg.elapsed().as_nanos();
-    let mut rejected_by: Option<LintId> = None;
-    let (cache, oracle) = (&mut *ctx.cache, &mut ctx.oracle);
-    let (result, txn_ns) = transact(g, |g| {
-        // The relation before the next duplication: each step's check
-        // patches it forward.
-        let mut current = start;
-        let mut verified = |g: &Graph, dup: &Duplication| {
-            let tg = Instant::now();
-            let step = checkpoint_duplication(g, dup, &current, cache, pass);
-            if DIFFERENTIAL_CHECKPOINTS && oracle.is_none() {
-                if let Ok(after) = &step {
-                    *oracle = differential_check(g, dup, after);
-                }
-            }
-            guard += tg.elapsed().as_nanos();
-            match step {
-                Ok(after) => {
-                    current = after;
-                    Ok(())
-                }
-                Err(e) => {
-                    rejected_by = e.lint;
-                    Err(e.reason)
-                }
-            }
-        };
-        let reject =
-            |e: crate::transform::TransformError| BailoutReason::VerifierRejected(e.to_string());
-        let mut out = ChainOutcome::default();
-        let mut dup = try_duplicate(g, s.pred, s.merge).map_err(reject)?;
-        record_step(&mut out, g, &dup);
-        verified(g, &dup)?;
-        // Path-based extension: duplicate the remaining merges of the
-        // accepted path into the freshly created copies. For a
-        // branch-split candidate the last path element is the successor
-        // selected by the copy's statically-decided branch — it became a
-        // merge the moment the copy's terminator targeted it, so the
-        // same guard and transform handle the hop.
-        for &m in &s.path[1..] {
-            if !g.is_merge(m) || !g.succs(dup.copy).contains(&m) {
-                break;
-            }
-            dup = try_duplicate(g, dup.copy, m).map_err(reject)?;
-            record_step(&mut out, g, &dup);
-            verified(g, &dup)?;
-        }
-        out.relation = Some(current);
-        Ok(out)
-    });
-    ctx.guard_ns += guard + txn_ns;
-    ctx.undo_ns += txn_ns;
-    result.map_err(|reason| Rejection {
-        reason,
-        lint: rejected_by,
-    })
 }
 
 /// Runs the optimization pipeline (`optimize_once`, or the full fixpoint
@@ -1432,6 +1488,86 @@ mod tests {
         let i = b.param(0);
         append_split_listing(&mut b, i);
         b.finish()
+    }
+
+    /// Listing 1 with the φ's constant input 0: on the `bf` edge `0 > 12`
+    /// decides `bm`'s branch toward the join `bj` — a branch-split claim
+    /// the control-dependence graph does not back, because `bj`
+    /// post-dominates `bm`.
+    fn split_into_post_dominator() -> Graph {
+        let mut b = GraphBuilder::new("join", &[Type::Int], empty_table());
+        let i = b.param(0);
+        let zero = b.iconst(0);
+        let twelve = b.iconst(12);
+        let one = b.iconst(1);
+        let c = b.cmp(CmpOp::Gt, i, zero);
+        let (bt, bf, bm, bthen, bj) = (
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+        );
+        b.branch(c, bt, bf, 0.5);
+        b.switch_to(bt);
+        b.jump(bm);
+        b.switch_to(bf);
+        b.jump(bm);
+        b.switch_to(bm);
+        let p = b.phi(vec![i, zero], Type::Int);
+        let c2 = b.cmp(CmpOp::Gt, p, twelve);
+        b.branch(c2, bthen, bj, 0.5);
+        b.switch_to(bthen);
+        b.jump(bj);
+        b.switch_to(bj);
+        // Predecessors in edge order: `bm`, then `bthen`.
+        let q = b.phi(vec![p, i], Type::Int);
+        let r = b.mul(q, q);
+        let s = b.add(r, one);
+        b.ret(Some(s));
+        b.finish()
+    }
+
+    #[test]
+    fn control_dependence_cross_check_rejects_a_split_into_a_post_dominator() {
+        let mut g = split_into_post_dominator();
+        let reference = split_into_post_dominator();
+        let stats = compile(
+            &mut g,
+            &CostModel::new(),
+            OptLevel::Dupalot,
+            &DbdsConfig::default(),
+        );
+        assert_eq!(
+            (
+                stats.duplications,
+                stats.split_candidates,
+                stats.split_applied,
+                stats.cache.rev_misses
+            ),
+            (1, 1, 0, 2),
+            "stats: {stats:?}"
+        );
+        let (bf, bm) = (BlockId::from_index(2), BlockId::from_index(3));
+        assert_eq!(
+            stats.bailouts,
+            vec![BailoutRecord {
+                reason: BailoutReason::VerifierRejected(
+                    "control-dependence cross-check rejected branch-split (b2 -> b3)".into()
+                ),
+                tier: Tier::Tradeoff,
+                candidate: Some((bf, bm)),
+                recovered: true,
+            }]
+        );
+        checkpoint(&g).unwrap();
+        for v in [-7i64, 0, 1, 12, 13, 100] {
+            assert_eq!(
+                execute(&g, &[Value::Int(v)]).outcome,
+                execute(&reference, &[Value::Int(v)]).outcome,
+                "input {v}"
+            );
+        }
     }
 
     #[test]

@@ -418,18 +418,33 @@ impl CompileService {
             let key = StoreKey::compute(&graph, &cfg, req.level);
             let mut slot = self.slot();
             slot.counters.requests += 1;
-            match Self::lookup_verified(&self.cfg, &mut slot, &key) {
-                Some(artifact) => {
-                    slot.counters.hits += 1;
-                    outcomes.push(Some(Ok(ServedResult {
-                        artifact,
-                        cached: true,
-                    })));
-                }
-                None => {
+            if let Some(artifact) = Self::lookup_verified(&self.cfg, &mut slot, &key) {
+                slot.counters.hits += 1;
+                outcomes.push(Some(Ok(ServedResult {
+                    artifact,
+                    cached: true,
+                })));
+                continue;
+            }
+            drop(slot);
+            // Only a miss pays for this: inline IR must verify before it
+            // is compiled, served or stored.
+            let checked = match &req.source {
+                CompileSource::IrText(_) => dbds_ir::verify(&graph).map_err(|e| {
+                    ServiceError::BadRequest(format!("IR does not verify: {}", e.summary()))
+                }),
+                CompileSource::Workload(_) => Ok(()),
+            };
+            let mut slot = self.slot();
+            match checked {
+                Ok(()) => {
                     slot.counters.misses += 1;
                     outcomes.push(None);
                     misses.push((i, graph, key, cfg, req.level));
+                }
+                Err(e) => {
+                    slot.counters.bad_requests += 1;
+                    outcomes.push(Some(Err(e)));
                 }
             }
         }
@@ -710,6 +725,35 @@ mod tests {
             svc.compile_batch(&[bad])[0],
             Err(ServiceError::BadRequest(_))
         ));
+
+        // Figure 1 with a constant defined in `bt` and used in `bm`: it
+        // parses but does not verify, so it is a bad request every time
+        // — never compiled, stored or served.
+        let unverifiable = "func @foo(x: int) {\nentry:\n  zero: int = const 0\n  \
+                            c: bool = cmp gt x, zero\n  branch c, bt, bf, prob 0.5\n\
+                            bt:\n  one: int = const 1\n  jump bm\nbf:\n  jump bm\n\
+                            bm:\n  p: int = phi [bt: x, bf: zero]\n  \
+                            sum: int = add one, p\n  return sum\n}\n";
+        assert!(dbds_ir::parse_module(unverifiable).is_ok());
+        let before = svc.counters();
+        let r = CompileRequest {
+            source: CompileSource::IrText(unverifiable.into()),
+            level: OptLevel::Dbds,
+            deadline_ms: None,
+        };
+        for _ in 0..2 {
+            match &svc.compile_batch(std::slice::from_ref(&r))[0] {
+                Err(ServiceError::BadRequest(msg)) => {
+                    assert!(msg.starts_with("IR does not verify: "), "{msg}")
+                }
+                other => panic!("expected BadRequest, got {other:?}"),
+            }
+        }
+        let c = svc.counters().delta(&before);
+        assert_eq!(
+            (c.requests, c.bad_requests, c.misses, c.puts, c.quarantined),
+            (2, 2, 0, 0, 0)
+        );
     }
 
     #[test]
