@@ -113,12 +113,12 @@ impl Emitter<'_> {
             }
             return 0xFE; // scratch register
         }
-        match self.alloc.locations.get(&v) {
-            Some(Location::Reg(r)) => *r,
+        match self.alloc.get(v) {
+            Some(Location::Reg(r)) => r,
             Some(Location::Slot(s)) => {
                 // reload: opcode + slot16
                 self.bytes.push(0xF0);
-                self.bytes.extend_from_slice(&(*s as u16).to_le_bytes());
+                self.bytes.extend_from_slice(&(s as u16).to_le_bytes());
                 0xFE // scratch register
             }
             None => 0xFF, // void/unallocated (never read at run time)
@@ -129,11 +129,11 @@ impl Emitter<'_> {
     /// destination register byte. Spilled destinations need a 3-byte
     /// store.
     fn def_val(&mut self, v: InstId) -> u8 {
-        match self.alloc.locations.get(&v) {
-            Some(Location::Reg(r)) => *r,
+        match self.alloc.get(v) {
+            Some(Location::Reg(r)) => r,
             Some(Location::Slot(s)) => {
                 self.bytes.push(0xF1);
-                self.bytes.extend_from_slice(&(*s as u16).to_le_bytes());
+                self.bytes.extend_from_slice(&(s as u16).to_le_bytes());
                 0xFE
             }
             None => 0xFF,
@@ -141,7 +141,7 @@ impl Emitter<'_> {
     }
 
     fn emit_move(&mut self, dst: InstId, src: InstId) {
-        if self.alloc.locations.get(&dst) == self.alloc.locations.get(&src) {
+        if self.alloc.get(dst) == self.alloc.get(src) {
             return; // coalesced
         }
         self.phi_moves += 1;
@@ -153,8 +153,9 @@ impl Emitter<'_> {
     }
 
     fn emit_inst(&mut self, i: InstId) {
-        let kind = self.g.inst(i).kind() as u8;
-        match self.g.inst(i).clone() {
+        let inst = self.g.inst(i);
+        let kind = inst.kind() as u8;
+        match *inst {
             Inst::Phi { .. } => {} // resolved by edge moves
             Inst::Param(ix) => {
                 // Parameters arrive in registers: a move at most.
@@ -252,7 +253,7 @@ impl Emitter<'_> {
                 self.bytes.push(v);
                 self.bytes.push(0x90);
             }
-            Inst::Invoke { args } => {
+            Inst::Invoke { ref args } => {
                 // Argument marshalling: one move per argument, then the
                 // call with a 4-byte target.
                 for (n, &a) in args.iter().enumerate() {

@@ -6,7 +6,8 @@
 //!
 //! 1. [`Linearization`] — reverse-postorder block layout with global
 //!    instruction numbering,
-//! 2. [`live_intervals`] — dataflow liveness and live-interval
+//! 2. [`live_intervals`] — liveness by SSA path exploration (each use
+//!    walks predecessors back to its definition) and live-interval
 //!    construction (φ inputs live at predecessor ends),
 //! 3. [`linear_scan`] — Poletto–Sarkar linear-scan register allocation
 //!    with spilling,
@@ -45,5 +46,5 @@ mod regalloc;
 
 pub use emit::{compile_to_machine_code, MachineCode, NUM_REGS};
 pub use linearize::Linearization;
-pub use liveness::{live_intervals, BitSet, Interval};
+pub use liveness::{live_intervals, Interval};
 pub use regalloc::{linear_scan, Allocation, Location};

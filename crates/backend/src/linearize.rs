@@ -6,16 +6,17 @@
 
 use dbds_analysis::reverse_postorder;
 use dbds_ir::{BlockId, Graph, InstId};
-use std::collections::HashMap;
 
 /// A linear layout of a graph.
 #[derive(Clone, Debug)]
 pub struct Linearization {
     /// Reachable blocks in emission order.
     pub order: Vec<BlockId>,
-    /// Global position of every instruction (terminators get the position
-    /// after their block's last instruction).
-    pub inst_pos: HashMap<InstId, u32>,
+    /// Global position of every instruction, indexed by
+    /// `InstId::index()` (terminators get the position after their
+    /// block's last instruction; instructions outside reachable blocks
+    /// keep `u32::MAX`).
+    pub inst_pos: Vec<u32>,
     /// Half-open position range `[start, end)` of each block, indexed by
     /// `BlockId::index()` (unreachable blocks keep `(0, 0)`).
     pub block_range: Vec<(u32, u32)>,
@@ -28,13 +29,13 @@ impl Linearization {
     /// Lays out `g`.
     pub fn compute(g: &Graph) -> Self {
         let order = reverse_postorder(g);
-        let mut inst_pos = HashMap::new();
+        let mut inst_pos = vec![u32::MAX; g.inst_count()];
         let mut block_range = vec![(0u32, 0u32); g.block_count()];
         let mut pos: u32 = 0;
         for &b in &order {
             let start = pos;
             for &i in g.block_insts(b) {
-                inst_pos.insert(i, pos);
+                inst_pos[i.index()] = pos;
                 pos += 1;
             }
             pos += 1; // terminator slot
@@ -54,11 +55,27 @@ impl Linearization {
     ///
     /// Panics if `i` is not in a reachable block.
     pub fn pos(&self, i: InstId) -> u32 {
-        self.inst_pos[&i]
+        let p = self.inst_pos[i.index()];
+        assert!(p != u32::MAX, "{i} is not in a reachable block");
+        p
+    }
+
+    /// Returns `true` if `b` is reachable, i.e. laid out in [`Self::order`].
+    pub fn is_placed(&self, b: BlockId) -> bool {
+        // A placed block spans at least its terminator slot.
+        self.block_range[b.index()].1 > 0
     }
 
     /// Position of the terminator of `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not placed (see [`Self::is_placed`]).
     pub fn term_pos(&self, b: BlockId) -> u32 {
+        assert!(
+            self.is_placed(b),
+            "{b} is unreachable and has no terminator position"
+        );
         self.block_range[b.index()].1 - 1
     }
 }
@@ -103,5 +120,17 @@ mod tests {
         let lin = Linearization::compute(&g);
         assert!(!lin.order.contains(&dead));
         assert_eq!(lin.block_range[dead.index()], (0, 0));
+        assert!(!lin.is_placed(dead));
+        assert!(lin.is_placed(g.entry()));
+    }
+
+    #[test]
+    #[should_panic(expected = "is unreachable and has no terminator position")]
+    fn term_pos_of_an_unplaced_block_panics() {
+        let mut b = GraphBuilder::new("u", &[], Arc::new(ClassTable::new()));
+        b.ret(None);
+        let mut g = b.finish();
+        let dead = g.add_block();
+        Linearization::compute(&g).term_pos(dead);
     }
 }

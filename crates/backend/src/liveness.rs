@@ -1,59 +1,16 @@
 //! Liveness analysis and live-interval construction for linear scan.
+//!
+//! Liveness is computed per value by SSA path exploration: every use of a
+//! value that is not preceded by its definition in the same block makes
+//! the value live-in there, and from each live-in block the walk goes
+//! backwards over the reachable predecessors — each of which the value is
+//! live-out of — until it reaches the defining block. With one definition
+//! per value this is exactly the least fixpoint of the classic backward
+//! dataflow, at O(instructions + blocks) memory and with work bounded by
+//! the blocks each value is live in.
 
 use crate::linearize::Linearization;
-use dbds_ir::{Graph, Inst, InstId};
-use std::collections::HashMap;
-
-/// A dense bitset over instruction ids.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    /// An empty set able to hold `n` elements.
-    pub fn new(n: usize) -> Self {
-        BitSet {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// Inserts `i`; returns `true` if it was not present.
-    pub fn insert(&mut self, i: usize) -> bool {
-        let (w, b) = (i / 64, i % 64);
-        let old = self.words[w];
-        self.words[w] |= 1 << b;
-        old & (1 << b) == 0
-    }
-
-    /// Removes `i`.
-    pub fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    /// Membership test.
-    pub fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Unions `other` into `self`; returns `true` on change.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a | *b;
-            changed |= new != *a;
-            *a = new;
-        }
-        changed
-    }
-
-    /// Iterates over the members.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| (w & (1 << b) != 0).then_some(wi * 64 + b))
-        })
-    }
-}
+use dbds_ir::{BlockId, Graph, Inst, InstId};
 
 /// The live interval of one SSA value in the linear layout.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -69,147 +26,98 @@ pub struct Interval {
     pub uses: u32,
 }
 
-/// Computes live intervals for all non-void values of `g`.
+/// Computes live intervals for all non-void values of `g`, sorted by
+/// start.
 ///
 /// φ semantics: a φ input is live at the end of the corresponding
 /// predecessor (where the resolving move sits), not inside the φ's own
 /// block.
 pub fn live_intervals(g: &Graph, lin: &Linearization) -> Vec<Interval> {
-    let n = g.inst_count();
-    let mut live_in: HashMap<usize, BitSet> = HashMap::new();
-    let mut live_out: HashMap<usize, BitSet> = HashMap::new();
-    for &b in &lin.order {
-        live_in.insert(b.index(), BitSet::new(n));
-        live_out.insert(b.index(), BitSet::new(n));
-    }
-
-    // Backward fixpoint over the reachable blocks.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in lin.order.iter().rev() {
-            // live_out(b) = ∪_s (live_in(s) minus s's φ defs) ∪ φ inputs
-            // flowing from b into s.
-            let mut out = BitSet::new(n);
-            for s in g.succs(b) {
-                let mut from_s = live_in[&s.index()].clone();
-                for &phi in g.phis(s) {
-                    from_s.remove(phi.index());
-                }
-                out.union_with(&from_s);
-                let k = g.pred_index(s, b);
-                for &phi in g.phis(s) {
-                    if let Inst::Phi { inputs } = g.inst(phi) {
-                        out.insert(inputs[k].index());
-                    }
-                }
-            }
-            // live_in(b) = (uses(b) ∪ live_out(b)) \ defs(b), walking the
-            // block backwards.
-            let mut inn = out.clone();
-            let mut term_uses = Vec::new();
-            g.terminator(b).for_each_input(|u| term_uses.push(u));
-            for u in term_uses {
-                inn.insert(u.index());
-            }
-            for &i in g.block_insts(b).iter().rev() {
-                inn.remove(i.index());
-                if !g.inst(i).is_phi() {
-                    g.inst(i).for_each_input(|u| {
-                        inn.insert(u.index());
-                    });
-                }
-            }
-            // Every block in `lin.order` was seeded above, so the sets
-            // exist; `entry` keeps the fixpoint total without unwraps.
-            if live_out
-                .entry(b.index())
-                .or_insert_with(|| BitSet::new(n))
-                .union_with(&out)
-            {
-                changed = true;
-            }
-            if live_in
-                .entry(b.index())
-                .or_insert_with(|| BitSet::new(n))
-                .union_with(&inn)
-            {
-                changed = true;
-            }
-        }
-    }
-
-    // Build intervals: start at the definition, end at the latest use /
-    // end of the latest block where the value is live-out.
-    let mut end_of: HashMap<InstId, u32> = HashMap::new();
-    let mut use_count: HashMap<InstId, u32> = HashMap::new();
-    let bump = |v: InstId,
-                p: u32,
-                is_use: bool,
-                end_of: &mut HashMap<InstId, u32>,
-                use_count: &mut HashMap<InstId, u32>| {
-        let e = end_of.entry(v).or_insert(p);
-        if *e < p {
-            *e = p;
-        }
-        if is_use {
-            *use_count.entry(v).or_insert(0) += 1;
-        }
-    };
+    // One scan over the placed blocks collects every use site as
+    // (value, block, position). A φ input is read at the end of its
+    // predecessor, so it is a use at that block's terminator position.
+    let mut sites: Vec<(InstId, BlockId, u32)> = Vec::new();
     for &b in &lin.order {
         for &i in g.block_insts(b) {
-            if g.inst(i).is_phi() {
-                continue;
+            if !g.inst(i).is_phi() {
+                let p = lin.pos(i);
+                g.inst(i).for_each_input(|v| sites.push((v, b, p)));
             }
-            let p = lin.pos(i);
-            g.inst(i)
-                .for_each_input(|u| bump(u, p, true, &mut end_of, &mut use_count));
         }
         let tp = lin.term_pos(b);
-        g.terminator(b)
-            .for_each_input(|u| bump(u, tp, true, &mut end_of, &mut use_count));
-        // φ inputs from this block are read by the edge moves at the end.
+        g.terminator(b).for_each_input(|v| sites.push((v, b, tp)));
         for s in g.succs(b) {
             let k = g.pred_index(s, b);
             for &phi in g.phis(s) {
                 if let Inst::Phi { inputs } = g.inst(phi) {
-                    bump(inputs[k], tp, true, &mut end_of, &mut use_count);
+                    sites.push((inputs[k], b, tp));
                 }
             }
         }
-        for v in live_out[&b.index()].iter() {
-            bump(
-                InstId::from_index(v),
-                tp,
-                false,
-                &mut end_of,
-                &mut use_count,
-            );
-        }
     }
 
+    // Group the sites by value with a counting sort: the sites of `v` are
+    // `by_value[first[v]..first[v + 1]]`.
+    let mut first = vec![0u32; g.inst_count() + 1];
+    for &(v, _, _) in &sites {
+        first[v.index()] += 1;
+    }
+    for k in 1..first.len() {
+        first[k] += first[k - 1];
+    }
+    let mut by_value = vec![(g.entry(), 0u32); sites.len()];
+    for &(v, b, p) in &sites {
+        first[v.index()] -= 1;
+        by_value[first[v.index()] as usize] = (b, p);
+    }
+
+    // `mark[b] == v` once the walk for value `v` has made `b` live-in, so
+    // no block is walked twice for one value.
+    let mut mark = vec![u32::MAX; g.block_count()];
+    let mut stack: Vec<BlockId> = Vec::new();
     let mut intervals = Vec::new();
-    for &b in &lin.order {
-        for &i in g.block_insts(b) {
-            if g.ty(i).is_void() {
-                continue;
-            }
+    for &d in &lin.order {
+        for &v in g.block_insts(d) {
             // Constants are rematerialized at their uses by the emitter
             // and never occupy a register across instructions.
-            if matches!(g.inst(i), Inst::Const(_)) {
+            if g.ty(v).is_void() || matches!(g.inst(v), Inst::Const(_)) {
                 continue;
             }
-            let start = lin.pos(i);
-            let end = end_of.get(&i).copied().unwrap_or(start).max(start);
+            let start = lin.pos(v);
+            let uses = &by_value[first[v.index()] as usize..first[v.index() + 1] as usize];
+            let mut end = start;
+            for &(b, p) in uses {
+                end = end.max(p);
+                // A use makes `v` live-in at its block unless it follows
+                // the definition in `d` itself (a φ input on an edge out
+                // of `d` sits at `d`'s terminator: live-out only).
+                if (b != d || p <= start) && mark[b.index()] != v.0 {
+                    mark[b.index()] = v.0;
+                    stack.push(b);
+                }
+            }
+            while let Some(b) = stack.pop() {
+                for &p in g.preds(b) {
+                    // Unreachable predecessors are not laid out: nothing
+                    // is live across their edges.
+                    if !lin.is_placed(p) {
+                        continue;
+                    }
+                    end = end.max(lin.term_pos(p));
+                    if p != d && mark[p.index()] != v.0 {
+                        mark[p.index()] = v.0;
+                        stack.push(p);
+                    }
+                }
+            }
             intervals.push(Interval {
-                value: i,
+                value: v,
                 start,
                 end,
-                uses: use_count.get(&i).copied().unwrap_or(0),
+                uses: uses.len() as u32,
             });
         }
     }
-    intervals.sort_by_key(|iv| (iv.start, iv.value));
     intervals
 }
 
@@ -218,23 +126,6 @@ mod tests {
     use super::*;
     use dbds_ir::{ClassTable, CmpOp, GraphBuilder, Type};
     use std::sync::Arc;
-
-    #[test]
-    fn bitset_basics() {
-        let mut s = BitSet::new(130);
-        assert!(s.insert(0));
-        assert!(s.insert(129));
-        assert!(!s.insert(129));
-        assert!(s.contains(0));
-        assert!(!s.contains(64));
-        s.remove(0);
-        assert!(!s.contains(0));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![129]);
-        let mut t = BitSet::new(130);
-        t.insert(5);
-        assert!(t.union_with(&s));
-        assert!(!t.union_with(&s));
-    }
 
     #[test]
     fn straightline_intervals() {

@@ -2,7 +2,6 @@
 
 use crate::liveness::Interval;
 use dbds_ir::InstId;
-use std::collections::HashMap;
 
 /// Where a value lives after allocation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -23,8 +22,9 @@ impl Location {
 /// The allocation result.
 #[derive(Clone, Debug)]
 pub struct Allocation {
-    /// Location of every allocated value.
-    pub locations: HashMap<InstId, Location>,
+    /// Location of every allocated value, indexed by `InstId::index()`
+    /// (`None` for values without an interval).
+    pub locations: Vec<Option<Location>>,
     /// Number of stack slots used.
     pub slots: u32,
     /// Number of values spilled.
@@ -40,14 +40,21 @@ impl Allocation {
     ///
     /// Panics if `v` was not allocated (void or unreachable values).
     pub fn loc(&self, v: InstId) -> Location {
-        self.locations[&v]
+        self.get(v)
+            .unwrap_or_else(|| panic!("{v} has no allocated location"))
+    }
+
+    /// Location of `v`, or `None` if it was not allocated.
+    pub(crate) fn get(&self, v: InstId) -> Option<Location> {
+        self.locations.get(v.index()).copied().flatten()
     }
 }
 
 /// Allocates `intervals` (sorted by start) to `num_regs` registers.
 pub fn linear_scan(intervals: &[Interval], num_regs: u8) -> Allocation {
     assert!(num_regs > 0, "need at least one register");
-    let mut locations: HashMap<InstId, Location> = HashMap::new();
+    let n = intervals.iter().map(|iv| iv.value.index() + 1).max();
+    let mut locations = vec![None; n.unwrap_or(0)];
     // Active intervals currently holding a register, sorted by end.
     let mut active: Vec<(Interval, u8)> = Vec::new();
     let mut free: Vec<u8> = (0..num_regs).rev().collect();
@@ -67,7 +74,7 @@ pub fn linear_scan(intervals: &[Interval], num_regs: u8) -> Allocation {
             }
         }
         if let Some(r) = free.pop() {
-            locations.insert(iv.value, Location::Reg(r));
+            locations[iv.value.index()] = Some(Location::Reg(r));
             regs_used = regs_used.max(r + 1);
             active.push((iv, r));
             active.sort_by_key(|(a, _)| a.end);
@@ -86,14 +93,14 @@ pub fn linear_scan(intervals: &[Interval], num_regs: u8) -> Allocation {
                 .expect("active non-empty when full");
             if score(&active[victim_ix].0) > score(&iv) {
                 let (victim, r) = active.remove(victim_ix);
-                locations.insert(iv.value, Location::Reg(r));
-                locations.insert(victim.value, Location::Slot(slots));
+                locations[iv.value.index()] = Some(Location::Reg(r));
+                locations[victim.value.index()] = Some(Location::Slot(slots));
                 slots += 1;
                 spills += 1;
                 active.push((iv, r));
                 active.sort_by_key(|(a, _)| a.end);
             } else {
-                locations.insert(iv.value, Location::Slot(slots));
+                locations[iv.value.index()] = Some(Location::Slot(slots));
                 slots += 1;
                 spills += 1;
             }
@@ -171,7 +178,8 @@ mod tests {
         assert_eq!(a.slots, 8);
         let mut slot_ids: Vec<u32> = a
             .locations
-            .values()
+            .iter()
+            .flatten()
             .filter_map(|l| match l {
                 Location::Slot(s) => Some(*s),
                 Location::Reg(_) => None,

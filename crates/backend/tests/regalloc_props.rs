@@ -58,7 +58,8 @@ proptest! {
         let alloc = linear_scan(&intervals, 4); // force pressure
         let mut slots: Vec<u32> = alloc
             .locations
-            .values()
+            .iter()
+            .flatten()
             .filter_map(|l| match l {
                 Location::Slot(s) => Some(*s),
                 Location::Reg(_) => None,

@@ -89,6 +89,10 @@ pub fn parse_module(text: &str) -> PResult<Module> {
                 .split_once(':')
                 .ok_or_else(|| err(*lineno, "field must be `name: type`"))?;
             let ty = parse_type(fty.trim(), &table).map_err(|m| err(*lineno, &m))?;
+            if ty.is_void() {
+                let msg = format!("field `{}` cannot be void", fname.trim());
+                return Err(err(*lineno, &msg));
+            }
             table.add_field(class, fname.trim(), ty);
         }
     }
@@ -203,8 +207,13 @@ fn parse_func(lines: &[(usize, String)], table: Arc<ClassTable>) -> PResult<(usi
         let (pname, pty) = p
             .split_once(':')
             .ok_or_else(|| err(*hline, "parameter must be `name: type`"))?;
+        let ty = parse_type(pty.trim(), &table).map_err(|m| err(*hline, &m))?;
+        if ty.is_void() {
+            let msg = format!("parameter `{}` cannot be void", pname.trim());
+            return Err(err(*hline, &msg));
+        }
         param_names.push(pname.trim().to_string());
-        param_types.push(parse_type(pty.trim(), &table).map_err(|m| err(*hline, &m))?);
+        param_types.push(ty);
     }
 
     // Collect body lines until the closing `}`.
@@ -632,11 +641,15 @@ fn parse_terminator(
             let prob_then: f64 = prob_src
                 .parse()
                 .map_err(|_| err(lineno, &format!("bad probability `{prob_src}`")))?;
+            let (then_bb, else_bb) = (block(parts[1])?, block(parts[2])?);
+            if then_bb == else_bb {
+                return Err(err(lineno, "`branch` targets must be distinct"));
+            }
             Ok((
                 Terminator::Branch {
                     cond: InstId(0),
-                    then_bb: block(parts[1])?,
-                    else_bb: block(parts[2])?,
+                    then_bb,
+                    else_bb,
                     prob_then,
                 },
                 vec![parts[0].to_string()],
@@ -775,6 +788,31 @@ mod tests {
         let e = parse_module(src).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("frobnicate"));
+    }
+
+    #[test]
+    fn rejects_what_the_graph_primitives_assert_against() {
+        let cases = [
+            (
+                "func @f(x: void) {\nentry:\n  return\n}\n",
+                1,
+                "parameter `x` cannot be void",
+            ),
+            (
+                "class A { f: void }\nfunc @g() {\nentry:\n  return\n}\n",
+                1,
+                "field `f` cannot be void",
+            ),
+            (
+                "func @h(c: bool) {\nentry:\n  branch c, b, b, prob 0.5\nb:\n  return\n}\n",
+                3,
+                "`branch` targets must be distinct",
+            ),
+        ];
+        for (src, line, message) in cases {
+            let e = parse_module(src).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (line, message), "{src}");
+        }
     }
 
     #[test]

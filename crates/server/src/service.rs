@@ -757,6 +757,35 @@ mod tests {
     }
 
     #[test]
+    fn ir_the_graph_primitives_reject_is_a_parse_error() {
+        // A void parameter, a void field and a branch with one target
+        // twice: each would trip an assert in a graph or class-table
+        // primitive, so the parser rejects them first.
+        let texts = [
+            "func @f(x: void) {\nentry:\n  return\n}\n",
+            "class A { f: void }\nfunc @f() {\nentry:\n  return\n}\n",
+            "func @f(c: bool) {\nentry:\n  branch c, b, b, prob 0.5\nb:\n  return\n}\n",
+        ];
+        let svc = service();
+        let before = svc.counters();
+        for text in texts {
+            let r = CompileRequest {
+                source: CompileSource::IrText(text.into()),
+                level: OptLevel::Dbds,
+                deadline_ms: None,
+            };
+            match &svc.compile_batch(&[r])[0] {
+                Err(ServiceError::BadRequest(msg)) => {
+                    assert!(msg.starts_with("IR does not parse: "), "{msg}")
+                }
+                other => panic!("expected BadRequest, got {other:?}"),
+            }
+        }
+        let c = svc.counters().delta(&before);
+        assert_eq!((c.requests, c.bad_requests, c.misses, c.puts), (3, 3, 0, 0));
+    }
+
+    #[test]
     fn retry_backoff_is_linear_clamped_and_never_panics() {
         let step = Duration::from_millis(5);
         // The ladder starts at one step — attempt 0 (out of contract)

@@ -79,6 +79,40 @@ fn tcp_session_hit_miss_status_shutdown() {
 }
 
 #[test]
+fn ir_the_parser_rejects_is_a_bad_request_and_the_connection_lives_on() {
+    let handle = serve(ServerConfig::default()).expect("serve");
+    let mut client = Client::connect(&handle.addr).expect("connect");
+    let ir = |text: &str| CompileRequest {
+        source: CompileSource::IrText(text.into()),
+        level: OptLevel::Baseline,
+        deadline_ms: None,
+    };
+    // Each of these once panicked a graph primitive inside the parser.
+    for text in [
+        "func @f(x: void) {\nentry:\n  return\n}\n",
+        "class A { f: void }\nfunc @f() {\nentry:\n  return\n}\n",
+        "func @f(c: bool) {\nentry:\n  branch c, b, b, prob 0.5\nb:\n  return\n}\n",
+    ] {
+        match client.compile(ir(text)).expect("rpc") {
+            Err(ServiceError::BadRequest(msg)) => {
+                assert!(msg.starts_with("IR does not parse: "), "{msg}")
+            }
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+    }
+    let served = client
+        .compile(ir("func @u(v0: int) {\nb0:\n  return v0\n}\n"))
+        .expect("rpc")
+        .expect("request failed");
+    assert!(!served.cached);
+    let status = client.status().expect("status");
+    assert_eq!(counter(&status, "bad_requests"), 3);
+    assert_eq!(counter(&status, "misses"), 1);
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
 fn unix_socket_transport_works() {
     let path = std::env::temp_dir().join(format!("dbds-daemon-test-{}.sock", std::process::id()));
     let handle = serve(ServerConfig {
