@@ -2,9 +2,9 @@
 //! `AnalysisManager` and Graal's cached `cfg.dominatorTree` (§5.1 of the
 //! paper).
 //!
-//! An [`AnalysisCache`] memoizes the six CFG-level analyses — dominator
-//! tree, loop forest, block frequencies, post-dominator tree, dominance
-//! frontiers and the control-dependence graph — keyed by the graph's
+//! An [`AnalysisCache`] memoizes the five CFG-level analyses a compile
+//! reads — dominator tree, dominance relation, loop forest, block
+//! frequencies and post-dominator tree — keyed by the graph's
 //! [`cfg_version`](dbds_ir::Graph::cfg_version) mutation epoch. A lookup on
 //! an unchanged graph is a pointer clone; the first lookup after a
 //! structural mutation recomputes and replaces the stale entry. Pure
@@ -45,9 +45,7 @@
 //! # Ok::<(), dbds_ir::ParseError>(())
 //! ```
 
-use crate::{
-    BlockFrequencies, ControlDepGraph, DomFrontiers, DomTree, Dominators, LoopForest, PostDomTree,
-};
+use crate::{BlockFrequencies, DomFrontiers, DomTree, Dominators, LoopForest, PostDomTree};
 use dbds_ir::lint::{Diagnostic, LintId};
 use dbds_ir::{BlockId, Graph};
 use std::sync::Arc;
@@ -55,10 +53,9 @@ use std::sync::Arc;
 /// Hit/miss/invalidation counters of an [`AnalysisCache`].
 ///
 /// The forward analyses (dominator tree, loops, frequencies) aggregate
-/// into `hits`/`misses`/`invalidations`; the reverse-CFG analyses
-/// (post-dominators, frontiers, control dependence) keep their own
-/// `rev_*` counters so the long-standing forward-counter pins stay
-/// meaningful. Every lookup is a hit, a miss or — for the dominance
+/// into `hits`/`misses`/`invalidations`; the post-dominator tree keeps
+/// its own `rev_*` counters so the long-standing forward-counter pins
+/// stay meaningful. Every lookup is a hit, a miss or — for the dominance
 /// relation carried across a duplication — a patch; invalidations count
 /// the misses that discarded a stale entry (as opposed to cold-start
 /// misses on an empty slot).
@@ -111,9 +108,9 @@ struct Slot<T> {
 /// sequentially processed) [`Graph`]s.
 ///
 /// Validity is purely stamp-based: because version stamps are globally
-/// unique and never reused (see [`Graph::version`]), a stored entry whose
-/// stamp equals the graph's current `cfg_version` is guaranteed to
-/// describe exactly this graph state — even across clone/restore
+/// unique and never reused, a stored entry whose stamp equals the
+/// graph's current `cfg_version` is guaranteed to describe exactly this
+/// block structure — even across clone/restore
 /// backtracking, where the same stamp can reappear after `*g = backup`.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
@@ -122,8 +119,6 @@ pub struct AnalysisCache {
     loops: Option<Slot<LoopForest>>,
     frequencies: Option<Slot<BlockFrequencies>>,
     postdom: Option<Slot<PostDomTree>>,
-    frontiers: Option<Slot<DomFrontiers>>,
-    controldep: Option<Slot<ControlDepGraph>>,
     stats: CacheStats,
 }
 
@@ -252,38 +247,13 @@ impl AnalysisCache {
         )
     }
 
-    /// The dominance frontiers of `g`. Pulls the dominator tree through
-    /// the cache; counted under the `rev_*` stats.
+    /// The dominance frontiers of `g`, built fresh on every call from the
+    /// dominator tree pulled through the cache. No compile reads them, so
+    /// they have no slot and no counter; the method retires with the
+    /// benchmark's `analysis.rev_*` / `analysis.frontiers_us` probes.
     pub fn frontiers(&mut self, g: &Graph) -> Arc<DomFrontiers> {
-        cached!(
-            self,
-            g,
-            frontiers,
-            rev_hits,
-            rev_misses,
-            rev_invalidations,
-            {
-                let dt = self.domtree(g);
-                DomFrontiers::compute(g, &dt)
-            }
-        )
-    }
-
-    /// The control-dependence graph of `g`. Pulls the post-dominator
-    /// tree through the cache; counted under the `rev_*` stats.
-    pub fn control_dep(&mut self, g: &Graph) -> Arc<ControlDepGraph> {
-        cached!(
-            self,
-            g,
-            controldep,
-            rev_hits,
-            rev_misses,
-            rev_invalidations,
-            {
-                let pd = self.postdom(g);
-                ControlDepGraph::compute(g, &pd)
-            }
-        )
+        let dt = self.domtree(g);
+        Arc::new(DomFrontiers::compute(g, &dt))
     }
 
     /// The counters accumulated so far.
@@ -299,8 +269,6 @@ impl AnalysisCache {
         self.loops = None;
         self.frequencies = None;
         self.postdom = None;
-        self.frontiers = None;
-        self.controldep = None;
     }
 
     /// Audits every entry that claims to describe the current graph state
@@ -389,8 +357,6 @@ const AUDIT_REGISTRY: &[(&str, AuditFn)] = &[
     ("loops", audit_loops),
     ("frequencies", audit_frequencies),
     ("postdom", audit_postdom),
-    ("frontiers", audit_frontiers),
-    ("controldep", audit_controldep),
 ];
 
 fn stale_at(b: Option<dbds_ir::BlockId>, message: String) -> Diagnostic {
@@ -538,64 +504,6 @@ fn audit_postdom(cache: &AnalysisCache, fresh: &mut FreshAnalyses<'_>, out: &mut
     }
 }
 
-fn audit_frontiers(
-    cache: &AnalysisCache,
-    fresh: &mut FreshAnalyses<'_>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some(slot) = cache
-        .frontiers
-        .as_ref()
-        .filter(|s| s.version == fresh.version)
-    else {
-        return;
-    };
-    let g = fresh.g;
-    let recomputed = DomFrontiers::compute(g, fresh.dt());
-    for b in g.blocks() {
-        if slot.value.df(b) != recomputed.df(b) {
-            out.push(stale_at(
-                Some(b),
-                format!(
-                    "cached frontiers stamped current disagree at {b}: df {:?} vs recomputed {:?}",
-                    slot.value.df(b),
-                    recomputed.df(b)
-                ),
-            ));
-        }
-    }
-}
-
-fn audit_controldep(
-    cache: &AnalysisCache,
-    fresh: &mut FreshAnalyses<'_>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some(slot) = cache
-        .controldep
-        .as_ref()
-        .filter(|s| s.version == fresh.version)
-    else {
-        return;
-    };
-    let g = fresh.g;
-    let recomputed = ControlDepGraph::compute(g, fresh.pd());
-    for b in g.blocks() {
-        if slot.value.dependents(b) != recomputed.dependents(b)
-            || slot.value.controllers(b) != recomputed.controllers(b)
-        {
-            out.push(stale_at(
-                Some(b),
-                format!(
-                    "cached control-dependence stamped current disagrees at {b}: dependents {:?} vs recomputed {:?}",
-                    slot.value.dependents(b),
-                    recomputed.dependents(b)
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,21 +543,17 @@ mod tests {
         let mut cache = AnalysisCache::new();
         cache.frequencies(&g);
         let before = cache.stats();
-        let cd1 = cache.control_dep(&g);
-        let f1 = cache.frontiers(&g);
-        // control_dep misses + pulls postdom (miss); frontiers misses
-        // and pulls only the already-warm domtree, a forward hit. No
-        // forward misses.
-        assert_eq!(cache.stats().rev_misses, 3);
+        let p1 = cache.postdom(&g);
+        // postdom misses under the reverse counters and pulls no forward
+        // analysis.
+        assert_eq!(cache.stats().rev_misses, 1);
         assert_eq!(cache.stats().rev_hits, 0);
         assert_eq!(cache.stats().misses, before.misses);
-        assert_eq!(cache.stats().hits, before.hits + 1);
-        let cd2 = cache.control_dep(&g);
-        let f2 = cache.frontiers(&g);
-        assert!(Arc::ptr_eq(&cd1, &cd2));
-        assert!(Arc::ptr_eq(&f1, &f2));
-        assert_eq!(cache.stats().rev_hits, 2);
-        assert_eq!(cache.stats().rev_misses, 3);
+        assert_eq!(cache.stats().hits, before.hits);
+        let p2 = cache.postdom(&g);
+        assert!(Arc::ptr_eq(&p1, &p2));
+        assert_eq!(cache.stats().rev_hits, 1);
+        assert_eq!(cache.stats().rev_misses, 1);
         assert_eq!(cache.stats().rev_invalidations, 0);
     }
 
@@ -675,14 +579,14 @@ mod tests {
         let mut g = diamond();
         let mut cache = AnalysisCache::new();
         let d1 = cache.domtree(&g);
-        let c1 = cache.control_dep(&g);
+        let p1 = cache.postdom(&g);
         let entry = g.entry();
         use dbds_ir::{ConstValue, Inst, Type};
         g.append_inst(entry, Inst::Const(ConstValue::Int(7)), Type::Int);
         let d2 = cache.domtree(&g);
-        let c2 = cache.control_dep(&g);
+        let p2 = cache.postdom(&g);
         assert!(Arc::ptr_eq(&d1, &d2));
-        assert!(Arc::ptr_eq(&c1, &c2));
+        assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().rev_hits, 1);
         assert_eq!(cache.stats().invalidations, 0);
@@ -767,8 +671,7 @@ mod tests {
         let g = diamond();
         let mut cache = AnalysisCache::new();
         cache.frequencies(&g);
-        cache.frontiers(&g);
-        cache.control_dep(&g);
+        cache.postdom(&g);
         assert!(cache.audit(&g).is_empty());
         // An empty cache is trivially consistent too.
         assert!(AnalysisCache::new().audit(&g).is_empty());
@@ -838,25 +741,17 @@ mod tests {
 
     #[test]
     fn audit_detects_forged_reverse_entries() {
-        // The same forgery through the registry's reverse-CFG auditors:
-        // retargeting bf to bt changes post-dominance, frontiers and
-        // control dependence; a forged stamp on each slot must surface.
+        // The same forgery through the registry's reverse-CFG auditor:
+        // retargeting bf to bt changes post-dominance; a forged stamp on
+        // the slot must surface.
         let mut g = diamond();
         let mut cache = AnalysisCache::new();
-        cache.frontiers(&g);
-        cache.control_dep(&g);
+        cache.postdom(&g);
         use dbds_ir::Terminator;
         let bt = g.blocks().nth(1).unwrap();
         let bf = g.blocks().nth(2).unwrap();
         g.set_terminator(bf, Terminator::Jump { target: bt });
-        let forged_version = g.cfg_version();
-        for v in [
-            &mut cache.postdom.as_mut().unwrap().version,
-            &mut cache.frontiers.as_mut().unwrap().version,
-            &mut cache.controldep.as_mut().unwrap().version,
-        ] {
-            *v = forged_version;
-        }
+        cache.postdom.as_mut().unwrap().version = g.cfg_version();
         let findings = cache.audit(&g);
         assert!(
             !findings.is_empty(),
@@ -877,8 +772,6 @@ mod tests {
             loops,
             frequencies,
             postdom,
-            frontiers,
-            controldep,
             stats: _,
         } = AnalysisCache::new();
         let slots = [
@@ -887,8 +780,6 @@ mod tests {
             ("loops", loops.is_none()),
             ("frequencies", frequencies.is_none()),
             ("postdom", postdom.is_none()),
-            ("frontiers", frontiers.is_none()),
-            ("controldep", controldep.is_none()),
         ];
         assert_eq!(
             slots.len(),

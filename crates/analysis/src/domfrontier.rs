@@ -6,8 +6,8 @@
 //!
 //! `DF(b)` is where dominance of `b` ends — the blocks needing φs for
 //! definitions in `b` (the SSA-repair placement set). Its dual on the
-//! reversed CFG, the set of branches that decide whether `b` executes,
-//! is [`ControlDepGraph::controllers`](crate::ControlDepGraph::controllers).
+//! reversed CFG is the set of branches that decide whether `b` executes
+//! (its control dependences).
 
 use crate::domtree::DomTree;
 use dbds_ir::{BlockId, Graph};

@@ -6,12 +6,12 @@
 //! block execution frequencies ([`BlockFrequencies`], the `p` of the
 //! `shouldDuplicate` heuristic), and value [`Stamp`]s with the refinement
 //! rules conditional elimination applies along dominating conditions.
-//! The reverse-CFG structure is equally first-class: post-dominator
-//! trees ([`PostDomTree`]: the same dominator solver run over the
-//! reversed CFG with a virtual exit) and the control-dependence graph
-//! ([`ControlDepGraph`]) drive the branch-splitting candidates and the
-//! reverse-CFG lints; dominance frontiers ([`DomFrontiers`]) are the
-//! SSA-repair placement sets the frontier lint re-derives.
+//! The reverse-CFG structure is equally first-class: the post-dominator
+//! tree ([`PostDomTree`]: the same dominator solver run over the
+//! reversed CFG with a virtual exit) answers the branch-splitting
+//! control-dependence question and the reverse-CFG lints; dominance
+//! frontiers ([`DomFrontiers`]) are the SSA-repair placement sets the
+//! frontier lint re-derives.
 //!
 //! # Examples
 //!
@@ -39,7 +39,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod cache;
-mod controldep;
 mod domfrontier;
 mod domtree;
 mod frequency;
@@ -48,7 +47,6 @@ mod postdom;
 mod stamps;
 
 pub use cache::{AnalysisCache, CacheStats};
-pub use controldep::ControlDepGraph;
 pub use domfrontier::DomFrontiers;
 pub use domtree::{reverse_postorder, DomTree, Dominators};
 pub use frequency::{edge_probability, BlockFrequencies, LOOP_FACTOR, MAX_FREQUENCY};

@@ -2,14 +2,15 @@
 //! the *definition* of dominance — `a` dominates `b` iff every entry→`b`
 //! path passes through `a`, i.e. removing `a` makes `b` unreachable —
 //! and the reverse-CFG analyses agree with their definitions: the
-//! post-dominator tree with path-to-exit cuts, and the control-dependence
-//! graph with the naive Ferrante–Ottenstein–Warren edge scan. The
+//! post-dominator tree with path-to-exit cuts, and "a successor does not
+//! post-dominate its branch" with the naive Ferrante–Ottenstein–Warren
+//! control-dependence edge scan (the branch-split cross-check). The
 //! post-dominator tree is also pinned, field for field, to what the
 //! stand-alone solver it used to have produced. The dominance relation
 //! patched across tail duplications ([`Dominators::after_duplication`])
 //! is held to the from-scratch build after every step.
 
-use dbds_analysis::{ControlDepGraph, DomTree, Dominators, PostDomTree};
+use dbds_analysis::{DomTree, Dominators, PostDomTree};
 use dbds_ir::{BlockId, ClassTable, Fnv64, Graph, Terminator, Type};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -506,24 +507,23 @@ proptest! {
     fn control_deps_match_the_naive_edge_scan(n in 2usize..10, choices in proptest::collection::vec(0u8..8, 10)) {
         // Ferrante–Ottenstein–Warren: `b` is control-dependent on `a`
         // iff some edge `a -> s` exists with `b` post-dominating `s` but
-        // not strictly post-dominating `a`. Like the implementation, the
-        // scan covers real branch blocks only — a pseudo-exit's implicit
-        // virtual-exit edge is an analysis artifact, not a decision.
+        // not strictly post-dominating `a`. The scan covers real branch
+        // blocks only — a pseudo-exit's implicit virtual-exit edge is an
+        // analysis artifact, not a decision. For a successor `b != a` of
+        // an in-domain branch `a` (the branch-split shape) it must equal
+        // "`b` does not post-dominate `a`".
         let g = random_cfg(n, &choices);
         let pd = PostDomTree::compute(&g);
-        let cdg = ControlDepGraph::compute(&g, &pd);
-        for a in g.blocks() {
-            for b in g.blocks() {
-                let naive = pd.in_domain(a)
-                    && pd.in_domain(b)
-                    && g.succs(a).len() >= 2
+        for a in g.blocks().filter(|&a| pd.in_domain(a) && g.succs(a).len() >= 2) {
+            for b in g.succs(a).into_iter().filter(|&b| b != a) {
+                let naive = pd.in_domain(b)
                     && g.succs(a).into_iter().any(|s| {
                         pd.in_domain(s)
                             && pd.post_dominates(b, s)
                             && !pd.strictly_post_dominates(b, a)
                     });
                 prop_assert_eq!(
-                    cdg.depends_on(b, a),
+                    !pd.post_dominates(b, a),
                     naive,
                     "{} cdep {} disagrees on graph:\n{}",
                     b,

@@ -32,7 +32,7 @@ const IMPROVEMENT_NOISE: f64 = 1.0;
 
 /// Runs Algorithm 1 on `g`. Analyses for the optimization pipeline and
 /// the static estimator flow through `cache`; the rollback path is safe
-/// because the undo log restores the pre-attempt version stamps and
+/// because the undo log restores the pre-attempt version stamp and
 /// stamps are never reused, so a cache entry can never describe the
 /// wrong timeline.
 ///

@@ -268,7 +268,7 @@ pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, BailoutReason> {
 ///
 /// On success the transaction is committed; on a panic (caught by
 /// [`isolate`]) or an `Err` from `f` it is rolled back, restoring the
-/// graph and its version stamps to the state at entry in O(edits made) —
+/// graph and its version stamp to the state at entry in O(edits made) —
 /// the undo-log replacement for restoring a whole-graph clone (debug
 /// builds still take that clone and compare, see `Graph::rollback_txn`).
 /// Returns the result alongside the nanoseconds spent on transaction
@@ -383,7 +383,7 @@ mod tests {
         let x = b.param(0);
         b.ret(Some(x));
         let mut g = b.finish();
-        let pre_version = g.version();
+        let pre_version = g.cfg_version();
         let pre_blocks = g.block_count();
 
         // Ok: the mutation survives.
@@ -395,14 +395,14 @@ mod tests {
         assert_eq!(g.block_count(), pre_blocks + 1);
 
         // Err: the mutation is rolled back, stamps included.
-        let mid_version = g.version();
+        let mid_version = g.cfg_version();
         let (r, _) = transact(&mut g, |g| {
             g.add_block();
             Err::<(), _>(BailoutReason::SizeBudgetExceeded)
         });
         assert_eq!(r, Err(BailoutReason::SizeBudgetExceeded));
         assert_eq!(g.block_count(), pre_blocks + 1);
-        assert_eq!(g.version(), mid_version);
+        assert_eq!(g.cfg_version(), mid_version);
 
         // Panic: isolated, converted, rolled back.
         let (r, _) = transact(&mut g, |g| -> Result<(), BailoutReason> {
@@ -416,8 +416,8 @@ mod tests {
             other => panic!("expected TransformPanicked, got {other:?}"),
         }
         assert_eq!(g.block_count(), pre_blocks + 1);
-        assert_eq!(g.version(), mid_version);
-        assert_ne!(g.version(), pre_version);
+        assert_eq!(g.cfg_version(), mid_version);
+        assert_ne!(g.cfg_version(), pre_version);
         assert_eq!(g.txn_depth(), 0);
     }
 

@@ -501,7 +501,8 @@ enum Fate<'s> {
     SimPanicked(String),
     /// Worth its cost, but a code-size budget turned it away.
     SizeRejected,
-    /// A branch-split claim the control-dependence graph does not back.
+    /// A branch-split claim control dependence does not back: the taken
+    /// successor post-dominates the branch.
     ControlDepRejected,
     /// Earlier duplications this round restructured the pair away.
     Vanished,
@@ -575,11 +576,22 @@ impl<'r, 's> Round<'r, 's> {
 
     /// The accepted candidates whose branch-split claim — "the final path
     /// element is selected by the branch we are about to fold" — the
-    /// control-dependence graph of the unmutated, simulated graph backs.
-    /// The first branch-split candidate computes that graph (and the
-    /// post-dominator tree under it); a round without one computes no
-    /// reverse-CFG analysis. Where the taken successor post-dominates the
-    /// branch, the fold would eliminate no control dependence.
+    /// post-dominator tree of the unmutated, simulated graph backs. The
+    /// first branch-split candidate computes that tree; a round without
+    /// one computes no reverse-CFG analysis.
+    ///
+    /// The claim is Ferrante–Ottenstein–Warren control dependence of
+    /// `taken` on `split`, and for this shape it is exactly "`taken` does
+    /// not post-dominate `split`": `split` is a reachable two-way branch
+    /// and `taken != split` one of its successors. FOW's walk from `taken`
+    /// records `taken` unless `taken == ipdom(split)`, and a successor
+    /// that strictly post-dominates its branch is always the immediate
+    /// post-dominator (a simple path `split → taken → … → exit` would
+    /// otherwise pass `ipdom(split)` after `taken`, then `taken` again);
+    /// the other successor's walk stops at `ipdom(split)` before reaching
+    /// `taken`. The same holds with the virtual exit and pseudo-exits.
+    /// Where the taken successor post-dominates the branch, the fold would
+    /// eliminate no control dependence.
     fn cross_check(
         &mut self,
         g: &Graph,
@@ -591,7 +603,7 @@ impl<'r, 's> Round<'r, 's> {
                 || s.path.len() >= 2 && {
                     let taken = s.path[s.path.len() - 1];
                     let split = s.path[s.path.len() - 2];
-                    self.cache.control_dep(g).depends_on(taken, split)
+                    !self.cache.postdom(g).post_dominates(taken, split)
                 };
             if agreed {
                 plan.push(s);
@@ -1492,8 +1504,8 @@ mod tests {
 
     /// Listing 1 with the φ's constant input 0: on the `bf` edge `0 > 12`
     /// decides `bm`'s branch toward the join `bj` — a branch-split claim
-    /// the control-dependence graph does not back, because `bj`
-    /// post-dominates `bm`.
+    /// control dependence does not back, because `bj` post-dominates
+    /// `bm`.
     fn split_into_post_dominator() -> Graph {
         let mut b = GraphBuilder::new("join", &[Type::Int], empty_table());
         let i = b.param(0);
@@ -1545,7 +1557,7 @@ mod tests {
                 stats.split_applied,
                 stats.cache.rev_misses
             ),
-            (1, 1, 0, 2),
+            (1, 1, 0, 1),
             "stats: {stats:?}"
         );
         let (bf, bm) = (BlockId::from_index(2), BlockId::from_index(3));
@@ -1618,9 +1630,9 @@ mod tests {
     fn reverse_analyses_hit_the_cache_during_the_phase() {
         // Two split listings under one entry branch, so one
         // round accepts two branch-split candidates: the control-
-        // dependence cross-check of the first computes the CDG and the
-        // post-dominator tree under it (two reverse misses, at the graph
-        // version the DSTs analyzed) and the second is a pure hit.
+        // dependence cross-check of the first computes the post-dominator
+        // tree (one reverse miss, at the graph version the DSTs analyzed)
+        // and the second is a pure hit.
         // Nothing else in the phase asks for a reverse-CFG analysis.
         let mut b = GraphBuilder::new("splits", &[Type::Int, Type::Bool], empty_table());
         let (i, side) = (b.param(0), b.param(1));
@@ -1637,7 +1649,7 @@ mod tests {
         };
         let stats = compile(&mut g, &CostModel::new(), OptLevel::Dupalot, &cfg);
         assert_eq!(stats.split_applied, 2, "stats: {stats:?}");
-        assert_eq!(stats.cache.rev_misses, 2, "stats: {stats:?}");
+        assert_eq!(stats.cache.rev_misses, 1, "stats: {stats:?}");
         assert_eq!(stats.cache.rev_hits, 1, "stats: {stats:?}");
         assert_eq!(stats.cache.rev_invalidations, 0, "stats: {stats:?}");
     }

@@ -28,9 +28,10 @@ use std::sync::Arc;
 ///
 /// Process-global so a stamp is never reused, even across graphs or after a
 /// graph is rolled back to an earlier clone (`*g = backup`): a cache entry
-/// recorded under some stamp can only ever describe the one graph state that
-/// carried it. Clones share their original's stamps — which is exactly right,
-/// because a clone is bit-identical until its first own mutation.
+/// recorded under some stamp can only ever describe the one block structure
+/// that carried it. Clones share their original's stamp — which is exactly
+/// right, because a clone has the same blocks and edges until its first own
+/// CFG mutation.
 static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_version() -> u64 {
@@ -77,11 +78,10 @@ struct TxnFrame {
     /// allocated inside the transaction and are dropped by rollback.
     base_insts: usize,
     base_blocks: usize,
-    /// Version stamps at `begin_txn`, restored verbatim by rollback.
+    /// The CFG epoch at `begin_txn`, restored verbatim by rollback.
     /// ABA-safe: stamps are globally unique and never reused, so a cache
-    /// entry keyed on them can only describe this exact pre-txn state.
+    /// entry keyed on it can only describe this exact pre-txn state.
     cfg_version: u64,
-    value_version: u64,
     /// First-touch backups of instruction / block slots mutated while
     /// this frame was open (only slots below the bases are recorded).
     saved_insts: HashMap<usize, InstData>,
@@ -219,7 +219,7 @@ pub struct TxnFootprint {
 ///
 /// Mutations can be bracketed by [`Graph::begin_txn`] /
 /// [`Graph::commit_txn`] / [`Graph::rollback_txn`]: rollback restores
-/// the graph *and* its version stamps to the `begin_txn` state in
+/// the graph *and* its version stamp to the `begin_txn` state in
 /// O(slots touched) instead of the O(graph) a clone-and-restore costs.
 /// Transactions nest.
 #[derive(Debug)]
@@ -234,12 +234,9 @@ pub struct Graph {
     class_table: Arc<ClassTable>,
     /// Epoch of the last CFG-structural mutation (blocks, edges, branch
     /// probabilities). Keys CFG-level analyses: dominators, loops,
-    /// frequencies.
+    /// frequencies. Pure value rewrites leave it alone, so those analyses
+    /// survive them.
     cfg_version: u64,
-    /// Epoch of the last mutation of any kind. A CFG mutation bumps both
-    /// levels; a pure value rewrite bumps only this one, so CFG-level
-    /// analyses survive it.
-    value_version: u64,
     /// Open transactions and their first-touch backups.
     undo: UndoLog,
     /// Def-use lists: per value, one entry per live operand slot (operand
@@ -253,7 +250,7 @@ pub struct Graph {
 }
 
 impl Clone for Graph {
-    /// Clones the arenas, the class table, and the version stamps — but
+    /// Clones the arenas, the class table, and the version stamp — but
     /// **not** the undo log: the clone starts with no open transactions
     /// and zeroed undo counters. A clone is an independent timeline;
     /// rolling back the original must never entangle it.
@@ -267,7 +264,6 @@ impl Clone for Graph {
             blocks: self.blocks.clone(),
             class_table: Arc::clone(&self.class_table),
             cfg_version: self.cfg_version,
-            value_version: self.value_version,
             undo: UndoLog::default(),
             uses: self.uses.clone(),
             input_scratch: Vec::new(),
@@ -293,12 +289,10 @@ impl Graph {
             }],
             class_table,
             cfg_version: fresh_version(),
-            value_version: 0,
             undo: UndoLog::default(),
             uses: UseLists::default(),
             input_scratch: Vec::new(),
         };
-        g.value_version = g.cfg_version;
         for (i, &ty) in params.iter().enumerate() {
             assert!(!ty.is_void(), "parameters cannot be void");
             let id = g.append_inst(g.entry, Inst::Param(i as u32), ty);
@@ -317,42 +311,28 @@ impl Graph {
         self.entry
     }
 
-    /// The graph's current mutation epoch: changes after *every* mutation.
-    ///
-    /// Stamps are globally unique across all graphs and never reused, so two
-    /// equal stamps always describe the same graph contents. Cloning keeps
-    /// the stamp (the clone is identical); the first mutation of either copy
-    /// gives it a fresh one.
-    pub fn version(&self) -> u64 {
-        self.value_version
-    }
-
     /// The epoch of the last CFG-structural mutation (block/edge/probability
     /// changes). Unchanged by pure value rewrites, so analyses derived only
     /// from the block structure (dominators, loops, frequencies) stay valid
     /// while this stays equal.
+    ///
+    /// Stamps are globally unique across all graphs and never reused, so two
+    /// equal stamps always describe the same block structure. Cloning keeps
+    /// the stamp (the clone is identical); the first CFG mutation of either
+    /// copy gives it a fresh one.
     pub fn cfg_version(&self) -> u64 {
         self.cfg_version
     }
 
-    /// Records a CFG-structural mutation (also a value-level one: CFG edits
-    /// can move or drop instructions, e.g. φ inputs).
+    /// Records a CFG-structural mutation.
     fn bump_cfg(&mut self) {
         self.note_edit();
         self.cfg_version = fresh_version();
-        self.value_version = self.cfg_version;
-    }
-
-    /// Records a value-level mutation that leaves the block structure alone.
-    fn bump_value(&mut self) {
-        self.note_edit();
-        self.value_version = fresh_version();
     }
 
     /// Counts one primitive mutation towards the undo log's edit counter.
-    /// Every mutating primitive calls exactly one of [`Graph::bump_cfg`] /
-    /// [`Graph::bump_value`] exactly once, so hooking the counter there
-    /// counts each primitive once.
+    /// Every mutating primitive calls it exactly once: directly when it
+    /// leaves the block structure alone, else through [`Graph::bump_cfg`].
     fn note_edit(&mut self) {
         if !self.undo.frames.is_empty() {
             self.undo.edits += 1;
@@ -428,7 +408,7 @@ impl Graph {
 
     /// Opens a transaction: subsequent mutations record first-touch
     /// backups so [`Graph::rollback_txn`] can restore this exact state —
-    /// arena contents *and* version stamps — in O(slots touched).
+    /// arena contents *and* version stamp — in O(slots touched).
     /// Transactions nest; each `begin_txn` must be matched by one
     /// [`Graph::commit_txn`] or [`Graph::rollback_txn`].
     pub fn begin_txn(&mut self) {
@@ -436,7 +416,6 @@ impl Graph {
             base_insts: self.insts.len(),
             base_blocks: self.blocks.len(),
             cfg_version: self.cfg_version,
-            value_version: self.value_version,
             saved_insts: HashMap::new(),
             saved_blocks: HashMap::new(),
             #[cfg(debug_assertions)]
@@ -464,9 +443,9 @@ impl Graph {
 
     /// Rolls the innermost transaction back: every backed-up slot is
     /// restored, slots allocated inside the transaction are dropped, and
-    /// both version stamps return to their `begin_txn` values. Because
-    /// stamps are never reused, analysis-cache entries recorded under the
-    /// pre-txn stamps become valid again — exactly as restoring a clone
+    /// the CFG epoch returns to its `begin_txn` value. Because stamps are
+    /// never reused, analysis-cache entries recorded under the pre-txn
+    /// stamp become valid again — exactly as restoring a clone
     /// taken at `begin_txn` would. Returns the number of entries restored.
     ///
     /// # Panics
@@ -508,7 +487,6 @@ impl Graph {
             self.record_term_uses(BlockId::from_index(idx));
         }
         self.cfg_version = frame.cfg_version;
-        self.value_version = frame.value_version;
         self.undo.rollbacks += 1;
         #[cfg(debug_assertions)]
         self.assert_matches_shadow(&frame.shadow);
@@ -521,11 +499,10 @@ impl Graph {
     fn assert_matches_shadow(&self, shadow: &Graph) {
         let digest = |g: &Graph| {
             format!(
-                "{:?}|{:?}|{}|{}|{:?}",
+                "{:?}|{:?}|{}|{:?}",
                 g.insts,
                 g.blocks,
                 g.cfg_version,
-                g.value_version,
                 g.uses.canonical()
             )
         };
@@ -649,7 +626,7 @@ impl Graph {
     /// edge API), nor change the produced type.
     pub fn rewrite_inputs<R>(&mut self, id: InstId, f: impl FnOnce(&mut Inst) -> R) -> R {
         self.touch_inst(id);
-        self.bump_value();
+        self.note_edit();
         let before = &mut self.input_scratch;
         before.clear();
         let data = &mut self.insts[id.index()];
@@ -776,7 +753,7 @@ impl Graph {
     }
 
     fn alloc_inst(&mut self, inst: Inst, ty: Type, b: BlockId) -> InstId {
-        self.bump_value();
+        self.note_edit();
         let id = InstId::from_index(self.insts.len());
         self.insts.push(InstData {
             inst,
@@ -796,7 +773,7 @@ impl Graph {
         if let Some(b) = self.insts[id.index()].block {
             self.touch_block(b);
         }
-        self.bump_value();
+        self.note_edit();
         self.retract_inst_uses(id);
         if let Some(b) = self.insts[id.index()].block.take() {
             let insts = &mut self.blocks[b.index()].insts;
@@ -1002,7 +979,7 @@ impl Graph {
     /// references and by optimizations to rewrite branch conditions.
     pub fn patch_terminator_inputs(&mut self, b: BlockId, f: impl FnMut(&mut InstId)) {
         self.touch_block(b);
-        self.bump_value();
+        self.note_edit();
         // On a copy, so that a panicking `f` leaves terminator and use
         // lists as they were.
         let mut term = self.blocks[b.index()].term.clone();
@@ -1032,7 +1009,7 @@ impl Graph {
         assert_ne!(old, new, "cannot replace a value with itself");
         #[cfg(debug_assertions)]
         self.assert_uses_match_scan(old);
-        self.bump_value();
+        self.note_edit();
         for user in self.uses.held_for(old) {
             // A user holding `old` in several slots is listed once per
             // slot; its first visit rewrites them all.
@@ -1327,7 +1304,7 @@ impl Graph {
     #[cfg(test)]
     pub(crate) fn move_inst_record(&mut self, id: InstId, to: BlockId) {
         self.touch_inst(id);
-        self.bump_value();
+        self.note_edit();
         self.insts[id.index()].block = Some(to);
     }
 
@@ -1661,26 +1638,21 @@ mod tests {
     #[test]
     fn versions_track_mutation_levels() {
         let (mut g, _bt, _bf, _bm, phi) = figure1();
-        let (cfg0, val0) = (g.cfg_version(), g.version());
-        // Pure value rewrites move the value epoch but not the CFG epoch.
+        let cfg0 = g.cfg_version();
+        // Pure value rewrites leave the CFG epoch alone.
         let hundred = g.append_inst(g.entry(), Inst::Const(ConstValue::Int(100)), Type::Int);
         assert_eq!(g.cfg_version(), cfg0);
-        assert_ne!(g.version(), val0);
         g.replace_all_uses(phi, hundred);
         assert_eq!(g.cfg_version(), cfg0);
-        // Structural mutations move both, to the same fresh stamp.
-        let v1 = g.version();
+        // Structural mutations move it to a fresh stamp.
         g.add_block();
         assert_ne!(g.cfg_version(), cfg0);
-        assert_ne!(g.version(), v1);
-        assert_eq!(g.cfg_version(), g.version());
     }
 
     #[test]
     fn clone_shares_stamp_until_it_diverges() {
         let (g, ..) = figure1();
         let mut c = g.clone();
-        assert_eq!(c.version(), g.version());
         assert_eq!(c.cfg_version(), g.cfg_version());
         c.add_block();
         assert_ne!(c.cfg_version(), g.cfg_version());
@@ -1699,11 +1671,10 @@ mod tests {
     /// use lists as a multiset, since rollback may reorder them.
     fn digest(g: &Graph) -> String {
         format!(
-            "{:?}|{:?}|{}|{}|{:?}",
+            "{:?}|{:?}|{}|{:?}",
             g.insts,
             g.blocks,
             g.cfg_version,
-            g.value_version,
             g.uses.canonical()
         )
     }
@@ -1891,7 +1862,7 @@ mod tests {
     fn txn_rollback_restores_graph_and_stamps() {
         let (mut g, _bt, _bf, bm, phi) = figure1();
         let before = digest(&g);
-        let (cfg0, val0) = (g.cfg_version(), g.version());
+        let cfg0 = g.cfg_version();
 
         g.begin_txn();
         assert_eq!(g.txn_depth(), 1);
@@ -1904,13 +1875,13 @@ mod tests {
         let last = *g.block_insts(bm).last().expect("bm has instructions");
         g.remove_inst(last);
         assert_ne!(digest(&g), before);
+        assert_ne!(g.cfg_version(), cfg0);
 
         let restored = g.rollback_txn();
         assert!(restored > 0);
         assert_eq!(g.txn_depth(), 0);
         assert_eq!(digest(&g), before);
         assert_eq!(g.cfg_version(), cfg0);
-        assert_eq!(g.version(), val0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the undo log: for random mutation sequences over a
 //! well-formed seed graph, `rollback_txn` must restore *exactly* the
 //! state a clone taken at `begin_txn` would restore — same
-//! printed graph, same predecessor lists, same version stamps, and the
+//! printed graph, same predecessor lists, same version stamp, and the
 //! same lint report. Nested transactions must unwind one mark at a time,
 //! and a committed inner transaction must stay transparent to an outer
 //! rollback.
@@ -70,8 +70,8 @@ fn held_uses(g: &Graph) -> Vec<Vec<Use>> {
 
 /// A total textual fingerprint of the graph built from public API only:
 /// the printed body, every block's predecessor list and terminator, the
-/// instruction arena contents by id, the def-use lists and both version
-/// stamps. Two equal digests mean the observable graph states are
+/// instruction arena contents by id, the def-use lists and the CFG
+/// version stamp. Two equal digests mean the observable graph states are
 /// identical.
 fn digest(g: &Graph) -> String {
     let mut out = print_graph(g);
@@ -95,10 +95,9 @@ fn digest(g: &Graph) -> String {
     }
     let _ = writeln!(
         out,
-        "live={} cfg_v={} value_v={}",
+        "live={} cfg_v={}",
         g.live_inst_count(),
-        g.cfg_version(),
-        g.version()
+        g.cfg_version()
     );
     out
 }
@@ -240,7 +239,7 @@ fn check_lists(g: &Graph) {
 proptest! {
     /// `rollback_txn` is byte-identical to restoring a clone taken at
     /// `begin_txn`: printed graph, arena contents, version
-    /// stamps and the lint report all agree.
+    /// stamp and the lint report all agree.
     #[test]
     fn rollback_matches_snapshot_restore(seq in ops()) {
         let mut g = diamond();

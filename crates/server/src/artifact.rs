@@ -139,7 +139,12 @@ impl CompiledArtifact {
         };
         let classes_len = int(take_line(&mut rest, "classes-bytes: ")?)? as usize;
         let ir_len = int(take_line(&mut rest, "ir-bytes: ")?)? as usize;
-        if rest.len() != classes_len + ir_len {
+        let Some(body_len) = classes_len.checked_add(ir_len) else {
+            return Err(ArtifactError(format!(
+                "header lengths {classes_len} + {ir_len} overflow"
+            )));
+        };
+        if rest.len() != body_len {
             return Err(ArtifactError(format!(
                 "body is {} bytes, header promises {} + {}",
                 rest.len(),
@@ -254,5 +259,22 @@ mod tests {
         let bytes = a.serialize();
         assert!(CompiledArtifact::parse(&bytes[..bytes.len() - 3]).is_err());
         assert!(CompiledArtifact::parse(b"garbage").is_err());
+    }
+
+    #[test]
+    fn overflowing_length_headers_are_rejected_not_panicked_on() {
+        let (g, stats, cfg) = compiled();
+        let key = StoreKey::compute(&g, &cfg, OptLevel::Dbds);
+        let a = CompiledArtifact::from_compiled(key, OptLevel::Dbds, &g, &stats);
+        let text = String::from_utf8(a.serialize()).unwrap();
+        let header_end = text.find("classes-bytes: ").unwrap();
+        let payload = format!(
+            "{}classes-bytes: {}\nir-bytes: 1\nx",
+            &text[..header_end],
+            u64::MAX
+        );
+        let err = CompiledArtifact::parse(payload.as_bytes()).unwrap_err();
+        assert!(err.0.contains("overflow"), "{err}");
+        assert!(err.0.contains(&u64::MAX.to_string()), "{err}");
     }
 }
