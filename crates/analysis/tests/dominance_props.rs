@@ -8,10 +8,14 @@
 //! post-dominator tree is also pinned, field for field, to what the
 //! stand-alone solver it used to have produced. The dominance relation
 //! patched across tail duplications ([`Dominators::after_duplication`])
-//! is held to the from-scratch build after every step.
+//! is held to the from-scratch build after every step. The verifier's
+//! own solver in `dbds_ir::lint` is held to the same definitions through
+//! its `SsaDominance`, `NoExitPath` and `ControlDepViolation` verdicts.
 
 use dbds_analysis::{DomTree, Dominators, PostDomTree};
-use dbds_ir::{BlockId, ClassTable, Fnv64, Graph, Terminator, Type};
+use dbds_ir::{
+    lint, BlockId, ClassTable, ConstValue, Fnv64, Graph, Inst, LintId, Terminator, Type,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -83,8 +87,13 @@ fn reachable(g: &Graph, blocked: Option<BlockId>) -> Vec<BlockId> {
 /// the deterministically chosen pseudo-exits of infinite regions), so the
 /// definition below quantifies over exactly the paths the virtual exit
 /// sees.
-fn reaches_exit_avoiding(g: &Graph, from: BlockId, exits: &[BlockId], blocked: BlockId) -> bool {
-    if from == blocked {
+fn reaches_exit_avoiding(
+    g: &Graph,
+    from: BlockId,
+    exits: &[BlockId],
+    blocked: Option<BlockId>,
+) -> bool {
+    if Some(from) == blocked {
         return false;
     }
     let mut seen = vec![false; g.block_count()];
@@ -95,13 +104,104 @@ fn reaches_exit_avoiding(g: &Graph, from: BlockId, exits: &[BlockId], blocked: B
             return true;
         }
         for s in g.succs(b) {
-            if s != blocked && !seen[s.index()] {
+            if Some(s) != blocked && !seen[s.index()] {
                 seen[s.index()] = true;
                 stack.push(s);
             }
         }
     }
     false
+}
+
+/// [`random_cfg`] with code for the verifier to judge: every branch
+/// probability drawn from {0, 0.5, 1}, and one instruction in every
+/// block — a constant, except that `user`'s block negates the constant of
+/// `def`'s block (`def != user`).
+fn random_cfg_with_code(
+    n: usize,
+    choices: &[u8],
+    probs: &[u8],
+    def: BlockId,
+    user: BlockId,
+) -> Graph {
+    let mut g = random_cfg(n, choices);
+    let blocks: Vec<BlockId> = g.blocks().collect();
+    for (i, &b) in blocks.iter().enumerate() {
+        if matches!(g.terminator(b), Terminator::Branch { .. }) {
+            let k = probs.get(i).copied().unwrap_or(1) % 3;
+            g.set_branch_probability(b, f64::from(k) * 0.5);
+        }
+    }
+    let mut def_value = None;
+    for &b in blocks.iter().filter(|&&b| b != user) {
+        let v = g.append_inst(b, Inst::Const(ConstValue::Int(b.index() as i64)), Type::Int);
+        if b == def {
+            def_value = Some(v);
+        }
+    }
+    let v = def_value.expect("def != user");
+    g.append_inst(user, Inst::Neg(v), Type::Int);
+    g
+}
+
+/// The definition-based verdicts of the verifier's reverse-CFG rules on
+/// a graph whose every block holds code: the reachable blocks with no
+/// path to a reachable exit ([`LintId::NoExitPath`]), and the blocks
+/// control dependent on a branch edge of probability 0
+/// ([`LintId::ControlDepViolation`]) — Ferrante–Ottenstein–Warren over
+/// path-to-exit post-dominance: `r` post-dominates the dead successor
+/// `s` of `a` and does not strictly post-dominate `a`.
+fn reverse_verdicts_by_definition(g: &Graph) -> (Vec<BlockId>, Vec<BlockId>) {
+    let reach = reachable(g, None);
+    let exits: Vec<BlockId> = reach
+        .iter()
+        .copied()
+        .filter(|&b| g.succs(b).is_empty())
+        .collect();
+    let in_domain = |b: BlockId| reach.contains(&b) && reaches_exit_avoiding(g, b, &exits, None);
+    let pdom = |r: BlockId, x: BlockId| {
+        in_domain(r) && in_domain(x) && !reaches_exit_avoiding(g, x, &exits, Some(r))
+    };
+    let no_exit = g
+        .blocks()
+        .filter(|&b| reach.contains(&b) && !in_domain(b))
+        .collect();
+    let mut dependent = Vec::new();
+    for a in g.blocks().filter(|&a| in_domain(a)) {
+        let dead = match *g.terminator(a) {
+            Terminator::Branch {
+                then_bb,
+                prob_then: 0.0,
+                ..
+            } => then_bb,
+            Terminator::Branch {
+                else_bb,
+                prob_then: 1.0,
+                ..
+            } => else_bb,
+            _ => continue,
+        };
+        dependent.extend(
+            g.blocks()
+                .filter(|&r| pdom(r, dead) && (r == a || !pdom(r, a))),
+        );
+    }
+    dependent.sort();
+    dependent.dedup();
+    (no_exit, dependent)
+}
+
+/// The blocks `lint` anchors `lint_id` diagnostics to, sorted and
+/// deduplicated.
+fn lint_blocks(g: &Graph, lint_id: LintId) -> Vec<BlockId> {
+    let mut blocks: Vec<BlockId> = lint(g)
+        .diagnostics()
+        .iter()
+        .filter(|d| d.lint == lint_id)
+        .filter_map(|d| d.block)
+        .collect();
+    blocks.dedup();
+    blocks
 }
 
 /// Everything a [`PostDomTree`] exposes — `ipdom`, root and domain
@@ -490,7 +590,7 @@ proptest! {
             for b in g.blocks() {
                 let by_definition = pd.in_domain(a)
                     && pd.in_domain(b)
-                    && !reaches_exit_avoiding(&g, b, &exits, a);
+                    && !reaches_exit_avoiding(&g, b, &exits, Some(a));
                 prop_assert_eq!(
                     pd.post_dominates(a, b),
                     by_definition,
@@ -532,6 +632,41 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn verifier_verdicts_match_the_definitions(
+        n in 2usize..10,
+        choices in proptest::collection::vec(0u8..8, 10),
+        probs in proptest::collection::vec(0u8..3, 10),
+        def in 0usize..10,
+        offset in 0usize..10,
+    ) {
+        // The verifier's own dominator solver, in both directions,
+        // against the definitions: a use draws `SsaDominance` iff its
+        // block is reachable and not dominated by the definition's, and
+        // the reverse-CFG rules flag exactly the definition-based sets.
+        let blocks: Vec<BlockId> = (0..n).map(BlockId::from_index).collect();
+        let (def, user) = (blocks[def % n], blocks[(def + 1 + offset % (n - 1)) % n]);
+        let g = random_cfg_with_code(n, &choices, &probs, def, user);
+        let undominated = reachable(&g, None).contains(&user)
+            && !dominates_by_definition(&g, def, user);
+        prop_assert_eq!(
+            lint_blocks(&g, LintId::SsaDominance),
+            if undominated { vec![user] } else { vec![] },
+            "use in {} of {}'s value on graph:\n{}",
+            user,
+            def,
+            g
+        );
+        let (no_exit, dependent) = reverse_verdicts_by_definition(&g);
+        prop_assert_eq!(lint_blocks(&g, LintId::NoExitPath), no_exit, "graph:\n{}", g);
+        prop_assert_eq!(
+            lint_blocks(&g, LintId::ControlDepViolation),
+            dependent,
+            "graph:\n{}",
+            g
+        );
     }
 
     #[test]

@@ -160,11 +160,11 @@ declare_lints! {
     /// (probability exactly 0 toward it): the profile and the
     /// control-dependence structure contradict each other.
     ControlDepViolation = "control-dep-violation" => Error,
-    /// A duplication left the dominance frontiers structurally broken:
-    /// a frontier disagrees with a definition-based recomputation over
-    /// the forward edges, or the copy's and merge's frontiers diverge
-    /// although neither block dominates the other (emitted by
-    /// dbds-core's post-duplication check).
+    /// A duplication's copy is not a tail copy of its merge: its
+    /// predecessors are not exactly the one duplicated predecessor, or
+    /// its successors differ from the merge's (emitted by dbds-core's
+    /// O(1) post-duplication check, `lint_tail_copy`; `lint_frontier`,
+    /// its dominance-frontier reference form, emits it too).
     FrontierViolation = "frontier-violation" => Error,
     /// A value's def-use list ([`Graph::uses`]) is not the multiset of
     /// live operand slots that mention it: some mutation changed an
@@ -308,7 +308,7 @@ impl fmt::Display for LintReport {
 /// hygiene pass.
 pub fn lint_soundness(g: &Graph) -> LintReport {
     let mut out = Vec::new();
-    soundness_passes(g, &mut Sink { out: &mut out });
+    soundness_passes(g, &DomForest::forward(g), &mut Sink { out: &mut out });
     LintReport::from_diagnostics(out)
 }
 
@@ -317,15 +317,17 @@ pub fn lint_soundness(g: &Graph) -> LintReport {
 pub fn lint(g: &Graph) -> LintReport {
     let mut out = Vec::new();
     let mut s = Sink { out: &mut out };
-    soundness_passes(g, &mut s);
-    hygiene_pass(g, &mut s);
+    let dom = DomForest::forward(g);
+    soundness_passes(g, &dom, &mut s);
+    hygiene_pass(g, &dom, &mut s);
     LintReport::from_diagnostics(out)
 }
 
-/// The error-capable passes. The report is sorted, so their order is
-/// not observable.
-fn soundness_passes(g: &Graph, s: &mut Sink<'_>) {
-    edge_pass(g, s);
+/// The error-capable passes, all reading the one dominator tree `dom`
+/// (its domain is the set of blocks reachable from the entry). The
+/// report is sorted, so their order is not observable.
+fn soundness_passes(g: &Graph, dom: &DomForest, s: &mut Sink<'_>) {
+    edge_pass(g, dom, s);
     // Block layout: instruction↔block records, φ placement and arity,
     // param placement, dangling value references.
     for b in g.blocks() {
@@ -335,8 +337,8 @@ fn soundness_passes(g: &Graph, s: &mut Sink<'_>) {
     for b in g.blocks() {
         type_rules(g, b, s);
     }
-    dominance_pass(g, s);
-    reverse_cfg_pass(g, s);
+    dominance_pass(g, dom, s);
+    reverse_cfg_pass(g, dom, s);
     use_list_pass(g, s);
 }
 
@@ -399,11 +401,6 @@ impl Sink<'_> {
 
 // ---------------------------------------------------------------------
 // Error-severity rules, one function per block.
-//
-// Each function checks every rule of its family on ONE block and reads
-// only that block's slot, the slots of the instructions it lists and
-// (for operands) the immutable result type / current owning block of
-// the operand. The whole-graph passes below loop them over every block.
 // ---------------------------------------------------------------------
 
 /// Edge bookkeeping of `b`: entry predecessors, duplicate branch
@@ -608,7 +605,7 @@ fn expect_type(s: &mut Sink<'_>, g: &Graph, b: BlockId, at: InstId, v: InstId, t
     }
 }
 
-/// Per-instruction type rules of `b` plus its branch-condition typing.
+/// Per-instruction type rules of `b` plus its terminator's typing.
 #[allow(clippy::too_many_lines)]
 fn type_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
     let table = g.class_table();
@@ -764,23 +761,27 @@ fn type_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
             }
         }
     }
-    if let Terminator::Branch { cond, .. } = g.terminator(b) {
-        if cond.index() < g.inst_count() && g.ty(*cond) != Type::Bool {
-            s.emit(
-                LintId::TypeError,
-                Some(b),
-                None,
-                format!("terminator of {b}: branch on {}", g.ty(*cond)),
-            );
+    let message = match *g.terminator(b) {
+        Terminator::Branch { cond, .. }
+            if cond.index() < g.inst_count() && g.ty(cond) != Type::Bool =>
+        {
+            format!("terminator of {b}: branch on {}", g.ty(cond))
         }
-    }
+        Terminator::Return { value: Some(v) }
+            if v.index() < g.inst_count() && g.ty(v) == Type::Void =>
+        {
+            format!("terminator of {b}: returns void value {v}")
+        }
+        _ => return,
+    };
+    s.emit(LintId::TypeError, Some(b), None, message);
 }
 
 /// Marker of [`dominance_rules`]' position table for "not listed".
 const NO_POS: u32 = u32::MAX;
 
 /// Is `v` available at the end of `b` (the φ-input rule)?
-fn available_at_end(g: &Graph, dom: &SimpleDomTree, v: InstId, b: BlockId) -> bool {
+fn available_at_end(g: &Graph, dom: &DomForest, v: InstId, b: BlockId) -> bool {
     v.index() < g.inst_count() && g.block_of(v).is_some_and(|db| dom.dominates(db, b))
 }
 
@@ -789,7 +790,7 @@ fn available_at_end(g: &Graph, dom: &SimpleDomTree, v: InstId, b: BlockId) -> bo
 /// available at the end of its predecessor. `pos` maps an instruction
 /// index to its position in its block's list ([`NO_POS`] if unlisted);
 /// only the entries of `b`'s own instructions are read.
-fn dominance_rules(g: &Graph, dom: &SimpleDomTree, pos: &[u32], b: BlockId, s: &mut Sink<'_>) {
+fn dominance_rules(g: &Graph, dom: &DomForest, pos: &[u32], b: BlockId, s: &mut Sink<'_>) {
     let dominates_use = |v: InstId, use_pos: usize| {
         if v.index() >= g.inst_count() {
             return false;
@@ -832,20 +833,16 @@ fn dominance_rules(g: &Graph, dom: &SimpleDomTree, pos: &[u32], b: BlockId, s: &
 
 /// Edge bookkeeping: pred/succ symmetry, entry predecessors, duplicate
 /// branch targets, branch probabilities, unreachable predecessors.
-fn edge_pass(g: &Graph, s: &mut Sink<'_>) {
+fn edge_pass(g: &Graph, dom: &DomForest, s: &mut Sink<'_>) {
     for b in g.blocks() {
         edge_rules(g, b, s);
     }
     // Reachable blocks must not have unreachable predecessors: the
     // cleanup pass must disconnect dead code before verification.
     // A property of global reachability, not of any one block's slot.
-    let mut reachable = vec![false; g.block_count()];
-    for b in g.reachable_blocks() {
-        reachable[b.index()] = true;
-    }
-    for b in g.blocks().filter(|b| reachable[b.index()]) {
+    for b in g.blocks().filter(|&b| dom.contains(b)) {
         for &p in g.preds(b) {
-            if !reachable[p.index()] {
+            if !dom.contains(p) {
                 s.emit(
                     LintId::GraphConsistency,
                     Some(b),
@@ -859,8 +856,7 @@ fn edge_pass(g: &Graph, s: &mut Sink<'_>) {
 
 /// The SSA dominance property: every use is dominated by its definition,
 /// and every φ input dominates (the end of) its predecessor.
-fn dominance_pass(g: &Graph, s: &mut Sink<'_>) {
-    let dom = SimpleDomTree::compute(g);
+fn dominance_pass(g: &Graph, dom: &DomForest, s: &mut Sink<'_>) {
     // Position of each instruction within its block, for the
     // same-block checks.
     let mut pos = vec![NO_POS; g.inst_count()];
@@ -870,7 +866,7 @@ fn dominance_pass(g: &Graph, s: &mut Sink<'_>) {
         }
     }
     for &b in &dom.rpo {
-        dominance_rules(g, &dom, &pos, b, s);
+        dominance_rules(g, dom, &pos, b, s);
     }
 }
 
@@ -893,13 +889,9 @@ fn use_list_pass(g: &Graph, s: &mut Sink<'_>) {
 
 /// CFG hygiene: findings the soundness checks cannot express — populated
 /// dead blocks, trivial φs, critical edges into merges. All warn-severity.
-fn hygiene_pass(g: &Graph, s: &mut Sink<'_>) {
-    let mut reachable = vec![false; g.block_count()];
-    for b in g.reachable_blocks() {
-        reachable[b.index()] = true;
-    }
+fn hygiene_pass(g: &Graph, dom: &DomForest, s: &mut Sink<'_>) {
     for b in g.blocks() {
-        if !reachable[b.index()] && !g.block_insts(b).is_empty() {
+        if !dom.contains(b) && !g.block_insts(b).is_empty() {
             s.emit(
                 LintId::UnreachableBlock,
                 Some(b),
@@ -959,43 +951,20 @@ fn hygiene_pass(g: &Graph, s: &mut Sink<'_>) {
 
 /// Reverse-CFG structure: exit reachability ([`LintId::NoExitPath`]) and
 /// the cross-check of branch probabilities against control dependence
-/// ([`LintId::ControlDepViolation`]). The full-featured analyses
-/// (post-dominator tree with virtual exit, frontiers, control-dependence
-/// graph) live in `dbds-analysis`; this pass reimplements just enough on
-/// a [`SimplePostDom`] to stay dependency-cycle-free, mirroring how
-/// [`dominance_pass`] relates to the cached `DomTree`.
-fn reverse_cfg_pass(g: &Graph, s: &mut Sink<'_>) {
-    let n = g.block_count();
-    let mut reachable = vec![false; n];
-    for b in g.reachable_blocks() {
-        reachable[b.index()] = true;
-    }
-    // Backward reachability from the exit blocks.
-    let mut reaches_exit = vec![false; n];
-    let mut work: Vec<BlockId> = Vec::new();
-    for b in g.blocks() {
-        if reachable[b.index()] && g.succs(b).is_empty() {
-            reaches_exit[b.index()] = true;
-            work.push(b);
-        }
-    }
-    while let Some(b) = work.pop() {
-        for &p in g.preds(b) {
-            if reachable[p.index()] && !reaches_exit[p.index()] {
-                reaches_exit[p.index()] = true;
-                work.push(p);
-            }
-        }
-    }
-    for b in g.blocks() {
-        if reachable[b.index()] && !reaches_exit[b.index()] {
-            s.emit(
-                LintId::NoExitPath,
-                Some(b),
-                None,
-                format!("reachable {b} has no path to any exit block"),
-            );
-        }
+/// ([`LintId::ControlDepViolation`]), on the post-dominator forest of the
+/// reachable blocks that reach an exit. Exit reachability is that
+/// forest's domain; only the cross-check reads post-dominators, and only
+/// from a branch of probability exactly 0 or 1, so the reverse solve
+/// runs only when such a branch exists.
+fn reverse_cfg_pass(g: &Graph, dom: &DomForest, s: &mut Sink<'_>) {
+    let mut pdom = DomForest::search(g, Dir::Reverse, Some(dom));
+    for b in g.blocks().filter(|&b| dom.contains(b) && !pdom.contains(b)) {
+        s.emit(
+            LintId::NoExitPath,
+            Some(b),
+            None,
+            format!("reachable {b} has no path to any exit block"),
+        );
     }
 
     // Control-dependence vs. probability cross-check: code that is
@@ -1004,33 +973,29 @@ fn reverse_cfg_pass(g: &Graph, s: &mut Sink<'_>) {
     // profile the whole trade-off tier prices with. The chain walk is
     // Ferrante's: everything from the dead successor up to (exclusive)
     // the branch's immediate post-dominator is decided by that edge.
-    let pd = SimplePostDom::compute(g, &reaches_exit);
-    for a in g.blocks() {
-        if !reaches_exit[a.index()] {
-            continue;
-        }
-        let Terminator::Branch {
-            then_bb,
-            else_bb,
-            prob_then,
-            ..
-        } = g.terminator(a)
-        else {
-            continue;
-        };
-        let dead_succ = if *prob_then == 0.0 {
-            Some(*then_bb)
-        } else if *prob_then == 1.0 {
-            Some(*else_bb)
-        } else {
-            None
-        };
-        let Some(dead) = dead_succ else { continue };
-        let target = pd.ipdom(a);
+    let dead_edges: Vec<(BlockId, BlockId, f64)> = g
+        .blocks()
+        .filter(|&a| pdom.contains(a))
+        .filter_map(|a| match *g.terminator(a) {
+            Terminator::Branch {
+                then_bb, prob_then, ..
+            } if prob_then == 0.0 => Some((a, then_bb, prob_then)),
+            Terminator::Branch {
+                else_bb, prob_then, ..
+            } if prob_then == 1.0 => Some((a, else_bb, prob_then)),
+            _ => None,
+        })
+        .collect();
+    if dead_edges.is_empty() {
+        return;
+    }
+    pdom.solve(g);
+    for (a, dead, prob_then) in dead_edges {
+        let target = pdom.parent(a);
         let mut runner = Some(dead);
         while runner != target {
             let Some(r) = runner else { break };
-            if !reaches_exit[r.index()] {
+            if !pdom.contains(r) {
                 break;
             }
             if !g.block_insts(r).is_empty() {
@@ -1044,42 +1009,98 @@ fn reverse_cfg_pass(g: &Graph, s: &mut Sink<'_>) {
                     ),
                 );
             }
-            runner = pd.ipdom(r);
+            runner = pdom.parent(r);
         }
     }
 }
 
-/// A minimal post-dominator tree used only by [`reverse_cfg_pass`],
-/// restricted to blocks that reach an exit (the pass warns about the rest
-/// separately, so no virtual-exit/pseudo-exit machinery is needed here).
-/// The full analysis lives in `dbds-analysis`; this one avoids a
-/// dependency cycle, like [`SimpleDomTree`] below.
-struct SimplePostDom {
-    /// `None` for roots of the post-dominator forest (exit blocks) and
-    /// for blocks outside the restricted domain.
-    ipdom: Vec<Option<BlockId>>,
+/// Which way a [`DomForest`] reads the CFG.
+#[derive(Clone, Copy)]
+enum Dir {
+    /// Dominators: the search follows successors from the entry.
+    Forward,
+    /// Post-dominators: the search follows predecessors from the exits.
+    Reverse,
 }
 
-impl SimplePostDom {
-    fn compute(g: &Graph, in_domain: &[bool]) -> Self {
+impl Dir {
+    /// Is `b` a root: the entry forward, an exit in reverse?
+    fn is_root(self, g: &Graph, b: BlockId) -> bool {
+        match self {
+            Dir::Forward => b == g.entry(),
+            Dir::Reverse => g.succs(b).is_empty(),
+        }
+    }
+
+    /// The `k`-th edge the search follows out of `b`.
+    fn edge(self, g: &Graph, b: BlockId, k: usize) -> Option<BlockId> {
+        match self {
+            Dir::Forward => g.succs(b).get(k).copied(),
+            Dir::Reverse => g.preds(b).get(k).copied(),
+        }
+    }
+
+    /// The `k`-th edge into `b`: the predecessors the solver intersects.
+    fn back_edge(self, g: &Graph, b: BlockId, k: usize) -> Option<BlockId> {
+        match self {
+            Dir::Forward => g.preds(b).get(k).copied(),
+            Dir::Reverse => g.succs(b).get(k).copied(),
+        }
+    }
+}
+
+/// A block index no block carries: outside the domain, or not yet solved.
+const UNSEEN: u32 = u32::MAX;
+
+/// The verifier's dominator solver, for either edge direction: a DFS
+/// from the roots, then Cooper–Harvey–Kennedy with a virtual root one
+/// past the real blocks, placed above the roots. Forward, the root is
+/// the entry and the domain the reachable blocks; in reverse, the roots
+/// are the reachable exits and the domain the reachable blocks that
+/// reach one. `dbds-analysis` depends on this crate, so the verifier
+/// carries its own solver.
+struct DomForest {
+    dir: Dir,
+    /// The domain in reverse postorder of the search.
+    rpo: Vec<BlockId>,
+    /// Position in `rpo` plus one per block, 0 for the virtual root (the
+    /// last slot), [`UNSEEN`] outside the domain.
+    pos: Vec<u32>,
+    /// The solved parent per block: the virtual root above the roots,
+    /// [`UNSEEN`] outside the domain or before [`DomForest::solve`].
+    parent: Vec<u32>,
+}
+
+impl DomForest {
+    /// The dominator tree of the blocks reachable from the entry.
+    fn forward(g: &Graph) -> Self {
+        let mut dom = Self::search(g, Dir::Forward, None);
+        dom.solve(g);
+        dom
+    }
+
+    /// The domain and its order, searched from the roots in `dir` over
+    /// the blocks of `within`'s domain (every block if `None`); nothing
+    /// is solved yet.
+    fn search(g: &Graph, dir: Dir, within: Option<&DomForest>) -> Self {
         let n = g.block_count();
-        // Postorder of the reversed graph from each exit over pred edges.
-        let mut visited = vec![false; n];
+        let allowed = |b: BlockId| within.is_none_or(|w| w.contains(b));
+        // `pos` marks the visited blocks with 0 until they are numbered.
+        let mut pos = vec![UNSEEN; n + 1];
         let mut post: Vec<BlockId> = Vec::new();
-        for e in g.blocks() {
-            if !in_domain[e.index()] || !g.succs(e).is_empty() || visited[e.index()] {
+        let mut stack: Vec<(BlockId, usize)> = Vec::new();
+        for root in g.blocks().filter(|&b| allowed(b) && dir.is_root(g, b)) {
+            if pos[root.index()] != UNSEEN {
                 continue;
             }
-            visited[e.index()] = true;
-            let mut stack: Vec<(BlockId, usize)> = vec![(e, 0)];
-            while let Some(&mut (b, ref mut child)) = stack.last_mut() {
-                let preds = g.preds(b);
-                if *child < preds.len() {
-                    let p = preds[*child];
-                    *child += 1;
-                    if in_domain[p.index()] && !visited[p.index()] {
-                        visited[p.index()] = true;
-                        stack.push((p, 0));
+            pos[root.index()] = 0;
+            stack.push((root, 0));
+            while let Some(&mut (b, ref mut k)) = stack.last_mut() {
+                if let Some(next) = dir.edge(g, b, *k) {
+                    *k += 1;
+                    if pos[next.index()] == UNSEEN && allowed(next) {
+                        pos[next.index()] = 0;
+                        stack.push((next, 0));
                     }
                 } else {
                     post.push(b);
@@ -1087,183 +1108,74 @@ impl SimplePostDom {
                 }
             }
         }
-        let rev_rpo: Vec<BlockId> = post.into_iter().rev().collect();
-        let mut order = vec![usize::MAX; n];
-        for (i, &b) in rev_rpo.iter().enumerate() {
-            order[b.index()] = i + 1; // 0 is the virtual exit
+        post.reverse();
+        for (i, &b) in post.iter().enumerate() {
+            pos[b.index()] = i as u32 + 1;
         }
-        // CHK over reversed edges; `Some(b) == b` encodes "root" during
-        // the iteration (the virtual exit is every exit's parent).
-        let mut ipdom: Vec<Option<BlockId>> = vec![None; n];
-        let mut is_root = vec![false; n];
+        pos[n] = 0;
+        DomForest {
+            dir,
+            rpo: post,
+            pos,
+            parent: vec![UNSEEN; n + 1],
+        }
+    }
+
+    /// Cooper–Harvey–Kennedy over the searched domain. A root's parent is
+    /// the virtual root, which is above every block.
+    fn solve(&mut self, g: &Graph) {
+        let virtual_root = (self.pos.len() - 1) as u32;
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in &rev_rpo {
-                // Reversed preds of `b` = forward succs, plus the virtual
-                // exit when `b` is an exit block.
-                let mut new_parent: Option<Option<BlockId>> = if g.succs(b).is_empty() {
-                    Some(None) // parent is the virtual exit
+            for &b in &self.rpo {
+                let new_parent = if self.dir.is_root(g, b) {
+                    virtual_root
                 } else {
-                    None
+                    (0..)
+                        .map_while(|k| self.dir.back_edge(g, b, k))
+                        .map(|p| p.index() as u32)
+                        .filter(|&p| self.parent[p as usize] != UNSEEN)
+                        .reduce(|cur, p| self.intersect(p, cur))
+                        .unwrap_or(UNSEEN)
                 };
-                for s in g.succs(b) {
-                    if ipdom[s.index()].is_none() && !is_root[s.index()] {
-                        continue; // not yet processed or outside
-                    }
-                    new_parent = Some(match new_parent {
-                        None => Some(s),
-                        Some(cur) => Self::intersect(&ipdom, &is_root, &order, Some(s), cur),
-                    });
-                }
-                if let Some(np) = new_parent {
-                    let root = np.is_none();
-                    if ipdom[b.index()] != np || is_root[b.index()] != root {
-                        ipdom[b.index()] = np;
-                        is_root[b.index()] = root;
-                        changed = true;
-                    }
+                if new_parent != UNSEEN && self.parent[b.index()] != new_parent {
+                    self.parent[b.index()] = new_parent;
+                    changed = true;
                 }
             }
         }
-        SimplePostDom { ipdom }
     }
 
-    /// Intersection in the reversed-RPO order; `None` is the virtual exit
-    /// at position 0.
-    fn intersect(
-        ipdom: &[Option<BlockId>],
-        is_root: &[bool],
-        order: &[usize],
-        a: Option<BlockId>,
-        b: Option<BlockId>,
-    ) -> Option<BlockId> {
-        let pos = |x: Option<BlockId>| x.map_or(0, |b| order[b.index()]);
-        let up = |x: Option<BlockId>| {
-            let b = x.expect("virtual exit has no parent");
-            if is_root[b.index()] {
-                None
-            } else {
-                ipdom[b.index()]
-            }
-        };
-        let (mut a, mut b) = (a, b);
+    fn intersect(&self, mut a: u32, mut b: u32) -> u32 {
         while a != b {
-            while pos(a) > pos(b) {
-                a = up(a);
+            while self.pos[a as usize] > self.pos[b as usize] {
+                a = self.parent[a as usize];
             }
-            while pos(b) > pos(a) {
-                b = up(b);
+            while self.pos[b as usize] > self.pos[a as usize] {
+                b = self.parent[b as usize];
             }
         }
         a
     }
 
-    /// The immediate post-dominator of `b` (`None` for exit blocks and
-    /// blocks outside the restricted domain).
-    fn ipdom(&self, b: BlockId) -> Option<BlockId> {
-        self.ipdom[b.index()]
-    }
-}
-
-/// A minimal dominator tree used only by the lint passes. The
-/// full-featured analysis (queries, children, traversal) lives in
-/// `dbds-analysis`; this one avoids a dependency cycle.
-struct SimpleDomTree {
-    idom: Vec<Option<BlockId>>,
-    rpo_index: Vec<usize>,
-    rpo: Vec<BlockId>,
-}
-
-impl SimpleDomTree {
-    fn compute(g: &Graph) -> Self {
-        // Reverse postorder over reachable blocks.
-        let n = g.block_count();
-        let mut visited = vec![false; n];
-        let mut post: Vec<BlockId> = Vec::new();
-        // Iterative DFS computing postorder.
-        let mut stack: Vec<(BlockId, usize)> = vec![(g.entry(), 0)];
-        visited[g.entry().index()] = true;
-        while let Some(&mut (b, ref mut child)) = stack.last_mut() {
-            let succs = g.succs(b);
-            if *child < succs.len() {
-                let s = succs[*child];
-                *child += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-        let rpo: Vec<BlockId> = post.into_iter().rev().collect();
-        let mut rpo_index = vec![usize::MAX; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_index[b.index()] = i;
-        }
-        // Cooper–Harvey–Kennedy iteration.
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[g.entry().index()] = Some(g.entry());
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in g.preds(b) {
-                    if idom[p.index()].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => Self::intersect(&idom, &rpo_index, p, cur),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[b.index()] != Some(ni) {
-                        idom[b.index()] = Some(ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        SimpleDomTree {
-            idom,
-            rpo_index,
-            rpo,
-        }
+    /// Is `b` in the domain?
+    fn contains(&self, b: BlockId) -> bool {
+        self.pos[b.index()] != UNSEEN
     }
 
-    fn intersect(idom: &[Option<BlockId>], rpo_index: &[usize], a: BlockId, b: BlockId) -> BlockId {
-        let (mut a, mut b) = (a, b);
-        while a != b {
-            while rpo_index[a.index()] > rpo_index[b.index()] {
-                a = idom[a.index()].expect("processed block has idom");
-            }
-            while rpo_index[b.index()] > rpo_index[a.index()] {
-                b = idom[b.index()].expect("processed block has idom");
-            }
-        }
-        a
+    /// The immediate (post-)dominator of `b`: `None` when that is the
+    /// virtual root, outside the domain, or before [`DomForest::solve`].
+    fn parent(&self, b: BlockId) -> Option<BlockId> {
+        let p = self.parent[b.index()] as usize;
+        (p < self.pos.len() - 1).then(|| BlockId::from_index(p))
     }
 
-    /// Does `a` dominate `b` (reflexively)? Blocks unreachable from the
-    /// entry neither dominate nor are dominated — not even by themselves.
+    /// Does `a` (post-)dominate `b` (reflexively)? Blocks outside the
+    /// domain neither dominate nor are dominated — not even by
+    /// themselves.
     fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if self.rpo_index[a.index()] == usize::MAX || self.rpo_index[b.index()] == usize::MAX {
-            return false;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur.index()] {
-                Some(i) if i != cur => cur = i,
-                _ => return false,
-            }
-        }
+        self.contains(b) && std::iter::successors(Some(b), |&c| self.parent(c)).any(|c| c == a)
     }
 }
 

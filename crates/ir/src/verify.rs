@@ -4,7 +4,8 @@
 //! placement and arity, type correctness) and the SSA dominance property
 //! (every use is dominated by its definition). Every transformation in the
 //! workspace is validated against it in tests, and the DBDS optimization
-//! tier re-verifies graphs after each duplication in debug builds.
+//! tier re-verifies the graph once per round, at its boundary — after
+//! each duplication only when it replays a round the boundary rejected.
 //!
 //! Since the lint framework landed, [`verify`] is a thin wrapper over
 //! [`crate::lint`]: it runs the passes that can emit an error-severity

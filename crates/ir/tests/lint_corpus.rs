@@ -133,6 +133,24 @@ fn type_error_fires_on_boolean_arithmetic() {
 }
 
 #[test]
+fn type_error_fires_on_a_void_return() {
+    // A store's void result is not a value: returning it parses, but the
+    // optimizer removes the store as dead and leaves a dangling return.
+    let m = dbds_ir::parse_module(
+        "class A { f: int }\nfunc @f(x: int) {\nentry:\n  o: ref A = new A\n  \
+         s: void = store o, A.f, x\n  return s\n}\n",
+    )
+    .expect("parses");
+    let g = &m.graphs[0];
+    let report = lint(g);
+    expect_lint(&report, LintId::TypeError);
+    let problems = dbds_ir::verify(g)
+        .expect_err("a void return fails verify")
+        .problems;
+    assert_eq!(problems, ["terminator of b0: returns void value v2"]);
+}
+
+#[test]
 fn ssa_dominance_fires_on_use_before_def() {
     let mut g = Graph::new("u", &[], empty_table());
     let e = g.entry();

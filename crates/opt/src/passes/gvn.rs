@@ -11,7 +11,7 @@
 //! identity).
 
 use dbds_analysis::{AnalysisCache, DomTree};
-use dbds_ir::{BinOp, ClassId, CmpOp, ConstValue, FieldId, Graph, Inst, InstId};
+use dbds_ir::{BinOp, ClassId, CmpOp, ConstValue, Graph, Inst, InstId};
 use std::collections::HashMap;
 
 /// A hashable structural key for a pure instruction.
@@ -24,10 +24,6 @@ enum Key {
     Neg(InstId),
     InstanceOf(InstId, ClassId),
     ArrayLength(InstId),
-    /// Loads participate only when no effectful instruction can intervene,
-    /// which this pass cannot prove — so they don't. Kept for clarity.
-    #[allow(dead_code)]
-    Load(InstId, FieldId),
 }
 
 fn key_of(g: &Graph, i: InstId) -> Option<Key> {

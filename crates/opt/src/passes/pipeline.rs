@@ -51,21 +51,17 @@ pub fn optimize_once(g: &mut Graph, cache: &mut AnalysisCache) -> OptimizeStats 
     stats
 }
 
-/// Optimizes `g` to a fixpoint with the §2 optimization set.
+/// Optimizes `g` to a fixpoint with the §2 optimization set: rounds of
+/// [`optimize_once`] until one changes nothing.
 pub fn optimize_full(g: &mut Graph, cache: &mut AnalysisCache) -> OptimizeStats {
     let mut stats = OptimizeStats::default();
     for round in 0..MAX_ROUNDS {
+        let once = optimize_once(g, cache);
         stats.rounds = round + 1;
-        let c = canonicalize(g, cache);
-        let gvn = global_value_numbering(g, cache);
-        let sr = scalar_replace(g);
-        let dce = remove_dead_code(g);
-        let simp = simplify_cfg(g);
-        let changed = c.changed() || gvn > 0 || sr > 0 || dce || simp;
-        stats.canon.merge(&c);
-        stats.scalar_replaced += sr;
-        stats.changed |= changed;
-        if !changed {
+        stats.canon.merge(&once.canon);
+        stats.scalar_replaced += once.scalar_replaced;
+        stats.changed |= once.changed;
+        if !once.changed {
             break;
         }
     }

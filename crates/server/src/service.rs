@@ -757,6 +757,34 @@ mod tests {
     }
 
     #[test]
+    fn ir_returning_a_void_value_is_a_bad_request_never_stored() {
+        // DCE removes the dead store and leaves `return` naming it, so
+        // this graph must be rejected before it is compiled or stored.
+        let void_return = "class A { f: int }\nfunc @f(x: int) {\nentry:\n  \
+                           o: ref A = new A\n  s: void = store o, A.f, x\n  return s\n}\n";
+        let svc = service();
+        let before = svc.counters();
+        let r = CompileRequest {
+            source: CompileSource::IrText(void_return.into()),
+            level: OptLevel::Dbds,
+            deadline_ms: None,
+        };
+        for _ in 0..2 {
+            match &svc.compile_batch(std::slice::from_ref(&r))[0] {
+                Err(ServiceError::BadRequest(msg)) => {
+                    assert!(msg.contains("returns void value"), "{msg}")
+                }
+                other => panic!("expected BadRequest, got {other:?}"),
+            }
+        }
+        let c = svc.counters().delta(&before);
+        assert_eq!(
+            (c.requests, c.bad_requests, c.misses, c.puts, c.quarantined),
+            (2, 2, 0, 0, 0)
+        );
+    }
+
+    #[test]
     fn ir_the_graph_primitives_reject_is_a_parse_error() {
         // A void parameter, a void field and a branch with one target
         // twice: each would trip an assert in a graph or class-table
