@@ -13,14 +13,14 @@ use crate::bailout::{
 };
 use crate::faultinject::fault_point;
 use crate::simulation::{
-    audit_opportunities, count_mispredictions, dominator_chain, simulate_paths_budgeted,
-    CandidateKind, SimulationResult,
+    count_mispredictions, dominator_chain, simulate_paths_budgeted, AuditMemo, CandidateKind,
+    SimulationResult,
 };
 use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
 use crate::transform::{try_duplicate, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats, Dominators};
 use dbds_costmodel::CostModel;
-use dbds_ir::{BlockId, Diagnostic, Graph, LintId, UndoStats};
+use dbds_ir::{BlockId, Diagnostic, Graph, LintId, TxnFootprint, UndoStats};
 use dbds_opt::{optimize_full, optimize_once, OptKind};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -244,6 +244,18 @@ pub struct PhaseStats {
     /// their frontiers could diverge. Each one rolled its transaction
     /// back; a nonzero count is an alarm on the SSA/CFG repair.
     pub frontier_violations: usize,
+    /// Prediction audits run (one per accepted candidate with recorded
+    /// opportunities that was still a pair when its turn came).
+    /// Deterministic.
+    pub audit_runs: u64,
+    /// Dominator-chain blocks the audits replayed: the blocks below the
+    /// prefix each audit shared with the previous one's chain.
+    /// Deterministic.
+    pub audit_blocks_replayed: u64,
+    /// Instructions the audits evaluated: those of the replayed blocks
+    /// plus those their DSTs evaluated (a merge's φs only seed synonyms).
+    /// Deterministic.
+    pub audit_insts_evaluated: u64,
     /// Every bailout incident of this compilation, in order.
     pub bailouts: Vec<BailoutRecord>,
 }
@@ -545,6 +557,8 @@ struct Round<'r, 's> {
     undo_ns: u128,
     /// The first differential-oracle disagreement of the pass in hand.
     oracle: Option<String>,
+    /// The prediction audit's facts along the last audited chain.
+    memo: AuditMemo,
     log: Vec<(Option<(BlockId, BlockId)>, Fate<'s>)>,
 }
 
@@ -560,6 +574,7 @@ impl<'r, 's> Round<'r, 's> {
             guard_ns: 0,
             undo_ns: 0,
             oracle: None,
+            memo: AuditMemo::new(),
             log: Vec::new(),
         }
     }
@@ -681,6 +696,9 @@ impl<'r, 's> Round<'r, 's> {
         pass: Pass,
     ) -> Result<(), Rejection> {
         self.relation = None;
+        // A replay starts on the graph the round opened with, which the
+        // memo's chain may not describe.
+        self.memo.clear();
         for &s in plan {
             match self.fate(g, s, pass) {
                 Ok(fate) => self.settle((s.pred, s.merge), fate),
@@ -733,7 +751,9 @@ impl<'r, 's> Round<'r, 's> {
         // the phase's budget.
         if !s.opportunities.is_empty() {
             let tg = Instant::now();
-            let rerun = audit_opportunities(g, self.model, self.cache, s);
+            let rerun = self
+                .memo
+                .audit(g, self.model, self.cache, s, &mut self.oracle);
             let missed = match &rerun {
                 Some(ops) => count_mispredictions(&s.opportunities, ops),
                 None => s.opportunities.len(),
@@ -780,7 +800,7 @@ impl<'r, 's> Round<'r, 's> {
         let start = self.cache.dominators(g);
         let mut guard = tg.elapsed().as_nanos();
         let mut rejected_by: Option<LintId> = None;
-        let (cache, oracle) = (&mut *self.cache, &mut self.oracle);
+        let (cache, oracle, memo) = (&mut *self.cache, &mut self.oracle, &mut self.memo);
         let (result, txn_ns) = transact(g, |g| {
             // The relation before the next duplication: each step's check
             // patches it forward.
@@ -827,6 +847,11 @@ impl<'r, 's> Round<'r, 's> {
                 steps.push(step(g, &dup));
                 verified(g, &dup)?;
             }
+            // The chain commits: what it changed is its own frame's
+            // footprint, read before the commit merges it away.
+            let tg = Instant::now();
+            memo.invalidate(&footprint_blocks(g, &g.txn_footprint()));
+            guard += tg.elapsed().as_nanos();
             Ok((steps, current))
         });
         self.guard_ns += guard + txn_ns;
@@ -870,6 +895,9 @@ impl<'r, 's> Round<'r, 's> {
         }
         stats.guard_ns += self.guard_ns;
         stats.undo_ns += self.undo_ns;
+        stats.audit_runs += self.memo.work.runs;
+        stats.audit_blocks_replayed += self.memo.work.blocks_replayed;
+        stats.audit_insts_evaluated += self.memo.work.insts_evaluated;
         let (mut cumulative, mut stopped) = (0.0, false);
         for (candidate, fate) in self.log {
             let (reason, tier, recovered) = match fate {
@@ -957,12 +985,7 @@ fn is_stale(
     ) {
         (Some(old), Some(now)) => {
             old != now || {
-                let changed: HashSet<BlockId> = fp
-                    .insts
-                    .iter()
-                    .filter_map(|&i| g.block_of(i))
-                    .chain(fp.blocks.iter().copied())
-                    .collect();
+                let changed = footprint_blocks(g, &fp);
                 old.iter()
                     .chain(std::iter::once(&s.merge))
                     .chain(&s.path)
@@ -971,6 +994,17 @@ fn is_stale(
         }
         _ => true,
     }
+}
+
+/// The blocks an undo-log footprint names: its blocks, plus the blocks its
+/// live instructions sit in. The one rule both the stale classification
+/// and the audit memo's invalidation read a footprint by.
+fn footprint_blocks(g: &Graph, fp: &TxnFootprint) -> HashSet<BlockId> {
+    fp.insts
+        .iter()
+        .filter_map(|&i| g.block_of(i))
+        .chain(fp.blocks.iter().copied())
+        .collect()
 }
 
 /// A checkpoint rejection: the bailout reason plus, when a lint
@@ -1919,5 +1953,70 @@ mod tests {
         // The delta recorded into PhaseStats agrees: all hits, no misses.
         assert_eq!(stats.cache.misses, 0);
         assert!(stats.cache.hits > 0);
+    }
+
+    /// Fail-first for the memo's invalidation: a footprint naming a block
+    /// of the memoized chain must make the next audit replay it. Here the
+    /// edit weakens the entry's guard `x >= 0` to `x >= -5`, so `x / 2`
+    /// no longer strength-reduces on the `bp2` path; a memo that kept the
+    /// entry's old stamp would still predict it.
+    #[test]
+    fn the_audit_memo_replays_the_chain_blocks_a_footprint_names() {
+        use crate::simulation::{audit_opportunities, simulate, AuditMemo};
+        let mut b = GraphBuilder::new("memo", &[Type::Int, Type::Bool], empty_table());
+        let (x, c) = (b.param(0), b.param(1));
+        let zero = b.iconst(0);
+        let two = b.iconst(2);
+        let guard = b.cmp(CmpOp::Ge, x, zero);
+        let (bg, bd) = (b.new_block(), b.new_block());
+        b.branch(guard, bg, bd, 0.99);
+        b.switch_to(bd);
+        b.deopt();
+        b.switch_to(bg);
+        let (bp1, bp2, bm) = (b.new_block(), b.new_block(), b.new_block());
+        b.branch(c, bp1, bp2, 0.5);
+        b.switch_to(bp1);
+        b.jump(bm);
+        b.switch_to(bp2);
+        b.jump(bm);
+        b.switch_to(bm);
+        let phi = b.phi(vec![x, two], Type::Int);
+        let div = b.div(x, phi);
+        b.ret(Some(div));
+        let mut g = b.finish();
+
+        let model = CostModel::new();
+        let mut cache = AnalysisCache::new();
+        let s = simulate(&g, &model, &mut cache)
+            .into_iter()
+            .find(|r| r.pred == bp2 && r.merge == bm)
+            .expect("pair simulated");
+        assert_eq!(s.opportunities.len(), 1, "x / 2 strength-reduces");
+        let mut memo = AuditMemo::new();
+        let mut oracle = None;
+        let first = memo.audit(&g, &model, &mut cache, &s, &mut oracle);
+        assert_eq!(first.as_ref(), Some(&s.opportunities));
+
+        g.begin_txn();
+        let entry = g.entry();
+        let at = g
+            .block_insts(entry)
+            .iter()
+            .position(|&i| i == guard)
+            .unwrap();
+        let minus5 = g.insert_inst(entry, at, Inst::Const(ConstValue::Int(-5)), Type::Int);
+        g.rewrite_inputs(guard, |inst| {
+            if let Inst::Compare { rhs, .. } = inst {
+                *rhs = minus5;
+            }
+        });
+        memo.invalidate(&footprint_blocks(&g, &g.txn_footprint()));
+        g.commit_txn();
+        verify(&g).unwrap();
+
+        let again = memo.audit(&g, &model, &mut cache, &s, &mut oracle);
+        assert_eq!(again, audit_opportunities(&g, &model, &mut cache, &s));
+        assert_eq!(again, Some(Vec::new()));
+        assert_eq!(oracle, None);
     }
 }

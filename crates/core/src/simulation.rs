@@ -10,7 +10,9 @@
 //! [`Opportunity`] records; the static performance estimator (the node
 //! cost model) prices each one in *cycles saved* and *code size delta*.
 //! No IR is copied or mutated at any point — that is the entire argument
-//! for simulation over backtracking (§3).
+//! for simulation over backtracking (§3). The facts are not copied
+//! either: the walk and every DST it forks share one environment, scoped
+//! by [`FactEnv::mark`] and [`FactEnv::rollback_to`].
 //!
 //! # Budget accounting
 //!
@@ -26,7 +28,8 @@ use crate::faultinject::fault_point;
 use dbds_analysis::{AnalysisCache, BlockFrequencies, DomTree, Dominators};
 use dbds_costmodel::CostModel;
 use dbds_ir::{BlockId, Graph, Inst, InstId, InstKind, Terminator, Use};
-use dbds_opt::{evaluate, record_effects, FactEnv, OptKind, Synonym, Verdict};
+use dbds_opt::{evaluate, record_effects, FactEnv, Mark, OptKind, Synonym, Verdict};
+use std::collections::HashSet;
 
 /// One optimization opportunity discovered during a DST.
 #[derive(Clone, Debug, PartialEq)]
@@ -183,7 +186,7 @@ pub fn simulate_paths_budgeted(
         results: Vec::new(),
         panicked: Vec::new(),
     };
-    let stopped = walk.visit(g.entry(), FactEnv::new()).err();
+    let stopped = walk.run().err();
     SimulationOutcome {
         results: walk.results,
         stopped,
@@ -205,26 +208,61 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
-    /// Visits `b` with the facts valid on entry, runs a DST for each of
-    /// its merge successors (the gray blocks of Figure 2 in the paper),
-    /// then descends into its dominator-tree children. Mirrors the
-    /// canonicalization pass's fact propagation; never mutates the graph.
+    /// Visits the dominator tree in preorder with one [`FactEnv`]. The
+    /// path from the entry to the block in hand is a stack of
+    /// `(block, mark)` frames, the mark taken before the block's entry
+    /// step ([`FactEnv::enter_child`]); leaving a block rolls its facts
+    /// back. Mirrors the canonicalization pass's fact propagation; never
+    /// mutates the graph, and never recurses, so the depth of the tree
+    /// does not touch the thread's stack.
     ///
     /// # Errors
     ///
     /// The budget exhaustion that stopped the walk.
-    fn visit(&mut self, b: BlockId, mut env: FactEnv) -> Result<(), BailoutReason> {
+    fn run(&mut self) -> Result<(), BailoutReason> {
+        let g = self.g;
+        let dt = self.dt;
+        let mut env = FactEnv::new();
+        let mut path: Vec<(BlockId, Mark)> = Vec::new();
+        for &b in dt.preorder() {
+            let parent = dt.idom(b);
+            while let Some(&(top, mark)) = path.last() {
+                if Some(top) == parent {
+                    break;
+                }
+                env.rollback_to(mark);
+                path.pop();
+            }
+            let mark = env.mark();
+            if let Some(p) = parent {
+                env.enter_child(g, p, b);
+            }
+            self.visit(b, &mut env)?;
+            path.push((b, mark));
+        }
+        Ok(())
+    }
+
+    /// Visits `b` under the facts valid on entry: accumulates its facts,
+    /// then runs a DST for each of its merge successors (the gray blocks
+    /// of Figure 2 in the paper), each on a mark it rolls back to after
+    /// the DST returned or panicked.
+    ///
+    /// # Errors
+    ///
+    /// The budget exhaustion that stopped the walk.
+    fn visit(&mut self, b: BlockId, env: &mut FactEnv) -> Result<(), BailoutReason> {
         let g = self.g;
         self.budget.consume(g.block_insts(b).len() as u64 + 1)?;
 
-        accumulate_block_facts(g, &mut env, b);
+        accumulate_block_facts(g, env, b);
 
         for s in g.succs(b) {
             if s != b && g.is_merge(s) {
-                let mut dst_env = env.clone();
-                dst_env.assume_edge(g, b, s);
+                let mark = env.mark();
+                env.assume_edge(g, b, s);
                 self.budget.check()?;
-                let mut fuel = 0;
+                let mut work = DstWork::default();
                 let dst = isolate(|| {
                     // An injected exhaustion surfaces at the charge below.
                     fault_point("simulation/dst", None);
@@ -232,15 +270,16 @@ impl Walk<'_> {
                         g,
                         self.model,
                         path_probability(g, self.freqs, b, s),
-                        &mut fuel,
-                        dst_env,
+                        &mut work,
+                        env,
                         b,
                         s,
                         self.max_path_len,
                         self.branch_split,
                     )
                 });
-                self.budget.consume(fuel)?;
+                env.rollback_to(mark);
+                self.budget.consume(work.fuel)?;
                 match dst {
                     Ok(results) => self.results.extend(results),
                     Err(BailoutReason::TransformPanicked(msg)) => self.panicked.push((b, s, msg)),
@@ -248,17 +287,6 @@ impl Walk<'_> {
                     // the reason rather than losing it if that changes.
                     Err(other) => self.panicked.push((b, s, format!("{other:?}"))),
                 }
-            }
-        }
-
-        let dt = self.dt;
-        for &child in dt.children(b) {
-            if g.preds(child) == [b] {
-                let mut child_env = env.clone();
-                child_env.assume_edge(g, b, child);
-                self.visit(child, child_env)?;
-            } else {
-                self.visit(child, env.clone_pure())?;
             }
         }
         Ok(())
@@ -297,12 +325,18 @@ pub(crate) fn dominator_chain(g: &Graph, dt: &Dominators, b: BlockId) -> Option<
 /// returning the opportunities the analysis would record today.
 ///
 /// The replay is exact, not approximate: during the walk, the fact
-/// environment at a block depends only on its dominator-tree path from
-/// entry (each DFS child either extends the parent's facts through its
-/// sole incoming edge or starts from [`FactEnv::clone_pure`]), so walking
-/// the immediate-dominator chain linearly reproduces the facts the walk
-/// held there. On an unmutated graph the result always equals the recorded
-/// opportunities; any mismatch after mutation is a genuine misprediction.
+/// environment at a block is a function of its dominator-tree path from
+/// entry alone. The walk enters each block from its parent's facts — it
+/// rolls every other subtree's writes back before — and the entry step
+/// ([`FactEnv::enter_child`]) reads only the child's predecessor list and the
+/// parent's terminator. So walking the immediate-dominator chain linearly
+/// reproduces the facts the walk held there. On an unmutated graph the
+/// result always equals the recorded opportunities; any mismatch after
+/// mutation is a genuine misprediction.
+///
+/// This is the reference form: it replays from the entry block on a fresh
+/// environment. The phase audits through an [`AuditMemo`], which resumes
+/// from the previous audit's chain.
 ///
 /// Returns `None` when the candidate no longer exists at all (`s.pred`
 /// became unreachable).
@@ -313,23 +347,44 @@ pub fn audit_opportunities(
     s: &SimulationResult,
 ) -> Option<Vec<Opportunity>> {
     let chain = dominator_chain(g, &cache.dominators(g), s.pred)?;
-    // Accumulate facts along the chain the way `Walk::visit` descends:
-    // a child with its parent as sole predecessor extends the parent's
-    // facts through the edge condition; any other child starts pure.
-    let mut env = FactEnv::new();
-    for (k, &b) in chain.iter().enumerate() {
-        if k > 0 {
-            let parent = chain[k - 1];
-            if g.preds(b) == [parent] {
-                env.assume_edge(g, parent, b);
-            } else {
-                env = env.clone_pure();
-            }
-        }
-        accumulate_block_facts(g, &mut env, b);
-    }
-    env.assume_edge(g, s.pred, s.merge);
+    replay_from_entry(g, model, &chain, s)
+}
 
+/// The audit of `s` on a fresh environment replayed along all of `chain`.
+fn replay_from_entry(
+    g: &Graph,
+    model: &CostModel,
+    chain: &[BlockId],
+    s: &SimulationResult,
+) -> Option<Vec<Opportunity>> {
+    let mut env = FactEnv::new();
+    for k in 0..chain.len() {
+        replay_step(g, &mut env, chain, k);
+    }
+    audit_dst(g, model, &mut env, s, &mut DstWork::default())
+}
+
+/// Accumulates the facts of `chain[k]` onto the facts of `chain[..k]`,
+/// the way the walk enters it from its dominator-tree parent.
+fn replay_step(g: &Graph, env: &mut FactEnv, chain: &[BlockId], k: usize) {
+    if k > 0 {
+        env.enter_child(g, chain[k - 1], chain[k]);
+    }
+    accumulate_block_facts(g, env, chain[k]);
+}
+
+/// Runs the DST of `s` on the facts valid at the end of `s.pred` and
+/// rolls them back again; returns the opportunities of the longest prefix
+/// of the recorded path that is still walkable.
+fn audit_dst(
+    g: &Graph,
+    model: &CostModel,
+    env: &mut FactEnv,
+    s: &SimulationResult,
+    work: &mut DstWork,
+) -> Option<Vec<Opportunity>> {
+    let mark = env.mark();
+    env.assume_edge(g, s.pred, s.merge);
     let results = run_dst(
         g,
         model,
@@ -338,7 +393,7 @@ pub fn audit_opportunities(
         // rebuilt for a graph the previous duplication just changed.
         0.0,
         // Auditing never charges the phase's fuel.
-        &mut 0,
+        work,
         env,
         s.pred,
         s.merge,
@@ -348,6 +403,7 @@ pub fn audit_opportunities(
         // not on the phase's enablement knob.
         true,
     );
+    env.rollback_to(mark);
     // The DST emits one result per path prefix; pick the longest prefix
     // of the recorded path that is still walkable.
     results
@@ -355,6 +411,118 @@ pub fn audit_opportunities(
         .filter(|r| s.path.starts_with(&r.path))
         .max_by_key(|r| r.path.len())
         .map(|r| r.opportunities)
+}
+
+/// Whether every memoized audit is held to a replay from the entry block.
+const MEMO_ORACLE: bool = cfg!(debug_assertions);
+
+/// Deterministic work counters of the prediction audits one round ran.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct AuditWork {
+    /// Audits run.
+    pub(crate) runs: u64,
+    /// Dominator-chain blocks whose facts were (re)accumulated.
+    pub(crate) blocks_replayed: u64,
+    /// Instructions evaluated: those of the replayed blocks plus those
+    /// the audits' DSTs evaluated.
+    pub(crate) insts_evaluated: u64,
+}
+
+/// The prediction audit's memo: the facts along the last audited
+/// dominator chain, kept on one environment with one trail mark per
+/// chain block. The next audit rolls back to the longest prefix its chain
+/// shares with the memo and replays only below it — exact by the argument
+/// on [`audit_opportunities`], as long as no block of the kept prefix
+/// changed since it was replayed. [`AuditMemo::invalidate`] keeps that
+/// so; a rolled-back duplication needs nothing, since the undo log
+/// restores the graph exactly.
+#[derive(Debug)]
+pub(crate) struct AuditMemo {
+    env: FactEnv,
+    /// The memoized chain, entry first.
+    chain: Vec<BlockId>,
+    /// `marks[k]` is the trail point holding exactly the facts of
+    /// `chain[..k]`; one more mark than chain blocks.
+    marks: Vec<Mark>,
+    pub(crate) work: AuditWork,
+}
+
+impl AuditMemo {
+    /// An empty memo.
+    pub(crate) fn new() -> Self {
+        let env = FactEnv::new();
+        AuditMemo {
+            marks: vec![env.mark()],
+            env,
+            chain: Vec::new(),
+            work: AuditWork::default(),
+        }
+    }
+
+    /// Keeps only the facts of `chain[..len]`.
+    fn truncate(&mut self, len: usize) {
+        self.env.rollback_to(self.marks[len]);
+        self.chain.truncate(len);
+        self.marks.truncate(len + 1);
+    }
+
+    /// Forgets every memoized block (a pass starts on a graph the memo
+    /// may not describe).
+    pub(crate) fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Drops the memo from the first chain block `changed` holds on: that
+    /// block's facts, and so every later block's, may no longer be what a
+    /// replay would find.
+    pub(crate) fn invalidate(&mut self, changed: &HashSet<BlockId>) {
+        if let Some(k) = self.chain.iter().position(|b| changed.contains(b)) {
+            self.truncate(k);
+        }
+    }
+
+    /// [`audit_opportunities`] for `s`, resuming from the memo. Under
+    /// [`MEMO_ORACLE`] the result is held to a replay from the entry
+    /// block, and the first disagreement is left in `oracle`.
+    pub(crate) fn audit(
+        &mut self,
+        g: &Graph,
+        model: &CostModel,
+        cache: &mut AnalysisCache,
+        s: &SimulationResult,
+        oracle: &mut Option<String>,
+    ) -> Option<Vec<Opportunity>> {
+        self.work.runs += 1;
+        let chain = dominator_chain(g, &cache.dominators(g), s.pred)?;
+        let shared = self
+            .chain
+            .iter()
+            .zip(&chain)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.truncate(shared);
+        for k in shared..chain.len() {
+            replay_step(g, &mut self.env, &chain, k);
+            self.chain.push(chain[k]);
+            self.marks.push(self.env.mark());
+            self.work.blocks_replayed += 1;
+            self.work.insts_evaluated += g.block_insts(chain[k]).len() as u64;
+        }
+        let mut dst = DstWork::default();
+        let rerun = audit_dst(g, model, &mut self.env, s, &mut dst);
+        self.work.insts_evaluated += dst.evaluated;
+        if MEMO_ORACLE && oracle.is_none() {
+            let expected = replay_from_entry(g, model, &chain, s);
+            if rerun != expected {
+                *oracle = Some(format!(
+                    "auditing ({} -> {}): the memoized audit found {rerun:?}, \
+                     a replay from the entry {expected:?}",
+                    s.pred, s.merge
+                ));
+            }
+        }
+        rerun
+    }
 }
 
 /// Counts the recorded opportunities the re-run analysis no longer
@@ -369,7 +537,7 @@ pub fn count_mispredictions(recorded: &[Opportunity], rerun: &[Opportunity]) -> 
 }
 
 /// Evaluates `b`'s instructions to accumulate facts in `env` — the one
-/// block step shared by [`Walk::visit`] and [`audit_opportunities`], so
+/// block step shared by [`Walk::visit`] and the audit's replay, so
 /// the audit replays the walk's facts by construction. Fresh allocations
 /// become virtual objects so PEA-style reasoning can see through them;
 /// `record_effects` materializes them on any escape.
@@ -394,17 +562,30 @@ fn path_probability(g: &Graph, freqs: &BlockFrequencies, pred: BlockId, merge: B
     }
 }
 
+/// What one DST visited, added up as it goes (so a panicking DST still
+/// reports what it visited before the panic).
+#[derive(Clone, Copy, Debug, Default)]
+struct DstWork {
+    /// The fuel the walk charges for it: each segment's instructions plus
+    /// one.
+    fuel: u64,
+    /// The instructions it evaluated: each segment's besides its φs, which
+    /// only seed synonyms.
+    evaluated: u64,
+}
+
 /// Runs one duplication simulation traversal for `(pred, merge)` under
 /// `env` (the facts valid at the end of `pred` plus the edge condition),
-/// adding what it visited (`insts + 1` per segment) to `fuel`. Every
-/// result carries `probability` ([`path_probability`]) unchanged.
+/// adding what it visited to `work`. It writes its own facts into `env`;
+/// the caller rolls them back. Every result carries `probability`
+/// ([`path_probability`]) unchanged.
 #[allow(clippy::too_many_arguments)]
 fn run_dst(
     g: &Graph,
     model: &CostModel,
     probability: f64,
-    fuel: &mut u64,
-    mut env: FactEnv,
+    work: &mut DstWork,
+    env: &mut FactEnv,
     pred: BlockId,
     merge: BlockId,
     max_path_len: usize,
@@ -424,9 +605,11 @@ fn run_dst(
     let mut via_fold = false;
     loop {
         path.push(cur_merge);
-        *fuel += g.block_insts(cur_merge).len() as u64 + 1;
+        let insts = g.block_insts(cur_merge).len();
+        work.fuel += insts as u64 + 1;
+        work.evaluated += (insts - g.phis(cur_merge).len()) as u64;
         let saved_before = acc.cycles_saved;
-        let continuation = simulate_segment(g, model, &mut env, cur_pred, cur_merge, &mut acc);
+        let continuation = simulate_segment(g, model, env, cur_pred, cur_merge, &mut acc);
         // The trade-off tier ranks by `probability * cycles_saved`;
         // non-finite estimates would poison that total order (the NaN
         // comparator bug), so reject them at construction.
@@ -1185,6 +1368,47 @@ mod tests {
         assert_eq!(outcome.stopped, Some(BailoutReason::FuelExhausted));
         // Partial results are still usable (possibly empty).
         assert!(outcome.results.len() <= 4);
+    }
+
+    #[test]
+    fn a_dominator_tree_deeper_than_the_stack_is_walked() {
+        // 5 000 blocks, each testing `x > 0` and branching to the next
+        // block or to one shared exit merge: the tree is 5 000 levels
+        // deep and every block forks a DST into the exit.
+        const DEPTH: usize = 5_000;
+        let mut b = GraphBuilder::new("chain", &[Type::Int], empty_table());
+        let x = b.param(0);
+        let zero = b.iconst(0);
+        let exit = b.new_block();
+        for _ in 0..DEPTH {
+            let c = b.cmp(CmpOp::Gt, x, zero);
+            let next = b.new_block();
+            b.branch(c, next, exit, 0.9);
+            b.switch_to(next);
+        }
+        b.ret(Some(x));
+        b.switch_to(exit);
+        b.ret(Some(zero));
+        let g = b.finish();
+        // A walk that recursed per level would overflow a 256 KiB stack,
+        // which aborts the process.
+        let outcome = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                simulate_paths_budgeted(
+                    &g,
+                    &model(),
+                    &mut AnalysisCache::new(),
+                    1,
+                    &Budget::unlimited(),
+                    BRANCH_SPLIT_DEFAULT,
+                )
+            })
+            .expect("spawn a small-stack thread")
+            .join()
+            .expect("the walk panicked");
+        assert!(outcome.stopped.is_none() && outcome.panicked.is_empty());
+        assert_eq!(outcome.results.len(), DEPTH);
     }
 
     #[test]

@@ -15,6 +15,25 @@
 //!
 //! The same environment type drives the DBDS simulation tier (facts only,
 //! no mutation) and the canonicalization pass (facts plus graph rewrites).
+//!
+//! # Scopes
+//!
+//! The facts are not copied either. An environment is one scoped
+//! structure — the scoped hash table of dominator-tree value numbering,
+//! kept as an undo trail like the graph's own undo log. Synonyms and
+//! stamps live in dense tables indexed by [`InstId`] (they grow on write:
+//! a pass may extend the arena while it walks). Every write first pushes
+//! the slot's old value on the trail, so [`FactEnv::mark`] /
+//! [`FactEnv::rollback_to`] return the environment to exactly the facts it
+//! held at the mark — after a panic between two writes too. A tree walk
+//! marks before it descends into a child and rolls back when it leaves.
+//!
+//! Memory facts (the field cache and virtual objects) only hold along
+//! straight-line paths. Each entry carries the generation it was written
+//! in, and an entry below its map's *floor* is invisible:
+//! [`FactEnv::forget_memory`] raises both floors and
+//! [`FactEnv::kill_all_fields`] the field floor — one trail entry each,
+//! whatever the maps hold. Rolling back lowers the floors again.
 
 use dbds_analysis::{refine_by_cmp, refine_by_instanceof, Stamp};
 use dbds_ir::{BlockId, ClassId, ConstValue, FieldId, Graph, Inst, InstId, Terminator, Type};
@@ -48,13 +67,52 @@ pub struct VirtualObject {
     pub fields: HashMap<FieldId, Synonym>,
 }
 
+/// A point on an environment's trail, taken by [`FactEnv::mark`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Mark(usize);
+
+/// A memory-fact entry with the generation it was written in.
+#[derive(Clone, Debug)]
+struct Tagged<T> {
+    generation: u64,
+    value: T,
+}
+
+/// One trail entry: a slot and the value it held before a write.
+#[derive(Debug)]
+enum Undo {
+    Synonym(InstId, Option<Synonym>),
+    Stamp(InstId, Option<Stamp>),
+    Field((InstId, FieldId), Option<Tagged<Synonym>>),
+    Virtual(InstId, Option<Tagged<VirtualObject>>),
+    VirtualField(InstId, FieldId, Option<Synonym>),
+    Floors { field: u64, virtuals: u64 },
+}
+
 /// The set of facts valid at one program point.
-#[derive(Clone, Default, Debug)]
+#[derive(Default, Debug)]
 pub struct FactEnv {
-    synonyms: HashMap<InstId, Synonym>,
-    stamps: HashMap<InstId, Stamp>,
-    field_cache: HashMap<(InstId, FieldId), Synonym>,
-    virtuals: HashMap<InstId, VirtualObject>,
+    synonyms: Vec<Option<Synonym>>,
+    stamps: Vec<Option<Stamp>>,
+    field_cache: HashMap<(InstId, FieldId), Tagged<Synonym>>,
+    virtuals: HashMap<InstId, Tagged<VirtualObject>>,
+    /// Field-cache entries written before this generation are invisible.
+    field_floor: u64,
+    /// Virtual objects added before this generation are invisible.
+    virtual_floor: u64,
+    /// The generation new memory entries are written in. Only grows, so a
+    /// raised floor hides every entry written before the raise.
+    generation: u64,
+    trail: Vec<Undo>,
+}
+
+/// Writes `value` into `table[id]`, growing the table.
+fn set_slot<T>(table: &mut Vec<Option<T>>, id: InstId, value: T) {
+    let i = id.index();
+    if i >= table.len() {
+        table.resize_with(i + 1, || None);
+    }
+    table[i] = Some(value);
 }
 
 impl FactEnv {
@@ -63,17 +121,70 @@ impl FactEnv {
         Self::default()
     }
 
-    /// Clones only the flow-insensitive facts: synonyms and stamps carry
-    /// over to any dominated block, while the field cache and virtual
-    /// objects (memory state) are only valid along straight-line paths and
-    /// are dropped.
-    pub fn clone_pure(&self) -> Self {
-        FactEnv {
-            synonyms: self.synonyms.clone(),
-            stamps: self.stamps.clone(),
-            field_cache: HashMap::new(),
-            virtuals: HashMap::new(),
+    /// The current point on the trail: [`FactEnv::rollback_to`] with it
+    /// undoes every write made after this call.
+    pub fn mark(&self) -> Mark {
+        Mark(self.trail.len())
+    }
+
+    /// Restores exactly the facts held when `mark` was taken, undoing the
+    /// newest write first.
+    pub fn rollback_to(&mut self, mark: Mark) {
+        while self.trail.len() > mark.0 {
+            let Some(undo) = self.trail.pop() else { break };
+            match undo {
+                Undo::Synonym(v, old) => self.synonyms[v.index()] = old,
+                Undo::Stamp(v, old) => self.stamps[v.index()] = old,
+                Undo::Field(key, old) => restore(&mut self.field_cache, key, old),
+                Undo::Virtual(v, old) => restore(&mut self.virtuals, v, old),
+                Undo::VirtualField(v, field, old) => {
+                    if let Some(vo) = self.virtuals.get_mut(&v) {
+                        restore(&mut vo.value.fields, field, old);
+                    }
+                }
+                Undo::Floors { field, virtuals } => {
+                    self.field_floor = field;
+                    self.virtual_floor = virtuals;
+                }
+            }
         }
+    }
+
+    /// Hides the memory facts (field cache and virtual objects), which
+    /// only hold along straight-line paths, until a rollback past this
+    /// call; synonyms and stamps carry over to any dominated block.
+    pub fn forget_memory(&mut self) {
+        self.raise_floors(true);
+    }
+
+    /// Pushes the floors on the trail, then raises the field floor (and
+    /// the virtual-object floor when `virtuals`) to a fresh generation.
+    fn raise_floors(&mut self, virtuals: bool) {
+        self.trail.push(Undo::Floors {
+            field: self.field_floor,
+            virtuals: self.virtual_floor,
+        });
+        self.generation += 1;
+        self.field_floor = self.generation;
+        if virtuals {
+            self.virtual_floor = self.generation;
+        }
+    }
+
+    /// The visible field-cache entry for `key`.
+    fn field(&self, key: (InstId, FieldId)) -> Option<Synonym> {
+        self.field_cache
+            .get(&key)
+            .filter(|e| e.generation >= self.field_floor)
+            .map(|e| e.value)
+    }
+
+    /// The visible virtual object `base`.
+    fn virtual_at(&self, base: InstId) -> Option<&VirtualObject> {
+        self.virtuals
+            .get(&base)
+            .filter(|e| e.generation >= self.virtual_floor)
+            .map(|e| &e.value)
     }
 
     /// Registers that `v` is equivalent to `syn`.
@@ -85,7 +196,9 @@ impl FactEnv {
         if let Synonym::Value(w) = syn {
             assert_ne!(v, w, "value cannot be its own synonym");
         }
-        self.synonyms.insert(v, syn);
+        let old = self.synonyms.get(v.index()).copied().flatten();
+        self.trail.push(Undo::Synonym(v, old));
+        set_slot(&mut self.synonyms, v, syn);
     }
 
     /// Follows the synonym chain of `v` to its representative and constant.
@@ -93,14 +206,14 @@ impl FactEnv {
         let mut cur = v;
         // Chains are short; the bound guards against accidental cycles.
         for _ in 0..64 {
-            match self.synonyms.get(&cur) {
+            match self.synonyms.get(cur.index()).copied().flatten() {
                 Some(Synonym::Const(c)) => {
                     return Resolved {
                         id: cur,
-                        konst: Some(*c),
+                        konst: Some(c),
                     }
                 }
-                Some(Synonym::Value(w)) => cur = *w,
+                Some(Synonym::Value(w)) => cur = w,
                 None => break,
             }
         }
@@ -133,11 +246,11 @@ impl FactEnv {
         if let Some(c) = r.konst {
             return Stamp::of_const(c);
         }
-        if let Some(s) = self.stamps.get(&r.id) {
+        if let Some(Some(s)) = self.stamps.get(r.id.index()) {
             return s.clone();
         }
         // Virtual objects are known non-null with exact class.
-        if let Some(vo) = self.virtuals.get(&r.id) {
+        if let Some(vo) = self.virtual_at(r.id) {
             return Stamp::Obj(dbds_analysis::RefStamp::exact(vo.class));
         }
         dbds_analysis::initial_stamp(g, r.id)
@@ -146,20 +259,29 @@ impl FactEnv {
     /// Replaces the recorded stamp of the representative of `v`.
     pub fn set_stamp(&mut self, v: InstId, stamp: Stamp) {
         let r = self.resolve(v);
-        self.stamps.insert(r.id, stamp);
+        let old = self.stamps.get(r.id.index()).cloned().flatten();
+        self.trail.push(Undo::Stamp(r.id, old));
+        set_slot(&mut self.stamps, r.id, stamp);
     }
 
     /// The cached value of `object.field`, if a previous load/store pinned
     /// it down.
     pub fn cached_field(&self, object: InstId, field: FieldId) -> Option<Synonym> {
-        let base = self.resolve(object).id;
-        self.field_cache.get(&(base, field)).copied()
+        self.field((self.resolve(object).id, field))
     }
 
     /// Records `object.field == value`.
     pub fn cache_field(&mut self, object: InstId, field: FieldId, value: Synonym) {
-        let base = self.resolve(object).id;
-        self.field_cache.insert((base, field), value);
+        let key = (self.resolve(object).id, field);
+        let old = self.field_cache.get(&key).cloned();
+        self.trail.push(Undo::Field(key, old));
+        self.field_cache.insert(
+            key,
+            Tagged {
+                generation: self.generation,
+                value,
+            },
+        );
     }
 
     /// Invalidates cache entries that a store to `object.field` may alias:
@@ -167,37 +289,50 @@ impl FactEnv {
     /// entries are overwritten by the caller).
     pub fn kill_field_aliases(&mut self, object: InstId, field: FieldId) {
         let base = self.resolve(object).id;
-        self.field_cache
-            .retain(|&(b, f), _| f != field || b == base);
+        let floor = self.field_floor;
+        let killed: Vec<(InstId, FieldId)> = self
+            .field_cache
+            .iter()
+            .filter(|&(&(b, f), e)| f == field && b != base && e.generation >= floor)
+            .map(|(&key, _)| key)
+            .collect();
+        for key in killed {
+            let old = self.field_cache.get(&key).cloned();
+            self.trail.push(Undo::Field(key, old));
+            self.field_cache.remove(&key);
+        }
     }
 
     /// Invalidates the entire field cache (used at opaque calls).
     pub fn kill_all_fields(&mut self) {
-        self.field_cache.clear();
+        self.raise_floors(false);
     }
 
     /// Begins tracking `alloc` (an [`Inst::New`] value) as a virtual
     /// object of class `class`.
     pub fn add_virtual(&mut self, alloc: InstId, class: ClassId) {
+        let old = self.virtuals.get(&alloc).cloned();
+        self.trail.push(Undo::Virtual(alloc, old));
         self.virtuals.insert(
             alloc,
-            VirtualObject {
-                class,
-                fields: HashMap::new(),
+            Tagged {
+                generation: self.generation,
+                value: VirtualObject {
+                    class,
+                    fields: HashMap::new(),
+                },
             },
         );
     }
 
     /// The virtual object backing `v`, if any.
     pub fn virtual_of(&self, v: InstId) -> Option<&VirtualObject> {
-        let base = self.resolve(v).id;
-        self.virtuals.get(&base)
+        self.virtual_at(self.resolve(v).id)
     }
 
     /// Reads a virtual field; defaults to the field type's zero value.
     pub fn read_virtual_field(&self, g: &Graph, object: InstId, field: FieldId) -> Option<Synonym> {
-        let base = self.resolve(object).id;
-        let vo = self.virtuals.get(&base)?;
+        let vo = self.virtual_of(object)?;
         Some(match vo.fields.get(&field) {
             Some(s) => *s,
             None => Synonym::Const(default_const(g, field)),
@@ -208,19 +343,25 @@ impl FactEnv {
     /// virtual.
     pub fn write_virtual_field(&mut self, object: InstId, field: FieldId, value: Synonym) -> bool {
         let base = self.resolve(object).id;
-        match self.virtuals.get_mut(&base) {
-            Some(vo) => {
-                vo.fields.insert(field, value);
-                true
-            }
-            None => false,
+        let Some(vo) = self.virtual_at(base) else {
+            return false;
+        };
+        let old = vo.fields.get(&field).copied();
+        self.trail.push(Undo::VirtualField(base, field, old));
+        if let Some(vo) = self.virtuals.get_mut(&base) {
+            vo.value.fields.insert(field, value);
         }
+        true
     }
 
     /// Stops tracking `v` as virtual (the object escaped).
     pub fn materialize(&mut self, v: InstId) {
         let base = self.resolve(v).id;
-        self.virtuals.remove(&base);
+        if self.virtual_at(base).is_some() {
+            let old = self.virtuals.get(&base).cloned();
+            self.trail.push(Undo::Virtual(base, old));
+            self.virtuals.remove(&base);
+        }
     }
 
     /// Applies the knowledge that branch condition `cond` evaluated to
@@ -286,6 +427,20 @@ impl FactEnv {
         }
     }
 
+    /// Applies the step from dominator-tree parent `parent` into its
+    /// child `b`: a child with its parent as sole predecessor extends the
+    /// parent's facts through the edge condition; any other child forgets
+    /// the memory facts, which only hold along straight-line paths. The
+    /// one entry rule of the canonicalizer's walk, the simulation walk
+    /// and the prediction audit's replay.
+    pub fn enter_child(&mut self, g: &Graph, parent: BlockId, b: BlockId) {
+        if g.preds(b) == [parent] {
+            self.assume_edge(g, parent, b);
+        } else {
+            self.forget_memory();
+        }
+    }
+
     /// The way `b`'s branch goes under these facts: `Some(truth)` when
     /// its condition resolves to a constant or has a constant stamp,
     /// `None` when it is undecided or `b` does not end in a branch. The
@@ -311,6 +466,19 @@ fn default_const(g: &Graph, field: FieldId) -> ConstValue {
         Type::Ref(c) => ConstValue::Null(c),
         Type::Arr => ConstValue::NullArr,
         Type::Void => unreachable!("fields cannot be void"),
+    }
+}
+
+/// Puts `old` back as `map[key]`: reinserts it, or removes the key when
+/// it was absent.
+fn restore<K: std::hash::Hash + Eq, V>(map: &mut HashMap<K, V>, key: K, old: Option<V>) {
+    match old {
+        Some(v) => {
+            map.insert(key, v);
+        }
+        None => {
+            map.remove(&key);
+        }
     }
 }
 

@@ -62,7 +62,7 @@ mod evaluate;
 mod passes;
 mod ssa_repair;
 
-pub use env::{FactEnv, Resolved, Synonym, VirtualObject};
+pub use env::{FactEnv, Mark, Resolved, Synonym, VirtualObject};
 pub use evaluate::{evaluate, record_effects, Evaluation, OptKind, Verdict};
 pub use passes::canonicalize::{canonicalize, CanonStats};
 pub use passes::dce::{remove_dead_code, remove_dead_instructions, remove_unreachable_blocks};

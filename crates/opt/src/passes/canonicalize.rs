@@ -1,8 +1,8 @@
 //! Global canonicalization: the real (mutating) consumer of the
 //! applicability checks.
 //!
-//! Walks the dominator tree depth first, carrying a [`FactEnv`]. Within a
-//! block every instruction is [`evaluate`]d and progress verdicts are
+//! Walks the dominator tree depth first, carrying one [`FactEnv`]. Within
+//! a block every instruction is [`evaluate`]d and progress verdicts are
 //! applied to the graph; branch conditions that become known constants are
 //! folded (conditional elimination of the branch itself). Condition
 //! refinements are pushed into branch successors that are only reachable
@@ -12,9 +12,11 @@
 //! Flow-sensitive memory facts (the read-elimination cache, virtual
 //! objects) propagate only along unique-predecessor edges; flow-insensitive
 //! facts (synonyms, dominating-condition stamps) propagate to all dominated
-//! blocks.
+//! blocks. The environment is scoped, not copied: the walk marks it before
+//! it enters a block and rolls back to the mark when it leaves, and any
+//! other entry than a sole-predecessor edge forgets the memory facts.
 
-use crate::env::FactEnv;
+use crate::env::{FactEnv, Mark};
 use crate::evaluate::{evaluate, record_effects, OptKind, Verdict};
 use dbds_analysis::{AnalysisCache, DomTree};
 use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, Type};
@@ -82,34 +84,41 @@ pub fn canonicalize(g: &mut Graph, cache: &mut AnalysisCache) -> CanonStats {
     let dt = cache.domtree(g);
     let mut stats = CanonStats::default();
     let mut pool = ConstPool::new();
-    walk(g, &dt, g.entry(), FactEnv::new(), &mut stats, &mut pool);
+    walk(g, &dt, &mut stats, &mut pool);
     stats
 }
 
-fn walk(
-    g: &mut Graph,
-    dt: &DomTree,
-    b: BlockId,
-    mut env: FactEnv,
-    stats: &mut CanonStats,
-    pool: &mut ConstPool,
-) {
-    process_block(g, b, &mut env, stats, pool);
-
-    // Fold the terminator if its condition is statically known.
-    if let Some(t) = env.branch_decision(g, b) {
-        g.fold_branch(b, t);
-        stats.branch_folds += 1;
-    }
-
-    for &s in dt.children(b) {
-        if g.preds(s) == [b] {
-            let mut child_env = env.clone();
-            child_env.assume_edge(g, b, s);
-            walk(g, dt, s, child_env, stats, pool);
-        } else {
-            walk(g, dt, s, env.clone_pure(), stats, pool);
+/// Visits the dominator tree in preorder with one environment. The path
+/// from the entry to the block in hand is a stack of `(block, mark)`
+/// frames, the mark taken before the block's entry edge was applied:
+/// leaving a block rolls its facts back, so each block sees exactly its
+/// parent's facts extended by its own entry edge. No recursion, so the
+/// depth of the tree does not touch the thread's stack.
+fn walk(g: &mut Graph, dt: &DomTree, stats: &mut CanonStats, pool: &mut ConstPool) {
+    let mut env = FactEnv::new();
+    let mut path: Vec<(BlockId, Mark)> = Vec::new();
+    for &b in dt.preorder() {
+        let parent = dt.idom(b);
+        while let Some(&(top, mark)) = path.last() {
+            if Some(top) == parent {
+                break;
+            }
+            env.rollback_to(mark);
+            path.pop();
         }
+        let mark = env.mark();
+        if let Some(p) = parent {
+            // The predecessor list is read now, after the earlier
+            // siblings' subtrees may have folded an edge into `b`.
+            env.enter_child(g, p, b);
+        }
+        process_block(g, b, &mut env, stats, pool);
+        // Fold the terminator if its condition is statically known.
+        if let Some(t) = env.branch_decision(g, b) {
+            g.fold_branch(b, t);
+            stats.branch_folds += 1;
+        }
+        path.push((b, mark));
     }
 }
 
@@ -366,6 +375,19 @@ mod tests {
         assert!(stats.branch_folds >= 1);
         verify(&g).unwrap();
         assert!(matches!(g.terminator(byes), Terminator::Jump { target } if *target == byes2));
+    }
+
+    #[test]
+    fn a_dominator_tree_deeper_than_the_stack_is_walked() {
+        use crate::passes::deep::{guarded_chain, on_small_stack, DEPTH};
+        let stats = on_small_stack(|| {
+            let mut g = guarded_chain();
+            let stats = canonicalize(&mut g, &mut AnalysisCache::new());
+            verify(&g).unwrap();
+            stats
+        });
+        // Every test below the first is implied by the edge into it.
+        assert_eq!(stats.branch_folds, DEPTH - 1);
     }
 
     #[test]

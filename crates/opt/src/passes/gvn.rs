@@ -11,7 +11,7 @@
 //! identity).
 
 use dbds_analysis::{AnalysisCache, DomTree};
-use dbds_ir::{BinOp, ClassId, CmpOp, ConstValue, Graph, Inst, InstId};
+use dbds_ir::{BinOp, BlockId, ClassId, CmpOp, ConstValue, Graph, Inst, InstId};
 use std::collections::HashMap;
 
 /// A hashable structural key for a pure instruction.
@@ -64,47 +64,52 @@ fn key_of(g: &Graph, i: InstId) -> Option<Key> {
 /// Returns the number of instructions deduplicated.
 pub fn global_value_numbering(g: &mut Graph, cache: &mut AnalysisCache) -> usize {
     let dt = cache.domtree(g);
-    let mut removed = 0;
-    walk(g, &dt, g.entry(), &mut HashMap::new(), &mut removed);
-    removed
+    walk(g, &dt)
 }
 
-/// Visits `b` and its dominator-tree subtree with `table` holding the
-/// keys defined in dominating positions. One table for the whole walk:
-/// a block only ever inserts keys the table did not hold, so removing
-/// them again when the walk leaves the block restores the parent's view
-/// exactly.
-fn walk(
-    g: &mut Graph,
-    dt: &DomTree,
-    b: dbds_ir::BlockId,
-    table: &mut HashMap<Key, InstId>,
-    removed: &mut usize,
-) {
+/// Visits the dominator tree in preorder with `table` holding the keys
+/// defined in dominating positions. One table for the whole walk: a
+/// block only ever inserts keys the table did not hold, and `inserted`
+/// is the trail of those keys, so removing a block's keys when the walk
+/// leaves it restores the parent's view exactly. The path to the block
+/// in hand is a stack of `(block, trail length)` frames — no recursion,
+/// so the depth of the tree does not touch the thread's stack.
+fn walk(g: &mut Graph, dt: &DomTree) -> usize {
+    let mut table: HashMap<Key, InstId> = HashMap::new();
     let mut inserted: Vec<Key> = Vec::new();
-    for i in g.block_insts(b).to_vec() {
-        if g.block_of(i) != Some(b) {
-            continue;
-        }
-        let Some(key) = key_of(g, i) else { continue };
-        match table.get(&key) {
-            Some(&prior) => {
-                g.replace_all_uses(i, prior);
-                g.remove_inst(i);
-                *removed += 1;
+    let mut path: Vec<(BlockId, usize)> = Vec::new();
+    let mut removed = 0;
+    for &b in dt.preorder() {
+        let parent = dt.idom(b);
+        while let Some(&(top, mark)) = path.last() {
+            if Some(top) == parent {
+                break;
             }
-            None => {
-                table.insert(key, i);
-                inserted.push(key);
+            for key in inserted.drain(mark..) {
+                table.remove(&key);
+            }
+            path.pop();
+        }
+        path.push((b, inserted.len()));
+        for i in g.block_insts(b).to_vec() {
+            if g.block_of(i) != Some(b) {
+                continue;
+            }
+            let Some(key) = key_of(g, i) else { continue };
+            match table.get(&key) {
+                Some(&prior) => {
+                    g.replace_all_uses(i, prior);
+                    g.remove_inst(i);
+                    removed += 1;
+                }
+                None => {
+                    table.insert(key, i);
+                    inserted.push(key);
+                }
             }
         }
     }
-    for &child in dt.children(b) {
-        walk(g, dt, child, table, removed);
-    }
-    for key in inserted {
-        table.remove(&key);
-    }
+    removed
 }
 
 #[cfg(test)]
@@ -235,6 +240,19 @@ mod tests {
         let mut g = b.finish();
         assert_eq!(global_value_numbering(&mut g, &mut AnalysisCache::new()), 0);
         verify(&g).unwrap();
+    }
+
+    #[test]
+    fn a_dominator_tree_deeper_than_the_stack_is_walked() {
+        use crate::passes::deep::{guarded_chain, on_small_stack, DEPTH};
+        let removed = on_small_stack(|| {
+            let mut g = guarded_chain();
+            let removed = global_value_numbering(&mut g, &mut AnalysisCache::new());
+            verify(&g).unwrap();
+            removed
+        });
+        // Each block's `x > 0` is the first block's again.
+        assert_eq!(removed, DEPTH - 1);
     }
 
     #[test]

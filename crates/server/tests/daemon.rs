@@ -183,6 +183,40 @@ fn a_deeply_nested_frame_closes_its_connection_only() {
     handle.join();
 }
 
+/// IR text of one function whose `blocks` blocks form a jump chain: a
+/// dominator tree `blocks` levels deep.
+fn jump_chain_ir(blocks: usize) -> String {
+    let mut ir = String::from("func @chain(x: int) {\nb0:\n");
+    for i in 1..blocks {
+        ir += &format!("  jump b{i}\nb{i}:\n");
+    }
+    ir + "  return x\n}\n"
+}
+
+/// Fail-first: the optimizer's dominator-tree walks recursed once per
+/// tree level, so one request with a 5 000-block chain overflowed its
+/// connection thread's stack and aborted the whole daemon. Now a
+/// 20 000-block chain is compiled and answered, and the daemon serves
+/// the next request.
+#[test]
+fn a_dominator_tree_deeper_than_a_thread_stack_is_compiled() {
+    let handle = serve(ServerConfig::default()).expect("serve");
+    let mut client = Client::connect(&handle.addr).expect("connect");
+    let served = client
+        .compile(CompileRequest {
+            source: CompileSource::IrText(jump_chain_ir(20_000)),
+            level: OptLevel::Dbds,
+            deadline_ms: None,
+        })
+        .expect("the daemon answers")
+        .expect("the chain compiles");
+    assert!(!served.cached);
+    let status = client.status().expect("status is still answered");
+    assert_eq!(counter(&status, "misses"), 1);
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
 /// Regression for the check-then-increment admission race: with many
 /// clients racing, the old two-step admission could admit more jobs
 /// than `max_queue`. The daemon tracks the high-water mark of the queue
