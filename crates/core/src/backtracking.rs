@@ -50,7 +50,8 @@ pub fn run_backtracking(
     let mut stats = PhaseStats::default();
     let undo_base = g.undo_stats();
     let budget = Budget::new(&cfg.guard);
-    optimize_full(g, cache);
+    let opt = optimize_full(g, cache);
+    stats.record_opt(&opt);
     stats.initial_size = model.graph_size(g);
 
     'outer: loop {
@@ -88,10 +89,12 @@ pub fn run_backtracking(
                 match isolate(|| {
                     let dup = duplicate(g, pred, merge);
                     let copied = g.block_insts(dup.copy).len() as u64;
-                    optimize_full(g, cache);
-                    copied
+                    (copied, optimize_full(g, cache))
                 }) {
-                    Ok(copied) => stats.work += copied,
+                    Ok((copied, opt)) => {
+                        stats.work += copied;
+                        stats.record_opt(&opt);
+                    }
                     Err(reason) => {
                         // Contained: the attempt's transaction doubles
                         // as our recovery checkpoint.

@@ -18,7 +18,9 @@
 //!   a panicking transformation into
 //!   [`BailoutReason::TransformPanicked`] without spamming stderr. A
 //!   round's optimistic pass runs under it too: until the boundary, the
-//!   graph may hold a corruption nobody has detected yet.
+//!   graph may hold a corruption nobody has detected yet. The optimizer's
+//!   debug oracle ([`dbds_opt::DIVERGED`]) is the exception: it reports a
+//!   bug, so `isolate` raises it again.
 //! - [`transact`] — [`isolate`] composed with the IR undo log: the
 //!   closure runs inside a [`Graph::begin_txn`] frame that is committed
 //!   on success and rolled back (in O(edits), not O(graph)) on panic or
@@ -249,6 +251,12 @@ static HOOK: Once = Once::new();
 /// # Errors
 ///
 /// Returns the panic payload's message when `f` panicked.
+///
+/// # Panics
+///
+/// Panics again, with the same message, when `f`'s panic was a
+/// divergence of the optimizer's debug oracle ([`dbds_opt::DIVERGED`]):
+/// no bailout may hide it.
 pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, BailoutReason> {
     HOOK.call_once(|| {
         let prev = panic::take_hook();
@@ -261,7 +269,13 @@ pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, BailoutReason> {
     SILENCED.with(|c| c.set(c.get() + 1));
     let result = panic::catch_unwind(AssertUnwindSafe(f));
     SILENCED.with(|c| c.set(c.get() - 1));
-    result.map_err(|payload| BailoutReason::TransformPanicked(panic_message(payload.as_ref())))
+    result.map_err(|payload| {
+        let message = panic_message(payload.as_ref());
+        if message.starts_with(dbds_opt::DIVERGED) {
+            panic!("{message}");
+        }
+        BailoutReason::TransformPanicked(message)
+    })
 }
 
 /// Runs `f` against `g` inside an IR transaction with panics isolated.
@@ -352,6 +366,15 @@ mod tests {
         }
         // The silencer unwinds correctly: a later panic is caught again.
         assert!(isolate(|| panic!("again")).is_err());
+    }
+
+    /// The optimizer's debug oracle runs inside `transact` (the DBDS
+    /// optimization tier) and `isolate` (backtracking): its verdict must
+    /// still fail the caller, through any depth of isolation.
+    #[test]
+    #[should_panic(expected = "the sparse optimizer diverged")]
+    fn an_optimizer_divergence_is_raised_through_isolation() {
+        let _ = isolate(|| isolate(|| panic!("{} on unit", dbds_opt::DIVERGED)));
     }
 
     #[test]

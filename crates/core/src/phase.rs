@@ -21,7 +21,7 @@ use crate::transform::{try_duplicate, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats, Dominators};
 use dbds_costmodel::CostModel;
 use dbds_ir::{BlockId, Diagnostic, Graph, LintId, TxnFootprint, UndoStats};
-use dbds_opt::{optimize_full, optimize_once, OptKind};
+use dbds_opt::{optimize, optimize_full, OptKind, OptimizeStats, MAX_ROUNDS};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -256,6 +256,13 @@ pub struct PhaseStats {
     /// plus those their DSTs evaluated (a merge's φs only seed synonyms).
     /// Deterministic.
     pub audit_insts_evaluated: u64,
+    /// Optimizer rounds run, over every optimizer call of the
+    /// compilation. Deterministic.
+    pub opt_rounds: u64,
+    /// Instructions the optimizer's passes looked at
+    /// ([`OptimizeStats::insts_visited`]), over every optimizer call.
+    /// Deterministic.
+    pub opt_insts_visited: u64,
     /// Every bailout incident of this compilation, in order.
     pub bailouts: Vec<BailoutRecord>,
 }
@@ -299,6 +306,12 @@ impl PhaseStats {
         };
     }
 
+    /// Adds one optimizer call's work counters to these stats.
+    pub(crate) fn record_opt(&mut self, opt: &OptimizeStats) {
+        self.opt_rounds += opt.rounds as u64;
+        self.opt_insts_visited += opt.insts_visited;
+    }
+
     /// Copies the undo-log counters accumulated since `base` into these
     /// stats (`undo_peak` is the log's high-water mark, not a delta).
     pub(crate) fn record_undo(&mut self, g: &Graph, base: UndoStats) {
@@ -319,7 +332,8 @@ pub fn compile(g: &mut Graph, model: &CostModel, level: OptLevel, cfg: &DbdsConf
                 initial_size: model.graph_size(g),
                 ..PhaseStats::default()
             };
-            optimize_full(g, &mut cache);
+            let opt = optimize_full(g, &mut cache);
+            stats.record_opt(&opt);
             stats.final_size = model.graph_size(g);
             stats.work = g.live_inst_count() as u64;
             stats.record_cache(&cache, CacheStats::default());
@@ -1105,23 +1119,21 @@ fn differential_check(g: &Graph, dup: &Duplication, after: &Dominators) -> Optio
     ))
 }
 
-/// Runs the optimization pipeline (`optimize_once`, or the full fixpoint
-/// when `full`) behind the guardrails: the pipeline runs inside an
+/// Runs the optimization pipeline (one round, or the full fixpoint when
+/// `full`) behind the guardrails: the pipeline runs inside an
 /// undo-log transaction, so a panicking pass is caught and the graph
 /// rolled back to its pre-pass state. With faults compiled in, the
 /// result is also verified (a corrupted graph rolls back the same way).
 fn run_opt_tier(g: &mut Graph, cache: &mut AnalysisCache, stats: &mut PhaseStats, full: bool) {
     let mut opt_ns: u128 = 0;
     let mut verify_ns: u128 = 0;
+    let mut opt = OptimizeStats::default();
     let (result, txn_ns) = transact(g, |g| {
         // Inside the guard so an injected panic here is contained.
         fault_point("phase/optimize", Some(g));
         let t = Instant::now();
-        if full {
-            optimize_full(g, cache);
-        } else {
-            optimize_once(g, cache);
-        }
+        let rounds = if full { MAX_ROUNDS } else { 1 };
+        opt = optimize(g, cache, rounds);
         opt_ns = t.elapsed().as_nanos();
         if cfg!(feature = "fault-injection") {
             // Production builds skip this verify: optimizer bugs surface
@@ -1135,6 +1147,7 @@ fn run_opt_tier(g: &mut Graph, cache: &mut AnalysisCache, stats: &mut PhaseStats
         Ok(())
     });
     stats.opt_ns += opt_ns;
+    stats.record_opt(&opt);
     stats.guard_ns += verify_ns + txn_ns;
     stats.undo_ns += txn_ns;
     if let Err(reason) = result {

@@ -230,6 +230,8 @@ pub fn format_json(
             ("undo_edits", Json::num(s.undo_edits)),
             ("undo_rollbacks", Json::num(s.undo_rollbacks)),
             ("undo_peak", Json::num(s.undo_peak)),
+            ("opt_rounds", Json::num(s.opt_rounds)),
+            ("opt_insts_visited", Json::num(s.opt_insts_visited)),
             ("bailouts", Json::num(s.bailouts.len())),
             ("bailouts_recovered", Json::num(recovered)),
         ])
@@ -434,6 +436,8 @@ mod tests {
             "\"split_candidates\"",
             "\"split_applied\"",
             "\"frontier_violations\"",
+            "\"opt_rounds\"",
+            "\"opt_insts_visited\"",
         ] {
             assert!(one.contains(key), "{one}");
         }

@@ -126,6 +126,17 @@ impl Evaluation {
 /// Runs the applicability checks for instruction `id` under `env` and, if
 /// one holds, the corresponding action step. The graph is not modified.
 pub fn evaluate(g: &Graph, env: &FactEnv, id: InstId) -> Evaluation {
+    let eval = evaluate_inst(g, env, id);
+    // Only in code a folded branch has just cut off can a value resolve
+    // to itself (`v = xor 0, w` where `w` is a single-input φ of `v`): no
+    // rewrite.
+    if eval.verdict == Verdict::Alias(id) {
+        return Evaluation::keep();
+    }
+    eval
+}
+
+fn evaluate_inst(g: &Graph, env: &FactEnv, id: InstId) -> Evaluation {
     match g.inst(id).clone() {
         Inst::Const(_) | Inst::Param(_) | Inst::New { .. } | Inst::NewArray { .. } => {
             Evaluation::keep()

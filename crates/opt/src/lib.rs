@@ -18,9 +18,14 @@
 //!
 //! - [`canonicalize`] — dominator-order CF/SR/CE/read-elim with branch
 //!   folding,
+//! - [`global_value_numbering`] — dominator-scoped deduplication of pure
+//!   instructions,
 //! - [`scalar_replace`] — escape analysis + scalar replacement,
 //! - [`remove_dead_code`] / [`simplify_cfg`] — cleanup,
-//! - [`optimize_full`] — everything to a fixpoint (the baseline pipeline).
+//! - [`optimize`] / [`optimize_full`] — the five in that order, round
+//!   after round, by one sparse fixpoint driver: the first round covers
+//!   the whole graph, each later one only what the round before changed
+//!   (the baseline pipeline, and the DBDS optimization tier's cleanup).
 //!
 //! [`SsaBuilder`] provides the on-demand φ construction both scalar
 //! replacement and the duplication transform need.
@@ -67,7 +72,9 @@ pub use evaluate::{evaluate, record_effects, Evaluation, OptKind, Verdict};
 pub use passes::canonicalize::{canonicalize, CanonStats};
 pub use passes::dce::{remove_dead_code, remove_dead_instructions, remove_unreachable_blocks};
 pub use passes::gvn::global_value_numbering;
-pub use passes::pipeline::{optimize_full, optimize_once, OptimizeStats};
+pub use passes::pipeline::{
+    dense_reference, optimize, optimize_full, OptimizeStats, DIVERGED, MAX_ROUNDS,
+};
 pub use passes::scalar_replace::scalar_replace;
 pub use passes::simplify::{merge_straightline_blocks, remove_single_input_phis, simplify_cfg};
 pub use ssa_repair::{SsaBuilder, SsaRepairError};

@@ -15,11 +15,17 @@
 //! blocks. The environment is scoped, not copied: the walk marks it before
 //! it enters a block and rolls back to the mark when it leaves, and any
 //! other entry than a sole-predecessor edge forgets the memory facts.
+//!
+//! Under the fixpoint driver a later round walks only the dominator
+//! subtrees rooted at dirty blocks; the unchanged ancestors of such a
+//! subtree are replayed — evaluated for their facts, never rewritten —
+//! so the subtree sees the environment a whole-tree walk would give it.
 
 use crate::env::{FactEnv, Mark};
 use crate::evaluate::{evaluate, record_effects, OptKind, Verdict};
+use crate::passes::dirt::{walk_tree, Dirt, Sweep, TreeVisitor};
 use dbds_analysis::{AnalysisCache, DomTree};
-use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, Type};
+use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, Terminator, Type, Use};
 use std::collections::HashMap;
 
 /// Statistics of one canonicalization run.
@@ -71,8 +77,14 @@ impl ConstPool {
                 return id;
             }
         }
-        let at = g.param_values().len();
-        let id = g.insert_inst(g.entry(), at, Inst::Const(c), c.ty());
+        // After the parameters DCE has left: an unused one is removed.
+        let entry = g.entry();
+        let at = g
+            .block_insts(entry)
+            .iter()
+            .take_while(|&&i| matches!(g.inst(i), Inst::Param(_)))
+            .count();
+        let id = g.insert_inst(entry, at, Inst::Const(c), c.ty());
         self.pool.insert(c, id);
         id
     }
@@ -83,91 +95,197 @@ impl ConstPool {
 pub fn canonicalize(g: &mut Graph, cache: &mut AnalysisCache) -> CanonStats {
     let dt = cache.domtree(g);
     let mut stats = CanonStats::default();
-    let mut pool = ConstPool::new();
-    walk(g, &dt, &mut stats, &mut pool);
+    run(g, &dt, &mut Sweep::all(g), &mut Dirt::default(), &mut stats);
     stats
 }
 
-/// Visits the dominator tree in preorder with one environment. The path
-/// from the entry to the block in hand is a stack of `(block, mark)`
-/// frames, the mark taken before the block's entry edge was applied:
-/// leaving a block rolls its facts back, so each block sees exactly its
-/// parent's facts extended by its own entry edge. No recursion, so the
-/// depth of the tree does not touch the thread's stack.
-fn walk(g: &mut Graph, dt: &DomTree, stats: &mut CanonStats, pool: &mut ConstPool) {
-    let mut env = FactEnv::new();
-    let mut path: Vec<(BlockId, Mark)> = Vec::new();
-    for &b in dt.preorder() {
-        let parent = dt.idom(b);
-        while let Some(&(top, mark)) = path.last() {
-            if Some(top) == parent {
-                break;
-            }
-            env.rollback_to(mark);
-            path.pop();
-        }
-        let mark = env.mark();
+/// Canonicalizes the blocks `sweep` selects, reporting what it changed
+/// to `dirt`. Returns the instructions visited.
+///
+/// The dirt, per rewrite: the blocks of the replaced value's users (for
+/// GVN, whose keys changed, and for canonicalize itself where the walk
+/// has already passed them — a loop header's φ, or a merge visited before
+/// the predecessor whose value it takes), and a new instruction's block
+/// for GVN. Per folded branch: the dropped successor, which lost a
+/// predecessor and a φ input.
+pub(crate) fn run(
+    g: &mut Graph,
+    dt: &DomTree,
+    sweep: &mut Sweep,
+    dirt: &mut Dirt,
+    stats: &mut CanonStats,
+) -> u64 {
+    let mut walk = Walk {
+        env: FactEnv::new(),
+        stats,
+        pool: ConstPool::new(),
+        dirt,
+    };
+    walk_tree(g, dt, sweep, &mut walk)
+}
+
+/// The state of one canonicalization walk: the environment, scoped by
+/// the tree walk, and what the walk has changed so far.
+struct Walk<'a> {
+    env: FactEnv,
+    stats: &'a mut CanonStats,
+    pool: ConstPool,
+    dirt: &'a mut Dirt,
+}
+
+impl TreeVisitor for Walk<'_> {
+    type Mark = Mark;
+
+    fn mark(&self) -> Mark {
+        self.env.mark()
+    }
+
+    fn rollback(&mut self, mark: Mark) {
+        self.env.rollback_to(mark);
+    }
+
+    /// Applies the entry edge, then rewrites the block and folds its
+    /// terminator if its condition is statically known. The predecessor
+    /// list is read now, after the earlier siblings' subtrees may have
+    /// folded an edge into `b`.
+    fn visit(
+        &mut self,
+        g: &mut Graph,
+        parent: Option<BlockId>,
+        b: BlockId,
+        replay: bool,
+        sweep: &mut Sweep,
+    ) {
         if let Some(p) = parent {
-            // The predecessor list is read now, after the earlier
-            // siblings' subtrees may have folded an edge into `b`.
-            env.enter_child(g, p, b);
+            self.env.enter_child(g, p, b);
         }
-        process_block(g, b, &mut env, stats, pool);
-        // Fold the terminator if its condition is statically known.
-        if let Some(t) = env.branch_decision(g, b) {
-            g.fold_branch(b, t);
-            stats.branch_folds += 1;
+        if replay {
+            self.replay_block(g, b);
+            return;
         }
-        path.push((b, mark));
+        self.process_block(g, b, sweep);
+        if let Some(take_then) = self.env.branch_decision(g, b) {
+            self.fold(g, b, take_then, sweep);
+        }
     }
 }
 
-/// Evaluates and rewrites the instructions of one block under `env`.
-pub(crate) fn process_block(
-    g: &mut Graph,
-    b: BlockId,
-    env: &mut FactEnv,
-    stats: &mut CanonStats,
-    pool: &mut ConstPool,
-) {
-    let snapshot: Vec<InstId> = g.block_insts(b).to_vec();
-    for id in snapshot {
-        if g.block_of(id) != Some(b) {
-            continue; // removed by an earlier rewrite
-        }
-        let eval = evaluate(g, env, id);
-        record_effects(g, env, id, &eval);
-        if let Some(kind) = eval.kind {
-            if eval.verdict.is_progress() {
-                *stats.applied.entry(kind).or_insert(0) += 1;
+impl Walk<'_> {
+    /// Evaluates and rewrites the instructions of one block.
+    fn process_block(&mut self, g: &mut Graph, b: BlockId, sweep: &mut Sweep) {
+        let snapshot: Vec<InstId> = g.block_insts(b).to_vec();
+        for id in snapshot {
+            if g.block_of(id) != Some(b) {
+                continue; // removed by an earlier rewrite
+            }
+            let eval = evaluate(g, &self.env, id);
+            record_effects(g, &mut self.env, id, &eval);
+            if let Some(kind) = eval.kind {
+                if eval.verdict.is_progress() {
+                    *self.stats.applied.entry(kind).or_insert(0) += 1;
+                }
+            }
+            match eval.verdict {
+                Verdict::Keep => {}
+                Verdict::Const(c) => {
+                    let cid = self.constant(g, c);
+                    self.replace(g, b, id, cid, sweep);
+                }
+                Verdict::Alias(v) => self.replace(g, b, id, v, sweep),
+                Verdict::Rewrite { op, lhs, rhs } => {
+                    let cid = self.constant(g, rhs);
+                    let pos = g
+                        .block_insts(b)
+                        .iter()
+                        .position(|&i| i == id)
+                        .expect("inst in its own block");
+                    let new = g.insert_inst(b, pos, Inst::Binary { op, lhs, rhs: cid }, Type::Int);
+                    self.dirt.gvn.insert(b);
+                    self.replace(g, b, id, new, sweep);
+                }
+                Verdict::Eliminated => {
+                    self.dirt.removing(g, id);
+                    g.remove_inst(id);
+                }
             }
         }
-        match eval.verdict {
-            Verdict::Keep => {}
-            Verdict::Const(c) => {
-                let cid = pool.get(g, c);
-                g.replace_all_uses(id, cid);
-                g.remove_inst(id);
-            }
-            Verdict::Alias(v) => {
-                g.replace_all_uses(id, v);
-                g.remove_inst(id);
-            }
-            Verdict::Rewrite { op, lhs, rhs } => {
-                let cid = pool.get(g, rhs);
-                let pos = g
-                    .block_insts(b)
-                    .iter()
-                    .position(|&i| i == id)
-                    .expect("inst in its own block");
-                let new = g.insert_inst(b, pos, Inst::Binary { op, lhs, rhs: cid }, Type::Int);
-                g.replace_all_uses(id, new);
-                g.remove_inst(id);
-            }
-            Verdict::Eliminated => {
-                g.remove_inst(id);
-            }
+    }
+
+    /// Takes in the facts of an ancestor of a dirty block that nothing
+    /// changed since it was last processed: its instructions evaluate to
+    /// [`Verdict::Keep`] and its branch stays undecided, exactly as a
+    /// walk over the whole tree would find them.
+    fn replay_block(&mut self, g: &Graph, b: BlockId) {
+        for &id in g.block_insts(b) {
+            let eval = evaluate(g, &self.env, id);
+            debug_assert!(
+                !eval.verdict.is_progress(),
+                "replayed {id} in {b} still rewrites to {:?}: a change went unreported",
+                eval.verdict
+            );
+            record_effects(g, &mut self.env, id, &eval);
         }
+        debug_assert!(
+            self.env.branch_decision(g, b).is_none(),
+            "replayed {b} still folds its branch: a change went unreported"
+        );
+    }
+
+    /// The pooled instruction producing `c`; a new one is a new
+    /// value-numbering key in the entry block.
+    fn constant(&mut self, g: &mut Graph, c: ConstValue) -> InstId {
+        let before = g.inst_count();
+        let id = self.pool.get(g, c);
+        if g.inst_count() > before {
+            self.dirt.gvn.insert(g.entry());
+        }
+        id
+    }
+
+    /// Replaces `old`, an instruction of `b`, by `new` everywhere and
+    /// removes `old`. Its users further down `b` and `b`'s terminator are
+    /// still ahead of the walk; `b`'s φs are behind it.
+    fn replace(&mut self, g: &mut Graph, b: BlockId, old: InstId, new: InstId, sweep: &mut Sweep) {
+        for user in g.uses(old) {
+            let (at, phi) = match user {
+                Use::Inst(i) => (
+                    g.block_of(i).expect("users are attached"),
+                    g.inst(i).is_phi(),
+                ),
+                Use::Term(t) => (t, false),
+            };
+            if (at != b || phi) && !sweep.touch(at) {
+                self.dirt.canon.insert(at);
+            }
+            self.dirt.gvn.insert(at);
+        }
+        self.dirt.replacing(g, old, new);
+        g.replace_all_uses(old, new);
+        self.dirt.removing(g, old);
+        g.remove_inst(old);
+    }
+
+    /// Folds `b`'s branch to the successor `take_then` selects.
+    fn fold(&mut self, g: &mut Graph, b: BlockId, take_then: bool, sweep: &mut Sweep) {
+        let Terminator::Branch {
+            cond,
+            then_bb,
+            else_bb,
+            ..
+        } = *g.terminator(b)
+        else {
+            unreachable!("only a branch has a decision");
+        };
+        let dropped = if take_then { else_bb } else { then_bb };
+        self.dirt.dropped.push(cond);
+        self.dirt.cutting(g, b, dropped);
+        self.dirt.simplify.insert(b);
+        self.dirt.cuts += 1;
+        if !sweep.touch(dropped) {
+            self.dirt.canon.insert(dropped);
+        }
+        g.fold_branch(b, take_then);
+        self.stats.branch_folds += 1;
     }
 }
 
@@ -388,6 +506,64 @@ mod tests {
         });
         // Every test below the first is implied by the edge into it.
         assert_eq!(stats.branch_folds, DEPTH - 1);
+    }
+
+    /// DCE removes an unused parameter from the entry block, so the
+    /// entry may hold fewer instructions than the function has
+    /// parameters when a constant is pooled there.
+    #[test]
+    fn a_constant_is_pooled_after_a_removed_parameter() {
+        let mut b = GraphBuilder::new("param", &[Type::Int, Type::Int], empty_table());
+        let y = b.param(1);
+        let body = b.new_block();
+        b.jump(body);
+        b.switch_to(body);
+        let s = b.sub(y, y);
+        b.ret(Some(s));
+        let mut g = b.finish();
+        crate::remove_dead_code(&mut g);
+        assert_eq!(g.block_insts(g.entry()).len(), 1, "x is gone");
+        canonicalize(&mut g, &mut AnalysisCache::new());
+        verify(&g).unwrap();
+        assert_eq!(
+            execute(&g, &[Value::Int(4), Value::Int(9)]).outcome,
+            Ok(Value::Int(0))
+        );
+    }
+
+    /// The entry's branch folds away the edge into a loop, leaving the
+    /// header's φ `w` with the one input `v = xor 0, w`. The walk, on the
+    /// tree from before the fold, still visits the loop: `w` becomes `v`,
+    /// and then `v` resolves to itself — no rewrite. DCE clears the loop.
+    #[test]
+    fn a_value_that_resolves_to_itself_in_cut_off_code_is_kept() {
+        let mut b = GraphBuilder::new("self", &[Type::Int], empty_table());
+        let x = b.param(0);
+        let zero = b.iconst(0);
+        let one = b.iconst(1);
+        let never = b.cmp(CmpOp::Eq, zero, one);
+        let (header, body, exit) = (b.new_block(), b.new_block(), b.new_block());
+        b.branch(never, header, exit, 0.5);
+        b.switch_to(header);
+        b.jump(body);
+        b.switch_to(body);
+        let v = b.binop(dbds_ir::BinOp::Xor, zero, zero); // `xor 0, w` once w exists
+        b.jump(header);
+        b.switch_to(exit);
+        b.ret(Some(x));
+        let mut g = b.finish();
+        let w = g.append_phi(header, vec![x, v], Type::Int);
+        g.rewrite_inputs(v, |inst| {
+            if let Inst::Binary { rhs, .. } = inst {
+                *rhs = w;
+            }
+        });
+        verify(&g).unwrap();
+        let stats = canonicalize(&mut g, &mut AnalysisCache::new());
+        assert_eq!(stats.branch_folds, 1);
+        crate::remove_dead_code(&mut g);
+        verify(&g).unwrap();
+        assert_eq!(execute(&g, &[Value::Int(3)]).outcome, Ok(Value::Int(3)));
     }
 
     #[test]

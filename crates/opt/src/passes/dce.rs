@@ -1,11 +1,24 @@
 //! Dead-code elimination: unreachable blocks and unused pure
 //! instructions.
 
-use dbds_ir::{Graph, InstId, Terminator};
+use crate::passes::dirt::Dirt;
+use dbds_ir::{BlockId, Graph, InstId, Terminator};
 
 /// Disconnects and empties all blocks unreachable from the entry.
 /// Returns `true` when anything changed.
 pub fn remove_unreachable_blocks(g: &mut Graph) -> bool {
+    let mut seeds = Vec::new();
+    clear_unreachable(g, &mut Dirt::default(), &mut seeds)
+}
+
+/// [`remove_unreachable_blocks`], reporting to `dirt` and collecting in
+/// `seeds` every value that lost a use.
+///
+/// The dirt: each reachable successor of a cleared block lost a
+/// predecessor and its φs an input (for canonicalize and
+/// `simplify_cfg`). The cleared blocks leave every pending set.
+fn clear_unreachable(g: &mut Graph, dirt: &mut Dirt, seeds: &mut Vec<InstId>) -> bool {
+    let base = dirt.dropped.len();
     let mut reachable = vec![false; g.block_count()];
     for b in g.reachable_blocks() {
         reachable[b.index()] = true;
@@ -20,15 +33,31 @@ pub fn remove_unreachable_blocks(g: &mut Graph) -> bool {
         // are about to be detached (a dead `return v` must not keep
         // referencing v).
         if !matches!(g.terminator(b), Terminator::Deopt) {
+            for s in g.succs(b) {
+                dirt.cutting(g, b, s);
+                if reachable[s.index()] {
+                    dirt.canon.insert(s);
+                }
+            }
+            let mut operands = Vec::new();
+            g.terminator(b).for_each_input(|v| operands.push(v));
+            dirt.note_allocs(g, operands.iter().copied());
+            dirt.dropped.extend(operands);
             g.set_terminator(b, Terminator::Deopt);
             changed = true;
         }
         let insts: Vec<InstId> = g.block_insts(b).to_vec();
         for i in insts.into_iter().rev() {
+            dirt.removing(g, i);
             g.remove_inst(i);
             changed = true;
         }
     }
+    seeds.extend(dirt.dropped.drain(base..));
+    let live = |b: BlockId| reachable.get(b.index()).copied().unwrap_or(true);
+    dirt.canon.retain(live);
+    dirt.gvn.retain(live);
+    dirt.simplify.retain(live);
     changed
 }
 
@@ -39,22 +68,39 @@ pub fn remove_unreachable_blocks(g: &mut Graph) -> bool {
 /// unused removable instruction, and each removal pushes the operands it
 /// was the last user of — no recount of the graph per round.
 pub fn remove_dead_instructions(g: &mut Graph) -> bool {
-    let dead = |g: &Graph, i: InstId| !g.has_uses(i) && g.inst(i).removable_if_unused();
-    let mut worklist: Vec<InstId> = g
-        .blocks()
-        .flat_map(|b| g.block_insts(b))
-        .copied()
-        .filter(|&i| dead(g, i))
-        .collect();
+    remove_dead(g, None, &mut Dirt::default()).0
+}
+
+/// Is `i` an attached, unused instruction DCE may remove?
+pub(crate) fn is_dead(g: &Graph, i: InstId) -> bool {
+    i.index() < g.inst_count()
+        && g.block_of(i).is_some()
+        && !g.has_uses(i)
+        && g.inst(i).removable_if_unused()
+}
+
+/// The worklist of [`remove_dead_instructions`], seeded from `seeds` —
+/// from every instruction when `None`. Removing an instruction reports
+/// the allocations among its operands to `dirt` (they lost a user).
+/// Returns whether anything changed and the instructions visited: those
+/// tested for deadness.
+fn remove_dead(g: &mut Graph, seeds: Option<Vec<InstId>>, dirt: &mut Dirt) -> (bool, u64) {
+    let seeds =
+        seeds.unwrap_or_else(|| g.blocks().flat_map(|b| g.block_insts(b)).copied().collect());
+    let mut visited = seeds.len() as u64;
+    let mut worklist: Vec<InstId> = seeds.into_iter().filter(|&i| is_dead(g, i)).collect();
+    worklist.sort_unstable();
+    worklist.dedup();
     let changed = !worklist.is_empty();
     while let Some(i) = worklist.pop() {
         let operands = g.inst(i).collect_inputs();
+        dirt.note_allocs(g, operands.iter().copied());
         g.remove_inst(i);
         for (k, &op) in operands.iter().enumerate() {
             // Queue each newly unused operand once, however many of the
             // removed instruction's slots named it.
-            let attached = op.index() < g.inst_count() && g.block_of(op).is_some();
-            if attached && dead(g, op) && !operands[..k].contains(&op) {
+            visited += 1;
+            if is_dead(g, op) && !operands[..k].contains(&op) {
                 worklist.push(op);
             }
         }
@@ -64,7 +110,7 @@ pub fn remove_dead_instructions(g: &mut Graph) -> bool {
         !any_dead_by_recount(g),
         "worklist DCE left an unused removable instruction behind"
     );
-    changed
+    (changed, visited)
 }
 
 /// One round of the whole-graph recount the worklist replaced: does any
@@ -90,9 +136,27 @@ fn any_dead_by_recount(g: &Graph) -> bool {
 
 /// Runs both DCE phases.
 pub fn remove_dead_code(g: &mut Graph) -> bool {
-    let a = remove_unreachable_blocks(g);
-    let b = remove_dead_instructions(g);
-    a || b
+    run(g, None, true, &mut Dirt::default()).0
+}
+
+/// Both DCE phases, the unreachable-block sweep only when `cut` (an edge
+/// was cut since the last run), the worklist seeded from `seeds` — every
+/// instruction when `None` — plus whatever the sweep detached operands
+/// from. Returns whether anything changed and the instructions visited.
+pub(crate) fn run(
+    g: &mut Graph,
+    seeds: Option<Vec<InstId>>,
+    cut: bool,
+    dirt: &mut Dirt,
+) -> (bool, u64) {
+    let mut swept = Vec::new();
+    let a = cut && clear_unreachable(g, dirt, &mut swept);
+    let seeds = seeds.map(|mut s| {
+        s.append(&mut swept);
+        s
+    });
+    let (b, visited) = remove_dead(g, seeds, dirt);
+    (a || b, visited)
 }
 
 #[cfg(test)]

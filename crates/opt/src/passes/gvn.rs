@@ -10,6 +10,7 @@
 //! dedup is read elimination's job — and no allocations, which have
 //! identity).
 
+use crate::passes::dirt::{user_blocks, walk_tree, Dirt, Sweep, TreeVisitor};
 use dbds_analysis::{AnalysisCache, DomTree};
 use dbds_ir::{BinOp, BlockId, ClassId, CmpOp, ConstValue, Graph, Inst, InstId};
 use std::collections::HashMap;
@@ -64,52 +65,90 @@ fn key_of(g: &Graph, i: InstId) -> Option<Key> {
 /// Returns the number of instructions deduplicated.
 pub fn global_value_numbering(g: &mut Graph, cache: &mut AnalysisCache) -> usize {
     let dt = cache.domtree(g);
-    walk(g, &dt)
+    run(g, &dt, &mut Sweep::all(g), &mut Dirt::default()).0
 }
 
-/// Visits the dominator tree in preorder with `table` holding the keys
-/// defined in dominating positions. One table for the whole walk: a
-/// block only ever inserts keys the table did not hold, and `inserted`
-/// is the trail of those keys, so removing a block's keys when the walk
-/// leaves it restores the parent's view exactly. The path to the block
-/// in hand is a stack of `(block, trail length)` frames — no recursion,
-/// so the depth of the tree does not touch the thread's stack.
-fn walk(g: &mut Graph, dt: &DomTree) -> usize {
-    let mut table: HashMap<Key, InstId> = HashMap::new();
-    let mut inserted: Vec<Key> = Vec::new();
-    let mut path: Vec<(BlockId, usize)> = Vec::new();
-    let mut removed = 0;
-    for &b in dt.preorder() {
-        let parent = dt.idom(b);
-        while let Some(&(top, mark)) = path.last() {
-            if Some(top) == parent {
-                break;
-            }
-            for key in inserted.drain(mark..) {
-                table.remove(&key);
-            }
-            path.pop();
+/// Numbers the blocks `sweep` selects, reporting what it changed to
+/// `dirt`. Returns the instructions deduplicated and visited.
+///
+/// The dirt, per merge: the blocks of the replaced value's users, for
+/// canonicalize — unless a constant was replaced by an equal constant,
+/// which [`evaluate`](crate::evaluate) cannot tell apart. GVN itself
+/// needs none of its own: a replaced value's users sit below it in the
+/// tree, where this walk still goes.
+pub(crate) fn run(g: &mut Graph, dt: &DomTree, sweep: &mut Sweep, dirt: &mut Dirt) -> (usize, u64) {
+    let mut walk = Walk {
+        table: HashMap::new(),
+        inserted: Vec::new(),
+        removed: 0,
+        dirt,
+    };
+    let visited = walk_tree(g, dt, sweep, &mut walk);
+    (walk.removed, visited)
+}
+
+/// The state of one GVN walk. `table` holds the keys defined in
+/// dominating positions; a block only ever inserts keys the table did
+/// not hold, and `inserted` is the trail of those keys, so removing a
+/// block's keys when the walk leaves it restores the parent's view
+/// exactly.
+struct Walk<'a> {
+    table: HashMap<Key, InstId>,
+    inserted: Vec<Key>,
+    removed: usize,
+    dirt: &'a mut Dirt,
+}
+
+impl TreeVisitor for Walk<'_> {
+    type Mark = usize;
+
+    fn mark(&self) -> usize {
+        self.inserted.len()
+    }
+
+    fn rollback(&mut self, mark: usize) {
+        for key in self.inserted.drain(mark..) {
+            self.table.remove(&key);
         }
-        path.push((b, inserted.len()));
+    }
+
+    fn visit(
+        &mut self,
+        g: &mut Graph,
+        _parent: Option<BlockId>,
+        b: BlockId,
+        replay: bool,
+        _sweep: &mut Sweep,
+    ) {
         for i in g.block_insts(b).to_vec() {
             if g.block_of(i) != Some(b) {
                 continue;
             }
             let Some(key) = key_of(g, i) else { continue };
-            match table.get(&key) {
+            match self.table.get(&key) {
                 Some(&prior) => {
+                    debug_assert!(
+                        !replay,
+                        "replayed {i} in {b} still merges into {prior}: a change went unreported"
+                    );
+                    if !matches!(key, Key::Const(_)) {
+                        for user in user_blocks(g, i) {
+                            self.dirt.canon.insert(user);
+                        }
+                    }
+                    self.dirt.replacing(g, i, prior);
                     g.replace_all_uses(i, prior);
+                    self.dirt.removing(g, i);
                     g.remove_inst(i);
-                    removed += 1;
+                    self.removed += 1;
                 }
                 None => {
-                    table.insert(key, i);
-                    inserted.push(key);
+                    self.table.insert(key, i);
+                    self.inserted.push(key);
                 }
             }
         }
     }
-    removed
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 pub mod canonicalize;
 pub mod dce;
+pub(crate) mod dirt;
 pub mod gvn;
 pub mod pipeline;
 pub mod scalar_replace;

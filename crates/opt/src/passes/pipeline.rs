@@ -1,27 +1,45 @@
-//! The full optimization pipeline: canonicalize → scalar-replace → DCE →
-//! CFG simplify, iterated to a fixpoint.
+//! The optimization pipeline: canonicalize → GVN → scalar-replace → DCE
+//! → CFG simplify, iterated to a fixpoint by one sparse driver.
 //!
 //! This is the "set of selected optimizations" the paper's backtracking
-//! baseline applies after every tentative duplication (Algorithm 1), and
-//! the cleanup the DBDS optimization tier runs after performing its
-//! selected duplications.
+//! baseline applies after every tentative duplication (Algorithm 1), the
+//! Baseline configuration's whole optimizer, and the cleanup the DBDS
+//! optimization tier runs between and after its duplication iterations.
+//!
+//! The first round runs every pass over the whole graph. Each pass
+//! reports the changes another pass could react to — its *dirt*, see
+//! `dirt.rs` — and a later round runs a pass only on the dirt made after
+//! that pass last ran: canonicalize and GVN walk the dominator subtrees
+//! rooted at dirty blocks, scalar replacement examines the dirty
+//! allocations, DCE starts from the values whose use counts dropped, and
+//! CFG simplification looks at the dirty blocks. A round that leaves no
+//! dirt is the fixpoint; no confirming round runs. Under
+//! `debug_assertions` every call is checked against the dense
+//! round-robin it replaces (whole-graph rounds until one changes
+//! nothing): the two graphs must print identically.
 
-use crate::passes::canonicalize::{canonicalize, CanonStats};
-use crate::passes::dce::remove_dead_code;
-use crate::passes::gvn::global_value_numbering;
-use crate::passes::scalar_replace::scalar_replace;
-use crate::passes::simplify::simplify_cfg;
-use dbds_analysis::AnalysisCache;
-use dbds_ir::Graph;
+use crate::passes::canonicalize::{self, CanonStats};
+use crate::passes::dce;
+use crate::passes::dirt::{BlockSet, Dirt, Entry, Sweep};
+use crate::passes::gvn;
+use crate::passes::scalar_replace;
+use crate::passes::simplify;
+use dbds_analysis::{AnalysisCache, DomTree};
+use dbds_ir::{BlockId, Graph, InstId};
+use std::sync::Arc;
 
-/// Upper bound on fixpoint rounds (each round is itself monotone, so this
-/// is a safety net, not a tuning knob).
-const MAX_ROUNDS: usize = 10;
+/// The round limit of [`optimize_full`]. Termination of the rounds is not
+/// proven — two rewrites could in principle keep undoing each other — so
+/// this caps such a cycle. No generated unit of any suite comes near it
+/// (they converge within three rounds); under `debug_assertions` reaching
+/// it with dirt left fails an assertion.
+pub const MAX_ROUNDS: usize = 10;
 
-/// Aggregate statistics of a full optimization run.
+/// Aggregate statistics of an optimization run.
 #[derive(Clone, Debug, Default)]
 pub struct OptimizeStats {
-    /// Rounds until fixpoint.
+    /// Rounds run: the first, whole-graph one plus each round that had
+    /// dirt to work on.
     pub rounds: usize,
     /// Accumulated canonicalization statistics.
     pub canon: CanonStats,
@@ -29,43 +47,244 @@ pub struct OptimizeStats {
     pub scalar_replaced: usize,
     /// Whether anything changed at all.
     pub changed: bool,
+    /// Instructions the passes looked at: those of the blocks
+    /// canonicalize and GVN processed or replayed, those scalar
+    /// replacement scanned (first round) or the allocations it examined
+    /// (later rounds), those DCE tested for deadness, and the φs CFG
+    /// simplification examined. Deterministic.
+    pub insts_visited: u64,
 }
 
-/// Runs a single round of the pipeline (no fixpoint iteration). The DBDS
-/// phase uses this as the cheap *partial* optimization step between
-/// duplication iterations (§4.3 applies action steps locally rather than
-/// re-optimizing the world).
-pub fn optimize_once(g: &mut Graph, cache: &mut AnalysisCache) -> OptimizeStats {
-    let mut stats = OptimizeStats {
-        rounds: 1,
-        ..OptimizeStats::default()
-    };
-    let c = canonicalize(g, cache);
-    let gvn = global_value_numbering(g, cache);
-    let sr = scalar_replace(g);
-    let dce = remove_dead_code(g);
-    let simp = simplify_cfg(g);
-    stats.changed = c.changed() || gvn > 0 || sr > 0 || dce || simp;
-    stats.canon = c;
-    stats.scalar_replaced = sr;
-    stats
-}
-
-/// Optimizes `g` to a fixpoint with the §2 optimization set: rounds of
-/// [`optimize_once`] until one changes nothing.
+/// Optimizes `g` to a fixpoint with the §2 optimization set.
 pub fn optimize_full(g: &mut Graph, cache: &mut AnalysisCache) -> OptimizeStats {
-    let mut stats = OptimizeStats::default();
-    for round in 0..MAX_ROUNDS {
-        let once = optimize_once(g, cache);
-        stats.rounds = round + 1;
-        stats.canon.merge(&once.canon);
-        stats.scalar_replaced += once.scalar_replaced;
-        stats.changed |= once.changed;
-        if !once.changed {
-            break;
+    optimize(g, cache, MAX_ROUNDS)
+}
+
+/// Optimizes `g` for at most `max_rounds` rounds, stopping earlier at the
+/// fixpoint. One round is the cheap *partial* cleanup the DBDS phase runs
+/// between duplication iterations; [`optimize_full`] is the fixpoint.
+///
+/// # Panics
+///
+/// With `debug_assertions`, panics with a message that starts with
+/// [`DIVERGED`] if the result does not print exactly as
+/// [`dense_reference`]'s on a clone of the input.
+pub fn optimize(g: &mut Graph, cache: &mut AnalysisCache, max_rounds: usize) -> OptimizeStats {
+    #[cfg(debug_assertions)]
+    let dense = dbds_ir::print_graph(&dense_reference(g, max_rounds).0);
+    let stats = Driver::default().run(g, cache, max_rounds);
+    #[cfg(debug_assertions)]
+    {
+        let sparse = dbds_ir::print_graph(g);
+        if sparse != dense {
+            panic!(
+                "{DIVERGED} on {}\n--- sparse:\n{sparse}--- dense:\n{dense}",
+                g.name
+            );
         }
     }
     stats
+}
+
+/// How the message of the debug oracle's panic in [`optimize`] starts. A
+/// divergence is a bug, not a fault to recover from: the guardrails that
+/// turn panics into bailouts raise it again.
+pub const DIVERGED: &str = "the sparse optimizer diverged from the dense round-robin";
+
+/// The reference [`optimize`] is held to: rounds of all five passes over
+/// the whole graph, on a clone of `g` with its own analysis cache, until
+/// one round changes nothing or `max_rounds` have run. Returns the result
+/// and the rounds run. The debug oracle and the differential tests call
+/// it; nothing else should.
+#[doc(hidden)]
+pub fn dense_reference(g: &Graph, max_rounds: usize) -> (Graph, usize) {
+    use crate::{
+        canonicalize, global_value_numbering, remove_dead_code, scalar_replace, simplify_cfg,
+    };
+    let mut g = g.clone();
+    let mut cache = AnalysisCache::new();
+    let mut rounds = 0;
+    while rounds < max_rounds {
+        rounds += 1;
+        let c = canonicalize(&mut g, &mut cache);
+        let merged = global_value_numbering(&mut g, &mut cache);
+        let replaced = scalar_replace(&mut g);
+        let dce = remove_dead_code(&mut g);
+        let simplified = simplify_cfg(&mut g);
+        if !(c.changed() || merged > 0 || replaced > 0 || dce || simplified) {
+            break;
+        }
+    }
+    (g, rounds)
+}
+
+/// What a dominator-tree pass saw when it last ran.
+#[derive(Default)]
+struct TreeSeen {
+    /// [`Dirt::cuts`] when it last ran.
+    cuts: u64,
+    /// How its walks so far entered each block.
+    entered: Vec<Option<Entry>>,
+}
+
+impl TreeSeen {
+    /// The tree for this run and the walk over it: the whole tree when
+    /// `whole`, else the subtrees rooted at `dirty` and, after a cut, at
+    /// the blocks the walk would enter otherwise than the last walk did.
+    /// `None` when there is nothing to do.
+    fn next(
+        &mut self,
+        g: &Graph,
+        cache: &mut AnalysisCache,
+        dirt: &Dirt,
+        dirty: &BlockSet,
+        whole: bool,
+    ) -> Option<(Arc<DomTree>, Sweep)> {
+        let cut = dirt.cuts != self.cuts;
+        if !whole && dirty.is_empty() && !cut {
+            return None;
+        }
+        let dt = cache.domtree(g);
+        let sweep = if whole {
+            Sweep::all(g)
+        } else {
+            let entered = std::mem::take(&mut self.entered);
+            let mut blocks: Vec<BlockId> = dirty.iter().collect();
+            if cut {
+                blocks.extend(dirt.stale(&entered, g, &dt));
+            }
+            blocks.retain(|&b| b.index() < dt.block_count() && dt.is_reachable(b));
+            Sweep::of(g, blocks, entered)
+        };
+        self.cuts = dirt.cuts;
+        Some((dt, sweep))
+    }
+
+    /// Keeps the record of the walk `sweep` drove.
+    fn done(&mut self, sweep: Sweep) {
+        self.entered = sweep.into_entered();
+    }
+}
+
+/// The fixpoint driver's state across rounds.
+#[derive(Default)]
+struct Driver {
+    dirt: Dirt,
+    canon: TreeSeen,
+    gvn: TreeSeen,
+    /// [`Dirt::cuts`] at DCE's last run.
+    dce_cuts: u64,
+    /// The instruction arena's length at DCE's last run: later
+    /// instructions are new and may be unused.
+    dce_arena: usize,
+}
+
+impl Driver {
+    fn run(
+        &mut self,
+        g: &mut Graph,
+        cache: &mut AnalysisCache,
+        max_rounds: usize,
+    ) -> OptimizeStats {
+        let mut stats = OptimizeStats::default();
+        for round in 0..max_rounds {
+            let whole = round == 0;
+            if !whole && self.converged(g) {
+                return stats;
+            }
+            stats.rounds = round + 1;
+            stats.changed |= self.round(g, cache, &mut stats, whole);
+        }
+        debug_assert!(
+            max_rounds < MAX_ROUNDS || self.converged(g),
+            "{} did not converge in {MAX_ROUNDS} optimizer rounds",
+            g.name
+        );
+        stats
+    }
+
+    /// One round: each pass over the whole graph when `whole`, else on
+    /// the dirt made since it last ran (skipped when there is none).
+    /// Returns whether anything changed.
+    fn round(
+        &mut self,
+        g: &mut Graph,
+        cache: &mut AnalysisCache,
+        stats: &mut OptimizeStats,
+        whole: bool,
+    ) -> bool {
+        let mut changed = false;
+        let dirt = &mut self.dirt;
+
+        let dirty = std::mem::take(&mut dirt.canon);
+        if let Some((dt, mut sweep)) = self.canon.next(g, cache, dirt, &dirty, whole) {
+            let mut canon = CanonStats::default();
+            stats.insts_visited += canonicalize::run(g, &dt, &mut sweep, dirt, &mut canon);
+            self.canon.done(sweep);
+            changed |= canon.changed();
+            stats.canon.merge(&canon);
+        }
+
+        let dirty = std::mem::take(&mut dirt.gvn);
+        if let Some((dt, mut sweep)) = self.gvn.next(g, cache, dirt, &dirty, whole) {
+            let (merged, visited) = gvn::run(g, &dt, &mut sweep, dirt);
+            self.gvn.done(sweep);
+            stats.insts_visited += visited;
+            changed |= merged > 0;
+        }
+
+        let allocs = std::mem::take(&mut dirt.allocs);
+        if whole || !allocs.is_empty() {
+            let (replaced, visited) = scalar_replace::run(g, (!whole).then_some(allocs), dirt);
+            stats.insts_visited += visited;
+            stats.scalar_replaced += replaced;
+            changed |= replaced > 0;
+        }
+
+        let mut seeds = std::mem::take(&mut dirt.dropped);
+        seeds.extend((self.dce_arena..g.inst_count()).map(InstId::from_index));
+        let cut = whole || dirt.cuts != self.dce_cuts;
+        if cut || !seeds.is_empty() {
+            let (dce, visited) = dce::run(g, (!whole).then_some(seeds), cut, dirt);
+            self.dce_cuts = dirt.cuts;
+            self.dce_arena = g.inst_count();
+            stats.insts_visited += visited;
+            changed |= dce;
+        }
+
+        let blocks = std::mem::take(&mut dirt.simplify);
+        if whole || !blocks.is_empty() {
+            let only = (!whole).then(|| blocks.iter().collect());
+            let (simplified, visited) = simplify::run(g, only, dirt);
+            stats.insts_visited += visited;
+            changed |= simplified;
+        }
+        changed
+    }
+
+    /// Is there no dirt left that could change the graph? Drops the
+    /// entries that cannot: allocations that still escape, values still
+    /// used, blocks `simplify_cfg` would leave alone — each could only
+    /// become actionable through a change that reports it again.
+    fn converged(&mut self, g: &Graph) -> bool {
+        let dirt = &mut self.dirt;
+        dirt.allocs.retain(|&a| scalar_replace::dissolvable(g, a));
+        dirt.dropped.retain(|&v| dce::is_dead(g, v));
+        let mut fresh = (self.dce_arena..g.inst_count()).map(InstId::from_index);
+        if !fresh.any(|i| dce::is_dead(g, i)) {
+            self.dce_arena = g.inst_count();
+        }
+        dirt.simplify.retain(|b| simplify::applies(g, b));
+        dirt.canon.is_empty()
+            && dirt.gvn.is_empty()
+            && dirt.simplify.is_empty()
+            && dirt.allocs.is_empty()
+            && dirt.dropped.is_empty()
+            && self.dce_arena == g.inst_count()
+            && dirt.cuts == self.canon.cuts
+            && dirt.cuts == self.gvn.cuts
+            && dirt.cuts == self.dce_cuts
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! duplicates the merge, the φ that made the object escape is gone and
 //! this pass removes the allocation on the non-escaping path.
 
+use crate::passes::dirt::{user_blocks, Dirt};
 use crate::ssa_repair::SsaBuilder;
 use dbds_analysis::reverse_postorder;
 use dbds_ir::{BlockId, ClassId, CmpOp, ConstValue, FieldId, Graph, Inst, InstId, Type, Use};
@@ -40,25 +41,110 @@ enum AllocUse {
 /// Runs scalar replacement over all allocations of `g`. Returns the
 /// number of allocations removed.
 pub fn scalar_replace(g: &mut Graph) -> usize {
-    let allocations: Vec<(InstId, ClassId)> = g
-        .blocks()
-        .flat_map(|b| g.block_insts(b).to_vec())
-        .filter_map(|i| match g.inst(i) {
-            Inst::New { class } if g.block_of(i).is_some() => Some((i, *class)),
-            _ => None,
-        })
-        .collect();
+    run(g, None, &mut Dirt::default()).0
+}
+
+/// Replaces the allocations among `only` — every allocation of `g` when
+/// `None` — that do not escape, in layout order (block index, position in
+/// block), reporting what it changed to `dirt`. Returns the allocations
+/// removed and the instructions visited: every instruction scanned for
+/// allocations, or every allocation examined.
+///
+/// The dirt, per dissolved allocation: its block, for canonicalize and
+/// GVN — every load, store, test and inserted φ or constant sits in its
+/// dominator subtree — and the blocks of the replaced values' users. An
+/// allocation whose users changed is examined again in this run when it
+/// comes later in layout order, and left for the next run otherwise.
+pub(crate) fn run(g: &mut Graph, only: Option<Vec<InstId>>, dirt: &mut Dirt) -> (usize, u64) {
+    let sparse = only.is_some();
+    let (mut queue, mut visited) = match only {
+        None => {
+            let mut scanned = 0;
+            let mut allocations = Vec::new();
+            for b in g.blocks() {
+                for &i in g.block_insts(b) {
+                    scanned += 1;
+                    if matches!(g.inst(i), Inst::New { .. }) {
+                        allocations.push(i);
+                    }
+                }
+            }
+            (allocations, scanned)
+        }
+        Some(mut allocs) => {
+            allocs.retain(|&a| g.block_of(a).is_some());
+            allocs.sort_by_key(|&a| layout_key(g, a));
+            allocs.dedup();
+            (allocs, 0)
+        }
+    };
     let mut removed = 0;
-    for (alloc, class) in allocations {
+    let mut next = 0;
+    while next < queue.len() {
+        let alloc = queue[next];
+        next += 1;
         if g.block_of(alloc).is_none() {
             continue; // removed while handling an earlier allocation
         }
+        visited += u64::from(sparse);
+        let here = layout_key(g, alloc);
+        let seen = dirt.allocs.len();
         if let Some(uses) = classify_uses(g, alloc) {
-            replace_allocation(g, alloc, class, uses);
+            let Inst::New { class } = *g.inst(alloc) else {
+                unreachable!("queued a non-allocation");
+            };
+            replace_allocation(g, alloc, class, uses, dirt);
             removed += 1;
         }
+        for other in dirt.allocs.split_off(seen) {
+            if g.block_of(other).is_none() {
+                continue;
+            }
+            let key = layout_key(g, other);
+            if key <= here {
+                dirt.allocs.push(other); // passed: the next run's
+            } else if sparse && !queue[next..].contains(&other) {
+                let at = queue[next..].partition_point(|&q| layout_key(g, q) < key);
+                queue.insert(next + at, other);
+            }
+        }
     }
-    removed
+    (removed, visited)
+}
+
+/// Can scalar replacement remove `alloc` as the graph stands?
+pub(crate) fn dissolvable(g: &Graph, alloc: InstId) -> bool {
+    g.block_of(alloc).is_some()
+        && matches!(g.inst(alloc), Inst::New { .. })
+        && classify_uses(g, alloc).is_some()
+}
+
+/// Where `i` sits: its block's index and its position in the block.
+fn layout_key(g: &Graph, i: InstId) -> (usize, usize) {
+    let b = g.block_of(i).expect("attached instruction");
+    let pos = g
+        .block_insts(b)
+        .iter()
+        .position(|&x| x == i)
+        .expect("inst in its block");
+    (b.index(), pos)
+}
+
+/// Replaces `old` by `new` everywhere and removes `old`.
+fn replace(g: &mut Graph, old: InstId, new: InstId, dirt: &mut Dirt) {
+    for user in user_blocks(g, old) {
+        dirt.canon.insert(user);
+        dirt.gvn.insert(user);
+    }
+    dirt.replacing(g, old, new);
+    g.replace_all_uses(old, new);
+    remove(g, old, dirt);
+}
+
+/// Removes `i`, which has no users left.
+fn remove(g: &mut Graph, i: InstId, dirt: &mut Dirt) {
+    dirt.removing(g, i);
+    g.remove_inst(i);
 }
 
 /// Classifies every use of `alloc`, read off its def-use list in layout
@@ -111,8 +197,16 @@ fn classify_use(g: &Graph, alloc: InstId, i: InstId) -> Option<AllocUse> {
     }
 }
 
-fn replace_allocation(g: &mut Graph, alloc: InstId, class: ClassId, uses: Vec<AllocUse>) {
+fn replace_allocation(
+    g: &mut Graph,
+    alloc: InstId,
+    class: ClassId,
+    uses: Vec<AllocUse>,
+    dirt: &mut Dirt,
+) {
     let alloc_block = g.block_of(alloc).expect("live allocation");
+    dirt.canon.insert(alloc_block);
+    dirt.gvn.insert(alloc_block);
     let table = g.class_table().clone();
 
     // Group loads/stores per field.
@@ -129,6 +223,15 @@ fn replace_allocation(g: &mut Graph, alloc: InstId, class: ClassId, uses: Vec<Al
     }
 
     let rpo = reverse_postorder(g);
+    // Code a branch folded this round cut off, which DCE clears next. Its
+    // edges still reach live blocks, so the SSA builder may look there,
+    // and it may still hold loads of the allocation: the fields hold
+    // nothing in particular in it, so they read as their defaults.
+    let mut cut_off = vec![true; g.block_count()];
+    for &b in &rpo {
+        cut_off[b.index()] = false;
+    }
+    let cut_off: Vec<BlockId> = g.blocks().filter(|b| cut_off[b.index()]).collect();
     for (field, (loads, stores)) in fields {
         let field_ty = table.field(field).ty;
         // The zero-initialized default value, materialized right after the
@@ -186,6 +289,9 @@ fn replace_allocation(g: &mut Graph, alloc: InstId, class: ClassId, uses: Vec<Al
                 defs.insert(b, v);
             }
         }
+        for &b in &cut_off {
+            defs.entry(b).or_insert(default);
+        }
         let mut ssa = SsaBuilder::new(field_ty, defs);
 
         // Rewrite loads in RPO so earlier replacements are visible when a
@@ -207,6 +313,13 @@ fn replace_allocation(g: &mut Graph, alloc: InstId, class: ClassId, uses: Vec<Al
                 }
             }
         }
+        for b in &cut_off {
+            for &(_, e) in events.get(b).into_iter().flatten() {
+                if let Event::Use(load) = e {
+                    replacements.push((load, default));
+                }
+            }
+        }
         // Apply the replacements. A replacement target can itself be a
         // load that was replaced earlier (store p.x, load p.x chains), so
         // chase through the already-applied map.
@@ -217,13 +330,12 @@ fn replace_allocation(g: &mut Graph, alloc: InstId, class: ClassId, uses: Vec<Al
                 target = t;
             }
             debug_assert_ne!(target, load, "load cannot define its own field");
-            g.replace_all_uses(load, target);
-            g.remove_inst(load);
+            replace(g, load, target, dirt);
             applied.insert(load, target);
         }
         drop(ssa);
         for (store, _) in stores {
-            g.remove_inst(store);
+            remove(g, store, dirt);
         }
     }
 
@@ -254,15 +366,14 @@ fn replace_allocation(g: &mut Graph, alloc: InstId, class: ClassId, uses: Vec<Al
             .position(|&i| i == test)
             .expect("test in its block");
         let c = g.insert_inst(b, pos, Inst::Const(ConstValue::Bool(result)), Type::Bool);
-        g.replace_all_uses(test, c);
-        g.remove_inst(test);
+        replace(g, test, c, dirt);
     }
 
     assert!(
         !g.has_uses(alloc),
         "allocation still used after scalar replacement"
     );
-    g.remove_inst(alloc);
+    remove(g, alloc, dirt);
 }
 
 fn zero_const(ty: Type) -> ConstValue {

@@ -1,54 +1,90 @@
 //! Control-flow simplification: degenerate φs and straight-line block
 //! chains left behind by branch folding and duplication.
 
-use dbds_ir::{Graph, Inst, InstId, Terminator};
+use crate::passes::dirt::{user_blocks, Dirt};
+use dbds_ir::{BlockId, Graph, Inst, InstId, Terminator};
 
 /// Replaces φs in single-predecessor blocks with their only input.
 /// Returns `true` when anything changed.
 pub fn remove_single_input_phis(g: &mut Graph) -> bool {
+    let blocks: Vec<BlockId> = g.blocks().collect();
+    remove_phis_in(g, &blocks, &mut Dirt::default()).0
+}
+
+/// Removes the φs of the single-predecessor blocks among `blocks`.
+/// Returns whether anything changed and the φs examined.
+///
+/// The dirt, per φ: the blocks of its users, for canonicalize and GVN
+/// (an operand changed), and its input, which lost a use.
+fn remove_phis_in(g: &mut Graph, blocks: &[BlockId], dirt: &mut Dirt) -> (bool, u64) {
     let mut changed = false;
-    for b in g.blocks().collect::<Vec<_>>() {
+    let mut visited = 0;
+    for &b in blocks {
         if g.preds(b).len() != 1 {
             continue;
         }
         let phis: Vec<InstId> = g.phis(b).to_vec();
+        visited += phis.len() as u64;
         for phi in phis {
             let input = match g.inst(phi) {
                 Inst::Phi { inputs } => inputs[0],
                 _ => unreachable!(),
             };
+            for user in user_blocks(g, phi) {
+                dirt.canon.insert(user);
+                dirt.gvn.insert(user);
+            }
+            dirt.replacing(g, phi, input);
             g.replace_all_uses(phi, input);
+            dirt.removing(g, phi);
             g.remove_inst(phi);
             changed = true;
         }
     }
-    changed
+    (changed, visited)
 }
 
 /// Merges blocks connected by a unique jump edge: when `b` ends in
 /// `jump s`, `s`'s only predecessor is `b`, and `s` has no φs, `s` is
 /// folded into `b`. Returns `true` when anything changed.
 pub fn merge_straightline_blocks(g: &mut Graph) -> bool {
+    let blocks: Vec<BlockId> = g.blocks().collect();
+    merge_in(g, blocks, &mut Dirt::default())
+}
+
+/// The block `b` can absorb: its jump target, when `b` is that block's
+/// only predecessor and the target has no φs.
+fn absorbable(g: &Graph, b: BlockId) -> Option<BlockId> {
+    let Terminator::Jump { target } = *g.terminator(b) else {
+        return None;
+    };
+    let mergeable =
+        target != b && target != g.entry() && g.preds(target) == [b] && g.phis(target).is_empty();
+    mergeable.then_some(target)
+}
+
+/// Merges every straight-line pair one of `blocks` belongs to, and the
+/// pairs those merges create. Merging is confluent — a chain always ends
+/// up in its head, in chain order — so the order of `blocks` does not
+/// matter. A merge is no dirt (the merged block's facts and GVN scope
+/// are its predecessor's); it is recorded so that a dominator tree taken
+/// before it can be compared with one taken after.
+fn merge_in(g: &mut Graph, blocks: Vec<BlockId>, dirt: &mut Dirt) -> bool {
     let mut changed = false;
-    loop {
-        let mut merged = false;
-        for b in g.blocks().collect::<Vec<_>>() {
-            let target = match g.terminator(b) {
-                Terminator::Jump { target } => *target,
-                _ => continue,
-            };
-            if target == b || target == g.entry() {
-                continue;
-            }
-            if g.preds(target) != [b] || !g.phis(target).is_empty() {
-                continue;
-            }
-            g.merge_block_into_pred(target, b);
-            merged = true;
+    let mut work = blocks;
+    while let Some(x) = work.pop() {
+        // `x` as the predecessor, or as the target of its only one.
+        let pair = absorbable(g, x)
+            .map(|t| (x, t))
+            .or_else(|| match *g.preds(x) {
+                [p] if absorbable(g, p) == Some(x) => Some((p, x)),
+                _ => None,
+            });
+        if let Some((b, t)) = pair {
+            g.merge_block_into_pred(t, b);
+            dirt.merged(t, b);
+            work.push(b);
             changed = true;
-        }
-        if !merged {
-            break;
         }
     }
     changed
@@ -56,16 +92,28 @@ pub fn merge_straightline_blocks(g: &mut Graph) -> bool {
 
 /// Runs both simplifications to a fixpoint.
 pub fn simplify_cfg(g: &mut Graph) -> bool {
-    let mut changed = false;
-    loop {
-        let a = remove_single_input_phis(g);
-        let b = merge_straightline_blocks(g);
-        if !(a || b) {
-            break;
-        }
-        changed = true;
-    }
-    changed
+    run(g, None, &mut Dirt::default()).0
+}
+
+/// [`simplify_cfg`] on `only` — every block when `None` — reporting
+/// what it changed to `dirt`. Removing φs never enables a merge that did
+/// not get its φs removed first, and merging never leaves a block with a
+/// single predecessor it did not have, so one φ sweep and one merge
+/// worklist reach the fixpoint. Returns whether anything changed and the
+/// φs examined.
+pub(crate) fn run(g: &mut Graph, only: Option<Vec<BlockId>>, dirt: &mut Dirt) -> (bool, u64) {
+    let blocks = only.unwrap_or_else(|| g.blocks().collect());
+    let (a, visited) = remove_phis_in(g, &blocks, dirt);
+    let b = merge_in(g, blocks, dirt);
+    (a || b, visited)
+}
+
+/// Would [`simplify_cfg`] change anything at `b`?
+pub(crate) fn applies(g: &Graph, b: BlockId) -> bool {
+    let single_input_phis = g.preds(b).len() == 1 && !g.phis(b).is_empty();
+    let merges =
+        absorbable(g, b).is_some() || matches!(*g.preds(b), [p] if absorbable(g, p) == Some(b));
+    single_input_phis || merges
 }
 
 #[cfg(test)]
