@@ -432,7 +432,7 @@ impl FactEnv {
     /// parent's facts through the edge condition; any other child forgets
     /// the memory facts, which only hold along straight-line paths. The
     /// one entry rule of the canonicalizer's walk, the simulation walk
-    /// and the prediction audit's replay.
+    /// and the prediction audit.
     pub fn enter_child(&mut self, g: &Graph, parent: BlockId, b: BlockId) {
         if g.preds(b) == [parent] {
             self.assume_edge(g, parent, b);

@@ -23,9 +23,10 @@
 //! - [`scalar_replace`] — escape analysis + scalar replacement,
 //! - [`remove_dead_code`] / [`simplify_cfg`] — cleanup,
 //! - [`optimize`] / [`optimize_full`] — the five in that order, round
-//!   after round, by one sparse fixpoint driver: the first round covers
-//!   the whole graph, each later one only what the round before changed
-//!   (the baseline pipeline, and the DBDS optimization tier's cleanup).
+//!   after round, by one fixpoint driver: the first round runs them all,
+//!   a later one only the passes that what changed since gives work,
+//!   each over the whole graph (the baseline pipeline, and the DBDS
+//!   optimization tier's cleanup).
 //!
 //! [`SsaBuilder`] provides the on-demand φ construction both scalar
 //! replacement and the duplication transform need.

@@ -16,14 +16,13 @@
 //! it enters a block and rolls back to the mark when it leaves, and any
 //! other entry than a sole-predecessor edge forgets the memory facts.
 //!
-//! Under the fixpoint driver a later round walks only the dominator
-//! subtrees rooted at dirty blocks; the unchanged ancestors of such a
-//! subtree are replayed — evaluated for their facts, never rewritten —
-//! so the subtree sees the environment a whole-tree walk would give it.
+//! Every run walks the whole tree: the fixpoint driver runs it again in a
+//! later round only when there is dirt for it, and then over the whole
+//! graph.
 
 use crate::env::{FactEnv, Mark};
 use crate::evaluate::{evaluate, record_effects, OptKind, Verdict};
-use crate::passes::dirt::{walk_tree, Dirt, Sweep, TreeVisitor};
+use crate::passes::dirt::{walk_tree, Dirt, TreeVisitor};
 use dbds_analysis::{AnalysisCache, DomTree};
 use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, Terminator, Type, Use};
 use std::collections::HashMap;
@@ -95,12 +94,12 @@ impl ConstPool {
 pub fn canonicalize(g: &mut Graph, cache: &mut AnalysisCache) -> CanonStats {
     let dt = cache.domtree(g);
     let mut stats = CanonStats::default();
-    run(g, &dt, &mut Sweep::all(g), &mut Dirt::default(), &mut stats);
+    run(g, &dt, &mut Dirt::default(), &mut stats);
     stats
 }
 
-/// Canonicalizes the blocks `sweep` selects, reporting what it changed
-/// to `dirt`. Returns the instructions visited.
+/// Canonicalizes `g`, reporting what it changed to `dirt`. Returns the
+/// instructions visited.
 ///
 /// The dirt, per rewrite: the blocks of the replaced value's users (for
 /// GVN, whose keys changed, and for canonicalize itself where the walk
@@ -108,29 +107,26 @@ pub fn canonicalize(g: &mut Graph, cache: &mut AnalysisCache) -> CanonStats {
 /// the predecessor whose value it takes), and a new instruction's block
 /// for GVN. Per folded branch: the dropped successor, which lost a
 /// predecessor and a φ input.
-pub(crate) fn run(
-    g: &mut Graph,
-    dt: &DomTree,
-    sweep: &mut Sweep,
-    dirt: &mut Dirt,
-    stats: &mut CanonStats,
-) -> u64 {
+pub(crate) fn run(g: &mut Graph, dt: &DomTree, dirt: &mut Dirt, stats: &mut CanonStats) -> u64 {
     let mut walk = Walk {
         env: FactEnv::new(),
         stats,
         pool: ConstPool::new(),
         dirt,
+        passed: vec![false; g.block_count()],
     };
-    walk_tree(g, dt, sweep, &mut walk)
+    walk_tree(g, dt, &mut walk)
 }
 
 /// The state of one canonicalization walk: the environment, scoped by
-/// the tree walk, and what the walk has changed so far.
+/// the tree walk, what the walk has changed so far, and the blocks it
+/// has entered.
 struct Walk<'a> {
     env: FactEnv,
     stats: &'a mut CanonStats,
     pool: ConstPool,
     dirt: &'a mut Dirt,
+    passed: Vec<bool>,
 }
 
 impl TreeVisitor for Walk<'_> {
@@ -148,31 +144,21 @@ impl TreeVisitor for Walk<'_> {
     /// terminator if its condition is statically known. The predecessor
     /// list is read now, after the earlier siblings' subtrees may have
     /// folded an edge into `b`.
-    fn visit(
-        &mut self,
-        g: &mut Graph,
-        parent: Option<BlockId>,
-        b: BlockId,
-        replay: bool,
-        sweep: &mut Sweep,
-    ) {
+    fn visit(&mut self, g: &mut Graph, parent: Option<BlockId>, b: BlockId) {
+        self.passed[b.index()] = true;
         if let Some(p) = parent {
             self.env.enter_child(g, p, b);
         }
-        if replay {
-            self.replay_block(g, b);
-            return;
-        }
-        self.process_block(g, b, sweep);
+        self.process_block(g, b);
         if let Some(take_then) = self.env.branch_decision(g, b) {
-            self.fold(g, b, take_then, sweep);
+            self.fold(g, b, take_then);
         }
     }
 }
 
 impl Walk<'_> {
     /// Evaluates and rewrites the instructions of one block.
-    fn process_block(&mut self, g: &mut Graph, b: BlockId, sweep: &mut Sweep) {
+    fn process_block(&mut self, g: &mut Graph, b: BlockId) {
         let snapshot: Vec<InstId> = g.block_insts(b).to_vec();
         for id in snapshot {
             if g.block_of(id) != Some(b) {
@@ -189,9 +175,9 @@ impl Walk<'_> {
                 Verdict::Keep => {}
                 Verdict::Const(c) => {
                     let cid = self.constant(g, c);
-                    self.replace(g, b, id, cid, sweep);
+                    self.replace(g, b, id, cid);
                 }
-                Verdict::Alias(v) => self.replace(g, b, id, v, sweep),
+                Verdict::Alias(v) => self.replace(g, b, id, v),
                 Verdict::Rewrite { op, lhs, rhs } => {
                     let cid = self.constant(g, rhs);
                     let pos = g
@@ -201,7 +187,7 @@ impl Walk<'_> {
                         .expect("inst in its own block");
                     let new = g.insert_inst(b, pos, Inst::Binary { op, lhs, rhs: cid }, Type::Int);
                     self.dirt.gvn.insert(b);
-                    self.replace(g, b, id, new, sweep);
+                    self.replace(g, b, id, new);
                 }
                 Verdict::Eliminated => {
                     self.dirt.removing(g, id);
@@ -209,26 +195,6 @@ impl Walk<'_> {
                 }
             }
         }
-    }
-
-    /// Takes in the facts of an ancestor of a dirty block that nothing
-    /// changed since it was last processed: its instructions evaluate to
-    /// [`Verdict::Keep`] and its branch stays undecided, exactly as a
-    /// walk over the whole tree would find them.
-    fn replay_block(&mut self, g: &Graph, b: BlockId) {
-        for &id in g.block_insts(b) {
-            let eval = evaluate(g, &self.env, id);
-            debug_assert!(
-                !eval.verdict.is_progress(),
-                "replayed {id} in {b} still rewrites to {:?}: a change went unreported",
-                eval.verdict
-            );
-            record_effects(g, &mut self.env, id, &eval);
-        }
-        debug_assert!(
-            self.env.branch_decision(g, b).is_none(),
-            "replayed {b} still folds its branch: a change went unreported"
-        );
     }
 
     /// The pooled instruction producing `c`; a new one is a new
@@ -242,10 +208,16 @@ impl Walk<'_> {
         id
     }
 
+    /// Is `b` behind the walk? A change that reaches it is dirt for the
+    /// next run.
+    fn passed(&self, b: BlockId) -> bool {
+        self.passed[b.index()]
+    }
+
     /// Replaces `old`, an instruction of `b`, by `new` everywhere and
     /// removes `old`. Its users further down `b` and `b`'s terminator are
     /// still ahead of the walk; `b`'s φs are behind it.
-    fn replace(&mut self, g: &mut Graph, b: BlockId, old: InstId, new: InstId, sweep: &mut Sweep) {
+    fn replace(&mut self, g: &mut Graph, b: BlockId, old: InstId, new: InstId) {
         for user in g.uses(old) {
             let (at, phi) = match user {
                 Use::Inst(i) => (
@@ -254,7 +226,7 @@ impl Walk<'_> {
                 ),
                 Use::Term(t) => (t, false),
             };
-            if (at != b || phi) && !sweep.touch(at) {
+            if (at != b || phi) && self.passed(at) {
                 self.dirt.canon.insert(at);
             }
             self.dirt.gvn.insert(at);
@@ -266,7 +238,7 @@ impl Walk<'_> {
     }
 
     /// Folds `b`'s branch to the successor `take_then` selects.
-    fn fold(&mut self, g: &mut Graph, b: BlockId, take_then: bool, sweep: &mut Sweep) {
+    fn fold(&mut self, g: &mut Graph, b: BlockId, take_then: bool) {
         let Terminator::Branch {
             cond,
             then_bb,
@@ -281,7 +253,7 @@ impl Walk<'_> {
         self.dirt.cutting(g, b, dropped);
         self.dirt.simplify.insert(b);
         self.dirt.cuts += 1;
-        if !sweep.touch(dropped) {
+        if self.passed(dropped) {
             self.dirt.canon.insert(dropped);
         }
         g.fold_branch(b, take_then);

@@ -7,18 +7,15 @@ use dbds_ir::{BlockId, Graph, InstId, Terminator};
 /// Disconnects and empties all blocks unreachable from the entry.
 /// Returns `true` when anything changed.
 pub fn remove_unreachable_blocks(g: &mut Graph) -> bool {
-    let mut seeds = Vec::new();
-    clear_unreachable(g, &mut Dirt::default(), &mut seeds)
+    clear_unreachable(g, &mut Dirt::default())
 }
 
-/// [`remove_unreachable_blocks`], reporting to `dirt` and collecting in
-/// `seeds` every value that lost a use.
+/// [`remove_unreachable_blocks`], reporting to `dirt`.
 ///
 /// The dirt: each reachable successor of a cleared block lost a
 /// predecessor and its φs an input (for canonicalize and
 /// `simplify_cfg`). The cleared blocks leave every pending set.
-fn clear_unreachable(g: &mut Graph, dirt: &mut Dirt, seeds: &mut Vec<InstId>) -> bool {
-    let base = dirt.dropped.len();
+fn clear_unreachable(g: &mut Graph, dirt: &mut Dirt) -> bool {
     let mut reachable = vec![false; g.block_count()];
     for b in g.reachable_blocks() {
         reachable[b.index()] = true;
@@ -53,7 +50,6 @@ fn clear_unreachable(g: &mut Graph, dirt: &mut Dirt, seeds: &mut Vec<InstId>) ->
             changed = true;
         }
     }
-    seeds.extend(dirt.dropped.drain(base..));
     let live = |b: BlockId| reachable.get(b.index()).copied().unwrap_or(true);
     dirt.canon.retain(live);
     dirt.gvn.retain(live);
@@ -68,7 +64,7 @@ fn clear_unreachable(g: &mut Graph, dirt: &mut Dirt, seeds: &mut Vec<InstId>) ->
 /// unused removable instruction, and each removal pushes the operands it
 /// was the last user of — no recount of the graph per round.
 pub fn remove_dead_instructions(g: &mut Graph) -> bool {
-    remove_dead(g, None, &mut Dirt::default()).0
+    remove_dead(g, &mut Dirt::default()).0
 }
 
 /// Is `i` an attached, unused instruction DCE may remove?
@@ -79,18 +75,15 @@ pub(crate) fn is_dead(g: &Graph, i: InstId) -> bool {
         && g.inst(i).removable_if_unused()
 }
 
-/// The worklist of [`remove_dead_instructions`], seeded from `seeds` —
-/// from every instruction when `None`. Removing an instruction reports
-/// the allocations among its operands to `dirt` (they lost a user).
-/// Returns whether anything changed and the instructions visited: those
-/// tested for deadness.
-fn remove_dead(g: &mut Graph, seeds: Option<Vec<InstId>>, dirt: &mut Dirt) -> (bool, u64) {
-    let seeds =
-        seeds.unwrap_or_else(|| g.blocks().flat_map(|b| g.block_insts(b)).copied().collect());
-    let mut visited = seeds.len() as u64;
-    let mut worklist: Vec<InstId> = seeds.into_iter().filter(|&i| is_dead(g, i)).collect();
+/// The worklist of [`remove_dead_instructions`]. Removing an instruction
+/// reports the allocations among its operands to `dirt` (they lost a
+/// user). Returns whether anything changed and the instructions visited:
+/// those tested for deadness.
+fn remove_dead(g: &mut Graph, dirt: &mut Dirt) -> (bool, u64) {
+    let mut worklist: Vec<InstId> = g.blocks().flat_map(|b| g.block_insts(b)).copied().collect();
+    let mut visited = worklist.len() as u64;
+    worklist.retain(|&i| is_dead(g, i));
     worklist.sort_unstable();
-    worklist.dedup();
     let changed = !worklist.is_empty();
     while let Some(i) = worklist.pop() {
         let operands = g.inst(i).collect_inputs();
@@ -136,26 +129,14 @@ fn any_dead_by_recount(g: &Graph) -> bool {
 
 /// Runs both DCE phases.
 pub fn remove_dead_code(g: &mut Graph) -> bool {
-    run(g, None, true, &mut Dirt::default()).0
+    run(g, &mut Dirt::default()).0
 }
 
-/// Both DCE phases, the unreachable-block sweep only when `cut` (an edge
-/// was cut since the last run), the worklist seeded from `seeds` — every
-/// instruction when `None` — plus whatever the sweep detached operands
-/// from. Returns whether anything changed and the instructions visited.
-pub(crate) fn run(
-    g: &mut Graph,
-    seeds: Option<Vec<InstId>>,
-    cut: bool,
-    dirt: &mut Dirt,
-) -> (bool, u64) {
-    let mut swept = Vec::new();
-    let a = cut && clear_unreachable(g, dirt, &mut swept);
-    let seeds = seeds.map(|mut s| {
-        s.append(&mut swept);
-        s
-    });
-    let (b, visited) = remove_dead(g, seeds, dirt);
+/// Both DCE phases, reporting to `dirt`. Returns whether anything
+/// changed and the instructions visited.
+pub(crate) fn run(g: &mut Graph, dirt: &mut Dirt) -> (bool, u64) {
+    let a = clear_unreachable(g, dirt);
+    let (b, visited) = remove_dead(g, dirt);
     (a || b, visited)
 }
 

@@ -10,7 +10,7 @@
 //! dedup is read elimination's job — and no allocations, which have
 //! identity).
 
-use crate::passes::dirt::{user_blocks, walk_tree, Dirt, Sweep, TreeVisitor};
+use crate::passes::dirt::{user_blocks, walk_tree, Dirt, TreeVisitor};
 use dbds_analysis::{AnalysisCache, DomTree};
 use dbds_ir::{BinOp, BlockId, ClassId, CmpOp, ConstValue, Graph, Inst, InstId};
 use std::collections::HashMap;
@@ -65,25 +65,25 @@ fn key_of(g: &Graph, i: InstId) -> Option<Key> {
 /// Returns the number of instructions deduplicated.
 pub fn global_value_numbering(g: &mut Graph, cache: &mut AnalysisCache) -> usize {
     let dt = cache.domtree(g);
-    run(g, &dt, &mut Sweep::all(g), &mut Dirt::default()).0
+    run(g, &dt, &mut Dirt::default()).0
 }
 
-/// Numbers the blocks `sweep` selects, reporting what it changed to
-/// `dirt`. Returns the instructions deduplicated and visited.
+/// Numbers `g`, reporting what it changed to `dirt`. Returns the
+/// instructions deduplicated and visited.
 ///
 /// The dirt, per merge: the blocks of the replaced value's users, for
 /// canonicalize — unless a constant was replaced by an equal constant,
 /// which [`evaluate`](crate::evaluate) cannot tell apart. GVN itself
 /// needs none of its own: a replaced value's users sit below it in the
 /// tree, where this walk still goes.
-pub(crate) fn run(g: &mut Graph, dt: &DomTree, sweep: &mut Sweep, dirt: &mut Dirt) -> (usize, u64) {
+pub(crate) fn run(g: &mut Graph, dt: &DomTree, dirt: &mut Dirt) -> (usize, u64) {
     let mut walk = Walk {
         table: HashMap::new(),
         inserted: Vec::new(),
         removed: 0,
         dirt,
     };
-    let visited = walk_tree(g, dt, sweep, &mut walk);
+    let visited = walk_tree(g, dt, &mut walk);
     (walk.removed, visited)
 }
 
@@ -112,14 +112,7 @@ impl TreeVisitor for Walk<'_> {
         }
     }
 
-    fn visit(
-        &mut self,
-        g: &mut Graph,
-        _parent: Option<BlockId>,
-        b: BlockId,
-        replay: bool,
-        _sweep: &mut Sweep,
-    ) {
+    fn visit(&mut self, g: &mut Graph, _parent: Option<BlockId>, b: BlockId) {
         for i in g.block_insts(b).to_vec() {
             if g.block_of(i) != Some(b) {
                 continue;
@@ -127,10 +120,6 @@ impl TreeVisitor for Walk<'_> {
             let Some(key) = key_of(g, i) else { continue };
             match self.table.get(&key) {
                 Some(&prior) => {
-                    debug_assert!(
-                        !replay,
-                        "replayed {i} in {b} still merges into {prior}: a change went unreported"
-                    );
                     if !matches!(key, Key::Const(_)) {
                         for user in user_blocks(g, i) {
                             self.dirt.canon.insert(user);

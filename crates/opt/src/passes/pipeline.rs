@@ -1,5 +1,5 @@
 //! The optimization pipeline: canonicalize → GVN → scalar-replace → DCE
-//! → CFG simplify, iterated to a fixpoint by one sparse driver.
+//! → CFG simplify, iterated to a fixpoint by one driver.
 //!
 //! This is the "set of selected optimizations" the paper's backtracking
 //! baseline applies after every tentative duplication (Algorithm 1), the
@@ -8,11 +8,13 @@
 //!
 //! The first round runs every pass over the whole graph. Each pass
 //! reports the changes another pass could react to — its *dirt*, see
-//! `dirt.rs` — and a later round runs a pass only on the dirt made after
-//! that pass last ran: canonicalize and GVN walk the dominator subtrees
-//! rooted at dirty blocks, scalar replacement examines the dirty
-//! allocations, DCE starts from the values whose use counts dropped, and
-//! CFG simplification looks at the dirty blocks. A round that leaves no
+//! `dirt.rs` — and a later round runs a pass, again over the whole graph,
+//! only when the dirt made after that pass last ran gives it work:
+//! canonicalize and GVN on a dirty block or a cut edge, scalar
+//! replacement on a dirty allocation it can dissolve, DCE on a dead
+//! value, a new dead instruction or a cut edge, and CFG simplification
+//! on a dirty block it applies to. A pass that runs, runs whole; a pass
+//! that is skipped would have changed nothing. A round that leaves no
 //! dirt is the fixpoint; no confirming round runs. Under
 //! `debug_assertions` every call is checked against the dense
 //! round-robin it replaces (whole-graph rounds until one changes
@@ -20,13 +22,12 @@
 
 use crate::passes::canonicalize::{self, CanonStats};
 use crate::passes::dce;
-use crate::passes::dirt::{BlockSet, Dirt, Entry, Sweep};
+use crate::passes::dirt::Dirt;
 use crate::passes::gvn;
 use crate::passes::scalar_replace;
 use crate::passes::simplify;
-use dbds_analysis::{AnalysisCache, DomTree};
-use dbds_ir::{BlockId, Graph, InstId};
-use std::sync::Arc;
+use dbds_analysis::AnalysisCache;
+use dbds_ir::{Graph, InstId};
 
 /// The round limit of [`optimize_full`]. Termination of the rounds is not
 /// proven — two rewrites could in principle keep undoing each other — so
@@ -48,9 +49,8 @@ pub struct OptimizeStats {
     /// Whether anything changed at all.
     pub changed: bool,
     /// Instructions the passes looked at: those of the blocks
-    /// canonicalize and GVN processed or replayed, those scalar
-    /// replacement scanned (first round) or the allocations it examined
-    /// (later rounds), those DCE tested for deadness, and the φs CFG
+    /// canonicalize and GVN walked, those scalar replacement scanned for
+    /// allocations, those DCE tested for deadness, and the φs CFG
     /// simplification examined. Deterministic.
     pub insts_visited: u64,
 }
@@ -118,61 +118,13 @@ pub fn dense_reference(g: &Graph, max_rounds: usize) -> (Graph, usize) {
     (g, rounds)
 }
 
-/// What a dominator-tree pass saw when it last ran.
-#[derive(Default)]
-struct TreeSeen {
-    /// [`Dirt::cuts`] when it last ran.
-    cuts: u64,
-    /// How its walks so far entered each block.
-    entered: Vec<Option<Entry>>,
-}
-
-impl TreeSeen {
-    /// The tree for this run and the walk over it: the whole tree when
-    /// `whole`, else the subtrees rooted at `dirty` and, after a cut, at
-    /// the blocks the walk would enter otherwise than the last walk did.
-    /// `None` when there is nothing to do.
-    fn next(
-        &mut self,
-        g: &Graph,
-        cache: &mut AnalysisCache,
-        dirt: &Dirt,
-        dirty: &BlockSet,
-        whole: bool,
-    ) -> Option<(Arc<DomTree>, Sweep)> {
-        let cut = dirt.cuts != self.cuts;
-        if !whole && dirty.is_empty() && !cut {
-            return None;
-        }
-        let dt = cache.domtree(g);
-        let sweep = if whole {
-            Sweep::all(g)
-        } else {
-            let entered = std::mem::take(&mut self.entered);
-            let mut blocks: Vec<BlockId> = dirty.iter().collect();
-            if cut {
-                blocks.extend(dirt.stale(&entered, g, &dt));
-            }
-            blocks.retain(|&b| b.index() < dt.block_count() && dt.is_reachable(b));
-            Sweep::of(g, blocks, entered)
-        };
-        self.cuts = dirt.cuts;
-        Some((dt, sweep))
-    }
-
-    /// Keeps the record of the walk `sweep` drove.
-    fn done(&mut self, sweep: Sweep) {
-        self.entered = sweep.into_entered();
-    }
-}
-
 /// The fixpoint driver's state across rounds.
 #[derive(Default)]
 struct Driver {
     dirt: Dirt,
-    canon: TreeSeen,
-    gvn: TreeSeen,
-    /// [`Dirt::cuts`] at DCE's last run.
+    /// [`Dirt::cuts`] at canonicalize's, GVN's and DCE's last runs.
+    canon_cuts: u64,
+    gvn_cuts: u64,
     dce_cuts: u64,
     /// The instruction arena's length at DCE's last run: later
     /// instructions are new and may be unused.
@@ -203,9 +155,9 @@ impl Driver {
         stats
     }
 
-    /// One round: each pass over the whole graph when `whole`, else on
-    /// the dirt made since it last ran (skipped when there is none).
-    /// Returns whether anything changed.
+    /// One round: each pass over the whole graph, when `whole` or when
+    /// the dirt made since it last ran gives it work (skipped
+    /// otherwise). Returns whether anything changed.
     fn round(
         &mut self,
         g: &mut Graph,
@@ -216,26 +168,28 @@ impl Driver {
         let mut changed = false;
         let dirt = &mut self.dirt;
 
-        let dirty = std::mem::take(&mut dirt.canon);
-        if let Some((dt, mut sweep)) = self.canon.next(g, cache, dirt, &dirty, whole) {
+        let dirty = !std::mem::take(&mut dirt.canon).is_empty();
+        if whole || dirty || dirt.cuts != self.canon_cuts {
+            self.canon_cuts = dirt.cuts;
+            let dt = cache.domtree(g);
             let mut canon = CanonStats::default();
-            stats.insts_visited += canonicalize::run(g, &dt, &mut sweep, dirt, &mut canon);
-            self.canon.done(sweep);
+            stats.insts_visited += canonicalize::run(g, &dt, dirt, &mut canon);
             changed |= canon.changed();
             stats.canon.merge(&canon);
         }
 
-        let dirty = std::mem::take(&mut dirt.gvn);
-        if let Some((dt, mut sweep)) = self.gvn.next(g, cache, dirt, &dirty, whole) {
-            let (merged, visited) = gvn::run(g, &dt, &mut sweep, dirt);
-            self.gvn.done(sweep);
+        let dirty = !std::mem::take(&mut dirt.gvn).is_empty();
+        if whole || dirty || dirt.cuts != self.gvn_cuts {
+            self.gvn_cuts = dirt.cuts;
+            let dt = cache.domtree(g);
+            let (merged, visited) = gvn::run(g, &dt, dirt);
             stats.insts_visited += visited;
             changed |= merged > 0;
         }
 
         let allocs = std::mem::take(&mut dirt.allocs);
-        if whole || !allocs.is_empty() {
-            let (replaced, visited) = scalar_replace::run(g, (!whole).then_some(allocs), dirt);
+        if whole || allocs.iter().any(|&a| scalar_replace::dissolvable(g, a)) {
+            let (replaced, visited) = scalar_replace::run(g, dirt);
             stats.insts_visited += visited;
             stats.scalar_replaced += replaced;
             changed |= replaced > 0;
@@ -243,9 +197,9 @@ impl Driver {
 
         let mut seeds = std::mem::take(&mut dirt.dropped);
         seeds.extend((self.dce_arena..g.inst_count()).map(InstId::from_index));
-        let cut = whole || dirt.cuts != self.dce_cuts;
-        if cut || !seeds.is_empty() {
-            let (dce, visited) = dce::run(g, (!whole).then_some(seeds), cut, dirt);
+        let cut = dirt.cuts != self.dce_cuts;
+        if whole || cut || seeds.iter().any(|&v| dce::is_dead(g, v)) {
+            let (dce, visited) = dce::run(g, dirt);
             self.dce_cuts = dirt.cuts;
             self.dce_arena = g.inst_count();
             stats.insts_visited += visited;
@@ -253,9 +207,8 @@ impl Driver {
         }
 
         let blocks = std::mem::take(&mut dirt.simplify);
-        if whole || !blocks.is_empty() {
-            let only = (!whole).then(|| blocks.iter().collect());
-            let (simplified, visited) = simplify::run(g, only, dirt);
+        if whole || blocks.iter().any(|b| simplify::applies(g, b)) {
+            let (simplified, visited) = simplify::run(g, dirt);
             stats.insts_visited += visited;
             changed |= simplified;
         }
@@ -281,8 +234,8 @@ impl Driver {
             && dirt.allocs.is_empty()
             && dirt.dropped.is_empty()
             && self.dce_arena == g.inst_count()
-            && dirt.cuts == self.canon.cuts
-            && dirt.cuts == self.gvn.cuts
+            && dirt.cuts == self.canon_cuts
+            && dirt.cuts == self.gvn_cuts
             && dirt.cuts == self.dce_cuts
     }
 }

@@ -41,52 +41,35 @@ enum AllocUse {
 /// Runs scalar replacement over all allocations of `g`. Returns the
 /// number of allocations removed.
 pub fn scalar_replace(g: &mut Graph) -> usize {
-    run(g, None, &mut Dirt::default()).0
+    run(g, &mut Dirt::default()).0
 }
 
-/// Replaces the allocations among `only` — every allocation of `g` when
-/// `None` — that do not escape, in layout order (block index, position in
-/// block), reporting what it changed to `dirt`. Returns the allocations
-/// removed and the instructions visited: every instruction scanned for
-/// allocations, or every allocation examined.
+/// Replaces the allocations of `g` that do not escape, in layout order
+/// (block index, position in block), reporting what it changed to
+/// `dirt`. Returns the allocations removed and the instructions scanned
+/// for allocations.
 ///
 /// The dirt, per dissolved allocation: its block, for canonicalize and
 /// GVN — every load, store, test and inserted φ or constant sits in its
 /// dominator subtree — and the blocks of the replaced values' users. An
 /// allocation whose users changed is examined again in this run when it
 /// comes later in layout order, and left for the next run otherwise.
-pub(crate) fn run(g: &mut Graph, only: Option<Vec<InstId>>, dirt: &mut Dirt) -> (usize, u64) {
-    let sparse = only.is_some();
-    let (mut queue, mut visited) = match only {
-        None => {
-            let mut scanned = 0;
-            let mut allocations = Vec::new();
-            for b in g.blocks() {
-                for &i in g.block_insts(b) {
-                    scanned += 1;
-                    if matches!(g.inst(i), Inst::New { .. }) {
-                        allocations.push(i);
-                    }
-                }
+pub(crate) fn run(g: &mut Graph, dirt: &mut Dirt) -> (usize, u64) {
+    let mut visited = 0;
+    let mut allocations = Vec::new();
+    for b in g.blocks() {
+        for &i in g.block_insts(b) {
+            visited += 1;
+            if matches!(g.inst(i), Inst::New { .. }) {
+                allocations.push(i);
             }
-            (allocations, scanned)
         }
-        Some(mut allocs) => {
-            allocs.retain(|&a| g.block_of(a).is_some());
-            allocs.sort_by_key(|&a| layout_key(g, a));
-            allocs.dedup();
-            (allocs, 0)
-        }
-    };
+    }
     let mut removed = 0;
-    let mut next = 0;
-    while next < queue.len() {
-        let alloc = queue[next];
-        next += 1;
+    for alloc in allocations {
         if g.block_of(alloc).is_none() {
             continue; // removed while handling an earlier allocation
         }
-        visited += u64::from(sparse);
         let here = layout_key(g, alloc);
         let seen = dirt.allocs.len();
         if let Some(uses) = classify_uses(g, alloc) {
@@ -96,16 +79,11 @@ pub(crate) fn run(g: &mut Graph, only: Option<Vec<InstId>>, dirt: &mut Dirt) -> 
             replace_allocation(g, alloc, class, uses, dirt);
             removed += 1;
         }
+        // The allocations still ahead in layout order are examined later
+        // in this run; those passed are the next run's.
         for other in dirt.allocs.split_off(seen) {
-            if g.block_of(other).is_none() {
-                continue;
-            }
-            let key = layout_key(g, other);
-            if key <= here {
-                dirt.allocs.push(other); // passed: the next run's
-            } else if sparse && !queue[next..].contains(&other) {
-                let at = queue[next..].partition_point(|&q| layout_key(g, q) < key);
-                queue.insert(next + at, other);
+            if g.block_of(other).is_some() && layout_key(g, other) <= here {
+                dirt.allocs.push(other);
             }
         }
     }

@@ -7,19 +7,18 @@ use dbds_ir::{BlockId, Graph, Inst, InstId, Terminator};
 /// Replaces φs in single-predecessor blocks with their only input.
 /// Returns `true` when anything changed.
 pub fn remove_single_input_phis(g: &mut Graph) -> bool {
-    let blocks: Vec<BlockId> = g.blocks().collect();
-    remove_phis_in(g, &blocks, &mut Dirt::default()).0
+    remove_phis(g, &mut Dirt::default()).0
 }
 
-/// Removes the φs of the single-predecessor blocks among `blocks`.
+/// [`remove_single_input_phis`], reporting what it changed to `dirt`.
 /// Returns whether anything changed and the φs examined.
 ///
 /// The dirt, per φ: the blocks of its users, for canonicalize and GVN
 /// (an operand changed), and its input, which lost a use.
-fn remove_phis_in(g: &mut Graph, blocks: &[BlockId], dirt: &mut Dirt) -> (bool, u64) {
+fn remove_phis(g: &mut Graph, dirt: &mut Dirt) -> (bool, u64) {
     let mut changed = false;
     let mut visited = 0;
-    for &b in blocks {
+    for b in g.blocks().collect::<Vec<_>>() {
         if g.preds(b).len() != 1 {
             continue;
         }
@@ -48,8 +47,7 @@ fn remove_phis_in(g: &mut Graph, blocks: &[BlockId], dirt: &mut Dirt) -> (bool, 
 /// `jump s`, `s`'s only predecessor is `b`, and `s` has no φs, `s` is
 /// folded into `b`. Returns `true` when anything changed.
 pub fn merge_straightline_blocks(g: &mut Graph) -> bool {
-    let blocks: Vec<BlockId> = g.blocks().collect();
-    merge_in(g, blocks, &mut Dirt::default())
+    merge(g, &mut Dirt::default())
 }
 
 /// The block `b` can absorb: its jump target, when `b` is that block's
@@ -63,15 +61,15 @@ fn absorbable(g: &Graph, b: BlockId) -> Option<BlockId> {
     mergeable.then_some(target)
 }
 
-/// Merges every straight-line pair one of `blocks` belongs to, and the
-/// pairs those merges create. Merging is confluent — a chain always ends
-/// up in its head, in chain order — so the order of `blocks` does not
-/// matter. A merge is no dirt (the merged block's facts and GVN scope
-/// are its predecessor's); it is recorded so that a dominator tree taken
-/// before it can be compared with one taken after.
-fn merge_in(g: &mut Graph, blocks: Vec<BlockId>, dirt: &mut Dirt) -> bool {
+/// [`merge_straightline_blocks`] as a worklist, reporting each merge to
+/// `dirt`. Merging is confluent — a chain always ends up in its head, in
+/// chain order — so the order of the worklist does not matter. A merge
+/// is no dirt (the merged block's facts and GVN scope are its
+/// predecessor's); the marks on the merged block move to the block it
+/// went into.
+fn merge(g: &mut Graph, dirt: &mut Dirt) -> bool {
     let mut changed = false;
-    let mut work = blocks;
+    let mut work: Vec<BlockId> = g.blocks().collect();
     while let Some(x) = work.pop() {
         // `x` as the predecessor, or as the target of its only one.
         let pair = absorbable(g, x)
@@ -92,19 +90,17 @@ fn merge_in(g: &mut Graph, blocks: Vec<BlockId>, dirt: &mut Dirt) -> bool {
 
 /// Runs both simplifications to a fixpoint.
 pub fn simplify_cfg(g: &mut Graph) -> bool {
-    run(g, None, &mut Dirt::default()).0
+    run(g, &mut Dirt::default()).0
 }
 
-/// [`simplify_cfg`] on `only` — every block when `None` — reporting
-/// what it changed to `dirt`. Removing φs never enables a merge that did
-/// not get its φs removed first, and merging never leaves a block with a
-/// single predecessor it did not have, so one φ sweep and one merge
-/// worklist reach the fixpoint. Returns whether anything changed and the
-/// φs examined.
-pub(crate) fn run(g: &mut Graph, only: Option<Vec<BlockId>>, dirt: &mut Dirt) -> (bool, u64) {
-    let blocks = only.unwrap_or_else(|| g.blocks().collect());
-    let (a, visited) = remove_phis_in(g, &blocks, dirt);
-    let b = merge_in(g, blocks, dirt);
+/// [`simplify_cfg`], reporting what it changed to `dirt`. Removing φs
+/// never enables a merge that did not get its φs removed first, and
+/// merging never leaves a block with a single predecessor it did not
+/// have, so one φ sweep and one merge worklist reach the fixpoint.
+/// Returns whether anything changed and the φs examined.
+pub(crate) fn run(g: &mut Graph, dirt: &mut Dirt) -> (bool, u64) {
+    let (a, visited) = remove_phis(g, dirt);
+    let b = merge(g, dirt);
     (a || b, visited)
 }
 

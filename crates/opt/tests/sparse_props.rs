@@ -1,16 +1,22 @@
-//! Differential tests for the sparse fixpoint driver: on every graph
-//! here, `optimize_full` must print exactly as the dense round-robin it
+//! Differential tests for the fixpoint driver: on every graph here,
+//! `optimize_full` must print exactly as the dense round-robin it
 //! replaced — canonicalize, GVN, scalar replacement, DCE and CFG
 //! simplification over the whole graph, round after round until one
 //! changes nothing (`dense_reference`). Release builds, which have no
 //! debug oracle inside `optimize`, check it here too.
 //!
-//! The graphs: generated units of all four suites; graphs taken in the
-//! middle of a DBDS run, after one to three rounds of duplications;
-//! small random programs over random control flow; and hand-built
-//! shapes, each of which needs one dirt rule to reach the second round a
-//! dense run would give it. The reference's own cleanup passes, DCE and
-//! `simplify_cfg`, are held to the rescanning forms they replaced.
+//! A later round of the driver runs a pass, over the whole graph, only
+//! when its dirt gives it work, so what can go wrong is a gate that
+//! skips a pass the dense round-robin would find work for. The graphs:
+//! generated units of all four suites; graphs taken in the middle of a
+//! DBDS run, after one to three rounds of duplications; small random
+//! programs over random control flow; and hand-built shapes, each of
+//! which needs a pass in a later round a dense run would give it. Each
+//! gate — canonicalize's, GVN's, scalar replacement's, DCE's and
+//! `simplify_cfg`'s — fails at least one hand-built shape and the random
+//! programs when it is made to skip its pass in every later round. The
+//! reference's own cleanup passes, DCE and `simplify_cfg`, are held to
+//! the rescanning forms they replaced.
 
 use dbds_analysis::{AnalysisCache, DomTree};
 use dbds_core::{duplicate, select, simulate_paths, CandidateKind, DbdsConfig, SelectionMode};
@@ -354,8 +360,9 @@ fn a_gvn_merge_that_turns_xor_a_b_into_xor_a_a() {
 /// the entry and learns nothing. `simplify_cfg` then merges `q` into the
 /// entry, which now ends in `q`'s `branch c, b, e`: `b` is entered from
 /// the same parent, now its only predecessor, and knows `c`, so its own
-/// `branch c` folds. Only the rule that a block entered otherwise than
-/// the last walk entered it is stale brings canonicalize back to `b`.
+/// `branch c` folds in a second round. No change reaches `b`; the fold's
+/// cut is what brings canonicalize back. A differential input: it pins
+/// no rule of its own.
 #[test]
 fn a_block_whose_other_predecessor_merges_into_its_dominator() {
     let mut b = GraphBuilder::new("entered", &[Type::Int], Arc::new(ClassTable::new()));
@@ -389,8 +396,9 @@ fn a_block_whose_other_predecessor_merges_into_its_dominator() {
 /// `r`, and the walk, on the tree from before the fold, enters `b` from
 /// the entry, where nothing is known about `c`. `simplify_cfg` merges
 /// `r` into the entry and `b` into `q`, so `b`'s `branch c` now sits
-/// below the edge that makes `c` true and folds. The record that `b`
-/// was not entered as the straight-line successor of `q` marks `q`.
+/// below the edge that makes `c` true and folds in a second round, which
+/// the fold's cut brings about. A differential input: it pins no rule of
+/// its own.
 #[test]
 fn a_block_merged_below_a_branch_it_was_not_entered_through() {
     let mut b = GraphBuilder::new("moved", &[Type::Int], Arc::new(ClassTable::new()));
@@ -425,7 +433,8 @@ fn a_block_merged_below_a_branch_it_was_not_entered_through() {
 /// clears that block, which cuts no reachable edge, so no dominator can
 /// have moved. The header's φ is then left with one input and removed,
 /// which makes `t = add x, i` an `add x, 0`, and the header merges into
-/// the entry. The dirt naming the header must follow it there.
+/// the entry. The cleared predecessor and the removed φ mark the header
+/// for canonicalize, which a second round reruns.
 #[test]
 fn a_block_merged_after_dce_cleared_its_other_predecessor() {
     let mut b = GraphBuilder::new("cleared", &[Type::Int], Arc::new(ClassTable::new()));
@@ -448,8 +457,8 @@ fn a_block_merged_after_dce_cleared_its_other_predecessor() {
 /// so canonicalize folds the back edge after it has passed the header,
 /// and `simplify_cfg` then removes the header's φ — making `t = add x, i`
 /// an `add x, 0` — and merges the header into the entry, which jumps to
-/// it. The dirt that names the header must follow its instructions into
-/// the entry, or no later round comes back to fold the `add`.
+/// it. The φ's removal and the fold's cut both bring canonicalize back
+/// to fold the `add`. A differential input: it pins no rule of its own.
 #[test]
 fn a_loop_header_merged_into_its_jump_predecessor() {
     let mut b = GraphBuilder::new("once", &[Type::Int], Arc::new(ClassTable::new()));
@@ -488,6 +497,44 @@ fn a_loop_header_merged_into_its_jump_predecessor() {
         "the unit returns its parameter:\n{}",
         print_graph(&opt)
     );
+}
+
+/// An allocation that escapes only into a loop body: the header's exit
+/// test `i < 0` reads the header φ `i = φ(0, 0 + 0)`, which folds only in
+/// the second round (as in `a_loop_header_phi_folded_behind_the_walk`),
+/// so the test folds then, and DCE clears the body after scalar
+/// replacement has run. Only the dirt of the removed call brings scalar
+/// replacement back, in a third round, to forward the stored value.
+#[test]
+fn an_allocation_freed_when_a_later_fold_cuts_off_its_escape() {
+    let mut t = ClassTable::new();
+    let class = t.add_class("Box");
+    let field = t.add_field(class, "v", Type::Int);
+    let mut b = GraphBuilder::new("freed", &[Type::Int], Arc::new(t));
+    let k = b.param(0);
+    let zero = b.iconst(0);
+    let p = b.new_object(class);
+    b.store(p, field, k);
+    let (header, body, exit) = (b.new_block(), b.new_block(), b.new_block());
+    b.jump(header);
+    b.switch_to(body);
+    b.invoke(vec![p]);
+    let v = b.add(zero, zero);
+    b.jump(header);
+    b.switch_to(header);
+    let i = b.phi(vec![zero, v], Type::Int);
+    let stay = b.cmp(CmpOp::Lt, i, zero);
+    b.branch(stay, body, exit, 0.9);
+    b.switch_to(exit);
+    let l = b.load(p, field);
+    b.ret(Some(l));
+    let g = b.finish();
+    let stats = check(&g);
+    assert!(
+        stats.rounds >= 3,
+        "the allocation dissolves in a third round"
+    );
+    assert_eq!(stats.scalar_replaced, 1);
 }
 
 /// The loop-to-fixpoint `simplify_cfg` the sparse driver's single φ sweep
