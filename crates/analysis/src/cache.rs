@@ -13,10 +13,12 @@
 //!
 //! The dominance *relation* ([`Dominators`]) has a slot of its own beside
 //! the dominator tree's: it is the one entry that can follow a mutation
-//! instead of being recomputed after it
-//! ([`AnalysisCache::dominators_after_duplication`]). Readers that depend
-//! on the CFG order keep asking for [`AnalysisCache::domtree`], which is
-//! only ever a from-scratch build.
+//! instead of being recomputed after it — edited in place across a tail
+//! duplication ([`AnalysisCache::dominators_after_duplication`]). A
+//! rolled-back duplication leaves the slot stale, like any other CFG
+//! change, so the next lookup rebuilds it. Readers that depend on the CFG
+//! order keep asking for [`AnalysisCache::domtree`], which is only ever a
+//! from-scratch build.
 //!
 //! Entries are returned as [`Arc`]s so callers can hold several analyses
 //! at once (the simulation walk needs dominators *and* frequencies) while
@@ -81,6 +83,10 @@ pub struct CacheStats {
     /// patch made through the cache read: every reachable block for a
     /// from-scratch build, the merge and its copy for a patch.
     pub dom_blocks_visited: u64,
+    /// Blocks whose dominance labels a patch wrote: the copy and the
+    /// merge, plus every block of a range relabelled because a label gap
+    /// ran out.
+    pub dom_labels_written: u64,
 }
 
 impl CacheStats {
@@ -94,6 +100,7 @@ impl CacheStats {
         self.rev_invalidations += other.rev_invalidations;
         self.patches += other.patches;
         self.dom_blocks_visited += other.dom_blocks_visited;
+        self.dom_labels_written += other.dom_labels_written;
     }
 }
 
@@ -180,32 +187,46 @@ impl AnalysisCache {
 
     /// The dominance relation of `g`, which differs from the graph `prev`
     /// describes by one tail duplication of `merge` into `pred` that
-    /// created `copy`: `prev` patched in O(edit)
-    /// ([`Dominators::after_duplication`], counted in
-    /// [`CacheStats::patches`]), or [`AnalysisCache::dominators`] when the
-    /// slot is already current or the patch declines.
+    /// created `copy`: `prev` patched ([`Dominators::after_duplication`],
+    /// counted in [`CacheStats::patches`]), or
+    /// [`AnalysisCache::dominators`] when the slot is already current or
+    /// the patch declines.
+    ///
+    /// When `prev` is the relation slot's own value the patch edits it in
+    /// place — a copy is made only while some other holder shares it, so
+    /// a caller that hands its reference back here, and keeps no other,
+    /// pays O(edit) per duplication. A caller that rolls the duplication
+    /// back need not undo anything: the slot's CFG epoch is then stale,
+    /// and the next lookup rebuilds it.
     pub fn dominators_after_duplication(
         &mut self,
         g: &Graph,
-        prev: &Dominators,
+        prev: Arc<Dominators>,
         pred: BlockId,
         merge: BlockId,
         copy: BlockId,
     ) -> Arc<Dominators> {
         let version = g.cfg_version();
-        let current = self
+        if self
             .dominators
             .as_ref()
-            .is_some_and(|s| s.version == version);
-        let patched = (!current)
-            .then(|| prev.after_duplication(g, pred, merge, copy))
-            .flatten();
-        let Some(patched) = patched else {
+            .is_some_and(|s| s.version == version)
+        {
+            return self.dominators(g);
+        }
+        let mut value = match self.dominators.take() {
+            Some(slot) if Arc::ptr_eq(&slot.value, &prev) => {
+                drop(prev);
+                slot.value
+            }
+            _ => prev,
+        };
+        let Some(labels) = Arc::make_mut(&mut value).after_duplication(g, pred, merge, copy) else {
             return self.dominators(g);
         };
         self.stats.patches += 1;
         self.stats.dom_blocks_visited += 2;
-        let value = Arc::new(patched);
+        self.stats.dom_labels_written += labels as u64;
         self.dominators = Some(Slot {
             version,
             value: Arc::clone(&value),
@@ -631,7 +652,7 @@ mod tests {
         g.set_terminator(copy, Terminator::Return { value: None });
         g.retarget_edge(bt, bm, copy, &[]);
         let base = cache.stats();
-        let after = cache.dominators_after_duplication(&g, &before, bt, bm, copy);
+        let after = cache.dominators_after_duplication(&g, Arc::clone(&before), bt, bm, copy);
         assert_eq!(after.idom(copy), Some(bt));
         assert_eq!(after.idom(bm), Some(g.blocks().nth(2).unwrap()));
         // A patch is neither hit nor miss, and read two blocks' edges.
@@ -642,12 +663,62 @@ mod tests {
         assert!(Arc::ptr_eq(&after, &cache.dominators(&g)));
         assert!(Arc::ptr_eq(
             &after,
-            &cache.dominators_after_duplication(&g, &before, bt, bm, copy)
+            &cache.dominators_after_duplication(&g, Arc::clone(&before), bt, bm, copy)
         ));
         assert_eq!(cache.stats().hits, base.hits + 2);
         let dt = cache.domtree(&g);
         assert_eq!(cache.stats().misses, 2);
         assert!(!Arc::ptr_eq(&after, dt.relation()));
+        assert!(cache.audit(&g).is_empty());
+    }
+
+    #[test]
+    fn the_slot_is_patched_in_place_and_left_stale_by_a_rollback() {
+        use dbds_ir::Terminator;
+        let m = parse_module(
+            "func @f(c: bool) {\n\
+             entry:\n  branch c, bt, bf, prob 0.5\n\
+             bt:\n  branch c, bm, bx, prob 0.5\n\
+             bf:\n  jump bm\n\
+             bm:\n  jump bx\n\
+             bx:\n  return\n}",
+        )
+        .unwrap();
+        let mut g = m.graphs.into_iter().next().unwrap();
+        let [_, bt, _, bm, bx] = [0, 1, 2, 3, 4].map(BlockId::from_index);
+        let mut cache = AnalysisCache::new();
+        let start = cache.dominators(&g);
+        let fresh = Arc::clone(&start);
+        g.begin_txn();
+        // A chain of two: bm into bt, then bx into the copy.
+        let c1 = g.add_block();
+        g.set_terminator(c1, Terminator::Jump { target: bx });
+        g.retarget_edge(bt, bm, c1, &[]);
+        let after = cache.dominators_after_duplication(&g, start, bt, bm, c1);
+        // Shared with the ordered tree's slot (and `fresh`): copied once.
+        assert!(!Arc::ptr_eq(&after, &fresh));
+        let at = Arc::as_ptr(&after);
+        let c2 = g.add_block();
+        g.set_terminator(c2, Terminator::Return { value: None });
+        g.retarget_edge(c1, bx, c2, &[]);
+        let after = cache.dominators_after_duplication(&g, after, c1, bx, c2);
+        // Handed back and held nowhere else: edited in place.
+        assert_eq!(Arc::as_ptr(&after), at);
+        assert_eq!((after.idom(c1), after.idom(c2)), (Some(bt), Some(c1)));
+        assert!(cache.audit(&g).is_empty());
+        let now = cache.stats();
+        assert_eq!((now.patches, now.dom_labels_written), (2, 4));
+        drop(after);
+
+        // The chain fails and the graph rolls back: the slot is stale, and
+        // the next lookup finds the ordered tree's relation, which the
+        // patches copied away from, current again.
+        g.rollback_txn();
+        assert!(cache.audit(&g).is_empty());
+        let back = cache.dominators(&g);
+        assert!(Arc::ptr_eq(&back, &fresh));
+        assert_eq!(back.block_count(), g.block_count());
+        assert_eq!(cache.stats().misses, now.misses);
         assert!(cache.audit(&g).is_empty());
     }
 
@@ -659,7 +730,7 @@ mod tests {
         // Not a duplication at all: just a fresh unreachable block.
         let orphan = g.add_block();
         let (bt, bm) = (g.blocks().nth(1).unwrap(), g.blocks().nth(3).unwrap());
-        let after = cache.dominators_after_duplication(&g, &before, bt, bm, orphan);
+        let after = cache.dominators_after_duplication(&g, before, bt, bm, orphan);
         assert!(!after.is_reachable(orphan));
         assert_eq!(cache.stats().patches, 0);
         assert_eq!(cache.stats().misses, 2);

@@ -3,120 +3,130 @@
 //! Two types, split by what their readers depend on:
 //!
 //! - [`Dominators`] is the dominance *relation* — `idom`, O(1)
-//!   [`dominates`](Dominators::dominates) from a pre-order numbering of
-//!   the tree, reachability. It is a function of the CFG's edge set alone,
-//!   which is why one tail duplication can be applied to it directly
-//!   ([`Dominators::after_duplication`]) without looking at the rest of
-//!   the graph. The guard of the DBDS phase reads only this.
-//! - [`DomTree`] adds the *CFG order*: the reverse postorder and the
-//!   dominator-tree children in that order. Traversals (the simulation
-//!   walk of §4.1, GVN, canonicalization, loops, frequencies) read it, and
-//!   their visiting order decides every `InstId` they create, so a
-//!   `DomTree` is only ever built from scratch: the Cooper–Harvey–Kennedy
-//!   iterative algorithm over a reverse postorder of the CFG.
+//!   [`dominates`](Dominators::dominates) by containment of gap-spaced
+//!   label intervals, reachability. It is a function of the CFG's edge
+//!   set alone, which is why one tail duplication can be applied to it in
+//!   place ([`Dominators::after_duplication`]) without looking at the
+//!   rest of the graph. The guard of the DBDS phase reads only this.
+//! - [`DomTree`] adds the *CFG order*: the reverse postorder, the
+//!   dominator-tree children in that order, the tree's preorder and the
+//!   [`subtree`](DomTree::subtree) slices it gives. Traversals (the
+//!   simulation walk of §4.1, GVN, canonicalization, loops, frequencies)
+//!   read it, and their visiting order decides every `InstId` they
+//!   create, so a `DomTree` is only ever built from scratch: the
+//!   Cooper–Harvey–Kennedy iterative algorithm over a reverse postorder
+//!   of the CFG.
 //!
 //! `DomTree` derefs to its `Dominators`.
 
 use dbds_ir::{BlockId, Graph};
 use std::sync::Arc;
 
-/// Pre-order number of a block outside the tree.
-const UNREACHABLE: u32 = u32::MAX;
+/// No block: the end of a sibling list, or a childless block's first
+/// child.
+const NONE: u32 = u32::MAX;
+
+/// The label range of a relation built from scratch: its root's interval
+/// spans it, and the other blocks' labels are spread over it evenly, so
+/// every gap starts about `LABEL_SPAN / (2 × blocks)` wide.
+const LABEL_SPAN: u64 = 1 << 62;
+
+/// `pre` of a block outside the tree (its `end` is 0, so the interval
+/// test fails there unaided).
+const UNREACHABLE: u64 = u64::MAX;
+
+/// A relabelled range must leave gaps of at least `2^(this + levels)`
+/// labels, `levels` counting the ancestors climbed to find it: the wider
+/// the range, the emptier it must be, so that a range is relabelled again
+/// only after many insertions (the Dietz–Sleator density rule).
+const RELABEL_GAP_LOG2: u32 = 4;
 
 /// The dominance relation over the blocks reachable from a root.
 ///
-/// Flat arrays throughout: the tree's children in CSR form and a
-/// pre-order numbering under which the subtree of `b` is the contiguous
-/// slice [`Dominators::subtree`], so "`a` dominates `b`" is two integer
-/// compares.
+/// The tree is kept as sibling lists (each block's first child, next and
+/// previous sibling) and as gap-spaced `u64` labels: the subtree of `b`
+/// is exactly the set of blocks whose `pre` label lies in the half-open
+/// interval `[pre[b], end[b])`, so "`a` dominates `b`" is two integer
+/// compares. The intervals are laminar — a child's lies strictly inside
+/// its parent's, siblings' are disjoint, and each child list runs in
+/// label order — and spaced apart, so a duplication that adds a leaf
+/// finds room for it in the gap in front of its parent's first child and
+/// writes only the labels of the blocks it moves (DESIGN.md §6).
 #[derive(Clone, Debug)]
 pub struct Dominators {
     root: BlockId,
     /// Immediate dominator per block (`None` for the root and for
     /// unreachable blocks).
     idom: Vec<Option<BlockId>>,
-    /// The children of `b` are `child_list[child_start[b]..child_start[b + 1]]`.
-    child_start: Vec<u32>,
-    child_list: Vec<BlockId>,
-    /// Pre-order number per block ([`UNREACHABLE`] outside the tree).
-    pre: Vec<u32>,
-    /// One past the largest pre-order number in the block's subtree (0
-    /// outside the tree, so the interval test fails there unaided).
-    end: Vec<u32>,
-    /// The reachable blocks by pre-order number: `order[pre[b]] == b`.
-    order: Vec<BlockId>,
+    /// First child per block ([`NONE`] for a leaf or outside the tree):
+    /// the child with the smallest labels.
+    first: Vec<u32>,
+    /// Next and previous sibling per block, in label order ([`NONE`] at
+    /// either end).
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// Interval start per block ([`UNREACHABLE`] outside the tree).
+    pre: Vec<u64>,
+    /// Interval end per block (0 outside the tree).
+    end: Vec<u64>,
+}
+
+fn block(link: u32) -> BlockId {
+    BlockId::from_index(link as usize)
+}
+
+fn link(b: BlockId) -> u32 {
+    b.index() as u32
 }
 
 impl Dominators {
     /// The relation whose tree is given by `idom` (`None` for `root` and
-    /// for every block outside the tree), with each block's children
-    /// ordered by block index. `idom` must describe a tree rooted at
-    /// `root`.
-    pub fn from_idoms(root: BlockId, idom: Vec<Option<BlockId>>) -> Self {
+    /// for every block outside the tree). `idom` must describe a tree
+    /// rooted at `root`.
+    pub fn from_idoms(root: BlockId, mut idom: Vec<Option<BlockId>>) -> Self {
+        idom[root.index()] = None;
         let blocks = (0..idom.len()).map(BlockId::from_index);
-        Self::number(root, idom, blocks)
+        let tree = Tree::number(root, &idom, blocks);
+        Self::label(root, idom, &tree)
     }
 
-    /// Builds the CSR children (each list in `fill` order) and the
-    /// pre-order numbering from the `idom` array alone — no edge of the
-    /// CFG is read. Shared by the from-scratch build, which passes a
-    /// reverse postorder, and by the patch.
-    pub(crate) fn number(
-        root: BlockId,
-        mut idom: Vec<Option<BlockId>>,
-        fill: impl Iterator<Item = BlockId>,
-    ) -> Self {
+    /// The relation of the tree `idom` describes, `tree` its from-scratch
+    /// numbering. Reads no edge of the CFG. A block numbered `p` in
+    /// preorder whose subtree ends before number `e` gets the interval
+    /// `[2p, 2e - 1)` times the gap `LABEL_SPAN / (2 × reachable blocks)`:
+    /// a child's starts after its parent's and ends no later, siblings'
+    /// are disjoint, and every gap is at least one gap wide.
+    fn label(root: BlockId, idom: Vec<Option<BlockId>>, tree: &Tree) -> Self {
         let n = idom.len();
-        idom[root.index()] = None;
-        let mut child_start = vec![0u32; n + 1];
-        for p in idom.iter().flatten() {
-            child_start[p.index() + 1] += 1;
-        }
-        for i in 0..n {
-            child_start[i + 1] += child_start[i];
-        }
-        let mut cursor = child_start[..n].to_vec();
-        let mut child_list = vec![root; child_start[n] as usize];
-        for b in fill {
-            if let Some(p) = idom[b.index()] {
-                child_list[cursor[p.index()] as usize] = b;
-                cursor[p.index()] += 1;
+        let mut first = vec![NONE; n];
+        let mut next = vec![NONE; n];
+        let mut prev = vec![NONE; n];
+        for (i, head) in first.iter_mut().enumerate() {
+            let kids = tree.children(BlockId::from_index(i));
+            if let Some(&f) = kids.first() {
+                *head = link(f);
+            }
+            for pair in kids.windows(2) {
+                next[pair[0].index()] = link(pair[1]);
+                prev[pair[1].index()] = link(pair[0]);
             }
         }
-
-        // Depth-first numbering; the way back up is the idom array, so no
-        // stack is kept.
-        cursor.copy_from_slice(&child_start[..n]);
+        let gap = LABEL_SPAN / (2 * tree.order.len() as u64);
         let mut pre = vec![UNREACHABLE; n];
-        let mut end = vec![0u32; n];
-        let mut order = Vec::with_capacity(child_list.len() + 1);
-        pre[root.index()] = 0;
-        order.push(root);
-        let mut cur = root;
-        loop {
-            let i = cur.index();
-            if cursor[i] < child_start[i + 1] {
-                cur = child_list[cursor[i] as usize];
-                cursor[i] += 1;
-                pre[cur.index()] = order.len() as u32;
-                order.push(cur);
-            } else {
-                end[i] = order.len() as u32;
-                match idom[i] {
-                    Some(p) => cur = p,
-                    None => break,
-                }
-            }
+        let mut end = vec![0u64; n];
+        for &b in &tree.order {
+            let i = b.index();
+            pre[i] = 2 * u64::from(tree.pre[i]) * gap;
+            end[i] = (2 * u64::from(tree.end[i]) - 1) * gap;
         }
-
         Dominators {
             root,
             idom,
-            child_start,
-            child_list,
+            first,
+            next,
+            prev,
             pre,
             end,
-            order,
         }
     }
 
@@ -148,15 +158,6 @@ impl Dominators {
         self.pre[b.index()] != UNREACHABLE
     }
 
-    /// The blocks `b` dominates, `b` first, in pre-order of the tree
-    /// (empty when `b` is unreachable).
-    pub fn subtree(&self, b: BlockId) -> &[BlockId] {
-        if !self.is_reachable(b) {
-            return &[];
-        }
-        &self.order[self.pre[b.index()] as usize..self.end[b.index()] as usize]
-    }
-
     /// Every block on which `self` and `other` are not the same relation
     /// — the idom or the reachability differs, or only one of them covers
     /// the block — with the idom each has for it.
@@ -175,17 +176,10 @@ impl Dominators {
         })
     }
 
-    /// The children of `b` in the dominator tree, in the order the
-    /// relation was numbered with.
-    pub(crate) fn children(&self, b: BlockId) -> &[BlockId] {
-        let i = b.index();
-        &self.child_list[self.child_start[i] as usize..self.child_start[i + 1] as usize]
-    }
-
     /// The nearest common ancestor of two reachable blocks.
     fn nca(&self, mut a: BlockId, mut b: BlockId) -> BlockId {
-        // A block with the larger pre-order number is no ancestor of the
-        // other, so it is the one that moves up.
+        // A block with the larger label is no ancestor of the other, so
+        // it is the one that moves up.
         while a != b {
             if self.pre[a.index()] > self.pre[b.index()] {
                 a = self.idom[a.index()].expect("a non-root block of the tree has an idom");
@@ -196,14 +190,32 @@ impl Dominators {
         a
     }
 
+    /// How many blocks the subtree of `top` holds.
+    fn subtree_size(&self, top: BlockId) -> u64 {
+        let mut size = 1;
+        let mut cur = self.first[top.index()];
+        while cur != NONE {
+            size += 1;
+            let mut b = block(cur);
+            cur = self.first[b.index()];
+            // Past a leaf: the next sibling of it or of its nearest
+            // ancestor below `top` that has one.
+            while cur == NONE && b != top {
+                cur = self.next[b.index()];
+                b = self.idom[b.index()].expect("a walked block is below the top");
+            }
+        }
+        size
+    }
+
     /// The relation of `g`, given that `self` was the relation of `g`
     /// immediately before one tail duplication: the fresh block `copy`
     /// took over the edge `pred → merge` and branches to `merge`'s
-    /// successors. Exact, and O(|preds(merge)| + |children(merge)| + the
-    /// idom-chain walks of one nearest-common-ancestor query) plus the
-    /// renumbering, which reads only the patched `idom` array: of the
-    /// graph, only the predecessor and successor lists of `merge` and
-    /// `copy` are read.
+    /// successors. `self` becomes that relation in place. Exact, and
+    /// O(|preds(merge)| + |children(merge)| + the idom-chain walks of one
+    /// nearest-common-ancestor query), plus a relabelling when a label
+    /// gap runs out; of the graph, only the predecessor and successor
+    /// lists of `merge` and `copy` are read.
     ///
     /// What one duplication moves (DESIGN.md §6 has the argument):
     /// `idom(copy) = pred`. If `merge` dominated `pred` — a back-edge
@@ -211,25 +223,27 @@ impl Dominators {
     /// anything but itself, because `copy` reaches the same successors
     /// without it. Let `R` be the remaining predecessors of `merge`
     /// (itself excepted). If every one of them is `copy` or was dominated
-    /// by `merge`, the duplicated edge was the only way in: `merge`'s
-    /// children re-parent to `copy`, and so does `merge`, at the nearest
-    /// common ancestor of `R`. If not, the children re-parent to `merge`'s
-    /// old idom and `merge` to the nearest common ancestor of `R` above
-    /// it. No other block's idom changes.
+    /// by `merge`, the duplicated edge was the only way in: `copy` takes
+    /// `merge`'s place (its parent, children and labels), and `merge`
+    /// re-hangs as a leaf at the nearest common ancestor of `R`. If not,
+    /// the children re-parent to `merge`'s old idom, keeping their labels,
+    /// and `merge` re-hangs as a leaf at the nearest common ancestor of
+    /// `R` above it. No other block's idom changes.
     ///
-    /// Returns `None` — rebuild from scratch — when the difference between
-    /// `self` and `g` is not of that shape: `copy` is not the one block
-    /// `g` has more, `merge` is the entry, `pred` still precedes `merge`,
-    /// `preds(copy) != [pred]`, `succs(copy) != succs(merge)`, `pred`,
-    /// `merge` or a remaining predecessor was unreachable, or `merge` has
-    /// no predecessor left.
+    /// Returns how many blocks' labels the patch wrote, or `None` —
+    /// leaving `self` as it was, to be rebuilt from scratch — when the
+    /// difference between `self` and `g` is not of that shape: `copy` is
+    /// not the one block `g` has more, `merge` is the entry, `pred` still
+    /// precedes `merge`, `preds(copy) != [pred]`, `succs(copy) !=
+    /// succs(merge)`, `pred`, `merge` or a remaining predecessor was
+    /// unreachable, or `merge` has no predecessor left.
     pub fn after_duplication(
-        &self,
+        &mut self,
         g: &Graph,
         pred: BlockId,
         merge: BlockId,
         copy: BlockId,
-    ) -> Option<Dominators> {
+    ) -> Option<usize> {
         let n = self.idom.len();
         if g.block_count() != n + 1
             || copy.index() != n
@@ -250,15 +264,15 @@ impl Dominators {
             return None;
         }
 
-        let mut idom = Vec::with_capacity(n + 1);
-        idom.extend_from_slice(&self.idom);
-        idom.push(Some(pred));
-        if !self.dominates(merge, pred) {
+        // Decided on the old tree, before anything is written.
+        let case = if self.dominates(merge, pred) {
+            Case::BackEdge
+        } else {
             let old_idom = self.idom[merge.index()].expect("a reachable non-root block");
             let sole_entry = remaining().all(|q| q == copy || self.dominates(merge, q));
             // Nearest common ancestors are taken in the old tree: on the
             // blocks each case maps `R` to, it and the new tree agree.
-            let (children_to, merge_to) = if sole_entry {
+            if sole_entry {
                 // `merge` hangs at `copy` when `copy` is one of `R` or
                 // `R` spans several of `merge`'s old children, else
                 // inside the one child subtree `R` lies in.
@@ -274,7 +288,8 @@ impl Dominators {
                         a
                     }
                 };
-                (copy, below)
+                debug_assert_eq!(old_idom, pred, "a sole entry is the merge's idom");
+                Case::SoleEntry { below }
             } else {
                 let above = remaining()
                     .map(|q| match q {
@@ -284,24 +299,330 @@ impl Dominators {
                     })
                     .reduce(|a, q| self.nca(a, q))
                     .expect("merge has a predecessor left");
-                (old_idom, above)
-            };
-            for &c in self.children(merge) {
-                idom[c.index()] = Some(children_to);
+                Case::Shared { old_idom, above }
             }
-            idom[merge.index()] = Some(merge_to);
+        };
+
+        let mut edit = Edit {
+            rel: self,
+            labels: 0,
+        };
+        edit.grow();
+        match case {
+            Case::BackEdge => {
+                edit.link_first(copy, pred);
+                edit.label_leaf(copy);
+            }
+            Case::SoleEntry { below } => {
+                // `copy` takes `merge`'s place: its parent's child list,
+                // its children and its interval, which holds theirs.
+                let rel = &mut *edit.rel;
+                let (m, c) = (merge.index(), copy.index());
+                let (prev, next, kids) = (rel.prev[m], rel.next[m], rel.first[m]);
+                (rel.prev[c], rel.next[c], rel.first[c]) = (prev, next, kids);
+                match prev {
+                    NONE => rel.first[pred.index()] = link(copy),
+                    p => rel.next[p as usize] = link(copy),
+                }
+                if next != NONE {
+                    rel.prev[next as usize] = link(copy);
+                }
+                rel.idom[c] = Some(pred);
+                rel.first[m] = NONE;
+                let mut k = kids;
+                while k != NONE {
+                    rel.idom[k as usize] = Some(copy);
+                    k = rel.next[k as usize];
+                }
+                let (pre, end) = (rel.pre[m], rel.end[m]);
+                edit.set_label(copy, pre, end);
+                edit.link_first(merge, below);
+                edit.label_leaf(merge);
+            }
+            Case::Shared { old_idom, above } => {
+                // The children take `merge`'s place in `old_idom`'s child
+                // list, in their order, keeping their labels: their
+                // intervals lie inside `merge`'s old one.
+                let rel = &mut *edit.rel;
+                let m = merge.index();
+                let (prev, next, kids) = (rel.prev[m], rel.next[m], rel.first[m]);
+                let (mut first, mut last) = (next, prev);
+                let mut k = kids;
+                while k != NONE {
+                    rel.idom[k as usize] = Some(old_idom);
+                    (first, last) = (kids, k);
+                    k = rel.next[k as usize];
+                }
+                // `first..=last` replaces `merge` between `prev` and
+                // `next` (with no children, `prev` and `next` close up).
+                rel.first[m] = NONE;
+                if kids != NONE {
+                    rel.prev[kids as usize] = prev;
+                    rel.next[last as usize] = next;
+                }
+                match prev {
+                    NONE => rel.first[old_idom.index()] = first,
+                    p => rel.next[p as usize] = first,
+                }
+                if next != NONE {
+                    rel.prev[next as usize] = last;
+                }
+                edit.link_first(copy, pred);
+                edit.label_leaf(copy);
+                edit.link_first(merge, above);
+                edit.label_leaf(merge);
+            }
         }
-        Some(Dominators::from_idoms(self.root, idom))
+        Some(edit.labels)
+    }
+}
+
+/// How a duplication moves the tree, decided before the patch writes.
+enum Case {
+    /// `merge` dominated `pred`: `copy` is a new leaf, nothing else moves.
+    BackEdge,
+    /// The duplicated edge was the only way into `merge`: `copy` takes
+    /// its place, `merge` becomes a leaf under `below`.
+    SoleEntry { below: BlockId },
+    /// `merge` keeps another entry: its children move up to `old_idom`,
+    /// `copy` becomes a leaf under `pred` and `merge` one under `above`.
+    Shared { old_idom: BlockId, above: BlockId },
+}
+
+/// A patch in progress: the relation and how many blocks' labels it has
+/// written.
+struct Edit<'a> {
+    rel: &'a mut Dominators,
+    labels: usize,
+}
+
+impl Edit<'_> {
+    /// Appends the copy, outside the tree for now.
+    fn grow(&mut self) {
+        let rel = &mut *self.rel;
+        rel.idom.push(None);
+        rel.first.push(NONE);
+        rel.next.push(NONE);
+        rel.prev.push(NONE);
+        rel.pre.push(UNREACHABLE);
+        rel.end.push(0);
+    }
+
+    fn set_label(&mut self, b: BlockId, pre: u64, end: u64) {
+        (self.rel.pre[b.index()], self.rel.end[b.index()]) = (pre, end);
+        self.labels += 1;
+    }
+
+    /// Makes `x`, in no child list, the first child of `parent`.
+    fn link_first(&mut self, x: BlockId, parent: BlockId) {
+        let rel = &mut *self.rel;
+        let head = rel.first[parent.index()];
+        (rel.next[x.index()], rel.prev[x.index()]) = (head, NONE);
+        if head != NONE {
+            rel.prev[head as usize] = link(x);
+        }
+        rel.first[parent.index()] = link(x);
+        rel.idom[x.index()] = Some(parent);
+    }
+
+    /// Labels `x`, a leaf just made its parent's first child: the back
+    /// half of the gap between the parent's start and the next sibling's
+    /// (or the parent's end). When that gap has no room left, relabels
+    /// the smallest enclosing subtree sparse enough instead.
+    fn label_leaf(&mut self, x: BlockId) {
+        let rel = &*self.rel;
+        let parent = rel.idom[x.index()].expect("a linked leaf has a parent");
+        let lo = rel.pre[parent.index()];
+        let hi = match rel.next[x.index()] {
+            NONE => rel.end[parent.index()],
+            s => rel.pre[s as usize],
+        };
+        if hi - lo >= 2 {
+            self.set_label(x, lo + (hi - lo) / 2, hi);
+        } else {
+            self.relabel_around(parent);
+        }
+    }
+
+    /// Climbs from `from` to the first ancestor whose interval spreads
+    /// its subtree with gaps of at least `2^(RELABEL_GAP_LOG2 + levels
+    /// climbed)` (the root always qualifies) and relabels that subtree
+    /// evenly.
+    fn relabel_around(&mut self, from: BlockId) {
+        let rel = &*self.rel;
+        let (mut top, mut size) = (from, rel.subtree_size(from));
+        for level in 0.. {
+            let gap = (rel.end[top.index()] - rel.pre[top.index()]) / (2 * size);
+            let wanted = 1u64 << (RELABEL_GAP_LOG2 + level).min(62);
+            let Some(up) = rel.idom[top.index()].filter(|_| gap < wanted) else {
+                debug_assert!(gap >= 2, "the root's interval has room for every block");
+                break;
+            };
+            let mut c = rel.first[up.index()];
+            size += 1;
+            while c != NONE {
+                if block(c) != top {
+                    size += rel.subtree_size(block(c));
+                }
+                c = rel.next[c as usize];
+            }
+            top = up;
+        }
+        self.relabel(top, size);
+    }
+
+    /// Spreads the Euler tour of `top`'s subtree evenly over `top`'s own
+    /// interval, which stays put: one step per entry and exit.
+    fn relabel(&mut self, top: BlockId, size: u64) {
+        let (base, width) = (
+            self.rel.pre[top.index()],
+            self.rel.end[top.index()] - self.rel.pre[top.index()],
+        );
+        let step = width / (2 * size);
+        let mut at = 0u64;
+        let mut cur = self.rel.first[top.index()];
+        while cur != NONE {
+            let b = block(cur);
+            at += 1;
+            // The end is written on the way out.
+            let end = self.rel.end[b.index()];
+            self.set_label(b, base + at * step, end);
+            if self.rel.first[b.index()] != NONE {
+                cur = self.rel.first[b.index()];
+                continue;
+            }
+            // Leave `b`, and every ancestor whose last child it closes.
+            let rel = &mut *self.rel;
+            let mut done = b;
+            cur = loop {
+                at += 1;
+                rel.end[done.index()] = base + at * step;
+                if rel.next[done.index()] != NONE {
+                    break rel.next[done.index()];
+                }
+                done = rel.idom[done.index()].expect("a relabelled block is below the top");
+                if done == top {
+                    break NONE;
+                }
+            };
+        }
+    }
+}
+
+/// A tree numbered once, from scratch, with each block's children in a
+/// given order: CSR children and a preorder numbering under which the
+/// subtree of `b` is a contiguous slice of the preorder. What the
+/// traversals of [`DomTree`] and the post-dominator tree read.
+#[derive(Clone, Debug)]
+pub(crate) struct Tree {
+    /// The children of `b` are `child_list[child_start[b]..child_start[b + 1]]`.
+    child_start: Vec<u32>,
+    child_list: Vec<BlockId>,
+    /// Preorder number per block (`u32::MAX` outside the tree).
+    pre: Vec<u32>,
+    /// One past the largest preorder number in the block's subtree (0
+    /// outside the tree, so the interval test fails there unaided).
+    end: Vec<u32>,
+    /// The tree's blocks by preorder number: `order[pre[b]] == b`.
+    order: Vec<BlockId>,
+}
+
+impl Tree {
+    /// Builds the CSR children (each list in `fill` order) and the
+    /// preorder numbering from the `idom` array alone (`None` for `root`
+    /// and outside the tree) — no edge of the CFG is read.
+    pub(crate) fn number(
+        root: BlockId,
+        idom: &[Option<BlockId>],
+        fill: impl Iterator<Item = BlockId>,
+    ) -> Self {
+        let n = idom.len();
+        let mut child_start = vec![0u32; n + 1];
+        for p in idom.iter().flatten() {
+            child_start[p.index() + 1] += 1;
+        }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let mut cursor = child_start[..n].to_vec();
+        let mut child_list = vec![root; child_start[n] as usize];
+        for b in fill {
+            if let Some(p) = idom[b.index()] {
+                child_list[cursor[p.index()] as usize] = b;
+                cursor[p.index()] += 1;
+            }
+        }
+
+        // Depth-first numbering; the way back up is the idom array, so no
+        // stack is kept.
+        cursor.copy_from_slice(&child_start[..n]);
+        let mut pre = vec![u32::MAX; n];
+        let mut end = vec![0u32; n];
+        let mut order = Vec::with_capacity(child_list.len() + 1);
+        pre[root.index()] = 0;
+        order.push(root);
+        let mut cur = root;
+        loop {
+            let i = cur.index();
+            if cursor[i] < child_start[i + 1] {
+                cur = child_list[cursor[i] as usize];
+                cursor[i] += 1;
+                pre[cur.index()] = order.len() as u32;
+                order.push(cur);
+            } else {
+                end[i] = order.len() as u32;
+                match idom[i] {
+                    Some(p) => cur = p,
+                    None => break,
+                }
+            }
+        }
+
+        Tree {
+            child_start,
+            child_list,
+            pre,
+            end,
+            order,
+        }
+    }
+
+    /// Is `a` an ancestor of `b` (reflexively)?
+    pub(crate) fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+        let pb = self.pre[b.index()];
+        self.pre[a.index()] <= pb && pb < self.end[a.index()]
+    }
+
+    /// Is `b` in the tree?
+    pub(crate) fn is_reachable(&self, b: BlockId) -> bool {
+        self.pre[b.index()] != u32::MAX
+    }
+
+    /// The children of `b`, in the order the tree was numbered with.
+    pub(crate) fn children(&self, b: BlockId) -> &[BlockId] {
+        let i = b.index();
+        &self.child_list[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+    }
+
+    /// The blocks below `b`, `b` first, in preorder (empty outside the
+    /// tree).
+    fn subtree(&self, b: BlockId) -> &[BlockId] {
+        if !self.is_reachable(b) {
+            return &[];
+        }
+        &self.order[self.pre[b.index()] as usize..self.end[b.index()] as usize]
     }
 }
 
 /// A dominator tree over the reachable blocks of a [`Graph`]: the
 /// [`Dominators`] relation (which it derefs to) plus the reverse
-/// postorder of the CFG it was solved over. Always built from scratch.
+/// postorder of the CFG it was solved over and the tree numbered in it.
+/// Always built from scratch.
 #[derive(Clone, Debug)]
 pub struct DomTree {
-    /// Numbered with the children in reverse postorder.
     relation: Arc<Dominators>,
+    /// Numbered with the children in reverse postorder.
+    tree: Tree,
     /// Reverse postorder of the reachable blocks.
     rpo: Vec<BlockId>,
     /// Position of each block in `rpo` (`usize::MAX` if unreachable).
@@ -326,9 +647,11 @@ impl DomTree {
             rpo_index[b.index()] = i;
         }
         let idom = solve(&rpo, &rpo_index, |b| g.preds(b).iter().copied());
-        let relation = Arc::new(Dominators::number(g.entry(), idom, rpo.iter().copied()));
+        let tree = Tree::number(g.entry(), &idom, rpo.iter().copied());
+        let relation = Arc::new(Dominators::label(g.entry(), idom, &tree));
         DomTree {
             relation,
+            tree,
             rpo,
             rpo_index,
         }
@@ -343,7 +666,13 @@ impl DomTree {
     /// The children of `b` in the dominator tree, ordered by reverse
     /// postorder of the CFG.
     pub fn children(&self, b: BlockId) -> &[BlockId] {
-        self.relation.children(b)
+        self.tree.children(b)
+    }
+
+    /// The blocks `b` dominates, `b` first, in [`DomTree::preorder`]
+    /// (empty when `b` is unreachable).
+    pub fn subtree(&self, b: BlockId) -> &[BlockId] {
+        self.tree.subtree(b)
     }
 
     /// The reverse postorder of the reachable blocks (entry first).
@@ -365,7 +694,7 @@ impl DomTree {
     /// Depth-first preorder of the dominator tree (entry first). This is
     /// the traversal order of the DBDS simulation tier.
     pub fn preorder(&self) -> &[BlockId] {
-        &self.relation.order
+        &self.tree.order
     }
 }
 

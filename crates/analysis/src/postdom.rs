@@ -13,7 +13,7 @@
 //! block (in forward reverse postorder) to the virtual exit as a
 //! pseudo-exit, so the tree always covers every entry-reachable block.
 
-use crate::domtree::{reverse_postorder, solve, Dominators};
+use crate::domtree::{reverse_postorder, solve, Tree};
 use dbds_ir::{BlockId, Graph};
 
 /// A post-dominator tree over the entry-reachable blocks of a [`Graph`].
@@ -21,11 +21,13 @@ use dbds_ir::{BlockId, Graph};
 pub struct PostDomTree {
     /// The virtual exit: the node one past the real blocks.
     virtual_exit: BlockId,
-    /// The dominance relation of the reversed CFG, rooted at the virtual
-    /// exit, children in reverse postorder of the reversed CFG. A block's
-    /// parent is a real block, the virtual exit, or `None` outside the
-    /// analysis domain (unreachable from the entry block).
-    tree: Dominators,
+    /// The immediate dominator per block in the reversed CFG: a real
+    /// block, the virtual exit, or `None` outside the analysis domain
+    /// (unreachable from the entry block).
+    ipdom: Vec<Option<BlockId>>,
+    /// The tree `ipdom` describes, rooted at the virtual exit, children
+    /// in reverse postorder of the reversed CFG.
+    tree: Tree,
     /// Pseudo-exits chosen for regions that cannot reach a real exit.
     pseudo_exits: Vec<BlockId>,
 }
@@ -79,10 +81,11 @@ impl PostDomTree {
                 .into_iter()
                 .chain(is_exit[b.index()].then_some(virtual_exit))
         });
-        let tree = Dominators::number(virtual_exit, ipdom, order.iter().copied());
+        let tree = Tree::number(virtual_exit, &ipdom, order.iter().copied());
 
         PostDomTree {
             virtual_exit,
+            ipdom,
             tree,
             pseudo_exits,
         }
@@ -91,12 +94,12 @@ impl PostDomTree {
     /// The immediate post-dominator of `b`: `None` when `b`'s parent is
     /// the virtual exit (a real or pseudo exit) or `b` is unreachable.
     pub fn ipdom(&self, b: BlockId) -> Option<BlockId> {
-        self.tree.idom(b).filter(|&p| p != self.virtual_exit)
+        self.ipdom[b.index()].filter(|&p| p != self.virtual_exit)
     }
 
     /// Is `b`'s immediate post-dominator the virtual exit?
     pub fn is_root(&self, b: BlockId) -> bool {
-        self.tree.idom(b) == Some(self.virtual_exit)
+        self.ipdom[b.index()] == Some(self.virtual_exit)
     }
 
     /// The children of `b` in the post-dominator tree.

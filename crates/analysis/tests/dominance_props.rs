@@ -321,23 +321,19 @@ fn duplicate_and_patch(g: &mut Graph, picks: &[usize]) -> Vec<Shape> {
         let back_edge = rel.dominates(merge, pred);
         let copy = tail_duplicate(g, pred, merge);
         match rel.after_duplication(g, pred, merge, copy) {
-            Some(patched) => {
+            Some(_) => {
                 assert_is_relation_of(
-                    &patched,
+                    &rel,
                     g,
                     &format!("after duplicating {merge} into {pred} as {copy}"),
                 );
                 shapes.push(if back_edge {
                     Shape::BackEdge
-                } else if patched
-                    .idom(merge)
-                    .is_some_and(|d| patched.dominates(copy, d))
-                {
+                } else if rel.idom(merge).is_some_and(|d| rel.dominates(copy, d)) {
                     Shape::SoleEntry
                 } else {
                     Shape::Shared
                 });
-                rel = patched;
             }
             None => {
                 shapes.push(Shape::Declined);
@@ -383,6 +379,129 @@ fn patched_relation_matches_from_scratch_on_a_fixed_corpus() {
     }
 }
 
+/// Tail-duplicates `merge` into `pred`, patches `rel` across it and holds
+/// the result to a from-scratch build. Returns the copy and how many
+/// blocks' labels the patch wrote.
+fn patch_checked(
+    g: &mut Graph,
+    rel: &mut Dominators,
+    pred: BlockId,
+    merge: BlockId,
+) -> (BlockId, usize) {
+    let copy = tail_duplicate(g, pred, merge);
+    let labels = rel
+        .after_duplication(g, pred, merge, copy)
+        .unwrap_or_else(|| panic!("duplicating {merge} into {pred} is patched"));
+    assert_is_relation_of(rel, g, &format!("after duplicating {merge} into {pred}"));
+    (copy, labels)
+}
+
+/// entry → p → m1 → … → mk → return, and a side chain entry → s1 → … → sk
+/// with `si → mi`: every `mi` is a merge with an entry that avoids the
+/// main chain. Returns `[p, m1..mk]`.
+fn side_linked_ladder(k: usize) -> (Graph, Vec<BlockId>) {
+    let mut g = Graph::new("ladder", &[Type::Bool], Arc::new(ClassTable::new()));
+    let cond = g.param_values()[0];
+    let main: Vec<BlockId> = (0..=k).map(|_| g.add_block()).collect();
+    let side: Vec<BlockId> = (0..k).map(|_| g.add_block()).collect();
+    let branch = |then_bb, else_bb| Terminator::Branch {
+        cond,
+        then_bb,
+        else_bb,
+        prob_then: 0.5,
+    };
+    g.set_terminator(g.entry(), branch(main[0], side[0]));
+    for i in 0..k {
+        g.set_terminator(
+            main[i],
+            Terminator::Jump {
+                target: main[i + 1],
+            },
+        );
+        let term = match side.get(i + 1) {
+            Some(&next) => branch(main[i + 1], next),
+            None => Terminator::Jump {
+                target: main[i + 1],
+            },
+        };
+        g.set_terminator(side[i], term);
+    }
+    g.set_terminator(main[k], Terminator::Return { value: None });
+    (g, main)
+}
+
+/// The path extension's shape, `k` merges long: `m1` into `p`, then each
+/// next merge into the copy just made. Every copy is a leaf under the one
+/// before, so the copies nest `k` deep and halve one label gap each time
+/// — about 50 levels down the gap runs out. Returns how many patches
+/// relabelled.
+fn copy_chain(k: usize) -> usize {
+    let (mut g, main) = side_linked_ladder(k);
+    let mut rel = (**DomTree::compute(&g).relation()).clone();
+    let mut pred = main[0];
+    let mut relabels = 0;
+    for &merge in &main[1..] {
+        let (copy, labels) = patch_checked(&mut g, &mut rel, pred, merge);
+        relabels += usize::from(labels > 2);
+        pred = copy;
+    }
+    relabels
+}
+
+/// Past the depth a label gap can halve to, the patch relabels a range
+/// and stays exact; short of it, it writes the copy's and the merge's
+/// labels only.
+#[test]
+fn a_label_gap_that_runs_out_is_relabelled() {
+    assert_eq!(copy_chain(40), 0);
+    assert!(copy_chain(120) > 0);
+}
+
+/// Loops nested `k` deep: `h1 → … → hk → x`, and the latches climb back
+/// out, `x → lk`, `li → {hi, li-1}`, `l1 → {h1, exit}`. Duplicating `h1`
+/// into the entry, then each next header into the copy just made, is a
+/// sole entry every time: each copy takes its header's place, each
+/// header re-hangs as a leaf below.
+#[test]
+fn nested_sole_entries_move_two_labels_each() {
+    let k = 40;
+    let mut g = Graph::new("nest", &[Type::Bool], Arc::new(ClassTable::new()));
+    let cond = g.param_values()[0];
+    let h: Vec<BlockId> = (0..k).map(|_| g.add_block()).collect();
+    let l: Vec<BlockId> = (0..k).map(|_| g.add_block()).collect();
+    let (x, exit) = (g.add_block(), g.add_block());
+    let branch = |then_bb, else_bb| Terminator::Branch {
+        cond,
+        then_bb,
+        else_bb,
+        prob_then: 0.5,
+    };
+    g.set_terminator(g.entry(), Terminator::Jump { target: h[0] });
+    for i in 0..k {
+        let body = h.get(i + 1).copied().unwrap_or(x);
+        g.set_terminator(h[i], Terminator::Jump { target: body });
+        let out = if i == 0 { exit } else { l[i - 1] };
+        g.set_terminator(l[i], branch(h[i], out));
+    }
+    g.set_terminator(x, Terminator::Jump { target: l[k - 1] });
+    g.set_terminator(exit, Terminator::Return { value: None });
+
+    let mut rel = (**DomTree::compute(&g).relation()).clone();
+    let mut pred = g.entry();
+    for &header in &h {
+        let old_idom = rel.idom(header);
+        let (copy, labels) = patch_checked(&mut g, &mut rel, pred, header);
+        assert_eq!(
+            old_idom,
+            Some(pred),
+            "{header} was entered from {pred} only"
+        );
+        assert!(rel.dominates(copy, rel.idom(header).unwrap()), "sole entry");
+        assert_eq!(labels, 2);
+        pred = copy;
+    }
+}
+
 /// entry → {bt, bf} → bm → {left, right} → out, `left → bm` a back edge.
 fn looped_diamond() -> (Graph, [BlockId; 6]) {
     let mut g = Graph::new("shapes", &[Type::Bool], Arc::new(ClassTable::new()));
@@ -409,6 +528,27 @@ fn looped_diamond() -> (Graph, [BlockId; 6]) {
 /// primitive that installs a terminator rejects `branch c, s, s`. What
 /// is left of it — `pred` still preceding `merge` — is the "edge was not
 /// retargeted" case below.)
+/// `rel` patched across one duplication, on a copy: `None` when the
+/// patch declines.
+fn patched(
+    rel: &Dominators,
+    g: &Graph,
+    pred: BlockId,
+    merge: BlockId,
+    copy: BlockId,
+) -> Option<Dominators> {
+    let mut after = rel.clone();
+    let patched = after
+        .after_duplication(g, pred, merge, copy)
+        .map(|_| after.clone());
+    if patched.is_none() {
+        // A declined patch writes nothing.
+        assert_eq!(after.block_count(), rel.block_count());
+        assert!(after.divergences(rel).next().is_none());
+    }
+    patched
+}
+
 #[test]
 fn after_duplication_declines_what_is_not_one_tail_duplication() {
     let relation = |g: &Graph| Arc::clone(DomTree::compute(g).relation());
@@ -417,10 +557,10 @@ fn after_duplication_declines_what_is_not_one_tail_duplication() {
     let (mut g, [bt, _, bm, left, ..]) = looped_diamond();
     let before = relation(&g);
     let copy = tail_duplicate(&mut g, bt, bm);
-    let shared = before.after_duplication(&g, bt, bm, copy).unwrap();
+    let shared = patched(&before, &g, bt, bm, copy).unwrap();
     assert_is_relation_of(&shared, &g, "shared entry");
     let copy2 = tail_duplicate(&mut g, left, bm);
-    let back = shared.after_duplication(&g, left, bm, copy2).unwrap();
+    let back = patched(&shared, &g, left, bm, copy2).unwrap();
     assert_is_relation_of(&back, &g, "back-edge predecessor");
     assert_eq!(back.idom(copy2), Some(left));
 
@@ -429,7 +569,7 @@ fn after_duplication_declines_what_is_not_one_tail_duplication() {
     g.set_terminator(bt, Terminator::Return { value: None });
     let before = relation(&g);
     let copy = tail_duplicate(&mut g, bf, bm);
-    let sole = before.after_duplication(&g, bf, bm, copy).unwrap();
+    let sole = patched(&before, &g, bf, bm, copy).unwrap();
     assert_is_relation_of(&sole, &g, "sole entry");
     assert_eq!(sole.idom(left), Some(copy));
     assert_eq!(sole.idom(right), Some(copy));
@@ -440,9 +580,9 @@ fn after_duplication_declines_what_is_not_one_tail_duplication() {
     let before = relation(&g);
     g.add_block();
     let copy = tail_duplicate(&mut g, bt, bm);
-    assert!(before.after_duplication(&g, bt, bm, copy).is_none());
+    assert!(patched(&before, &g, bt, bm, copy).is_none());
     // ... or `copy` is not the new block.
-    assert!(relation(&g).after_duplication(&g, bt, bm, bt).is_none());
+    assert!(patched(&relation(&g), &g, bt, bm, bt).is_none());
 
     // `merge` is the entry (only a malformed graph has an edge into it).
     let (mut g, [.., out]) = looped_diamond();
@@ -450,26 +590,26 @@ fn after_duplication_declines_what_is_not_one_tail_duplication() {
     let before = relation(&g);
     let entry = g.entry();
     let copy = tail_duplicate(&mut g, out, entry);
-    assert!(before.after_duplication(&g, out, entry, copy).is_none());
+    assert!(patched(&before, &g, out, entry, copy).is_none());
 
     // The edge was not retargeted: `pred` still precedes `merge`.
     let (mut g, [bt, _, bm, left, ..]) = looped_diamond();
     let before = relation(&g);
     let copy = g.add_block();
     g.set_terminator(copy, g.terminator(bm).clone());
-    assert!(before.after_duplication(&g, bt, bm, copy).is_none());
+    assert!(patched(&before, &g, bt, bm, copy).is_none());
     // ... nor is it when a different edge of `pred` was: left's exit edge
     // goes to the copy, so preds(copy) == [left] while left -> bm stands.
     let (_, [.., out]) = looped_diamond();
     g.retarget_edge(left, out, copy, &[]);
     assert_eq!(g.preds(copy), [left]);
-    assert!(before.after_duplication(&g, left, bm, copy).is_none());
+    assert!(patched(&before, &g, left, bm, copy).is_none());
 
     // preds(copy) != [pred].
     let (mut g, [bt, bf, bm, ..]) = looped_diamond();
     let before = relation(&g);
     let copy = tail_duplicate(&mut g, bt, bm);
-    assert!(before.after_duplication(&g, bf, bm, copy).is_none());
+    assert!(patched(&before, &g, bf, bm, copy).is_none());
 
     // succs(copy) != succs(merge): a self-looping merge duplicated into
     // itself hands its own back edge to the copy.
@@ -488,7 +628,7 @@ fn after_duplication_declines_what_is_not_one_tail_duplication() {
     );
     let before = relation(&g);
     let copy = tail_duplicate(&mut g, bm, bm);
-    assert!(before.after_duplication(&g, bm, bm, copy).is_none());
+    assert!(patched(&before, &g, bm, bm, copy).is_none());
 
     // An unreachable `pred`, an unreachable `merge`, an unreachable
     // remaining predecessor.
@@ -499,15 +639,13 @@ fn after_duplication_declines_what_is_not_one_tail_duplication() {
     let before = relation(&g);
     let mut h = g.clone();
     let copy = tail_duplicate(&mut h, orphan, bm);
-    assert!(before.after_duplication(&h, orphan, bm, copy).is_none());
+    assert!(patched(&before, &h, orphan, bm, copy).is_none());
     let mut h = g.clone();
     let copy = tail_duplicate(&mut h, orphan2, orphan);
-    assert!(before
-        .after_duplication(&h, orphan2, orphan, copy)
-        .is_none());
+    assert!(patched(&before, &h, orphan2, orphan, copy).is_none());
     let mut h = g.clone();
     let copy = tail_duplicate(&mut h, bt, bm);
-    assert!(before.after_duplication(&h, bt, bm, copy).is_none());
+    assert!(patched(&before, &h, bt, bm, copy).is_none());
 
     // No predecessor left: `pred` was the only one.
     let (mut g, [bt, ..]) = looped_diamond();
@@ -516,7 +654,7 @@ fn after_duplication_declines_what_is_not_one_tail_duplication() {
     g.set_terminator(bt, Terminator::Jump { target: lone });
     let before = relation(&g);
     let copy = tail_duplicate(&mut g, bt, lone);
-    assert!(before.after_duplication(&g, bt, lone, copy).is_none());
+    assert!(patched(&before, &g, bt, lone, copy).is_none());
 }
 
 #[test]
@@ -528,7 +666,7 @@ fn from_idoms_numbers_the_tree_it_is_given() {
     assert_is_relation_of(&rel, &g, "from_idoms");
     for b in g.blocks() {
         let mut expected: Vec<BlockId> = g.blocks().filter(|&x| dt.dominates(b, x)).collect();
-        let mut subtree = rel.subtree(b).to_vec();
+        let mut subtree = dt.subtree(b).to_vec();
         assert_eq!(subtree.first(), Some(&b));
         subtree.sort_unstable();
         expected.sort_unstable();
@@ -690,5 +828,34 @@ proptest! {
     ) {
         let mut g = random_cfg(n, &choices);
         duplicate_and_patch(&mut g, &picks);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A copy chain long enough to exhaust a label gap, then random
+    /// duplications on the graph it left: the relation, relabelled
+    /// ranges included, is exact after every patch.
+    #[test]
+    fn gap_exhaustion_keeps_the_relation_exact(
+        k in 66usize..90,
+        picks in proptest::collection::vec(0usize..10_000, 1..24),
+    ) {
+        let (mut g, main) = side_linked_ladder(k);
+        let mut rel = (**DomTree::compute(&g).relation()).clone();
+        let mut pred = main[0];
+        for &merge in &main[1..] {
+            pred = patch_checked(&mut g, &mut rel, pred, merge).0;
+        }
+        for pick in picks {
+            let all = edges(&g);
+            let (pred, merge) = all[pick % all.len()];
+            let copy = tail_duplicate(&mut g, pred, merge);
+            match rel.after_duplication(&g, pred, merge, copy) {
+                Some(_) => assert_is_relation_of(&rel, &g, "after a random duplication"),
+                None => rel = (**DomTree::compute(&g).relation()).clone(),
+            }
+        }
     }
 }

@@ -108,7 +108,7 @@ pub fn lint_simulation(results: &[SimulationResult], current_size: u64) -> Vec<D
 /// mirrors the CFG repair must keep in sync. Like the join-driven
 /// construction, only genuine joins (two or more predecessors) enter a
 /// frontier.
-fn definition_frontier(g: &Graph, dt: &Dominators, b: BlockId) -> Vec<BlockId> {
+fn definition_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
     let mut out = Vec::new();
     for &q in dt.subtree(b) {
         for y in g.succs(q) {
@@ -131,7 +131,7 @@ fn frontier_violation(copy: BlockId, message: String) -> Diagnostic {
 /// [`definition_frontier`]. Diagnostics anchor to `copy`.
 fn frontier_consistency(
     g: &Graph,
-    dt: &Dominators,
+    dt: &DomTree,
     copy: BlockId,
     b: BlockId,
     joins: &[BlockId],
@@ -462,7 +462,8 @@ mod tests {
         let (mut g, bt, _bf, bm) = diamond();
         let before = DomTree::compute(&g);
         let dup = crate::transform::duplicate(&mut g, bt, bm);
-        let patched = before
+        let mut patched = (**before.relation()).clone();
+        patched
             .after_duplication(&g, dup.pred, dup.merge, dup.copy)
             .expect("a plain tail duplication is patched");
         assert_eq!(lint_relation(&g, &patched), None);

@@ -17,11 +17,11 @@ use crate::simulation::{
     SimulationResult,
 };
 use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
-use crate::transform::{try_duplicate, Duplication};
+use crate::transform::{try_duplicate_with, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats, Dominators};
 use dbds_costmodel::CostModel;
 use dbds_ir::{BlockId, Diagnostic, Graph, LintId, TxnFootprint, UndoStats};
-use dbds_opt::{optimize, optimize_full, OptKind, OptimizeStats, MAX_ROUNDS};
+use dbds_opt::{optimize, optimize_full, OptKind, OptimizeStats, SsaBuilder, MAX_ROUNDS};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -303,6 +303,7 @@ impl PhaseStats {
             rev_invalidations: now.rev_invalidations - base.rev_invalidations,
             patches: now.patches - base.patches,
             dom_blocks_visited: now.dom_blocks_visited - base.dom_blocks_visited,
+            dom_labels_written: now.dom_labels_written - base.dom_labels_written,
         };
     }
 
@@ -374,7 +375,7 @@ pub fn run_dbds(
     // the states known to verify (see [`Round::open`]).
     let mut recovery_open = false;
 
-    for _ in 0..cfg.max_iterations {
+    for iteration in 0..cfg.max_iterations {
         // Tier 1: simulate every predecessor→merge pair.
         stats.iterations += 1;
         let t = Instant::now();
@@ -425,16 +426,20 @@ pub fn run_dbds(
             round.run(g, &plan);
         }
         let (cumulative, stopped) = round.close(&mut stats, &mut visited);
-        if plan.is_empty() || stopped {
+        // No iteration follows: the end fixpoint's first round is the
+        // cleanup, so a round here would only be confirmed by it.
+        if plan.is_empty()
+            || stopped
+            || cumulative < cfg.iteration_benefit_threshold
+            || iteration + 1 == cfg.max_iterations
+        {
             break;
         }
-        // ... and apply the enabled optimizations. One pipeline round
-        // suffices between iterations (the paper applies the recorded
-        // action steps locally); the full fixpoint runs once at the end.
+        // ... and apply the enabled optimizations before the next
+        // iteration simulates. One pipeline round suffices between
+        // iterations (the paper applies the recorded action steps
+        // locally); the full fixpoint runs once at the end.
         run_opt_tier(g, cache, &mut stats, false);
-        if cumulative < cfg.iteration_benefit_threshold {
-            break;
-        }
     }
     run_opt_tier(g, cache, &mut stats, true);
     final_checkpoint(g, cache, &mut stats, recovery_open);
@@ -564,7 +569,8 @@ struct Round<'r, 's> {
     sim_dominators: Option<Arc<Dominators>>,
     /// The relation the pass's last applied chain ended on (a failed chain
     /// rolls back to it, so it describes the graph at the boundary);
-    /// `None` while the pass has applied nothing.
+    /// `None` while the pass has applied nothing. Let go of while a chain
+    /// runs, so that the chain's patches edit the cache's slot in place.
     relation: Option<Arc<Dominators>>,
     opened: Option<Instant>,
     guard_ns: u128,
@@ -573,6 +579,8 @@ struct Round<'r, 's> {
     oracle: Option<String>,
     /// The prediction audit's facts along the last audited chain.
     memo: AuditMemo,
+    /// The SSA repair of every duplication the round performs.
+    ssa: SsaBuilder,
     log: Vec<(Option<(BlockId, BlockId)>, Fate<'s>)>,
 }
 
@@ -589,6 +597,7 @@ impl<'r, 's> Round<'r, 's> {
             undo_ns: 0,
             oracle: None,
             memo: AuditMemo::new(),
+            ssa: SsaBuilder::default(),
             log: Vec::new(),
         }
     }
@@ -810,18 +819,27 @@ impl<'r, 's> Round<'r, 's> {
         let tg = Instant::now();
         // The dominance relation the chain starts from. Already cached:
         // the round's sim-time lookup or the previous chain's last patch
-        // left it in the relation slot at this CFG version.
+        // left it in the relation slot at this CFG version. The round
+        // lets go of its own reference, so the chain's patches edit the
+        // slot in place.
+        let had_relation = self.relation.take().is_some();
         let start = self.cache.dominators(g);
         let mut guard = tg.elapsed().as_nanos();
         let mut rejected_by: Option<LintId> = None;
-        let (cache, oracle, memo) = (&mut *self.cache, &mut self.oracle, &mut self.memo);
+        let (cache, oracle, memo, ssa) = (
+            &mut *self.cache,
+            &mut self.oracle,
+            &mut self.memo,
+            &mut self.ssa,
+        );
         let (result, txn_ns) = transact(g, |g| {
             // The relation before the next duplication: each step's check
             // patches it forward.
-            let mut current = start;
+            let mut current = Some(start);
             let mut verified = |g: &Graph, dup: &Duplication| {
                 let tg = Instant::now();
-                let step = checkpoint_duplication(g, dup, &current, cache, pass);
+                let prev = current.take().expect("a relation before every duplication");
+                let step = checkpoint_duplication(g, dup, prev, cache, pass);
                 if DIFFERENTIAL_CHECKPOINTS && oracle.is_none() {
                     if let Ok(after) = &step {
                         *oracle = differential_check(g, dup, after);
@@ -830,7 +848,7 @@ impl<'r, 's> Round<'r, 's> {
                 guard += tg.elapsed().as_nanos();
                 match step {
                     Ok(after) => {
-                        current = after;
+                        current = Some(after);
                         Ok(())
                     }
                     Err(e) => {
@@ -844,7 +862,7 @@ impl<'r, 's> Round<'r, 's> {
             };
             let step =
                 |g: &Graph, dup: &Duplication| (dup.merge, g.block_insts(dup.merge).len() as u64);
-            let mut dup = try_duplicate(g, s.pred, s.merge).map_err(reject)?;
+            let mut dup = try_duplicate_with(g, s.pred, s.merge, ssa).map_err(reject)?;
             let mut steps = vec![step(g, &dup)];
             verified(g, &dup)?;
             // Path-based extension: duplicate the remaining merges of the
@@ -857,7 +875,7 @@ impl<'r, 's> Round<'r, 's> {
                 if !g.is_merge(m) || !g.succs(dup.copy).contains(&m) {
                     break;
                 }
-                dup = try_duplicate(g, dup.copy, m).map_err(reject)?;
+                dup = try_duplicate_with(g, dup.copy, m, ssa).map_err(reject)?;
                 steps.push(step(g, &dup));
                 verified(g, &dup)?;
             }
@@ -866,16 +884,31 @@ impl<'r, 's> Round<'r, 's> {
             let tg = Instant::now();
             memo.invalidate(&footprint_blocks(g, &g.txn_footprint()));
             guard += tg.elapsed().as_nanos();
-            Ok((steps, current))
+            Ok((steps, current.expect("the relation the chain ended on")))
         });
         self.guard_ns += guard + txn_ns;
         self.undo_ns += txn_ns;
-        let (steps, relation) = result.map_err(|reason| Rejection {
-            reason,
-            lint: rejected_by,
-        })?;
-        self.relation = Some(relation);
-        Ok(steps)
+        match result {
+            Ok((steps, relation)) => {
+                self.relation = Some(relation);
+                Ok(steps)
+            }
+            Err(reason) => {
+                // The undo log put the graph back where the chain found
+                // it, so the patched relation slot is stale: look the
+                // boundary's relation up again (the ordered tree's, which
+                // the patches copied away from, when it is still cached).
+                let tg = Instant::now();
+                if had_relation {
+                    self.relation = Some(self.cache.dominators(g));
+                }
+                self.guard_ns += tg.elapsed().as_nanos();
+                Err(Rejection {
+                    reason,
+                    lint: rejected_by,
+                })
+            }
+        }
     }
 
     /// Charges undo-log bookkeeping begun at `since` to the guard.
@@ -1079,14 +1112,15 @@ fn boundary_check(g: &Graph, relation: &Dominators) -> Result<(), Rejection> {
 /// must have the shape of a tail copy of the merge
 /// ([`crate::lint::lint_tail_copy`], what [`crate::lint::lint_frontier`]
 /// reduces to on a graph the boundary verifies). Then `prev`, the
-/// relation before this duplication, is patched in O(edit) — total on
-/// any graph: on a shape it does not expect it rebuilds from scratch. A
-/// replay follows with the boundary check on the patched relation.
-/// Returns the patched relation.
+/// relation before this duplication, is patched in O(edit) — in place
+/// when it is the cache's relation slot and nobody else holds it, and
+/// total on any graph: on a shape it does not expect it rebuilds from
+/// scratch. A replay follows with the boundary check on the patched
+/// relation. Returns the patched relation.
 fn checkpoint_duplication(
     g: &Graph,
     dup: &Duplication,
-    prev: &Dominators,
+    prev: Arc<Dominators>,
     cache: &mut AnalysisCache,
     pass: Pass,
 ) -> Result<Arc<Dominators>, Rejection> {

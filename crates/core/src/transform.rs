@@ -116,6 +116,19 @@ pub fn try_duplicate(
     pred: BlockId,
     merge: BlockId,
 ) -> Result<Duplication, TransformError> {
+    try_duplicate_with(g, pred, merge, &mut SsaBuilder::default())
+}
+
+/// [`try_duplicate`] repairing SSA form with `ssa`, which is reset for
+/// every repaired value: a caller that performs many duplications passes
+/// one builder to all of them, so its tables, dense over the blocks, are
+/// grown once instead of per value.
+pub(crate) fn try_duplicate_with(
+    g: &mut Graph,
+    pred: BlockId,
+    merge: BlockId,
+    ssa: &mut SsaBuilder,
+) -> Result<Duplication, TransformError> {
     if pred == merge {
         return Err(TransformError::SelfDuplication(pred));
     }
@@ -196,7 +209,7 @@ pub fn try_duplicate(
     let sites = collect_use_sites(g, merge, copy, &defined);
     for &v in &defined {
         if let Some(v_sites) = sites.get(&v) {
-            repair_value(g, merge, copy, v, subst[&v], v_sites)?;
+            repair_value(g, ssa, merge, copy, v, subst[&v], v_sites)?;
         }
     }
 
@@ -277,6 +290,7 @@ fn collect_use_sites(
 /// definitions, inserting φs on demand.
 fn repair_value(
     g: &mut Graph,
+    ssa: &mut SsaBuilder,
     merge: BlockId,
     copy: BlockId,
     v: InstId,
@@ -286,11 +300,7 @@ fn repair_value(
     if sites.is_empty() {
         return Ok(());
     }
-    let ty = g.ty(v);
-    let mut defs = HashMap::new();
-    defs.insert(merge, v);
-    defs.insert(copy, v2);
-    let mut ssa = SsaBuilder::new(ty, defs);
+    ssa.reset(g.ty(v), [(merge, v), (copy, v2)]);
     for site in sites {
         match site {
             UseSite::Operand { user, block } => {

@@ -216,6 +216,7 @@ pub fn format_json(
             ("cache_invalidations", Json::num(s.cache.invalidations)),
             ("cache_patches", Json::num(s.cache.patches)),
             ("dom_blocks_visited", Json::num(s.cache.dom_blocks_visited)),
+            ("dom_labels_written", Json::num(s.cache.dom_labels_written)),
             ("rev_cache_hits", Json::num(s.cache.rev_hits)),
             ("rev_cache_misses", Json::num(s.cache.rev_misses)),
             (
@@ -433,6 +434,7 @@ mod tests {
             "\"rev_cache_invalidations\"",
             "\"cache_patches\"",
             "\"dom_blocks_visited\"",
+            "\"dom_labels_written\"",
             "\"split_candidates\"",
             "\"split_applied\"",
             "\"frontier_violations\"",

@@ -42,11 +42,6 @@ impl BlockSet {
         }
     }
 
-    /// Is `b` a member?
-    pub(crate) fn contains(&self, b: BlockId) -> bool {
-        self.member.get(b.index()).copied().unwrap_or(false)
-    }
-
     /// Is the set empty?
     pub(crate) fn is_empty(&self) -> bool {
         self.list.is_empty()
@@ -142,17 +137,6 @@ impl Dirt {
             }
         }
         self.simplify.insert(to);
-    }
-
-    /// Records that straight-line block `from` was merged into `into`.
-    /// Dirt that names `from` now names `into`, which holds its
-    /// instructions; `from` is left empty and unreachable.
-    pub(crate) fn merged(&mut self, from: BlockId, into: BlockId) {
-        for set in [&mut self.canon, &mut self.gvn, &mut self.simplify] {
-            if set.contains(from) {
-                set.insert(into);
-            }
-        }
     }
 }
 

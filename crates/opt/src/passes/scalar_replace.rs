@@ -66,6 +66,7 @@ pub(crate) fn run(g: &mut Graph, dirt: &mut Dirt) -> (usize, u64) {
         }
     }
     let mut removed = 0;
+    let mut ssa = SsaBuilder::default();
     for alloc in allocations {
         if g.block_of(alloc).is_none() {
             continue; // removed while handling an earlier allocation
@@ -76,7 +77,7 @@ pub(crate) fn run(g: &mut Graph, dirt: &mut Dirt) -> (usize, u64) {
             let Inst::New { class } = *g.inst(alloc) else {
                 unreachable!("queued a non-allocation");
             };
-            replace_allocation(g, alloc, class, uses, dirt);
+            replace_allocation(g, alloc, class, uses, &mut ssa, dirt);
             removed += 1;
         }
         // The allocations still ahead in layout order are examined later
@@ -180,6 +181,7 @@ fn replace_allocation(
     alloc: InstId,
     class: ClassId,
     uses: Vec<AllocUse>,
+    ssa: &mut SsaBuilder,
     dirt: &mut Dirt,
 ) {
     let alloc_block = g.block_of(alloc).expect("live allocation");
@@ -270,7 +272,7 @@ fn replace_allocation(
         for &b in &cut_off {
             defs.entry(b).or_insert(default);
         }
-        let mut ssa = SsaBuilder::new(field_ty, defs);
+        ssa.reset(field_ty, defs);
 
         // Rewrite loads in RPO so earlier replacements are visible when a
         // later stored value happens to be an earlier load.
@@ -311,7 +313,6 @@ fn replace_allocation(
             replace(g, load, target, dirt);
             applied.insert(load, target);
         }
-        drop(ssa);
         for (store, _) in stores {
             remove(g, store, dirt);
         }

@@ -47,7 +47,7 @@ fn remove_phis(g: &mut Graph, dirt: &mut Dirt) -> (bool, u64) {
 /// `jump s`, `s`'s only predecessor is `b`, and `s` has no φs, `s` is
 /// folded into `b`. Returns `true` when anything changed.
 pub fn merge_straightline_blocks(g: &mut Graph) -> bool {
-    merge(g, &mut Dirt::default())
+    merge(g)
 }
 
 /// The block `b` can absorb: its jump target, when `b` is that block's
@@ -61,13 +61,14 @@ fn absorbable(g: &Graph, b: BlockId) -> Option<BlockId> {
     mergeable.then_some(target)
 }
 
-/// [`merge_straightline_blocks`] as a worklist, reporting each merge to
-/// `dirt`. Merging is confluent — a chain always ends up in its head, in
-/// chain order — so the order of the worklist does not matter. A merge
-/// is no dirt (the merged block's facts and GVN scope are its
-/// predecessor's); the marks on the merged block move to the block it
-/// went into.
-fn merge(g: &mut Graph, dirt: &mut Dirt) -> bool {
+/// [`merge_straightline_blocks`] as a worklist. Merging is confluent — a
+/// chain always ends up in its head, in chain order — so the order of the
+/// worklist does not matter. A merge is no dirt (the merged block's facts
+/// and GVN scope are its predecessor's), and marks already on the merged
+/// block may stay there: canonicalize's and GVN's gates ask only whether
+/// any block is marked, and once this pass is done no block is left that
+/// it applies to.
+fn merge(g: &mut Graph) -> bool {
     let mut changed = false;
     let mut work: Vec<BlockId> = g.blocks().collect();
     while let Some(x) = work.pop() {
@@ -80,7 +81,6 @@ fn merge(g: &mut Graph, dirt: &mut Dirt) -> bool {
             });
         if let Some((b, t)) = pair {
             g.merge_block_into_pred(t, b);
-            dirt.merged(t, b);
             work.push(b);
             changed = true;
         }
@@ -100,7 +100,7 @@ pub fn simplify_cfg(g: &mut Graph) -> bool {
 /// Returns whether anything changed and the φs examined.
 pub(crate) fn run(g: &mut Graph, dirt: &mut Dirt) -> (bool, u64) {
     let (a, visited) = remove_phis(g, dirt);
-    let b = merge(g, dirt);
+    let b = merge(g);
     (a || b, visited)
 }
 

@@ -13,7 +13,6 @@
 //! is a definition of that field's variable).
 
 use dbds_ir::{BlockId, Graph, Inst, InstId, Type};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -44,20 +43,54 @@ impl fmt::Display for SsaRepairError {
 
 impl Error for SsaRepairError {}
 
-/// Incremental SSA reconstruction for a single variable.
-#[derive(Debug)]
+/// Incremental SSA reconstruction, one variable at a time.
+///
+/// The memo tables are dense — indexed by block, or by instruction for
+/// the forwarding table — and every entry carries the stamp of the
+/// variable it belongs to, so [`SsaBuilder::reset`] starts the next
+/// variable in O(1) and one builder serves every variable of a pass, or
+/// every duplication of a compilation. A φ found trivial is not chased
+/// through the memo: it is recorded as forwarding to the value that
+/// replaced it, and every memo read resolves through the forwarding
+/// table.
+///
+/// `SsaBuilder::default()` has no variable in hand: [`SsaBuilder::reset`]
+/// must start one before any definition or query, which panic otherwise
+/// (an entry written under no variable would carry the stamp the tables
+/// are padded with, and every padded block would read as defined).
+#[derive(Debug, Default)]
 pub struct SsaBuilder {
-    ty: Type,
+    ty: Option<Type>,
+    /// The variable in hand: table entries stamped otherwise are absent.
+    stamp: u32,
     /// Value of the variable at the *end* of a block (after its last
     /// definition), for blocks that define it.
-    def_at_end: HashMap<BlockId, InstId>,
+    def_at_end: Vec<(u32, InstId)>,
     /// Memoized value of the variable at the *start* of a block.
-    start_cache: HashMap<BlockId, InstId>,
+    start_cache: Vec<(u32, InstId)>,
+    /// Trivial φs removed, per φ: the value that replaced it.
+    forward: Vec<(u32, InstId)>,
     /// φs created by the reconstruction.
     new_phis: Vec<InstId>,
     /// Arbitrary existing value used to pre-fill placeholder φ inputs
     /// before they are patched.
-    dummy: InstId,
+    dummy: Option<InstId>,
+    /// The predecessors of the blocks whose φ inputs are being gathered,
+    /// innermost last.
+    preds: Vec<BlockId>,
+}
+
+/// Reads `table[i]` when it belongs to the variable stamped `stamp`.
+fn stamped(table: &[(u32, InstId)], stamp: u32, i: usize) -> Option<InstId> {
+    table.get(i).filter(|&&(s, _)| s == stamp).map(|&(_, v)| v)
+}
+
+/// Sets `table[i]` for the variable stamped `stamp`, growing the table.
+fn stamp_in(table: &mut Vec<(u32, InstId)>, stamp: u32, i: usize, v: InstId) {
+    if i >= table.len() {
+        table.resize(i + 1, (0, v));
+    }
+    table[i] = (stamp, v);
 }
 
 impl SsaBuilder {
@@ -67,20 +100,46 @@ impl SsaBuilder {
     /// # Panics
     ///
     /// Panics if `defs` is empty (a variable must be defined somewhere).
-    pub fn new(ty: Type, defs: HashMap<BlockId, InstId>) -> Self {
-        let dummy = *defs.values().next().expect("variable needs a definition");
-        SsaBuilder {
-            ty,
-            def_at_end: defs,
-            start_cache: HashMap::new(),
-            new_phis: Vec::new(),
-            dummy,
+    pub fn new(ty: Type, defs: impl IntoIterator<Item = (BlockId, InstId)>) -> Self {
+        let mut ssa = SsaBuilder::default();
+        ssa.reset(ty, defs);
+        ssa
+    }
+
+    /// Forgets the variable in hand and starts one of type `ty` with the
+    /// given end-of-block definitions, keeping the tables' storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `defs` is empty (a variable must be defined somewhere).
+    pub fn reset(&mut self, ty: Type, defs: impl IntoIterator<Item = (BlockId, InstId)>) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Entries from 2^32 variables ago would look current.
+            self.def_at_end.clear();
+            self.start_cache.clear();
+            self.forward.clear();
+            self.stamp = 1;
         }
+        self.ty = Some(ty);
+        self.new_phis.clear();
+        self.preds.clear();
+        self.dummy = None;
+        for (b, v) in defs {
+            self.dummy.get_or_insert(v);
+            self.set_def(b, v);
+        }
+        assert!(self.dummy.is_some(), "variable needs a definition");
     }
 
     /// Registers (or replaces) the end-of-block definition for `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no variable is in hand.
     pub fn set_def(&mut self, b: BlockId, v: InstId) {
-        self.def_at_end.insert(b, v);
+        self.assert_in_hand();
+        stamp_in(&mut self.def_at_end, self.stamp, b.index(), v);
     }
 
     /// The φs inserted so far (some may have become trivial and been
@@ -91,6 +150,21 @@ impl SsaBuilder {
             .copied()
             .filter(|&p| g.block_of(p).is_some())
             .collect()
+    }
+
+    fn assert_in_hand(&self) {
+        assert!(
+            self.dummy.is_some(),
+            "no variable in hand: reset the SSA builder first"
+        );
+    }
+
+    /// `v`, or what the trivial φ `v` was replaced by, transitively.
+    fn resolve(&self, mut v: InstId) -> InstId {
+        while let Some(to) = stamped(&self.forward, self.stamp, v.index()) {
+            v = to;
+        }
+        v
     }
 
     /// The value of the variable at the end of `b`.
@@ -125,8 +199,9 @@ impl SsaBuilder {
         g: &mut Graph,
         b: BlockId,
     ) -> Result<InstId, SsaRepairError> {
-        if let Some(&v) = self.def_at_end.get(&b) {
-            return Ok(v);
+        self.assert_in_hand();
+        if let Some(v) = stamped(&self.def_at_end, self.stamp, b.index()) {
+            return Ok(self.resolve(v));
         }
         self.try_value_at_start(g, b)
     }
@@ -143,26 +218,41 @@ impl SsaBuilder {
         g: &mut Graph,
         b: BlockId,
     ) -> Result<InstId, SsaRepairError> {
-        if let Some(&v) = self.start_cache.get(&b) {
-            return Ok(v);
+        self.assert_in_hand();
+        if let Some(v) = stamped(&self.start_cache, self.stamp, b.index()) {
+            return Ok(self.resolve(v));
         }
-        let preds: Vec<BlockId> = g.preds(b).to_vec();
-        match preds.len() {
+        let base = self.preds.len();
+        self.preds.extend_from_slice(g.preds(b));
+        let value = self.join(g, b, base);
+        self.preds.truncate(base);
+        value
+    }
+
+    /// The value at the start of `b`, whose predecessors are
+    /// `self.preds[base..]`.
+    fn join(&mut self, g: &mut Graph, b: BlockId, base: usize) -> Result<InstId, SsaRepairError> {
+        let count = self.preds.len() - base;
+        match count {
             0 => Err(SsaRepairError::NoReachingDefinition(b)),
             1 => {
-                let v = self.try_value_at_end(g, preds[0])?;
-                self.start_cache.insert(b, v);
+                let v = self.try_value_at_end(g, self.preds[base])?;
+                stamp_in(&mut self.start_cache, self.stamp, b.index(), v);
                 Ok(v)
             }
             _ => {
                 // Install a placeholder φ first so that cyclic queries
                 // (loops) terminate, then fill in its inputs.
-                let phi = g.append_phi(b, vec![self.dummy; preds.len()], self.ty);
-                self.start_cache.insert(b, phi);
+                let (ty, dummy) = (
+                    self.ty.expect("a variable in hand"),
+                    self.dummy.expect("a variable in hand"),
+                );
+                let phi = g.append_phi(b, vec![dummy; count], ty);
+                stamp_in(&mut self.start_cache, self.stamp, b.index(), phi);
                 self.new_phis.push(phi);
-                let mut inputs: Vec<InstId> = Vec::with_capacity(preds.len());
-                for &p in &preds {
-                    inputs.push(self.try_value_at_end(g, p)?);
+                let mut inputs: Vec<InstId> = Vec::with_capacity(count);
+                for i in base..base + count {
+                    inputs.push(self.try_value_at_end(g, self.preds[i])?);
                 }
                 if !g.inst(phi).is_phi() {
                     return Err(SsaRepairError::NotAPhi(phi));
@@ -174,15 +264,14 @@ impl SsaBuilder {
     }
 
     /// If `phi` is trivial (all inputs agree, ignoring self-references),
-    /// replaces it with the unique input and fixes all caches. Returns the
-    /// representative value.
+    /// replaces it with the unique input and forwards it there. Returns
+    /// the representative value.
     fn try_remove_trivial(&mut self, g: &mut Graph, phi: InstId) -> InstId {
-        let inputs = match g.inst(phi) {
-            Inst::Phi { inputs } => inputs.clone(),
-            _ => unreachable!(),
+        let Inst::Phi { inputs } = g.inst(phi) else {
+            unreachable!("checked to be a phi");
         };
         let mut unique: Option<InstId> = None;
-        for input in inputs {
+        for &input in inputs {
             if input == phi {
                 continue;
             }
@@ -192,22 +281,12 @@ impl SsaBuilder {
                 Some(_) => return phi, // non-trivial
             }
         }
-        let rep = match unique {
-            Some(u) => u,
-            None => return phi, // degenerate, keep
+        let Some(rep) = unique else {
+            return phi; // degenerate, keep
         };
         g.replace_all_uses(phi, rep);
         g.remove_inst(phi);
-        for v in self.start_cache.values_mut() {
-            if *v == phi {
-                *v = rep;
-            }
-        }
-        for v in self.def_at_end.values_mut() {
-            if *v == phi {
-                *v = rep;
-            }
-        }
+        stamp_in(&mut self.forward, self.stamp, phi.index(), rep);
         rep
     }
 }
@@ -362,6 +441,54 @@ mod tests {
     }
 
     #[test]
+    fn memo_reads_resolve_transitive_forwarding() {
+        // entry -> h1 -> h2 -> body -> latch2 -> h2 (inner loop), h2 ->
+        // latch1 -> h1 (outer loop), h1 -> exit. Defined once, at entry.
+        let mut b = GraphBuilder::new("nest", &[Type::Int], empty_table());
+        let n = b.param(0);
+        let zero = b.iconst(0);
+        let one = b.iconst(1);
+        let [h1, h2, body, latch2, latch1, exit] = [(); 6].map(|()| b.new_block());
+        b.jump(h1);
+        b.switch_to(h1);
+        let c1 = b.cmp(CmpOp::Lt, zero, n);
+        b.branch(c1, h2, exit, 0.9);
+        b.switch_to(h2);
+        let c2 = b.cmp(CmpOp::Lt, one, n);
+        b.branch(c2, body, latch1, 0.9);
+        b.switch_to(body);
+        b.jump(latch2);
+        b.switch_to(latch2);
+        b.jump(h2);
+        b.switch_to(latch1);
+        b.jump(h1);
+        b.switch_to(exit);
+        b.ret(None);
+        let mut g = b.finish();
+        let mut ssa = SsaBuilder::new(Type::Int, [(g.entry(), zero)]);
+        // The query at h1 builds φ1 there and, through latch1, φ2 at h2.
+        // φ2 reads [φ1, φ2]: trivial, it forwards to φ1 — while body,
+        // latch2 and h2 still remember φ2. Then φ1 reads [zero, φ1] and
+        // forwards to zero.
+        assert_eq!(ssa.value_at_start(&mut g, h1), zero);
+        let insts = g.inst_count();
+        for block in [h2, body, latch2, latch1, exit] {
+            assert_eq!(ssa.value_at_start(&mut g, block), zero, "at {block}");
+        }
+        assert_eq!(g.inst_count(), insts, "memo reads create no φ");
+        assert!(ssa.new_phis(&g).is_empty());
+        verify(&g).unwrap();
+
+        // The next variable on the same builder sees none of it.
+        ssa.reset(Type::Int, [(g.entry(), one), (body, n)]);
+        let at_h2 = ssa.value_at_start(&mut g, h2);
+        assert_ne!(at_h2, zero);
+        assert!(matches!(g.inst(at_h2), Inst::Phi { .. }));
+        assert_eq!(ssa.value_at_start(&mut g, latch2), n);
+        verify(&g).unwrap();
+    }
+
+    #[test]
     fn diamond_then_join_then_use_below() {
         // defs in bt/bf; uses both at bm and at a block below bm: the
         // same φ serves both.
@@ -413,6 +540,34 @@ mod tests {
         let mut ssa2 = SsaBuilder::new(Type::Int, defs2);
         assert_eq!(ssa2.value_at_start(&mut g, b1), one);
         let _ = ssa;
+    }
+
+    #[test]
+    #[should_panic(expected = "no variable in hand")]
+    fn a_default_builder_takes_no_definition_before_reset() {
+        let mut b = GraphBuilder::new("d", &[], empty_table());
+        let zero = b.iconst(0);
+        let b1 = b.new_block();
+        b.jump(b1);
+        b.switch_to(b1);
+        b.ret(None);
+        let mut g = b.finish();
+        // Were it taken, the entry's padded slot would read as defined
+        // to `zero` too.
+        let entry = g.entry();
+        let mut ssa = SsaBuilder::default();
+        ssa.set_def(b1, zero);
+        let _ = ssa.try_value_at_end(&mut g, entry);
+    }
+
+    #[test]
+    #[should_panic(expected = "no variable in hand")]
+    fn a_default_builder_answers_no_query_before_reset() {
+        let mut b = GraphBuilder::new("q", &[], empty_table());
+        b.ret(None);
+        let mut g = b.finish();
+        let entry = g.entry();
+        let _ = SsaBuilder::default().try_value_at_end(&mut g, entry);
     }
 
     #[test]
