@@ -20,9 +20,8 @@ use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
 use crate::transform::{try_duplicate_with, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats, Dominators};
 use dbds_costmodel::CostModel;
-use dbds_ir::{BlockId, Diagnostic, Graph, LintId, TxnFootprint, UndoStats};
+use dbds_ir::{BlockId, Diagnostic, FastMap, FastSet, Graph, LintId, UndoStats};
 use dbds_opt::{optimize, optimize_full, OptKind, OptimizeStats, SsaBuilder, MAX_ROUNDS};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -179,7 +178,7 @@ pub struct PhaseStats {
     pub duplications: usize,
     /// Opportunities recorded by the simulation for the performed
     /// duplications, per optimization class.
-    pub opportunities: HashMap<OptKind, usize>,
+    pub opportunities: FastMap<OptKind, usize>,
     /// Estimated code size before the phase.
     pub initial_size: u64,
     /// Estimated code size after the phase.
@@ -228,7 +227,7 @@ pub struct PhaseStats {
     pub mispredictions: usize,
     /// Accepted candidates skipped because earlier duplications in the
     /// same round changed a block they depend on (read off the round's
-    /// undo-log frame, [`Graph::txn_footprint`]), invalidating their
+    /// undo-log frame, [`Graph::for_each_txn_block`]), invalidating their
     /// recorded facts. Ordinary intra-round staleness, not a contract
     /// violation: the next iteration re-simulates them with fresh facts.
     pub stale_skips: usize,
@@ -370,7 +369,7 @@ pub fn run_dbds(
     let budget = Budget::new(&cfg.guard);
     run_opt_tier(g, cache, &mut stats, true);
     stats.initial_size = model.graph_size(g);
-    let mut visited: HashSet<BlockId> = HashSet::new();
+    let mut visited: FastSet<BlockId> = FastSet::default();
     // Whether the phase-level recovery transaction is open: its marks are
     // the states known to verify (see [`Round::open`]).
     let mut recovery_open = false;
@@ -581,6 +580,9 @@ struct Round<'r, 's> {
     memo: AuditMemo,
     /// The SSA repair of every duplication the round performs.
     ssa: SsaBuilder,
+    /// The blocks of the footprint last read, for the audit memo and the
+    /// stale classification.
+    footprint: FootprintBlocks,
     log: Vec<(Option<(BlockId, BlockId)>, Fate<'s>)>,
 }
 
@@ -598,6 +600,7 @@ impl<'r, 's> Round<'r, 's> {
             oracle: None,
             memo: AuditMemo::new(),
             ssa: SsaBuilder::default(),
+            footprint: FootprintBlocks::default(),
             log: Vec::new(),
         }
     }
@@ -783,7 +786,7 @@ impl<'r, 's> Round<'r, 's> {
             };
             let skip = (missed > 0).then(|| {
                 let sim = self.sim_dominators.as_deref().expect("an open round");
-                if is_stale(g, self.cache, sim, s) {
+                if is_stale(g, self.cache, sim, s, &mut self.footprint) {
                     Fate::Stale
                 } else {
                     Fate::Mispredicted(missed)
@@ -826,11 +829,12 @@ impl<'r, 's> Round<'r, 's> {
         let start = self.cache.dominators(g);
         let mut guard = tg.elapsed().as_nanos();
         let mut rejected_by: Option<LintId> = None;
-        let (cache, oracle, memo, ssa) = (
+        let (cache, oracle, memo, ssa, footprint) = (
             &mut *self.cache,
             &mut self.oracle,
             &mut self.memo,
             &mut self.ssa,
+            &mut self.footprint,
         );
         let (result, txn_ns) = transact(g, |g| {
             // The relation before the next duplication: each step's check
@@ -882,7 +886,8 @@ impl<'r, 's> Round<'r, 's> {
             // The chain commits: what it changed is its own frame's
             // footprint, read before the commit merges it away.
             let tg = Instant::now();
-            memo.invalidate(&footprint_blocks(g, &g.txn_footprint()));
+            footprint.mark(g);
+            memo.invalidate(footprint);
             guard += tg.elapsed().as_nanos();
             Ok((steps, current.expect("the relation the chain ended on")))
         });
@@ -936,7 +941,7 @@ impl<'r, 's> Round<'r, 's> {
     /// becomes counters and bailout records. Returns the applied
     /// candidates' probability-weighted benefit (against the iteration
     /// threshold) and whether a budget stopped the round.
-    fn close(self, stats: &mut PhaseStats, visited: &mut HashSet<BlockId>) -> (f64, bool) {
+    fn close(self, stats: &mut PhaseStats, visited: &mut FastSet<BlockId>) -> (f64, bool) {
         if let Some(opened) = self.opened {
             stats.transform_ns += opened.elapsed().as_nanos().saturating_sub(self.guard_ns);
         }
@@ -1021,9 +1026,9 @@ fn is_stale(
     cache: &mut AnalysisCache,
     sim_dominators: &Dominators,
     s: &SimulationResult,
+    changed: &mut FootprintBlocks,
 ) -> bool {
-    let fp = g.txn_footprint();
-    if fp.blocks.is_empty() && fp.insts.is_empty() {
+    if !changed.mark(g) {
         return false;
     }
     match (
@@ -1031,27 +1036,49 @@ fn is_stale(
         dominator_chain(g, &cache.dominators(g), s.pred),
     ) {
         (Some(old), Some(now)) => {
-            old != now || {
-                let changed = footprint_blocks(g, &fp);
-                old.iter()
+            old != now
+                || old
+                    .iter()
                     .chain(std::iter::once(&s.merge))
                     .chain(&s.path)
-                    .any(|b| changed.contains(b))
-            }
+                    .any(|&b| changed.contains(b))
         }
         _ => true,
     }
 }
 
-/// The blocks an undo-log footprint names: its blocks, plus the blocks its
-/// live instructions sit in. The one rule both the stale classification
-/// and the audit memo's invalidation read a footprint by.
-fn footprint_blocks(g: &Graph, fp: &TxnFootprint) -> HashSet<BlockId> {
-    fp.insts
-        .iter()
-        .filter_map(|&i| g.block_of(i))
-        .chain(fp.blocks.iter().copied())
-        .collect()
+/// The blocks an undo-log footprint names — its blocks, plus the blocks
+/// its live instructions sit in — marked in a dense table a round reuses
+/// for every footprint it reads: no sort and no set. The one rule both
+/// the stale classification and the audit memo's invalidation read a
+/// footprint by.
+#[derive(Debug, Default)]
+pub(crate) struct FootprintBlocks {
+    /// The blocks stamped with the current stamp are marked.
+    marks: Vec<u32>,
+    stamp: u32,
+}
+
+impl FootprintBlocks {
+    /// Marks the blocks of the footprint of `g`'s innermost open
+    /// transaction, forgetting the footprint marked before. Returns
+    /// `false` when that footprint is empty.
+    pub(crate) fn mark(&mut self, g: &Graph) -> bool {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Marks from 2^32 footprints ago would look current.
+            self.marks.fill(0);
+            self.stamp = 1;
+        }
+        self.marks.resize(g.block_count(), 0);
+        let (marks, stamp) = (&mut self.marks, self.stamp);
+        g.for_each_txn_block(|b| marks[b.index()] = stamp)
+    }
+
+    /// Is `b` a block of the marked footprint?
+    pub(crate) fn contains(&self, b: BlockId) -> bool {
+        self.marks.get(b.index()) == Some(&self.stamp)
+    }
 }
 
 /// A checkpoint rejection: the bailout reason plus, when a lint
@@ -2057,7 +2084,9 @@ mod tests {
                 *rhs = minus5;
             }
         });
-        memo.invalidate(&footprint_blocks(&g, &g.txn_footprint()));
+        let mut changed = FootprintBlocks::default();
+        assert!(changed.mark(&g));
+        memo.invalidate(&changed);
         g.commit_txn();
         verify(&g).unwrap();
 

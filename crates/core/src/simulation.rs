@@ -25,11 +25,11 @@
 
 use crate::bailout::{isolate, BailoutReason, Budget};
 use crate::faultinject::fault_point;
+use crate::phase::FootprintBlocks;
 use dbds_analysis::{AnalysisCache, BlockFrequencies, DomTree, Dominators};
 use dbds_costmodel::CostModel;
 use dbds_ir::{BlockId, Graph, Inst, InstId, InstKind, Terminator, Use};
 use dbds_opt::{evaluate, record_effects, FactEnv, Mark, OptKind, Synonym, Verdict};
-use std::collections::HashSet;
 
 /// One optimization opportunity discovered during a DST.
 #[derive(Clone, Debug, PartialEq)]
@@ -475,8 +475,8 @@ impl AuditMemo {
     /// Drops the memo from the first chain block `changed` holds on: that
     /// block's facts, and so every later block's, may no longer be what a
     /// replay would find.
-    pub(crate) fn invalidate(&mut self, changed: &HashSet<BlockId>) {
-        if let Some(k) = self.chain.iter().position(|b| changed.contains(b)) {
+    pub(crate) fn invalidate(&mut self, changed: &FootprintBlocks) {
+        if let Some(k) = self.chain.iter().position(|&b| changed.contains(b)) {
             self.truncate(k);
         }
     }

@@ -16,6 +16,7 @@
 
 use crate::simulation::SimulationResult;
 use std::collections::HashSet;
+use std::hash::BuildHasher;
 
 use dbds_ir::BlockId;
 
@@ -102,26 +103,26 @@ pub struct Selection<'a> {
 /// Ranks the simulation results and selects those worth duplicating,
 /// tracking the running size budget. `visited` holds merges already
 /// duplicated in previous iterations; fresh merges are preferred.
-pub fn select<'a>(
+pub fn select<'a, S: BuildHasher>(
     results: &'a [SimulationResult],
     cfg: &TradeoffConfig,
     mode: SelectionMode,
     initial_size: u64,
     current_size: u64,
-    visited: &HashSet<BlockId>,
+    visited: &HashSet<BlockId, S>,
 ) -> Vec<&'a SimulationResult> {
     select_with_rejections(results, cfg, mode, initial_size, current_size, visited).accepted
 }
 
 /// Like [`select`], but also reports the candidates a size budget turned
 /// away even though their benefit justified the cost.
-pub fn select_with_rejections<'a>(
+pub fn select_with_rejections<'a, S: BuildHasher>(
     results: &'a [SimulationResult],
     cfg: &TradeoffConfig,
     mode: SelectionMode,
     initial_size: u64,
     current_size: u64,
-    visited: &HashSet<BlockId>,
+    visited: &HashSet<BlockId, S>,
 ) -> Selection<'a> {
     let mut ranked: Vec<&SimulationResult> = results.iter().collect();
     // New merges first, then descending probability-weighted benefit;

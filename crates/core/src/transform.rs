@@ -11,9 +11,8 @@
 //! transformation requires.
 
 use crate::faultinject::fault_point;
-use dbds_ir::{BlockId, Graph, Inst, InstId, Use};
+use dbds_ir::{BlockId, FastMap, Graph, Inst, InstId, Use};
 use dbds_opt::{SsaBuilder, SsaRepairError};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -79,7 +78,7 @@ pub struct Duplication {
     /// Mapping from original instructions of `merge` to their substitutes
     /// in the copy: φs map to their `pred`-edge input, other instructions
     /// to their copies.
-    pub substitution: HashMap<InstId, InstId>,
+    pub substitution: FastMap<InstId, InstId>,
 }
 
 /// Duplicates `merge` into `pred`.
@@ -142,7 +141,7 @@ pub(crate) fn try_duplicate_with(
     let k = g.pred_index(merge, pred);
 
     // Substitution: φs become their input on the pred edge.
-    let mut subst: HashMap<InstId, InstId> = HashMap::new();
+    let mut subst: FastMap<InstId, InstId> = FastMap::default();
     let phis: Vec<InstId> = g.phis(merge).to_vec();
     for &phi in &phis {
         match g.inst(phi) {
@@ -251,9 +250,9 @@ fn collect_use_sites(
     merge: BlockId,
     copy: BlockId,
     defined: &[InstId],
-) -> HashMap<InstId, Vec<UseSite>> {
+) -> FastMap<InstId, Vec<UseSite>> {
     let local = |b: BlockId| b == merge || b == copy;
-    let mut sites: HashMap<InstId, Vec<UseSite>> = HashMap::new();
+    let mut sites: FastMap<InstId, Vec<UseSite>> = FastMap::default();
     for &v in defined {
         let mut v_sites = Vec::new();
         for user in g.users_in_layout_order(v) {

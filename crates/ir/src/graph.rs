@@ -16,11 +16,11 @@
 //! finding its users costs O(uses), not a walk over the arena.
 
 use crate::classes::ClassTable;
+use crate::hash::FastMap;
 use crate::ids::{BlockId, InstId};
 use crate::inst::{Inst, Successors, Terminator};
 use crate::types::Type;
 use crate::uses::{Use, UseLists};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -84,8 +84,8 @@ struct TxnFrame {
     cfg_version: u64,
     /// First-touch backups of instruction / block slots mutated while
     /// this frame was open (only slots below the bases are recorded).
-    saved_insts: HashMap<usize, InstData>,
-    saved_blocks: HashMap<usize, BlockData>,
+    saved_insts: FastMap<usize, InstData>,
+    saved_blocks: FastMap<usize, BlockData>,
     /// Differential oracle: a full clone taken at `begin_txn`,
     /// cross-checked against the undo-log restore on every rollback.
     #[cfg(debug_assertions)]
@@ -189,7 +189,9 @@ pub struct UndoStats {
 /// it mutates. It may over-approximate: a slot touched only by a nested
 /// transaction that was rolled back stays listed, holding its old value
 /// again. Both lists are sorted ascending (backed-up slots first, then
-/// the freshly allocated ones), independent of hash order.
+/// the freshly allocated ones), independent of hash order: the reference
+/// form of the footprint. [`Graph::for_each_txn_block`] reads the same
+/// slots' blocks without sorting or collecting them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TxnFootprint {
     /// Instruction slots mutated (payload or owning block) or allocated
@@ -416,8 +418,8 @@ impl Graph {
             base_insts: self.insts.len(),
             base_blocks: self.blocks.len(),
             cfg_version: self.cfg_version,
-            saved_insts: HashMap::new(),
-            saved_blocks: HashMap::new(),
+            saved_insts: FastMap::default(),
+            saved_blocks: FastMap::default(),
             #[cfg(debug_assertions)]
             shadow: Box::new(self.clone()),
         };
@@ -535,6 +537,30 @@ impl Graph {
             insts: insts.into_iter().map(InstId::from_index).collect(),
             blocks: blocks.into_iter().map(BlockId::from_index).collect(),
         }
+    }
+
+    /// Passes `f` the blocks [`Graph::txn_footprint`] names — its blocks
+    /// and the blocks its attached instructions sit in — unsorted and
+    /// possibly repeated, without collecting them. Returns `false` when
+    /// the footprint is empty (or no transaction is open). O(slots
+    /// touched).
+    pub fn for_each_txn_block(&self, mut f: impl FnMut(BlockId)) -> bool {
+        let Some(frame) = self.undo.frames.last() else {
+            return false;
+        };
+        let insts = frame.saved_insts.keys().copied();
+        for idx in insts.chain(frame.base_insts..self.insts.len()) {
+            if let Some(b) = self.insts[idx].block {
+                f(b);
+            }
+        }
+        let blocks = frame.saved_blocks.keys().copied();
+        for idx in blocks.chain(frame.base_blocks..self.blocks.len()) {
+            f(BlockId::from_index(idx));
+        }
+        frame.entries() > 0
+            || frame.base_insts < self.insts.len()
+            || frame.base_blocks < self.blocks.len()
     }
 
     /// Cumulative undo-log counters since this graph was created (or

@@ -68,7 +68,7 @@ mod verify;
 pub use builder::GraphBuilder;
 pub use classes::{ClassInfo, ClassTable, FieldInfo};
 pub use graph::{Graph, InstData, TxnFootprint, UndoStats};
-pub use hash::{content_hash, fnv1a, Fnv64};
+pub use hash::{content_hash, fnv1a, FastHasher, FastMap, FastSet, FastState, Fnv64};
 pub use ids::{BlockId, ClassId, FieldId, InstId};
 pub use inst::{BinOp, CmpOp, Inst, InstKind, KindCounts, Successors, Terminator};
 pub use interp::{

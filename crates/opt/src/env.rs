@@ -36,8 +36,9 @@
 //! whatever the maps hold. Rolling back lowers the floors again.
 
 use dbds_analysis::{refine_by_cmp, refine_by_instanceof, Stamp};
-use dbds_ir::{BlockId, ClassId, ConstValue, FieldId, Graph, Inst, InstId, Terminator, Type};
-use std::collections::HashMap;
+use dbds_ir::{
+    BlockId, ClassId, ConstValue, FastMap, FieldId, Graph, Inst, InstId, Terminator, Type,
+};
 
 /// What a value is known to be equivalent to.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -64,7 +65,7 @@ pub struct VirtualObject {
     /// The allocated class.
     pub class: ClassId,
     /// Known field contents. Missing fields hold their default value.
-    pub fields: HashMap<FieldId, Synonym>,
+    pub fields: FastMap<FieldId, Synonym>,
 }
 
 /// A point on an environment's trail, taken by [`FactEnv::mark`].
@@ -94,8 +95,8 @@ enum Undo {
 pub struct FactEnv {
     synonyms: Vec<Option<Synonym>>,
     stamps: Vec<Option<Stamp>>,
-    field_cache: HashMap<(InstId, FieldId), Tagged<Synonym>>,
-    virtuals: HashMap<InstId, Tagged<VirtualObject>>,
+    field_cache: FastMap<(InstId, FieldId), Tagged<Synonym>>,
+    virtuals: FastMap<InstId, Tagged<VirtualObject>>,
     /// Field-cache entries written before this generation are invisible.
     field_floor: u64,
     /// Virtual objects added before this generation are invisible.
@@ -319,7 +320,7 @@ impl FactEnv {
                 generation: self.generation,
                 value: VirtualObject {
                     class,
-                    fields: HashMap::new(),
+                    fields: FastMap::default(),
                 },
             },
         );
@@ -471,7 +472,7 @@ fn default_const(g: &Graph, field: FieldId) -> ConstValue {
 
 /// Puts `old` back as `map[key]`: reinserts it, or removes the key when
 /// it was absent.
-fn restore<K: std::hash::Hash + Eq, V>(map: &mut HashMap<K, V>, key: K, old: Option<V>) {
+fn restore<K: std::hash::Hash + Eq, V>(map: &mut FastMap<K, V>, key: K, old: Option<V>) {
     match old {
         Some(v) => {
             map.insert(key, v);

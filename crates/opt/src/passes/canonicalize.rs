@@ -24,14 +24,13 @@ use crate::env::{FactEnv, Mark};
 use crate::evaluate::{evaluate, record_effects, OptKind, Verdict};
 use crate::passes::dirt::{walk_tree, Dirt, TreeVisitor};
 use dbds_analysis::{AnalysisCache, DomTree};
-use dbds_ir::{BlockId, ConstValue, Graph, Inst, InstId, Terminator, Type, Use};
-use std::collections::HashMap;
+use dbds_ir::{BlockId, ConstValue, FastMap, Graph, Inst, InstId, Terminator, Type, Use};
 
 /// Statistics of one canonicalization run.
 #[derive(Clone, Debug, Default)]
 pub struct CanonStats {
     /// Progress verdicts applied, per optimization class.
-    pub applied: HashMap<OptKind, usize>,
+    pub applied: FastMap<OptKind, usize>,
     /// Branches folded to jumps.
     pub branch_folds: usize,
 }
@@ -59,13 +58,13 @@ impl CanonStats {
 /// A pool of materialized constants, all placed at the top of the entry
 /// block so that they dominate every use.
 pub(crate) struct ConstPool {
-    pool: HashMap<ConstValue, InstId>,
+    pool: FastMap<ConstValue, InstId>,
 }
 
 impl ConstPool {
     pub(crate) fn new() -> Self {
         ConstPool {
-            pool: HashMap::new(),
+            pool: FastMap::default(),
         }
     }
 

@@ -111,7 +111,7 @@ fn remove_dead(g: &mut Graph, dirt: &mut Dirt) -> (bool, u64) {
 /// worklist's fixpoint is checked against (debug builds only).
 #[cfg(debug_assertions)]
 fn any_dead_by_recount(g: &Graph) -> bool {
-    let mut uses: std::collections::HashMap<InstId, usize> = std::collections::HashMap::new();
+    let mut uses: dbds_ir::FastMap<InstId, usize> = dbds_ir::FastMap::default();
     for b in g.blocks() {
         for &i in g.block_insts(b) {
             g.inst(i).for_each_input(|input| {

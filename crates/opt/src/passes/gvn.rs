@@ -12,8 +12,9 @@
 
 use crate::passes::dirt::{user_blocks, walk_tree, Dirt, TreeVisitor};
 use dbds_analysis::{AnalysisCache, DomTree};
-use dbds_ir::{BinOp, BlockId, ClassId, CmpOp, ConstValue, Graph, Inst, InstId};
-use std::collections::HashMap;
+use dbds_ir::{
+    BinOp, BlockId, ClassId, CmpOp, ConstValue, FastMap, FastState, Graph, Inst, InstId,
+};
 
 /// A hashable structural key for a pure instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -77,9 +78,10 @@ pub fn global_value_numbering(g: &mut Graph, cache: &mut AnalysisCache) -> usize
 /// needs none of its own: a replaced value's users sit below it in the
 /// tree, where this walk still goes.
 pub(crate) fn run(g: &mut Graph, dt: &DomTree, dirt: &mut Dirt) -> (usize, u64) {
+    // Sized once: the table never holds more keys than instructions.
     let mut walk = Walk {
-        table: HashMap::new(),
-        inserted: Vec::new(),
+        table: FastMap::with_capacity_and_hasher(g.inst_count(), FastState::default()),
+        inserted: Vec::with_capacity(g.inst_count()),
         removed: 0,
         dirt,
     };
@@ -93,7 +95,7 @@ pub(crate) fn run(g: &mut Graph, dt: &DomTree, dirt: &mut Dirt) -> (usize, u64) 
 /// block's keys when the walk leaves it restores the parent's view
 /// exactly.
 struct Walk<'a> {
-    table: HashMap<Key, InstId>,
+    table: FastMap<Key, InstId>,
     inserted: Vec<Key>,
     removed: usize,
     dirt: &'a mut Dirt,

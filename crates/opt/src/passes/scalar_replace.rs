@@ -15,8 +15,10 @@
 use crate::passes::dirt::{user_blocks, Dirt};
 use crate::ssa_repair::SsaBuilder;
 use dbds_analysis::reverse_postorder;
-use dbds_ir::{BlockId, ClassId, CmpOp, ConstValue, FieldId, Graph, Inst, InstId, Type, Use};
-use std::collections::HashMap;
+use dbds_ir::{
+    BlockId, ClassId, CmpOp, ConstValue, FastMap, FieldId, Graph, Inst, InstId, Type, Use,
+};
+use std::collections::BTreeMap;
 
 /// Loads and `(store, stored value)` pairs of one field of an allocation.
 type FieldAccesses = (Vec<InstId>, Vec<(InstId, InstId)>);
@@ -189,8 +191,9 @@ fn replace_allocation(
     dirt.gvn.insert(alloc_block);
     let table = g.class_table().clone();
 
-    // Group loads/stores per field.
-    let mut fields: HashMap<FieldId, FieldAccesses> = HashMap::new();
+    // Group loads/stores per field. The fields are replaced in ascending
+    // id order, which fixes the ids of the defaults and φs they insert.
+    let mut fields: BTreeMap<FieldId, FieldAccesses> = BTreeMap::new();
     let mut tests = Vec::new();
     for u in uses {
         match u {
@@ -231,7 +234,7 @@ fn replace_allocation(
             Def(InstId), // value defined (store / alloc default)
             Use(InstId), // load to rewrite
         }
-        let mut events: HashMap<BlockId, Vec<(usize, Event)>> = HashMap::new();
+        let mut events: FastMap<BlockId, Vec<(usize, Event)>> = FastMap::default();
         events
             .entry(alloc_block)
             .or_default()
@@ -259,7 +262,7 @@ fn replace_allocation(
         }
 
         // End-of-block definitions for the SSA builder.
-        let mut defs: HashMap<BlockId, InstId> = HashMap::new();
+        let mut defs: FastMap<BlockId, InstId> = FastMap::default();
         for (&b, evs) in &events {
             let last_def = evs.iter().rev().find_map(|&(_, e)| match e {
                 Event::Def(v) => Some(v),
@@ -303,7 +306,7 @@ fn replace_allocation(
         // Apply the replacements. A replacement target can itself be a
         // load that was replaced earlier (store p.x, load p.x chains), so
         // chase through the already-applied map.
-        let mut applied: HashMap<InstId, InstId> = HashMap::new();
+        let mut applied: FastMap<InstId, InstId> = FastMap::default();
         for (load, v) in replacements {
             let mut target = v;
             while let Some(&t) = applied.get(&target) {
@@ -594,5 +597,66 @@ mod tests {
         verify(&g).unwrap();
         assert_eq!(execute(&g, &[Value::Int(5)]).outcome, Ok(Value::Int(5)));
         assert_eq!(execute(&g, &[Value::Int(0)]).outcome, Ok(Value::Int(0)));
+    }
+
+    /// The defaults and φs a multi-field allocation leaves behind take
+    /// their ids field by field, in ascending field order — not in the
+    /// order a hash map of the fields happens to iterate in.
+    #[test]
+    fn fields_are_replaced_in_ascending_id_order() {
+        let mut t = ClassTable::new();
+        let c = t.add_class("P");
+        let fx = t.add_field(c, "x", Type::Int);
+        let fy = t.add_field(c, "y", Type::Int);
+        let fz = t.add_field(c, "z", Type::Int);
+        let mut b = GraphBuilder::new("three", &[Type::Bool, Type::Int], Arc::new(t));
+        let (cond, a) = (b.param(0), b.param(1));
+        let p = b.new_object(c);
+        let one = b.iconst(1);
+        let two = b.iconst(2);
+        let (bt, bf, bm) = (b.new_block(), b.new_block(), b.new_block());
+        b.branch(cond, bt, bf, 0.5);
+        b.switch_to(bt);
+        b.store(p, fx, a);
+        b.store(p, fz, one);
+        b.jump(bm);
+        b.switch_to(bf);
+        b.store(p, fy, a);
+        b.store(p, fz, two);
+        b.jump(bm);
+        b.switch_to(bm);
+        let lx = b.load(p, fx);
+        let ly = b.load(p, fy);
+        let lz = b.load(p, fz);
+        let s = b.add(lx, ly);
+        let s = b.add(s, lz);
+        b.ret(Some(s));
+        let mut g = b.finish();
+        assert_eq!(scalar_replace(&mut g), 1);
+        verify(&g).unwrap();
+        // x's default and φ first (v14, v15), then y's, then z's.
+        let expected = "\
+func @three(v0: bool, v1: int) {
+b0:
+  v18: int = const 0
+  v16: int = const 0
+  v14: int = const 0
+  v3: int = const 1
+  v4: int = const 2
+  branch v0, b1, b2, prob 0.5
+b1:
+  jump b3
+b2:
+  jump b3
+b3:
+  v15: int = phi [b1: v1, b2: v14]
+  v17: int = phi [b1: v16, b2: v1]
+  v19: int = phi [b1: v3, b2: v4]
+  v12: int = add v15, v17
+  v13: int = add v12, v19
+  return v13
+}
+";
+        assert_eq!(dbds_ir::print_graph(&g), expected);
     }
 }

@@ -179,11 +179,13 @@ fn harmless_edits_are_accepted() {
 fn footprint_lists_touched_and_allocated_slots_in_order() {
     let (mut g, bt, bm, tail, _tail2, user) = diamond_with_tail();
     assert_eq!(g.txn_footprint(), TxnFootprint::default(), "no transaction");
+    assert!(!g.for_each_txn_block(|b| panic!("{b} outside a transaction")));
     let (insts0, blocks0) = (g.inst_count(), g.block_count());
 
     g.begin_txn();
     let opened = g.txn_footprint();
     assert!(opened.insts.is_empty() && opened.blocks.is_empty());
+    assert!(!g.for_each_txn_block(|b| panic!("{b} in an empty footprint")));
 
     // Touch old slots out of index order, allocate new ones in between.
     g.rewrite_inputs(user, |inst| {
@@ -203,6 +205,17 @@ fn footprint_lists_touched_and_allocated_slots_in_order() {
     assert!(fp.blocks.windows(2).all(|w| w[0] < w[1]));
     // Reading it is repeatable (no hash-order leak) and free of effects.
     assert_eq!(g.txn_footprint(), fp);
+    // The unsorted walk names the same blocks: the footprint's own and
+    // those of its attached instructions.
+    let mut walked = Vec::new();
+    assert!(g.for_each_txn_block(|b| walked.push(b)));
+    let mut expected: Vec<_> = fp.insts.iter().filter_map(|&i| g.block_of(i)).collect();
+    expected.extend(&fp.blocks);
+    for list in [&mut walked, &mut expected] {
+        list.sort_unstable();
+        list.dedup();
+    }
+    assert_eq!(walked, expected);
 
     g.rollback_txn();
     assert_eq!(g.txn_footprint(), TxnFootprint::default());
