@@ -18,7 +18,9 @@
 //! rolled-back duplication leaves the slot stale, like any other CFG
 //! change, so the next lookup rebuilds it. Readers that depend on the CFG
 //! order keep asking for [`AnalysisCache::domtree`], which is only ever a
-//! from-scratch build.
+//! from-scratch build. Both slots, and the post-dominator tree's, hold
+//! the one tree type: a [`DomTree`] is a `Dominators` plus the CFG
+//! order, and a relation lookup that misses shares the ordered tree's.
 //!
 //! Entries are returned as [`Arc`]s so callers can hold several analyses
 //! at once (the simulation walk needs dominators *and* frequencies) while
@@ -517,7 +519,7 @@ fn audit_postdom(cache: &AnalysisCache, fresh: &mut FreshAnalyses<'_>, out: &mut
             ));
         }
     }
-    if slot.value.roots() != fresh.roots() {
+    if !slot.value.roots().eq(fresh.roots()) {
         out.push(stale_at(
             None,
             "cached postdom stamped current has divergent virtual-exit roots".to_string(),

@@ -1,21 +1,25 @@
 //! Dominator tree construction and queries.
 //!
-//! Two types, split by what their readers depend on:
+//! Every dominator tree of this crate is one [`Dominators`]: sibling
+//! lists and gap-spaced `u64` interval labels, O(1)
+//! [`dominates`](Dominators::dominates) by containment. A tree built
+//! from scratch ([`Dominators::build`]) and a range relabelled when a
+//! gap runs out are labelled by the same walk, the Euler-tour spread.
 //!
-//! - [`Dominators`] is the dominance *relation* — `idom`, O(1)
-//!   [`dominates`](Dominators::dominates) by containment of gap-spaced
-//!   label intervals, reachability. It is a function of the CFG's edge
-//!   set alone, which is why one tail duplication can be applied to it in
+//! - [`Dominators`] alone is the dominance *relation* — `idom`,
+//!   `dominates`, reachability. It is a function of the CFG's edge set
+//!   alone, which is why one tail duplication can be applied to it in
 //!   place ([`Dominators::after_duplication`]) without looking at the
 //!   rest of the graph. The guard of the DBDS phase reads only this.
-//! - [`DomTree`] adds the *CFG order*: the reverse postorder, the
-//!   dominator-tree children in that order, the tree's preorder and the
-//!   [`subtree`](DomTree::subtree) slices it gives. Traversals (the
+//! - [`DomTree`] adds the *CFG order*: the reverse postorder, and the
+//!   tree's preorder with each block's children in it. Traversals (the
 //!   simulation walk of §4.1, GVN, canonicalization, loops, frequencies)
 //!   read it, and their visiting order decides every `InstId` they
 //!   create, so a `DomTree` is only ever built from scratch: the
 //!   Cooper–Harvey–Kennedy iterative algorithm over a reverse postorder
 //!   of the CFG.
+//! - The post-dominator tree ([`crate::PostDomTree`]) is a `Dominators`
+//!   of the reversed CFG, rooted at a virtual exit.
 //!
 //! `DomTree` derefs to its `Dominators`.
 
@@ -86,48 +90,42 @@ impl Dominators {
     pub fn from_idoms(root: BlockId, mut idom: Vec<Option<BlockId>>) -> Self {
         idom[root.index()] = None;
         let blocks = (0..idom.len()).map(BlockId::from_index);
-        let tree = Tree::number(root, &idom, blocks);
-        Self::label(root, idom, &tree)
+        Self::build(root, idom, blocks).0
     }
 
-    /// The relation of the tree `idom` describes, `tree` its from-scratch
-    /// numbering. Reads no edge of the CFG. A block numbered `p` in
-    /// preorder whose subtree ends before number `e` gets the interval
-    /// `[2p, 2e - 1)` times the gap `LABEL_SPAN / (2 × reachable blocks)`:
-    /// a child's starts after its parent's and ends no later, siblings'
-    /// are disjoint, and every gap is at least one gap wide.
-    fn label(root: BlockId, idom: Vec<Option<BlockId>>, tree: &Tree) -> Self {
+    /// The relation of the tree `idom` describes (`None` for `root` and
+    /// outside the tree), and the tree's preorder. Reads no edge of the
+    /// CFG. Walking `fill` backwards, each block with a parent is pushed
+    /// to the front of its parent's child list, so every list runs in
+    /// `fill` order; then the root takes the interval `[0, LABEL_SPAN)`
+    /// and [`Dominators::spread`] labels the rest, as when a gap runs out.
+    pub(crate) fn build(
+        root: BlockId,
+        idom: Vec<Option<BlockId>>,
+        fill: impl DoubleEndedIterator<Item = BlockId>,
+    ) -> (Self, Vec<BlockId>) {
         let n = idom.len();
-        let mut first = vec![NONE; n];
-        let mut next = vec![NONE; n];
-        let mut prev = vec![NONE; n];
-        for (i, head) in first.iter_mut().enumerate() {
-            let kids = tree.children(BlockId::from_index(i));
-            if let Some(&f) = kids.first() {
-                *head = link(f);
-            }
-            for pair in kids.windows(2) {
-                next[pair[0].index()] = link(pair[1]);
-                prev[pair[1].index()] = link(pair[0]);
-            }
-        }
-        let gap = LABEL_SPAN / (2 * tree.order.len() as u64);
-        let mut pre = vec![UNREACHABLE; n];
-        let mut end = vec![0u64; n];
-        for &b in &tree.order {
-            let i = b.index();
-            pre[i] = 2 * u64::from(tree.pre[i]) * gap;
-            end[i] = (2 * u64::from(tree.end[i]) - 1) * gap;
-        }
-        Dominators {
+        let mut rel = Dominators {
             root,
             idom,
-            first,
-            next,
-            prev,
-            pre,
-            end,
+            first: vec![NONE; n],
+            next: vec![NONE; n],
+            prev: vec![NONE; n],
+            pre: vec![UNREACHABLE; n],
+            end: vec![0; n],
+        };
+        let mut size = 1;
+        for b in fill.rev() {
+            if let Some(p) = rel.idom[b.index()] {
+                rel.link_first(b, p);
+                size += 1;
+            }
         }
+        (rel.pre[root.index()], rel.end[root.index()]) = (0, LABEL_SPAN);
+        let mut preorder = Vec::with_capacity(size as usize);
+        preorder.push(root);
+        rel.spread(root, size, |b| preorder.push(b));
+        (rel, preorder)
     }
 
     /// How many blocks the relation is defined over (reachable or not).
@@ -190,22 +188,80 @@ impl Dominators {
         a
     }
 
-    /// How many blocks the subtree of `top` holds.
-    fn subtree_size(&self, top: BlockId) -> u64 {
-        let mut size = 1;
-        let mut cur = self.first[top.index()];
-        while cur != NONE {
-            size += 1;
-            let mut b = block(cur);
-            cur = self.first[b.index()];
+    /// The root of the tree.
+    pub(crate) fn root(&self) -> BlockId {
+        self.root
+    }
+
+    /// The children of `b`, in label order.
+    pub(crate) fn children(&self, b: BlockId) -> impl Iterator<Item = BlockId> + '_ {
+        let head = self.first[b.index()];
+        std::iter::successors((head != NONE).then(|| block(head)), |&c| {
+            let next = self.next[c.index()];
+            (next != NONE).then(|| block(next))
+        })
+    }
+
+    /// The blocks `top` dominates, `top` first, in preorder over the
+    /// child lists (none when `top` is unreachable). O(subtree size).
+    pub fn dominated(&self, top: BlockId) -> impl Iterator<Item = BlockId> + '_ {
+        std::iter::successors(self.is_reachable(top).then_some(top), move |&b| {
+            let mut cur = self.first[b.index()];
             // Past a leaf: the next sibling of it or of its nearest
             // ancestor below `top` that has one.
-            while cur == NONE && b != top {
-                cur = self.next[b.index()];
-                b = self.idom[b.index()].expect("a walked block is below the top");
+            let mut up = b;
+            while cur == NONE && up != top {
+                cur = self.next[up.index()];
+                up = self.idom[up.index()].expect("a walked block is below the top");
             }
+            (cur != NONE).then(|| block(cur))
+        })
+    }
+
+    /// Makes `x`, in no child list, the first child of `parent`.
+    fn link_first(&mut self, x: BlockId, parent: BlockId) {
+        let head = self.first[parent.index()];
+        (self.next[x.index()], self.prev[x.index()]) = (head, NONE);
+        if head != NONE {
+            self.prev[head as usize] = link(x);
         }
-        size
+        self.first[parent.index()] = link(x);
+        self.idom[x.index()] = Some(parent);
+    }
+
+    /// Spreads the Euler tour of `top`'s subtree of `size` blocks (`top`
+    /// included) evenly over `top`'s own interval, which stays put: one
+    /// step per entry and exit. Calls `visit` on each block below `top`,
+    /// in preorder, as it labels it.
+    fn spread(&mut self, top: BlockId, size: u64, mut visit: impl FnMut(BlockId)) {
+        let base = self.pre[top.index()];
+        let step = (self.end[top.index()] - base) / (2 * size);
+        let mut at = 0u64;
+        let mut cur = self.first[top.index()];
+        while cur != NONE {
+            let b = block(cur);
+            at += 1;
+            // The end is written on the way out.
+            self.pre[b.index()] = base + at * step;
+            visit(b);
+            if self.first[b.index()] != NONE {
+                cur = self.first[b.index()];
+                continue;
+            }
+            // Leave `b`, and every ancestor whose last child it closes.
+            let mut done = b;
+            cur = loop {
+                at += 1;
+                self.end[done.index()] = base + at * step;
+                if self.next[done.index()] != NONE {
+                    break self.next[done.index()];
+                }
+                done = self.idom[done.index()].expect("a spread block is below the top");
+                if done == top {
+                    break NONE;
+                }
+            };
+        }
     }
 
     /// The relation of `g`, given that `self` was the relation of `g`
@@ -310,7 +366,7 @@ impl Dominators {
         edit.grow();
         match case {
             Case::BackEdge => {
-                edit.link_first(copy, pred);
+                edit.rel.link_first(copy, pred);
                 edit.label_leaf(copy);
             }
             Case::SoleEntry { below } => {
@@ -336,7 +392,7 @@ impl Dominators {
                 }
                 let (pre, end) = (rel.pre[m], rel.end[m]);
                 edit.set_label(copy, pre, end);
-                edit.link_first(merge, below);
+                edit.rel.link_first(merge, below);
                 edit.label_leaf(merge);
             }
             Case::Shared { old_idom, above } => {
@@ -367,9 +423,9 @@ impl Dominators {
                 if next != NONE {
                     rel.prev[next as usize] = last;
                 }
-                edit.link_first(copy, pred);
+                edit.rel.link_first(copy, pred);
                 edit.label_leaf(copy);
-                edit.link_first(merge, above);
+                edit.rel.link_first(merge, above);
                 edit.label_leaf(merge);
             }
         }
@@ -413,18 +469,6 @@ impl Edit<'_> {
         self.labels += 1;
     }
 
-    /// Makes `x`, in no child list, the first child of `parent`.
-    fn link_first(&mut self, x: BlockId, parent: BlockId) {
-        let rel = &mut *self.rel;
-        let head = rel.first[parent.index()];
-        (rel.next[x.index()], rel.prev[x.index()]) = (head, NONE);
-        if head != NONE {
-            rel.prev[head as usize] = link(x);
-        }
-        rel.first[parent.index()] = link(x);
-        rel.idom[x.index()] = Some(parent);
-    }
-
     /// Labels `x`, a leaf just made its parent's first child: the back
     /// half of the gap between the parent's start and the next sibling's
     /// (or the parent's end). When that gap has no room left, relabels
@@ -446,11 +490,11 @@ impl Edit<'_> {
 
     /// Climbs from `from` to the first ancestor whose interval spreads
     /// its subtree with gaps of at least `2^(RELABEL_GAP_LOG2 + levels
-    /// climbed)` (the root always qualifies) and relabels that subtree
-    /// evenly.
+    /// climbed)` (the root always qualifies) and spreads that subtree
+    /// anew.
     fn relabel_around(&mut self, from: BlockId) {
         let rel = &*self.rel;
-        let (mut top, mut size) = (from, rel.subtree_size(from));
+        let (mut top, mut size) = (from, rel.dominated(from).count() as u64);
         for level in 0.. {
             let gap = (rel.end[top.index()] - rel.pre[top.index()]) / (2 * size);
             let wanted = 1u64 << (RELABEL_GAP_LOG2 + level).min(62);
@@ -458,171 +502,27 @@ impl Edit<'_> {
                 debug_assert!(gap >= 2, "the root's interval has room for every block");
                 break;
             };
-            let mut c = rel.first[up.index()];
-            size += 1;
-            while c != NONE {
-                if block(c) != top {
-                    size += rel.subtree_size(block(c));
-                }
-                c = rel.next[c as usize];
-            }
+            size += 1 + rel
+                .children(up)
+                .filter(|&c| c != top)
+                .map(|c| rel.dominated(c).count() as u64)
+                .sum::<u64>();
             top = up;
         }
-        self.relabel(top, size);
-    }
-
-    /// Spreads the Euler tour of `top`'s subtree evenly over `top`'s own
-    /// interval, which stays put: one step per entry and exit.
-    fn relabel(&mut self, top: BlockId, size: u64) {
-        let (base, width) = (
-            self.rel.pre[top.index()],
-            self.rel.end[top.index()] - self.rel.pre[top.index()],
-        );
-        let step = width / (2 * size);
-        let mut at = 0u64;
-        let mut cur = self.rel.first[top.index()];
-        while cur != NONE {
-            let b = block(cur);
-            at += 1;
-            // The end is written on the way out.
-            let end = self.rel.end[b.index()];
-            self.set_label(b, base + at * step, end);
-            if self.rel.first[b.index()] != NONE {
-                cur = self.rel.first[b.index()];
-                continue;
-            }
-            // Leave `b`, and every ancestor whose last child it closes.
-            let rel = &mut *self.rel;
-            let mut done = b;
-            cur = loop {
-                at += 1;
-                rel.end[done.index()] = base + at * step;
-                if rel.next[done.index()] != NONE {
-                    break rel.next[done.index()];
-                }
-                done = rel.idom[done.index()].expect("a relabelled block is below the top");
-                if done == top {
-                    break NONE;
-                }
-            };
-        }
-    }
-}
-
-/// A tree numbered once, from scratch, with each block's children in a
-/// given order: CSR children and a preorder numbering under which the
-/// subtree of `b` is a contiguous slice of the preorder. What the
-/// traversals of [`DomTree`] and the post-dominator tree read.
-#[derive(Clone, Debug)]
-pub(crate) struct Tree {
-    /// The children of `b` are `child_list[child_start[b]..child_start[b + 1]]`.
-    child_start: Vec<u32>,
-    child_list: Vec<BlockId>,
-    /// Preorder number per block (`u32::MAX` outside the tree).
-    pre: Vec<u32>,
-    /// One past the largest preorder number in the block's subtree (0
-    /// outside the tree, so the interval test fails there unaided).
-    end: Vec<u32>,
-    /// The tree's blocks by preorder number: `order[pre[b]] == b`.
-    order: Vec<BlockId>,
-}
-
-impl Tree {
-    /// Builds the CSR children (each list in `fill` order) and the
-    /// preorder numbering from the `idom` array alone (`None` for `root`
-    /// and outside the tree) — no edge of the CFG is read.
-    pub(crate) fn number(
-        root: BlockId,
-        idom: &[Option<BlockId>],
-        fill: impl Iterator<Item = BlockId>,
-    ) -> Self {
-        let n = idom.len();
-        let mut child_start = vec![0u32; n + 1];
-        for p in idom.iter().flatten() {
-            child_start[p.index() + 1] += 1;
-        }
-        for i in 0..n {
-            child_start[i + 1] += child_start[i];
-        }
-        let mut cursor = child_start[..n].to_vec();
-        let mut child_list = vec![root; child_start[n] as usize];
-        for b in fill {
-            if let Some(p) = idom[b.index()] {
-                child_list[cursor[p.index()] as usize] = b;
-                cursor[p.index()] += 1;
-            }
-        }
-
-        // Depth-first numbering; the way back up is the idom array, so no
-        // stack is kept.
-        cursor.copy_from_slice(&child_start[..n]);
-        let mut pre = vec![u32::MAX; n];
-        let mut end = vec![0u32; n];
-        let mut order = Vec::with_capacity(child_list.len() + 1);
-        pre[root.index()] = 0;
-        order.push(root);
-        let mut cur = root;
-        loop {
-            let i = cur.index();
-            if cursor[i] < child_start[i + 1] {
-                cur = child_list[cursor[i] as usize];
-                cursor[i] += 1;
-                pre[cur.index()] = order.len() as u32;
-                order.push(cur);
-            } else {
-                end[i] = order.len() as u32;
-                match idom[i] {
-                    Some(p) => cur = p,
-                    None => break,
-                }
-            }
-        }
-
-        Tree {
-            child_start,
-            child_list,
-            pre,
-            end,
-            order,
-        }
-    }
-
-    /// Is `a` an ancestor of `b` (reflexively)?
-    pub(crate) fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let pb = self.pre[b.index()];
-        self.pre[a.index()] <= pb && pb < self.end[a.index()]
-    }
-
-    /// Is `b` in the tree?
-    pub(crate) fn is_reachable(&self, b: BlockId) -> bool {
-        self.pre[b.index()] != u32::MAX
-    }
-
-    /// The children of `b`, in the order the tree was numbered with.
-    pub(crate) fn children(&self, b: BlockId) -> &[BlockId] {
-        let i = b.index();
-        &self.child_list[self.child_start[i] as usize..self.child_start[i + 1] as usize]
-    }
-
-    /// The blocks below `b`, `b` first, in preorder (empty outside the
-    /// tree).
-    fn subtree(&self, b: BlockId) -> &[BlockId] {
-        if !self.is_reachable(b) {
-            return &[];
-        }
-        &self.order[self.pre[b.index()] as usize..self.end[b.index()] as usize]
+        let labels = &mut self.labels;
+        self.rel.spread(top, size, |_| *labels += 1);
     }
 }
 
 /// A dominator tree over the reachable blocks of a [`Graph`]: the
-/// [`Dominators`] relation (which it derefs to) plus the reverse
-/// postorder of the CFG it was solved over and the tree numbered in it.
-/// Always built from scratch.
+/// [`Dominators`] relation (which it derefs to), built with each child
+/// list in reverse postorder of the CFG, plus that reverse postorder and
+/// the tree's preorder. Always built from scratch.
 #[derive(Clone, Debug)]
 pub struct DomTree {
     relation: Arc<Dominators>,
-    /// Numbered with the children in reverse postorder.
-    tree: Tree,
+    /// Depth-first preorder of the tree, children in reverse postorder.
+    preorder: Vec<BlockId>,
     /// Reverse postorder of the reachable blocks.
     rpo: Vec<BlockId>,
     /// Position of each block in `rpo` (`usize::MAX` if unreachable).
@@ -647,11 +547,10 @@ impl DomTree {
             rpo_index[b.index()] = i;
         }
         let idom = solve(&rpo, &rpo_index, |b| g.preds(b).iter().copied());
-        let tree = Tree::number(g.entry(), &idom, rpo.iter().copied());
-        let relation = Arc::new(Dominators::label(g.entry(), idom, &tree));
+        let (relation, preorder) = Dominators::build(g.entry(), idom, rpo.iter().copied());
         DomTree {
-            relation,
-            tree,
+            relation: Arc::new(relation),
+            preorder,
             rpo,
             rpo_index,
         }
@@ -661,18 +560,6 @@ impl DomTree {
     /// not need the CFG order.
     pub fn relation(&self) -> &Arc<Dominators> {
         &self.relation
-    }
-
-    /// The children of `b` in the dominator tree, ordered by reverse
-    /// postorder of the CFG.
-    pub fn children(&self, b: BlockId) -> &[BlockId] {
-        self.tree.children(b)
-    }
-
-    /// The blocks `b` dominates, `b` first, in [`DomTree::preorder`]
-    /// (empty when `b` is unreachable).
-    pub fn subtree(&self, b: BlockId) -> &[BlockId] {
-        self.tree.subtree(b)
     }
 
     /// The reverse postorder of the reachable blocks (entry first).
@@ -691,10 +578,11 @@ impl DomTree {
         i
     }
 
-    /// Depth-first preorder of the dominator tree (entry first). This is
-    /// the traversal order of the DBDS simulation tier.
+    /// Depth-first preorder of the dominator tree (entry first), each
+    /// block's children in reverse postorder. This is the traversal order
+    /// of the DBDS simulation tier.
     pub fn preorder(&self) -> &[BlockId] {
-        &self.tree.order
+        &self.preorder
     }
 }
 
@@ -841,7 +729,7 @@ mod tests {
         assert!(dt.dominates(g.entry(), b2));
         assert!(dt.dominates(b1, b2));
         assert_eq!(dt.idom(b2), Some(b1));
-        assert_eq!(dt.children(g.entry()), &[b1]);
+        assert_eq!(dt.preorder(), &[g.entry(), b1, b2]);
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! block execution frequencies ([`BlockFrequencies`], the `p` of the
 //! `shouldDuplicate` heuristic), and value [`Stamp`]s with the refinement
 //! rules conditional elimination applies along dominating conditions.
+//! Every dominator tree is one type, the gap-labelled [`Dominators`]:
+//! the ordered tree derefs to one, the guard patches one per
+//! duplication, and the post-dominator tree is one.
 //! The reverse-CFG structure is equally first-class: the post-dominator
 //! tree ([`PostDomTree`]: the same dominator solver run over the
 //! reversed CFG with a virtual exit) answers the branch-splitting

@@ -6,28 +6,27 @@
 //! real `Graph`; instead the crate's one dominator solver
 //! ([`crate::domtree`]) runs over reversed edge queries (`succs` become
 //! predecessors and vice versa), with the virtual exit as one extra node
-//! past the real blocks. This module owns what is particular to the
-//! reverse direction: choosing the exits. Every reachable block with no
-//! successors is an exit; a region that cannot reach any exit (an
-//! infinite loop) is handled by deterministically attaching its earliest
-//! block (in forward reverse postorder) to the virtual exit as a
-//! pseudo-exit, so the tree always covers every entry-reachable block.
+//! past the real blocks, and the result is the crate's one tree type, a
+//! [`Dominators`] rooted at that node. This module owns what is
+//! particular to the reverse direction: choosing the exits. Every
+//! reachable block with no successors is an exit; a region that cannot
+//! reach any exit (an infinite loop) is handled by deterministically
+//! attaching its earliest block (in forward reverse postorder) to the
+//! virtual exit as a pseudo-exit, so the tree always covers every
+//! entry-reachable block.
 
-use crate::domtree::{reverse_postorder, solve, Tree};
+use crate::domtree::{reverse_postorder, solve};
+use crate::Dominators;
 use dbds_ir::{BlockId, Graph};
 
 /// A post-dominator tree over the entry-reachable blocks of a [`Graph`].
 #[derive(Clone, Debug)]
 pub struct PostDomTree {
-    /// The virtual exit: the node one past the real blocks.
-    virtual_exit: BlockId,
-    /// The immediate dominator per block in the reversed CFG: a real
-    /// block, the virtual exit, or `None` outside the analysis domain
-    /// (unreachable from the entry block).
-    ipdom: Vec<Option<BlockId>>,
-    /// The tree `ipdom` describes, rooted at the virtual exit, children
-    /// in reverse postorder of the reversed CFG.
-    tree: Tree,
+    /// The dominator tree of the reversed CFG, rooted at the virtual exit
+    /// (the node one past the real blocks), children in reverse
+    /// postorder of the reversed CFG. Blocks unreachable from the entry
+    /// block are outside it.
+    tree: Dominators,
     /// Pseudo-exits chosen for regions that cannot reach a real exit.
     pseudo_exits: Vec<BlockId>,
 }
@@ -42,22 +41,26 @@ impl PostDomTree {
             in_domain[b.index()] = true;
         }
 
-        // Exit set: reachable blocks with no successors, then pseudo-exits
-        // until every reachable block can reach the (virtual) exit.
+        // Exit set: reachable blocks with no successors, then, in forward
+        // reverse postorder, each block none of the exits so far reaches
+        // becomes a pseudo-exit. `covered` grows by a search from each
+        // new exit only, and the scan never needs to look back: every
+        // block before the new pseudo-exit was covered already.
         let mut exits: Vec<BlockId> = forward_rpo
             .iter()
             .copied()
             .filter(|&b| g.succs(b).is_empty())
             .collect();
+        let mut covered = vec![false; n];
+        for &e in &exits {
+            cover(g, e, &in_domain, &mut covered);
+        }
         let mut pseudo_exits = Vec::new();
-        loop {
-            let covered = can_reach(g, n, &exits, &in_domain);
-            match forward_rpo.iter().find(|b| !covered[b.index()]) {
-                None => break,
-                Some(&b) => {
-                    pseudo_exits.push(b);
-                    exits.push(b);
-                }
+        for &b in &forward_rpo {
+            if !covered[b.index()] {
+                pseudo_exits.push(b);
+                exits.push(b);
+                cover(g, b, &in_domain, &mut covered);
             }
         }
 
@@ -81,36 +84,33 @@ impl PostDomTree {
                 .into_iter()
                 .chain(is_exit[b.index()].then_some(virtual_exit))
         });
-        let tree = Tree::number(virtual_exit, &ipdom, order.iter().copied());
+        let (tree, _) = Dominators::build(virtual_exit, ipdom, order.into_iter());
 
-        PostDomTree {
-            virtual_exit,
-            ipdom,
-            tree,
-            pseudo_exits,
-        }
+        PostDomTree { tree, pseudo_exits }
     }
 
     /// The immediate post-dominator of `b`: `None` when `b`'s parent is
     /// the virtual exit (a real or pseudo exit) or `b` is unreachable.
     pub fn ipdom(&self, b: BlockId) -> Option<BlockId> {
-        self.ipdom[b.index()].filter(|&p| p != self.virtual_exit)
+        self.tree.idom(b).filter(|&p| p != self.tree.root())
     }
 
     /// Is `b`'s immediate post-dominator the virtual exit?
     pub fn is_root(&self, b: BlockId) -> bool {
-        self.ipdom[b.index()] == Some(self.virtual_exit)
+        self.tree.idom(b) == Some(self.tree.root())
     }
 
-    /// The children of `b` in the post-dominator tree.
-    pub fn children(&self, b: BlockId) -> &[BlockId] {
+    /// The children of `b` in the post-dominator tree, in reverse
+    /// postorder of the reversed CFG.
+    pub fn children(&self, b: BlockId) -> impl Iterator<Item = BlockId> + '_ {
         self.tree.children(b)
     }
 
-    /// The children of the virtual exit: real exits first, then
-    /// pseudo-exits of infinite regions.
-    pub fn roots(&self) -> &[BlockId] {
-        self.tree.children(self.virtual_exit)
+    /// The children of the virtual exit — the real and pseudo exits, and
+    /// every block whose paths split between exits — in reverse postorder
+    /// of the reversed CFG.
+    pub fn roots(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.tree.children(self.tree.root())
     }
 
     /// Blocks deterministically attached to the virtual exit because
@@ -136,17 +136,15 @@ impl PostDomTree {
     }
 }
 
-/// Which blocks can reach a member of `exits` (forward edges), restricted
-/// to `in_domain` blocks — a backward BFS over predecessor edges.
-fn can_reach(g: &Graph, n: usize, exits: &[BlockId], in_domain: &[bool]) -> Vec<bool> {
-    let mut covered = vec![false; n];
-    let mut work: Vec<BlockId> = Vec::new();
-    for &e in exits {
-        if in_domain[e.index()] && !covered[e.index()] {
-            covered[e.index()] = true;
-            work.push(e);
-        }
+/// Marks `covered` every `in_domain` block that reaches `from` along
+/// forward edges and is not marked yet — a backward search over
+/// predecessor edges that stops at marked blocks.
+fn cover(g: &Graph, from: BlockId, in_domain: &[bool], covered: &mut [bool]) {
+    if covered[from.index()] {
+        return;
     }
+    covered[from.index()] = true;
+    let mut work = vec![from];
     while let Some(b) = work.pop() {
         for &p in g.preds(b) {
             if in_domain[p.index()] && !covered[p.index()] {
@@ -155,7 +153,6 @@ fn can_reach(g: &Graph, n: usize, exits: &[BlockId], in_domain: &[bool]) -> Vec<
             }
         }
     }
-    covered
 }
 
 /// Reverse postorder of the reversed graph from the virtual exit (whose
@@ -235,7 +232,7 @@ mod tests {
         assert!(pd.post_dominates(bt, bt));
         assert!(pd.strictly_post_dominates(bm, bt));
         assert!(!pd.strictly_post_dominates(bm, bm));
-        assert_eq!(pd.roots(), &[bm]);
+        assert!(pd.roots().eq([bm]));
         assert!(pd.pseudo_exits().is_empty());
     }
 
@@ -256,7 +253,7 @@ mod tests {
         assert_eq!(pd.ipdom(g.entry()), Some(b1));
         assert_eq!(pd.ipdom(b1), Some(b2));
         assert_eq!(pd.ipdom(b2), None);
-        assert_eq!(pd.children(b2), &[b1]);
+        assert!(pd.children(b2).eq([b1]));
     }
 
     #[test]
@@ -284,7 +281,7 @@ mod tests {
         assert!(!pd.post_dominates(body, header));
         assert_eq!(pd.ipdom(body), Some(header));
         assert_eq!(pd.ipdom(header), Some(exit));
-        assert_eq!(pd.roots(), &[exit]);
+        assert!(pd.roots().eq([exit]));
     }
 
     #[test]
@@ -309,6 +306,39 @@ mod tests {
         assert_eq!(pd.ipdom(g.entry()), None);
         assert!(!pd.post_dominates(done, g.entry()));
         assert!(!pd.post_dominates(spin, g.entry()));
+    }
+
+    /// entry → {r1, a}; r1 → {r1, r2}; r2 → r2; a → {r3, done};
+    /// r3 ⇄ r4; done returns. Forward reverse postorder: entry, a, done,
+    /// r3, r4, r1, r2. Three infinite regions, and `r2` is reachable only
+    /// through `r1`'s.
+    #[test]
+    fn pseudo_exits_follow_the_forward_reverse_postorder() {
+        let mut b = GraphBuilder::new("regions", &[Type::Bool], empty_table());
+        let c = b.param(0);
+        let [r1, r2, a, r3, r4, done] = std::array::from_fn(|_| b.new_block());
+        b.branch(c, r1, a, 0.5);
+        b.switch_to(r1);
+        b.branch(c, r1, r2, 0.5);
+        b.switch_to(r2);
+        b.jump(r2);
+        b.switch_to(a);
+        b.branch(c, r3, done, 0.5);
+        b.switch_to(r3);
+        b.jump(r4);
+        b.switch_to(r4);
+        b.jump(r3);
+        b.switch_to(done);
+        b.ret(None);
+        let g = b.finish();
+        let pd = PostDomTree::compute(&g);
+        assert_eq!(pd.pseudo_exits(), &[r3, r1, r2]);
+        // The virtual exit's children: every exit, and the blocks whose paths
+        // split between exits, in reverse postorder of the reversed CFG.
+        assert!(pd.roots().eq([r2, r1, r3, done, a, g.entry()]));
+        assert_eq!(pd.ipdom(r4), Some(r3));
+        assert_eq!(pd.ipdom(g.entry()), None);
+        assert_eq!(pd.ipdom(a), None);
     }
 
     #[test]

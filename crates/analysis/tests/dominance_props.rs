@@ -231,9 +231,9 @@ fn postdom_digest(sizes: std::ops::Range<usize>, seed: u64) -> u64 {
         for b in g.blocks() {
             h.write_u64(pd.ipdom(b).map_or(u64::MAX, |p| p.index() as u64));
             h.write_u64(u64::from(pd.is_root(b)) | u64::from(pd.in_domain(b)) << 1);
-            list(&mut h, pd.children(b));
+            list(&mut h, &pd.children(b).collect::<Vec<_>>());
         }
-        list(&mut h, pd.roots());
+        list(&mut h, &pd.roots().collect::<Vec<_>>());
         list(&mut h, pd.pseudo_exits());
     }
     h.finish()
@@ -666,7 +666,7 @@ fn from_idoms_numbers_the_tree_it_is_given() {
     assert_is_relation_of(&rel, &g, "from_idoms");
     for b in g.blocks() {
         let mut expected: Vec<BlockId> = g.blocks().filter(|&x| dt.dominates(b, x)).collect();
-        let mut subtree = dt.subtree(b).to_vec();
+        let mut subtree: Vec<BlockId> = rel.dominated(b).collect();
         assert_eq!(subtree.first(), Some(&b));
         subtree.sort_unstable();
         expected.sort_unstable();
@@ -816,6 +816,36 @@ proptest! {
                 if dt.strictly_dominates(a, b) {
                     prop_assert!(dt.rpo_index(a) < dt.rpo_index(b));
                 }
+            }
+        }
+    }
+
+    /// The from-scratch labels against two references that read no
+    /// label: the preorder of a depth-first walk over the idom children,
+    /// each block's children sorted by reverse postorder, and dominance
+    /// as ancestry along the idom chain.
+    #[test]
+    fn tree_order_and_labels_match_the_idom_tree(n in 2usize..12, choices in proptest::collection::vec(0u8..8, 12)) {
+        let g = random_cfg(n, &choices);
+        let dt = DomTree::compute(&g);
+        let mut children = vec![Vec::new(); n];
+        for &b in dt.reverse_postorder() {
+            if let Some(p) = dt.idom(b) {
+                children[p.index()].push(b);
+            }
+        }
+        let mut reference = Vec::new();
+        let mut stack = vec![g.entry()];
+        while let Some(b) = stack.pop() {
+            reference.push(b);
+            stack.extend(children[b.index()].iter().rev());
+        }
+        prop_assert_eq!(dt.preorder(), &reference[..], "graph:\n{}", g);
+        for a in g.blocks() {
+            for b in g.blocks() {
+                let ancestry = dt.reverse_postorder().contains(&b)
+                    && std::iter::successors(Some(b), |&x| dt.idom(x)).any(|x| x == a);
+                prop_assert_eq!(dt.dominates(a, b), ancestry, "{} dom {} on graph:\n{}", a, b, g);
             }
         }
     }

@@ -110,7 +110,7 @@ pub fn lint_simulation(results: &[SimulationResult], current_size: u64) -> Vec<D
 /// frontier.
 fn definition_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
     let mut out = Vec::new();
-    for &q in dt.subtree(b) {
+    for q in dt.dominated(b) {
         for y in g.succs(q) {
             if g.preds(y).len() >= 2 && !dt.strictly_dominates(b, y) {
                 out.push(y);
