@@ -1135,6 +1135,7 @@ impl Graph {
 
     /// The reference form of the use lists: every live operand slot,
     /// found by walking both arenas, handed to `f` as `(value, user)`.
+    #[cfg(any(test, debug_assertions))]
     fn scan_uses(&self, mut f: impl FnMut(InstId, Use)) {
         for (idx, data) in self.insts.iter().enumerate() {
             if data.block.is_some() {
@@ -1166,6 +1167,7 @@ impl Graph {
 
     /// How many operand slots of `user` mention `v` right now (none if
     /// the user is detached or does not exist).
+    #[cfg(debug_assertions)]
     fn slots_mentioning(&self, user: Use, v: InstId) -> u32 {
         let mut slots = 0;
         let count = |input: InstId| slots += u32::from(input == v);
@@ -1185,76 +1187,26 @@ impl Graph {
         slots
     }
 
-    /// Compares every use list against a from-scratch recount over the
-    /// operands and returns `(value, entries held, entries expected)` for
-    /// each value whose list is not the recounted multiset. O(graph), no
-    /// sorting; what the `use-list-mismatch` lint reports.
-    ///
-    /// A list is exact iff it is as long as the number of slots that
-    /// mention the value and each user it names appears exactly as often
-    /// as that user's slots mention the value: the second makes the list
-    /// a sub-multiset of the slots, the first leaves no slot out.
+    /// Compares every use list against `expected`, the lists the live
+    /// operand slots imply (the verifier's operand sweep builds it), and
+    /// returns `(value, entries held, entries expected)` for each value
+    /// whose list is not that multiset, plus the list nodes walked — each
+    /// chain once. O(graph), no sorting; what the `use-list-mismatch`
+    /// lint reports.
+    pub(crate) fn use_list_mismatches_against(
+        &self,
+        expected: &UseLists,
+    ) -> (Vec<(InstId, usize, usize)>, u64) {
+        self.uses.mismatches(expected, self.blocks.len())
+    }
+
+    /// [`Graph::use_list_mismatches_against`] the recount of
+    /// [`Graph::scan_uses`], the reference form.
+    #[cfg(test)]
     pub(crate) fn use_list_mismatches(&self) -> Vec<(InstId, usize, usize)> {
-        let n = self.insts.len();
-        let mut expected = vec![0u32; n];
-        let mut stray_slots: Vec<(InstId, Use)> = Vec::new();
-        self.scan_uses(|v, user| match expected.get_mut(v.index()) {
-            Some(slots) => *slots += 1,
-            None => stray_slots.push((v, user)),
-        });
-
-        // Per user: the value whose list last named it, and how often.
-        const UNSEEN: (u32, u32) = (u32::MAX, 0);
-        let mut seen_inst = vec![UNSEEN; n];
-        let mut seen_term = vec![UNSEEN; self.blocks.len()];
-        let mut out = Vec::new();
-        for (idx, &slots) in expected.iter().enumerate() {
-            let v = InstId::from_index(idx);
-            let (mut held, mut known_users) = (0u32, true);
-            for user in self.uses.of(v) {
-                held += 1;
-                let seen = match user {
-                    Use::Inst(i) => seen_inst.get_mut(i.index()),
-                    Use::Term(b) => seen_term.get_mut(b.index()),
-                };
-                match seen {
-                    Some(seen) if seen.0 == v.0 => seen.1 += 1,
-                    Some(seen) => *seen = (v.0, 1),
-                    None => known_users = false,
-                }
-            }
-            let exact = held == slots
-                && known_users
-                && self.uses.of(v).all(|user| {
-                    let named = match user {
-                        Use::Inst(i) => seen_inst[i.index()].1,
-                        Use::Term(b) => seen_term[b.index()].1,
-                    };
-                    named == self.slots_mentioning(user, v)
-                });
-            if !exact {
-                out.push((v, held as usize, slots as usize));
-            }
-        }
-
-        stray_slots.sort_unstable();
-        let strays = self.uses.sorted_strays();
-        if strays != stray_slots {
-            let mut values: Vec<InstId> = strays.iter().chain(&stray_slots).map(|e| e.0).collect();
-            values.sort_unstable();
-            values.dedup();
-            for v in values {
-                let run_of = |all: &[(InstId, Use)]| -> Vec<Use> {
-                    let run = all.iter().filter(|e| e.0 == v);
-                    run.map(|e| e.1).collect()
-                };
-                let (held, slots) = (run_of(&strays), run_of(&stray_slots));
-                if held != slots {
-                    out.push((v, held.len(), slots.len()));
-                }
-            }
-        }
-        out
+        let mut expected = UseLists::with_arena(self.insts.len());
+        self.scan_uses(|v, user| expected.add(v, user));
+        self.use_list_mismatches_against(&expected).0
     }
 
     /// Moves every non-φ instruction of `from` (in order) to the end of

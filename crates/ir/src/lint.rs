@@ -22,9 +22,12 @@
 //! passes that can emit error-severity lints ([`lint_soundness`]) and
 //! reports their messages.
 //!
-//! Every error-severity rule that reads one block's slots is a function
-//! of that block (the `*_rules` functions); the whole-graph passes loop
-//! them over all blocks.
+//! The error-severity rules that read one block's slots (the `*_rules`
+//! functions and `SlotRules`) run in one walk over the blocks, which
+//! reads each operand slot once and also collects the use lists the
+//! slots imply, so the use-list recount walks each def-use list once.
+//! Dominance queries are interval compares on the verifier's own
+//! dominator tree, numbered by preorder.
 //!
 //! # Examples
 //!
@@ -47,6 +50,7 @@
 use crate::ids::{BlockId, InstId};
 use crate::inst::{CmpOp, Inst, Terminator};
 use crate::types::{ConstValue, Type};
+use crate::uses::{Use, UseLists};
 use crate::Graph;
 use std::fmt;
 
@@ -307,9 +311,14 @@ impl fmt::Display for LintReport {
 /// [`crate::verify`] runs: everything [`lint`] runs except the warn-only
 /// hygiene pass.
 pub fn lint_soundness(g: &Graph) -> LintReport {
+    lint_soundness_work(g).0
+}
+
+/// [`lint_soundness`] plus the exact work it did.
+pub fn lint_soundness_work(g: &Graph) -> (LintReport, VerifyWork) {
     let mut out = Vec::new();
-    soundness_passes(g, &DomForest::forward(g), &mut Sink { out: &mut out });
-    LintReport::from_diagnostics(out)
+    let work = soundness_passes(g, &DomForest::forward(g), &mut Sink { out: &mut out });
+    (LintReport::from_diagnostics(out), work)
 }
 
 /// Runs every built-in pass over `g`: the soundness passes plus CFG
@@ -323,23 +332,29 @@ pub fn lint(g: &Graph) -> LintReport {
     LintReport::from_diagnostics(out)
 }
 
+/// The work of one soundness run, counted exactly: deterministic
+/// functions of the graph, for pinning the verifier's cost.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerifyWork {
+    /// Operand slots the operand sweep read, each once: those of every
+    /// listed instruction and every terminator (and of an attached
+    /// instruction no block lists under its own record).
+    pub slots_read: u64,
+    /// Block-to-block dominance queries: cross-block uses and φ inputs
+    /// of reachable blocks.
+    pub dominance_queries: u64,
+    /// Def-use list nodes the use-list check walked: every list once.
+    pub chain_nodes: u64,
+}
+
 /// The error-capable passes, all reading the one dominator tree `dom`
 /// (its domain is the set of blocks reachable from the entry). The
 /// report is sorted, so their order is not observable.
-fn soundness_passes(g: &Graph, dom: &DomForest, s: &mut Sink<'_>) {
-    edge_pass(g, dom, s);
-    // Block layout: instruction↔block records, φ placement and arity,
-    // param placement, dangling value references.
-    for b in g.blocks() {
-        layout_rules(g, b, s);
-    }
-    // Per-instruction type rules plus branch-condition typing.
-    for b in g.blocks() {
-        type_rules(g, b, s);
-    }
-    dominance_pass(g, dom, s);
+fn soundness_passes(g: &Graph, dom: &DomForest, s: &mut Sink<'_>) -> VerifyWork {
+    let (expected, mut work) = block_sweep(g, dom, s);
     reverse_cfg_pass(g, dom, s);
-    use_list_pass(g, s);
+    use_list_pass(g, &expected, s, &mut work);
+    work
 }
 
 /// Shared emit helper for the built-in rules.
@@ -348,6 +363,7 @@ struct Sink<'a> {
 }
 
 impl Sink<'_> {
+    #[cold]
     fn emit(
         &mut self,
         lint: LintId,
@@ -359,6 +375,7 @@ impl Sink<'_> {
     }
 
     /// `i` sits in `b`'s instruction list but records another block.
+    #[cold]
     fn misfiled(&mut self, b: BlockId, i: InstId, recorded: Option<BlockId>) {
         self.emit(
             LintId::GraphConsistency,
@@ -370,6 +387,7 @@ impl Sink<'_> {
 
     /// A use (by instruction `at`, or by `b`'s terminator) of the
     /// detached instruction `input`.
+    #[cold]
     fn removed_use(&mut self, b: BlockId, at: Option<InstId>, input: InstId) {
         let message = match at {
             Some(i) => format!("{i} in {b} uses removed instruction {input}"),
@@ -378,8 +396,20 @@ impl Sink<'_> {
         self.emit(LintId::DanglingUse, Some(b), at, message);
     }
 
+    /// A use (by instruction `at`, or by `b`'s terminator) of `input`,
+    /// an id outside the instruction arena.
+    #[cold]
+    fn out_of_range(&mut self, b: BlockId, at: Option<InstId>, input: InstId) {
+        let message = match at {
+            Some(i) => format!("{i} references out-of-range value {input}"),
+            None => format!("terminator of {b} references out-of-range value {input}"),
+        };
+        self.emit(LintId::DanglingUse, Some(b), at, message);
+    }
+
     /// A use (by instruction `at`, or by `b`'s terminator) that its
     /// definition `input` does not dominate.
+    #[cold]
     fn undominated_use(&mut self, b: BlockId, at: Option<InstId>, input: InstId) {
         let message = match at {
             Some(i) => format!("{i} in {b}: use of {input} not dominated by its definition"),
@@ -389,6 +419,7 @@ impl Sink<'_> {
     }
 
     /// A φ input that is not available at the end of its predecessor.
+    #[cold]
     fn undominated_phi_input(&mut self, b: BlockId, phi: InstId, input: InstId, pred: BlockId) {
         self.emit(
             LintId::SsaDominance,
@@ -400,12 +431,14 @@ impl Sink<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Error-severity rules, one function per block.
+// Error-severity rules of one block, instruction or operand slot.
 // ---------------------------------------------------------------------
 
 /// Edge bookkeeping of `b`: entry predecessors, duplicate branch
-/// targets, pred/succ mirrors in both directions, branch probability.
-fn edge_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
+/// targets, pred/succ mirrors in both directions, branch probability,
+/// and — `b` being reachable — no unreachable predecessors (the cleanup
+/// pass must disconnect dead code before verification).
+fn edge_rules(g: &Graph, dom: &DomForest, b: BlockId, s: &mut Sink<'_>) {
     if b == g.entry() && !g.preds(b).is_empty() {
         s.emit(
             LintId::GraphConsistency,
@@ -456,93 +489,82 @@ fn edge_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
             );
         }
     }
+    if dom.contains(b) {
+        for &p in g.preds(b) {
+            if !dom.contains(p) {
+                s.emit(
+                    LintId::GraphConsistency,
+                    Some(b),
+                    None,
+                    format!("reachable {b} has unreachable predecessor {p}"),
+                );
+            }
+        }
+    }
 }
 
-/// Layout of `b`: instruction↔block records, φ placement and arity,
-/// param placement, dangling value references.
-fn layout_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
-    let mut seen_non_phi = false;
-    for &i in g.block_insts(b) {
-        if g.block_of(i) != Some(b) {
-            s.misfiled(b, i, g.block_of(i));
-        }
-        match g.inst(i) {
-            Inst::Phi { inputs } => {
-                if seen_non_phi {
-                    s.emit(
-                        LintId::PhiPlacement,
-                        Some(b),
-                        Some(i),
-                        format!("{b}: phi {i} appears after non-phi instructions"),
-                    );
-                }
-                if inputs.len() != g.preds(b).len() {
-                    s.emit(
-                        LintId::PhiPlacement,
-                        Some(b),
-                        Some(i),
-                        format!(
-                            "{b}: phi {i} has {} inputs but the block has {} predecessors",
-                            inputs.len(),
-                            g.preds(b).len()
-                        ),
-                    );
-                }
-                if g.preds(b).is_empty() {
-                    s.emit(
-                        LintId::PhiPlacement,
-                        Some(b),
-                        Some(i),
-                        format!("{b}: phi {i} in a block without predecessors"),
-                    );
-                }
-            }
-            Inst::Param(idx) => {
-                if b != g.entry() {
-                    s.emit(
-                        LintId::ParamPlacement,
-                        Some(b),
-                        Some(i),
-                        format!("param {i} outside the entry block"),
-                    );
-                }
-                if *idx as usize >= g.param_types().len() {
-                    s.emit(
-                        LintId::ParamPlacement,
-                        Some(b),
-                        Some(i),
-                        format!("param {i} index {idx} out of range"),
-                    );
-                } else if g.ty(i) != g.param_types()[*idx as usize] {
-                    s.emit(
-                        LintId::ParamPlacement,
-                        Some(b),
-                        Some(i),
-                        format!("param {i} type mismatch with signature"),
-                    );
-                }
-                seen_non_phi = true;
-            }
-            _ => seen_non_phi = true,
-        }
-        g.inst(i).for_each_input(|input| {
-            if input.index() >= g.inst_count() {
+/// φ and param placement of `i`, listed in `b` after instructions that
+/// set `seen_non_phi` if any of them is not a φ.
+fn placement_rules(g: &Graph, b: BlockId, i: InstId, seen_non_phi: &mut bool, s: &mut Sink<'_>) {
+    match g.inst(i) {
+        Inst::Phi { inputs } => {
+            if *seen_non_phi {
                 s.emit(
-                    LintId::DanglingUse,
+                    LintId::PhiPlacement,
                     Some(b),
                     Some(i),
-                    format!("{i} references out-of-range value {input}"),
+                    format!("{b}: phi {i} appears after non-phi instructions"),
                 );
-            } else if g.block_of(input).is_none() {
-                s.removed_use(b, Some(i), input);
             }
-        });
-    }
-    g.terminator(b).for_each_input(|input| {
-        if g.block_of(input).is_none() {
-            s.removed_use(b, None, input);
+            if inputs.len() != g.preds(b).len() {
+                s.emit(
+                    LintId::PhiPlacement,
+                    Some(b),
+                    Some(i),
+                    format!(
+                        "{b}: phi {i} has {} inputs but the block has {} predecessors",
+                        inputs.len(),
+                        g.preds(b).len()
+                    ),
+                );
+            }
+            if g.preds(b).is_empty() {
+                s.emit(
+                    LintId::PhiPlacement,
+                    Some(b),
+                    Some(i),
+                    format!("{b}: phi {i} in a block without predecessors"),
+                );
+            }
         }
-    });
+        Inst::Param(idx) => {
+            if b != g.entry() {
+                s.emit(
+                    LintId::ParamPlacement,
+                    Some(b),
+                    Some(i),
+                    format!("param {i} outside the entry block"),
+                );
+            }
+            if *idx as usize >= g.param_types().len() {
+                s.emit(
+                    LintId::ParamPlacement,
+                    Some(b),
+                    Some(i),
+                    format!("param {i} index {idx} out of range"),
+                );
+            } else if g.ty(i) != g.param_types()[*idx as usize] {
+                s.emit(
+                    LintId::ParamPlacement,
+                    Some(b),
+                    Some(i),
+                    format!("param {i} type mismatch with signature"),
+                );
+            }
+            *seen_non_phi = true;
+        }
+        _ => *seen_non_phi = true,
+    }
 }
 
 fn comparable(a: Type, b: Type) -> bool {
@@ -605,162 +627,156 @@ fn expect_type(s: &mut Sink<'_>, g: &Graph, b: BlockId, at: InstId, v: InstId, t
     }
 }
 
-/// Per-instruction type rules of `b` plus its terminator's typing.
+/// The type rules of `i`, listed in `b`, whose operands are all in the
+/// arena (an out-of-range operand is a [`LintId::DanglingUse`] finding;
+/// typing it would index past the instruction table).
 #[allow(clippy::too_many_lines)]
-fn type_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
+fn inst_type_rules(g: &Graph, b: BlockId, i: InstId, s: &mut Sink<'_>) {
     let table = g.class_table();
-    for &i in g.block_insts(b) {
-        // Out-of-range operands are DanglingUse findings; typing
-        // them would index past the instruction table.
-        let mut out_of_range = false;
-        g.inst(i).for_each_input(|input| {
-            if input.index() >= g.inst_count() {
-                out_of_range = true;
+    let ty = g.ty(i);
+    let err = |s: &mut Sink<'_>, msg: String| s.emit(LintId::TypeError, Some(b), Some(i), msg);
+    match g.inst(i) {
+        Inst::Const(c) => {
+            if c.ty() != ty {
+                err(s, format!("{i}: constant {c} typed {ty}"));
             }
-        });
-        if out_of_range {
-            continue;
+            if let ConstValue::Null(cl) = c {
+                if !table.contains_class(*cl) {
+                    err(s, format!("{i}: null of unknown class {cl}"));
+                }
+            }
         }
-        let ty = g.ty(i);
-        let err = |s: &mut Sink<'_>, msg: String| s.emit(LintId::TypeError, Some(b), Some(i), msg);
-        match g.inst(i) {
-            Inst::Const(c) => {
-                if c.ty() != ty {
-                    err(s, format!("{i}: constant {c} typed {ty}"));
-                }
-                if let ConstValue::Null(cl) = c {
-                    if !table.contains_class(*cl) {
-                        err(s, format!("{i}: null of unknown class {cl}"));
-                    }
+        Inst::Param(_) => {}
+        Inst::Binary { lhs, rhs, .. } => {
+            expect_type(s, g, b, i, *lhs, Type::Int);
+            expect_type(s, g, b, i, *rhs, Type::Int);
+            if ty != Type::Int {
+                err(s, format!("{i}: binary op typed {ty}"));
+            }
+        }
+        Inst::Compare { op, lhs, rhs } => {
+            let lt = g.ty(*lhs);
+            let rt = g.ty(*rhs);
+            let ordered = matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge);
+            if ordered && (lt != Type::Int || rt != Type::Int) {
+                err(s, format!("{i}: ordered comparison of {lt} and {rt}"));
+            }
+            if !ordered && !comparable(lt, rt) {
+                err(s, format!("{i}: equality comparison of {lt} and {rt}"));
+            }
+            if ty != Type::Bool {
+                err(s, format!("{i}: comparison typed {ty}"));
+            }
+        }
+        Inst::Not(x) => {
+            expect_type(s, g, b, i, *x, Type::Bool);
+            if ty != Type::Bool {
+                err(s, format!("{i}: not typed {ty}"));
+            }
+        }
+        Inst::Neg(x) => {
+            expect_type(s, g, b, i, *x, Type::Int);
+            if ty != Type::Int {
+                err(s, format!("{i}: neg typed {ty}"));
+            }
+        }
+        Inst::Phi { inputs } => {
+            for &input in inputs {
+                if g.ty(input) != ty {
+                    err(
+                        s,
+                        format!(
+                            "{i}: phi typed {ty} has input {input} of type {}",
+                            g.ty(input)
+                        ),
+                    );
                 }
             }
-            Inst::Param(_) => {}
-            Inst::Binary { lhs, rhs, .. } => {
-                expect_type(s, g, b, i, *lhs, Type::Int);
-                expect_type(s, g, b, i, *rhs, Type::Int);
-                if ty != Type::Int {
-                    err(s, format!("{i}: binary op typed {ty}"));
+        }
+        Inst::New { class } => {
+            if !table.contains_class(*class) {
+                err(s, format!("{i}: new of unknown class {class}"));
+            } else if ty != Type::Ref(*class) {
+                err(s, format!("{i}: new {class} typed {ty}"));
+            }
+        }
+        Inst::LoadField { object, field } => {
+            check_receiver(s, g, b, i, *object, *field);
+            if table.contains_field(*field) && ty != table.field(*field).ty {
+                err(s, format!("{i}: load of {field} typed {ty}"));
+            }
+        }
+        Inst::StoreField {
+            object,
+            field,
+            value,
+        } => {
+            check_receiver(s, g, b, i, *object, *field);
+            if table.contains_field(*field) && g.ty(*value) != table.field(*field).ty {
+                err(s, format!("{i}: store of {} into {field}", g.ty(*value)));
+            }
+            if ty != Type::Void {
+                err(s, format!("{i}: store typed {ty}"));
+            }
+        }
+        Inst::InstanceOf { object, class } => {
+            if !matches!(g.ty(*object), Type::Ref(_)) {
+                err(s, format!("{i}: instanceof on {}", g.ty(*object)));
+            }
+            if !table.contains_class(*class) {
+                err(s, format!("{i}: instanceof unknown class {class}"));
+            }
+            if ty != Type::Bool {
+                err(s, format!("{i}: instanceof typed {ty}"));
+            }
+        }
+        Inst::NewArray { length } => {
+            expect_type(s, g, b, i, *length, Type::Int);
+            if ty != Type::Arr {
+                err(s, format!("{i}: newarray typed {ty}"));
+            }
+        }
+        Inst::ArrayLoad { array, index } => {
+            expect_type(s, g, b, i, *array, Type::Arr);
+            expect_type(s, g, b, i, *index, Type::Int);
+            if ty != Type::Int {
+                err(s, format!("{i}: aload typed {ty}"));
+            }
+        }
+        Inst::ArrayStore {
+            array,
+            index,
+            value,
+        } => {
+            expect_type(s, g, b, i, *array, Type::Arr);
+            expect_type(s, g, b, i, *index, Type::Int);
+            expect_type(s, g, b, i, *value, Type::Int);
+            if ty != Type::Void {
+                err(s, format!("{i}: astore typed {ty}"));
+            }
+        }
+        Inst::ArrayLength(a) => {
+            expect_type(s, g, b, i, *a, Type::Arr);
+            if ty != Type::Int {
+                err(s, format!("{i}: alength typed {ty}"));
+            }
+        }
+        Inst::Invoke { args } => {
+            for &a in args {
+                if g.ty(a) == Type::Void {
+                    err(s, format!("{i}: invoke passes void value {a}"));
                 }
             }
-            Inst::Compare { op, lhs, rhs } => {
-                let lt = g.ty(*lhs);
-                let rt = g.ty(*rhs);
-                let ordered = matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge);
-                if ordered && (lt != Type::Int || rt != Type::Int) {
-                    err(s, format!("{i}: ordered comparison of {lt} and {rt}"));
-                }
-                if !ordered && !comparable(lt, rt) {
-                    err(s, format!("{i}: equality comparison of {lt} and {rt}"));
-                }
-                if ty != Type::Bool {
-                    err(s, format!("{i}: comparison typed {ty}"));
-                }
-            }
-            Inst::Not(x) => {
-                expect_type(s, g, b, i, *x, Type::Bool);
-                if ty != Type::Bool {
-                    err(s, format!("{i}: not typed {ty}"));
-                }
-            }
-            Inst::Neg(x) => {
-                expect_type(s, g, b, i, *x, Type::Int);
-                if ty != Type::Int {
-                    err(s, format!("{i}: neg typed {ty}"));
-                }
-            }
-            Inst::Phi { inputs } => {
-                for &input in inputs {
-                    if g.ty(input) != ty {
-                        err(
-                            s,
-                            format!(
-                                "{i}: phi typed {ty} has input {input} of type {}",
-                                g.ty(input)
-                            ),
-                        );
-                    }
-                }
-            }
-            Inst::New { class } => {
-                if !table.contains_class(*class) {
-                    err(s, format!("{i}: new of unknown class {class}"));
-                } else if ty != Type::Ref(*class) {
-                    err(s, format!("{i}: new {class} typed {ty}"));
-                }
-            }
-            Inst::LoadField { object, field } => {
-                check_receiver(s, g, b, i, *object, *field);
-                if table.contains_field(*field) && ty != table.field(*field).ty {
-                    err(s, format!("{i}: load of {field} typed {ty}"));
-                }
-            }
-            Inst::StoreField {
-                object,
-                field,
-                value,
-            } => {
-                check_receiver(s, g, b, i, *object, *field);
-                if table.contains_field(*field) && g.ty(*value) != table.field(*field).ty {
-                    err(s, format!("{i}: store of {} into {field}", g.ty(*value)));
-                }
-                if ty != Type::Void {
-                    err(s, format!("{i}: store typed {ty}"));
-                }
-            }
-            Inst::InstanceOf { object, class } => {
-                if !matches!(g.ty(*object), Type::Ref(_)) {
-                    err(s, format!("{i}: instanceof on {}", g.ty(*object)));
-                }
-                if !table.contains_class(*class) {
-                    err(s, format!("{i}: instanceof unknown class {class}"));
-                }
-                if ty != Type::Bool {
-                    err(s, format!("{i}: instanceof typed {ty}"));
-                }
-            }
-            Inst::NewArray { length } => {
-                expect_type(s, g, b, i, *length, Type::Int);
-                if ty != Type::Arr {
-                    err(s, format!("{i}: newarray typed {ty}"));
-                }
-            }
-            Inst::ArrayLoad { array, index } => {
-                expect_type(s, g, b, i, *array, Type::Arr);
-                expect_type(s, g, b, i, *index, Type::Int);
-                if ty != Type::Int {
-                    err(s, format!("{i}: aload typed {ty}"));
-                }
-            }
-            Inst::ArrayStore {
-                array,
-                index,
-                value,
-            } => {
-                expect_type(s, g, b, i, *array, Type::Arr);
-                expect_type(s, g, b, i, *index, Type::Int);
-                expect_type(s, g, b, i, *value, Type::Int);
-                if ty != Type::Void {
-                    err(s, format!("{i}: astore typed {ty}"));
-                }
-            }
-            Inst::ArrayLength(a) => {
-                expect_type(s, g, b, i, *a, Type::Arr);
-                if ty != Type::Int {
-                    err(s, format!("{i}: alength typed {ty}"));
-                }
-            }
-            Inst::Invoke { args } => {
-                for &a in args {
-                    if g.ty(a) == Type::Void {
-                        err(s, format!("{i}: invoke passes void value {a}"));
-                    }
-                }
-                if ty != Type::Int {
-                    err(s, format!("{i}: invoke typed {ty}"));
-                }
+            if ty != Type::Int {
+                err(s, format!("{i}: invoke typed {ty}"));
             }
         }
     }
+}
+
+/// The typing of `b`'s terminator: a boolean branch condition, no
+/// returned void value.
+fn terminator_type_rule(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
     let message = match *g.terminator(b) {
         Terminator::Branch { cond, .. }
             if cond.index() < g.inst_count() && g.ty(cond) != Type::Bool =>
@@ -777,53 +793,86 @@ fn type_rules(g: &Graph, b: BlockId, s: &mut Sink<'_>) {
     s.emit(LintId::TypeError, Some(b), None, message);
 }
 
-/// Marker of [`dominance_rules`]' position table for "not listed".
-const NO_POS: u32 = u32::MAX;
-
-/// Is `v` available at the end of `b` (the φ-input rule)?
-fn available_at_end(g: &Graph, dom: &DomForest, v: InstId, b: BlockId) -> bool {
-    v.index() < g.inst_count() && g.block_of(v).is_some_and(|db| dom.dominates(db, b))
+/// What the dominance property asks of one operand slot.
+#[derive(Clone, Copy)]
+enum Needs {
+    /// Nothing: the block is unreachable, or the slot is a φ input past
+    /// the block's predecessors.
+    Nothing,
+    /// A definition earlier in the block than this list position, or in
+    /// a dominating block.
+    DefBefore(usize),
+    /// The φ input of `phi` is available at the end of `pred`.
+    AvailableAt { phi: InstId, pred: BlockId },
 }
 
-/// The SSA dominance property on the reachable block `b`: every operand
-/// is defined earlier in `b` or in a dominating block, every φ input is
-/// available at the end of its predecessor. `pos` maps an instruction
-/// index to its position in its block's list ([`NO_POS`] if unlisted);
-/// only the entries of `b`'s own instructions are read.
-fn dominance_rules(g: &Graph, dom: &DomForest, pos: &[u32], b: BlockId, s: &mut Sink<'_>) {
-    let dominates_use = |v: InstId, use_pos: usize| {
-        if v.index() >= g.inst_count() {
-            return false;
+/// Marker of [`SlotRules`]' position table for "not listed".
+const NO_POS: u32 = u32::MAX;
+
+/// The rules of one operand slot, with what they read across slots.
+struct SlotRules<'a, 'o> {
+    g: &'a Graph,
+    dom: &'a DomForest,
+    s: &'a mut Sink<'o>,
+    /// The work counted so far (the use-list walk adds its own).
+    work: VerifyWork,
+    /// Position of each instruction in the last block list that names
+    /// it ([`NO_POS`] if none), for the same-block dominance rule.
+    pos: Vec<u32>,
+    /// The use lists the live operand slots imply.
+    expected: UseLists,
+}
+
+impl SlotRules<'_, '_> {
+    /// Checks the slot of `at` (`b`'s terminator if `None`) that names
+    /// `v`: a dangling reference, then `needs`. Records the slot in the
+    /// expected lists under `user` when it is live. Returns whether `v`
+    /// is in the arena.
+    fn check(
+        &mut self,
+        b: BlockId,
+        at: Option<InstId>,
+        v: InstId,
+        user: Option<Use>,
+        needs: Needs,
+    ) -> bool {
+        self.work.slots_read += 1;
+        if let Some(user) = user {
+            self.expected.add(v, user);
         }
-        match g.block_of(v) {
-            // `NO_POS` is past every list position.
-            Some(db) if db == b => (pos[v.index()] as usize) < use_pos,
-            Some(db) => dom.dominates(db, b),
-            None => false,
+        let in_range = v.index() < self.g.inst_count();
+        let def = if in_range { self.g.block_of(v) } else { None };
+        if !in_range {
+            self.s.out_of_range(b, at, v);
+        } else if def.is_none() {
+            self.s.removed_use(b, at, v);
         }
-    };
-    for (k, &i) in g.block_insts(b).iter().enumerate() {
-        match g.inst(i) {
-            Inst::Phi { inputs } => {
-                for (&input, &pred) in inputs.iter().zip(g.preds(b)) {
-                    if !available_at_end(g, dom, input, pred) {
-                        s.undominated_phi_input(b, i, input, pred);
-                    }
+        match needs {
+            Needs::Nothing => {}
+            Needs::DefBefore(use_pos) => {
+                let dominated = match def {
+                    // `NO_POS` is past every list position.
+                    Some(db) if db == b => (self.pos[v.index()] as usize) < use_pos,
+                    Some(db) => self.dominates(db, b),
+                    None => false,
+                };
+                if !dominated {
+                    self.s.undominated_use(b, at, v);
                 }
             }
-            inst => inst.for_each_input(|input| {
-                if !dominates_use(input, k) {
-                    s.undominated_use(b, Some(i), input);
+            Needs::AvailableAt { phi, pred } => {
+                if !def.is_some_and(|db| self.dominates(db, pred)) {
+                    self.s.undominated_phi_input(b, phi, v, pred);
                 }
-            }),
+            }
         }
+        in_range
     }
-    let end = g.block_insts(b).len();
-    g.terminator(b).for_each_input(|input| {
-        if !dominates_use(input, end) {
-            s.undominated_use(b, None, input);
-        }
-    });
+
+    fn dominates(&mut self, a: BlockId, b: BlockId) -> bool {
+        self.work.dominance_queries += 1;
+        self.dom.dominates(a, b)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -831,50 +880,94 @@ fn dominance_rules(g: &Graph, dom: &DomForest, pos: &[u32], b: BlockId, s: &mut 
 // rules that are not a function of one block's slots.
 // ---------------------------------------------------------------------
 
-/// Edge bookkeeping: pred/succ symmetry, entry predecessors, duplicate
-/// branch targets, branch probabilities, unreachable predecessors.
-fn edge_pass(g: &Graph, dom: &DomForest, s: &mut Sink<'_>) {
-    for b in g.blocks() {
-        edge_rules(g, b, s);
-    }
-    // Reachable blocks must not have unreachable predecessors: the
-    // cleanup pass must disconnect dead code before verification.
-    // A property of global reachability, not of any one block's slot.
-    for b in g.blocks().filter(|&b| dom.contains(b)) {
-        for &p in g.preds(b) {
-            if !dom.contains(p) {
-                s.emit(
-                    LintId::GraphConsistency,
-                    Some(b),
-                    None,
-                    format!("reachable {b} has unreachable predecessor {p}"),
-                );
-            }
-        }
-    }
-}
-
-/// The SSA dominance property: every use is dominated by its definition,
-/// and every φ input dominates (the end of) its predecessor.
-fn dominance_pass(g: &Graph, dom: &DomForest, s: &mut Sink<'_>) {
-    // Position of each instruction within its block, for the
-    // same-block checks.
-    let mut pos = vec![NO_POS; g.inst_count()];
+/// Every per-block rule in one walk over the blocks, reading each
+/// operand slot once: edge bookkeeping; then per listed instruction its
+/// block record, its operand slots (dangling references and — in
+/// reachable blocks — the dominance property: every operand defined
+/// earlier in its block or in a dominating block, every φ input
+/// available at the end of its predecessor), φ and param placement and
+/// typing; then the terminator's slots and typing. Returns the use lists
+/// the live operand slots imply: those of every attached instruction,
+/// once, and of every terminator.
+fn block_sweep(g: &Graph, dom: &DomForest, s: &mut Sink<'_>) -> (UseLists, VerifyWork) {
+    let n = g.inst_count();
+    let mut pos = vec![NO_POS; n];
     for b in g.blocks() {
         for (k, &i) in g.block_insts(b).iter().enumerate() {
             pos[i.index()] = k as u32;
         }
     }
-    for &b in &dom.rpo {
-        dominance_rules(g, dom, &pos, b, s);
+    let mut rules = SlotRules {
+        g,
+        dom,
+        s,
+        work: VerifyWork::default(),
+        pos,
+        expected: UseLists::with_arena(n),
+    };
+    // Attached instructions whose slots are recorded already.
+    let mut counted = vec![false; n];
+    for b in g.blocks() {
+        edge_rules(g, dom, b, rules.s);
+        let reachable = dom.contains(b);
+        let preds = g.preds(b);
+        let mut seen_non_phi = false;
+        for (k, &i) in g.block_insts(b).iter().enumerate() {
+            let filed = g.block_of(i) == Some(b);
+            if !filed {
+                rules.s.misfiled(b, i, g.block_of(i));
+            }
+            placement_rules(g, b, i, &mut seen_non_phi, rules.s);
+            let first_listing = filed && !std::mem::replace(&mut counted[i.index()], true);
+            let user = first_listing.then_some(Use::Inst(i));
+            let inst = g.inst(i);
+            let (is_phi, mut in_range, mut slot) = (inst.is_phi(), true, 0);
+            inst.for_each_input(|v| {
+                let needs = match (reachable, is_phi) {
+                    (false, _) => Needs::Nothing,
+                    (true, false) => Needs::DefBefore(k),
+                    (true, true) => preds
+                        .get(slot)
+                        .map_or(Needs::Nothing, |&pred| Needs::AvailableAt { phi: i, pred }),
+                };
+                slot += 1;
+                in_range &= rules.check(b, Some(i), v, user, needs);
+            });
+            if in_range {
+                inst_type_rules(g, b, i, rules.s);
+            }
+        }
+        let needs = if reachable {
+            Needs::DefBefore(g.block_insts(b).len())
+        } else {
+            Needs::Nothing
+        };
+        g.terminator(b).for_each_input(|v| {
+            rules.check(b, None, v, Some(Use::Term(b)), needs);
+        });
+        terminator_type_rule(g, b, rules.s);
     }
+    // An attached instruction no block lists under its own record still
+    // owns live slots.
+    for (index, _) in counted.iter().enumerate().filter(|&(_, &c)| !c) {
+        let i = InstId::from_index(index);
+        if g.block_of(i).is_some() {
+            g.inst(i).for_each_input(|v| {
+                rules.work.slots_read += 1;
+                rules.expected.add(v, Use::Inst(i));
+            });
+        }
+    }
+    (rules.expected, rules.work)
 }
 
-/// The def-use lists against a from-scratch recount over the operands.
-/// Not a per-block rule: a list is a property of every slot that could
-/// mention the value.
-fn use_list_pass(g: &Graph, s: &mut Sink<'_>) {
-    for (v, held, expected) in g.use_list_mismatches() {
+/// The def-use lists against `expected`, the lists the operand sweep
+/// found the live slots to imply. Not a per-block rule: a list is a
+/// property of every slot that could mention the value.
+fn use_list_pass(g: &Graph, expected: &UseLists, s: &mut Sink<'_>, work: &mut VerifyWork) {
+    let (mismatches, walked) = g.use_list_mismatches_against(expected);
+    work.chain_nodes += walked;
+    for (v, held, expected) in mismatches {
         let block = (v.index() < g.inst_count())
             .then(|| g.block_of(v))
             .flatten();
@@ -1057,8 +1150,9 @@ const UNSEEN: u32 = u32::MAX;
 /// past the real blocks, placed above the roots. Forward, the root is
 /// the entry and the domain the reachable blocks; in reverse, the roots
 /// are the reachable exits and the domain the reachable blocks that
-/// reach one. `dbds-analysis` depends on this crate, so the verifier
-/// carries its own solver.
+/// reach one. The solved forest is numbered by preorder and subtree
+/// end, so a dominance query is two compares. `dbds-analysis` depends
+/// on this crate, so the verifier carries its own solver.
 struct DomForest {
     dir: Dir,
     /// The domain in reverse postorder of the search.
@@ -1067,8 +1161,16 @@ struct DomForest {
     /// last slot), [`UNSEEN`] outside the domain.
     pos: Vec<u32>,
     /// The solved parent per block: the virtual root above the roots,
-    /// [`UNSEEN`] outside the domain or before [`DomForest::solve`].
+    /// [`UNSEEN`] outside the domain; empty before [`DomForest::solve`].
     parent: Vec<u32>,
+    /// Preorder number per block in the solved forest, [`UNSEEN`]
+    /// outside the domain. Empty before [`DomForest::solve`], or when a
+    /// solved parent does not precede its child in `rpo`, which only a
+    /// graph whose predecessor and successor lists disagree solves to.
+    pre: Vec<u32>,
+    /// One past the last preorder number of each block's subtree, 0
+    /// outside the domain; empty when `pre` is.
+    end: Vec<u32>,
 }
 
 impl DomForest {
@@ -1117,34 +1219,110 @@ impl DomForest {
             dir,
             rpo: post,
             pos,
-            parent: vec![UNSEEN; n + 1],
+            parent: Vec::new(),
+            pre: Vec::new(),
+            end: Vec::new(),
         }
     }
 
-    /// Cooper–Harvey–Kennedy over the searched domain. A root's parent is
-    /// the virtual root, which is above every block.
+    /// Cooper–Harvey–Kennedy over the searched domain, then the
+    /// numbering. A root's parent is the virtual root, which is above
+    /// every block.
+    ///
+    /// The first sweep is already the fixpoint when every predecessor it
+    /// skipped (still unsolved when its block was reached) is dominated,
+    /// in the first sweep's tree, by the block that skipped it: a second
+    /// sweep would meet each such predecessor below the block's parent
+    /// and keep that parent. An acyclic domain skips none; a reducible
+    /// loop skips only its back edges, whose header dominates their
+    /// source. Only otherwise do confirming sweeps run.
     fn solve(&mut self, g: &Graph) {
+        self.parent = vec![UNSEEN; self.pos.len()];
+        let mut skipped = Vec::new();
+        self.sweep(g, &mut skipped);
+        self.number();
+        let settled = !self.pre.is_empty()
+            && skipped
+                .iter()
+                .all(|&(p, b)| self.parent[b.index()] != UNSEEN && self.dominates(b, p));
+        if settled {
+            debug_assert!(
+                !self.sweep(g, &mut Vec::new()),
+                "a settled first sweep is not the fixpoint"
+            );
+        } else {
+            while self.sweep(g, &mut Vec::new()) {}
+            self.number();
+        }
+    }
+
+    /// One sweep in reverse postorder: each block's parent becomes the
+    /// nearest common ancestor of its solved predecessors. Collects the
+    /// `(predecessor, block)` edges whose in-domain predecessor was still
+    /// unsolved; returns whether a parent changed.
+    fn sweep(&mut self, g: &Graph, skipped: &mut Vec<(BlockId, BlockId)>) -> bool {
         let virtual_root = (self.pos.len() - 1) as u32;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &self.rpo {
-                let new_parent = if self.dir.is_root(g, b) {
-                    virtual_root
-                } else {
-                    (0..)
-                        .map_while(|k| self.dir.back_edge(g, b, k))
-                        .map(|p| p.index() as u32)
-                        .filter(|&p| self.parent[p as usize] != UNSEEN)
-                        .reduce(|cur, p| self.intersect(p, cur))
-                        .unwrap_or(UNSEEN)
-                };
-                if new_parent != UNSEEN && self.parent[b.index()] != new_parent {
-                    self.parent[b.index()] = new_parent;
-                    changed = true;
+        let mut changed = false;
+        for &b in &self.rpo {
+            let mut new_parent = UNSEEN;
+            if self.dir.is_root(g, b) {
+                new_parent = virtual_root;
+            } else {
+                for p in (0..).map_while(|k| self.dir.back_edge(g, b, k)) {
+                    if self.parent[p.index()] != UNSEEN {
+                        let p = p.index() as u32;
+                        new_parent = match new_parent {
+                            UNSEEN => p,
+                            cur => self.intersect(p, cur),
+                        };
+                    } else if self.contains(p) {
+                        skipped.push((p, b));
+                    }
                 }
             }
+            if new_parent != UNSEEN && self.parent[b.index()] != new_parent {
+                self.parent[b.index()] = new_parent;
+                changed = true;
+            }
         }
+        changed
+    }
+
+    /// Numbers the solved forest by preorder and subtree end in two
+    /// sweeps over `rpo`, where a parent precedes its children: subtree
+    /// sizes backwards, then forwards each block takes the next free
+    /// number of its parent and reserves its subtree's range after it.
+    /// No child lists, no stack. A block left unsolved hangs under the
+    /// virtual root, where its chain ends.
+    fn number(&mut self) {
+        let virtual_root = self.pos.len() - 1;
+        let parent = |b: usize| match self.parent[b] {
+            UNSEEN => virtual_root,
+            p => p as usize,
+        };
+        // `end` holds subtree sizes, then each numbered block's next free
+        // number, which ends one past its subtree.
+        let mut end = vec![0u32; virtual_root + 1];
+        for &b in self.rpo.iter().rev() {
+            let (b, p) = (b.index(), parent(b.index()));
+            if self.pos[p] >= self.pos[b] {
+                (self.pre, self.end) = (Vec::new(), Vec::new());
+                return;
+            }
+            end[b] += 1;
+            end[p] += end[b];
+        }
+        end[virtual_root] = 0;
+        let mut pre = vec![UNSEEN; virtual_root + 1];
+        for &b in &self.rpo {
+            let (b, p) = (b.index(), parent(b.index()));
+            let size = end[b];
+            pre[b] = end[p];
+            end[p] += size;
+            end[b] = pre[b] + 1;
+        }
+        self.pre = pre;
+        self.end = end;
     }
 
     fn intersect(&self, mut a: u32, mut b: u32) -> u32 {
@@ -1171,11 +1349,24 @@ impl DomForest {
         (p < self.pos.len() - 1).then(|| BlockId::from_index(p))
     }
 
-    /// Does `a` (post-)dominate `b` (reflexively)? Blocks outside the
-    /// domain neither dominate nor are dominated — not even by
-    /// themselves.
+    /// Does `a` (post-)dominate `b` (reflexively)? `b`'s number falls in
+    /// `a`'s subtree range. Blocks outside the domain neither dominate
+    /// nor are dominated — not even by themselves: their range is empty
+    /// and their number past every range. Without a numbering the query
+    /// walks `b`'s parent chain.
     fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        self.contains(b) && std::iter::successors(Some(b), |&c| self.parent(c)).any(|c| c == a)
+        if self.pre.is_empty() {
+            let mut chain = self.contains(b).then_some(b);
+            while let Some(c) = chain {
+                if c == a {
+                    return true;
+                }
+                chain = self.parent(c);
+            }
+            return false;
+        }
+        let (a, b) = (a.index(), b.index());
+        self.pre[a] <= self.pre[b] && self.pre[b] < self.end[a]
     }
 }
 
@@ -1475,5 +1666,136 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+    }
+
+    /// A random CFG of `n` empty blocks: each ends in a return, a jump or
+    /// a two-way branch to random blocks, itself included, so self-loops,
+    /// irreducible cycles and unreachable blocks all occur.
+    fn random_cfg(n: usize, seed: u64) -> Graph {
+        let mut g = Graph::new("cfg", &[Type::Bool], empty_table());
+        let c = g.param_values()[0];
+        let entry = g.entry();
+        let blocks: Vec<BlockId> = std::iter::once(entry)
+            .chain((1..n).map(|_| g.add_block()))
+            .collect();
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut pick = |k: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % k as u64) as usize
+        };
+        for &b in &blocks {
+            let term = match pick(4) {
+                0 => Terminator::Return { value: None },
+                1 => Terminator::Jump {
+                    target: blocks[pick(n)],
+                },
+                _ => match (blocks[pick(n)], blocks[pick(n)]) {
+                    (t, e) if t == e => Terminator::Jump { target: t },
+                    (then_bb, else_bb) => Terminator::Branch {
+                        cond: c,
+                        then_bb,
+                        else_bb,
+                        prob_then: 0.5,
+                    },
+                },
+            };
+            g.set_terminator(b, term);
+        }
+        g
+    }
+
+    /// The interval query against ancestry along the parent chain, on
+    /// every block pair of both forests.
+    fn assert_intervals_match_chains(g: &Graph) {
+        let forward = DomForest::forward(g);
+        let mut reverse = DomForest::search(g, Dir::Reverse, Some(&forward));
+        reverse.solve(g);
+        for dom in [&forward, &reverse] {
+            assert!(!dom.pre.is_empty(), "a mirrored graph is numbered:\n{g}");
+            for a in g.blocks() {
+                for b in g.blocks() {
+                    let mut chain = dom.contains(b).then_some(b);
+                    while chain.is_some_and(|c| c != a) {
+                        chain = chain.and_then(|c| dom.parent(c));
+                    }
+                    assert_eq!(dom.dominates(a, b), chain.is_some(), "{a} over {b}:\n{g}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interval_queries_equal_parent_chain_ancestry() {
+        for seed in 0..3000 {
+            assert_intervals_match_chains(&random_cfg(2 + seed as usize % 13, seed));
+        }
+    }
+
+    #[test]
+    fn interval_queries_cover_irreducible_loops_self_loops_and_dead_blocks() {
+        // entry branches into both a and b, which branch to each other:
+        // a cycle with two entries. s loops on itself; d is unreachable
+        // and jumps into the cycle.
+        let mut g = Graph::new("irreducible", &[Type::Bool], empty_table());
+        let c = g.param_values()[0];
+        let entry = g.entry();
+        let [a, b, x, s, d] = [(); 5].map(|()| g.add_block());
+        let branch = |then_bb, else_bb| Terminator::Branch {
+            cond: c,
+            then_bb,
+            else_bb,
+            prob_then: 0.5,
+        };
+        g.set_terminator(entry, branch(a, b));
+        g.set_terminator(a, branch(b, x));
+        g.set_terminator(b, branch(a, s));
+        g.set_terminator(s, branch(s, x));
+        g.set_terminator(x, Terminator::Return { value: None });
+        g.set_terminator(d, Terminator::Jump { target: a });
+        assert_intervals_match_chains(&g);
+        let dom = DomForest::forward(&g);
+        assert!(dom.dominates(entry, a) && dom.dominates(entry, b));
+        assert!(!dom.dominates(a, b) && !dom.dominates(b, a));
+        assert!(dom.dominates(s, s) && !dom.dominates(d, d) && !dom.dominates(entry, d));
+    }
+
+    #[test]
+    fn a_deep_chain_reports_its_undominated_use_on_a_small_stack() {
+        // entry branches to a side block and to the head of a 20 000-block
+        // jump chain; the side block defines `v` and joins the head, and
+        // the chain's last block uses `v`, which does not dominate it.
+        let report = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut g = Graph::new("deep", &[Type::Bool], empty_table());
+                let (entry, c) = (g.entry(), g.param_values()[0]);
+                let side = g.add_block();
+                let chain: Vec<BlockId> = (0..20_000).map(|_| g.add_block()).collect();
+                let v = g.append_inst(side, Inst::Const(ConstValue::Int(1)), Type::Int);
+                g.set_terminator(
+                    entry,
+                    Terminator::Branch {
+                        cond: c,
+                        then_bb: side,
+                        else_bb: chain[0],
+                        prob_then: 0.5,
+                    },
+                );
+                g.set_terminator(side, Terminator::Jump { target: chain[0] });
+                for pair in chain.windows(2) {
+                    g.set_terminator(pair[0], Terminator::Jump { target: pair[1] });
+                }
+                let last = chain[chain.len() - 1];
+                let user = g.append_inst(last, Inst::Neg(v), Type::Int);
+                g.set_terminator(last, Terminator::Return { value: Some(user) });
+                lint_soundness(&g)
+            })
+            .expect("spawn the verifier thread")
+            .join()
+            .expect("the verifier fits a 256 KiB stack");
+        assert_eq!(report.error_count(), 1, "{report}");
+        assert_eq!(report.count_of(LintId::SsaDominance), 1, "{report}");
     }
 }

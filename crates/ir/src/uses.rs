@@ -82,13 +82,29 @@ impl Default for UseLists {
 }
 
 impl UseLists {
+    /// Empty lists for an arena of `len` slots, with room for about as
+    /// many uses.
+    pub(crate) fn with_arena(len: usize) -> Self {
+        UseLists {
+            heads: vec![NIL; len],
+            nodes: Vec::with_capacity(len),
+            ..UseLists::default()
+        }
+    }
+
     /// The uses of `v`, newest first; none for an id outside the arena.
     pub(crate) fn of(&self, v: InstId) -> impl Iterator<Item = Use> + '_ {
-        let mut at = self.heads.get(v.index()).copied().unwrap_or(NIL);
+        let head = self.heads.get(v.index()).copied().unwrap_or(NIL);
+        self.chain(head).map(Use::unpack)
+    }
+
+    /// The packed users of the chain starting at node `head`.
+    fn chain(&self, head: u32) -> impl Iterator<Item = u32> + '_ {
+        let mut at = head;
         std::iter::from_fn(move || {
             let node = self.nodes.get(at as usize)?;
             at = node.next;
-            Some(Use::unpack(node.user))
+            Some(node.user)
         })
     }
 
@@ -220,10 +236,98 @@ impl UseLists {
     }
 
     /// The uses of ids outside the arena, sorted.
-    pub(crate) fn sorted_strays(&self) -> Vec<(InstId, Use)> {
+    fn sorted_strays(&self) -> Vec<(InstId, Use)> {
         let mut strays = self.strays.clone();
         strays.sort_unstable();
         strays
+    }
+
+    /// Compares these lists with `expected`, the lists the live operand
+    /// slots imply (same arena length), and returns `(value, entries
+    /// held, entries expected)` for each value whose list is not that
+    /// multiset, plus the number of nodes of these lists walked. `blocks`
+    /// bounds the terminator users. O(arena + uses), no sorting outside
+    /// the strays.
+    ///
+    /// Each value's expected chain marks its users pending, then its own
+    /// chain is walked once and each entry settles one pending slot of
+    /// its user: the list is exact iff every entry finds one and it is as
+    /// long as the expected chain.
+    pub(crate) fn mismatches(
+        &self,
+        expected: &UseLists,
+        blocks: usize,
+    ) -> (Vec<(InstId, usize, usize)>, u64) {
+        let n = self.heads.len();
+        debug_assert_eq!(expected.heads.len(), n, "arena lengths differ");
+        // Pending slots per user: instructions first, then terminators.
+        let mut pending = vec![0u32; n + blocks];
+        let slot = |user: u32| -> Option<usize> {
+            let index = (user & !TERM_BIT) as usize;
+            match user & TERM_BIT {
+                0 => (index < n).then_some(index),
+                _ => (index < blocks).then_some(n + index),
+            }
+        };
+        let (mut out, mut walked) = (Vec::new(), 0u64);
+        for (v, (&head, &expected_head)) in self.heads.iter().zip(&expected.heads).enumerate() {
+            // The common shapes, decided without the pending table.
+            match (
+                self.nodes.get(head as usize),
+                expected.nodes.get(expected_head as usize),
+            ) {
+                (None, None) => continue,
+                (Some(node), Some(only)) if node.next == NIL && only.next == NIL => {
+                    walked += 1;
+                    if node.user != only.user {
+                        out.push((InstId::from_index(v), 1, 1));
+                    }
+                    continue;
+                }
+                _ => {}
+            }
+            let mut slots = 0u32;
+            for user in expected.chain(expected_head) {
+                // The expected users come from live slots: always in range.
+                if let Some(k) = slot(user) {
+                    pending[k] += 1;
+                }
+                slots += 1;
+            }
+            let (mut held, mut exact) = (0u32, true);
+            for user in self.chain(head) {
+                held += 1;
+                match slot(user).map(|k| &mut pending[k]) {
+                    Some(left) if *left > 0 => *left -= 1,
+                    _ => exact = false,
+                }
+            }
+            walked += u64::from(held);
+            if !exact || held != slots {
+                for k in expected.chain(expected_head).filter_map(slot) {
+                    pending[k] = 0;
+                }
+                out.push((InstId::from_index(v), held as usize, slots as usize));
+            }
+        }
+
+        let (strays, stray_slots) = (self.sorted_strays(), expected.sorted_strays());
+        if strays != stray_slots {
+            let mut values: Vec<InstId> = strays.iter().chain(&stray_slots).map(|e| e.0).collect();
+            values.sort_unstable();
+            values.dedup();
+            for v in values {
+                let run_of = |all: &[(InstId, Use)]| -> Vec<Use> {
+                    let run = all.iter().filter(|e| e.0 == v);
+                    run.map(|e| e.1).collect()
+                };
+                let (held, slots) = (run_of(&strays), run_of(&stray_slots));
+                if held != slots {
+                    out.push((v, held.len(), slots.len()));
+                }
+            }
+        }
+        (out, walked)
     }
 
     /// Every `(value, user)` entry, sorted — the multiset in canonical

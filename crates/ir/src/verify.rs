@@ -13,6 +13,13 @@
 //! flat [`VerifyErrors`]. Warn-severity hygiene findings do not fail
 //! verification and the warn-only pass is not even run; consume
 //! [`crate::lint::lint`] directly to see them.
+//!
+//! A verify is linear with small constants: one dominator tree for the
+//! reachable blocks, numbered so that a dominance query is an interval
+//! compare; one walk over the blocks that reads each operand slot once
+//! for every per-block rule and collects the use lists the slots imply;
+//! and one walk over each def-use list against those
+//! ([`crate::lint::lint_soundness_work`] counts all three).
 
 use crate::lint::{lint_soundness, Severity};
 use crate::Graph;

@@ -11,8 +11,8 @@
 //! `dbds-core`'s post-duplication frontier-check tests.
 
 use dbds_ir::{
-    lint, BinOp, ClassTable, CmpOp, ConstValue, Graph, GraphBuilder, Inst, InstId, LintId,
-    LintReport, Severity, Terminator, Type,
+    lint, verify, BinOp, BlockId, ClassTable, CmpOp, ConstValue, Graph, GraphBuilder, Inst, InstId,
+    LintId, LintReport, Severity, Terminator, Type,
 };
 use std::sync::Arc;
 
@@ -112,6 +112,34 @@ fn dangling_use_fires_on_out_of_range_operand() {
         Type::Int,
     );
     expect_lint(&lint(&g), LintId::DanglingUse);
+}
+
+#[test]
+fn dangling_use_fires_on_an_out_of_range_terminator_operand() {
+    // A terminator naming an id past the instruction arena is a dangling
+    // use, as an instruction operand is — not an out-of-bounds panic.
+    let mut g = diamond();
+    let bm = BlockId(3);
+    g.set_terminator(
+        bm,
+        Terminator::Return {
+            value: Some(InstId(9999)),
+        },
+    );
+    let report = lint(&g);
+    expect_lint(&report, LintId::DanglingUse);
+    let message = "terminator of b3 references out-of-range value v9999";
+    assert!(
+        report.errors().any(|d| d.lint == LintId::DanglingUse
+            && d.block == Some(bm)
+            && d.inst.is_none()
+            && d.message == message),
+        "{report}"
+    );
+    let problems = verify(&g)
+        .expect_err("a dangling use fails verify")
+        .problems;
+    assert!(problems.iter().any(|p| p == message), "{problems:?}");
 }
 
 #[test]
