@@ -181,7 +181,8 @@ impl Budget {
     /// Returns the exhausted resource as a [`BailoutReason`]; once the
     /// fuel hits zero every further call fails.
     pub fn consume(&self, units: u64) -> Result<(), BailoutReason> {
-        // Compiles to nothing without the `fault-injection` feature.
+        // An exhaustion an armed fault plan left pending; one
+        // thread-local read when nothing is armed.
         if let Some(reason) = crate::faultinject::take_pending_exhaustion() {
             return Err(reason);
         }

@@ -1,14 +1,16 @@
 //! Deterministic fault injection for the bailout-and-recovery guardrails.
 //!
-//! Compiled only with the `fault-injection` feature; the production build
-//! contains none of this code and no injection-point calls. A test arms a
-//! seeded [`FaultPlan`] on the current thread; the next time the named
-//! injection point is reached for the plan's trigger count, the plan
-//! fires exactly once: a panic, a verifier-detectable graph corruption,
-//! or an artificial budget exhaustion that the next cooperative
-//! [`Budget`](crate::Budget) poll reports. The `faultsim` harness binary
-//! sweeps every site × kind across the workload suite and asserts each
-//! compilation still ends with a verified, interpreter-equivalent graph.
+//! The injection points are always compiled, and nothing fires unless a
+//! caller arms a seeded [`FaultPlan`] on its own thread with [`arm`]; a
+//! hook on an unarmed thread is one thread-local read. The next time the
+//! armed plan's injection point is reached for its trigger count, the
+//! plan fires exactly once: a panic, a verifier-detectable graph
+//! corruption, or an artificial budget exhaustion that the next
+//! cooperative [`Budget`](crate::Budget) poll reports. While a plan is
+//! armed, [`armed`] turns on the phase's two extra detectors. The
+//! `faultsim` harness binary sweeps every site × kind across the workload
+//! suite and asserts each compilation still ends with a verified,
+//! interpreter-equivalent graph.
 
 use crate::bailout::BailoutReason;
 use dbds_ir::{Graph, Inst, InstId, Use};
@@ -145,6 +147,14 @@ pub fn disarm() -> (u32, bool) {
     })
 }
 
+/// Whether a [`FaultPlan`] is armed on the current thread (fired or
+/// not). The phase then verifies after every optimization pipeline and
+/// once more at its end: an injected corruption that does not panic has
+/// no other detector there.
+pub fn armed() -> bool {
+    ARMED.with(|a| a.borrow().is_some())
+}
+
 /// An injection point. Call sites pass the graph when corruption is
 /// meaningful there (`None` keeps `CorruptGraph` a no-op).
 ///
@@ -190,159 +200,6 @@ pub fn take_pending_exhaustion() -> Option<BailoutReason> {
     PENDING_EXHAUSTION.with(|p| p.take()).map(|k| match k {
         FaultKind::ExhaustFuel => BailoutReason::FuelExhausted,
         _ => BailoutReason::DeadlineExceeded,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Store-level faults (compilation-service persistent store)
-// ---------------------------------------------------------------------
-
-/// What an armed [`StoreFaultPlan`] does to the compiled-graph store
-/// when it fires. These model the disk-level failure modes the
-/// on-disk backend must survive; the `servsim` sweep proves each one
-/// degrades to a recompute, never to a wrong served graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreFault {
-    /// A write is cut short mid-payload but still renamed into place —
-    /// the entry exists with a checksum that cannot match (a torn
-    /// write surviving a crash).
-    TornWrite,
-    /// A bit of the payload flips between disk and the reader (media
-    /// corruption; detected by the checksum footer).
-    BitFlipRead,
-    /// The write fails with "no space left on device" — a *transient*
-    /// store error the service retries with backoff.
-    Enospc,
-    /// The writer dies after the temp file is written but before the
-    /// atomic rename (kill-during-write): the entry never appears and
-    /// the stray temp file is garbage for the next recovery scan.
-    AbortBeforeRename,
-}
-
-impl StoreFault {
-    /// Every kind, in sweep order.
-    pub const ALL: [StoreFault; 4] = [
-        StoreFault::TornWrite,
-        StoreFault::BitFlipRead,
-        StoreFault::Enospc,
-        StoreFault::AbortBeforeRename,
-    ];
-
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreFault::TornWrite => "torn-write",
-            StoreFault::BitFlipRead => "bit-flip-read",
-            StoreFault::Enospc => "enospc",
-            StoreFault::AbortBeforeRename => "abort-before-rename",
-        }
-    }
-
-    /// The store operation this fault strikes.
-    pub fn op(self) -> StoreOp {
-        match self {
-            StoreFault::BitFlipRead => StoreOp::Get,
-            _ => StoreOp::Put,
-        }
-    }
-}
-
-/// The two store operations faults can strike.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreOp {
-    /// Reading an entry.
-    Get,
-    /// Writing an entry.
-    Put,
-}
-
-/// A seeded, deterministic store fault: fire `kind` on the `nth` store
-/// operation of the kind's op class. Armed per thread, independently of
-/// the compile-phase [`FaultPlan`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoreFaultPlan {
-    /// What to do when it fires.
-    pub kind: StoreFault,
-    /// Zero-based hit count (of the matching [`StoreOp`]) at which the
-    /// fault fires; a plan fires at most once.
-    pub nth: u32,
-    /// The seed the plan was derived from (recorded for reproduction).
-    pub seed: u64,
-}
-
-impl StoreFaultPlan {
-    /// The full deterministic sweep for `seed`: every kind, firing both
-    /// on the first matching operation and on a later, seed-derived one
-    /// (so faults land on cold and warm store traffic).
-    pub fn sweep(seed: u64) -> Vec<StoreFaultPlan> {
-        let mut plans = Vec::new();
-        for kind in StoreFault::ALL {
-            let mut h = seed ^ 0x517c_c1b7_2722_0a95;
-            for byte in kind.name().bytes() {
-                h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-            }
-            let later = 1 + (h >> 33) as u32 % 5;
-            for nth in [0, later] {
-                plans.push(StoreFaultPlan { kind, nth, seed });
-            }
-        }
-        plans
-    }
-}
-
-thread_local! {
-    static ARMED_STORE: RefCell<Option<ArmedStore>> = const { RefCell::new(None) };
-}
-
-/// Arming state of a store fault: the plan plus its hit counter.
-struct ArmedStore {
-    plan: StoreFaultPlan,
-    hits: u32,
-    fired: bool,
-}
-
-/// Arms `plan` against the store operations of the current thread,
-/// replacing any previous store plan.
-pub fn arm_store(plan: StoreFaultPlan) {
-    ARMED_STORE.with(|a| {
-        *a.borrow_mut() = Some(ArmedStore {
-            plan,
-            hits: 0,
-            fired: false,
-        });
-    });
-}
-
-/// Disarms the current thread's store plan; returns how often its op
-/// class was hit and whether the plan fired.
-pub fn disarm_store() -> (u32, bool) {
-    ARMED_STORE.with(|a| {
-        a.borrow_mut()
-            .take()
-            .map_or((0, false), |armed| (armed.hits, armed.fired))
-    })
-}
-
-/// A store injection point: the on-disk backend calls this on every
-/// `op` and enacts the returned fault. Counting is per op class, so a
-/// `nth = 1` read fault fires on the second `get`, however many `put`s
-/// happen in between.
-pub fn take_store_fault(op: StoreOp) -> Option<StoreFault> {
-    ARMED_STORE.with(|a| {
-        let mut a = a.borrow_mut();
-        match a.as_mut() {
-            Some(armed) if armed.plan.kind.op() == op => {
-                let n = armed.hits;
-                armed.hits += 1;
-                if !armed.fired && n == armed.plan.nth {
-                    armed.fired = true;
-                    Some(armed.plan.kind)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
     })
 }
 
@@ -436,9 +293,11 @@ mod tests {
         );
         fault_point("transform/entry", None);
         assert!(take_pending_exhaustion().is_none(), "fires at most once");
+        assert!(armed(), "a plan that fired stays armed until disarmed");
         let (hits, fired) = disarm();
         assert_eq!(hits, 3);
         assert!(fired);
+        assert!(!armed());
     }
 
     #[test]
@@ -465,40 +324,8 @@ mod tests {
     #[test]
     fn disarmed_points_are_free_of_effects() {
         disarm();
+        assert!(!armed());
         fault_point("transform/entry", None);
         assert!(take_pending_exhaustion().is_none());
-    }
-
-    #[test]
-    fn store_sweep_is_deterministic_and_covers_all_kinds() {
-        let a = StoreFaultPlan::sweep(7);
-        assert_eq!(a, StoreFaultPlan::sweep(7));
-        assert_eq!(a.len(), StoreFault::ALL.len() * 2);
-        for kind in StoreFault::ALL {
-            assert!(a.iter().any(|p| p.kind == kind && p.nth == 0));
-            assert!(a.iter().any(|p| p.kind == kind && p.nth > 0));
-        }
-    }
-
-    #[test]
-    fn store_fault_counts_per_op_class_and_fires_once() {
-        arm_store(StoreFaultPlan {
-            kind: StoreFault::BitFlipRead,
-            nth: 1,
-            seed: 0,
-        });
-        assert_eq!(take_store_fault(StoreOp::Get), None, "hit 0 must not fire");
-        // Puts do not advance a read fault's counter.
-        assert_eq!(take_store_fault(StoreOp::Put), None);
-        assert_eq!(
-            take_store_fault(StoreOp::Get),
-            Some(StoreFault::BitFlipRead)
-        );
-        assert_eq!(take_store_fault(StoreOp::Get), None, "fires at most once");
-        let (hits, fired) = disarm_store();
-        assert_eq!(hits, 3);
-        assert!(fired);
-        // Disarmed: free of effects.
-        assert_eq!(take_store_fault(StoreOp::Put), None);
     }
 }

@@ -54,7 +54,6 @@
 
 mod backtracking;
 mod bailout;
-#[cfg(feature = "fault-injection")]
 pub mod faultinject;
 pub mod lint;
 pub mod par;
@@ -62,23 +61,6 @@ mod phase;
 mod simulation;
 mod tradeoff;
 mod transform;
-
-/// No-op stand-ins for the fault-injection hooks when the
-/// `fault-injection` feature is compiled out: every injection point and
-/// budget poll folds to nothing.
-#[cfg(not(feature = "fault-injection"))]
-pub(crate) mod faultinject {
-    use crate::bailout::BailoutReason;
-    use dbds_ir::Graph;
-
-    #[inline(always)]
-    pub(crate) fn fault_point(_site: &str, _g: Option<&mut Graph>) {}
-
-    #[inline(always)]
-    pub(crate) fn take_pending_exhaustion() -> Option<BailoutReason> {
-        None
-    }
-}
 
 pub use backtracking::run_backtracking;
 pub use bailout::{

@@ -11,7 +11,7 @@
 use crate::bailout::{
     checkpoint, isolate, transact, BailoutReason, BailoutRecord, Budget, GuardConfig, Tier,
 };
-use crate::faultinject::fault_point;
+use crate::faultinject::{self, fault_point};
 use crate::simulation::{
     count_mispredictions, dominator_chain, simulate_paths_budgeted, AuditMemo, CandidateKind,
     SimulationResult,
@@ -450,9 +450,10 @@ pub fn run_dbds(
 
 /// The phase's last guard. Every round ended on a graph its boundary —
 /// or, after a rejection, its replay, duplication by duplication —
-/// verified, so the extra whole-phase verify only runs when faults are
-/// compiled in or something already went wrong this compilation; a graph
-/// it rejects rolls back to the latest recovery mark. Then the recovery
+/// verified, so the extra whole-phase verify only runs while a fault plan
+/// is armed on this thread or something already went wrong this
+/// compilation; a graph it rejects rolls back to the latest recovery
+/// mark. Then the recovery
 /// transaction is retired.
 fn final_checkpoint(
     g: &mut Graph,
@@ -460,8 +461,7 @@ fn final_checkpoint(
     stats: &mut PhaseStats,
     mut recovery_open: bool,
 ) {
-    if cfg!(feature = "fault-injection") || stats.bailouts.iter().any(|b| b.tier != Tier::Tradeoff)
-    {
+    if faultinject::armed() || stats.bailouts.iter().any(|b| b.tier != Tier::Tradeoff) {
         let tg = Instant::now();
         if let Err(reason) = checkpoint(g) {
             let recovered = recovery_open;
@@ -1183,7 +1183,7 @@ fn differential_check(g: &Graph, dup: &Duplication, after: &Dominators) -> Optio
 /// Runs the optimization pipeline (one round, or the full fixpoint when
 /// `full`) behind the guardrails: the pipeline runs inside an
 /// undo-log transaction, so a panicking pass is caught and the graph
-/// rolled back to its pre-pass state. With faults compiled in, the
+/// rolled back to its pre-pass state. While a fault plan is armed, the
 /// result is also verified (a corrupted graph rolls back the same way).
 fn run_opt_tier(g: &mut Graph, cache: &mut AnalysisCache, stats: &mut PhaseStats, full: bool) {
     let mut opt_ns: u128 = 0;
@@ -1196,10 +1196,10 @@ fn run_opt_tier(g: &mut Graph, cache: &mut AnalysisCache, stats: &mut PhaseStats
         let rounds = if full { MAX_ROUNDS } else { 1 };
         opt = optimize(g, cache, rounds);
         opt_ns = t.elapsed().as_nanos();
-        if cfg!(feature = "fault-injection") {
-            // Production builds skip this verify: optimizer bugs surface
+        if faultinject::armed() {
+            // Unarmed compiles skip this verify: optimizer bugs surface
             // as panics (caught by the transaction), injected corruption
-            // only exists with the feature on.
+            // only exists while a plan is armed.
             let tv = Instant::now();
             let ck = checkpoint(g);
             verify_ns = tv.elapsed().as_nanos();
@@ -1224,6 +1224,7 @@ fn run_opt_tier(g: &mut Graph, cache: &mut AnalysisCache, stats: &mut PhaseStats
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultinject::{arm, disarm, FaultKind, FaultPlan};
     use crate::simulation::simulate_paths;
     use dbds_ir::{
         execute, verify, ClassTable, CmpOp, ConstValue, GraphBuilder, Inst, Terminator, Type, Value,
@@ -1537,10 +1538,8 @@ mod tests {
         checkpoint(&g).unwrap();
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn injected_transform_panic_is_contained() {
-        use crate::faultinject::{arm, disarm, FaultKind, FaultPlan};
         let reference = figure1();
         let mut g = figure1();
         let model = CostModel::new();
@@ -1561,6 +1560,57 @@ mod tests {
             stats.bailouts
         );
         checkpoint(&g).unwrap();
+        for v in [-3i64, 0, 5] {
+            assert_eq!(
+                execute(&g, &[Value::Int(v)]).outcome,
+                execute(&reference, &[Value::Int(v)]).outcome,
+            );
+        }
+    }
+
+    /// The optimizer tier's detector: a plan that corrupts the graph in
+    /// the first pipeline (the cleanup before the phase) is caught by the
+    /// verify an armed plan turns on after every pipeline, and that
+    /// pipeline's transaction rolls it back. Unarmed, the same compile
+    /// records no bailout at all.
+    #[test]
+    fn an_armed_optimizer_corruption_is_one_recovered_bailout() {
+        let reference = figure1();
+        let compile_figure1 = || {
+            let mut g = figure1();
+            let stats = compile(
+                &mut g,
+                &CostModel::new(),
+                OptLevel::Dbds,
+                &DbdsConfig::default(),
+            );
+            (g, stats)
+        };
+        let (_, clean) = compile_figure1();
+        assert!(clean.bailouts.is_empty(), "bailouts: {:?}", clean.bailouts);
+        arm(FaultPlan {
+            site: "phase/optimize",
+            kind: FaultKind::CorruptGraph,
+            nth: 0,
+            seed: 0,
+        });
+        let (g, faulted) = compile_figure1();
+        let (_, fired) = disarm();
+        assert!(fired, "the fault must have been reached");
+        assert_eq!(
+            faulted.bailouts.len(),
+            1,
+            "bailouts: {:?}",
+            faulted.bailouts
+        );
+        let b = &faulted.bailouts[0];
+        assert!(
+            b.recovered
+                && b.tier == Tier::Optimization
+                && matches!(b.reason, BailoutReason::VerifierRejected(_)),
+            "bailout: {b:?}"
+        );
+        verify(&g).unwrap();
         for v in [-3i64, 0, 5] {
             assert_eq!(
                 execute(&g, &[Value::Int(v)]).outcome,
@@ -1847,10 +1897,8 @@ mod tests {
     /// whole-graph check after every duplication; the fault has fired, so
     /// the replay keeps all eight, and the discarded pass leaves nothing
     /// behind but its boundary record.
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn a_round_rejected_at_its_boundary_is_replayed_one_candidate_at_a_time() {
-        use crate::faultinject::{arm, disarm, FaultKind, FaultPlan};
         let compile_ladder = || {
             let mut g = diamond_ladder();
             let stats = compile(

@@ -1,14 +1,11 @@
 //! Property tests for the bailout-and-recovery guardrails: under *any*
 //! seeded fault plan, a DBDS compilation must end with a verified graph
-//! whose interpreter semantics match the no-duplication baseline.
-//!
-//! Compiled only with the `fault-injection` feature:
+//! whose interpreter semantics match the no-duplication baseline. Each
+//! case arms its plan on the test's own thread.
 //!
 //! ```text
-//! cargo test -p dbds-core --features fault-injection --test fault_props
+//! cargo test -p dbds-core --test fault_props
 //! ```
-
-#![cfg(feature = "fault-injection")]
 
 use dbds_core::faultinject::{arm, disarm, FaultPlan};
 use dbds_core::{compile, BailoutReason, DbdsConfig, GuardConfig, OptLevel};

@@ -21,7 +21,7 @@
 //! and threaded sweeps with `cmp`).
 //!
 //! ```text
-//! cargo run --release -p dbds-harness --features fault-injection --bin faultsim [-- <seed>]
+//! cargo run --release -p dbds-harness --bin faultsim [-- <seed>]
 //! ```
 
 use dbds_core::faultinject::{arm, disarm, FaultPlan};

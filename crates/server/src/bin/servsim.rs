@@ -22,11 +22,11 @@
 //! sweeps across `DBDS_UNIT_THREADS` settings with `cmp`.
 //!
 //! ```text
-//! cargo run --release -p dbds-server --features fault-injection --bin servsim [-- <seed>]
+//! cargo run --release -p dbds-server --bin servsim [-- <seed>]
 //! ```
 
-use dbds_core::faultinject::{arm_store, disarm_store, StoreFaultPlan};
 use dbds_core::{DbdsConfig, OptLevel};
+use dbds_server::store::{arm_store, disarm_store, StoreFaultPlan};
 use dbds_server::{
     BoundedStore, CompileOutcome, CompileRequest, CompileService, CompileSource, DiskStore,
     MemStore, ServiceConfig,

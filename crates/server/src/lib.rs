@@ -14,9 +14,8 @@
 //! [`store`] (crash-safety contract), [`service`] (graceful
 //! degradation ladder) and [`daemon`] (admission control) for the
 //! specific guarantees, and `DESIGN.md` §"Compilation service" for the
-//! overall argument. The `servsim` binary (behind the
-//! `fault-injection` feature) sweeps deterministic store faults — torn
-//! writes, bit flips on read, ENOSPC, writers killed before their
+//! overall argument. The `servsim` binary arms deterministic store
+//! faults ([`store::StoreFaultPlan`], one thread at a time) — torn writes, bit flips on read, ENOSPC, writers killed before their
 //! atomic rename, dead and read-only store directories — and asserts
 //! that every served result stays byte-identical to a fresh compile.
 //!

@@ -22,14 +22,12 @@
 
 use crate::key::StoreKey;
 use dbds_ir::fnv1a;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-
-#[cfg(feature = "fault-injection")]
-use dbds_core::faultinject::{take_store_fault, StoreFault, StoreOp};
 
 /// The header magic of one on-disk entry file.
 const ENTRY_MAGIC: &str = "dbds-store-entry-v1";
@@ -262,7 +260,6 @@ fn read_entry_file(path: &Path) -> Result<Option<Vec<u8>>, String> {
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| format!("open {path:?}: {e}"))?;
     // Bit-flip-on-read fault: media corruption between disk and reader.
-    #[cfg(feature = "fault-injection")]
     if !bytes.is_empty() && take_store_fault(StoreOp::Get) == Some(StoreFault::BitFlipRead) {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
@@ -313,12 +310,7 @@ impl CompiledStore for DiskStore {
     }
 
     fn put(&mut self, key: &StoreKey, payload: &[u8]) -> Result<(), StoreError> {
-        #[cfg(feature = "fault-injection")]
         let fault = take_store_fault(StoreOp::Put);
-        #[cfg(not(feature = "fault-injection"))]
-        let fault: Option<()> = None;
-
-        #[cfg(feature = "fault-injection")]
         if fault == Some(StoreFault::Enospc) {
             return Err(StoreError(
                 "no space left on device (injected ENOSPC)".into(),
@@ -332,7 +324,6 @@ impl CompiledStore for DiskStore {
         // Torn write: the file is cut short mid-payload but still
         // renamed into place — the checksum can no longer match, which
         // is exactly what the read path must catch.
-        #[cfg(feature = "fault-injection")]
         if fault == Some(StoreFault::TornWrite) {
             file_bytes.truncate(file_bytes.len() - payload.len() / 2 - 1);
         }
@@ -354,11 +345,9 @@ impl CompiledStore for DiskStore {
         // disk but before the atomic rename. Nobody observes an error
         // (the process is gone); the entry simply never appears and the
         // stray temp file waits for the next recovery scan.
-        #[cfg(feature = "fault-injection")]
         if fault == Some(StoreFault::AbortBeforeRename) {
             return Ok(());
         }
-        let _ = fault; // non-fault builds: no injection sites
 
         fs::rename(&tmp, self.entry_path(key)).map_err(|e| {
             let _ = fs::remove_file(&tmp);
@@ -394,6 +383,159 @@ impl CompiledStore for DiskStore {
             evictions: 0,
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Injected store faults
+// ---------------------------------------------------------------------
+
+/// What an armed [`StoreFaultPlan`] does to the compiled-graph store
+/// when it fires. These model the disk-level failure modes the
+/// on-disk backend must survive; the `servsim` sweep proves each one
+/// degrades to a recompute, never to a wrong served graph.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StoreFault {
+    /// A write is cut short mid-payload but still renamed into place —
+    /// the entry exists with a checksum that cannot match (a torn
+    /// write surviving a crash).
+    TornWrite,
+    /// A bit of the payload flips between disk and the reader (media
+    /// corruption; detected by the checksum footer).
+    BitFlipRead,
+    /// The write fails with "no space left on device" — a *transient*
+    /// store error the service retries with backoff.
+    Enospc,
+    /// The writer dies after the temp file is written but before the
+    /// atomic rename (kill-during-write): the entry never appears and
+    /// the stray temp file is garbage for the next recovery scan.
+    AbortBeforeRename,
+}
+
+impl StoreFault {
+    /// Every kind, in sweep order.
+    pub const ALL: [StoreFault; 4] = [
+        StoreFault::TornWrite,
+        StoreFault::BitFlipRead,
+        StoreFault::Enospc,
+        StoreFault::AbortBeforeRename,
+    ];
+
+    /// Stable lowercase name.
+    pub fn name(self) -> &'static str {
+        match self {
+            StoreFault::TornWrite => "torn-write",
+            StoreFault::BitFlipRead => "bit-flip-read",
+            StoreFault::Enospc => "enospc",
+            StoreFault::AbortBeforeRename => "abort-before-rename",
+        }
+    }
+
+    /// The store operation this fault strikes.
+    pub fn op(self) -> StoreOp {
+        match self {
+            StoreFault::BitFlipRead => StoreOp::Get,
+            _ => StoreOp::Put,
+        }
+    }
+}
+
+/// The two store operations faults can strike.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StoreOp {
+    /// Reading an entry.
+    Get,
+    /// Writing an entry.
+    Put,
+}
+
+/// A seeded, deterministic store fault: fire `kind` on the `nth` store
+/// operation of the kind's op class. Armed per thread, independently of
+/// the compile-phase `dbds_core::faultinject::FaultPlan`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StoreFaultPlan {
+    /// What to do when it fires.
+    pub kind: StoreFault,
+    /// Zero-based hit count (of the matching [`StoreOp`]) at which the
+    /// fault fires; a plan fires at most once.
+    pub nth: u32,
+    /// The seed the plan was derived from (recorded for reproduction).
+    pub seed: u64,
+}
+
+impl StoreFaultPlan {
+    /// The full deterministic sweep for `seed`: every kind, firing both
+    /// on the first matching operation and on a later, seed-derived one
+    /// (so faults land on cold and warm store traffic).
+    pub fn sweep(seed: u64) -> Vec<StoreFaultPlan> {
+        let mut plans = Vec::new();
+        for kind in StoreFault::ALL {
+            let mut h = seed ^ 0x517c_c1b7_2722_0a95;
+            for byte in kind.name().bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+            let later = 1 + (h >> 33) as u32 % 5;
+            for nth in [0, later] {
+                plans.push(StoreFaultPlan { kind, nth, seed });
+            }
+        }
+        plans
+    }
+}
+
+thread_local! {
+    static ARMED_STORE: RefCell<Option<ArmedStore>> = const { RefCell::new(None) };
+}
+
+/// Arming state of a store fault: the plan plus its hit counter.
+struct ArmedStore {
+    plan: StoreFaultPlan,
+    hits: u32,
+    fired: bool,
+}
+
+/// Arms `plan` against the store operations of the current thread,
+/// replacing any previous store plan.
+pub fn arm_store(plan: StoreFaultPlan) {
+    ARMED_STORE.with(|a| {
+        *a.borrow_mut() = Some(ArmedStore {
+            plan,
+            hits: 0,
+            fired: false,
+        });
+    });
+}
+
+/// Disarms the current thread's store plan; returns how often its op
+/// class was hit and whether the plan fired.
+pub fn disarm_store() -> (u32, bool) {
+    ARMED_STORE.with(|a| {
+        a.borrow_mut()
+            .take()
+            .map_or((0, false), |armed| (armed.hits, armed.fired))
+    })
+}
+
+/// A store injection point: [`DiskStore`] calls this on every `op` and
+/// enacts the returned fault. Counting is per op class, so a `nth = 1`
+/// read fault fires on the second `get`, however many `put`s happen in
+/// between. One thread-local read when no plan is armed.
+fn take_store_fault(op: StoreOp) -> Option<StoreFault> {
+    ARMED_STORE.with(|a| {
+        let mut a = a.borrow_mut();
+        match a.as_mut() {
+            Some(armed) if armed.plan.kind.op() == op => {
+                let n = armed.hits;
+                armed.hits += 1;
+                if !armed.fired && n == armed.plan.nth {
+                    armed.fired = true;
+                    Some(armed.plan.kind)
+                } else {
+                    None
+                }
+            }
+            _ => None,
+        }
+    })
 }
 
 /// A size-budgeted wrapper around any backend: keeps the sum of stored
@@ -774,6 +916,102 @@ mod tests {
         }
         assert_eq!(mem.keys().unwrap(), disk.keys().unwrap());
         assert_eq!(mem.get(&key(8)).unwrap(), disk.get(&key(8)).unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_sweep_is_deterministic_and_covers_all_kinds() {
+        let a = StoreFaultPlan::sweep(7);
+        assert_eq!(a, StoreFaultPlan::sweep(7));
+        assert_eq!(a.len(), StoreFault::ALL.len() * 2);
+        for kind in StoreFault::ALL {
+            assert!(a.iter().any(|p| p.kind == kind && p.nth == 0));
+            assert!(a.iter().any(|p| p.kind == kind && p.nth > 0));
+        }
+    }
+
+    #[test]
+    fn store_fault_counts_per_op_class_and_fires_once() {
+        arm_store(StoreFaultPlan {
+            kind: StoreFault::BitFlipRead,
+            nth: 1,
+            seed: 0,
+        });
+        assert_eq!(take_store_fault(StoreOp::Get), None, "hit 0 must not fire");
+        // Puts do not advance a read fault's counter.
+        assert_eq!(take_store_fault(StoreOp::Put), None);
+        assert_eq!(
+            take_store_fault(StoreOp::Get),
+            Some(StoreFault::BitFlipRead)
+        );
+        assert_eq!(take_store_fault(StoreOp::Get), None, "fires at most once");
+        let (hits, fired) = disarm_store();
+        assert_eq!(hits, 3);
+        assert!(fired);
+        // Disarmed: free of effects.
+        assert_eq!(take_store_fault(StoreOp::Put), None);
+    }
+
+    /// Each store fault, armed once against a real [`DiskStore`]: a torn
+    /// or bit-flipped entry is never served, an injected ENOSPC is a
+    /// typed error, and a writer killed before its rename leaves no
+    /// entry, only a temp file the recovery scan removes.
+    #[test]
+    fn each_injected_store_fault_degrades_without_serving_bad_bytes() {
+        let dir = tmpdir("faults");
+        let mut s = DiskStore::open(&dir).unwrap();
+        let payload = b"artifact bytes that must come back whole or not at all";
+        let arm = |kind| {
+            arm_store(StoreFaultPlan {
+                kind,
+                nth: 0,
+                seed: 0,
+            })
+        };
+        let tmp_files = || {
+            fs::read_dir(&dir)
+                .unwrap()
+                .filter(|e| {
+                    e.as_ref()
+                        .unwrap()
+                        .file_name()
+                        .to_string_lossy()
+                        .contains(TMP_SUFFIX)
+                })
+                .count()
+        };
+
+        arm(StoreFault::TornWrite);
+        s.put(&key(1), payload).unwrap();
+        assert_eq!(disarm_store(), (1, true));
+        assert_eq!(s.get(&key(1)).unwrap(), None, "a torn entry was served");
+        assert_eq!(s.health().quarantined, 1);
+
+        s.put(&key(2), payload).unwrap();
+        arm(StoreFault::BitFlipRead);
+        assert_eq!(s.get(&key(2)).unwrap(), None, "a flipped read was served");
+        assert_eq!(disarm_store(), (1, true));
+        assert_eq!(s.health().quarantined, 2);
+
+        arm(StoreFault::Enospc);
+        assert!(s.put(&key(3), payload).is_err());
+        assert_eq!(disarm_store(), (1, true));
+        assert_eq!(s.get(&key(3)).unwrap(), None);
+
+        arm(StoreFault::AbortBeforeRename);
+        s.put(&key(4), payload).unwrap();
+        assert_eq!(disarm_store(), (1, true));
+        assert_eq!(s.get(&key(4)).unwrap(), None, "an aborted write appeared");
+        assert_eq!(tmp_files(), 1);
+        s.recover().unwrap();
+        assert_eq!(tmp_files(), 0);
+
+        // Disarmed, every key heals with a plain re-put.
+        assert!(s.keys().unwrap().is_empty());
+        for n in 1..=4 {
+            s.put(&key(n), payload).unwrap();
+            assert_eq!(s.get(&key(n)).unwrap().as_deref(), Some(&payload[..]));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }
