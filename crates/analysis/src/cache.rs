@@ -305,7 +305,7 @@ impl AnalysisCache {
     /// entries (stamp ≠ current version) are skipped: they are invalid by
     /// contract and the next lookup replaces them anyway.
     ///
-    /// The audit is driven by [`AUDIT_REGISTRY`], one entry per memoized
+    /// The audit is driven by `AUDIT_REGISTRY`, one entry per memoized
     /// analysis, sharing fresh base analyses lazily — adding a slot
     /// without registering an auditor fails the registry meta-test.
     ///

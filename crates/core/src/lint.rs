@@ -152,7 +152,7 @@ fn frontier_consistency(
 ///
 /// 1. **Consistency**: for both the fresh copy and its source merge,
 ///    the [`DomFrontiers`] result (built from predecessor lists) must
-///    match [`definition_frontier`] (built from successor lists). A
+///    match `definition_frontier` (built from successor lists). A
 ///    divergence means the CFG/SSA repair left the edge mirrors or the
 ///    dominator inputs inconsistent.
 /// 2. **Equality**: immediately after a tail duplication the copy's

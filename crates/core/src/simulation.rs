@@ -335,7 +335,7 @@ pub(crate) fn dominator_chain(g: &Graph, dt: &Dominators, b: BlockId) -> Option<
 /// mutation is a genuine misprediction.
 ///
 /// This is the reference form: it replays from the entry block on a fresh
-/// environment. The phase audits through an [`AuditMemo`], which resumes
+/// environment. The phase audits through an `AuditMemo`, which resumes
 /// from the previous audit's chain.
 ///
 /// Returns `None` when the candidate no longer exists at all (`s.pred`
@@ -703,8 +703,8 @@ fn simulate_segment(
 
     // Seed the synonym map: every φ of the merge maps to its input on the
     // `pred` edge ("the synonym of relation" of Figure 3d).
-    let phis: Vec<InstId> = g.phis(merge).to_vec();
-    for &phi in &phis {
+    let phis = g.phis(merge);
+    for &phi in phis {
         let input = match g.inst(phi) {
             Inst::Phi { inputs } => inputs[k],
             _ => unreachable!(),

@@ -75,9 +75,9 @@ impl LintAudit {
 ///
 /// Per workload, four probes feed the report:
 ///
-/// 1. the pristine graph through [`dbds_ir::lint`];
+/// 1. the pristine graph through [`dbds_ir::lint()`];
 /// 2. a [`run_dbds`] phase (collecting the prediction-audit counter);
-/// 3. the post-phase graph through [`dbds_ir::lint`] plus the
+/// 3. the post-phase graph through [`dbds_ir::lint()`] plus the
 ///    [`AnalysisCache::audit`] diff of every still-current cached
 ///    analysis against fresh recomputation;
 /// 4. one more simulation over the final graph, with

@@ -23,10 +23,11 @@
 //! every multiple of 2³² to the same one). Iteration order of a
 //! [`FastMap`] is therefore no more a contract than a `std` map's.
 
-use crate::print::{print_class_table, print_graph};
+use crate::print::{write_class_table, write_graph};
 use crate::Graph;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
@@ -85,14 +86,33 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Feeds formatted text straight into a [`Fnv64`], so a printer can be
+/// hashed without building its output.
+struct FnvWriter<'a>(&'a mut Fnv64);
+
+impl fmt::Write for FnvWriter<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// The stable content hash of a graph: FNV-1a over its class table and
 /// canonical textual form. Equal for graphs that print identically
 /// (same reachable structure, ids, and class layout), independent of
 /// process, allocation order of dead arena slots, or undo-log history.
+///
+/// The bytes are those of [`Fnv64::write_str`] on
+/// [`print_class_table`](crate::print_class_table) and then on
+/// [`print_graph`](crate::print_graph), streamed from the printer
+/// without building either string.
 pub fn content_hash(g: &Graph) -> u64 {
+    const INFALLIBLE: &str = "hashing cannot fail";
     let mut h = Fnv64::new();
-    h.write_str(&print_class_table(g.class_table()));
-    h.write_str(&print_graph(g));
+    write_class_table(&mut FnvWriter(&mut h), g.class_table()).expect(INFALLIBLE);
+    h.write(&[0xff]);
+    write_graph(&mut FnvWriter(&mut h), g).expect(INFALLIBLE);
+    h.write(&[0xff]);
     h.finish()
 }
 
@@ -108,8 +128,9 @@ const FAST_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// A hasher for in-process tables: each word is xored into the state,
 /// which is then replaced by the xor of the two halves of its 128-bit
-/// product with [`FAST_MUL`]. Every input bit reaches the low bits a
-/// table indexes by. Not stable across processes (see [`FastState`]).
+/// product with a fixed odd multiplier. Every input bit reaches the low
+/// bits a table indexes by. Not stable across processes (see
+/// [`FastState`]).
 #[derive(Clone, Copy, Debug)]
 pub struct FastHasher(u64);
 
@@ -199,6 +220,25 @@ mod tests {
         assert_eq!(content_hash(&sample(false)), content_hash(&sample(false)));
         let g = sample(false);
         assert_eq!(content_hash(&g), content_hash(&g.clone()));
+    }
+
+    #[test]
+    fn the_streamed_hash_is_the_hash_of_the_printed_strings() {
+        let mut t = ClassTable::new();
+        let a = t.add_class("A");
+        let fx = t.add_field(a, "x", Type::Int);
+        t.add_field(a, "next", Type::Ref(a));
+        let mut b = GraphBuilder::new("s", &[Type::Ref(a)], Arc::new(t));
+        let o = b.param(0);
+        let three = b.iconst(-3);
+        b.store(o, fx, three);
+        b.ret(None);
+        for g in [sample(false), sample(true), b.finish()] {
+            let mut h = Fnv64::new();
+            h.write_str(&crate::print_class_table(g.class_table()));
+            h.write_str(&crate::print_graph(&g));
+            assert_eq!(content_hash(&g), h.finish());
+        }
     }
 
     #[test]

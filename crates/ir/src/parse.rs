@@ -4,13 +4,20 @@
 //! functions) and [`parse_graph`] (a single function against an existing
 //! [`ClassTable`]). The parser is line-oriented: one instruction or
 //! terminator per line, `#` and `//` start comments.
+//!
+//! Every line, label, value name and operand stays a `&str` slice of the
+//! input, and names resolve through [`FastMap`]s keyed by those slices.
+//! A function allocates its line table, its two name maps and a few
+//! scratch buffers reused from instruction to instruction; beyond those,
+//! only what the graph itself stores (φ inputs, call arguments) and the
+//! message of a [`ParseError`].
 
 use crate::classes::ClassTable;
+use crate::hash::FastMap;
 use crate::ids::{BlockId, ClassId, FieldId, InstId};
 use crate::inst::{BinOp, CmpOp, Inst, Terminator};
 use crate::types::{ConstValue, Type};
 use crate::Graph;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -43,6 +50,10 @@ impl Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
+/// A non-empty source line: its 1-based number and its text without
+/// comment or surrounding whitespace.
+type Line<'a> = (usize, &'a str);
+
 /// Parses a module: zero or more `class` declarations followed by one or
 /// more `func` definitions.
 ///
@@ -51,35 +62,27 @@ type PResult<T> = Result<T, ParseError>;
 /// Returns a [`ParseError`] pointing at the first offending line.
 pub fn parse_module(text: &str) -> PResult<Module> {
     let lines = clean_lines(text);
-    let mut idx = 0;
 
     // Pass 1: register class names so classes may reference one another.
     let mut table = ClassTable::new();
-    let mut class_lines = Vec::new();
-    while idx < lines.len() && lines[idx].1.starts_with("class ") {
-        let (lineno, line) = &lines[idx];
-        let name = line
-            .strip_prefix("class ")
-            .and_then(|r| r.split('{').next())
-            .map(str::trim)
+    let classes = lines
+        .iter()
+        .take_while(|(_, line)| line.starts_with("class "))
+        .count();
+    for &(lineno, line) in &lines[..classes] {
+        let name = class_name(line)
             .filter(|n| !n.is_empty())
-            .ok_or_else(|| err(*lineno, "malformed class declaration"))?;
+            .ok_or_else(|| err(lineno, "malformed class declaration"))?;
         table.add_class(name);
-        class_lines.push((*lineno, line.clone()));
-        idx += 1;
     }
     // Pass 2: fields.
-    for (lineno, line) in &class_lines {
+    for &(lineno, line) in &lines[..classes] {
         let body = line
             .split_once('{')
             .and_then(|(_, r)| r.rsplit_once('}'))
             .map(|(b, _)| b.trim())
-            .ok_or_else(|| err(*lineno, "class body must be enclosed in { }"))?;
-        let name = line
-            .strip_prefix("class ")
-            .and_then(|r| r.split('{').next())
-            .map(str::trim)
-            .ok_or_else(|| err(*lineno, "malformed class declaration"))?;
+            .ok_or_else(|| err(lineno, "class body must be enclosed in { }"))?;
+        let name = class_name(line).ok_or_else(|| err(lineno, "malformed class declaration"))?;
         let class = table.class_by_name(name).expect("registered in pass 1");
         if body.is_empty() {
             continue;
@@ -87,11 +90,11 @@ pub fn parse_module(text: &str) -> PResult<Module> {
         for fdecl in body.split(',') {
             let (fname, fty) = fdecl
                 .split_once(':')
-                .ok_or_else(|| err(*lineno, "field must be `name: type`"))?;
-            let ty = parse_type(fty.trim(), &table).map_err(|m| err(*lineno, &m))?;
+                .ok_or_else(|| err(lineno, "field must be `name: type`"))?;
+            let ty = parse_type(fty.trim(), &table).map_err(|m| err(lineno, &m))?;
             if ty.is_void() {
                 let msg = format!("field `{}` cannot be void", fname.trim());
-                return Err(err(*lineno, &msg));
+                return Err(err(lineno, &msg));
             }
             table.add_field(class, fname.trim(), ty);
         }
@@ -99,6 +102,7 @@ pub fn parse_module(text: &str) -> PResult<Module> {
     let table = Arc::new(table);
 
     let mut graphs = Vec::new();
+    let mut idx = classes;
     while idx < lines.len() {
         let (consumed, graph) = parse_func(&lines[idx..], table.clone())?;
         graphs.push(graph);
@@ -130,18 +134,26 @@ pub fn parse_graph(text: &str, table: Arc<ClassTable>) -> PResult<Graph> {
     Ok(graph)
 }
 
-fn clean_lines(text: &str) -> Vec<(usize, String)> {
+fn clean_lines(text: &str) -> Vec<Line<'_>> {
     text.lines()
         .enumerate()
         .map(|(i, l)| {
             let no_comment = l.split("//").next().unwrap_or("");
             let no_comment = no_comment.split('#').next().unwrap_or("");
-            (i + 1, no_comment.trim().to_string())
+            (i + 1, no_comment.trim())
         })
         .filter(|(_, l)| !l.is_empty())
         .collect()
 }
 
+/// The class name of a `class Name { ... }` line.
+fn class_name(line: &str) -> Option<&str> {
+    line.strip_prefix("class ")
+        .and_then(|r| r.split('{').next())
+        .map(str::trim)
+}
+
+#[cold]
 fn err(line: usize, message: &str) -> ParseError {
     ParseError {
         line,
@@ -168,33 +180,65 @@ fn parse_type(s: &str, table: &ClassTable) -> Result<Type, String> {
     }
 }
 
-/// One pending operand patch: instruction, then the operand names in
-/// `for_each_input_mut` order.
+/// Splits `s` at commas into exactly `N` trimmed parts, empty ones
+/// included; `None` for any other count.
+fn split_exact<const N: usize>(s: &str) -> Option<[&str; N]> {
+    let mut parts = s.split(',').map(str::trim);
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = parts.next()?;
+    }
+    parts.next().is_none().then_some(out)
+}
+
+/// An instruction some of whose operands name values defined further
+/// down: its operand names are `names[start..end]` of the function's
+/// pending-name buffer, in `for_each_input_mut` order.
 struct InstPatch {
     id: InstId,
     line: usize,
-    operands: Vec<String>,
+    start: usize,
+    end: usize,
 }
 
-struct TermPatch {
+/// A terminator set before any value existed, and the name of its one
+/// operand, if it has one.
+struct TermPatch<'a> {
     block: BlockId,
     line: usize,
-    operands: Vec<String>,
+    operand: Option<&'a str>,
 }
 
-fn parse_func(lines: &[(usize, String)], table: Arc<ClassTable>) -> PResult<(usize, Graph)> {
-    let (hline, header) = &lines[0];
+/// A block's label line and its statements (the last is the terminator).
+struct BlockSrc<'a> {
+    line: usize,
+    label: &'a str,
+    stmts: &'a [Line<'a>],
+}
+
+/// Scratch of the φ parser, reused across a function's φs: the position
+/// of each predecessor of the current block (`u32::MAX` for none), the
+/// input named for each position, and listed blocks that are no
+/// predecessor.
+struct PhiScratch<'a> {
+    slot: Vec<u32>,
+    inputs: Vec<Option<&'a str>>,
+    strays: Vec<BlockId>,
+}
+
+fn parse_func<'a>(lines: &[Line<'a>], table: Arc<ClassTable>) -> PResult<(usize, Graph)> {
+    let (hline, header) = lines[0];
     let rest = header
         .strip_prefix("func @")
-        .ok_or_else(|| err(*hline, "expected `func @name(...) {`"))?;
+        .ok_or_else(|| err(hline, "expected `func @name(...) {`"))?;
     let (name, rest) = rest
         .split_once('(')
-        .ok_or_else(|| err(*hline, "expected `(` after function name"))?;
+        .ok_or_else(|| err(hline, "expected `(` after function name"))?;
     let (params_src, tail) = rest
         .rsplit_once(')')
-        .ok_or_else(|| err(*hline, "expected `)` in function header"))?;
+        .ok_or_else(|| err(hline, "expected `)` in function header"))?;
     if tail.trim() != "{" {
-        return Err(err(*hline, "expected `{` at end of function header"));
+        return Err(err(hline, "expected `{` at end of function header"));
     }
 
     let mut param_names = Vec::new();
@@ -206,140 +250,144 @@ fn parse_func(lines: &[(usize, String)], table: Arc<ClassTable>) -> PResult<(usi
     {
         let (pname, pty) = p
             .split_once(':')
-            .ok_or_else(|| err(*hline, "parameter must be `name: type`"))?;
-        let ty = parse_type(pty.trim(), &table).map_err(|m| err(*hline, &m))?;
+            .ok_or_else(|| err(hline, "parameter must be `name: type`"))?;
+        let ty = parse_type(pty.trim(), &table).map_err(|m| err(hline, &m))?;
         if ty.is_void() {
             let msg = format!("parameter `{}` cannot be void", pname.trim());
-            return Err(err(*hline, &msg));
+            return Err(err(hline, &msg));
         }
-        param_names.push(pname.trim().to_string());
+        param_names.push(pname.trim());
         param_types.push(ty);
     }
 
-    // Collect body lines until the closing `}`.
-    let mut body: Vec<&(usize, String)> = Vec::new();
-    let mut consumed = 1;
-    let mut closed = false;
-    for entry in &lines[1..] {
-        consumed += 1;
-        if entry.1 == "}" {
-            closed = true;
-            break;
-        }
-        body.push(entry);
-    }
-    if !closed {
-        return Err(err(*hline, "missing closing `}`"));
-    }
+    // The body runs up to the closing `}`.
+    let close = lines[1..]
+        .iter()
+        .position(|&(_, line)| line == "}")
+        .ok_or_else(|| err(hline, "missing closing `}`"))?;
+    let body = &lines[1..=close];
 
-    // Group into blocks.
-    struct BlockSrc<'a> {
-        line: usize,
-        label: String,
-        stmts: Vec<&'a (usize, String)>,
-    }
+    // Group into blocks: a label line starts one, every other line
+    // belongs to the latest label.
     let mut blocks_src: Vec<BlockSrc> = Vec::new();
-    for entry in body {
-        let (lineno, line) = entry;
-        if let Some(label) = line.strip_suffix(':') {
-            if label.chars().all(|c| c.is_alphanumeric() || c == '_') && !label.is_empty() {
-                blocks_src.push(BlockSrc {
-                    line: *lineno,
-                    label: label.to_string(),
-                    stmts: Vec::new(),
-                });
-                continue;
+    let mut start = 0;
+    for (i, &(lineno, line)) in body.iter().enumerate() {
+        let label = line
+            .strip_suffix(':')
+            .filter(|l| !l.is_empty() && l.chars().all(|c| c.is_alphanumeric() || c == '_'));
+        if let Some(label) = label {
+            if let Some(prev) = blocks_src.last_mut() {
+                prev.stmts = &body[start..i];
             }
-        }
-        match blocks_src.last_mut() {
-            Some(b) => b.stmts.push(entry),
-            None => return Err(err(*lineno, "statement before first block label")),
+            blocks_src.push(BlockSrc {
+                line: lineno,
+                label,
+                stmts: &[],
+            });
+            start = i + 1;
+        } else if blocks_src.is_empty() {
+            return Err(err(lineno, "statement before first block label"));
         }
     }
-    if blocks_src.is_empty() {
-        return Err(err(*hline, "function has no blocks"));
+    match blocks_src.last_mut() {
+        Some(last) => last.stmts = &body[start..],
+        None => return Err(err(hline, "function has no blocks")),
     }
 
     let mut graph = Graph::new(name.trim(), &param_types, table.clone());
-    let mut values: HashMap<String, InstId> = HashMap::new();
-    for (pname, &pval) in param_names.iter().zip(graph.param_values()) {
-        values.insert(pname.clone(), pval);
+    let mut values: FastMap<&str, InstId> = FastMap::default();
+    values.reserve(body.len() + param_names.len());
+    for (&pname, &pval) in param_names.iter().zip(graph.param_values()) {
+        values.insert(pname, pval);
     }
-    let mut block_ids: HashMap<String, BlockId> = HashMap::new();
+    let mut block_ids: FastMap<&str, BlockId> = FastMap::default();
+    block_ids.reserve(blocks_src.len());
     for (i, bs) in blocks_src.iter().enumerate() {
         let id = if i == 0 {
             graph.entry()
         } else {
             graph.add_block()
         };
-        if block_ids.insert(bs.label.clone(), id).is_some() {
+        if block_ids.insert(bs.label, id).is_some() {
             return Err(err(bs.line, "duplicate block label"));
         }
     }
 
     // First: terminators (so preds exist before φ creation). Operands are
     // patched afterwards.
-    let mut term_patches: Vec<TermPatch> = Vec::new();
+    let mut term_patches: Vec<TermPatch> = Vec::with_capacity(blocks_src.len());
     for bs in &blocks_src {
-        let block = block_ids[&bs.label];
-        let (lineno, last) = match bs.stmts.last() {
-            Some(e) => (e.0, e.1.as_str()),
-            None => return Err(err(bs.line, "block has no terminator")),
-        };
-        let (term, ops) = parse_terminator(last, lineno, &block_ids)?;
+        let block = block_ids[bs.label];
+        let &(lineno, last) = bs
+            .stmts
+            .last()
+            .ok_or_else(|| err(bs.line, "block has no terminator"))?;
+        let (term, operand) = parse_terminator(last, lineno, &block_ids)?;
         graph.set_terminator(block, term);
         term_patches.push(TermPatch {
             block,
             line: lineno,
-            operands: ops,
+            operand,
         });
     }
 
     // Then: instructions (all but the last statement of each block).
+    let mut names: Vec<&str> = Vec::new();
+    let mut resolved: Vec<InstId> = Vec::new();
+    let mut pending: Vec<&str> = Vec::new();
     let mut inst_patches: Vec<InstPatch> = Vec::new();
+    let mut phis = PhiScratch {
+        slot: vec![u32::MAX; graph.block_count()],
+        inputs: Vec::new(),
+        strays: Vec::new(),
+    };
     for bs in &blocks_src {
-        let block = block_ids[&bs.label];
-        for entry in &bs.stmts[..bs.stmts.len() - 1] {
-            let (lineno, line) = entry;
-            let (vname, ty, opsrc) = split_def(line, *lineno, &table)?;
-            let (mut inst, operands) =
-                parse_inst(opsrc, *lineno, &table, &block_ids, &graph, block)?;
+        let block = block_ids[bs.label];
+        for &(lineno, line) in &bs.stmts[..bs.stmts.len() - 1] {
+            let (vname, ty, opsrc) = split_def(line, lineno, &table)?;
+            names.clear();
+            let mut inst = parse_inst(
+                opsrc, lineno, &table, &block_ids, &graph, block, &mut names, &mut phis,
+            )?;
             // Operands that only name earlier values — nearly all do — go
             // in resolved; forward references keep their placeholder and
             // wait for the patch below.
-            let known: Option<Vec<InstId>> =
-                operands.iter().map(|n| values.get(n).copied()).collect();
-            let id = if inst.is_phi() {
-                let n = graph.preds(block).len();
-                if operands.len() != n {
-                    return Err(err(
-                        *lineno,
-                        &format!(
-                            "phi lists {} inputs but block has {n} predecessors",
-                            operands.len()
-                        ),
-                    ));
+            resolved.clear();
+            let known = names.iter().all(|n| match values.get(n) {
+                Some(&v) => {
+                    resolved.push(v);
+                    true
                 }
-                let inputs = known.clone();
-                graph.append_phi(block, inputs.unwrap_or(vec![next_inst_id(&graph); n]), ty)
+                None => false,
+            });
+            let id = if inst.is_phi() {
+                // One name per predecessor, in predecessor order.
+                let inputs = if known {
+                    resolved.clone()
+                } else {
+                    vec![next_inst_id(&graph); names.len()]
+                };
+                graph.append_phi(block, inputs, ty)
             } else {
-                if let Some(known) = &known {
-                    let mut resolved = known.iter();
+                if known {
+                    let mut resolved = resolved.iter();
                     inst.for_each_input_mut(|slot| {
                         *slot = *resolved.next().expect("one name per operand");
                     });
                 }
                 graph.append_inst(block, inst, ty)
             };
-            if values.insert(vname.clone(), id).is_some() {
-                return Err(err(*lineno, &format!("value `{vname}` defined twice")));
+            if values.insert(vname, id).is_some() {
+                return Err(err(lineno, &format!("value `{vname}` defined twice")));
             }
-            if known.is_none() {
+            if !known {
                 inst_patches.push(InstPatch {
                     id,
-                    line: *lineno,
-                    operands,
+                    line: lineno,
+                    start: pending.len(),
+                    end: pending.len() + names.len(),
                 });
+                pending.extend_from_slice(&names);
             }
         }
     }
@@ -349,31 +397,38 @@ fn parse_func(lines: &[(usize, String)], table: Arc<ClassTable>) -> PResult<(usi
     // (set before any value existed). Terminators go newest first — their
     // placeholder uses of `InstId(0)` leave its use list from the end they
     // were added at.
-    let resolve = |names: &[String], line: usize| -> PResult<Vec<InstId>> {
-        let lookup = |name: &String| values.get(name).copied();
-        let resolved = names
-            .iter()
-            .map(|name| lookup(name).ok_or_else(|| err(line, &format!("unknown value `{name}`"))));
-        resolved.collect()
+    let lookup = |name: &str, line: usize| -> PResult<InstId> {
+        values
+            .get(name)
+            .copied()
+            .ok_or_else(|| err(line, &format!("unknown value `{name}`")))
     };
     for patch in &inst_patches {
-        let mut resolved = resolve(&patch.operands, patch.line)?.into_iter();
+        resolved.clear();
+        for &name in &pending[patch.start..patch.end] {
+            resolved.push(lookup(name, patch.line)?);
+        }
+        let mut resolved = resolved.iter();
         graph.rewrite_inputs(patch.id, |inst| {
-            inst.for_each_input_mut(|slot| *slot = resolved.next().expect("one name per operand"))
+            inst.for_each_input_mut(|slot| *slot = *resolved.next().expect("one name per operand"))
         });
     }
-    let term_operands: Vec<Vec<InstId>> = term_patches
+    let term_operands: Vec<Option<InstId>> = term_patches
         .iter()
-        .map(|patch| resolve(&patch.operands, patch.line))
+        .map(|patch| {
+            patch
+                .operand
+                .map(|name| lookup(name, patch.line))
+                .transpose()
+        })
         .collect::<PResult<_>>()?;
-    for (patch, resolved) in term_patches.iter().zip(term_operands).rev() {
-        let mut resolved = resolved.into_iter();
+    for (patch, operand) in term_patches.iter().zip(term_operands).rev() {
         graph.patch_terminator_inputs(patch.block, |slot| {
-            *slot = resolved.next().expect("one name per operand");
+            *slot = operand.expect("one name per operand");
         });
     }
 
-    Ok((consumed, graph))
+    Ok((close + 2, graph))
 }
 
 /// Splits `name: type = body` and returns `(name, type, body)`.
@@ -381,7 +436,7 @@ fn split_def<'a>(
     line: &'a str,
     lineno: usize,
     table: &ClassTable,
-) -> PResult<(String, Type, &'a str)> {
+) -> PResult<(&'a str, Type, &'a str)> {
     let (lhs, body) = line
         .split_once('=')
         .ok_or_else(|| err(lineno, "expected `name: type = ...`"))?;
@@ -389,7 +444,7 @@ fn split_def<'a>(
         .split_once(':')
         .ok_or_else(|| err(lineno, "definition must be `name: type = ...`"))?;
     let ty = parse_type(ty.trim(), table).map_err(|m| err(lineno, &m))?;
-    Ok((name.trim().to_string(), ty, body.trim()))
+    Ok((name.trim(), ty, body.trim()))
 }
 
 /// Parses a field reference `Class.field`.
@@ -419,44 +474,43 @@ fn next_inst_id(graph: &Graph) -> InstId {
 }
 
 /// Parses an instruction body; returns the instruction with dummy operand
-/// ids plus the operand names in `for_each_input_mut` order.
-fn parse_inst(
-    src: &str,
+/// ids and appends the operand names to `names` in `for_each_input_mut`
+/// order.
+#[allow(clippy::too_many_arguments)]
+fn parse_inst<'a>(
+    src: &'a str,
     lineno: usize,
     table: &ClassTable,
-    block_ids: &HashMap<String, BlockId>,
+    block_ids: &FastMap<&str, BlockId>,
     graph: &Graph,
     block: BlockId,
-) -> PResult<(Inst, Vec<String>)> {
+    names: &mut Vec<&'a str>,
+    phis: &mut PhiScratch<'a>,
+) -> PResult<Inst> {
     let (op, rest) = match src.split_once(char::is_whitespace) {
         Some((o, r)) => (o, r.trim()),
         None => (src, ""),
     };
     let d = next_inst_id(graph); // dummy, patched later
-    let args = |n: usize| -> PResult<Vec<String>> {
-        let parts: Vec<String> = rest
-            .split(',')
-            .map(|p| p.trim().to_string())
-            .filter(|p| !p.is_empty())
-            .collect();
-        if parts.len() != n {
+
+    // `n` comma-separated operands, empty parts skipped.
+    let args = |n: usize, names: &mut Vec<&'a str>| -> PResult<()> {
+        names.extend(rest.split(',').map(str::trim).filter(|p| !p.is_empty()));
+        if names.len() != n {
             return Err(err(lineno, &format!("`{op}` expects {n} operands")));
         }
-        Ok(parts)
+        Ok(())
     };
     let binop = BinOp::ALL.iter().find(|b| b.mnemonic() == op).copied();
     if let Some(bop) = binop {
-        let a = args(2)?;
-        return Ok((
-            Inst::Binary {
-                op: bop,
-                lhs: d,
-                rhs: d,
-            },
-            a,
-        ));
+        args(2, names)?;
+        return Ok(Inst::Binary {
+            op: bop,
+            lhs: d,
+            rhs: d,
+        });
     }
-    match op {
+    let inst = match op {
         "const" => {
             let c = if rest == "true" {
                 ConstValue::Bool(true)
@@ -472,11 +526,11 @@ fn parse_inst(
                         .map_err(|_| err(lineno, &format!("bad constant `{rest}`")))?,
                 )
             };
-            Ok((Inst::Const(c), Vec::new()))
+            Inst::Const(c)
         }
         "param" => {
             let idx: u32 = rest.parse().map_err(|_| err(lineno, "bad param index"))?;
-            Ok((Inst::Param(idx), Vec::new()))
+            Inst::Param(idx)
         }
         "cmp" => {
             let (cop, operands) = rest
@@ -487,130 +541,145 @@ fn parse_inst(
                 .find(|c| c.mnemonic() == cop)
                 .copied()
                 .ok_or_else(|| err(lineno, &format!("unknown comparison `{cop}`")))?;
-            let parts: Vec<String> = operands.split(',').map(|p| p.trim().to_string()).collect();
-            if parts.len() != 2 {
-                return Err(err(lineno, "`cmp` expects 2 operands"));
+            let [lhs, rhs] =
+                split_exact(operands).ok_or_else(|| err(lineno, "`cmp` expects 2 operands"))?;
+            names.extend([lhs, rhs]);
+            Inst::Compare {
+                op: cop,
+                lhs: d,
+                rhs: d,
             }
-            Ok((
-                Inst::Compare {
-                    op: cop,
-                    lhs: d,
-                    rhs: d,
-                },
-                parts,
-            ))
         }
-        "not" => Ok((Inst::Not(d), args(1)?)),
-        "neg" => Ok((Inst::Neg(d), args(1)?)),
+        "not" => {
+            args(1, names)?;
+            Inst::Not(d)
+        }
+        "neg" => {
+            args(1, names)?;
+            Inst::Neg(d)
+        }
         "phi" => {
-            // phi [b1: v0, b2: v1] — reorder inputs to match pred order.
             let body = rest
                 .strip_prefix('[')
                 .and_then(|r| r.strip_suffix(']'))
                 .ok_or_else(|| err(lineno, "expected `phi [pred: value, ...]`"))?;
-            let mut by_pred: HashMap<BlockId, String> = HashMap::new();
-            for pair in body.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                let (pb, pv) = pair
-                    .split_once(':')
-                    .ok_or_else(|| err(lineno, "phi input must be `pred: value`"))?;
-                let pred = *block_ids
-                    .get(pb.trim())
-                    .ok_or_else(|| err(lineno, &format!("unknown block `{}`", pb.trim())))?;
-                if by_pred.insert(pred, pv.trim().to_string()).is_some() {
-                    return Err(err(lineno, "duplicate phi predecessor"));
-                }
-            }
-            let mut ordered = Vec::new();
-            for &p in graph.preds(block) {
-                let v = by_pred.remove(&p).ok_or_else(|| {
-                    err(lineno, &format!("phi missing input for predecessor {p}"))
-                })?;
-                ordered.push(v);
-            }
-            if !by_pred.is_empty() {
-                return Err(err(lineno, "phi lists a non-predecessor block"));
-            }
-            Ok((Inst::Phi { inputs: Vec::new() }, ordered))
+            parse_phi_inputs(body, lineno, block_ids, graph.preds(block), names, phis)?;
+            Inst::Phi { inputs: Vec::new() }
         }
-        "new" => Ok((
-            Inst::New {
-                class: parse_class(rest, lineno, table)?,
-            },
-            Vec::new(),
-        )),
+        "new" => Inst::New {
+            class: parse_class(rest, lineno, table)?,
+        },
         "load" => {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 2 {
-                return Err(err(lineno, "`load` expects `object, Class.field`"));
-            }
-            Ok((
-                Inst::LoadField {
-                    object: d,
-                    field: parse_field(parts[1], lineno, table)?,
-                },
-                vec![parts[0].to_string()],
-            ))
+            let [object, field] = split_exact(rest)
+                .ok_or_else(|| err(lineno, "`load` expects `object, Class.field`"))?;
+            let field = parse_field(field, lineno, table)?;
+            names.push(object);
+            Inst::LoadField { object: d, field }
         }
         "store" => {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 3 {
-                return Err(err(lineno, "`store` expects `object, Class.field, value`"));
+            let [object, field, value] = split_exact(rest)
+                .ok_or_else(|| err(lineno, "`store` expects `object, Class.field, value`"))?;
+            let field = parse_field(field, lineno, table)?;
+            names.extend([object, value]);
+            Inst::StoreField {
+                object: d,
+                field,
+                value: d,
             }
-            Ok((
-                Inst::StoreField {
-                    object: d,
-                    field: parse_field(parts[1], lineno, table)?,
-                    value: d,
-                },
-                vec![parts[0].to_string(), parts[2].to_string()],
-            ))
         }
         "instanceof" => {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 2 {
-                return Err(err(lineno, "`instanceof` expects `object, Class`"));
-            }
-            Ok((
-                Inst::InstanceOf {
-                    object: d,
-                    class: parse_class(parts[1], lineno, table)?,
-                },
-                vec![parts[0].to_string()],
-            ))
+            let [object, class] = split_exact(rest)
+                .ok_or_else(|| err(lineno, "`instanceof` expects `object, Class`"))?;
+            let class = parse_class(class, lineno, table)?;
+            names.push(object);
+            Inst::InstanceOf { object: d, class }
         }
-        "newarray" => Ok((Inst::NewArray { length: d }, args(1)?)),
-        "aload" => Ok((Inst::ArrayLoad { array: d, index: d }, args(2)?)),
-        "astore" => Ok((
+        "newarray" => {
+            args(1, names)?;
+            Inst::NewArray { length: d }
+        }
+        "aload" => {
+            args(2, names)?;
+            Inst::ArrayLoad { array: d, index: d }
+        }
+        "astore" => {
+            args(3, names)?;
             Inst::ArrayStore {
                 array: d,
                 index: d,
                 value: d,
-            },
-            args(3)?,
-        )),
-        "alength" => Ok((Inst::ArrayLength(d), args(1)?)),
-        "invoke" => {
-            let parts: Vec<String> = rest
-                .split(',')
-                .map(|p| p.trim().to_string())
-                .filter(|p| !p.is_empty())
-                .collect();
-            Ok((
-                Inst::Invoke {
-                    args: vec![d; parts.len()],
-                },
-                parts,
-            ))
+            }
         }
-        other => Err(err(lineno, &format!("unknown instruction `{other}`"))),
-    }
+        "alength" => {
+            args(1, names)?;
+            Inst::ArrayLength(d)
+        }
+        "invoke" => {
+            names.extend(rest.split(',').map(str::trim).filter(|p| !p.is_empty()));
+            Inst::Invoke {
+                args: vec![d; names.len()],
+            }
+        }
+        other => return Err(err(lineno, &format!("unknown instruction `{other}`"))),
+    };
+    Ok(inst)
 }
 
-fn parse_terminator(
-    src: &str,
+/// Parses the `pred: value, ...` list of a φ in a block with
+/// predecessors `preds` and appends the value names to `names` in
+/// predecessor order.
+fn parse_phi_inputs<'a>(
+    body: &'a str,
     lineno: usize,
-    block_ids: &HashMap<String, BlockId>,
-) -> PResult<(Terminator, Vec<String>)> {
+    block_ids: &FastMap<&str, BlockId>,
+    preds: &[BlockId],
+    names: &mut Vec<&'a str>,
+    phis: &mut PhiScratch<'a>,
+) -> PResult<()> {
+    for (i, p) in preds.iter().enumerate() {
+        phis.slot[p.index()] = i as u32;
+    }
+    phis.inputs.clear();
+    phis.inputs.resize(preds.len(), None);
+    phis.strays.clear();
+    for pair in body.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let (pb, pv) = pair
+            .split_once(':')
+            .ok_or_else(|| err(lineno, "phi input must be `pred: value`"))?;
+        let pred = *block_ids
+            .get(pb.trim())
+            .ok_or_else(|| err(lineno, &format!("unknown block `{}`", pb.trim())))?;
+        let listed_twice = match phis.slot[pred.index()] {
+            u32::MAX if phis.strays.contains(&pred) => true,
+            u32::MAX => {
+                phis.strays.push(pred);
+                false
+            }
+            i => phis.inputs[i as usize].replace(pv.trim()).is_some(),
+        };
+        if listed_twice {
+            return Err(err(lineno, "duplicate phi predecessor"));
+        }
+    }
+    for (&p, input) in preds.iter().zip(&phis.inputs) {
+        let v =
+            input.ok_or_else(|| err(lineno, &format!("phi missing input for predecessor {p}")))?;
+        names.push(v);
+        phis.slot[p.index()] = u32::MAX;
+    }
+    if !phis.strays.is_empty() {
+        return Err(err(lineno, "phi lists a non-predecessor block"));
+    }
+    Ok(())
+}
+
+/// Parses a terminator; returns it with a dummy operand id plus the
+/// name of its operand, if it has one.
+fn parse_terminator<'a>(
+    src: &'a str,
+    lineno: usize,
+    block_ids: &FastMap<&str, BlockId>,
+) -> PResult<(Terminator, Option<&'a str>)> {
     let (op, rest) = match src.split_once(char::is_whitespace) {
         Some((o, r)) => (o, r.trim()),
         None => (src, ""),
@@ -626,22 +695,20 @@ fn parse_terminator(
             Terminator::Jump {
                 target: block(rest)?,
             },
-            Vec::new(),
+            None,
         )),
         "branch" => {
             // branch cond, then, else, prob P
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 4 {
-                return Err(err(lineno, "`branch` expects `cond, then, else, prob P`"));
-            }
-            let prob_src = parts[3]
+            let [cond, then_src, else_src, prob_src] = split_exact(rest)
+                .ok_or_else(|| err(lineno, "`branch` expects `cond, then, else, prob P`"))?;
+            let prob_src = prob_src
                 .strip_prefix("prob")
                 .map(str::trim)
                 .ok_or_else(|| err(lineno, "expected `prob P`"))?;
             let prob_then: f64 = prob_src
                 .parse()
                 .map_err(|_| err(lineno, &format!("bad probability `{prob_src}`")))?;
-            let (then_bb, else_bb) = (block(parts[1])?, block(parts[2])?);
+            let (then_bb, else_bb) = (block(then_src)?, block(else_src)?);
             if then_bb == else_bb {
                 return Err(err(lineno, "`branch` targets must be distinct"));
             }
@@ -652,22 +719,17 @@ fn parse_terminator(
                     else_bb,
                     prob_then,
                 },
-                vec![parts[0].to_string()],
+                Some(cond),
             ))
         }
-        "return" => {
-            if rest.is_empty() {
-                Ok((Terminator::Return { value: None }, Vec::new()))
-            } else {
-                Ok((
-                    Terminator::Return {
-                        value: Some(InstId(0)),
-                    },
-                    vec![rest.to_string()],
-                ))
-            }
-        }
-        "deopt" => Ok((Terminator::Deopt, Vec::new())),
+        "return" if rest.is_empty() => Ok((Terminator::Return { value: None }, None)),
+        "return" => Ok((
+            Terminator::Return {
+                value: Some(InstId(0)),
+            },
+            Some(rest),
+        )),
+        "deopt" => Ok((Terminator::Deopt, None)),
         other => Err(err(lineno, &format!("unknown terminator `{other}`"))),
     }
 }

@@ -6,96 +6,124 @@
 //! [`BlockId`]s (`b3`); the parser accepts arbitrary identifiers.
 
 use crate::classes::ClassTable;
-use crate::ids::BlockId;
+use crate::ids::{BlockId, InstId};
 use crate::inst::{Inst, Terminator};
 use crate::types::{ConstValue, Type};
 use crate::Graph;
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// Renders a class table as `class` declarations.
 pub fn print_class_table(table: &ClassTable) -> String {
     let mut out = String::new();
-    for c in table.class_ids() {
-        let info = table.class(c);
-        let fields: Vec<String> = info
-            .fields
-            .iter()
-            .map(|&f| {
-                let fi = table.field(f);
-                format!("{}: {}", fi.name, type_str(fi.ty, table))
-            })
-            .collect();
-        let _ = writeln!(out, "class {} {{ {} }}", info.name, fields.join(", "));
-    }
+    write_class_table(&mut out, table).expect("writing to a String cannot fail");
     out
 }
 
 /// Renders `g` in the textual IR format.
 pub fn print_graph(g: &Graph) -> String {
-    let table = g.class_table();
     let mut out = String::new();
-    let params: Vec<String> = g
-        .param_values()
-        .iter()
-        .map(|&p| format!("{p}: {}", type_str(g.ty(p), table)))
-        .collect();
-    let _ = writeln!(out, "func @{}({}) {{", g.name, params.join(", "));
+    write_graph(&mut out, g).expect("writing to a String cannot fail");
+    out
+}
+
+/// Writes what [`print_class_table`] returns to `out`.
+pub(crate) fn write_class_table(out: &mut impl Write, table: &ClassTable) -> fmt::Result {
+    for c in table.class_ids() {
+        let info = table.class(c);
+        write!(out, "class {} {{ ", info.name)?;
+        for (i, &f) in info.fields.iter().enumerate() {
+            let fi = table.field(f);
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            write!(out, "{}: ", fi.name)?;
+            write_type(out, fi.ty, table)?;
+        }
+        out.write_str(" }\n")?;
+    }
+    Ok(())
+}
+
+/// Writes what [`print_graph`] returns to `out`.
+pub(crate) fn write_graph(out: &mut impl Write, g: &Graph) -> fmt::Result {
+    let table = g.class_table();
+    write!(out, "func @{}(", g.name)?;
+    for (i, &p) in g.param_values().iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        write!(out, "{p}: ")?;
+        write_type(out, g.ty(p), table)?;
+    }
+    out.write_str(") {\n")?;
 
     let mut reachable = g.reachable_blocks();
     reachable.sort();
     for b in reachable {
-        let _ = writeln!(out, "{b}:");
+        writeln!(out, "{b}:")?;
         for &i in g.block_insts(b) {
             if matches!(g.inst(i), Inst::Param(_)) {
                 continue; // params are printed in the signature
             }
-            let _ = writeln!(out, "  {}", inst_line(g, b, i));
+            write_inst(out, g, b, i)?;
         }
-        let _ = writeln!(out, "  {}", term_line(g, b));
+        write_term(out, g, b)?;
     }
-    out.push_str("}\n");
-    out
+    out.write_str("}\n")
 }
 
-fn type_str(ty: Type, table: &ClassTable) -> String {
+fn write_type(out: &mut impl Write, ty: Type, table: &ClassTable) -> fmt::Result {
     match ty {
-        Type::Ref(c) => format!("ref {}", table.class(c).name),
-        other => other.to_string(),
+        Type::Ref(c) => write!(out, "ref {}", table.class(c).name),
+        other => write!(out, "{other}"),
     }
 }
 
-fn const_str(c: ConstValue, table: &ClassTable) -> String {
+fn write_const(out: &mut impl Write, c: ConstValue, table: &ClassTable) -> fmt::Result {
     match c {
-        ConstValue::Int(i) => i.to_string(),
-        ConstValue::Bool(b) => b.to_string(),
-        ConstValue::Null(cl) => format!("null {}", table.class(cl).name),
-        ConstValue::NullArr => "nullarr".to_string(),
+        ConstValue::Int(i) => write!(out, "{i}"),
+        ConstValue::Bool(b) => write!(out, "{b}"),
+        ConstValue::Null(cl) => write!(out, "null {}", table.class(cl).name),
+        ConstValue::NullArr => out.write_str("nullarr"),
     }
 }
 
-fn inst_line(g: &Graph, b: BlockId, i: crate::ids::InstId) -> String {
+/// Writes the line of instruction `i` of block `b`, indented and with
+/// its newline.
+fn write_inst(out: &mut impl Write, g: &Graph, b: BlockId, i: InstId) -> fmt::Result {
     let table = g.class_table();
-    let ty = type_str(g.ty(i), table);
-    let body = match g.inst(i) {
-        Inst::Const(c) => format!("const {}", const_str(*c, table)),
-        Inst::Param(idx) => format!("param {idx}"),
-        Inst::Binary { op, lhs, rhs } => format!("{} {lhs}, {rhs}", op.mnemonic()),
-        Inst::Compare { op, lhs, rhs } => format!("cmp {} {lhs}, {rhs}", op.mnemonic()),
-        Inst::Not(x) => format!("not {x}"),
-        Inst::Neg(x) => format!("neg {x}"),
-        Inst::Phi { inputs } => {
-            let preds = g.preds(b);
-            let parts: Vec<String> = preds
-                .iter()
-                .zip(inputs)
-                .map(|(p, v)| format!("{p}: {v}"))
-                .collect();
-            format!("phi [{}]", parts.join(", "))
+    write!(out, "  {i}: ")?;
+    write_type(out, g.ty(i), table)?;
+    out.write_str(" = ")?;
+    match g.inst(i) {
+        Inst::Const(c) => {
+            out.write_str("const ")?;
+            write_const(out, *c, table)?;
         }
-        Inst::New { class } => format!("new {}", table.class(*class).name),
+        Inst::Param(idx) => write!(out, "param {idx}")?,
+        Inst::Binary { op, lhs, rhs } => write!(out, "{} {lhs}, {rhs}", op.mnemonic())?,
+        Inst::Compare { op, lhs, rhs } => write!(out, "cmp {} {lhs}, {rhs}", op.mnemonic())?,
+        Inst::Not(x) => write!(out, "not {x}")?,
+        Inst::Neg(x) => write!(out, "neg {x}")?,
+        Inst::Phi { inputs } => {
+            out.write_str("phi [")?;
+            for (k, (p, v)) in g.preds(b).iter().zip(inputs).enumerate() {
+                if k > 0 {
+                    out.write_str(", ")?;
+                }
+                write!(out, "{p}: {v}")?;
+            }
+            out.write_str("]")?;
+        }
+        Inst::New { class } => write!(out, "new {}", table.class(*class).name)?,
         Inst::LoadField { object, field } => {
             let fi = table.field(*field);
-            format!("load {object}, {}.{}", table.class(fi.class).name, fi.name)
+            write!(
+                out,
+                "load {object}, {}.{}",
+                table.class(fi.class).name,
+                fi.name
+            )?;
         }
         Inst::StoreField {
             object,
@@ -103,53 +131,58 @@ fn inst_line(g: &Graph, b: BlockId, i: crate::ids::InstId) -> String {
             value,
         } => {
             let fi = table.field(*field);
-            format!(
+            write!(
+                out,
                 "store {object}, {}.{}, {value}",
                 table.class(fi.class).name,
                 fi.name
-            )
+            )?;
         }
         Inst::InstanceOf { object, class } => {
-            format!("instanceof {object}, {}", table.class(*class).name)
+            write!(out, "instanceof {object}, {}", table.class(*class).name)?;
         }
-        Inst::NewArray { length } => format!("newarray {length}"),
-        Inst::ArrayLoad { array, index } => format!("aload {array}, {index}"),
+        Inst::NewArray { length } => write!(out, "newarray {length}")?,
+        Inst::ArrayLoad { array, index } => write!(out, "aload {array}, {index}")?,
         Inst::ArrayStore {
             array,
             index,
             value,
-        } => format!("astore {array}, {index}, {value}"),
-        Inst::ArrayLength(a) => format!("alength {a}"),
+        } => write!(out, "astore {array}, {index}, {value}")?,
+        Inst::ArrayLength(a) => write!(out, "alength {a}")?,
         Inst::Invoke { args } => {
-            let parts: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            if parts.is_empty() {
-                "invoke".to_string()
-            } else {
-                format!("invoke {}", parts.join(", "))
+            out.write_str("invoke")?;
+            for (k, a) in args.iter().enumerate() {
+                out.write_str(if k == 0 { " " } else { ", " })?;
+                write!(out, "{a}")?;
             }
         }
-    };
-    format!("{i}: {ty} = {body}")
+    }
+    out.write_char('\n')
 }
 
-fn term_line(g: &Graph, b: BlockId) -> String {
+/// Writes the terminator line of block `b`, indented and with its
+/// newline.
+fn write_term(out: &mut impl Write, g: &Graph, b: BlockId) -> fmt::Result {
     match g.terminator(b) {
-        Terminator::Jump { target } => format!("jump {target}"),
+        Terminator::Jump { target } => writeln!(out, "  jump {target}"),
         Terminator::Branch {
             cond,
             then_bb,
             else_bb,
             prob_then,
-        } => format!("branch {cond}, {then_bb}, {else_bb}, prob {prob_then}"),
-        Terminator::Return { value: Some(v) } => format!("return {v}"),
-        Terminator::Return { value: None } => "return".to_string(),
-        Terminator::Deopt => "deopt".to_string(),
+        } => writeln!(
+            out,
+            "  branch {cond}, {then_bb}, {else_bb}, prob {prob_then}"
+        ),
+        Terminator::Return { value: Some(v) } => writeln!(out, "  return {v}"),
+        Terminator::Return { value: None } => out.write_str("  return\n"),
+        Terminator::Deopt => out.write_str("  deopt\n"),
     }
 }
 
-impl std::fmt::Display for Graph {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&print_graph(self))
+impl fmt::Display for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_graph(f, self)
     }
 }
 

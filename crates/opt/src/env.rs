@@ -107,13 +107,14 @@ pub struct FactEnv {
     trail: Vec<Undo>,
 }
 
-/// Writes `value` into `table[id]`, growing the table.
-fn set_slot<T>(table: &mut Vec<Option<T>>, id: InstId, value: T) {
+/// Writes `value` into `table[id]`, growing the table; returns what the
+/// slot held.
+fn replace_slot<T>(table: &mut Vec<Option<T>>, id: InstId, value: T) -> Option<T> {
     let i = id.index();
     if i >= table.len() {
         table.resize_with(i + 1, || None);
     }
-    table[i] = Some(value);
+    table[i].replace(value)
 }
 
 impl FactEnv {
@@ -197,9 +198,8 @@ impl FactEnv {
         if let Synonym::Value(w) = syn {
             assert_ne!(v, w, "value cannot be its own synonym");
         }
-        let old = self.synonyms.get(v.index()).copied().flatten();
+        let old = replace_slot(&mut self.synonyms, v, syn);
         self.trail.push(Undo::Synonym(v, old));
-        set_slot(&mut self.synonyms, v, syn);
     }
 
     /// Follows the synonym chain of `v` to its representative and constant.
@@ -260,9 +260,8 @@ impl FactEnv {
     /// Replaces the recorded stamp of the representative of `v`.
     pub fn set_stamp(&mut self, v: InstId, stamp: Stamp) {
         let r = self.resolve(v);
-        let old = self.stamps.get(r.id.index()).cloned().flatten();
+        let old = replace_slot(&mut self.stamps, r.id, stamp);
         self.trail.push(Undo::Stamp(r.id, old));
-        set_slot(&mut self.stamps, r.id, stamp);
     }
 
     /// The cached value of `object.field`, if a previous load/store pinned
@@ -274,15 +273,12 @@ impl FactEnv {
     /// Records `object.field == value`.
     pub fn cache_field(&mut self, object: InstId, field: FieldId, value: Synonym) {
         let key = (self.resolve(object).id, field);
-        let old = self.field_cache.get(&key).cloned();
+        let tagged = Tagged {
+            generation: self.generation,
+            value,
+        };
+        let old = self.field_cache.insert(key, tagged);
         self.trail.push(Undo::Field(key, old));
-        self.field_cache.insert(
-            key,
-            Tagged {
-                generation: self.generation,
-                value,
-            },
-        );
     }
 
     /// Invalidates cache entries that a store to `object.field` may alias:
@@ -298,9 +294,8 @@ impl FactEnv {
             .map(|(&key, _)| key)
             .collect();
         for key in killed {
-            let old = self.field_cache.get(&key).cloned();
+            let old = self.field_cache.remove(&key);
             self.trail.push(Undo::Field(key, old));
-            self.field_cache.remove(&key);
         }
     }
 
@@ -312,18 +307,15 @@ impl FactEnv {
     /// Begins tracking `alloc` (an [`Inst::New`] value) as a virtual
     /// object of class `class`.
     pub fn add_virtual(&mut self, alloc: InstId, class: ClassId) {
-        let old = self.virtuals.get(&alloc).cloned();
-        self.trail.push(Undo::Virtual(alloc, old));
-        self.virtuals.insert(
-            alloc,
-            Tagged {
-                generation: self.generation,
-                value: VirtualObject {
-                    class,
-                    fields: FastMap::default(),
-                },
+        let tagged = Tagged {
+            generation: self.generation,
+            value: VirtualObject {
+                class,
+                fields: FastMap::default(),
             },
-        );
+        };
+        let old = self.virtuals.insert(alloc, tagged);
+        self.trail.push(Undo::Virtual(alloc, old));
     }
 
     /// The virtual object backing `v`, if any.
@@ -359,9 +351,8 @@ impl FactEnv {
     pub fn materialize(&mut self, v: InstId) {
         let base = self.resolve(v).id;
         if self.virtual_at(base).is_some() {
-            let old = self.virtuals.get(&base).cloned();
+            let old = self.virtuals.remove(&base);
             self.trail.push(Undo::Virtual(base, old));
-            self.virtuals.remove(&base);
         }
     }
 
@@ -375,7 +366,7 @@ impl FactEnv {
         }
         // The condition itself is now a known boolean.
         self.set_stamp(cond, Stamp::Bool(Some(truth)));
-        match g.inst(r.id).clone() {
+        match *g.inst(r.id) {
             Inst::Compare { op, lhs, rhs } => {
                 let ls = self.stamp_of(g, lhs);
                 let rs = self.stamp_of(g, rhs);

@@ -137,11 +137,11 @@ pub fn evaluate(g: &Graph, env: &FactEnv, id: InstId) -> Evaluation {
 }
 
 fn evaluate_inst(g: &Graph, env: &FactEnv, id: InstId) -> Evaluation {
-    match g.inst(id).clone() {
+    match *g.inst(id) {
         Inst::Const(_) | Inst::Param(_) | Inst::New { .. } | Inst::NewArray { .. } => {
             Evaluation::keep()
         }
-        Inst::Phi { inputs } => eval_phi(g, env, id, &inputs),
+        Inst::Phi { ref inputs } => eval_phi(g, env, id, inputs),
         Inst::Binary { op, lhs, rhs } => eval_binary(g, env, op, lhs, rhs),
         Inst::Compare { op, lhs, rhs } => eval_compare(g, env, op, lhs, rhs),
         Inst::Not(x) => {
@@ -487,7 +487,7 @@ pub fn record_effects(g: &Graph, env: &mut FactEnv, id: InstId, eval: &Evaluatio
                 env.write_virtual_field(*object, *field, syn);
             }
         }
-        Verdict::Keep => match g.inst(id).clone() {
+        Verdict::Keep => match *g.inst(id) {
             Inst::New { class } => {
                 // The caller decides whether the allocation is virtual;
                 // default behaviour: not virtual. (The simulation tier
@@ -510,9 +510,9 @@ pub fn record_effects(g: &Graph, env: &mut FactEnv, id: InstId, eval: &Evaluatio
                     env.materialize(value);
                 }
             }
-            Inst::Invoke { args } => {
+            Inst::Invoke { ref args } => {
                 env.kill_all_fields();
-                for a in args {
+                for &a in args {
                     if g.ty(a).is_reference() {
                         env.materialize(a);
                     }
@@ -521,8 +521,8 @@ pub fn record_effects(g: &Graph, env: &mut FactEnv, id: InstId, eval: &Evaluatio
             // A reference flowing into a φ escapes the tracked scope:
             // writes through the φ alias would otherwise be missed by
             // virtual-object reasoning.
-            Inst::Phi { inputs } => {
-                for input in inputs {
+            Inst::Phi { ref inputs } => {
+                for &input in inputs {
                     if g.ty(input).is_reference() {
                         env.materialize(input);
                     }

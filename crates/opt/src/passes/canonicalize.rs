@@ -113,19 +113,22 @@ pub(crate) fn run(g: &mut Graph, dt: &DomTree, dirt: &mut Dirt, stats: &mut Cano
         pool: ConstPool::new(),
         dirt,
         passed: vec![false; g.block_count()],
+        snapshot: Vec::new(),
     };
     walk_tree(g, dt, &mut walk)
 }
 
 /// The state of one canonicalization walk: the environment, scoped by
-/// the tree walk, what the walk has changed so far, and the blocks it
-/// has entered.
+/// the tree walk, what the walk has changed so far, the blocks it has
+/// entered, and the buffer each block's instruction list is copied into
+/// before it is rewritten.
 struct Walk<'a> {
     env: FactEnv,
     stats: &'a mut CanonStats,
     pool: ConstPool,
     dirt: &'a mut Dirt,
     passed: Vec<bool>,
+    snapshot: Vec<InstId>,
 }
 
 impl TreeVisitor for Walk<'_> {
@@ -158,8 +161,10 @@ impl TreeVisitor for Walk<'_> {
 impl Walk<'_> {
     /// Evaluates and rewrites the instructions of one block.
     fn process_block(&mut self, g: &mut Graph, b: BlockId) {
-        let snapshot: Vec<InstId> = g.block_insts(b).to_vec();
-        for id in snapshot {
+        let mut snapshot = std::mem::take(&mut self.snapshot);
+        snapshot.clear();
+        snapshot.extend_from_slice(g.block_insts(b));
+        for &id in &snapshot {
             if g.block_of(id) != Some(b) {
                 continue; // removed by an earlier rewrite
             }
@@ -194,6 +199,7 @@ impl Walk<'_> {
                 }
             }
         }
+        self.snapshot = snapshot;
     }
 
     /// The pooled instruction producing `c`; a new one is a new

@@ -84,6 +84,7 @@ pub(crate) fn run(g: &mut Graph, dt: &DomTree, dirt: &mut Dirt) -> (usize, u64) 
         inserted: Vec::with_capacity(g.inst_count()),
         removed: 0,
         dirt,
+        snapshot: Vec::new(),
     };
     let visited = walk_tree(g, dt, &mut walk);
     (walk.removed, visited)
@@ -99,6 +100,8 @@ struct Walk<'a> {
     inserted: Vec<Key>,
     removed: usize,
     dirt: &'a mut Dirt,
+    /// The visited block's instruction list, copied before it is edited.
+    snapshot: Vec<InstId>,
 }
 
 impl TreeVisitor for Walk<'_> {
@@ -115,7 +118,10 @@ impl TreeVisitor for Walk<'_> {
     }
 
     fn visit(&mut self, g: &mut Graph, _parent: Option<BlockId>, b: BlockId) {
-        for i in g.block_insts(b).to_vec() {
+        let mut snapshot = std::mem::take(&mut self.snapshot);
+        snapshot.clear();
+        snapshot.extend_from_slice(g.block_insts(b));
+        for &i in &snapshot {
             if g.block_of(i) != Some(b) {
                 continue;
             }
@@ -139,6 +145,7 @@ impl TreeVisitor for Walk<'_> {
                 }
             }
         }
+        self.snapshot = snapshot;
     }
 }
 

@@ -10,15 +10,16 @@
 //! number of requests in flight (capped by `max_queue`), not
 //! `DBDS_UNIT_THREADS` — every batch the daemon submits has one unit.
 //!
-//! Determinism: the service takes the store lock per lookup and per
-//! install and every counter is a sum, so quiescent `status` is a
+//! Determinism: the service takes the store lock per store call (the
+//! `get`, an `evict`, the `put`) and every counter is a sum, so
+//! quiescent `status` is a
 //! function of the request multiset for one client and for any number
 //! of clients on distinct keys. Concurrent clients on the *same* key
 //! race for the install (two misses, or a miss and a hit); the served
 //! bytes are identical either way.
 //!
 //! Admission control is a single atomic reserve-or-shed
-//! ([`try_admit`]): the slot is reserved by the same compare-and-swap
+//! (`try_admit`): the slot is reserved by the same compare-and-swap
 //! that checks the bound, so concurrent clients can never overshoot
 //! `max_queue` (the old check-then-enqueue pattern could, between the
 //! load and the increment). The slot is a drop guard held until the

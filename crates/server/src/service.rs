@@ -1,8 +1,9 @@
 //! The compilation service: request resolution, cache lookup with
 //! verification, parallel fresh compilation, and the graceful
 //! degradation ladder that keeps the service correct when the store is
-//! not. One store and its counters sit behind one lock; only the fresh
-//! compiles of a batch's misses run outside it. Any number of threads
+//! not. One store and its counters sit behind one lock, held only for
+//! store calls and counter updates: a hit's parse and verify and a
+//! batch's fresh compiles run outside it. Any number of threads
 //! may call in at once (the daemon's connection threads do, one
 //! single-request batch each).
 //!
@@ -247,11 +248,13 @@ fn retry_backoff(step: Duration, attempt: u32) -> Duration {
 /// lock, one cost model, one base configuration, and the built-in
 /// workload table.
 ///
-/// All entry points take `&self`. The lock is held per request around
-/// the store lookup and again around the install — never while
-/// compiling — and the store observes a batch's requests strictly in
-/// submission order, which is what keeps the counters byte-identical
-/// however many threads compile the misses.
+/// All entry points take `&self`. The lock is held only around store
+/// calls and counter updates — the `get`, the `evict` of a payload that
+/// failed its checks, the `put` of a fresh result — never while a
+/// payload is parsed and verified and never while compiling. Within a
+/// batch the store observes the requests strictly in submission order,
+/// which is what keeps the counters byte-identical however many threads
+/// compile the misses.
 pub struct CompileService {
     slot: Mutex<Slot>,
     /// Requests shed by admission control before reaching the store.
@@ -416,17 +419,13 @@ impl CompileService {
             let mut cfg = self.base_cfg.clone();
             cfg.guard.deadline = req.deadline_ms.map(Duration::from_millis);
             let key = StoreKey::compute(&graph, &cfg, req.level);
-            let mut slot = self.slot();
-            slot.counters.requests += 1;
-            if let Some(artifact) = Self::lookup_verified(&self.cfg, &mut slot, &key) {
-                slot.counters.hits += 1;
+            if let Some(artifact) = self.lookup_verified(&key) {
                 outcomes.push(Some(Ok(ServedResult {
                     artifact,
                     cached: true,
                 })));
                 continue;
             }
-            drop(slot);
             // Only a miss pays for this: inline IR must verify before it
             // is compiled, served or stored.
             let checked = match &req.source {
@@ -476,32 +475,44 @@ impl CompileService {
             .collect()
     }
 
-    /// Rungs 1–2: probe the store for `key` and fully verify
-    /// whatever comes back. Any failure heals to a miss, never to an
-    /// error.
-    fn lookup_verified(
-        cfg: &ServiceConfig,
-        slot: &mut Slot,
-        key: &StoreKey,
-    ) -> Option<CompiledArtifact> {
-        let payload = match Self::with_retry(cfg, slot, |s| s.get(key)) {
-            Ok(p) => p?,
-            Err(_) => {
-                // Rung 4: the store cannot even answer reads — compile
-                // fresh, uncached.
-                slot.counters.degraded += 1;
-                return None;
+    /// Rungs 1–2: counts the request, probes the store for `key` and
+    /// fully verifies whatever comes back, counting the hit. Any failure
+    /// heals to a miss, never to an error.
+    ///
+    /// The lock is held for the `get` and again for the counter and the
+    /// `evict` after it — not while the payload is parsed and verified,
+    /// so hits on other connections proceed in parallel. In between, a
+    /// concurrent request for the same key may `put` a fresh artifact
+    /// that a failed verify here then evicts unconditionally. That race
+    /// is benign: it costs at most one recompile of that key, and no
+    /// wrong byte is ever served, since every served artifact passed
+    /// this verify in the request that serves it.
+    fn lookup_verified(&self, key: &StoreKey) -> Option<CompiledArtifact> {
+        let payload = {
+            let mut slot = self.slot();
+            slot.counters.requests += 1;
+            match Self::with_retry(&self.cfg, &mut slot, |s| s.get(key)) {
+                Ok(p) => p?,
+                Err(_) => {
+                    // Rung 4: the store cannot even answer reads — compile
+                    // fresh, uncached.
+                    slot.counters.degraded += 1;
+                    return None;
+                }
             }
         };
         let ok = CompiledArtifact::parse(&payload)
             .ok()
             .filter(|a| a.key == *key)
             .filter(|a| a.verify().is_ok());
-        if ok.is_none() {
+        let mut slot = self.slot();
+        if ok.is_some() {
+            slot.counters.hits += 1;
+        } else {
             // Rung 2: structurally intact on disk (the checksum passed)
             // but semantically bad — evict and recompute.
             slot.counters.quarantined += 1;
-            if Self::with_retry(cfg, slot, |s| s.evict(key)).is_err() {
+            if Self::with_retry(&self.cfg, &mut slot, |s| s.evict(key)).is_err() {
                 slot.counters.degraded += 1;
             }
         }

@@ -2,11 +2,12 @@
 //! frame protocol — covering the hit/miss path, typed errors, load
 //! shedding, status counters and clean shutdown.
 
-use dbds_core::OptLevel;
+use dbds_core::{DbdsConfig, OptLevel};
+use dbds_ir::parse_module;
 use dbds_server::json::Json;
 use dbds_server::{
-    serve, Client, CompileRequest, CompileService, CompileSource, ServerConfig, ServiceConfig,
-    ServiceError, StoreChoice,
+    serve, ArtifactCounters, Client, CompileRequest, CompileService, CompileSource,
+    CompiledArtifact, ServerConfig, ServiceConfig, ServiceError, StoreChoice, StoreKey,
 };
 
 fn compile_req(name: &str) -> CompileRequest {
@@ -455,6 +456,89 @@ fn hits_are_answered_while_another_connections_miss_compiles() {
     assert!(!slow.join().expect("slow client").expect("slow").cached);
     fast.shutdown().expect("shutdown");
     handle.join();
+}
+
+/// A one-block request whose stored artifact is a `blocks`-block jump
+/// chain: a hit on it is cheap to key and expensive to re-verify.
+/// Returns the request text after putting the artifact into `choice`.
+fn store_a_slow_to_verify_hit(choice: &StoreChoice, blocks: usize) -> String {
+    let request = "func @tiny(x: int) {\nb0:\n  return x\n}\n".to_string();
+    let graph = parse_module(&request).expect("parses").graphs.remove(0);
+    let key = StoreKey::compute(&graph, &DbdsConfig::default(), OptLevel::Dbds);
+    let artifact = CompiledArtifact {
+        key,
+        level: OptLevel::Dbds.name().to_string(),
+        classes: String::new(),
+        ir: jump_chain_ir(blocks),
+        counters: ArtifactCounters::default(),
+    };
+    let mut store = choice.open();
+    store.put(&key, &artifact.serialize()).expect("put");
+    request
+}
+
+/// The store lock covers store calls only: while one connection's hit
+/// parses and re-verifies a large stored artifact, another connection's
+/// hits are answered. (When the lock was held across the verify, the
+/// other connection's first request — even `status` — waited for it.)
+#[test]
+fn hits_are_answered_while_another_connections_hit_verifies() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let dir = std::env::temp_dir().join(format!("dbds-daemon-lock-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let choice = StoreChoice::Disk(dir.clone());
+    let slow_text = store_a_slow_to_verify_hit(&choice, 200_000);
+    let handle = serve(ServerConfig {
+        store: choice,
+        ..ServerConfig::default()
+    })
+    .expect("serve");
+    let mut fast = Client::connect(&handle.addr).expect("connect");
+    let cold = fast.compile(compile_req("wordcount")).expect("rpc");
+    assert!(!cold.expect("cold request failed").cached);
+
+    let slow_replied = Arc::new(AtomicBool::new(false));
+    let slow = {
+        let addr = handle.addr.clone();
+        let replied = Arc::clone(&slow_replied);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).expect("connect");
+            let out = client.compile(CompileRequest {
+                source: CompileSource::IrText(slow_text),
+                level: OptLevel::Dbds,
+                deadline_ms: None,
+            });
+            replied.store(true, Ordering::SeqCst);
+            out.expect("rpc")
+        })
+    };
+    // Two lookups so far — the cold request above and the slow hit — so
+    // the slow hit has its payload and is verifying it.
+    while counter(&fast.status().expect("status"), "requests") < 2 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    const HITS: u64 = 16;
+    for _ in 0..HITS {
+        let warm = fast.compile(compile_req("wordcount")).expect("rpc");
+        assert!(warm.expect("warm request failed").cached);
+    }
+    let hits = counter(&fast.status().expect("status"), "hits");
+    assert!(
+        !slow_replied.load(Ordering::SeqCst) && hits == HITS,
+        "the hits were answered only after the other connection's verify \
+         ({hits} hits counted, slow hit replied: {})",
+        slow_replied.load(Ordering::SeqCst)
+    );
+
+    let served = slow.join().expect("slow client").expect("slow hit failed");
+    assert!(served.cached);
+    assert_eq!(counter(&fast.status().expect("status"), "hits"), HITS + 1);
+    fast.shutdown().expect("shutdown");
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The same distinct-key requests leave byte-identical quiescent status

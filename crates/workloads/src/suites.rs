@@ -201,7 +201,7 @@ impl Suite {
     /// The generator profile for one benchmark of this suite: the
     /// branch-splitting benchmarks ([`SPLIT_BENCHMARKS`]) get their
     /// dedicated shape mix, every other name the suite profile. Seeds
-    /// are per-name ([`seed_for`]), so the override never perturbs the
+    /// are per-name (`seed_for`), so the override never perturbs the
     /// graphs of pre-existing benchmarks.
     pub fn profile_for(self, name: &str) -> Profile {
         if SPLIT_BENCHMARKS.contains(&name) {
