@@ -206,9 +206,11 @@ pub struct PhaseStats {
     /// final-checkpoint recoveries).
     /// Deterministic.
     pub undo_rollbacks: u64,
-    /// Peak number of backed-up arena slots the undo log held at any
-    /// point — the O(edit) analog of a whole-graph snapshot's size.
-    /// Deterministic.
+    /// Peak number of backup entries the undo log held at any point,
+    /// all open frames together — the O(edit) analog of a whole-graph
+    /// snapshot's size. A first touch is backed up once, into the
+    /// innermost frame, and handed outwards when that frame closes, so it
+    /// counts once however many frames are open. Deterministic.
     pub undo_peak: usize,
     /// Wall-clock nanoseconds spent on undo-log bookkeeping
     /// (begin/commit/rollback). A subset of `guard_ns`; timing only.

@@ -16,11 +16,11 @@
 //! finding its users costs O(uses), not a walk over the arena.
 
 use crate::classes::ClassTable;
-use crate::hash::FastMap;
 use crate::ids::{BlockId, InstId};
 use crate::inst::{Inst, Successors, Terminator};
 use crate::types::Type;
 use crate::uses::{Use, UseLists};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -61,17 +61,19 @@ struct BlockData {
     preds: Vec<BlockId>,
 }
 
-/// One open transaction of the undo log: the first-touch backups needed
-/// to restore the graph to its state at the matching
-/// [`Graph::begin_txn`].
+/// One open transaction of the undo log: where the graph stood at the
+/// matching [`Graph::begin_txn`], and where the frame's own entries
+/// start in the log.
 ///
-/// A frame records, per arena slot, the value the slot had when the
-/// frame was opened — captured by the *first* mutation that touches it
-/// while the frame is open (see [`Graph::touch_inst`]). Slots allocated
-/// after the frame opened need no backup: rollback truncates the arenas
-/// back to the frame's base lengths (nothing ever deallocates a slot
-/// except rollback itself, and inner frames only truncate to bases at
-/// least as large).
+/// A frame's entries record, per arena slot, the value the slot had
+/// when the frame was opened — captured by the *first* mutation that
+/// touches it while the frame is the innermost one (see
+/// [`Graph::touch_inst`]), or handed over by a nested frame when that
+/// frame closes (see [`UndoLog::close_frame`]). Slots allocated after
+/// the frame opened need no backup: rollback truncates the arenas back
+/// to the frame's base lengths (nothing ever deallocates a slot except
+/// rollback itself, and inner frames only truncate to bases at least as
+/// large).
 #[derive(Debug)]
 struct TxnFrame {
     /// Arena lengths at `begin_txn`: slots at or past these indices were
@@ -82,49 +84,162 @@ struct TxnFrame {
     /// ABA-safe: stamps are globally unique and never reused, so a cache
     /// entry keyed on it can only describe this exact pre-txn state.
     cfg_version: u64,
-    /// First-touch backups of instruction / block slots mutated while
-    /// this frame was open (only slots below the bases are recorded).
-    saved_insts: FastMap<usize, InstData>,
-    saved_blocks: FastMap<usize, BlockData>,
+    /// Where this frame's entries start in [`UndoLog::insts`] and
+    /// [`UndoLog::blocks`]: each frame's log is the tail of the shared
+    /// stacks from here up to the next frame's start.
+    insts_at: usize,
+    blocks_at: usize,
     /// Differential oracle: a full clone taken at `begin_txn`,
     /// cross-checked against the undo-log restore on every rollback.
     #[cfg(debug_assertions)]
     shadow: Box<Graph>,
 }
 
-impl TxnFrame {
-    fn entries(&self) -> usize {
-        self.saved_insts.len() + self.saved_blocks.len()
-    }
+/// The first-touch backup of an instruction slot.
+#[derive(Debug)]
+struct InstBackup {
+    slot: u32,
+    /// The slot's stamp before this backup took it over: the depth of
+    /// the next frame out that holds a backup of the slot, or 0.
+    prev: u32,
+    data: InstData,
 }
 
-/// The graph's undo log: a stack of open [`TxnFrame`]s plus cumulative
-/// counters ([`Graph::undo_stats`]).
+/// The first-touch backup of a block slot. Its instruction and
+/// predecessor lists sit in the log's flat buffers
+/// ([`UndoLog::block_insts`], [`UndoLog::block_preds`]), so taking one
+/// allocates nothing once the buffers have grown.
+#[derive(Debug)]
+struct BlockBackup {
+    slot: u32,
+    /// As [`InstBackup::prev`].
+    prev: u32,
+    term: Terminator,
+    /// Where its lists sit in `block_insts` and `block_preds`.
+    insts: Range<usize>,
+    preds: Range<usize>,
+}
+
+/// The graph's undo log: a stack of open [`TxnFrame`]s, their entries,
+/// and cumulative counters ([`Graph::undo_stats`]).
 ///
 /// Recording discipline: every mutating primitive backs up each arena
-/// slot it is about to change into *every* open frame that does not
-/// already hold it (and whose base covers the slot) **before** mutating.
-/// A recorded backup therefore always equals the slot's value at the
-/// frame's `begin_txn` — any earlier in-frame mutation of the slot would
-/// itself have recorded it first — so committing an inner frame is just
-/// dropping it: the outer frames already hold their own backups.
+/// slot it is about to change into the *innermost* open frame, **before**
+/// mutating, unless that frame already holds the slot or allocated it.
+/// A dense per-slot stamp answers "already holds": it is the depth of
+/// the innermost frame holding a backup of the slot (0 for none), and
+/// each entry remembers the stamp it replaced. A recorded backup
+/// therefore always equals the slot's value at its frame's `begin_txn`
+/// — any earlier in-frame mutation would itself have recorded it first,
+/// and a value the slot had when an inner frame opened is its value at
+/// the outer frame's `begin_txn` unless the outer frame holds the slot.
+/// That is what lets a closing frame hand its entries to its parent
+/// without copying them ([`UndoLog::close_frame`]), so a first touch is
+/// backed up once, into one frame, however many frames are open.
+///
+/// The frames' entries are laid end to end in shared stacks, innermost
+/// frame last, so opening a frame allocates nothing.
 #[derive(Debug, Default)]
 struct UndoLog {
     frames: Vec<TxnFrame>,
+    /// Per instruction / block slot: the depth of the innermost open
+    /// frame holding its backup, or 0. Covers at least every slot below
+    /// the innermost frame's base; every slot at or past the arenas'
+    /// lengths reads 0.
+    inst_stamps: Vec<u32>,
+    block_stamps: Vec<u32>,
+    insts: Vec<InstBackup>,
+    blocks: Vec<BlockBackup>,
+    block_insts: Vec<InstId>,
+    block_preds: Vec<BlockId>,
     /// Primitive mutations recorded while at least one frame was open.
     edits: u64,
     /// Frames rolled back.
     rollbacks: u64,
-    /// Peak total backup entries across all open frames.
+    /// Peak number of entries held by all open frames together.
     peak_entries: usize,
 }
 
 impl UndoLog {
     fn note_peak(&mut self) {
-        let entries: usize = self.frames.iter().map(TxnFrame::entries).sum();
+        let entries = self.insts.len() + self.blocks.len();
         if entries > self.peak_entries {
             self.peak_entries = entries;
         }
+    }
+
+    /// Entries of the innermost frame.
+    fn inner_insts(&self) -> &[InstBackup] {
+        let at = self.frames.last().map_or(self.insts.len(), |f| f.insts_at);
+        &self.insts[at..]
+    }
+
+    fn inner_blocks(&self) -> &[BlockBackup] {
+        let at = self
+            .frames
+            .last()
+            .map_or(self.blocks.len(), |f| f.blocks_at);
+        &self.blocks[at..]
+    }
+
+    /// Hands the entries of `frame`, just popped, to its parent (the
+    /// innermost frame left open): an entry moves down the stacks to the
+    /// parent's end and its slot is stamped with the parent's depth,
+    /// unless the parent already holds the slot or allocated it — then
+    /// the entry is dropped and the slot's stamp returns to what the
+    /// entry replaced. With no parent every entry is dropped. O(entries
+    /// of `frame`); nothing is cloned. Returns the number of entries
+    /// `frame` held.
+    ///
+    /// Right on commit and on rollback alike: a slot the parent does not
+    /// hold was not changed between the parent's `begin_txn` and
+    /// `frame`'s, so `frame`'s backup of it is the parent's backup too.
+    fn close_frame(&mut self, frame: &TxnFrame) -> usize {
+        let entries = (self.insts.len() - frame.insts_at) + (self.blocks.len() - frame.blocks_at);
+        let depth = self.frames.len() as u32;
+        let bases = self.frames.last().map(|p| (p.base_insts, p.base_blocks));
+        let keeps = |slot: u32, prev: u32, base: usize| prev != depth && (slot as usize) < base;
+
+        let mut kept = frame.insts_at;
+        for at in frame.insts_at..self.insts.len() {
+            let InstBackup { slot, prev, .. } = self.insts[at];
+            let keep = bases.is_some_and(|(base, _)| keeps(slot, prev, base));
+            self.inst_stamps[slot as usize] = if keep { depth } else { prev };
+            if keep {
+                self.insts.swap(kept, at);
+                kept += 1;
+            }
+        }
+        self.insts.truncate(kept);
+
+        // Kept block entries move down, and so do their lists in the
+        // flat buffers: entries and lists lie in the same order, so each
+        // copy lands at or below where it was.
+        let mut kept = frame.blocks_at;
+        let (mut ids_to, mut preds_to) = self
+            .blocks
+            .get(kept)
+            .map_or((self.block_insts.len(), self.block_preds.len()), |b| {
+                (b.insts.start, b.preds.start)
+            });
+        for at in frame.blocks_at..self.blocks.len() {
+            let entry = &mut self.blocks[at];
+            let keep = bases.is_some_and(|(_, base)| keeps(entry.slot, entry.prev, base));
+            self.block_stamps[entry.slot as usize] = if keep { depth } else { entry.prev };
+            if keep {
+                self.block_insts.copy_within(entry.insts.clone(), ids_to);
+                self.block_preds.copy_within(entry.preds.clone(), preds_to);
+                entry.insts = ids_to..ids_to + entry.insts.len();
+                entry.preds = preds_to..preds_to + entry.preds.len();
+                (ids_to, preds_to) = (entry.insts.end, entry.preds.end);
+                self.blocks.swap(kept, at);
+                kept += 1;
+            }
+        }
+        self.blocks.truncate(kept);
+        self.block_insts.truncate(ids_to);
+        self.block_preds.truncate(preds_to);
+        entries
     }
 }
 
@@ -174,8 +289,9 @@ pub struct UndoStats {
     pub edits: u64,
     /// Transactions rolled back.
     pub rollbacks: u64,
-    /// Peak number of backed-up arena slots held by the log at any
-    /// point — the O(edit) analog of a whole-graph snapshot's size.
+    /// Peak number of backup entries held by all open frames together
+    /// — the O(edit) analog of a whole-graph snapshot's size. A
+    /// first touch counts once, in the one frame that holds its backup.
     pub peak_entries: usize,
 }
 
@@ -183,15 +299,17 @@ pub struct UndoStats {
 /// returned by [`Graph::txn_footprint`]: every slot whose current value
 /// may differ from its value at the matching [`Graph::begin_txn`].
 ///
-/// Read straight off the undo log — the first-touch backups plus the
-/// arena tails allocated since the frame opened — so it is complete by
-/// construction: every mutating primitive records into the frame before
-/// it mutates. It may over-approximate: a slot touched only by a nested
-/// transaction that was rolled back stays listed, holding its old value
-/// again. Both lists are sorted ascending (backed-up slots first, then
-/// the freshly allocated ones), independent of hash order: the reference
-/// form of the footprint. [`Graph::for_each_txn_block`] reads the same
-/// slots' blocks without sorting or collecting them.
+/// Read straight off the undo log — the frame's backups plus the arena
+/// tails allocated since the frame opened — so it is complete by
+/// construction: every mutating primitive records into the innermost
+/// frame before it mutates, and a nested frame hands its backups to this
+/// one when it closes. It may over-approximate: a slot touched only by a
+/// nested transaction that was rolled back stays listed, holding its old
+/// value again. Both lists are sorted ascending (backed-up slots first,
+/// then the freshly allocated ones), independent of the order slots were
+/// touched in: the reference form of the footprint.
+/// [`Graph::for_each_txn_block`] reads the same slots' blocks without
+/// sorting or collecting them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TxnFootprint {
     /// Instruction slots mutated (payload or owning block) or allocated
@@ -341,42 +459,53 @@ impl Graph {
         }
     }
 
-    /// Backs up instruction slot `id` into every open frame that does not
-    /// hold it yet. Must be called **before** the slot is mutated. Slots
-    /// allocated after a frame opened are skipped for that frame —
-    /// rollback's arena truncation drops them.
+    /// Backs up instruction slot `id` into the innermost open frame,
+    /// unless that frame already holds it or allocated it. Must be called
+    /// **before** the slot is mutated. O(1): one stamp compare, and on a
+    /// first touch one copy of the slot.
     fn touch_inst(&mut self, id: InstId) {
-        if self.undo.frames.is_empty() {
+        let undo = &mut self.undo;
+        let Some(frame) = undo.frames.last() else {
+            return;
+        };
+        let (slot, depth) = (id.index(), undo.frames.len() as u32);
+        if slot >= frame.base_insts || undo.inst_stamps[slot] == depth {
             return;
         }
-        let insts = &self.insts;
-        for frame in &mut self.undo.frames {
-            if id.index() < frame.base_insts {
-                frame
-                    .saved_insts
-                    .entry(id.index())
-                    .or_insert_with(|| insts[id.index()].clone());
-            }
-        }
-        self.undo.note_peak();
+        let prev = std::mem::replace(&mut undo.inst_stamps[slot], depth);
+        undo.insts.push(InstBackup {
+            slot: id.0,
+            prev,
+            data: self.insts[slot].clone(),
+        });
+        undo.note_peak();
     }
 
-    /// Backs up block slot `b` into every open frame that does not hold
-    /// it yet. Same contract as [`Graph::touch_inst`].
+    /// Backs up block slot `b` into the innermost open frame. Same
+    /// contract as [`Graph::touch_inst`]; the block's lists go to the
+    /// log's flat buffers.
     fn touch_block(&mut self, b: BlockId) {
-        if self.undo.frames.is_empty() {
+        let undo = &mut self.undo;
+        let Some(frame) = undo.frames.last() else {
+            return;
+        };
+        let (slot, depth) = (b.index(), undo.frames.len() as u32);
+        if slot >= frame.base_blocks || undo.block_stamps[slot] == depth {
             return;
         }
-        let blocks = &self.blocks;
-        for frame in &mut self.undo.frames {
-            if b.index() < frame.base_blocks {
-                frame
-                    .saved_blocks
-                    .entry(b.index())
-                    .or_insert_with(|| blocks[b.index()].clone());
-            }
-        }
-        self.undo.note_peak();
+        let prev = std::mem::replace(&mut undo.block_stamps[slot], depth);
+        let block = &self.blocks[slot];
+        let (ids_at, preds_at) = (undo.block_insts.len(), undo.block_preds.len());
+        undo.block_insts.extend_from_slice(&block.insts);
+        undo.block_preds.extend_from_slice(&block.preds);
+        undo.blocks.push(BlockBackup {
+            slot: b.0,
+            prev,
+            term: block.term.clone(),
+            insts: ids_at..undo.block_insts.len(),
+            preds: preds_at..undo.block_preds.len(),
+        });
+        undo.note_peak();
     }
 
     /// Adds the use-list entries instruction `id` contributes in its
@@ -414,33 +543,43 @@ impl Graph {
     /// Transactions nest; each `begin_txn` must be matched by one
     /// [`Graph::commit_txn`] or [`Graph::rollback_txn`].
     pub fn begin_txn(&mut self) {
+        let undo = &mut self.undo;
+        let (insts, blocks) = (self.insts.len(), self.blocks.len());
+        // Stamps only ever need to cover the innermost frame's base.
+        if undo.inst_stamps.len() < insts {
+            undo.inst_stamps.resize(insts, 0);
+        }
+        if undo.block_stamps.len() < blocks {
+            undo.block_stamps.resize(blocks, 0);
+        }
         let frame = TxnFrame {
-            base_insts: self.insts.len(),
-            base_blocks: self.blocks.len(),
+            base_insts: insts,
+            base_blocks: blocks,
             cfg_version: self.cfg_version,
-            saved_insts: FastMap::default(),
-            saved_blocks: FastMap::default(),
+            insts_at: undo.insts.len(),
+            blocks_at: undo.blocks.len(),
             #[cfg(debug_assertions)]
             shadow: Box::new(self.clone()),
         };
         self.undo.frames.push(frame);
     }
 
-    /// Closes the innermost transaction, keeping its mutations. O(1):
-    /// enclosing frames already hold their own first-touch backups (every
-    /// mutation records into all open frames), so the committed frame is
-    /// simply dropped. Returns the number of backup entries it held.
+    /// Closes the innermost transaction, keeping its mutations, and
+    /// hands its backups to the enclosing transaction: a backup of a slot
+    /// the enclosing one neither holds nor allocated becomes its backup,
+    /// the rest are dropped. O(entries of the committed frame). Returns
+    /// the number of backup entries it held.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn commit_txn(&mut self) -> usize {
-        let frame = self
-            .undo
+        let undo = &mut self.undo;
+        let frame = undo
             .frames
             .pop()
             .expect("commit_txn without an open transaction");
-        frame.entries()
+        undo.close_frame(&frame)
     }
 
     /// Rolls the innermost transaction back: every backed-up slot is
@@ -448,7 +587,9 @@ impl Graph {
     /// the CFG epoch returns to its `begin_txn` value. Because stamps are
     /// never reused, analysis-cache entries recorded under the pre-txn
     /// stamp become valid again — exactly as restoring a clone
-    /// taken at `begin_txn` would. Returns the number of entries restored.
+    /// taken at `begin_txn` would. The restored slots' backups are then
+    /// handed to the enclosing frame like a commit's, so they stay in
+    /// its footprint. Returns the number of entries restored.
     ///
     /// # Panics
     ///
@@ -460,19 +601,19 @@ impl Graph {
             .frames
             .pop()
             .expect("rollback_txn without an open transaction");
-        let entries = frame.entries();
+        let (insts_at, blocks_at) = (frame.insts_at, frame.blocks_at);
         // The use lists are a function of the live operand slots, and the
         // frame names every slot that changed since `begin_txn`: retract
         // what those slots contribute now, restore them, and record what
         // the restored slots contribute — O(slots touched), nothing logged.
-        for &idx in frame.saved_insts.keys() {
-            self.retract_inst_uses(InstId::from_index(idx));
+        for at in insts_at..self.undo.insts.len() {
+            self.retract_inst_uses(InstId(self.undo.insts[at].slot));
         }
         for idx in frame.base_insts..self.insts.len() {
             self.retract_inst_uses(InstId::from_index(idx));
         }
-        for &idx in frame.saved_blocks.keys() {
-            self.retract_term_uses(BlockId::from_index(idx));
+        for at in blocks_at..self.undo.blocks.len() {
+            self.retract_term_uses(BlockId(self.undo.blocks[at].slot));
         }
         for idx in frame.base_blocks..self.blocks.len() {
             self.retract_term_uses(BlockId::from_index(idx));
@@ -480,14 +621,29 @@ impl Graph {
         self.uses.truncate(frame.base_insts);
         self.insts.truncate(frame.base_insts);
         self.blocks.truncate(frame.base_blocks);
-        for (idx, data) in frame.saved_insts {
-            self.insts[idx] = data;
-            self.record_inst_uses(InstId::from_index(idx));
+        // Restored by copy: the backups live on in the enclosing frame.
+        for at in insts_at..self.undo.insts.len() {
+            let saved = &self.undo.insts[at];
+            let id = InstId(saved.slot);
+            self.insts[id.index()] = saved.data.clone();
+            self.record_inst_uses(id);
         }
-        for (idx, data) in frame.saved_blocks {
-            self.blocks[idx] = data;
-            self.record_term_uses(BlockId::from_index(idx));
+        for at in blocks_at..self.undo.blocks.len() {
+            let (undo, saved) = (&self.undo, &self.undo.blocks[at]);
+            let b = BlockId(saved.slot);
+            let block = &mut self.blocks[b.index()];
+            block.insts.clear();
+            block
+                .insts
+                .extend_from_slice(&undo.block_insts[saved.insts.clone()]);
+            block.preds.clear();
+            block
+                .preds
+                .extend_from_slice(&undo.block_preds[saved.preds.clone()]);
+            block.term = saved.term.clone();
+            self.record_term_uses(b);
         }
+        let entries = self.undo.close_frame(&frame);
         self.cfg_version = frame.cfg_version;
         self.undo.rollbacks += 1;
         #[cfg(debug_assertions)]
@@ -527,16 +683,23 @@ impl Graph {
         let Some(frame) = self.undo.frames.last() else {
             return TxnFootprint::default();
         };
-        let mut insts: Vec<usize> = frame.saved_insts.keys().copied().collect();
+        let mut insts: Vec<InstId> = self
+            .undo
+            .inner_insts()
+            .iter()
+            .map(|e| InstId(e.slot))
+            .collect();
         insts.sort_unstable();
-        insts.extend(frame.base_insts..self.insts.len());
-        let mut blocks: Vec<usize> = frame.saved_blocks.keys().copied().collect();
+        insts.extend((frame.base_insts..self.insts.len()).map(InstId::from_index));
+        let mut blocks: Vec<BlockId> = self
+            .undo
+            .inner_blocks()
+            .iter()
+            .map(|e| BlockId(e.slot))
+            .collect();
         blocks.sort_unstable();
-        blocks.extend(frame.base_blocks..self.blocks.len());
-        TxnFootprint {
-            insts: insts.into_iter().map(InstId::from_index).collect(),
-            blocks: blocks.into_iter().map(BlockId::from_index).collect(),
-        }
+        blocks.extend((frame.base_blocks..self.blocks.len()).map(BlockId::from_index));
+        TxnFootprint { insts, blocks }
     }
 
     /// Passes `f` the blocks [`Graph::txn_footprint`] names — its blocks
@@ -548,17 +711,19 @@ impl Graph {
         let Some(frame) = self.undo.frames.last() else {
             return false;
         };
-        let insts = frame.saved_insts.keys().copied();
+        let (backed_insts, backed_blocks) = (self.undo.inner_insts(), self.undo.inner_blocks());
+        let insts = backed_insts.iter().map(|e| e.slot as usize);
         for idx in insts.chain(frame.base_insts..self.insts.len()) {
             if let Some(b) = self.insts[idx].block {
                 f(b);
             }
         }
-        let blocks = frame.saved_blocks.keys().copied();
+        let blocks = backed_blocks.iter().map(|e| e.slot as usize);
         for idx in blocks.chain(frame.base_blocks..self.blocks.len()) {
             f(BlockId::from_index(idx));
         }
-        frame.entries() > 0
+        !backed_insts.is_empty()
+            || !backed_blocks.is_empty()
             || frame.base_insts < self.insts.len()
             || frame.base_blocks < self.blocks.len()
     }
@@ -1291,9 +1456,14 @@ impl Graph {
     /// value the slot never had.
     #[cfg(all(test, debug_assertions))]
     pub(crate) fn tamper_saved_inst(&mut self, id: InstId) {
-        let frame = self.undo.frames.last_mut().expect("an open transaction");
-        let saved = frame.saved_insts.get_mut(&id.index());
-        saved.expect("slot is backed up").ty = Type::Void;
+        let at = self
+            .undo
+            .frames
+            .last()
+            .expect("an open transaction")
+            .insts_at;
+        let saved = self.undo.insts[at..].iter_mut().find(|e| e.slot == id.0);
+        saved.expect("slot is backed up").data.ty = Type::Void;
     }
 }
 
@@ -1943,6 +2113,67 @@ mod tests {
         g.rollback_txn();
 
         assert_eq!(digest(&g), digest(&snap));
+    }
+
+    #[test]
+    fn nested_commits_back_up_each_slot_once() {
+        let (mut g, _bt, _bf, bm, _phi) = figure1();
+        let add = *g.block_insts(bm).last().unwrap();
+        g.begin_txn();
+        g.begin_txn();
+        g.rewrite_inputs(add, |_| ());
+        // The inner frame took the one backup; the outer one takes it
+        // over instead of having recorded its own.
+        assert_eq!(g.commit_txn(), 1);
+        assert_eq!(g.txn_footprint().insts, vec![add]);
+        assert_eq!(g.commit_txn(), 1);
+        assert_eq!(g.undo_stats().peak_entries, 1);
+    }
+
+    #[test]
+    fn a_rolled_back_inner_frame_leaves_its_slots_in_the_outer_footprint() {
+        let (mut g, bt, _bf, _bm, phi) = figure1();
+        let (entry, x) = (g.entry(), g.param_values()[0]);
+        let before = digest(&g);
+        g.begin_txn();
+        g.begin_txn();
+        g.append_inst(bt, Inst::Const(ConstValue::Int(5)), Type::Int);
+        g.rewrite_inputs(phi, |inst| inst.for_each_input_mut(|v| *v = x));
+        g.set_branch_probability(entry, 0.25);
+        g.rollback_txn();
+        assert_eq!(digest(&g), before);
+        let fp = g.txn_footprint();
+        assert_eq!(fp.insts, vec![phi]);
+        assert_eq!(fp.blocks, vec![entry, bt]);
+        // The outer frame holds those backups now: touching the slots
+        // again records nothing, and its rollback still restores them.
+        let entries = g.undo.insts.len() + g.undo.blocks.len();
+        g.rewrite_inputs(phi, |inst| inst.for_each_input_mut(|v| *v = x));
+        g.set_branch_probability(entry, 0.75);
+        assert_eq!(g.undo.insts.len() + g.undo.blocks.len(), entries);
+        assert_eq!(g.rollback_txn(), 3);
+        assert_eq!(digest(&g), before);
+    }
+
+    #[test]
+    fn a_closed_frame_leaves_no_stamp_behind() {
+        let (mut g, _bt, _bf, _bm, phi) = figure1();
+        for close in [Graph::commit_txn, Graph::rollback_txn] {
+            // A frame reopened at the same depth must back the slot up
+            // again, however the previous one closed.
+            g.begin_txn();
+            g.begin_txn();
+            g.rewrite_inputs(phi, |_| ());
+            close(&mut g);
+            close(&mut g);
+            g.begin_txn();
+            assert!(g.txn_footprint().insts.is_empty());
+            g.rewrite_inputs(phi, |_| ());
+            assert_eq!(g.txn_footprint().insts, vec![phi]);
+            g.commit_txn();
+        }
+        assert!(g.undo.inst_stamps.iter().all(|&s| s == 0));
+        assert!(g.undo.block_stamps.iter().all(|&s| s == 0));
     }
 
     // The two fail-first cases below only hold where the oracles are

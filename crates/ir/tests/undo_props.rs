@@ -10,6 +10,11 @@
 //! unhygienic (dangling φ inputs, unreachable blocks): rollback has to be
 //! byte-identical on *any* intermediate state, not just clean ones.
 //!
+//! Random scripts of begin / commit / rollback, up to four frames deep,
+//! pin the log's nesting: each rollback against a clone taken at its
+//! `begin_txn`, and the innermost footprint after every step against the
+//! slots its frame saw touched, kept here frame by frame.
+//!
 //! The same sequences drive the def-use lists: after every step — inside
 //! nested transactions with random commits and rollbacks, and on a clone
 //! — each value's maintained list must equal, as a multiset, a recount
@@ -17,9 +22,10 @@
 
 use dbds_ir::{
     lint, print_graph, BlockId, ClassTable, CmpOp, ConstValue, Graph, GraphBuilder, Inst, InstId,
-    LintId, Terminator, Type, Use,
+    LintId, Terminator, TxnFootprint, Type, Use,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -353,5 +359,125 @@ proptest! {
             g.rollback_txn();
             check_lists(&g);
         }
+    }
+}
+
+/// One open frame of a nested script, as the test keeps it.
+struct Mark {
+    /// The graph and the created list at `begin_txn`.
+    snapshot: Graph,
+    created: Vec<InstId>,
+    /// Arena lengths at `begin_txn`.
+    base: (usize, usize),
+    /// Every slot below the base that a mutation touched while the frame
+    /// was open, the mutations of nested frames included.
+    insts: BTreeSet<InstId>,
+    blocks: BTreeSet<BlockId>,
+}
+
+impl Mark {
+    /// The footprint the frame must report: the touched slots below its
+    /// base, then every slot allocated since it opened.
+    fn footprint(&self, g: &Graph) -> TxnFootprint {
+        let mut insts: Vec<InstId> = self.insts.iter().copied().collect();
+        insts.extend((self.base.0..g.inst_count()).map(InstId::from_index));
+        let mut blocks: Vec<BlockId> = self.blocks.iter().copied().collect();
+        blocks.extend((self.base.1..g.block_count()).map(BlockId::from_index));
+        TxnFootprint { insts, blocks }
+    }
+}
+
+/// The slots one mutation touches, read off a single frame around it on
+/// a clone: no nesting involved.
+fn touched_by(g: &Graph, created: &[InstId], (k, b, c, v): (u8, u8, u8, i64)) -> TxnFootprint {
+    let mut probe = g.clone();
+    probe.begin_txn();
+    apply(&mut probe, &mut created.to_vec(), k, b, c, v);
+    probe.txn_footprint()
+}
+
+/// Closes the innermost frame of a script, checking what it leaves.
+fn close(g: &mut Graph, marks: &mut Vec<Mark>, created: &mut Vec<InstId>, rollback: bool) {
+    let mark = marks.pop().expect("an open frame");
+    if rollback {
+        g.rollback_txn();
+        assert_eq!(digest(g), digest(&mark.snapshot));
+        assert_eq!(lint(g).to_string(), lint(&mark.snapshot).to_string());
+        *created = mark.created;
+    } else {
+        g.commit_txn();
+    }
+    // Committed or rolled back, what the frame touched below the
+    // enclosing frame's base stays in the enclosing footprint.
+    if let Some(outer) = marks.last_mut() {
+        outer
+            .insts
+            .extend(mark.insts.range(..InstId::from_index(outer.base.0)));
+        outer
+            .blocks
+            .extend(mark.blocks.range(..BlockId::from_index(outer.base.1)));
+        assert_eq!(g.txn_footprint(), outer.footprint(g));
+    } else {
+        assert_eq!(g.txn_footprint(), TxnFootprint::default());
+    }
+    assert_eq!(g.txn_depth(), marks.len());
+}
+
+/// Strategy: a script of up to 40 steps, each a frame control (begin,
+/// commit, rollback or none) followed by one encoded mutation.
+fn script() -> impl Strategy<Value = Vec<(u8, (u8, u8, u8, i64))>> {
+    collection::vec(
+        (0u8..6, (0u8..KINDS, 0u8..16, 0u8..16, -100i64..100)),
+        1..40,
+    )
+}
+
+proptest! {
+    /// Random scripts of nested transactions, up to four deep: every
+    /// rollback restores what a clone taken at the matching `begin_txn`
+    /// holds (printed graph, use lists, version stamp, lint report), and
+    /// after every step the innermost footprint is exactly the slots its
+    /// frame saw touched below its base plus the ones it allocated.
+    #[test]
+    fn nested_scripts_restore_and_report_exact_footprints(
+        steps in script(),
+        unwind in collection::vec(0u8..2, 4),
+    ) {
+        let mut g = diamond();
+        let mut created = Vec::new();
+        let mut marks: Vec<Mark> = Vec::new();
+        for &(ctl, op) in &steps {
+            match ctl {
+                0 | 1 if marks.len() < 4 => {
+                    marks.push(Mark {
+                        snapshot: g.clone(),
+                        created: created.clone(),
+                        base: (g.inst_count(), g.block_count()),
+                        insts: BTreeSet::new(),
+                        blocks: BTreeSet::new(),
+                    });
+                    g.begin_txn();
+                }
+                2 if !marks.is_empty() => close(&mut g, &mut marks, &mut created, false),
+                3 if !marks.is_empty() => close(&mut g, &mut marks, &mut created, true),
+                _ => {}
+            }
+            let touched = touched_by(&g, &created, op);
+            for mark in &mut marks {
+                let (insts, blocks) = mark.base;
+                mark.insts.extend(touched.insts.iter().filter(|i| i.index() < insts));
+                mark.blocks.extend(touched.blocks.iter().filter(|b| b.index() < blocks));
+            }
+            let (k, b, c, v) = op;
+            apply(&mut g, &mut created, k, b, c, v);
+            if let Some(mark) = marks.last() {
+                prop_assert_eq!(g.txn_footprint(), mark.footprint(&g));
+            }
+            check_lists(&g);
+        }
+        for rollback in unwind.into_iter().take(marks.len()) {
+            close(&mut g, &mut marks, &mut created, rollback == 1);
+        }
+        prop_assert_eq!(g.txn_depth(), 0);
     }
 }

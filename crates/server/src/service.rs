@@ -37,12 +37,12 @@ use crate::key::StoreKey;
 use crate::store::{CompiledStore, StoreError};
 use dbds_core::{compile, DbdsConfig, OptLevel, PhaseStats};
 use dbds_costmodel::CostModel;
-use dbds_ir::Graph;
-use dbds_workloads::{all_workloads, Workload};
+use dbds_ir::{parse_module, print_class_table, print_graph, Graph};
+use dbds_workloads::all_workloads;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// What a request asks the service to compile.
@@ -262,7 +262,10 @@ pub struct CompileService {
     model: CostModel,
     base_cfg: DbdsConfig,
     cfg: ServiceConfig,
-    workloads: BTreeMap<String, Workload>,
+    /// The built-in workloads by name, each as the graph its request
+    /// text parses to; built on the first by-name request, so a service
+    /// that is only sent IR text never pays for it.
+    workloads: OnceLock<BTreeMap<String, Graph>>,
 }
 
 impl fmt::Debug for CompileService {
@@ -286,11 +289,27 @@ impl CompileService {
             model: CostModel::new(),
             base_cfg,
             cfg,
-            workloads: all_workloads()
-                .into_iter()
-                .map(|w| (w.name.clone(), w))
-                .collect(),
+            workloads: OnceLock::new(),
         }
+    }
+
+    /// The built-in workload table. A workload requested by name must
+    /// key, compile and store exactly like the same workload sent as its
+    /// printed IR text, so each entry is the graph that text parses to,
+    /// not the builder's graph: the parser numbers values in layout
+    /// order, which the builders do not always do.
+    fn workloads(&self) -> &BTreeMap<String, Graph> {
+        self.workloads.get_or_init(|| {
+            all_workloads()
+                .into_iter()
+                .map(|w| {
+                    let text = print_class_table(w.graph.class_table()) + &print_graph(&w.graph);
+                    let mut module =
+                        parse_module(&text).expect("a built-in workload's IR text parses");
+                    (w.name, module.graphs.remove(0))
+                })
+                .collect()
+        })
     }
 
     /// Locks the store; a poisoned lock is taken over as-is (counters
@@ -373,9 +392,9 @@ impl CompileService {
     fn resolve(&self, source: &CompileSource) -> Result<Graph, ServiceError> {
         match source {
             CompileSource::Workload(name) => self
-                .workloads
+                .workloads()
                 .get(name)
-                .map(|w| w.graph.clone())
+                .cloned()
                 .ok_or_else(|| ServiceError::BadRequest(format!("unknown workload `{name}`"))),
             CompileSource::IrText(text) => {
                 let mut module = dbds_ir::parse_module(text)

@@ -3,7 +3,7 @@
 //! shedding, status counters and clean shutdown.
 
 use dbds_core::{DbdsConfig, OptLevel};
-use dbds_ir::parse_module;
+use dbds_ir::{parse_module, print_class_table, print_graph};
 use dbds_server::json::Json;
 use dbds_server::{
     serve, ArtifactCounters, Client, CompileRequest, CompileService, CompileSource,
@@ -74,6 +74,38 @@ fn tcp_session_hit_miss_status_shutdown() {
     assert_eq!(counter(&status, "misses"), 2); // wordcount cold + deadline try
     assert_eq!(counter(&status, "bad_requests"), 1);
     assert_eq!(counter(&status, "deadline_exceeded"), 1);
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn a_workload_by_name_and_as_its_text_share_one_store_entry() {
+    // `lusearch`'s builder numbers its values out of layout order, so
+    // its own graph and the graph its text parses to hash differently.
+    let w = dbds_workloads::all_workloads()
+        .into_iter()
+        .find(|w| w.name == "lusearch")
+        .expect("lusearch is built in");
+    let text = print_class_table(w.graph.class_table()) + &print_graph(&w.graph);
+    let handle = serve(ServerConfig::default()).expect("serve");
+    let mut client = Client::connect(&handle.addr).expect("connect");
+
+    let by_name = client.compile(compile_req("lusearch")).expect("rpc");
+    let as_text = client
+        .compile(CompileRequest {
+            source: CompileSource::IrText(text),
+            level: OptLevel::Dbds,
+            deadline_ms: None,
+        })
+        .expect("rpc");
+    let (by_name, as_text) = (by_name.expect("by name"), as_text.expect("as text"));
+    assert!(!by_name.cached);
+    assert!(as_text.cached, "the text must hit the entry the name put");
+    assert_eq!(by_name.artifact, as_text.artifact);
+    let status = client.status().expect("status");
+    assert_eq!(counter(&status, "misses"), 1);
+    assert_eq!(stat(&status, "store", "entries"), 1);
 
     client.shutdown().expect("shutdown");
     handle.join();
