@@ -17,11 +17,11 @@ use crate::simulation::{
     SimulationResult,
 };
 use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
-use crate::transform::{try_duplicate_with, Duplication};
+use crate::transform::{try_duplicate_with, DupScratch, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats, Dominators};
 use dbds_costmodel::CostModel;
 use dbds_ir::{BlockId, Diagnostic, FastMap, FastSet, Graph, LintId, UndoStats};
-use dbds_opt::{optimize, optimize_full, OptKind, OptimizeStats, SsaBuilder, MAX_ROUNDS};
+use dbds_opt::{optimize, optimize_full, OptKind, OptimizeStats, MAX_ROUNDS};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -580,8 +580,9 @@ struct Round<'r, 's> {
     oracle: Option<String>,
     /// The prediction audit's facts along the last audited chain.
     memo: AuditMemo,
-    /// The SSA repair of every duplication the round performs.
-    ssa: SsaBuilder,
+    /// The SSA repair and the tables of every duplication the round
+    /// performs.
+    dups: DupScratch,
     /// The blocks of the footprint last read, for the audit memo and the
     /// stale classification.
     footprint: FootprintBlocks,
@@ -601,7 +602,7 @@ impl<'r, 's> Round<'r, 's> {
             undo_ns: 0,
             oracle: None,
             memo: AuditMemo::new(),
-            ssa: SsaBuilder::default(),
+            dups: DupScratch::default(),
             footprint: FootprintBlocks::default(),
             log: Vec::new(),
         }
@@ -831,11 +832,11 @@ impl<'r, 's> Round<'r, 's> {
         let start = self.cache.dominators(g);
         let mut guard = tg.elapsed().as_nanos();
         let mut rejected_by: Option<LintId> = None;
-        let (cache, oracle, memo, ssa, footprint) = (
+        let (cache, oracle, memo, dups, footprint) = (
             &mut *self.cache,
             &mut self.oracle,
             &mut self.memo,
-            &mut self.ssa,
+            &mut self.dups,
             &mut self.footprint,
         );
         let (result, txn_ns) = transact(g, |g| {
@@ -868,7 +869,7 @@ impl<'r, 's> Round<'r, 's> {
             };
             let step =
                 |g: &Graph, dup: &Duplication| (dup.merge, g.block_insts(dup.merge).len() as u64);
-            let mut dup = try_duplicate_with(g, s.pred, s.merge, ssa).map_err(reject)?;
+            let mut dup = try_duplicate_with(g, s.pred, s.merge, dups).map_err(reject)?;
             let mut steps = vec![step(g, &dup)];
             verified(g, &dup)?;
             // Path-based extension: duplicate the remaining merges of the
@@ -881,7 +882,7 @@ impl<'r, 's> Round<'r, 's> {
                 if !g.is_merge(m) || !g.succs(dup.copy).contains(&m) {
                     break;
                 }
-                dup = try_duplicate_with(g, dup.copy, m, ssa).map_err(reject)?;
+                dup = try_duplicate_with(g, dup.copy, m, dups).map_err(reject)?;
                 steps.push(step(g, &dup));
                 verified(g, &dup)?;
             }
@@ -952,6 +953,7 @@ impl<'r, 's> Round<'r, 's> {
         stats.audit_runs += self.memo.work.runs;
         stats.audit_blocks_replayed += self.memo.work.blocks_replayed;
         stats.audit_insts_evaluated += self.memo.work.insts_evaluated;
+        self.memo.release();
         let (mut cumulative, mut stopped) = (0.0, false);
         for (candidate, fate) in self.log {
             let (reason, tier, recovered) = match fate {

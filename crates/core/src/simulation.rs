@@ -29,7 +29,9 @@ use crate::phase::FootprintBlocks;
 use dbds_analysis::{AnalysisCache, BlockFrequencies, DomTree, Dominators};
 use dbds_costmodel::CostModel;
 use dbds_ir::{BlockId, Graph, Inst, InstId, InstKind, Terminator, Use};
-use dbds_opt::{evaluate, record_effects, FactEnv, Mark, OptKind, Synonym, Verdict};
+use dbds_opt::{
+    evaluate, record_effects, with_scratch, FactEnv, OptKind, Scratch, Synonym, Verdict,
+};
 
 /// One optimization opportunity discovered during a DST.
 #[derive(Clone, Debug, PartialEq)]
@@ -208,11 +210,11 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
-    /// Visits the dominator tree in preorder with one [`FactEnv`]. The
-    /// path from the entry to the block in hand is a stack of
-    /// `(block, mark)` frames, the mark taken before the block's entry
-    /// step ([`FactEnv::enter_child`]); leaving a block rolls its facts
-    /// back. Mirrors the canonicalization pass's fact propagation; never
+    /// Visits the dominator tree in preorder with the thread's pooled
+    /// [`FactEnv`] ([`Scratch`]). The path from the entry to the block in
+    /// hand is a stack of `(block, mark)` frames, the mark taken before
+    /// the block's entry step ([`FactEnv::enter_child`]); leaving a block
+    /// rolls its facts back. Mirrors the canonicalization pass's fact propagation; never
     /// mutates the graph, and never recurses, so the depth of the tree
     /// does not touch the thread's stack.
     ///
@@ -222,25 +224,26 @@ impl Walk<'_> {
     fn run(&mut self) -> Result<(), BailoutReason> {
         let g = self.g;
         let dt = self.dt;
-        let mut env = FactEnv::new();
-        let mut path: Vec<(BlockId, Mark)> = Vec::new();
-        for &b in dt.preorder() {
-            let parent = dt.idom(b);
-            while let Some(&(top, mark)) = path.last() {
-                if Some(top) == parent {
-                    break;
+        with_scratch(|scratch| {
+            let Scratch { env, path, .. } = scratch;
+            for &b in dt.preorder() {
+                let parent = dt.idom(b);
+                while let Some(&(top, mark)) = path.last() {
+                    if Some(top) == parent {
+                        break;
+                    }
+                    env.rollback_to(mark);
+                    path.pop();
                 }
-                env.rollback_to(mark);
-                path.pop();
+                let mark = env.mark();
+                if let Some(p) = parent {
+                    env.enter_child(g, p, b);
+                }
+                self.visit(b, env)?;
+                path.push((b, mark));
             }
-            let mark = env.mark();
-            if let Some(p) = parent {
-                env.enter_child(g, p, b);
-            }
-            self.visit(b, &mut env)?;
-            path.push((b, mark));
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Visits `b` under the facts valid on entry: accumulates its facts,
@@ -300,17 +303,26 @@ impl Walk<'_> {
 /// interference footprint the optimization tier checks candidates
 /// against.
 pub(crate) fn dominator_chain(g: &Graph, dt: &Dominators, b: BlockId) -> Option<Vec<BlockId>> {
+    let mut chain = Vec::new();
+    dominator_chain_into(g, dt, b, &mut chain).then_some(chain)
+}
+
+/// [`dominator_chain`] into a reused buffer; `false` when `b` is
+/// unreachable.
+fn dominator_chain_into(g: &Graph, dt: &Dominators, b: BlockId, chain: &mut Vec<BlockId>) -> bool {
+    chain.clear();
     if !dt.is_reachable(b) {
-        return None;
+        return false;
     }
-    let mut chain = vec![b];
+    chain.push(b);
     let mut cur = b;
     while cur != g.entry() {
-        cur = dt.idom(cur)?;
+        let Some(up) = dt.idom(cur) else { return false };
+        cur = up;
         chain.push(cur);
     }
     chain.reverse();
-    Some(chain)
+    true
 }
 
 /// Re-runs the applicability analysis of one recorded candidate against
@@ -357,11 +369,13 @@ fn replay_from_entry(
     chain: &[BlockId],
     s: &SimulationResult,
 ) -> Option<Vec<Opportunity>> {
-    let mut env = FactEnv::new();
-    for k in 0..chain.len() {
-        replay_step(g, &mut env, chain, k);
-    }
-    audit_dst(g, model, &mut env, s, &mut DstWork::default())
+    with_scratch(|scratch| {
+        let env = &mut scratch.env;
+        for k in 0..chain.len() {
+            replay_step(g, env, chain, k);
+        }
+        audit_dst(g, model, env, s, &mut DstWork::default())
+    })
 }
 
 /// Accumulates the facts of `chain[k]` onto the facts of `chain[..k]`,
@@ -436,34 +450,41 @@ pub(crate) struct AuditWork {
 /// changed since it was replayed. [`AuditMemo::invalidate`] keeps that
 /// so; a rolled-back duplication needs nothing, since the undo log
 /// restores the graph exactly.
+///
+/// The environment and the chain are the thread's pooled [`Scratch`],
+/// held for the round and handed back by [`AuditMemo::release`].
 #[derive(Debug)]
 pub(crate) struct AuditMemo {
-    env: FactEnv,
-    /// The memoized chain, entry first.
+    /// `scratch.path[k]` is `(chain[k], the mark holding exactly the
+    /// facts of chain[..k])`: the memoized chain, entry first.
+    scratch: Scratch,
+    /// The chain of the audit in hand, rebuilt per audit.
     chain: Vec<BlockId>,
-    /// `marks[k]` is the trail point holding exactly the facts of
-    /// `chain[..k]`; one more mark than chain blocks.
-    marks: Vec<Mark>,
     pub(crate) work: AuditWork,
 }
 
 impl AuditMemo {
-    /// An empty memo.
+    /// An empty memo on the thread's scratch.
     pub(crate) fn new() -> Self {
-        let env = FactEnv::new();
         AuditMemo {
-            marks: vec![env.mark()],
-            env,
+            scratch: Scratch::take(),
             chain: Vec::new(),
             work: AuditWork::default(),
         }
     }
 
-    /// Keeps only the facts of `chain[..len]`.
+    /// Returns the scratch to the thread's pool.
+    pub(crate) fn release(self) {
+        self.scratch.put_back();
+    }
+
+    /// Keeps only the facts of the first `len` memoized blocks.
     fn truncate(&mut self, len: usize) {
-        self.env.rollback_to(self.marks[len]);
-        self.chain.truncate(len);
-        self.marks.truncate(len + 1);
+        let Scratch { env, path, .. } = &mut self.scratch;
+        if let Some(&(_, mark)) = path.get(len) {
+            env.rollback_to(mark);
+            path.truncate(len);
+        }
     }
 
     /// Forgets every memoized block (a pass starts on a graph the memo
@@ -476,7 +497,12 @@ impl AuditMemo {
     /// block's facts, and so every later block's, may no longer be what a
     /// replay would find.
     pub(crate) fn invalidate(&mut self, changed: &FootprintBlocks) {
-        if let Some(k) = self.chain.iter().position(|&b| changed.contains(b)) {
+        if let Some(k) = self
+            .scratch
+            .path
+            .iter()
+            .position(|&(b, _)| changed.contains(b))
+        {
             self.truncate(k);
         }
     }
@@ -493,26 +519,31 @@ impl AuditMemo {
         oracle: &mut Option<String>,
     ) -> Option<Vec<Opportunity>> {
         self.work.runs += 1;
-        let chain = dominator_chain(g, &cache.dominators(g), s.pred)?;
-        let shared = self
-            .chain
-            .iter()
-            .zip(&chain)
-            .take_while(|(a, b)| a == b)
+        let mut chain = std::mem::take(&mut self.chain);
+        let reachable = dominator_chain_into(g, &cache.dominators(g), s.pred, &mut chain);
+        self.chain = chain;
+        if !reachable {
+            return None;
+        }
+        let shared = (self.scratch.path.iter())
+            .zip(&self.chain)
+            .take_while(|((a, _), b)| a == *b)
             .count();
         self.truncate(shared);
+        let chain = &self.chain;
+        let Scratch { env, path, .. } = &mut self.scratch;
         for k in shared..chain.len() {
-            replay_step(g, &mut self.env, &chain, k);
-            self.chain.push(chain[k]);
-            self.marks.push(self.env.mark());
+            let mark = env.mark();
+            replay_step(g, env, chain, k);
+            path.push((chain[k], mark));
             self.work.blocks_replayed += 1;
             self.work.insts_evaluated += g.block_insts(chain[k]).len() as u64;
         }
         let mut dst = DstWork::default();
-        let rerun = audit_dst(g, model, &mut self.env, s, &mut dst);
+        let rerun = audit_dst(g, model, env, s, &mut dst);
         self.work.insts_evaluated += dst.evaluated;
         if MEMO_ORACLE && oracle.is_none() {
-            let expected = replay_from_entry(g, model, &chain, s);
+            let expected = replay_from_entry(g, model, chain, s);
             if rerun != expected {
                 *oracle = Some(format!(
                     "auditing ({} -> {}): the memoized audit found {rerun:?}, \

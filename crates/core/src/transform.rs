@@ -15,6 +15,7 @@ use dbds_ir::{BlockId, FastMap, Graph, Inst, InstId, Use};
 use dbds_opt::{SsaBuilder, SsaRepairError};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Why a requested duplication cannot be performed.
 ///
@@ -115,18 +116,42 @@ pub fn try_duplicate(
     pred: BlockId,
     merge: BlockId,
 ) -> Result<Duplication, TransformError> {
-    try_duplicate_with(g, pred, merge, &mut SsaBuilder::default())
+    let mut scratch = DupScratch::default();
+    let mut dup = try_duplicate_with(g, pred, merge, &mut scratch)?;
+    dup.substitution = scratch.subst;
+    Ok(dup)
 }
 
-/// [`try_duplicate`] repairing SSA form with `ssa`, which is reset for
-/// every repaired value: a caller that performs many duplications passes
-/// one builder to all of them, so its tables, dense over the blocks, are
-/// grown once instead of per value.
+/// The tables one round's duplications share: the SSA builder, reset for
+/// every repaired value, and the lists each duplication fills from empty.
+/// A caller that performs many duplications passes one scratch to all of
+/// them, so the tables grow once instead of per duplication.
+#[derive(Debug, Default)]
+pub(crate) struct DupScratch {
+    ssa: SsaBuilder,
+    /// The last duplication's substitution (see [`try_duplicate_with`]).
+    subst: FastMap<InstId, InstId>,
+    phis: Vec<InstId>,
+    body: Vec<InstId>,
+    /// One φ input list per successor of the copy.
+    phi_inputs: Vec<Vec<InstId>>,
+    /// The use sites of every repaired value, value after value.
+    sites: Vec<UseSite>,
+    /// Per repaired value: the value and where its sites sit in `sites`.
+    spans: Vec<(InstId, Range<usize>)>,
+    /// A value's users in layout order.
+    users: Vec<(BlockId, usize, Use)>,
+}
+
+/// [`try_duplicate`] on `scratch`'s tables. The returned
+/// [`Duplication`]'s `substitution` is left empty: the map stays in
+/// `scratch` until the next duplication overwrites it, which
+/// [`try_duplicate`] moves it out of.
 pub(crate) fn try_duplicate_with(
     g: &mut Graph,
     pred: BlockId,
     merge: BlockId,
-    ssa: &mut SsaBuilder,
+    scratch: &mut DupScratch,
 ) -> Result<Duplication, TransformError> {
     if pred == merge {
         return Err(TransformError::SelfDuplication(pred));
@@ -139,11 +164,22 @@ pub(crate) fn try_duplicate_with(
     }
     fault_point("transform/entry", Some(g));
     let k = g.pred_index(merge, pred);
+    let DupScratch {
+        ssa,
+        subst,
+        phis,
+        body,
+        phi_inputs,
+        sites,
+        spans,
+        users,
+    } = scratch;
 
     // Substitution: φs become their input on the pred edge.
-    let mut subst: FastMap<InstId, InstId> = FastMap::default();
-    let phis: Vec<InstId> = g.phis(merge).to_vec();
-    for &phi in &phis {
+    subst.clear();
+    phis.clear();
+    phis.extend_from_slice(g.phis(merge));
+    for &phi in phis.iter() {
         match g.inst(phi) {
             Inst::Phi { inputs } => {
                 subst.insert(phi, inputs[k]);
@@ -155,8 +191,9 @@ pub(crate) fn try_duplicate_with(
     // Copy the non-φ body into a fresh block.
     fault_point("transform/copy-body", Some(g));
     let copy = g.add_block();
-    let body: Vec<InstId> = g.block_insts(merge)[phis.len()..].to_vec();
-    for &i in &body {
+    body.clear();
+    body.extend_from_slice(&g.block_insts(merge)[phis.len()..]);
+    for &i in body.iter() {
         let mut inst = g.inst(i).clone();
         inst.for_each_input_mut(|op| {
             if let Some(&s) = subst.get(op) {
@@ -178,10 +215,12 @@ pub(crate) fn try_duplicate_with(
         }
     });
     let succs = term.successors();
-    let mut phi_inputs: Vec<Vec<InstId>> = Vec::with_capacity(succs.len());
-    for &s in &succs {
+    if phi_inputs.len() < succs.len() {
+        phi_inputs.resize_with(succs.len(), Vec::new);
+    }
+    for (&s, inputs) in succs.iter().zip(phi_inputs.iter_mut()) {
         let from_merge = g.pred_index(s, merge);
-        let mut inputs: Vec<InstId> = Vec::with_capacity(g.phis(s).len());
+        inputs.clear();
         for &phi in g.phis(s) {
             match g.inst(phi) {
                 Inst::Phi { inputs: orig } => {
@@ -191,9 +230,8 @@ pub(crate) fn try_duplicate_with(
                 _ => return Err(TransformError::MalformedPhi(phi)),
             }
         }
-        phi_inputs.push(inputs);
     }
-    g.install_terminator_with_phi_inputs(copy, term, &phi_inputs);
+    g.install_terminator_with_phi_inputs(copy, term, &phi_inputs[..succs.len()]);
 
     // Retarget pred → merge to pred → copy (drops the φ inputs at k).
     g.retarget_edge(pred, merge, copy, &[]);
@@ -204,19 +242,24 @@ pub(crate) fn try_duplicate_with(
     // the reaching definition, inserting φs on demand. The use sites of
     // every repaired value are read off the def-use lists up front.
     fault_point("transform/ssa-repair", Some(g));
-    let defined: Vec<InstId> = phis.iter().chain(body.iter()).copied().collect();
-    let sites = collect_use_sites(g, merge, copy, &defined);
-    for &v in &defined {
-        if let Some(v_sites) = sites.get(&v) {
-            repair_value(g, ssa, merge, copy, v, subst[&v], v_sites)?;
+    sites.clear();
+    spans.clear();
+    for &v in phis.iter().chain(body.iter()) {
+        let at = sites.len();
+        collect_use_sites(g, merge, copy, v, users, sites);
+        if sites.len() > at {
+            spans.push((v, at..sites.len()));
         }
+    }
+    for (v, span) in spans.iter() {
+        repair_value(g, ssa, merge, copy, *v, subst[v], &sites[span.clone()])?;
     }
 
     Ok(Duplication {
         pred,
         merge,
         copy,
-        substitution: subst,
+        substitution: FastMap::default(),
     })
 }
 
@@ -225,15 +268,19 @@ pub(crate) fn try_duplicate_with(
 enum UseSite {
     /// Operand of a non-φ instruction.
     Operand { user: InstId, block: BlockId },
-    /// φ input arriving over the `pred` edge.
-    PhiInput { user: InstId, pred: BlockId },
+    /// φ input `slot`, arriving over the `pred` edge.
+    PhiInput {
+        user: InstId,
+        pred: BlockId,
+        slot: usize,
+    },
     /// Terminator operand.
     TermInput { block: BlockId },
 }
 
-/// Collects, up front, the use sites that need repair for every value of
-/// `defined` (the merge block's φs and body instructions), read off each
-/// value's def-use list — O(uses), no walk over the graph. A value's
+/// Appends to `sites` the use sites of `v` (one of the merge block's φs
+/// and body instructions) that need repair, read off its def-use list —
+/// O(uses), no walk over the graph — through the `users` buffer. The
 /// sites come in layout order (block index, position in block, φ slot,
 /// terminator last): [`repair_value`] creates φs on demand as it meets
 /// them, so the order fixes every new `InstId`.
@@ -249,39 +296,38 @@ fn collect_use_sites(
     g: &Graph,
     merge: BlockId,
     copy: BlockId,
-    defined: &[InstId],
-) -> FastMap<InstId, Vec<UseSite>> {
+    v: InstId,
+    users: &mut Vec<(BlockId, usize, Use)>,
+    sites: &mut Vec<UseSite>,
+) {
     let local = |b: BlockId| b == merge || b == copy;
-    let mut sites: FastMap<InstId, Vec<UseSite>> = FastMap::default();
-    for &v in defined {
-        let mut v_sites = Vec::new();
-        for user in g.users_in_layout_order(v) {
-            match user {
-                Use::Inst(i) => {
-                    let b = g.block_of(i).expect("use lists hold attached users only");
-                    match g.inst(i) {
-                        Inst::Phi { inputs } if b != copy => {
-                            for (input, &p) in inputs.iter().zip(g.preds(b)) {
-                                if *input == v && !local(p) {
-                                    v_sites.push(UseSite::PhiInput { user: i, pred: p });
-                                }
+    g.users_in_layout_order_into(v, users);
+    for &(_, _, user) in users.iter() {
+        match user {
+            Use::Inst(i) => {
+                let b = g.block_of(i).expect("use lists hold attached users only");
+                match g.inst(i) {
+                    Inst::Phi { inputs } if b != copy => {
+                        for (slot, (input, &p)) in inputs.iter().zip(g.preds(b)).enumerate() {
+                            if *input == v && !local(p) {
+                                sites.push(UseSite::PhiInput {
+                                    user: i,
+                                    pred: p,
+                                    slot,
+                                });
                             }
                         }
-                        Inst::Phi { .. } => {}
-                        // Intra-block uses stay with the local def.
-                        _ if local(b) => {}
-                        _ => v_sites.push(UseSite::Operand { user: i, block: b }),
                     }
+                    Inst::Phi { .. } => {}
+                    // Intra-block uses stay with the local def.
+                    _ if local(b) => {}
+                    _ => sites.push(UseSite::Operand { user: i, block: b }),
                 }
-                Use::Term(b) if local(b) => {}
-                Use::Term(b) => v_sites.push(UseSite::TermInput { block: b }),
             }
-        }
-        if !v_sites.is_empty() {
-            sites.insert(v, v_sites);
+            Use::Term(b) if local(b) => {}
+            Use::Term(b) => sites.push(UseSite::TermInput { block: b }),
         }
     }
-    sites
 }
 
 /// Rewrites the collected uses of `v` (defined in `merge`, with
@@ -314,25 +360,15 @@ fn repair_value(
                     });
                 }
             }
-            UseSite::PhiInput { user, pred } => {
+            UseSite::PhiInput { user, pred, slot } => {
                 let reaching = ssa.try_value_at_end(g, *pred)?;
                 if reaching != v {
-                    // Rewrite only the slots whose pred matches.
-                    let user_block = g
-                        .block_of(*user)
+                    g.block_of(*user)
                         .ok_or(TransformError::MalformedPhi(*user))?;
-                    let pred_positions: Vec<usize> = g
-                        .preds(user_block)
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(ix, &p)| (p == *pred).then_some(ix))
-                        .collect();
                     g.rewrite_inputs(*user, |inst| {
                         if let Inst::Phi { inputs } = inst {
-                            for ix in pred_positions {
-                                if inputs[ix] == v {
-                                    inputs[ix] = reaching;
-                                }
+                            if inputs[*slot] == v {
+                                inputs[*slot] = reaching;
                             }
                         }
                     });

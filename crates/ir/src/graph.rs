@@ -17,6 +17,7 @@
 
 use crate::classes::ClassTable;
 use crate::ids::{BlockId, InstId};
+use crate::inline::InlineList;
 use crate::inst::{Inst, Successors, Terminator};
 use crate::types::Type;
 use crate::uses::{Use, UseLists};
@@ -50,15 +51,21 @@ pub struct InstData {
     block: Option<BlockId>,
 }
 
+/// Instructions a block stores in place before its list spills to the
+/// heap; generated units average about three per block.
+const INLINE_INSTS: usize = 6;
+/// Predecessors a block stores in place; most blocks have at most two.
+const INLINE_PREDS: usize = 4;
+
 /// A basic block: φs, then ordinary instructions, then one terminator.
 #[derive(Clone, Debug)]
 struct BlockData {
     /// Instructions in execution order; all φs precede all non-φs.
-    insts: Vec<InstId>,
+    insts: InlineList<InstId, INLINE_INSTS>,
     /// The block terminator.
     term: Terminator,
     /// Predecessor blocks. Gives the input order for this block's φs.
-    preds: Vec<BlockId>,
+    preds: InlineList<BlockId, INLINE_PREDS>,
 }
 
 /// One open transaction of the undo log: where the graph stood at the
@@ -403,9 +410,9 @@ impl Graph {
             entry: BlockId(0),
             insts: Vec::new(),
             blocks: vec![BlockData {
-                insts: Vec::new(),
+                insts: InlineList::new(),
                 term: Terminator::Deopt,
-                preds: Vec::new(),
+                preds: InlineList::new(),
             }],
             class_table,
             cfg_version: fresh_version(),
@@ -793,9 +800,9 @@ impl Graph {
     pub fn add_block(&mut self) -> BlockId {
         let id = BlockId::from_index(self.blocks.len());
         self.blocks.push(BlockData {
-            insts: Vec::new(),
+            insts: InlineList::new(),
             term: Terminator::Deopt,
-            preds: Vec::new(),
+            preds: InlineList::new(),
         });
         // Even an unreachable block is a CFG change: analyses size their
         // per-block tables by block_count.
@@ -1235,20 +1242,27 @@ impl Graph {
     /// position within the block, a block's terminator last — the order a
     /// walk over all blocks meets them in.
     pub fn users_in_layout_order(&self, v: InstId) -> Vec<Use> {
-        let mut keyed: Vec<(BlockId, usize, Use)> = self
-            .uses(v)
-            .map(|user| match user {
-                Use::Inst(i) => {
-                    let b = self.insts[i.index()]
-                        .block
-                        .expect("use lists hold attached users only");
-                    (b, 0, user)
-                }
-                Use::Term(b) => (b, usize::MAX, user),
-            })
-            .collect();
+        let mut keyed = Vec::new();
+        self.users_in_layout_order_into(v, &mut keyed);
+        keyed.into_iter().map(|(_, _, user)| user).collect()
+    }
+
+    /// [`Graph::users_in_layout_order`] into a reused buffer: `keyed` is
+    /// cleared, then holds `(block, position in block, user)` per distinct
+    /// user, sorted, a terminator at position `usize::MAX`.
+    pub fn users_in_layout_order_into(&self, v: InstId, keyed: &mut Vec<(BlockId, usize, Use)>) {
+        keyed.clear();
+        keyed.extend(self.uses(v).map(|user| match user {
+            Use::Inst(i) => {
+                let b = self.insts[i.index()]
+                    .block
+                    .expect("use lists hold attached users only");
+                (b, 0, user)
+            }
+            Use::Term(b) => (b, usize::MAX, user),
+        }));
         if keyed.len() > 1 {
-            for (b, pos, user) in &mut keyed {
+            for (b, pos, user) in keyed.iter_mut() {
                 if let Use::Inst(i) = *user {
                     let insts = &self.blocks[b.index()].insts;
                     *pos = insts
@@ -1260,10 +1274,8 @@ impl Graph {
             keyed.sort_unstable();
             keyed.dedup();
         }
-        let ordered: Vec<Use> = keyed.into_iter().map(|(_, _, user)| user).collect();
         #[cfg(debug_assertions)]
-        self.assert_ordered_users_match_scan(v, &ordered);
-        ordered
+        self.assert_ordered_users_match_scan(v, keyed);
     }
 
     /// Differential oracle: the ordered distinct users of `v` against
@@ -1271,7 +1283,8 @@ impl Graph {
     /// depends on layout order reads it through
     /// [`Graph::users_in_layout_order`], so this one check covers them.
     #[cfg(debug_assertions)]
-    fn assert_ordered_users_match_scan(&self, v: InstId, ordered: &[Use]) {
+    fn assert_ordered_users_match_scan(&self, v: InstId, keyed: &[(BlockId, usize, Use)]) {
+        let ordered: Vec<Use> = keyed.iter().map(|&(_, _, user)| user).collect();
         let mut scanned = Vec::new();
         for (idx, block) in self.blocks.iter().enumerate() {
             let term = Use::Term(BlockId::from_index(idx));
@@ -1395,12 +1408,12 @@ impl Graph {
             "{from} must have {to} as sole predecessor"
         );
         assert!(self.phis(from).is_empty(), "{from} still has phis");
-        let moved: Vec<InstId> = std::mem::take(&mut self.blocks[from.index()].insts);
-        for &i in &moved {
+        let moved = std::mem::take(&mut self.blocks[from.index()].insts);
+        for &i in moved.iter() {
             self.touch_inst(i);
             self.insts[i.index()].block = Some(to);
         }
-        self.blocks[to.index()].insts.extend(moved);
+        self.blocks[to.index()].insts.extend_from_slice(&moved);
         // Transfer the terminator: reuse the edge bookkeeping by first
         // clearing `from`'s terminator, then installing it on `to`.
         let term = self.replace_term(from, Terminator::Deopt);

@@ -56,6 +56,7 @@ mod classes;
 mod graph;
 mod hash;
 mod ids;
+mod inline;
 mod inst;
 mod interp;
 pub mod lint;

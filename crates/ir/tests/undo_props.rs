@@ -481,3 +481,65 @@ proptest! {
         prop_assert_eq!(g.txn_depth(), 0);
     }
 }
+
+/// Grows `b` by `insts` instructions and `preds` new predecessor blocks,
+/// each a jump carrying `x` into every φ of `b`; then removes the first
+/// `drop` instructions it added. Blocks store up to six instructions and
+/// four predecessors in place, so these sizes cross into the spilled
+/// form and back.
+fn grow(g: &mut Graph, b: BlockId, x: InstId, insts: usize, preds: usize, drop: usize) {
+    let mut added = Vec::new();
+    for k in 0..insts {
+        added.push(g.append_inst(b, Inst::Const(ConstValue::Int(k as i64)), Type::Int));
+    }
+    for _ in 0..preds {
+        let p = g.add_block();
+        let inputs = vec![x; g.phis(b).len()];
+        g.install_terminator_with_phi_inputs(p, Terminator::Jump { target: b }, &[inputs]);
+    }
+    for &i in added.iter().take(drop) {
+        g.remove_inst(i);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Rolling back a transaction inside which a block's instruction and
+    /// predecessor lists crossed the inline-to-heap boundary — from a
+    /// block that had already spilled before the transaction, or not —
+    /// restores the block exactly, also when an inner transaction that
+    /// made the crossing committed into the outer one.
+    #[test]
+    fn rollback_restores_blocks_across_the_inline_boundary(
+        before in (0usize..10, 0usize..6),
+        inside in (0usize..12, 0usize..8, 0usize..12),
+        nested in 0u8..2,
+    ) {
+        let mut g = diamond();
+        let (bm, x) = (BlockId(3), g.param_values()[0]);
+        grow(&mut g, bm, x, before.0, before.1, 0);
+        let base = digest(&g);
+        g.begin_txn();
+        if nested == 1 {
+            g.begin_txn();
+        }
+        let (insts, preds, drop) = inside;
+        grow(&mut g, bm, x, insts, preds, drop);
+        // Removing instructions the block had before the transaction
+        // shrinks a spilled list below the inline size.
+        let old: Vec<InstId> = g.block_insts(bm)[g.phis(bm).len()..].iter().take(drop).copied().collect();
+        for i in old {
+            if !g.has_uses(i) {
+                g.remove_inst(i);
+            }
+        }
+        if nested == 1 {
+            g.commit_txn();
+        }
+        g.rollback_txn();
+        prop_assert_eq!(&digest(&g), &base);
+        prop_assert_eq!(g.txn_depth(), 0);
+        check_lists(&g);
+    }
+}

@@ -70,7 +70,7 @@ pub struct VirtualObject {
 
 /// A point on an environment's trail, taken by [`FactEnv::mark`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Mark(usize);
+pub struct Mark(pub(crate) usize);
 
 /// A memory-fact entry with the generation it was written in.
 #[derive(Clone, Debug)]
@@ -150,6 +150,15 @@ impl FactEnv {
                 }
             }
         }
+    }
+
+    /// Undoes every write, so the environment holds no facts and only
+    /// its tables' capacity is left of its history: what a pooled
+    /// environment is returned as (see `scratch.rs`).
+    pub(crate) fn clear(&mut self) {
+        self.rollback_to(Mark(0));
+        debug_assert!(self.field_cache.is_empty() && self.virtuals.is_empty());
+        self.generation = 0;
     }
 
     /// Hides the memory facts (field cache and virtual objects), which

@@ -66,6 +66,7 @@
 mod env;
 mod evaluate;
 mod passes;
+mod scratch;
 mod ssa_repair;
 
 pub use env::{FactEnv, Mark, Resolved, Synonym, VirtualObject};
@@ -78,4 +79,5 @@ pub use passes::pipeline::{
 };
 pub use passes::scalar_replace::scalar_replace;
 pub use passes::simplify::{merge_straightline_blocks, remove_single_input_phis, simplify_cfg};
+pub use scratch::{with_scratch, Scratch};
 pub use ssa_repair::{SsaBuilder, SsaRepairError};

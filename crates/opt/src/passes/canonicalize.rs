@@ -23,6 +23,7 @@
 use crate::env::{FactEnv, Mark};
 use crate::evaluate::{evaluate, record_effects, OptKind, Verdict};
 use crate::passes::dirt::{walk_tree, Dirt, TreeVisitor};
+use crate::scratch::{with_scratch, Scratch};
 use dbds_analysis::{AnalysisCache, DomTree};
 use dbds_ir::{BlockId, ConstValue, FastMap, Graph, Inst, InstId, Terminator, Type, Use};
 
@@ -93,12 +94,12 @@ impl ConstPool {
 pub fn canonicalize(g: &mut Graph, cache: &mut AnalysisCache) -> CanonStats {
     let dt = cache.domtree(g);
     let mut stats = CanonStats::default();
-    run(g, &dt, &mut Dirt::default(), &mut stats);
+    with_scratch(|scratch| run(g, &dt, &mut Dirt::default(), &mut stats, scratch));
     stats
 }
 
-/// Canonicalizes `g`, reporting what it changed to `dirt`. Returns the
-/// instructions visited.
+/// Canonicalizes `g` on `scratch`'s fact environment and walk buffers,
+/// reporting what it changed to `dirt`. Returns the instructions visited.
 ///
 /// The dirt, per rewrite: the blocks of the replaced value's users (for
 /// GVN, whose keys changed, and for canonicalize itself where the walk
@@ -106,16 +107,31 @@ pub fn canonicalize(g: &mut Graph, cache: &mut AnalysisCache) -> CanonStats {
 /// the predecessor whose value it takes), and a new instruction's block
 /// for GVN. Per folded branch: the dropped successor, which lost a
 /// predecessor and a φ input.
-pub(crate) fn run(g: &mut Graph, dt: &DomTree, dirt: &mut Dirt, stats: &mut CanonStats) -> u64 {
+pub(crate) fn run(
+    g: &mut Graph,
+    dt: &DomTree,
+    dirt: &mut Dirt,
+    stats: &mut CanonStats,
+    scratch: &mut Scratch,
+) -> u64 {
+    let Scratch {
+        env,
+        path,
+        passed,
+        snapshot,
+        ..
+    } = scratch;
+    passed.clear();
+    passed.resize(g.block_count(), false);
     let mut walk = Walk {
-        env: FactEnv::new(),
+        env,
         stats,
         pool: ConstPool::new(),
         dirt,
-        passed: vec![false; g.block_count()],
-        snapshot: Vec::new(),
+        passed,
+        snapshot,
     };
-    walk_tree(g, dt, &mut walk)
+    walk_tree(g, dt, &mut walk, path)
 }
 
 /// The state of one canonicalization walk: the environment, scoped by
@@ -123,17 +139,15 @@ pub(crate) fn run(g: &mut Graph, dt: &DomTree, dirt: &mut Dirt, stats: &mut Cano
 /// entered, and the buffer each block's instruction list is copied into
 /// before it is rewritten.
 struct Walk<'a> {
-    env: FactEnv,
+    env: &'a mut FactEnv,
     stats: &'a mut CanonStats,
     pool: ConstPool,
     dirt: &'a mut Dirt,
-    passed: Vec<bool>,
-    snapshot: Vec<InstId>,
+    passed: &'a mut Vec<bool>,
+    snapshot: &'a mut Vec<InstId>,
 }
 
 impl TreeVisitor for Walk<'_> {
-    type Mark = Mark;
-
     fn mark(&self) -> Mark {
         self.env.mark()
     }
@@ -161,15 +175,15 @@ impl TreeVisitor for Walk<'_> {
 impl Walk<'_> {
     /// Evaluates and rewrites the instructions of one block.
     fn process_block(&mut self, g: &mut Graph, b: BlockId) {
-        let mut snapshot = std::mem::take(&mut self.snapshot);
+        let mut snapshot = std::mem::take(self.snapshot);
         snapshot.clear();
         snapshot.extend_from_slice(g.block_insts(b));
         for &id in &snapshot {
             if g.block_of(id) != Some(b) {
                 continue; // removed by an earlier rewrite
             }
-            let eval = evaluate(g, &self.env, id);
-            record_effects(g, &mut self.env, id, &eval);
+            let eval = evaluate(g, self.env, id);
+            record_effects(g, self.env, id, &eval);
             if let Some(kind) = eval.kind {
                 if eval.verdict.is_progress() {
                     *self.stats.applied.entry(kind).or_insert(0) += 1;
@@ -199,7 +213,7 @@ impl Walk<'_> {
                 }
             }
         }
-        self.snapshot = snapshot;
+        *self.snapshot = snapshot;
     }
 
     /// The pooled instruction producing `c`; a new one is a new

@@ -19,6 +19,7 @@
 //! would change nothing. DESIGN.md §15 has the rules and why the changes
 //! left out of them are invisible.
 
+use crate::env::Mark;
 use dbds_analysis::DomTree;
 use dbds_ir::{BlockId, Graph, Inst, InstId, Use};
 
@@ -150,23 +151,28 @@ pub(crate) fn user_blocks(g: &Graph, v: InstId) -> impl Iterator<Item = BlockId>
 
 /// A pass that walks the dominator tree carrying scoped state.
 pub(crate) trait TreeVisitor {
-    /// A point to roll the state back to.
-    type Mark: Copy;
-    /// The current point.
-    fn mark(&self) -> Self::Mark;
+    /// The current point on the state's trail.
+    fn mark(&self) -> Mark;
     /// Restores the state held at `mark`.
-    fn rollback(&mut self, mark: Self::Mark);
+    fn rollback(&mut self, mark: Mark);
     /// Steps from `parent` into `b` and handles its instructions.
     fn visit(&mut self, g: &mut Graph, parent: Option<BlockId>, b: BlockId);
 }
 
 /// Walks `dt` in preorder, visiting every block. The path from the entry
-/// to the block in hand is a stack of `(block, mark)` frames; leaving a
-/// block rolls the state back to its mark. No recursion, so the depth of
-/// the tree does not touch the thread's stack. Returns the instructions
-/// of the visited blocks.
-pub(crate) fn walk_tree<V: TreeVisitor>(g: &mut Graph, dt: &DomTree, v: &mut V) -> u64 {
-    let mut path: Vec<(BlockId, V::Mark)> = Vec::new();
+/// to the block in hand is a stack of `(block, mark)` frames in `path`, a
+/// borrowed buffer; leaving a block rolls the state back to its mark, and
+/// the walk ends by leaving every block still on the path, so the state
+/// is back where the walk found it. No recursion, so the depth of the
+/// tree does not touch the thread's stack. Returns the instructions of
+/// the visited blocks.
+pub(crate) fn walk_tree<V: TreeVisitor>(
+    g: &mut Graph,
+    dt: &DomTree,
+    v: &mut V,
+    path: &mut Vec<(BlockId, Mark)>,
+) -> u64 {
+    debug_assert!(path.is_empty(), "a walk's path starts empty");
     let mut visited = 0;
     for &b in dt.preorder() {
         let parent = dt.idom(b);
@@ -180,6 +186,9 @@ pub(crate) fn walk_tree<V: TreeVisitor>(g: &mut Graph, dt: &DomTree, v: &mut V) 
         visited += g.block_insts(b).len() as u64;
         path.push((b, v.mark()));
         v.visit(g, parent, b);
+    }
+    while let Some((_, mark)) = path.pop() {
+        v.rollback(mark);
     }
     visited
 }

@@ -10,11 +10,11 @@
 //! dedup is read elimination's job — and no allocations, which have
 //! identity).
 
+use crate::env::Mark;
 use crate::passes::dirt::{user_blocks, walk_tree, Dirt, TreeVisitor};
+use crate::scratch::{with_scratch, Scratch};
 use dbds_analysis::{AnalysisCache, DomTree};
-use dbds_ir::{
-    BinOp, BlockId, ClassId, CmpOp, ConstValue, FastMap, FastState, Graph, Inst, InstId,
-};
+use dbds_ir::{BinOp, BlockId, ClassId, CmpOp, ConstValue, FastMap, Graph, Inst, InstId};
 
 /// A hashable structural key for a pure instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -66,67 +66,93 @@ fn key_of(g: &Graph, i: InstId) -> Option<Key> {
 /// Returns the number of instructions deduplicated.
 pub fn global_value_numbering(g: &mut Graph, cache: &mut AnalysisCache) -> usize {
     let dt = cache.domtree(g);
-    run(g, &dt, &mut Dirt::default()).0
+    with_scratch(|scratch| run(g, &dt, &mut Dirt::default(), scratch).0)
 }
 
-/// Numbers `g`, reporting what it changed to `dirt`. Returns the
-/// instructions deduplicated and visited.
+/// Numbers `g` on `scratch`'s value table, reporting what it changed to
+/// `dirt`. Returns the instructions deduplicated and visited.
 ///
 /// The dirt, per merge: the blocks of the replaced value's users, for
 /// canonicalize — unless a constant was replaced by an equal constant,
 /// which [`evaluate`](crate::evaluate) cannot tell apart. GVN itself
 /// needs none of its own: a replaced value's users sit below it in the
 /// tree, where this walk still goes.
-pub(crate) fn run(g: &mut Graph, dt: &DomTree, dirt: &mut Dirt) -> (usize, u64) {
-    // Sized once: the table never holds more keys than instructions.
+pub(crate) fn run(
+    g: &mut Graph,
+    dt: &DomTree,
+    dirt: &mut Dirt,
+    scratch: &mut Scratch,
+) -> (usize, u64) {
+    let Scratch {
+        values,
+        path,
+        snapshot,
+        ..
+    } = scratch;
+    // The table never holds more keys than instructions: one reservation
+    // per run, a no-op once the thread's table has grown to the unit.
+    values.table.reserve(g.inst_count());
+    values.inserted.reserve(g.inst_count());
     let mut walk = Walk {
-        table: FastMap::with_capacity_and_hasher(g.inst_count(), FastState::default()),
-        inserted: Vec::with_capacity(g.inst_count()),
+        values,
         removed: 0,
         dirt,
-        snapshot: Vec::new(),
+        snapshot,
     };
-    let visited = walk_tree(g, dt, &mut walk);
+    let visited = walk_tree(g, dt, &mut walk, path);
     (walk.removed, visited)
 }
 
-/// The state of one GVN walk. `table` holds the keys defined in
+/// The scoped value-numbering table: `table` holds the keys defined in
 /// dominating positions; a block only ever inserts keys the table did
 /// not hold, and `inserted` is the trail of those keys, so removing a
 /// block's keys when the walk leaves it restores the parent's view
-/// exactly.
-struct Walk<'a> {
+/// exactly. Kept in the thread's [`Scratch`], empty between runs.
+#[derive(Debug, Default)]
+pub(crate) struct ValueTable {
     table: FastMap<Key, InstId>,
     inserted: Vec<Key>,
+}
+
+impl ValueTable {
+    /// Forgets every key, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.table.clear();
+        self.inserted.clear();
+    }
+}
+
+/// The state of one GVN walk.
+struct Walk<'a> {
+    values: &'a mut ValueTable,
     removed: usize,
     dirt: &'a mut Dirt,
     /// The visited block's instruction list, copied before it is edited.
-    snapshot: Vec<InstId>,
+    snapshot: &'a mut Vec<InstId>,
 }
 
 impl TreeVisitor for Walk<'_> {
-    type Mark = usize;
-
-    fn mark(&self) -> usize {
-        self.inserted.len()
+    fn mark(&self) -> Mark {
+        Mark(self.values.inserted.len())
     }
 
-    fn rollback(&mut self, mark: usize) {
-        for key in self.inserted.drain(mark..) {
-            self.table.remove(&key);
+    fn rollback(&mut self, mark: Mark) {
+        let ValueTable { table, inserted } = &mut *self.values;
+        for key in inserted.drain(mark.0..) {
+            table.remove(&key);
         }
     }
 
     fn visit(&mut self, g: &mut Graph, _parent: Option<BlockId>, b: BlockId) {
-        let mut snapshot = std::mem::take(&mut self.snapshot);
+        let snapshot = &mut *self.snapshot;
         snapshot.clear();
         snapshot.extend_from_slice(g.block_insts(b));
-        for &i in &snapshot {
+        for &i in snapshot.iter() {
             if g.block_of(i) != Some(b) {
                 continue;
             }
             let Some(key) = key_of(g, i) else { continue };
-            match self.table.get(&key) {
+            match self.values.table.get(&key) {
                 Some(&prior) => {
                     if !matches!(key, Key::Const(_)) {
                         for user in user_blocks(g, i) {
@@ -140,12 +166,11 @@ impl TreeVisitor for Walk<'_> {
                     self.removed += 1;
                 }
                 None => {
-                    self.table.insert(key, i);
-                    self.inserted.push(key);
+                    self.values.table.insert(key, i);
+                    self.values.inserted.push(key);
                 }
             }
         }
-        self.snapshot = snapshot;
     }
 }
 

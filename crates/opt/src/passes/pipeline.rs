@@ -26,6 +26,7 @@ use crate::passes::dirt::Dirt;
 use crate::passes::gvn;
 use crate::passes::scalar_replace;
 use crate::passes::simplify;
+use crate::scratch::{with_scratch, Scratch};
 use dbds_analysis::AnalysisCache;
 use dbds_ir::{Graph, InstId};
 
@@ -72,7 +73,7 @@ pub fn optimize_full(g: &mut Graph, cache: &mut AnalysisCache) -> OptimizeStats 
 pub fn optimize(g: &mut Graph, cache: &mut AnalysisCache, max_rounds: usize) -> OptimizeStats {
     #[cfg(debug_assertions)]
     let dense = dbds_ir::print_graph(&dense_reference(g, max_rounds).0);
-    let stats = Driver::default().run(g, cache, max_rounds);
+    let stats = with_scratch(|scratch| Driver::default().run(g, cache, max_rounds, scratch));
     #[cfg(debug_assertions)]
     {
         let sparse = dbds_ir::print_graph(g);
@@ -137,6 +138,7 @@ impl Driver {
         g: &mut Graph,
         cache: &mut AnalysisCache,
         max_rounds: usize,
+        scratch: &mut Scratch,
     ) -> OptimizeStats {
         let mut stats = OptimizeStats::default();
         for round in 0..max_rounds {
@@ -145,7 +147,7 @@ impl Driver {
                 return stats;
             }
             stats.rounds = round + 1;
-            stats.changed |= self.round(g, cache, &mut stats, whole);
+            stats.changed |= self.round(g, cache, &mut stats, whole, scratch);
         }
         debug_assert!(
             max_rounds < MAX_ROUNDS || self.converged(g),
@@ -164,6 +166,7 @@ impl Driver {
         cache: &mut AnalysisCache,
         stats: &mut OptimizeStats,
         whole: bool,
+        scratch: &mut Scratch,
     ) -> bool {
         let mut changed = false;
         let dirt = &mut self.dirt;
@@ -173,7 +176,7 @@ impl Driver {
             self.canon_cuts = dirt.cuts;
             let dt = cache.domtree(g);
             let mut canon = CanonStats::default();
-            stats.insts_visited += canonicalize::run(g, &dt, dirt, &mut canon);
+            stats.insts_visited += canonicalize::run(g, &dt, dirt, &mut canon, scratch);
             changed |= canon.changed();
             stats.canon.merge(&canon);
         }
@@ -182,7 +185,7 @@ impl Driver {
         if whole || dirty || dirt.cuts != self.gvn_cuts {
             self.gvn_cuts = dirt.cuts;
             let dt = cache.domtree(g);
-            let (merged, visited) = gvn::run(g, &dt, dirt);
+            let (merged, visited) = gvn::run(g, &dt, dirt, scratch);
             stats.insts_visited += visited;
             changed |= merged > 0;
         }

@@ -69,6 +69,8 @@ pub(crate) fn run(g: &mut Graph, dirt: &mut Dirt) -> (usize, u64) {
     }
     let mut removed = 0;
     let mut ssa = SsaBuilder::default();
+    // The pass never changes the CFG: one layout serves every allocation.
+    let mut layout: Option<Layout> = None;
     for alloc in allocations {
         if g.block_of(alloc).is_none() {
             continue; // removed while handling an earlier allocation
@@ -79,7 +81,8 @@ pub(crate) fn run(g: &mut Graph, dirt: &mut Dirt) -> (usize, u64) {
             let Inst::New { class } = *g.inst(alloc) else {
                 unreachable!("queued a non-allocation");
             };
-            replace_allocation(g, alloc, class, uses, &mut ssa, dirt);
+            let layout = layout.get_or_insert_with(|| Layout::of(g));
+            replace_allocation(g, alloc, class, uses, layout, &mut ssa, dirt);
             removed += 1;
         }
         // The allocations still ahead in layout order are examined later
@@ -178,11 +181,41 @@ fn classify_use(g: &Graph, alloc: InstId, i: InstId) -> Option<AllocUse> {
     }
 }
 
+/// The block order a run rewrites loads in, computed once per run.
+struct Layout {
+    /// The reachable blocks in reverse postorder.
+    rpo: Vec<BlockId>,
+    /// Code a branch folded this round cut off, which DCE clears next.
+    /// Its edges still reach live blocks, so the SSA builder may look
+    /// there, and it may still hold loads of the allocation: the fields
+    /// hold nothing in particular in it, so they read as their defaults.
+    cut_off: Vec<BlockId>,
+    /// The CFG epoch the layout describes.
+    cfg_version: u64,
+}
+
+impl Layout {
+    fn of(g: &Graph) -> Layout {
+        let rpo = reverse_postorder(g);
+        let mut cut_off = vec![true; g.block_count()];
+        for &b in &rpo {
+            cut_off[b.index()] = false;
+        }
+        let cut_off = g.blocks().filter(|b| cut_off[b.index()]).collect();
+        Layout {
+            rpo,
+            cut_off,
+            cfg_version: g.cfg_version(),
+        }
+    }
+}
+
 fn replace_allocation(
     g: &mut Graph,
     alloc: InstId,
     class: ClassId,
     uses: Vec<AllocUse>,
+    layout: &Layout,
     ssa: &mut SsaBuilder,
     dirt: &mut Dirt,
 ) {
@@ -205,16 +238,16 @@ fn replace_allocation(
         }
     }
 
-    let rpo = reverse_postorder(g);
-    // Code a branch folded this round cut off, which DCE clears next. Its
-    // edges still reach live blocks, so the SSA builder may look there,
-    // and it may still hold loads of the allocation: the fields hold
-    // nothing in particular in it, so they read as their defaults.
-    let mut cut_off = vec![true; g.block_count()];
-    for &b in &rpo {
-        cut_off[b.index()] = false;
-    }
-    let cut_off: Vec<BlockId> = g.blocks().filter(|b| cut_off[b.index()]).collect();
+    let Layout {
+        rpo,
+        cut_off,
+        cfg_version,
+    } = layout;
+    debug_assert_eq!(
+        *cfg_version,
+        g.cfg_version(),
+        "scalar replacement changed the CFG"
+    );
     for (field, (loads, stores)) in fields {
         let field_ty = table.field(field).ty;
         // The zero-initialized default value, materialized right after the
@@ -272,7 +305,7 @@ fn replace_allocation(
                 defs.insert(b, v);
             }
         }
-        for &b in &cut_off {
+        for &b in cut_off {
             defs.entry(b).or_insert(default);
         }
         ssa.reset(field_ty, defs);
@@ -280,7 +313,7 @@ fn replace_allocation(
         // Rewrite loads in RPO so earlier replacements are visible when a
         // later stored value happens to be an earlier load.
         let mut replacements: Vec<(InstId, InstId)> = Vec::new();
-        for &b in &rpo {
+        for &b in rpo {
             let Some(evs) = events.get(&b) else { continue };
             let mut current: Option<InstId> = None;
             for &(_, e) in evs {
@@ -296,7 +329,7 @@ fn replace_allocation(
                 }
             }
         }
-        for b in &cut_off {
+        for b in cut_off {
             for &(_, e) in events.get(b).into_iter().flatten() {
                 if let Event::Use(load) = e {
                     replacements.push((load, default));

@@ -78,6 +78,8 @@ pub struct SsaBuilder {
     /// The predecessors of the blocks whose φ inputs are being gathered,
     /// innermost last.
     preds: Vec<BlockId>,
+    /// The φ inputs gathered so far for those blocks, innermost last.
+    inputs: Vec<InstId>,
 }
 
 /// Reads `table[i]` when it belongs to the variable stamped `stamp`.
@@ -124,6 +126,7 @@ impl SsaBuilder {
         self.ty = Some(ty);
         self.new_phis.clear();
         self.preds.clear();
+        self.inputs.clear();
         self.dummy = None;
         for (b, v) in defs {
             self.dummy.get_or_insert(v);
@@ -250,14 +253,23 @@ impl SsaBuilder {
                 let phi = g.append_phi(b, vec![dummy; count], ty);
                 stamp_in(&mut self.start_cache, self.stamp, b.index(), phi);
                 self.new_phis.push(phi);
-                let mut inputs: Vec<InstId> = Vec::with_capacity(count);
+                // The inputs are gathered aside and written into the
+                // placeholder's own list once all are known.
+                let at = self.inputs.len();
                 for i in base..base + count {
-                    inputs.push(self.try_value_at_end(g, self.preds[i])?);
+                    let v = self.try_value_at_end(g, self.preds[i])?;
+                    self.inputs.push(v);
                 }
                 if !g.inst(phi).is_phi() {
                     return Err(SsaRepairError::NotAPhi(phi));
                 }
-                g.rewrite_inputs(phi, |inst| *inst = Inst::Phi { inputs });
+                let gathered = &self.inputs[at..];
+                g.rewrite_inputs(phi, |inst| {
+                    if let Inst::Phi { inputs } = inst {
+                        inputs.copy_from_slice(gathered);
+                    }
+                });
+                self.inputs.truncate(at);
                 Ok(self.try_remove_trivial(g, phi))
             }
         }
