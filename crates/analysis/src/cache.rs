@@ -305,24 +305,44 @@ impl AnalysisCache {
     /// entries (stamp ≠ current version) are skipped: they are invalid by
     /// contract and the next lookup replaces them anyway.
     ///
-    /// The audit is driven by `AUDIT_REGISTRY`, one entry per memoized
-    /// analysis, sharing fresh base analyses lazily — adding a slot
-    /// without registering an auditor fails the registry meta-test.
+    /// Every slot is named below, so a slot added without an audit does
+    /// not compile; the fresh base analyses are shared between audits and
+    /// computed at most once.
     ///
     /// Read-only: the audit never touches the slots or the counters.
     pub fn audit(&self, g: &Graph) -> Vec<Diagnostic> {
+        let AnalysisCache {
+            domtree,
+            dominators,
+            loops,
+            frequencies,
+            postdom,
+            stats: _,
+        } = self;
         let mut out = Vec::new();
         let mut fresh = FreshAnalyses::new(g);
-        for &(_, audit) in AUDIT_REGISTRY {
-            audit(self, &mut fresh, &mut out);
+        if let Some(cached) = fresh.current(domtree) {
+            audit_domtree(cached, &mut fresh, &mut out);
+        }
+        if let Some(cached) = fresh.current(dominators) {
+            relation_divergences("dominators", cached, fresh.dt(), &mut out);
+        }
+        if let Some(cached) = fresh.current(loops) {
+            audit_loops(cached, &mut fresh, &mut out);
+        }
+        if let Some(cached) = fresh.current(frequencies) {
+            audit_frequencies(cached, &mut fresh, &mut out);
+        }
+        if let Some(cached) = fresh.current(postdom) {
+            audit_postdom(cached, &mut fresh, &mut out);
         }
         out
     }
 }
 
-/// Lazily computed fresh analyses shared by the audit registry, so the
-/// base analyses are recomputed at most once per audit no matter how many
-/// registered auditors need them.
+/// Lazily computed fresh analyses shared by the audits, so the base
+/// analyses are recomputed at most once per audit no matter how many
+/// slots need them.
 struct FreshAnalyses<'g> {
     g: &'g Graph,
     version: u64,
@@ -340,6 +360,14 @@ impl<'g> FreshAnalyses<'g> {
             loops: None,
             pd: None,
         }
+    }
+
+    /// A slot's value when its stamp claims the current graph state;
+    /// stale slots are invalid by contract and not audited.
+    fn current<'s, T>(&self, slot: &'s Option<Slot<T>>) -> Option<&'s T> {
+        slot.as_ref()
+            .filter(|s| s.version == self.version)
+            .map(|s| &*s.value)
     }
 
     fn dt(&mut self) -> &DomTree {
@@ -366,57 +394,19 @@ impl<'g> FreshAnalyses<'g> {
     }
 }
 
-/// One registered auditor: diffs a cached slot (when stamped current)
-/// against fresh recomputation.
-type AuditFn = fn(&AnalysisCache, &mut FreshAnalyses<'_>, &mut Vec<Diagnostic>);
-
-/// The audit registry: every memoized analysis of [`AnalysisCache`] with
-/// its divergence check. Keep in sync with the cache's slots — the
-/// `registry_covers_every_slot` meta-test destructures the cache so a new
-/// slot cannot be added without updating both.
-const AUDIT_REGISTRY: &[(&str, AuditFn)] = &[
-    ("domtree", audit_domtree),
-    ("dominators", audit_dominators),
-    ("loops", audit_loops),
-    ("frequencies", audit_frequencies),
-    ("postdom", audit_postdom),
-];
-
 fn stale_at(b: Option<dbds_ir::BlockId>, message: String) -> Diagnostic {
     Diagnostic::new(LintId::StaleAnalysis, b, None, message)
 }
 
-fn audit_domtree(cache: &AnalysisCache, fresh: &mut FreshAnalyses<'_>, out: &mut Vec<Diagnostic>) {
-    let Some(slot) = cache
-        .domtree
-        .as_ref()
-        .filter(|s| s.version == fresh.version)
-    else {
-        return;
-    };
+fn audit_domtree(cached: &DomTree, fresh: &mut FreshAnalyses<'_>, out: &mut Vec<Diagnostic>) {
     let fresh = fresh.dt();
-    relation_divergences("domtree", &slot.value, fresh, out);
-    if slot.value.reverse_postorder() != fresh.reverse_postorder() {
+    relation_divergences("domtree", cached, fresh, out);
+    if cached.reverse_postorder() != fresh.reverse_postorder() {
         out.push(stale_at(
             None,
             "cached domtree stamped current has a divergent reverse postorder".to_string(),
         ));
     }
-}
-
-fn audit_dominators(
-    cache: &AnalysisCache,
-    fresh: &mut FreshAnalyses<'_>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some(slot) = cache
-        .dominators
-        .as_ref()
-        .filter(|s| s.version == fresh.version)
-    else {
-        return;
-    };
-    relation_divergences("dominators", &slot.value, fresh.dt(), out);
 }
 
 /// One finding per block on which a cached dominance relation stamped
@@ -437,20 +427,17 @@ fn relation_divergences(
     }
 }
 
-fn audit_loops(cache: &AnalysisCache, fresh: &mut FreshAnalyses<'_>, out: &mut Vec<Diagnostic>) {
-    let Some(slot) = cache.loops.as_ref().filter(|s| s.version == fresh.version) else {
-        return;
-    };
+fn audit_loops(cached: &LoopForest, fresh: &mut FreshAnalyses<'_>, out: &mut Vec<Diagnostic>) {
     let g = fresh.g;
     let fresh = fresh.loops();
     for b in g.blocks() {
-        if slot.value.depth(b) != fresh.depth(b) || slot.value.is_header(b) != fresh.is_header(b) {
+        if cached.depth(b) != fresh.depth(b) || cached.is_header(b) != fresh.is_header(b) {
             out.push(stale_at(
                 Some(b),
                 format!(
                     "cached loop forest stamped current disagrees at {b}: depth {} header {} vs recomputed depth {} header {}",
-                    slot.value.depth(b),
-                    slot.value.is_header(b),
+                    cached.depth(b),
+                    cached.is_header(b),
                     fresh.depth(b),
                     fresh.is_header(b)
                 ),
@@ -460,17 +447,10 @@ fn audit_loops(cache: &AnalysisCache, fresh: &mut FreshAnalyses<'_>, out: &mut V
 }
 
 fn audit_frequencies(
-    cache: &AnalysisCache,
+    cached: &BlockFrequencies,
     fresh: &mut FreshAnalyses<'_>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let Some(slot) = cache
-        .frequencies
-        .as_ref()
-        .filter(|s| s.version == fresh.version)
-    else {
-        return;
-    };
     let g = fresh.g;
     fresh.loops();
     let (dt, loops) = (
@@ -481,12 +461,12 @@ fn audit_frequencies(
     // Exact comparison is deliberate: recomputing the same input is
     // deterministic, so any difference is a staleness bug.
     for b in g.blocks() {
-        if slot.value.freq(b).to_bits() != recomputed.freq(b).to_bits() {
+        if cached.freq(b).to_bits() != recomputed.freq(b).to_bits() {
             out.push(stale_at(
                 Some(b),
                 format!(
                     "cached frequencies stamped current disagree at {b}: {} vs recomputed {}",
-                    slot.value.freq(b),
+                    cached.freq(b),
                     recomputed.freq(b)
                 ),
             ));
@@ -494,32 +474,25 @@ fn audit_frequencies(
     }
 }
 
-fn audit_postdom(cache: &AnalysisCache, fresh: &mut FreshAnalyses<'_>, out: &mut Vec<Diagnostic>) {
-    let Some(slot) = cache
-        .postdom
-        .as_ref()
-        .filter(|s| s.version == fresh.version)
-    else {
-        return;
-    };
+fn audit_postdom(cached: &PostDomTree, fresh: &mut FreshAnalyses<'_>, out: &mut Vec<Diagnostic>) {
     let g = fresh.g;
     let fresh = fresh.pd();
     for b in g.blocks() {
-        if slot.value.ipdom(b) != fresh.ipdom(b)
-            || slot.value.is_root(b) != fresh.is_root(b)
-            || slot.value.in_domain(b) != fresh.in_domain(b)
+        if cached.ipdom(b) != fresh.ipdom(b)
+            || cached.is_root(b) != fresh.is_root(b)
+            || cached.in_domain(b) != fresh.in_domain(b)
         {
             out.push(stale_at(
                 Some(b),
                 format!(
                     "cached postdom stamped current disagrees at {b}: ipdom {:?} vs recomputed {:?}",
-                    slot.value.ipdom(b),
+                    cached.ipdom(b),
                     fresh.ipdom(b)
                 ),
             ));
         }
     }
-    if !slot.value.roots().eq(fresh.roots()) {
+    if !cached.roots().eq(fresh.roots()) {
         out.push(stale_at(
             None,
             "cached postdom stamped current has divergent virtual-exit roots".to_string(),
@@ -814,7 +787,7 @@ mod tests {
 
     #[test]
     fn audit_detects_forged_reverse_entries() {
-        // The same forgery through the registry's reverse-CFG auditor:
+        // The same forgery through the reverse-CFG slot's audit:
         // retargeting bf to bt changes post-dominance; a forged stamp on
         // the slot must surface.
         let mut g = diamond();
@@ -833,35 +806,6 @@ mod tests {
         assert!(findings
             .iter()
             .all(|d| d.lint == dbds_ir::LintId::StaleAnalysis));
-    }
-
-    #[test]
-    fn registry_covers_every_slot() {
-        // Destructure so adding a slot without touching this test (and
-        // the registry) is a compile error.
-        let AnalysisCache {
-            domtree,
-            dominators,
-            loops,
-            frequencies,
-            postdom,
-            stats: _,
-        } = AnalysisCache::new();
-        let slots = [
-            ("domtree", domtree.is_none()),
-            ("dominators", dominators.is_none()),
-            ("loops", loops.is_none()),
-            ("frequencies", frequencies.is_none()),
-            ("postdom", postdom.is_none()),
-        ];
-        assert_eq!(
-            slots.len(),
-            AUDIT_REGISTRY.len(),
-            "every memoized slot needs a registered auditor"
-        );
-        for ((slot, _), (audit, _)) in slots.iter().zip(AUDIT_REGISTRY) {
-            assert_eq!(slot, audit, "registry order must mirror the slots");
-        }
     }
 
     #[test]

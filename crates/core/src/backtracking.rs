@@ -14,6 +14,7 @@
 
 use crate::bailout::{isolate, BailoutRecord, Budget, Tier};
 use crate::phase::{DbdsConfig, PhaseStats};
+use crate::tradeoff::MAX_UNIT_SIZE;
 use crate::transform::duplicate;
 use dbds_analysis::AnalysisCache;
 use dbds_costmodel::CostModel;
@@ -114,7 +115,7 @@ pub fn run_backtracking(
                 let after = model.weighted_cycles(g, cache);
                 let size = model.graph_size(g);
                 let improved = before - after > IMPROVEMENT_NOISE;
-                let fits = size < cfg.tradeoff.max_unit_size
+                let fits = size < MAX_UNIT_SIZE
                     && (size as f64)
                         < stats.initial_size as f64 * cfg.tradeoff.size_increase_budget;
                 let tu = Instant::now();

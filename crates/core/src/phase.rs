@@ -16,7 +16,7 @@ use crate::simulation::{
     count_mispredictions, dominator_chain, simulate_paths_budgeted, AuditMemo, CandidateKind,
     SimulationResult,
 };
-use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
+use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig, MAX_UNIT_SIZE};
 use crate::transform::{try_duplicate_with, DupScratch, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats, Dominators};
 use dbds_costmodel::CostModel;
@@ -60,10 +60,6 @@ pub struct DbdsConfig {
     pub tradeoff: TradeoffConfig,
     /// Maximum simulate→trade-off→optimize iterations (§5.2: 3).
     pub max_iterations: usize,
-    /// Minimum cumulative probability-weighted benefit of an iteration
-    /// for another one to run (§5.2: "only … if the cumulative benefit of
-    /// the previous one is above a certain threshold").
-    pub iteration_benefit_threshold: f64,
     /// Maximum number of consecutive merges a single candidate may cover.
     /// 1 reproduces the paper's shipped implementation; larger values
     /// enable the §8 future-work *path-based duplication*: the DST
@@ -93,6 +89,13 @@ pub struct DbdsConfig {
     pub enable_branch_splitting: bool,
 }
 
+/// Minimum cumulative probability-weighted benefit of an iteration for
+/// another one to run (§5.2: "only … if the cumulative benefit of the
+/// previous one is above a certain threshold"). Calibrated so that only a
+/// minority of units run a second iteration, matching §5.2's "this only
+/// applies for about 20% of all compilation units".
+const ITERATION_BENEFIT_THRESHOLD: f64 = 48.0;
+
 /// The `unit_threads` default: `DBDS_UNIT_THREADS` when set to a number,
 /// else 1 (sequential).
 fn unit_threads_from_env() -> usize {
@@ -107,10 +110,6 @@ impl Default for DbdsConfig {
         DbdsConfig {
             tradeoff: TradeoffConfig::default(),
             max_iterations: 3,
-            // Calibrated so that only a minority of units run a second
-            // iteration, matching §5.2's "this only applies for about 20%
-            // of all compilation units".
-            iteration_benefit_threshold: 48.0,
             max_path_length: 1,
             guard: GuardConfig::default(),
             unit_threads: unit_threads_from_env(),
@@ -142,7 +141,10 @@ impl DbdsConfig {
     /// (the graph half is [`dbds_ir::content_hash`]).
     ///
     /// Included: the opt level, the trade-off parameters, the iteration
-    /// limits, the path length and the fuel budget. Deliberately
+    /// limits, the path length and the fuel budget. Three slots hold
+    /// constants, kept so that no stored entry's key moves: the unit-size
+    /// limit `MS` and the iteration-benefit threshold (once fields) and
+    /// the always-on checkpoint switch. Deliberately
     /// excluded, because results are proven invariant under them:
     /// `unit_threads` (bit-identical at any width)
     /// and `guard.deadline` (a deadline is wall-clock
@@ -154,9 +156,11 @@ impl DbdsConfig {
         h.write_str(level.name());
         h.write_u64(self.tradeoff.benefit_scale.to_bits());
         h.write_u64(self.tradeoff.size_increase_budget.to_bits());
-        h.write_u64(self.tradeoff.max_unit_size);
+        // This slot and the threshold's held config fields once; they keep
+        // their constants' bits so that no stored entry's key moves.
+        h.write_u64(MAX_UNIT_SIZE);
         h.write_u64(self.max_iterations as u64);
-        h.write_u64(self.iteration_benefit_threshold.to_bits());
+        h.write_u64(ITERATION_BENEFIT_THRESHOLD.to_bits());
         h.write_u64(self.max_path_length as u64);
         h.write_u64(self.guard.fuel.map_or(u64::MAX, |f| f));
         // The slot of the former `guard.checkpoints` switch (always on):
@@ -431,7 +435,7 @@ pub fn run_dbds(
         // cleanup, so a round here would only be confirmed by it.
         if plan.is_empty()
             || stopped
-            || cumulative < cfg.iteration_benefit_threshold
+            || cumulative < ITERATION_BENEFIT_THRESHOLD
             || iteration + 1 == cfg.max_iterations
         {
             break;

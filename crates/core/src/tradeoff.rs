@@ -10,9 +10,9 @@
 //! the predecessor, `BS = 256` the benefit scale factor, `c` the code-size
 //! cost, `cs` the current compilation-unit size, `is` the initial size,
 //! `IB = 1.5` the code-size increase budget and `MS` the VM's maximum
-//! compilation-unit size. Candidates are ranked by probability-weighted
-//! benefit, with merges not yet duplicated in earlier iterations
-//! considered first (§5.2).
+//! compilation-unit size (the constant `MAX_UNIT_SIZE`). Candidates are
+//! ranked by probability-weighted benefit, with merges not yet duplicated
+//! in earlier iterations considered first (§5.2).
 
 use crate::simulation::SimulationResult;
 use std::collections::HashSet;
@@ -29,17 +29,19 @@ pub struct TradeoffConfig {
     /// `IB`: the maximum code-size growth, relative to the initial size
     /// (1.5 = +50%).
     pub size_increase_budget: f64,
-    /// `MS`: the VM's hard limit on compilation-unit size (HotSpot's
-    /// `-XX:JVMCINMethodSizeLimit`, 655360 bytes by default).
-    pub max_unit_size: u64,
 }
+
+/// `MS`: the VM's hard limit on compilation-unit size (HotSpot's
+/// `-XX:JVMCINMethodSizeLimit`, 655360 bytes by default). A property of
+/// the VM, not a parameter of the heuristic: §5.4 sweeps `BS` and `IB`
+/// only.
+pub(crate) const MAX_UNIT_SIZE: u64 = 655_360;
 
 impl Default for TradeoffConfig {
     fn default() -> Self {
         TradeoffConfig {
             benefit_scale: 256.0,
             size_increase_budget: 1.5,
-            max_unit_size: 655_360,
         }
     }
 }
@@ -71,7 +73,7 @@ fn size_budget_allows(
     initial_size: u64,
 ) -> bool {
     let cost_pos = cost.max(0) as f64;
-    current_size < cfg.max_unit_size
+    current_size < MAX_UNIT_SIZE
         && (current_size as f64 + cost_pos) < initial_size as f64 * cfg.size_increase_budget
 }
 
@@ -147,7 +149,7 @@ pub fn select_with_rejections<'a, S: BuildHasher>(
                 benefit_clears_cost(cfg, r.cycles_saved, r.probability, r.size_cost),
                 size_budget_allows(cfg, r.size_cost, size, initial_size),
             ),
-            SelectionMode::Dupalot => (r.cycles_saved > 0.0, size < cfg.max_unit_size),
+            SelectionMode::Dupalot => (r.cycles_saved > 0.0, size < MAX_UNIT_SIZE),
         };
         if worth_it && fits {
             selection.accepted.push(r);
@@ -279,7 +281,6 @@ mod tests {
         let cfg = TradeoffConfig {
             benefit_scale: 256.0,
             size_increase_budget: 1.5,
-            max_unit_size: 655_360,
         };
         // Initial size 100 → budget allows < 150 total.
         let results = vec![

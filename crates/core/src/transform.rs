@@ -76,10 +76,6 @@ pub struct Duplication {
     pub merge: BlockId,
     /// The copy block now targeted by `pred`.
     pub copy: BlockId,
-    /// Mapping from original instructions of `merge` to their substitutes
-    /// in the copy: φs map to their `pred`-edge input, other instructions
-    /// to their copies.
-    pub substitution: FastMap<InstId, InstId>,
 }
 
 /// Duplicates `merge` into `pred`.
@@ -116,10 +112,7 @@ pub fn try_duplicate(
     pred: BlockId,
     merge: BlockId,
 ) -> Result<Duplication, TransformError> {
-    let mut scratch = DupScratch::default();
-    let mut dup = try_duplicate_with(g, pred, merge, &mut scratch)?;
-    dup.substitution = scratch.subst;
-    Ok(dup)
+    try_duplicate_with(g, pred, merge, &mut DupScratch::default())
 }
 
 /// The tables one round's duplications share: the SSA builder, reset for
@@ -129,7 +122,8 @@ pub fn try_duplicate(
 #[derive(Debug, Default)]
 pub(crate) struct DupScratch {
     ssa: SsaBuilder,
-    /// The last duplication's substitution (see [`try_duplicate_with`]).
+    /// Original instructions of the merge to their substitutes in the
+    /// copy: φs to their `pred`-edge input, the rest to their copies.
     subst: FastMap<InstId, InstId>,
     phis: Vec<InstId>,
     body: Vec<InstId>,
@@ -143,10 +137,7 @@ pub(crate) struct DupScratch {
     users: Vec<(BlockId, usize, Use)>,
 }
 
-/// [`try_duplicate`] on `scratch`'s tables. The returned
-/// [`Duplication`]'s `substitution` is left empty: the map stays in
-/// `scratch` until the next duplication overwrites it, which
-/// [`try_duplicate`] moves it out of.
+/// [`try_duplicate`] on `scratch`'s tables.
 pub(crate) fn try_duplicate_with(
     g: &mut Graph,
     pred: BlockId,
@@ -255,12 +246,7 @@ pub(crate) fn try_duplicate_with(
         repair_value(g, ssa, merge, copy, *v, subst[v], &sites[span.clone()])?;
     }
 
-    Ok(Duplication {
-        pred,
-        merge,
-        copy,
-        substitution: FastMap::default(),
-    })
+    Ok(Duplication { pred, merge, copy })
 }
 
 /// One out-of-copy use of a repaired value.
@@ -392,7 +378,7 @@ fn repair_value(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbds_ir::{execute, verify, ClassTable, CmpOp, GraphBuilder, Type, Value};
+    use dbds_ir::{execute, verify, BinOp, ClassTable, CmpOp, GraphBuilder, Type, Value};
     use std::sync::Arc;
 
     fn empty_table() -> Arc<ClassTable> {
@@ -578,7 +564,14 @@ mod tests {
         verify(&g).unwrap();
         // bjoin now has three preds; its φ got the copied add as input.
         assert_eq!(g.preds(bjoin).len(), 3);
-        let copied_add = dup.substitution[&t];
+        // The copy holds the add alone, on the φ's `ba` input.
+        let copied_add = g.block_insts(dup.copy)[0];
+        let add_on_x = Inst::Binary {
+            op: BinOp::Add,
+            lhs: x,
+            rhs: one,
+        };
+        assert_eq!(g.inst(copied_add), &add_on_x);
         match g.inst(g.phis(bjoin)[0]) {
             Inst::Phi { inputs } => assert!(inputs.contains(&copied_add)),
             _ => panic!(),

@@ -114,7 +114,6 @@ fn sim_config() -> ServiceConfig {
     ServiceConfig {
         // Keep injected-ENOSPC retries fast and deterministic.
         store_backoff: std::time::Duration::from_millis(0),
-        ..ServiceConfig::default()
     }
 }
 

@@ -19,8 +19,8 @@
 //!    evicted (quarantined), the `quarantined` counter ticks, and the
 //!    request falls through to a fresh compile.
 //! 3. **Retry** — a store operation returns a transient error: it is
-//!    retried up to [`ServiceConfig::store_retries`] times with linear
-//!    backoff, ticking `retries`.
+//!    retried up to `STORE_RETRIES` times with linear backoff, ticking
+//!    `retries`.
 //! 4. **Degrade** — the store stays unavailable: the request is served
 //!    by a fresh compile without caching, ticking `degraded`. A dead
 //!    store never fails a request.
@@ -129,9 +129,6 @@ pub type CompileOutcome = Result<ServedResult, ServiceError>;
 /// Service tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Bounded retries for transient store errors (rung 3 of the
-    /// degradation ladder).
-    pub store_retries: u32,
     /// Linear backoff step between store retries.
     pub store_backoff: Duration,
 }
@@ -139,11 +136,14 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            store_retries: 2,
             store_backoff: Duration::from_millis(5),
         }
     }
 }
+
+/// Bounded retries for transient store errors (rung 3 of the
+/// degradation ladder).
+const STORE_RETRIES: u32 = 2;
 
 /// Deterministic service counters. Every field is a function of the
 /// request sequence and the store contents only — never of wall-clock
@@ -232,9 +232,9 @@ struct Slot {
 }
 
 /// Linear backoff steps are capped here so the sleep can never
-/// overflow (`Duration × u32` panics on overflow) and a misconfigured
-/// retry count cannot stall a request — and, since the backoff sleeps
-/// under the store lock, every other request — for minutes.
+/// overflow (`Duration × u32` panics on overflow) and a larger
+/// [`STORE_RETRIES`] cannot stall a request — and, since the backoff
+/// sleeps under the store lock, every other request — for minutes.
 const BACKOFF_CAP_STEPS: u32 = 8;
 
 /// The backoff before retry number `attempt` (1-based): linear in the
@@ -377,7 +377,7 @@ impl CompileService {
         loop {
             match op(slot.store.as_mut()) {
                 Ok(v) => return Ok(v),
-                Err(_) if attempt < cfg.store_retries => {
+                Err(_) if attempt < STORE_RETRIES => {
                     attempt += 1;
                     slot.counters.retries += 1;
                     std::thread::sleep(retry_backoff(cfg.store_backoff, attempt));

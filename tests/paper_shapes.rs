@@ -1,22 +1,40 @@
 //! Suite-level shape assertions: the qualitative claims of §6.2 that the
-//! reproduction must uphold (who wins, and roughly how).
+//! reproduction must uphold (who wins, and roughly how), and the
+//! snapshot of EXPERIMENTS.md's deterministic table columns.
 
 use dbds::core::{compile, DbdsConfig, OptLevel};
 use dbds::costmodel::CostModel;
-use dbds::harness::{run_suite, IcacheModel, Metric};
+use dbds::harness::{geomean_pct, run_suite, BenchmarkRow, IcacheModel, Metric, SuiteResult};
 use dbds::workloads::Suite;
+use std::fmt::Write as _;
+use std::sync::OnceLock;
 use std::time::Instant;
+
+/// `s` run once per test binary at the default configuration, cost model
+/// and icache model, and shared by every test here.
+fn suite(s: Suite) -> &'static SuiteResult {
+    static SUITES: [OnceLock<SuiteResult>; 4] = [const { OnceLock::new() }; 4];
+    let i = Suite::ALL
+        .iter()
+        .position(|&x| x == s)
+        .expect("a known suite");
+    SUITES[i].get_or_init(|| {
+        let (model, cfg, ic) = (
+            CostModel::new(),
+            DbdsConfig::default(),
+            IcacheModel::default(),
+        );
+        run_suite(s, &model, &cfg, &ic)
+    })
+}
 
 #[test]
 fn micro_benefits_more_than_java_dacapo() {
     // §6.2: "The Octane suite and the micro benchmarks show the highest
     // peak performance increases … whereas benchmark suites such as Java
     // DaCapo benefit less from duplication."
-    let model = CostModel::new();
-    let cfg = DbdsConfig::default();
-    let ic = IcacheModel::default();
-    let micro = run_suite(Suite::Micro, &model, &cfg, &ic);
-    let java = run_suite(Suite::JavaDaCapo, &model, &cfg, &ic);
+    let micro = suite(Suite::Micro);
+    let java = suite(Suite::JavaDaCapo);
     let micro_peak = micro.geomean(OptLevel::Dbds, Metric::Peak);
     let java_peak = java.geomean(OptLevel::Dbds, Metric::Peak);
     assert!(
@@ -27,7 +45,7 @@ fn micro_benefits_more_than_java_dacapo() {
 
     // "not performing all duplication opportunities always results in
     // less code": dupalot grows code more than DBDS on both suites.
-    for suite in [&micro, &java] {
+    for suite in [micro, java] {
         let dbds_size = suite.geomean(OptLevel::Dbds, Metric::CodeSize);
         let dup_size = suite.geomean(OptLevel::Dupalot, Metric::CodeSize);
         assert!(
@@ -43,10 +61,7 @@ fn suite_ordering_matches_the_paper() {
     // §6.2 orders the suites by DBDS peak improvement: Octane and micro
     // highest, Scala DaCapo in the middle, Java DaCapo least. Assert the
     // coarse ordering: {octane, micro} > scala > java.
-    let model = CostModel::new();
-    let cfg = DbdsConfig::default();
-    let ic = IcacheModel::default();
-    let peak = |s: Suite| run_suite(s, &model, &cfg, &ic).geomean(OptLevel::Dbds, Metric::Peak);
+    let peak = |s: Suite| suite(s).geomean(OptLevel::Dbds, Metric::Peak);
     let java = peak(Suite::JavaDaCapo);
     let scala = peak(Suite::ScalaDaCapo);
     let micro = peak(Suite::Micro);
@@ -94,10 +109,7 @@ fn dupalot_does_strictly_more_work_than_dbds() {
     // The paper's compile-time claim in robust (non-wall-clock) terms:
     // dupalot performs more duplications and ships more code on every
     // suite level, so it necessarily spends more compile effort.
-    let model = CostModel::new();
-    let cfg = DbdsConfig::default();
-    let ic = IcacheModel::default();
-    let micro = run_suite(Suite::Micro, &model, &cfg, &ic);
+    let micro = suite(Suite::Micro);
     let dbds_dups: usize = micro.rows.iter().map(|r| r.dbds.stats.duplications).sum();
     let dup_dups: usize = micro
         .rows
@@ -120,11 +132,115 @@ fn dupalot_does_strictly_more_work_than_dbds() {
 
 #[test]
 fn every_configuration_preserves_outcomes_on_micro() {
-    let model = CostModel::new();
-    let cfg = DbdsConfig::default();
-    let ic = IcacheModel::default();
-    let micro = run_suite(Suite::Micro, &model, &cfg, &ic);
+    let micro = suite(Suite::Micro);
     for row in &micro.rows {
         assert!(row.outcomes_agree(), "{} diverged", row.name);
+    }
+}
+
+/// The deterministic columns of EXPERIMENTS.md's headline table and of
+/// its Figure 5–8 tables, in the layout of the committed
+/// `EXPERIMENTS.json`: peak-performance and code-size changes against
+/// Baseline in percent, per benchmark and as geometric means, at the two
+/// decimals `figures` prints. Compile time is wall clock and left out.
+fn tables_json(suites: &[&SuiteResult]) -> String {
+    let columns = |pct: &dyn Fn(OptLevel, Metric) -> f64| {
+        let mut cols = Vec::new();
+        for (name, metric) in [("peak", Metric::Peak), ("size", Metric::CodeSize)] {
+            for level in [OptLevel::Dbds, OptLevel::Dupalot] {
+                let value = pct(level, metric);
+                cols.push(format!("\"{}_{name}_pct\": {value:.2}", level.name()));
+            }
+        }
+        cols.join(", ")
+    };
+    let row_pct = |row: &BenchmarkRow, level: OptLevel, metric: Metric| match metric {
+        Metric::Peak => row.peak_pct(level),
+        Metric::CodeSize => row.size_pct(level),
+        Metric::CompileTime => unreachable!("wall clock is not snapshotted"),
+    };
+    let rows = || suites.iter().flat_map(|s| &s.rows);
+    let overall = |level, metric| {
+        geomean_pct(
+            &rows()
+                .map(|r| row_pct(r, level, metric))
+                .collect::<Vec<_>>(),
+        )
+    };
+    let best = rows()
+        .max_by(|a, b| {
+            a.peak_pct(OptLevel::Dbds)
+                .total_cmp(&b.peak_pct(OptLevel::Dbds))
+        })
+        .expect("a benchmark");
+    let mut out = String::from("{\n  \"headline\": {\n");
+    let _ = writeln!(out, "    \"geomean\": {{{}}},", columns(&overall));
+    let _ = writeln!(
+        out,
+        "    \"dbds_peak_max\": {{\"benchmark\": \"{}\", \"pct\": {:.2}}},",
+        best.name,
+        best.peak_pct(OptLevel::Dbds)
+    );
+    let _ = writeln!(
+        out,
+        "    \"dupalot_minus_dbds_peak_pp\": {:.2},",
+        overall(OptLevel::Dupalot, Metric::Peak) - overall(OptLevel::Dbds, Metric::Peak)
+    );
+    let _ = writeln!(
+        out,
+        "    \"dupalot_over_dbds_size_increase\": {:.2}",
+        overall(OptLevel::Dupalot, Metric::CodeSize) / overall(OptLevel::Dbds, Metric::CodeSize)
+    );
+    out.push_str("  },\n  \"suites\": [\n");
+    for (i, s) in suites.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "    {{\"suite\": \"{}\", \"figure\": {},",
+            s.suite.id(),
+            s.suite.figure()
+        );
+        let _ = writeln!(
+            out,
+            "     \"geomean\": {{{}}},",
+            columns(&|l, m| s.geomean(l, m))
+        );
+        out.push_str("     \"benchmarks\": [\n");
+        for (j, row) in s.rows.iter().enumerate() {
+            let cols = columns(&|l, m| row_pct(row, l, m));
+            let sep = if j + 1 == s.rows.len() { "" } else { "," };
+            let _ = writeln!(out, "       {{\"name\": \"{}\", {cols}}}{sep}", row.name);
+        }
+        let sep = if i + 1 == suites.len() { "" } else { "," };
+        let _ = writeln!(out, "     ]}}{sep}");
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+#[test]
+fn experiments_tables_are_the_programs_numbers() {
+    // Snapshot discipline: the committed numbers are the program's. On a
+    // difference the fresh file is written beside the test binary; review
+    // it, copy it over EXPERIMENTS.json and update EXPERIMENTS.md's tables.
+    let fresh = tables_json(&Suite::ALL.map(suite));
+    let committed = include_str!("../EXPERIMENTS.json");
+    if fresh != committed {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("EXPERIMENTS.json");
+        std::fs::write(&path, &fresh).expect("write the fresh tables");
+        let (line, (want, got)) = committed
+            .lines()
+            .zip(fresh.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+            .unwrap_or((
+                committed.lines().count().min(fresh.lines().count()),
+                ("<end>", "<end>"),
+            ));
+        panic!(
+            "EXPERIMENTS.json line {}: committed\n  {want}\nbut the program gives\n  {got}\n\
+             the program's file is {}",
+            line + 1,
+            path.display()
+        );
     }
 }
