@@ -779,9 +779,12 @@ impl Graph {
     /// Iterates over the block ids reachable from the entry block, in an
     /// unspecified order.
     pub fn reachable_blocks(&self) -> Vec<BlockId> {
+        // Each block is pushed at most once: three allocations, whatever
+        // the graph's size.
         let mut seen = vec![false; self.blocks.len()];
-        let mut stack = vec![self.entry];
-        let mut out = Vec::new();
+        let mut stack = Vec::with_capacity(self.blocks.len());
+        stack.push(self.entry);
+        let mut out = Vec::with_capacity(self.blocks.len());
         seen[self.entry.index()] = true;
         while let Some(b) = stack.pop() {
             out.push(b);

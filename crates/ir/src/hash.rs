@@ -86,13 +86,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Feeds formatted text straight into a [`Fnv64`], so a printer can be
-/// hashed without building its output.
-struct FnvWriter<'a>(&'a mut Fnv64);
-
-impl fmt::Write for FnvWriter<'_> {
+/// The printer writes its bytes straight into the hash, so a graph is
+/// hashed without building its text.
+impl fmt::Write for Fnv64 {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.write(s.as_bytes());
+        self.write(s.as_bytes());
         Ok(())
     }
 }
@@ -107,11 +105,10 @@ impl fmt::Write for FnvWriter<'_> {
 /// [`print_graph`](crate::print_graph), streamed from the printer
 /// without building either string.
 pub fn content_hash(g: &Graph) -> u64 {
-    const INFALLIBLE: &str = "hashing cannot fail";
     let mut h = Fnv64::new();
-    write_class_table(&mut FnvWriter(&mut h), g.class_table()).expect(INFALLIBLE);
+    write_class_table(&mut h, g.class_table());
     h.write(&[0xff]);
-    write_graph(&mut FnvWriter(&mut h), g).expect(INFALLIBLE);
+    write_graph(&mut h, g);
     h.write(&[0xff]);
     h.finish()
 }
@@ -136,10 +133,15 @@ pub struct FastHasher(u64);
 
 impl Hasher for FastHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
+        // Whole words, then the tail zero-padded into one more word.
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let word = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            self.write_u64(word);
         }
     }
 

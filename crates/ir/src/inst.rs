@@ -75,6 +75,24 @@ impl BinOp {
             BinOp::UShr => "ushr",
         }
     }
+
+    /// The operator whose [`mnemonic`](BinOp::mnemonic) is `s`.
+    pub fn from_mnemonic(s: &str) -> Option<BinOp> {
+        Some(match s {
+            "add" => BinOp::Add,
+            "sub" => BinOp::Sub,
+            "mul" => BinOp::Mul,
+            "div" => BinOp::Div,
+            "rem" => BinOp::Rem,
+            "and" => BinOp::And,
+            "or" => BinOp::Or,
+            "xor" => BinOp::Xor,
+            "shl" => BinOp::Shl,
+            "shr" => BinOp::Shr,
+            "ushr" => BinOp::UShr,
+            _ => return None,
+        })
+    }
 }
 
 /// Comparison operators.
@@ -154,6 +172,19 @@ impl CmpOp {
             CmpOp::Gt => "gt",
             CmpOp::Ge => "ge",
         }
+    }
+
+    /// The comparison whose [`mnemonic`](CmpOp::mnemonic) is `s`.
+    pub fn from_mnemonic(s: &str) -> Option<CmpOp> {
+        Some(match s {
+            "eq" => CmpOp::Eq,
+            "ne" => CmpOp::Ne,
+            "lt" => CmpOp::Lt,
+            "le" => CmpOp::Le,
+            "gt" => CmpOp::Gt,
+            "ge" => CmpOp::Ge,
+            _ => return None,
+        })
     }
 }
 
@@ -766,6 +797,18 @@ impl KindCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_mnemonic_names_its_operator() {
+        for op in BinOp::ALL {
+            assert_eq!(BinOp::from_mnemonic(op.mnemonic()), Some(op));
+            assert_eq!(CmpOp::from_mnemonic(op.mnemonic()), None);
+        }
+        for op in CmpOp::ALL {
+            assert_eq!(CmpOp::from_mnemonic(op.mnemonic()), Some(op));
+            assert_eq!(BinOp::from_mnemonic(op.mnemonic()), None);
+        }
+    }
 
     #[test]
     fn kind_discriminants_are_dense() {

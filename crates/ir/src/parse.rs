@@ -5,12 +5,15 @@
 //! [`ClassTable`]). The parser is line-oriented: one instruction or
 //! terminator per line, `#` and `//` start comments.
 //!
-//! Every line, label, value name and operand stays a `&str` slice of the
-//! input, and names resolve through [`FastMap`]s keyed by those slices.
-//! A function allocates its line table, its two name maps and a few
-//! scratch buffers reused from instruction to instruction; beyond those,
-//! only what the graph itself stores (φ inputs, call arguments) and the
-//! message of a [`ParseError`].
+//! The lexical rules are `str`'s (`str::lines`, `str::trim`,
+//! `char::is_whitespace`, `char::is_alphanumeric`), applied to the bytes:
+//! only a byte outside ASCII where a rule looks goes through the `char`
+//! rule. Every line, label, value name and operand stays a `&str` slice
+//! of the input, and names resolve through [`FastMap`]s keyed by those
+//! slices. A function allocates its line table, its two name maps and a
+//! few scratch buffers reused from instruction to instruction; beyond
+//! those, only what the graph itself stores (φ inputs, call arguments)
+//! and the message of a [`ParseError`].
 
 use crate::classes::ClassTable;
 use crate::hash::FastMap;
@@ -20,6 +23,7 @@ use crate::types::{ConstValue, Type};
 use crate::Graph;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A parsed module: shared class table plus its functions.
@@ -65,38 +69,32 @@ pub fn parse_module(text: &str) -> PResult<Module> {
 
     // Pass 1: register class names so classes may reference one another.
     let mut table = ClassTable::new();
-    let classes = lines
-        .iter()
-        .take_while(|(_, line)| line.starts_with("class "))
-        .count();
+    let classes = lines.iter().take_while(|l| l.1.starts_with("class "));
+    let classes = classes.count();
     for &(lineno, line) in &lines[..classes] {
-        let name = class_name(line)
-            .filter(|n| !n.is_empty())
-            .ok_or_else(|| err(lineno, "malformed class declaration"))?;
-        table.add_class(name);
+        let name = class_name(line).filter(|n| !n.is_empty());
+        table.add_class(name.or_err(lineno, "malformed class declaration")?);
     }
     // Pass 2: fields.
     for &(lineno, line) in &lines[..classes] {
-        let body = line
-            .split_once('{')
+        let body = split_at(line, b'{')
             .and_then(|(_, r)| r.rsplit_once('}'))
-            .map(|(b, _)| b.trim())
-            .ok_or_else(|| err(lineno, "class body must be enclosed in { }"))?;
-        let name = class_name(line).ok_or_else(|| err(lineno, "malformed class declaration"))?;
+            .map(|(b, _)| trim(b))
+            .or_err(lineno, "class body must be enclosed in { }")?;
+        let name = class_name(line).or_err(lineno, "malformed class declaration")?;
         let class = table.class_by_name(name).expect("registered in pass 1");
         if body.is_empty() {
             continue;
         }
         for fdecl in body.split(',') {
-            let (fname, fty) = fdecl
-                .split_once(':')
-                .ok_or_else(|| err(lineno, "field must be `name: type`"))?;
-            let ty = parse_type(fty.trim(), &table).map_err(|m| err(lineno, &m))?;
+            let (fname, fty) =
+                split_at(fdecl, b':').or_err(lineno, "field must be `name: type`")?;
+            let ty = parse_type(trim(fty), &table).map_err(|m| err(lineno, m))?;
             if ty.is_void() {
-                let msg = format!("field `{}` cannot be void", fname.trim());
-                return Err(err(lineno, &msg));
+                let msg = format!("field `{}` cannot be void", trim(fname));
+                return Err(err(lineno, msg));
             }
-            table.add_field(class, fname.trim(), ty);
+            table.add_field(class, trim(fname), ty);
         }
     }
     let table = Arc::new(table);
@@ -109,10 +107,8 @@ pub fn parse_module(text: &str) -> PResult<Module> {
         idx += consumed;
     }
     if graphs.is_empty() {
-        return Err(err(
-            lines.last().map(|l| l.0).unwrap_or(1),
-            "module contains no functions",
-        ));
+        let line = lines.last().map_or(1, |l| l.0);
+        return Err(err(line, "module contains no functions"));
     }
     Ok(Module {
         class_table: table,
@@ -134,30 +130,124 @@ pub fn parse_graph(text: &str, table: Arc<ClassTable>) -> PResult<Graph> {
     Ok(graph)
 }
 
+/// The non-empty lines of `text`, numbered as `str::lines` numbers them,
+/// each cut at its first `//` or `#` and trimmed (a `\r` before the `\n`
+/// is whitespace to `trim`).
 fn clean_lines(text: &str) -> Vec<Line<'_>> {
-    text.lines()
-        .enumerate()
-        .map(|(i, l)| {
-            let no_comment = l.split("//").next().unwrap_or("");
-            let no_comment = no_comment.split('#').next().unwrap_or("");
-            (i + 1, no_comment.trim())
-        })
-        .filter(|(_, l)| !l.is_empty())
-        .collect()
+    let bytes = text.as_bytes();
+    let mut lines = Vec::with_capacity(bytes.len() / 16);
+    let mut push = |lineno, code: Range<usize>| {
+        let code = trim(&text[code]);
+        if !code.is_empty() {
+            lines.push((lineno, code));
+        }
+    };
+    // Only `\n`, `#` and `/` stop the scan: one table lookup a byte.
+    const STOP: [bool; 256] = {
+        let mut stop = [false; 256];
+        stop[b'\n' as usize] = true;
+        stop[b'#' as usize] = true;
+        stop[b'/' as usize] = true;
+        stop
+    };
+    let (mut start, mut cut, mut lineno) = (0, None, 1);
+    for (at, &b) in bytes.iter().enumerate() {
+        if !STOP[usize::from(b)] {
+            continue;
+        }
+        if b == b'\n' {
+            push(lineno, start..cut.unwrap_or(at));
+            (start, cut, lineno) = (at + 1, None, lineno + 1);
+        } else if (b == b'#' || b == b'/' && bytes.get(at + 1) == Some(&b'/')) && cut.is_none() {
+            cut = Some(at);
+        }
+    }
+    push(lineno, start..cut.unwrap_or(bytes.len()));
+    lines
+}
+
+/// Whether `b` is an ASCII character `char::is_whitespace` accepts
+/// (`u8::is_ascii_whitespace` leaves out the vertical tab).
+#[inline]
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// `str::trim`: ASCII whitespace goes byte by byte, and an end left on a
+/// byte outside ASCII goes through the `char` rule.
+#[inline]
+fn trim(s: &str) -> &str {
+    let bytes = s.as_bytes();
+    let solid = |b: Option<&u8>| b.is_some_and(|&b| b > b' ' && b.is_ascii());
+    if solid(bytes.first()) && solid(bytes.last()) {
+        return s;
+    }
+    let start = bytes
+        .iter()
+        .position(|&b| !is_space(b))
+        .unwrap_or(bytes.len());
+    let end = bytes
+        .iter()
+        .rposition(|&b| !is_space(b))
+        .map_or(start, |at| at + 1);
+    let s = &s[start..end];
+    match s.as_bytes() {
+        [first, .., last] | [first @ last] if !(first.is_ascii() && last.is_ascii()) => s.trim(),
+        _ => s,
+    }
+}
+
+/// `s` split around its first `char::is_whitespace`: a byte scan that
+/// decodes characters only from the first byte outside ASCII on.
+#[inline]
+fn split_ws(s: &str) -> Option<(&str, &str)> {
+    let at = s.bytes().position(|b| is_space(b) || !b.is_ascii())?;
+    if is_space(s.as_bytes()[at]) {
+        return Some((&s[..at], &s[at + 1..]));
+    }
+    let (i, c) = s[at..].char_indices().find(|&(_, c)| c.is_whitespace())?;
+    Some((&s[..at + i], &s[at + i + c.len_utf8()..]))
+}
+
+/// `s` split around its first `sep`, an ASCII byte.
+#[inline]
+fn split_at(s: &str, sep: u8) -> Option<(&str, &str)> {
+    let at = s.bytes().position(|b| b == sep)?;
+    Some((&s[..at], &s[at + 1..]))
+}
+
+/// `s` split at commas, each part trimmed.
+#[inline]
+fn commas(s: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let (part, tail) = split_at(rest?, b',').map_or((rest?, None), |(p, t)| (p, Some(t)));
+        rest = tail;
+        Some(trim(part))
+    })
 }
 
 /// The class name of a `class Name { ... }` line.
 fn class_name(line: &str) -> Option<&str> {
     line.strip_prefix("class ")
-        .and_then(|r| r.split('{').next())
-        .map(str::trim)
+        .map(|r| split_at(r, b'{').map_or(r, |(name, _)| name))
+        .map(trim)
 }
 
 #[cold]
-fn err(line: usize, message: &str) -> ParseError {
-    ParseError {
-        line,
-        message: message.to_string(),
+fn err(line: usize, message: impl Into<String>) -> ParseError {
+    let message = message.into();
+    ParseError { line, message }
+}
+
+/// `ok_or_else(|| err(line, message))`.
+trait OrErr<T> {
+    fn or_err(self, line: usize, message: &str) -> PResult<T>;
+}
+
+impl<T> OrErr<T> for Option<T> {
+    fn or_err(self, line: usize, message: &str) -> PResult<T> {
+        self.ok_or_else(|| err(line, message))
     }
 }
 
@@ -167,23 +257,20 @@ fn parse_type(s: &str, table: &ClassTable) -> Result<Type, String> {
         "bool" => Ok(Type::Bool),
         "arr" => Ok(Type::Arr),
         "void" => Ok(Type::Void),
-        _ => {
-            if let Some(cname) = s.strip_prefix("ref ") {
-                table
-                    .class_by_name(cname.trim())
-                    .map(Type::Ref)
-                    .ok_or_else(|| format!("unknown class `{}`", cname.trim()))
-            } else {
-                Err(format!("unknown type `{s}`"))
-            }
-        }
+        _ => match s.strip_prefix("ref ") {
+            Some(cname) => table
+                .class_by_name(trim(cname))
+                .map(Type::Ref)
+                .ok_or_else(|| format!("unknown class `{}`", trim(cname))),
+            None => Err(format!("unknown type `{s}`")),
+        },
     }
 }
 
 /// Splits `s` at commas into exactly `N` trimmed parts, empty ones
 /// included; `None` for any other count.
 fn split_exact<const N: usize>(s: &str) -> Option<[&str; N]> {
-    let mut parts = s.split(',').map(str::trim);
+    let mut parts = commas(s);
     let mut out = [""; N];
     for slot in &mut out {
         *slot = parts.next()?;
@@ -197,8 +284,7 @@ fn split_exact<const N: usize>(s: &str) -> Option<[&str; N]> {
 struct InstPatch {
     id: InstId,
     line: usize,
-    start: usize,
-    end: usize,
+    names: Range<usize>,
 }
 
 /// A terminator set before any value existed, and the name of its one
@@ -228,43 +314,30 @@ struct PhiScratch<'a> {
 
 fn parse_func<'a>(lines: &[Line<'a>], table: Arc<ClassTable>) -> PResult<(usize, Graph)> {
     let (hline, header) = lines[0];
-    let rest = header
-        .strip_prefix("func @")
-        .ok_or_else(|| err(hline, "expected `func @name(...) {`"))?;
-    let (name, rest) = rest
-        .split_once('(')
-        .ok_or_else(|| err(hline, "expected `(` after function name"))?;
-    let (params_src, tail) = rest
-        .rsplit_once(')')
-        .ok_or_else(|| err(hline, "expected `)` in function header"))?;
-    if tail.trim() != "{" {
+    let rest = header.strip_prefix("func @");
+    let rest = rest.or_err(hline, "expected `func @name(...) {`")?;
+    let (name, rest) = split_at(rest, b'(').or_err(hline, "expected `(` after function name")?;
+    let params = rest.rsplit_once(')');
+    let (params_src, tail) = params.or_err(hline, "expected `)` in function header")?;
+    if trim(tail) != "{" {
         return Err(err(hline, "expected `{` at end of function header"));
     }
 
-    let mut param_names = Vec::new();
-    let mut param_types = Vec::new();
-    for p in params_src
-        .split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-    {
-        let (pname, pty) = p
-            .split_once(':')
-            .ok_or_else(|| err(hline, "parameter must be `name: type`"))?;
-        let ty = parse_type(pty.trim(), &table).map_err(|m| err(hline, &m))?;
+    let (mut param_names, mut param_types) = (Vec::new(), Vec::new());
+    for p in commas(params_src).filter(|p| !p.is_empty()) {
+        let (pname, pty) = split_at(p, b':').or_err(hline, "parameter must be `name: type`")?;
+        let ty = parse_type(trim(pty), &table).map_err(|m| err(hline, m))?;
         if ty.is_void() {
-            let msg = format!("parameter `{}` cannot be void", pname.trim());
-            return Err(err(hline, &msg));
+            let msg = format!("parameter `{}` cannot be void", trim(pname));
+            return Err(err(hline, msg));
         }
-        param_names.push(pname.trim());
+        param_names.push(trim(pname));
         param_types.push(ty);
     }
 
     // The body runs up to the closing `}`.
-    let close = lines[1..]
-        .iter()
-        .position(|&(_, line)| line == "}")
-        .ok_or_else(|| err(hline, "missing closing `}`"))?;
+    let close = lines[1..].iter().position(|&(_, line)| line == "}");
+    let close = close.or_err(hline, "missing closing `}`")?;
     let body = &lines[1..=close];
 
     // Group into blocks: a label line starts one, every other line
@@ -279,22 +352,19 @@ fn parse_func<'a>(lines: &[Line<'a>], table: Arc<ClassTable>) -> PResult<(usize,
             if let Some(prev) = blocks_src.last_mut() {
                 prev.stmts = &body[start..i];
             }
-            blocks_src.push(BlockSrc {
-                line: lineno,
-                label,
-                stmts: &[],
-            });
+            let (line, stmts) = (lineno, &[][..]);
+            blocks_src.push(BlockSrc { line, label, stmts });
             start = i + 1;
         } else if blocks_src.is_empty() {
             return Err(err(lineno, "statement before first block label"));
         }
     }
-    match blocks_src.last_mut() {
-        Some(last) => last.stmts = &body[start..],
-        None => return Err(err(hline, "function has no blocks")),
-    }
+    let last = blocks_src
+        .last_mut()
+        .or_err(hline, "function has no blocks")?;
+    last.stmts = &body[start..];
 
-    let mut graph = Graph::new(name.trim(), &param_types, table.clone());
+    let mut graph = Graph::new(trim(name), &param_types, table.clone());
     let mut values: FastMap<&str, InstId> = FastMap::default();
     values.reserve(body.len() + param_names.len());
     for (&pname, &pval) in param_names.iter().zip(graph.param_values()) {
@@ -317,24 +387,19 @@ fn parse_func<'a>(lines: &[Line<'a>], table: Arc<ClassTable>) -> PResult<(usize,
     // patched afterwards.
     let mut term_patches: Vec<TermPatch> = Vec::with_capacity(blocks_src.len());
     for bs in &blocks_src {
+        let &(line, last) = bs.stmts.last().or_err(bs.line, "block has no terminator")?;
+        let (term, operand) = parse_terminator(last, line, &block_ids)?;
         let block = block_ids[bs.label];
-        let &(lineno, last) = bs
-            .stmts
-            .last()
-            .ok_or_else(|| err(bs.line, "block has no terminator"))?;
-        let (term, operand) = parse_terminator(last, lineno, &block_ids)?;
         graph.set_terminator(block, term);
         term_patches.push(TermPatch {
             block,
-            line: lineno,
+            line,
             operand,
         });
     }
 
     // Then: instructions (all but the last statement of each block).
-    let mut names: Vec<&str> = Vec::new();
-    let mut resolved: Vec<InstId> = Vec::new();
-    let mut pending: Vec<&str> = Vec::new();
+    let (mut names, mut resolved, mut pending) = (Vec::new(), Vec::new(), Vec::new());
     let mut inst_patches: Vec<InstPatch> = Vec::new();
     let mut phis = PhiScratch {
         slot: vec![u32::MAX; graph.block_count()],
@@ -353,13 +418,9 @@ fn parse_func<'a>(lines: &[Line<'a>], table: Arc<ClassTable>) -> PResult<(usize,
             // in resolved; forward references keep their placeholder and
             // wait for the patch below.
             resolved.clear();
-            let known = names.iter().all(|n| match values.get(n) {
-                Some(&v) => {
-                    resolved.push(v);
-                    true
-                }
-                None => false,
-            });
+            let known = names
+                .iter()
+                .all(|n| values.get(n).map(|&v| resolved.push(v)).is_some());
             let id = if inst.is_phi() {
                 // One name per predecessor, in predecessor order.
                 let inputs = if known {
@@ -371,23 +432,21 @@ fn parse_func<'a>(lines: &[Line<'a>], table: Arc<ClassTable>) -> PResult<(usize,
             } else {
                 if known {
                     let mut resolved = resolved.iter();
-                    inst.for_each_input_mut(|slot| {
-                        *slot = *resolved.next().expect("one name per operand");
-                    });
+                    inst.for_each_input_mut(|slot| *slot = *resolved.next().expect("one per slot"));
                 }
                 graph.append_inst(block, inst, ty)
             };
             if values.insert(vname, id).is_some() {
-                return Err(err(lineno, &format!("value `{vname}` defined twice")));
+                return Err(err(lineno, format!("value `{vname}` defined twice")));
             }
             if !known {
+                let (at, line) = (pending.len(), lineno);
+                pending.extend_from_slice(&names);
                 inst_patches.push(InstPatch {
                     id,
-                    line: lineno,
-                    start: pending.len(),
-                    end: pending.len() + names.len(),
+                    line,
+                    names: at..pending.len(),
                 });
-                pending.extend_from_slice(&names);
             }
         }
     }
@@ -398,30 +457,22 @@ fn parse_func<'a>(lines: &[Line<'a>], table: Arc<ClassTable>) -> PResult<(usize,
     // placeholder uses of `InstId(0)` leave its use list from the end they
     // were added at.
     let lookup = |name: &str, line: usize| -> PResult<InstId> {
-        values
-            .get(name)
-            .copied()
-            .ok_or_else(|| err(line, &format!("unknown value `{name}`")))
+        (values.get(name).copied()).ok_or_else(|| err(line, format!("unknown value `{name}`")))
     };
     for patch in &inst_patches {
         resolved.clear();
-        for &name in &pending[patch.start..patch.end] {
+        for &name in &pending[patch.names.clone()] {
             resolved.push(lookup(name, patch.line)?);
         }
         let mut resolved = resolved.iter();
         graph.rewrite_inputs(patch.id, |inst| {
-            inst.for_each_input_mut(|slot| *slot = *resolved.next().expect("one name per operand"))
+            inst.for_each_input_mut(|slot| *slot = *resolved.next().expect("one per slot"))
         });
     }
-    let term_operands: Vec<Option<InstId>> = term_patches
+    let term_operands = term_patches
         .iter()
-        .map(|patch| {
-            patch
-                .operand
-                .map(|name| lookup(name, patch.line))
-                .transpose()
-        })
-        .collect::<PResult<_>>()?;
+        .map(|patch| (patch.operand.map(|name| lookup(name, patch.line))).transpose());
+    let term_operands: Vec<Option<InstId>> = term_operands.collect::<PResult<_>>()?;
     for (patch, operand) in term_patches.iter().zip(term_operands).rev() {
         graph.patch_terminator_inputs(patch.block, |slot| {
             *slot = operand.expect("one name per operand");
@@ -435,35 +486,25 @@ fn parse_func<'a>(lines: &[Line<'a>], table: Arc<ClassTable>) -> PResult<(usize,
 fn split_def<'a>(
     line: &'a str,
     lineno: usize,
-    table: &ClassTable,
+    t: &ClassTable,
 ) -> PResult<(&'a str, Type, &'a str)> {
-    let (lhs, body) = line
-        .split_once('=')
-        .ok_or_else(|| err(lineno, "expected `name: type = ...`"))?;
-    let (name, ty) = lhs
-        .split_once(':')
-        .ok_or_else(|| err(lineno, "definition must be `name: type = ...`"))?;
-    let ty = parse_type(ty.trim(), table).map_err(|m| err(lineno, &m))?;
-    Ok((name.trim(), ty, body.trim()))
+    let (lhs, body) = split_at(line, b'=').or_err(lineno, "expected `name: type = ...`")?;
+    let (name, ty) = split_at(lhs, b':').or_err(lineno, "definition must be `name: type = ...`")?;
+    let ty = parse_type(trim(ty), t).map_err(|m| err(lineno, m))?;
+    Ok((trim(name), ty, trim(body)))
 }
 
 /// Parses a field reference `Class.field`.
 fn parse_field(s: &str, lineno: usize, table: &ClassTable) -> PResult<FieldId> {
-    let (cname, fname) = s
-        .split_once('.')
-        .ok_or_else(|| err(lineno, "expected `Class.field`"))?;
-    let class = table
-        .class_by_name(cname.trim())
-        .ok_or_else(|| err(lineno, &format!("unknown class `{}`", cname.trim())))?;
-    table
-        .field_by_name(class, fname.trim())
-        .ok_or_else(|| err(lineno, &format!("unknown field `{s}`")))
+    let (cname, fname) = split_at(s, b'.').or_err(lineno, "expected `Class.field`")?;
+    let class = parse_class(cname, lineno, table)?;
+    (table.field_by_name(class, trim(fname)))
+        .ok_or_else(|| err(lineno, format!("unknown field `{s}`")))
 }
 
 fn parse_class(s: &str, lineno: usize, table: &ClassTable) -> PResult<ClassId> {
-    table
-        .class_by_name(s.trim())
-        .ok_or_else(|| err(lineno, &format!("unknown class `{}`", s.trim())))
+    (table.class_by_name(trim(s)))
+        .ok_or_else(|| err(lineno, format!("unknown class `{}`", trim(s))))
 }
 
 /// The id the next appended instruction gets. Unresolved operands point
@@ -487,82 +528,43 @@ fn parse_inst<'a>(
     names: &mut Vec<&'a str>,
     phis: &mut PhiScratch<'a>,
 ) -> PResult<Inst> {
-    let (op, rest) = match src.split_once(char::is_whitespace) {
-        Some((o, r)) => (o, r.trim()),
-        None => (src, ""),
-    };
+    let (op, rest) = split_ws(src).map_or((src, ""), |(o, r)| (o, trim(r)));
     let d = next_inst_id(graph); // dummy, patched later
 
-    // `n` comma-separated operands, empty parts skipped.
-    let args = |n: usize, names: &mut Vec<&'a str>| -> PResult<()> {
-        names.extend(rest.split(',').map(str::trim).filter(|p| !p.is_empty()));
+    // `n` comma-separated operands, empty parts skipped; the dummy id.
+    let args = |n: usize, names: &mut Vec<&'a str>| -> PResult<InstId> {
+        names.extend(commas(rest).filter(|p| !p.is_empty()));
         if names.len() != n {
-            return Err(err(lineno, &format!("`{op}` expects {n} operands")));
+            return Err(err(lineno, format!("`{op}` expects {n} operands")));
         }
-        Ok(())
+        Ok(d)
     };
-    let binop = BinOp::ALL.iter().find(|b| b.mnemonic() == op).copied();
-    if let Some(bop) = binop {
-        args(2, names)?;
-        return Ok(Inst::Binary {
-            op: bop,
-            lhs: d,
-            rhs: d,
-        });
-    }
     let inst = match op {
-        "const" => {
-            let c = if rest == "true" {
-                ConstValue::Bool(true)
-            } else if rest == "false" {
-                ConstValue::Bool(false)
-            } else if rest == "nullarr" {
-                ConstValue::NullArr
-            } else if let Some(cname) = rest.strip_prefix("null ") {
-                ConstValue::Null(parse_class(cname, lineno, table)?)
-            } else {
-                ConstValue::Int(
-                    rest.parse::<i64>()
-                        .map_err(|_| err(lineno, &format!("bad constant `{rest}`")))?,
-                )
-            };
-            Inst::Const(c)
-        }
-        "param" => {
-            let idx: u32 = rest.parse().map_err(|_| err(lineno, "bad param index"))?;
-            Inst::Param(idx)
-        }
+        "const" => Inst::Const(match rest {
+            "true" => ConstValue::Bool(true),
+            "false" => ConstValue::Bool(false),
+            "nullarr" => ConstValue::NullArr,
+            _ => match rest.strip_prefix("null ") {
+                Some(cname) => ConstValue::Null(parse_class(cname, lineno, table)?),
+                None => ConstValue::Int(
+                    (rest.parse()).map_err(|_| err(lineno, format!("bad constant `{rest}`")))?,
+                ),
+            },
+        }),
+        "param" => Inst::Param(rest.parse().map_err(|_| err(lineno, "bad param index"))?),
         "cmp" => {
-            let (cop, operands) = rest
-                .split_once(char::is_whitespace)
-                .ok_or_else(|| err(lineno, "expected `cmp op a, b`"))?;
-            let cop = CmpOp::ALL
-                .iter()
-                .find(|c| c.mnemonic() == cop)
-                .copied()
-                .ok_or_else(|| err(lineno, &format!("unknown comparison `{cop}`")))?;
-            let [lhs, rhs] =
-                split_exact(operands).ok_or_else(|| err(lineno, "`cmp` expects 2 operands"))?;
+            let (cop, operands) = split_ws(rest).or_err(lineno, "expected `cmp op a, b`")?;
+            let op = (CmpOp::from_mnemonic(cop))
+                .ok_or_else(|| err(lineno, format!("unknown comparison `{cop}`")))?;
+            let [lhs, rhs] = split_exact(operands).or_err(lineno, "`cmp` expects 2 operands")?;
             names.extend([lhs, rhs]);
-            Inst::Compare {
-                op: cop,
-                lhs: d,
-                rhs: d,
-            }
+            Inst::Compare { op, lhs: d, rhs: d }
         }
-        "not" => {
-            args(1, names)?;
-            Inst::Not(d)
-        }
-        "neg" => {
-            args(1, names)?;
-            Inst::Neg(d)
-        }
+        "not" => Inst::Not(args(1, names)?),
+        "neg" => Inst::Neg(args(1, names)?),
         "phi" => {
-            let body = rest
-                .strip_prefix('[')
-                .and_then(|r| r.strip_suffix(']'))
-                .ok_or_else(|| err(lineno, "expected `phi [pred: value, ...]`"))?;
+            let body = rest.strip_prefix('[').and_then(|r| r.strip_suffix(']'));
+            let body = body.or_err(lineno, "expected `phi [pred: value, ...]`")?;
             parse_phi_inputs(body, lineno, block_ids, graph.preds(block), names, phis)?;
             Inst::Phi { inputs: Vec::new() }
         }
@@ -570,15 +572,15 @@ fn parse_inst<'a>(
             class: parse_class(rest, lineno, table)?,
         },
         "load" => {
-            let [object, field] = split_exact(rest)
-                .ok_or_else(|| err(lineno, "`load` expects `object, Class.field`"))?;
+            let [object, field] =
+                split_exact(rest).or_err(lineno, "`load` expects `object, Class.field`")?;
             let field = parse_field(field, lineno, table)?;
             names.push(object);
             Inst::LoadField { object: d, field }
         }
         "store" => {
-            let [object, field, value] = split_exact(rest)
-                .ok_or_else(|| err(lineno, "`store` expects `object, Class.field, value`"))?;
+            let [object, field, value] =
+                split_exact(rest).or_err(lineno, "`store` expects `object, Class.field, value`")?;
             let field = parse_field(field, lineno, table)?;
             names.extend([object, value]);
             Inst::StoreField {
@@ -588,39 +590,31 @@ fn parse_inst<'a>(
             }
         }
         "instanceof" => {
-            let [object, class] = split_exact(rest)
-                .ok_or_else(|| err(lineno, "`instanceof` expects `object, Class`"))?;
+            let [object, class] =
+                split_exact(rest).or_err(lineno, "`instanceof` expects `object, Class`")?;
             let class = parse_class(class, lineno, table)?;
             names.push(object);
             Inst::InstanceOf { object: d, class }
         }
-        "newarray" => {
-            args(1, names)?;
-            Inst::NewArray { length: d }
-        }
-        "aload" => {
-            args(2, names)?;
-            Inst::ArrayLoad { array: d, index: d }
-        }
-        "astore" => {
-            args(3, names)?;
-            Inst::ArrayStore {
-                array: d,
-                index: d,
-                value: d,
-            }
-        }
-        "alength" => {
-            args(1, names)?;
-            Inst::ArrayLength(d)
-        }
+        "newarray" => args(1, names).map(|length| Inst::NewArray { length })?,
+        "aload" => args(2, names).map(|array| Inst::ArrayLoad { array, index: d })?,
+        "astore" => Inst::ArrayStore {
+            array: args(3, names)?,
+            index: d,
+            value: d,
+        },
+        "alength" => Inst::ArrayLength(args(1, names)?),
         "invoke" => {
-            names.extend(rest.split(',').map(str::trim).filter(|p| !p.is_empty()));
+            names.extend(commas(rest).filter(|p| !p.is_empty()));
             Inst::Invoke {
                 args: vec![d; names.len()],
             }
         }
-        other => return Err(err(lineno, &format!("unknown instruction `{other}`"))),
+        other => {
+            let op = (BinOp::from_mnemonic(other))
+                .ok_or_else(|| err(lineno, format!("unknown instruction `{other}`")))?;
+            args(2, names).map(|lhs| Inst::Binary { op, lhs, rhs: d })?
+        }
     };
     Ok(inst)
 }
@@ -642,29 +636,25 @@ fn parse_phi_inputs<'a>(
     phis.inputs.clear();
     phis.inputs.resize(preds.len(), None);
     phis.strays.clear();
-    for pair in body.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        let (pb, pv) = pair
-            .split_once(':')
-            .ok_or_else(|| err(lineno, "phi input must be `pred: value`"))?;
-        let pred = *block_ids
-            .get(pb.trim())
-            .ok_or_else(|| err(lineno, &format!("unknown block `{}`", pb.trim())))?;
+    for pair in commas(body).filter(|p| !p.is_empty()) {
+        let (pb, pv) = split_at(pair, b':').or_err(lineno, "phi input must be `pred: value`")?;
+        let pred = *(block_ids.get(trim(pb)))
+            .ok_or_else(|| err(lineno, format!("unknown block `{}`", trim(pb))))?;
         let listed_twice = match phis.slot[pred.index()] {
             u32::MAX if phis.strays.contains(&pred) => true,
             u32::MAX => {
                 phis.strays.push(pred);
                 false
             }
-            i => phis.inputs[i as usize].replace(pv.trim()).is_some(),
+            i => phis.inputs[i as usize].replace(trim(pv)).is_some(),
         };
         if listed_twice {
             return Err(err(lineno, "duplicate phi predecessor"));
         }
     }
     for (&p, input) in preds.iter().zip(&phis.inputs) {
-        let v =
-            input.ok_or_else(|| err(lineno, &format!("phi missing input for predecessor {p}")))?;
-        names.push(v);
+        let missing = || err(lineno, format!("phi missing input for predecessor {p}"));
+        names.push(input.ok_or_else(missing)?);
         phis.slot[p.index()] = u32::MAX;
     }
     if !phis.strays.is_empty() {
@@ -680,57 +670,42 @@ fn parse_terminator<'a>(
     lineno: usize,
     block_ids: &FastMap<&str, BlockId>,
 ) -> PResult<(Terminator, Option<&'a str>)> {
-    let (op, rest) = match src.split_once(char::is_whitespace) {
-        Some((o, r)) => (o, r.trim()),
-        None => (src, ""),
-    };
+    let (op, rest) = split_ws(src).map_or((src, ""), |(o, r)| (o, trim(r)));
     let block = |name: &str| -> PResult<BlockId> {
-        block_ids
-            .get(name.trim())
-            .copied()
-            .ok_or_else(|| err(lineno, &format!("unknown block `{}`", name.trim())))
+        (block_ids.get(trim(name)).copied())
+            .ok_or_else(|| err(lineno, format!("unknown block `{}`", trim(name))))
     };
     match op {
-        "jump" => Ok((
-            Terminator::Jump {
-                target: block(rest)?,
-            },
-            None,
-        )),
+        "jump" => block(rest).map(|target| (Terminator::Jump { target }, None)),
         "branch" => {
-            // branch cond, then, else, prob P
-            let [cond, then_src, else_src, prob_src] = split_exact(rest)
-                .ok_or_else(|| err(lineno, "`branch` expects `cond, then, else, prob P`"))?;
-            let prob_src = prob_src
-                .strip_prefix("prob")
-                .map(str::trim)
-                .ok_or_else(|| err(lineno, "expected `prob P`"))?;
-            let prob_then: f64 = prob_src
-                .parse()
-                .map_err(|_| err(lineno, &format!("bad probability `{prob_src}`")))?;
+            let [cond, then_src, else_src, prob_src] =
+                split_exact(rest).or_err(lineno, "`branch` expects `cond, then, else, prob P`")?;
+            let prob_src = prob_src.strip_prefix("prob").map(trim);
+            let prob_src = prob_src.or_err(lineno, "expected `prob P`")?;
+            let prob_then = (prob_src.parse())
+                .map_err(|_| err(lineno, format!("bad probability `{prob_src}`")))?;
             let (then_bb, else_bb) = (block(then_src)?, block(else_src)?);
             if then_bb == else_bb {
                 return Err(err(lineno, "`branch` targets must be distinct"));
             }
+            let (name, cond) = (cond, InstId(0));
             Ok((
                 Terminator::Branch {
-                    cond: InstId(0),
+                    cond,
                     then_bb,
                     else_bb,
                     prob_then,
                 },
-                Some(cond),
+                Some(name),
             ))
         }
         "return" if rest.is_empty() => Ok((Terminator::Return { value: None }, None)),
-        "return" => Ok((
-            Terminator::Return {
-                value: Some(InstId(0)),
-            },
-            Some(rest),
-        )),
+        "return" => {
+            let value = Some(InstId(0));
+            Ok((Terminator::Return { value }, Some(rest)))
+        }
         "deopt" => Ok((Terminator::Deopt, None)),
-        other => Err(err(lineno, &format!("unknown terminator `{other}`"))),
+        other => Err(err(lineno, format!("unknown terminator `{other}`"))),
     }
 }
 
@@ -908,6 +883,36 @@ mod tests {
         // The entry block is also a predecessor of bm, so the phi is
         // missing an input for it.
         assert!(e.message.contains("phi missing input"), "{e}");
+    }
+
+    #[test]
+    fn lexical_helpers_follow_the_str_rules() {
+        let samples = [
+            "",
+            " ",
+            "a",
+            " a b ",
+            "\u{b}x\u{b}",
+            "\u{a0}x\u{2003}",
+            "x\u{85}",
+            "\u{3000}",
+            "\u{200b}x",
+            "é\t",
+            "\tλ y",
+            "a\u{a0}b c",
+            "\r\n",
+            "_b3é",
+            "b\u{301}",
+            "٣",
+            "€",
+        ];
+        for s in samples {
+            assert_eq!(trim(s), s.trim(), "{s:?}");
+            assert_eq!(split_ws(s), s.split_once(char::is_whitespace), "{s:?}");
+        }
+        for b in 0..0x80u8 {
+            assert_eq!(is_space(b), char::from(b).is_whitespace(), "{b:#x}");
+        }
     }
 
     #[test]

@@ -4,185 +4,207 @@
 //! reaches a fixpoint, which the integration tests rely on. Value names in
 //! the output are the raw [`InstId`]s (`v17`), block names the raw
 //! [`BlockId`]s (`b3`); the parser accepts arbitrary identifiers.
+//! Ids, integers, names and keywords are written as text; only a branch
+//! probability goes through `Display`.
 
 use crate::classes::ClassTable;
-use crate::ids::{BlockId, InstId};
+use crate::ids::{BlockId, ClassId, FieldId, InstId};
 use crate::inst::{Inst, Terminator};
 use crate::types::{ConstValue, Type};
 use crate::Graph;
-use std::fmt::{self, Write};
+use std::fmt;
+
+/// Where the printer writes: the output `String`, or the
+/// [`Fnv64`](crate::Fnv64) of [`content_hash`](crate::content_hash).
+pub(crate) trait Sink: fmt::Write {
+    /// Appends `s`.
+    fn put(&mut self, s: &str) {
+        self.write_str(s).expect("a sink cannot fail");
+    }
+}
+
+impl<W: fmt::Write> Sink for W {}
+
+/// One piece of a printed line; the class table names classes and fields.
+trait Piece {
+    fn put(self, out: &mut impl Sink, table: &ClassTable);
+}
+
+/// Writes each piece in turn.
+macro_rules! put {
+    ($out:expr, $table:expr; $($piece:expr),+) => {{ $( Piece::put($piece, $out, $table); )+ }};
+}
+
+/// Writes `prefix` and `n` in decimal.
+fn put_num(out: &mut impl Sink, prefix: &str, mut n: u64) {
+    let (mut digits, mut at) = ([0; 20], 20);
+    while at == 20 || n > 0 {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    out.put(prefix);
+    out.put(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// `impl Piece for $ty`, writing `$piece` with `$body`.
+macro_rules! piece {
+    ($ty:ty, |$piece:ident, $out:ident, $table:ident| $body:expr) => {
+        impl Piece for $ty {
+            fn put(self, $out: &mut impl Sink, $table: &ClassTable) {
+                let $piece = self;
+                $body
+            }
+        }
+    };
+}
+
+piece!(&str, |s, out, _t| out.put(s));
+piece!(InstId, |v, out, _t| put_num(out, "v", v.0.into()));
+piece!(BlockId, |b, out, _t| put_num(out, "b", b.0.into()));
+piece!(ClassId, |c, out, t| out.put(&t.class(c).name));
+piece!(
+    FieldId,
+    |f, out, t| put!(out, t; t.field(f).class, ".", t.field(f).name.as_str())
+);
+piece!(Type, |ty, out, t| match ty {
+    Type::Ref(c) => put!(out, t; "ref ", c),
+    Type::Int => out.put("int"),
+    Type::Bool => out.put("bool"),
+    Type::Arr => out.put("arr"),
+    Type::Void => out.put("void"),
+});
+piece!(ConstValue, |c, out, t| match c {
+    ConstValue::Int(i) => put_num(out, if i < 0 { "-" } else { "" }, i.unsigned_abs()),
+    ConstValue::Bool(b) => out.put(if b { "true" } else { "false" }),
+    ConstValue::Null(c) => put!(out, t; "null ", c),
+    ConstValue::NullArr => out.put("nullarr"),
+});
 
 /// Renders a class table as `class` declarations.
 pub fn print_class_table(table: &ClassTable) -> String {
     let mut out = String::new();
-    write_class_table(&mut out, table).expect("writing to a String cannot fail");
+    write_class_table(&mut out, table);
     out
 }
 
 /// Renders `g` in the textual IR format.
 pub fn print_graph(g: &Graph) -> String {
-    let mut out = String::new();
-    write_graph(&mut out, g).expect("writing to a String cannot fail");
+    // About 36 bytes a line; one reservation covers most graphs.
+    let mut out = String::with_capacity(36 * (g.inst_count() + 2 * g.block_count()));
+    write_graph(&mut out, g);
     out
 }
 
 /// Writes what [`print_class_table`] returns to `out`.
-pub(crate) fn write_class_table(out: &mut impl Write, table: &ClassTable) -> fmt::Result {
+pub(crate) fn write_class_table(out: &mut impl Sink, table: &ClassTable) {
     for c in table.class_ids() {
-        let info = table.class(c);
-        write!(out, "class {} {{ ", info.name)?;
-        for (i, &f) in info.fields.iter().enumerate() {
-            let fi = table.field(f);
-            if i > 0 {
-                out.write_str(", ")?;
-            }
-            write!(out, "{}: ", fi.name)?;
-            write_type(out, fi.ty, table)?;
+        put!(out, table; "class ", c, " { ");
+        for (i, &f) in table.class(c).fields.iter().enumerate() {
+            let field = table.field(f);
+            put!(out, table; if i > 0 { ", " } else { "" }, field.name.as_str(), ": ", field.ty);
         }
-        out.write_str(" }\n")?;
+        out.put(" }\n");
     }
-    Ok(())
 }
 
 /// Writes what [`print_graph`] returns to `out`.
-pub(crate) fn write_graph(out: &mut impl Write, g: &Graph) -> fmt::Result {
-    let table = g.class_table();
-    write!(out, "func @{}(", g.name)?;
+pub(crate) fn write_graph(out: &mut impl Sink, g: &Graph) {
+    let t = g.class_table();
+    put!(out, t; "func @", g.name.as_str(), "(");
     for (i, &p) in g.param_values().iter().enumerate() {
-        if i > 0 {
-            out.write_str(", ")?;
-        }
-        write!(out, "{p}: ")?;
-        write_type(out, g.ty(p), table)?;
+        put!(out, t; if i > 0 { ", " } else { "" }, p, ": ", g.ty(p));
     }
-    out.write_str(") {\n")?;
-
+    out.put(") {\n");
     let mut reachable = g.reachable_blocks();
-    reachable.sort();
+    reachable.sort_unstable();
     for b in reachable {
-        writeln!(out, "{b}:")?;
+        put!(out, t; b, ":\n");
         for &i in g.block_insts(b) {
-            if matches!(g.inst(i), Inst::Param(_)) {
-                continue; // params are printed in the signature
+            // Params are printed in the signature.
+            if !matches!(g.inst(i), Inst::Param(_)) {
+                write_inst(out, g, b, i);
             }
-            write_inst(out, g, b, i)?;
         }
-        write_term(out, g, b)?;
+        write_term(out, g, b);
     }
-    out.write_str("}\n")
-}
-
-fn write_type(out: &mut impl Write, ty: Type, table: &ClassTable) -> fmt::Result {
-    match ty {
-        Type::Ref(c) => write!(out, "ref {}", table.class(c).name),
-        other => write!(out, "{other}"),
-    }
-}
-
-fn write_const(out: &mut impl Write, c: ConstValue, table: &ClassTable) -> fmt::Result {
-    match c {
-        ConstValue::Int(i) => write!(out, "{i}"),
-        ConstValue::Bool(b) => write!(out, "{b}"),
-        ConstValue::Null(cl) => write!(out, "null {}", table.class(cl).name),
-        ConstValue::NullArr => out.write_str("nullarr"),
-    }
+    out.put("}\n");
 }
 
 /// Writes the line of instruction `i` of block `b`, indented and with
 /// its newline.
-fn write_inst(out: &mut impl Write, g: &Graph, b: BlockId, i: InstId) -> fmt::Result {
-    let table = g.class_table();
-    write!(out, "  {i}: ")?;
-    write_type(out, g.ty(i), table)?;
-    out.write_str(" = ")?;
-    match g.inst(i) {
-        Inst::Const(c) => {
-            out.write_str("const ")?;
-            write_const(out, *c, table)?;
-        }
-        Inst::Param(idx) => write!(out, "param {idx}")?,
-        Inst::Binary { op, lhs, rhs } => write!(out, "{} {lhs}, {rhs}", op.mnemonic())?,
-        Inst::Compare { op, lhs, rhs } => write!(out, "cmp {} {lhs}, {rhs}", op.mnemonic())?,
-        Inst::Not(x) => write!(out, "not {x}")?,
-        Inst::Neg(x) => write!(out, "neg {x}")?,
-        Inst::Phi { inputs } => {
-            out.write_str("phi [")?;
-            for (k, (p, v)) in g.preds(b).iter().zip(inputs).enumerate() {
-                if k > 0 {
-                    out.write_str(", ")?;
-                }
-                write!(out, "{p}: {v}")?;
+fn write_inst(out: &mut impl Sink, g: &Graph, b: BlockId, i: InstId) {
+    let t = g.class_table();
+    put!(out, t; "  ", i, ": ", g.ty(i), " = ");
+    match *g.inst(i) {
+        Inst::Const(c) => put!(out, t; "const ", c),
+        Inst::Param(idx) => put_num(out, "param ", idx.into()),
+        Inst::Binary { op, lhs, rhs } => put!(out, t; op.mnemonic(), " ", lhs, ", ", rhs),
+        Inst::Compare { op, lhs, rhs } => put!(out, t; "cmp ", op.mnemonic(), " ", lhs, ", ", rhs),
+        Inst::Not(x) => put!(out, t; "not ", x),
+        Inst::Neg(x) => put!(out, t; "neg ", x),
+        Inst::Phi { ref inputs } => {
+            out.put("phi [");
+            for (k, (&p, &v)) in g.preds(b).iter().zip(inputs).enumerate() {
+                put!(out, t; if k > 0 { ", " } else { "" }, p, ": ", v);
             }
-            out.write_str("]")?;
+            out.put("]");
         }
-        Inst::New { class } => write!(out, "new {}", table.class(*class).name)?,
-        Inst::LoadField { object, field } => {
-            let fi = table.field(*field);
-            write!(
-                out,
-                "load {object}, {}.{}",
-                table.class(fi.class).name,
-                fi.name
-            )?;
-        }
+        Inst::New { class } => put!(out, t; "new ", class),
+        Inst::LoadField { object, field } => put!(out, t; "load ", object, ", ", field),
         Inst::StoreField {
             object,
             field,
             value,
         } => {
-            let fi = table.field(*field);
-            write!(
-                out,
-                "store {object}, {}.{}, {value}",
-                table.class(fi.class).name,
-                fi.name
-            )?;
+            put!(out, t; "store ", object, ", ", field, ", ", value);
         }
-        Inst::InstanceOf { object, class } => {
-            write!(out, "instanceof {object}, {}", table.class(*class).name)?;
-        }
-        Inst::NewArray { length } => write!(out, "newarray {length}")?,
-        Inst::ArrayLoad { array, index } => write!(out, "aload {array}, {index}")?,
+        Inst::InstanceOf { object, class } => put!(out, t; "instanceof ", object, ", ", class),
+        Inst::NewArray { length } => put!(out, t; "newarray ", length),
+        Inst::ArrayLoad { array, index } => put!(out, t; "aload ", array, ", ", index),
         Inst::ArrayStore {
             array,
             index,
             value,
-        } => write!(out, "astore {array}, {index}, {value}")?,
-        Inst::ArrayLength(a) => write!(out, "alength {a}")?,
-        Inst::Invoke { args } => {
-            out.write_str("invoke")?;
-            for (k, a) in args.iter().enumerate() {
-                out.write_str(if k == 0 { " " } else { ", " })?;
-                write!(out, "{a}")?;
+        } => {
+            put!(out, t; "astore ", array, ", ", index, ", ", value);
+        }
+        Inst::ArrayLength(a) => put!(out, t; "alength ", a),
+        Inst::Invoke { ref args } => {
+            out.put("invoke");
+            for (k, &a) in args.iter().enumerate() {
+                put!(out, t; if k == 0 { " " } else { ", " }, a);
             }
         }
     }
-    out.write_char('\n')
+    out.put("\n");
 }
 
 /// Writes the terminator line of block `b`, indented and with its
 /// newline.
-fn write_term(out: &mut impl Write, g: &Graph, b: BlockId) -> fmt::Result {
-    match g.terminator(b) {
-        Terminator::Jump { target } => writeln!(out, "  jump {target}"),
+fn write_term(out: &mut impl Sink, g: &Graph, b: BlockId) {
+    let t = g.class_table();
+    match *g.terminator(b) {
+        Terminator::Jump { target } => put!(out, t; "  jump ", target),
         Terminator::Branch {
             cond,
             then_bb,
             else_bb,
             prob_then,
-        } => writeln!(
-            out,
-            "  branch {cond}, {then_bb}, {else_bb}, prob {prob_then}"
-        ),
-        Terminator::Return { value: Some(v) } => writeln!(out, "  return {v}"),
-        Terminator::Return { value: None } => out.write_str("  return\n"),
-        Terminator::Deopt => out.write_str("  deopt\n"),
+        } => {
+            put!(out, t; "  branch ", cond, ", ", then_bb, ", ", else_bb, ", prob ");
+            write!(out, "{prob_then}").expect("a sink cannot fail");
+        }
+        Terminator::Return { value: Some(v) } => put!(out, t; "  return ", v),
+        Terminator::Return { value: None } => out.put("  return"),
+        Terminator::Deopt => out.put("  deopt"),
     }
+    out.put("\n");
 }
 
 impl fmt::Display for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_graph(f, self)
+        f.write_str(&print_graph(self))
     }
 }
 

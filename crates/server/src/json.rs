@@ -184,21 +184,23 @@ impl Json {
 }
 
 /// Escapes a string into a quoted JSON literal (quotes, backslashes,
-/// newlines and control characters).
+/// newlines and control characters). Every byte that needs an escape is
+/// ASCII, so the runs between them are copied whole.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+    let mut run = 0;
+    let special = |&(_, b): &(usize, u8)| b < 0x20 || b == b'"' || b == b'\\';
+    for (at, b) in s.bytes().enumerate().filter(special) {
+        out.push_str(&s[run..at]);
+        let _ = match b {
+            b'\n' => write!(out, "\\n"),
+            b'"' | b'\\' => write!(out, "\\{}", char::from(b)),
+            _ => write!(out, "\\u{b:04x}"),
+        };
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
     out
 }
@@ -469,6 +471,60 @@ mod tests {
         let v = parse(r#""a\"b\\c\nd\u0007""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "a\"b\\c\nd\u{7}");
         assert_eq!(v.compact(), r#""a\"b\\c\nd\u0007""#);
+    }
+
+    /// `escape` one character at a time: the reference the run-copying
+    /// escape is held to.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn escape_matches_the_per_char_reference() {
+        let mut inputs: Vec<String> = (0u32..0x80)
+            .filter_map(char::from_u32)
+            .map(|c| format!("{c}a{c}{c}\u{e9}{c}"))
+            .collect();
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        inputs.extend(
+            [
+                "",
+                "plain",
+                "\"",
+                "\\",
+                "\"\\\"\\\\",
+                "tab\there\r\nline\u{7f}",
+                "é日本\u{1F600}\u{85}\u{2028}\u{a0}",
+                "\\\"é\n\u{1}",
+            ]
+            .map(String::from),
+        );
+        inputs.push(every_control.repeat(3));
+        let profile = dbds_workloads::Suite::Micro.profile();
+        for i in 0..8 {
+            let g = dbds_workloads::generate_graph(&format!("w4u{i}"), &profile, 7_000 + i);
+            inputs.push(dbds_ir::print_class_table(g.class_table()) + &dbds_ir::print_graph(&g));
+        }
+        for s in &inputs {
+            assert_eq!(escape(s), escape_per_char(s), "{s:?}");
+            let mut out = String::from("prefix");
+            Json::Str(s.clone()).write_compact(&mut out);
+            assert_eq!(out, format!("prefix{}", escape_per_char(s)), "{s:?}");
+            assert_eq!(parse(&escape(s)).unwrap().as_str(), Some(s.as_str()));
+        }
     }
 
     #[test]

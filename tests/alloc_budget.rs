@@ -17,13 +17,18 @@
 //! on a thread of its own, which starts with an empty scratch pool. Run
 //! with `--nocapture` to see the measured table.
 //!
+//! The IR text path has pins of its own: `parse_module` per Micro-profile
+//! request text, and `content_hash`, which streams the printer into the
+//! hash and allocates only its reachability walk's three tables, however
+//! large the graph.
+//!
 //! This file holds the workspace's only `unsafe` code: the
 //! `GlobalAlloc` implementation, which forwards every call to `System`.
 
 use dbds::backend::compile_to_machine_code;
 use dbds::core::{compile, DbdsConfig, OptLevel};
 use dbds::costmodel::CostModel;
-use dbds::ir::{verify, Graph};
+use dbds::ir::{content_hash, parse_module, print_class_table, print_graph, verify, Graph};
 use dbds::workloads::{generate_graph, Suite};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -235,4 +240,68 @@ fn a_warm_thread_compiles_with_fewer_bytes() {
         second.bytes,
         first.bytes
     );
+}
+
+/// `parse_module` of 40 Micro-profile request texts (class table plus
+/// body, as a compile request carries them), per unit. The parser runs
+/// no differential oracle, so debug and release builds measure the same
+/// and one pin serves both. The line-splitting parser this one replaced
+/// made 97 allocations of 88 117 bytes per unit.
+const PARSE_MICRO: Tally = tally(90, 77_537);
+
+#[test]
+fn parsing_micro_requests_stays_within_budget() {
+    let texts: Vec<String> = units(Suite::Micro, 40)
+        .iter()
+        .map(|g| print_class_table(g.class_table()) + &print_graph(g))
+        .collect();
+    let per_unit = std::thread::spawn(move || {
+        let mut total = Tally::default();
+        for text in &texts {
+            let module = counted(&mut total, || parse_module(text));
+            module.expect("a printed unit parses");
+        }
+        let n = texts.len() as u64;
+        tally(total.allocs.div_ceil(n), total.bytes.div_ceil(n))
+    })
+    .join()
+    .expect("the measuring thread panicked");
+    println!("parse_module per Micro unit: {per_unit:?} (pin {PARSE_MICRO:?})");
+    assert!(
+        per_unit.allocs * 10 <= PARSE_MICRO.allocs * 11
+            && per_unit.bytes * 10 <= PARSE_MICRO.bytes * 11,
+        "parse_module over budget: {per_unit:?} > 110 % of {PARSE_MICRO:?}"
+    );
+}
+
+/// `content_hash` allocates the same few tables for a small unit and for
+/// a compiled Octane unit thirteen times its size (the printer it streamed
+/// through used to allocate 10 and 15 times on these two).
+#[test]
+fn content_hash_allocates_a_constant_per_graph() {
+    let small = units(Suite::Micro, 1).remove(0);
+    let mut large = units(Suite::Octane, 1).remove(0);
+    compile(
+        &mut large,
+        &CostModel::new(),
+        OptLevel::Dbds,
+        &DbdsConfig::default(),
+    );
+    let allocs = std::thread::spawn(move || {
+        [small, large].map(|g| {
+            let mut tally = Tally::default();
+            counted(&mut tally, || content_hash(&g));
+            (g.inst_count(), tally.allocs)
+        })
+    })
+    .join()
+    .expect("the measuring thread panicked");
+    println!("content_hash (instructions, allocations): {allocs:?}");
+    assert!(allocs[1].0 > 10 * allocs[0].0, "{allocs:?}");
+    for (insts, n) in allocs {
+        assert!(
+            n <= 3,
+            "content_hash of a {insts}-instruction graph allocated {n} times"
+        );
+    }
 }
