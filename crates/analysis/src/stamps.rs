@@ -155,14 +155,6 @@ impl Stamp {
         }
     }
 
-    /// The constant integer this stamp pins down, if any.
-    pub fn as_int_constant(&self) -> Option<i64> {
-        match self {
-            Stamp::Int(r) => r.as_constant(),
-            _ => None,
-        }
-    }
-
     /// The constant boolean this stamp pins down, if any.
     pub fn as_bool_constant(&self) -> Option<bool> {
         match self {

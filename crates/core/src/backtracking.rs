@@ -9,8 +9,8 @@
 //! reproduces. Our implementation brackets
 //! each attempt in an IR undo-log transaction instead, so rollback costs
 //! O(edits made); the unavoidable Algorithm-1 cost that remains is the
-//! duplication itself plus the full re-optimization per attempt, and the
-//! fuel accounting charges exactly that duplicated-instruction volume.
+//! duplication itself plus the full re-optimization per attempt, and
+//! `work` counts exactly that duplicated-instruction volume.
 
 use crate::bailout::{isolate, BailoutRecord, Budget, Tier};
 use crate::phase::{DbdsConfig, PhaseStats};
@@ -50,7 +50,7 @@ pub fn run_backtracking(
 ) -> PhaseStats {
     let mut stats = PhaseStats::default();
     let undo_base = g.undo_stats();
-    let budget = Budget::new(&cfg.guard);
+    let budget = Budget::new(cfg.deadline);
     let opt = optimize_full(g, cache);
     stats.record_opt(&opt);
     stats.initial_size = model.graph_size(g);
@@ -66,12 +66,7 @@ pub fn run_backtracking(
                     continue;
                 }
                 stats.candidates += 1;
-                // The cost Algorithm 1 cannot avoid: the tentative copy
-                // itself. Each instruction the duplication is about to
-                // copy burns fuel — the undo log removed the whole-graph
-                // backup the snapshot-based formulation also paid here.
-                let copy_cost = (g.block_insts(merge).len() - g.phis(merge).len()).max(1) as u64;
-                if let Err(reason) = budget.consume(copy_cost) {
+                if let Err(reason) = budget.check() {
                     stats.bailouts.push(BailoutRecord {
                         reason,
                         tier: Tier::Optimization,
@@ -219,15 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn fuel_exhaustion_stops_backtracking_with_a_verified_graph() {
-        use crate::bailout::{BailoutReason, GuardConfig};
+    fn a_missed_deadline_stops_backtracking_with_a_verified_graph() {
+        use crate::bailout::BailoutReason;
+        use std::time::Duration;
         let mut g = figure1();
         let model = CostModel::new();
         let cfg = DbdsConfig {
-            guard: GuardConfig {
-                fuel: Some(1),
-                ..GuardConfig::default()
-            },
+            deadline: Some(Duration::ZERO),
             ..DbdsConfig::default()
         };
         let stats = run_backtracking(&mut g, &model, &cfg, &mut AnalysisCache::new());
@@ -235,7 +228,7 @@ mod tests {
         assert!(stats
             .bailouts
             .iter()
-            .any(|b| b.reason == BailoutReason::FuelExhausted && !b.recovered));
+            .any(|b| b.reason == BailoutReason::DeadlineExceeded && !b.recovered));
         verify(&g).unwrap();
         assert_eq!(execute(&g, &[Value::Int(5)]).outcome, Ok(Value::Int(7)));
     }

@@ -5,11 +5,11 @@
 //! down the compiler. This module provides the pieces the three tiers
 //! share:
 //!
-//! - [`GuardConfig`] — fuel / deadline budgets, part of
-//!   [`DbdsConfig`](crate::DbdsConfig).
-//! - [`Budget`] — cooperative accounting the simulation, trade-off and
-//!   optimization tiers poll; exhaustion becomes a structured
-//!   [`BailoutReason`] instead of unbounded work.
+//! - [`Budget`] — the wall-clock deadline of
+//!   [`DbdsConfig::deadline`](crate::DbdsConfig::deadline), which the
+//!   simulation, trade-off and optimization tiers poll; a missed
+//!   deadline becomes [`BailoutReason::DeadlineExceeded`] instead of
+//!   unbounded work.
 //! - [`checkpoint`] — `dbds_ir::verify` as a phase checkpoint, mapping
 //!   rejection into [`BailoutReason::VerifierRejected`]. The phase runs
 //!   it once per round, at the round's boundary; only a round the
@@ -33,8 +33,8 @@
 //! creates its own [`Budget`] (and its own analysis cache), and
 //! [`isolate`]'s panic-hook silencer is thread-local. Units compiled
 //! concurrently on the harness's unit queue therefore cannot poison each
-//! other: one unit's fuel exhaustion, deadline miss or contained panic
-//! never charges or silences a neighbor.
+//! other: one unit's deadline miss or contained panic never stops or
+//! silences a neighbor.
 
 use dbds_ir::{BlockId, Graph};
 use std::any::Any;
@@ -47,8 +47,6 @@ use std::time::{Duration, Instant};
 /// Why a tier abandoned (part of) its work.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BailoutReason {
-    /// The instruction-visit fuel budget ran out.
-    FuelExhausted,
     /// The wall-clock deadline passed.
     DeadlineExceeded,
     /// A checkpoint verification (or a typed transform error) rejected
@@ -66,7 +64,6 @@ impl BailoutReason {
     /// Stable lowercase label for aggregation and reports.
     pub fn label(&self) -> &'static str {
         match self {
-            BailoutReason::FuelExhausted => "fuel-exhausted",
             BailoutReason::DeadlineExceeded => "deadline-exceeded",
             BailoutReason::VerifierRejected(_) => "verifier-rejected",
             BailoutReason::TransformPanicked(_) => "transform-panicked",
@@ -118,105 +115,47 @@ pub struct BailoutRecord {
     pub candidate: Option<(BlockId, BlockId)>,
     /// `true` when the failure was contained — rolled back to a verified
     /// state (or the candidate skipped) and the phase continued. `false`
-    /// when the phase stopped early (budget exhaustion).
+    /// when the phase stopped early (a missed deadline).
     pub recovered: bool,
 }
 
-/// Guardrail tunables of the phase, part of
-/// [`DbdsConfig`](crate::DbdsConfig).
-#[derive(Clone, Debug, Default)]
-pub struct GuardConfig {
-    /// Instruction-visit fuel for the whole phase. `None` = unbounded
-    /// (the default: the happy path pays no budget checks beyond a
-    /// counter increment).
-    pub fuel: Option<u64>,
-    /// Wall-clock deadline for the whole phase, measured from its start.
-    /// `None` = no deadline.
-    pub deadline: Option<Duration>,
-}
-
-/// Sentinel for an unbounded fuel tank (a `fuel` budget of `u64::MAX`
-/// is treated as unbounded).
-const UNBOUNDED: u64 = u64::MAX;
-
-/// Cooperative fuel / deadline accounting shared by the three tiers.
+/// The phase's wall-clock deadline, polled cooperatively by the three
+/// tiers.
 ///
-/// Interior-mutable, so a `&Budget` can thread through the recursive
-/// simulation walk alongside other borrows. One budget belongs to one
-/// compilation and is only ever charged from the thread compiling it:
-/// the counters are [`Cell`]s, so `Budget` is `!Sync` and the compiler
-/// rejects sharing one across threads.
+/// One budget belongs to one compilation and is only polled from the
+/// thread compiling it.
 #[derive(Debug)]
 pub struct Budget {
-    /// Remaining fuel; [`UNBOUNDED`] = no limit.
-    fuel: Cell<u64>,
     deadline: Option<Instant>,
-    used: Cell<u64>,
 }
 
 impl Budget {
-    /// A budget enforcing `guard`'s limits, with the deadline clock
-    /// starting now.
-    pub fn new(guard: &GuardConfig) -> Self {
+    /// A budget that expires `deadline` from now; `None` never expires.
+    pub fn new(deadline: Option<Duration>) -> Self {
         Budget {
-            fuel: Cell::new(guard.fuel.unwrap_or(UNBOUNDED)),
-            deadline: guard.deadline.map(|d| Instant::now() + d),
-            used: Cell::new(0),
+            deadline: deadline.map(|d| Instant::now() + d),
         }
     }
 
-    /// A budget that never exhausts (fuel is still counted).
+    /// A budget that never expires.
     pub fn unlimited() -> Self {
-        Budget {
-            fuel: Cell::new(UNBOUNDED),
-            deadline: None,
-            used: Cell::new(0),
-        }
+        Budget { deadline: None }
     }
 
-    /// Burns `units` of fuel and polls the deadline.
+    /// Polls the deadline.
     ///
     /// # Errors
     ///
-    /// Returns the exhausted resource as a [`BailoutReason`]; once the
-    /// fuel hits zero every further call fails.
-    pub fn consume(&self, units: u64) -> Result<(), BailoutReason> {
-        // An exhaustion an armed fault plan left pending; one
-        // thread-local read when nothing is armed.
-        if let Some(reason) = crate::faultinject::take_pending_exhaustion() {
-            return Err(reason);
-        }
-        self.used.set(self.used.get() + units);
-        let left = self.fuel.get();
-        if left != UNBOUNDED {
-            // `left == 0` keeps exhaustion sticky: once the tank is
-            // empty, even zero-cost polls fail.
-            if left == 0 || left < units {
-                self.fuel.set(0);
-                return Err(BailoutReason::FuelExhausted);
-            }
-            self.fuel.set(left - units);
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(BailoutReason::DeadlineExceeded);
-            }
+    /// [`BailoutReason::DeadlineExceeded`] once the deadline has passed,
+    /// or when an armed fault plan left a miss pending.
+    pub fn check(&self) -> Result<(), BailoutReason> {
+        // One thread-local read when nothing is armed.
+        if crate::faultinject::take_pending_exhaustion()
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
+        {
+            return Err(BailoutReason::DeadlineExceeded);
         }
         Ok(())
-    }
-
-    /// Polls the budget without burning fuel.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Budget::consume`].
-    pub fn check(&self) -> Result<(), BailoutReason> {
-        self.consume(0)
-    }
-
-    /// Total fuel units consumed so far (also counted when unbounded).
-    pub fn fuel_used(&self) -> u64 {
-        self.used.get()
     }
 }
 
@@ -330,31 +269,13 @@ mod tests {
     fn unlimited_budget_never_exhausts() {
         let b = Budget::unlimited();
         for _ in 0..1000 {
-            b.consume(1_000_000).unwrap();
+            b.check().unwrap();
         }
-        assert_eq!(b.fuel_used(), 1_000_000_000);
-    }
-
-    #[test]
-    fn fuel_runs_out_and_stays_out() {
-        let guard = GuardConfig {
-            fuel: Some(10),
-            ..GuardConfig::default()
-        };
-        let b = Budget::new(&guard);
-        b.consume(7).unwrap();
-        assert_eq!(b.consume(7), Err(BailoutReason::FuelExhausted));
-        // Sticky: even a zero-cost poll fails afterwards.
-        assert_eq!(b.check(), Err(BailoutReason::FuelExhausted));
     }
 
     #[test]
     fn zero_deadline_trips_immediately() {
-        let guard = GuardConfig {
-            deadline: Some(Duration::ZERO),
-            ..GuardConfig::default()
-        };
-        let b = Budget::new(&guard);
+        let b = Budget::new(Some(Duration::ZERO));
         assert_eq!(b.check(), Err(BailoutReason::DeadlineExceeded));
     }
 
@@ -447,7 +368,7 @@ mod tests {
 
     #[test]
     fn labels_are_stable() {
-        assert_eq!(BailoutReason::FuelExhausted.label(), "fuel-exhausted");
+        assert_eq!(BailoutReason::DeadlineExceeded.label(), "deadline-exceeded");
         assert_eq!(
             BailoutReason::VerifierRejected(String::new()).label(),
             "verifier-rejected"

@@ -5,14 +5,13 @@
 //! hook on an unarmed thread is one thread-local read. The next time the
 //! armed plan's injection point is reached for its trigger count, the
 //! plan fires exactly once: a panic, a verifier-detectable graph
-//! corruption, or an artificial budget exhaustion that the next
-//! cooperative [`Budget`](crate::Budget) poll reports. While a plan is
+//! corruption, or an artificial deadline miss that the next cooperative
+//! [`Budget`](crate::Budget) poll reports. While a plan is
 //! armed, [`armed`] turns on the phase's two extra detectors. The
 //! `faultsim` harness binary sweeps every site × kind across the workload
 //! suite and asserts each compilation still ends with a verified,
 //! interpreter-equivalent graph.
 
-use crate::bailout::BailoutReason;
 use dbds_ir::{Graph, Inst, InstId, Use};
 use std::cell::{Cell, RefCell};
 
@@ -25,18 +24,15 @@ pub enum FaultKind {
     /// (exercises checkpoint + rollback). A no-op at sites without graph
     /// access.
     CorruptGraph,
-    /// Report fuel exhaustion at the next budget poll.
-    ExhaustFuel,
     /// Report a missed deadline at the next budget poll.
     ExhaustDeadline,
 }
 
 impl FaultKind {
     /// Every kind, in sweep order.
-    pub const ALL: [FaultKind; 4] = [
+    pub const ALL: [FaultKind; 3] = [
         FaultKind::Panic,
         FaultKind::CorruptGraph,
-        FaultKind::ExhaustFuel,
         FaultKind::ExhaustDeadline,
     ];
 
@@ -45,7 +41,6 @@ impl FaultKind {
         match self {
             FaultKind::Panic => "panic",
             FaultKind::CorruptGraph => "corrupt-graph",
-            FaultKind::ExhaustFuel => "exhaust-fuel",
             FaultKind::ExhaustDeadline => "exhaust-deadline",
         }
     }
@@ -120,13 +115,13 @@ struct Armed {
 
 thread_local! {
     static ARMED: RefCell<Option<Armed>> = const { RefCell::new(None) };
-    static PENDING_EXHAUSTION: Cell<Option<FaultKind>> = const { Cell::new(None) };
+    static PENDING_EXHAUSTION: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Arms `plan` on the current thread, replacing any previous plan and
 /// clearing pending exhaustion state.
 pub fn arm(plan: FaultPlan) {
-    PENDING_EXHAUSTION.with(|p| p.set(None));
+    PENDING_EXHAUSTION.with(|p| p.set(false));
     ARMED.with(|a| {
         *a.borrow_mut() = Some(Armed {
             plan,
@@ -139,7 +134,7 @@ pub fn arm(plan: FaultPlan) {
 /// Disarms the current thread's plan; returns how often its site was hit
 /// and whether it fired.
 pub fn disarm() -> (u32, bool) {
-    PENDING_EXHAUSTION.with(|p| p.set(None));
+    PENDING_EXHAUSTION.with(|p| p.set(false));
     ARMED.with(|a| {
         a.borrow_mut()
             .take()
@@ -187,20 +182,15 @@ pub fn fault_point(site: &str, g: Option<&mut Graph>) {
                 corrupt(g);
             }
         }
-        Some(k @ (FaultKind::ExhaustFuel | FaultKind::ExhaustDeadline)) => {
-            PENDING_EXHAUSTION.with(|p| p.set(Some(k)));
-        }
+        Some(FaultKind::ExhaustDeadline) => PENDING_EXHAUSTION.with(|p| p.set(true)),
     }
 }
 
-/// Consumes a pending artificial exhaustion; called by
-/// [`Budget::consume`](crate::Budget::consume) so injected exhaustion
-/// surfaces through the same cooperative path as the real thing.
-pub fn take_pending_exhaustion() -> Option<BailoutReason> {
-    PENDING_EXHAUSTION.with(|p| p.take()).map(|k| match k {
-        FaultKind::ExhaustFuel => BailoutReason::FuelExhausted,
-        _ => BailoutReason::DeadlineExceeded,
-    })
+/// Consumes a pending artificial deadline miss; called by
+/// [`Budget::check`](crate::Budget::check) so an injected miss surfaces
+/// through the same cooperative path as the real thing.
+pub fn take_pending_exhaustion() -> bool {
+    PENDING_EXHAUSTION.with(|p| p.take())
 }
 
 /// Mutates `g` into a state `dbds_ir::verify` provably rejects, without
@@ -279,20 +269,17 @@ mod tests {
     fn plan_fires_exactly_once_at_the_nth_hit() {
         arm(FaultPlan {
             site: "transform/entry",
-            kind: FaultKind::ExhaustFuel,
+            kind: FaultKind::ExhaustDeadline,
             nth: 1,
             seed: 0,
         });
         fault_point("transform/entry", None);
-        assert!(take_pending_exhaustion().is_none(), "hit 0 must not fire");
+        assert!(!take_pending_exhaustion(), "hit 0 must not fire");
         fault_point("simulation/dst", None); // other sites don't count
         fault_point("transform/entry", None);
-        assert_eq!(
-            take_pending_exhaustion(),
-            Some(BailoutReason::FuelExhausted)
-        );
+        assert!(take_pending_exhaustion());
         fault_point("transform/entry", None);
-        assert!(take_pending_exhaustion().is_none(), "fires at most once");
+        assert!(!take_pending_exhaustion(), "fires at most once");
         assert!(armed(), "a plan that fired stays armed until disarmed");
         let (hits, fired) = disarm();
         assert_eq!(hits, 3);
@@ -326,6 +313,6 @@ mod tests {
         disarm();
         assert!(!armed());
         fault_point("transform/entry", None);
-        assert!(take_pending_exhaustion().is_none());
+        assert!(!take_pending_exhaustion());
     }
 }

@@ -63,9 +63,7 @@ mod tradeoff;
 mod transform;
 
 pub use backtracking::run_backtracking;
-pub use bailout::{
-    checkpoint, isolate, transact, BailoutReason, BailoutRecord, Budget, GuardConfig, Tier,
-};
+pub use bailout::{checkpoint, isolate, transact, BailoutReason, BailoutRecord, Budget, Tier};
 pub use lint::{lint_frontier, lint_simulation, lint_tail_copy};
 pub use phase::{compile, run_dbds, DbdsConfig, OptLevel, PhaseStats};
 pub use simulation::{

@@ -8,9 +8,7 @@
 //! cumulative benefit clears a threshold, and later iterations prefer
 //! merges not yet duplicated.
 
-use crate::bailout::{
-    checkpoint, isolate, transact, BailoutReason, BailoutRecord, Budget, GuardConfig, Tier,
-};
+use crate::bailout::{checkpoint, isolate, transact, BailoutReason, BailoutRecord, Budget, Tier};
 use crate::faultinject::{self, fault_point};
 use crate::simulation::{
     count_mispredictions, dominator_chain, simulate_paths_budgeted, AuditMemo, CandidateKind,
@@ -23,7 +21,7 @@ use dbds_costmodel::CostModel;
 use dbds_ir::{BlockId, Diagnostic, FastMap, FastSet, Graph, LintId, UndoStats};
 use dbds_opt::{optimize, optimize_full, OptKind, OptimizeStats, MAX_ROUNDS};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The compiler configuration under evaluation — the paper's benchmark
 /// configurations plus the backtracking strategy of §3.1.
@@ -66,9 +64,10 @@ pub struct DbdsConfig {
     /// simulates through jump-connected merges and the optimization tier
     /// duplicates each merge of the accepted path in turn.
     pub max_path_length: usize,
-    /// Bailout-and-recovery guardrails: fuel / deadline budgets, verified
-    /// checkpoints and panic isolation.
-    pub guard: GuardConfig,
+    /// Wall-clock deadline for the whole phase, measured from its start;
+    /// `None` = no deadline. The tiers poll it cooperatively, and a miss
+    /// stops the phase early on a verified graph.
+    pub deadline: Option<Duration>,
     /// Worker threads for the *unit-level* compilation queue: how many
     /// independent compilation units a batch overlaps on
     /// [`crate::par::run_units`] (`0` = one per hardware thread; see
@@ -111,7 +110,7 @@ impl Default for DbdsConfig {
             tradeoff: TradeoffConfig::default(),
             max_iterations: 3,
             max_path_length: 1,
-            guard: GuardConfig::default(),
+            deadline: None,
             unit_threads: unit_threads_from_env(),
             enable_branch_splitting: crate::simulation::BRANCH_SPLIT_DEFAULT,
         }
@@ -123,7 +122,7 @@ impl DbdsConfig {
     /// independent compilations gets: [`DbdsConfig::unit_threads`], with
     /// `0` resolved to the machine's hardware threads, clamped to the
     /// batch size and never 0. Each unit owns its own
-    /// [`dbds_analysis::AnalysisCache`] and fuel/deadline
+    /// [`dbds_analysis::AnalysisCache`] and deadline
     /// [`Budget`](crate::Budget) — both are created per
     /// [`run_dbds`]/[`compile`] call — so one unit's bailout never
     /// poisons a neighbor.
@@ -141,15 +140,16 @@ impl DbdsConfig {
     /// (the graph half is [`dbds_ir::content_hash`]).
     ///
     /// Included: the opt level, the trade-off parameters, the iteration
-    /// limits, the path length and the fuel budget. Three slots hold
-    /// constants, kept so that no stored entry's key moves: the unit-size
-    /// limit `MS` and the iteration-benefit threshold (once fields) and
-    /// the always-on checkpoint switch. Deliberately
-    /// excluded, because results are proven invariant under them:
-    /// `unit_threads` (bit-identical at any width)
-    /// and `guard.deadline` (a deadline is wall-clock
-    /// nondeterminism — the service never caches a compilation that a
-    /// deadline cut short, see [`PhaseStats::stopped_early`]).
+    /// limit, the path length and the branch-splitting switch. Four slots
+    /// hold constants, kept so that no stored entry's key moves: the
+    /// unit-size limit `MS` and the iteration-benefit threshold (once
+    /// fields), the retired instruction-visit fuel budget (`u64::MAX`,
+    /// what its unbounded default wrote) and the always-on checkpoint
+    /// switch. Deliberately excluded, because results are proven
+    /// invariant under them: `unit_threads` (bit-identical at any width)
+    /// and `deadline` (a deadline is wall-clock nondeterminism — the
+    /// service never caches a compilation that a deadline cut short, see
+    /// [`PhaseStats::hit_deadline`]).
     pub fn fingerprint(&self, level: OptLevel) -> u64 {
         let mut h = dbds_ir::Fnv64::new();
         h.write_str("dbds-config-fingerprint-v2");
@@ -162,9 +162,10 @@ impl DbdsConfig {
         h.write_u64(self.max_iterations as u64);
         h.write_u64(ITERATION_BENEFIT_THRESHOLD.to_bits());
         h.write_u64(self.max_path_length as u64);
-        h.write_u64(self.guard.fuel.map_or(u64::MAX, |f| f));
-        // The slot of the former `guard.checkpoints` switch (always on):
-        // dropping it would change the key of every stored entry.
+        // The slots of the former fuel budget (unbounded) and
+        // `guard.checkpoints` switch (always on): dropping them would
+        // change the key of every stored entry.
+        h.write_u64(u64::MAX);
         h.write_u64(1);
         h.write_u64(u64::from(self.enable_branch_splitting));
         h.finish()
@@ -273,25 +274,14 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    /// The reason the phase stopped *early* (a budget exhaustion that
-    /// was not contained), if any: the first bailout record whose
-    /// failure was not recovered. The graph is still verified in that
-    /// case, but the result reflects how far the wall clock or fuel
-    /// tank let the phase get — a deadline-truncated compilation is
-    /// wall-clock-dependent, so the compilation service treats such a
-    /// result as non-cacheable and answers with a typed error instead.
-    pub fn stopped_early(&self) -> Option<&BailoutReason> {
+    /// Whether a missed deadline stopped the phase early. The graph
+    /// still verifies, but how far the phase got depends on the wall
+    /// clock, so the compilation service neither serves nor caches such
+    /// a result and answers with a typed error instead.
+    pub fn hit_deadline(&self) -> bool {
         self.bailouts
             .iter()
-            .find(|b| !b.recovered)
-            .map(|b| &b.reason)
-    }
-
-    /// `true` when [`PhaseStats::stopped_early`] reports a missed
-    /// wall-clock deadline — the per-request deadline plumbing of the
-    /// compilation service.
-    pub fn hit_deadline(&self) -> bool {
-        matches!(self.stopped_early(), Some(BailoutReason::DeadlineExceeded))
+            .any(|b| b.reason == BailoutReason::DeadlineExceeded)
     }
 
     /// Copies the cache counters accumulated between `base` and `cache`'s
@@ -358,8 +348,8 @@ pub fn compile(g: &mut Graph, model: &CostModel, level: OptLevel, cfg: &DbdsConf
 /// Runs the full three-tier DBDS phase on `g`, pulling every CFG analysis
 /// through `cache`.
 ///
-/// The phase is guarded (see [`GuardConfig`]): fuel / deadline exhaustion
-/// stops it early with a [`BailoutRecord`], a failing candidate rolls
+/// The phase is guarded: a missed [`DbdsConfig::deadline`] stops it
+/// early with a [`BailoutRecord`], a failing candidate rolls
 /// its undo-log transaction back to the last verified state and the
 /// remaining candidates continue — the returned graph always verifies.
 pub fn run_dbds(
@@ -372,7 +362,7 @@ pub fn run_dbds(
     let mut stats = PhaseStats::default();
     let cache_base = cache.stats();
     let undo_base = g.undo_stats();
-    let budget = Budget::new(&cfg.guard);
+    let budget = Budget::new(cfg.deadline);
     run_opt_tier(g, cache, &mut stats, true);
     stats.initial_size = model.graph_size(g);
     let mut visited: FastSet<BlockId> = FastSet::default();
@@ -1466,26 +1456,29 @@ mod tests {
     }
 
     #[test]
-    fn fuel_exhaustion_bails_out_with_a_verified_graph() {
+    fn a_deadline_missed_in_simulation_bails_out_with_a_verified_graph() {
         let mut g = figure1();
         let reference = figure1();
         let model = CostModel::new();
-        let cfg = DbdsConfig {
-            guard: GuardConfig {
-                fuel: Some(1),
-                ..GuardConfig::default()
-            },
-            ..DbdsConfig::default()
-        };
-        let stats = compile(&mut g, &model, OptLevel::Dbds, &cfg);
-        assert!(
-            stats
-                .bailouts
-                .iter()
-                .any(|b| b.reason == BailoutReason::FuelExhausted && !b.recovered),
-            "bailouts: {:?}",
-            stats.bailouts
+        arm(FaultPlan {
+            site: "simulation/dst",
+            kind: FaultKind::ExhaustDeadline,
+            nth: 0,
+            seed: 0,
+        });
+        let stats = compile(&mut g, &model, OptLevel::Dbds, &DbdsConfig::default());
+        assert_eq!(disarm(), (1, true));
+        assert!(stats.hit_deadline());
+        assert_eq!(
+            stats.bailouts,
+            [BailoutRecord {
+                reason: BailoutReason::DeadlineExceeded,
+                tier: Tier::Simulation,
+                candidate: None,
+                recovered: false,
+            }]
         );
+        assert_eq!(stats.duplications, 0);
         checkpoint(&g).unwrap();
         for v in [-3i64, 0, 5] {
             assert_eq!(
@@ -1500,10 +1493,7 @@ mod tests {
         let mut g = figure1();
         let model = CostModel::new();
         let cfg = DbdsConfig {
-            guard: GuardConfig {
-                deadline: Some(std::time::Duration::ZERO),
-                ..GuardConfig::default()
-            },
+            deadline: Some(Duration::ZERO),
             ..DbdsConfig::default()
         };
         let stats = compile(&mut g, &model, OptLevel::Dbds, &cfg);

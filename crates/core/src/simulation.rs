@@ -16,12 +16,11 @@
 //!
 //! # Budget accounting
 //!
-//! The walk charges each block (`insts + 1` fuel units) as it enters it.
-//! A DST is polled with [`Budget::check`] before it starts and charged
-//! once, with the sum of its segments, after it ran: a DST either commits
-//! whole or contributes nothing, so exhaustion never leaves a partial
-//! candidate behind. The first failing charge stops the walk; what was
-//! found up to there still feeds the trade-off tier.
+//! The walk polls the deadline with [`Budget::check`] as it enters each
+//! block, before each DST starts and again after it ran: a DST either
+//! commits whole or contributes nothing, so a missed deadline never
+//! leaves a partial candidate behind. The first failing poll stops the
+//! walk; what was found up to there still feeds the trade-off tier.
 
 use crate::bailout::{isolate, BailoutReason, Budget};
 use crate::faultinject::fault_point;
@@ -118,7 +117,7 @@ impl SimulationResult {
 pub struct SimulationOutcome {
     /// The per-pair simulation results discovered so far, unsorted.
     pub results: Vec<SimulationResult>,
-    /// `Some` when the walk stopped early on budget exhaustion.
+    /// `Some` when the walk stopped early on a missed deadline.
     pub stopped: Option<BailoutReason>,
     /// DSTs whose evaluation panicked, as `(pred, merge, message)`; the
     /// pair is simply skipped (no candidate, no result).
@@ -161,12 +160,11 @@ pub fn simulate_paths(
     .results
 }
 
-/// Like [`simulate_paths`], but cooperatively polls `budget` (one fuel
-/// unit per instruction visited plus one per block, see the module docs)
-/// and isolates each DST behind a panic guard; `branch_split` gates the
-/// branch-splitting continuation. Budget exhaustion stops the walk and
-/// reports what was found so far; a panicking DST only loses that one
-/// predecessor→merge pair.
+/// Like [`simulate_paths`], but cooperatively polls `budget` (see the
+/// module docs) and isolates each DST behind a panic guard;
+/// `branch_split` gates the branch-splitting continuation. A missed
+/// deadline stops the walk and reports what was found so far; a
+/// panicking DST only loses that one predecessor→merge pair.
 pub fn simulate_paths_budgeted(
     g: &Graph,
     model: &CostModel,
@@ -220,7 +218,7 @@ impl Walk<'_> {
     ///
     /// # Errors
     ///
-    /// The budget exhaustion that stopped the walk.
+    /// The missed deadline that stopped the walk.
     fn run(&mut self) -> Result<(), BailoutReason> {
         let g = self.g;
         let dt = self.dt;
@@ -253,10 +251,10 @@ impl Walk<'_> {
     ///
     /// # Errors
     ///
-    /// The budget exhaustion that stopped the walk.
+    /// The missed deadline that stopped the walk.
     fn visit(&mut self, b: BlockId, env: &mut FactEnv) -> Result<(), BailoutReason> {
         let g = self.g;
-        self.budget.consume(g.block_insts(b).len() as u64 + 1)?;
+        self.budget.check()?;
 
         accumulate_block_facts(g, env, b);
 
@@ -265,15 +263,14 @@ impl Walk<'_> {
                 let mark = env.mark();
                 env.assume_edge(g, b, s);
                 self.budget.check()?;
-                let mut work = DstWork::default();
                 let dst = isolate(|| {
-                    // An injected exhaustion surfaces at the charge below.
+                    // An injected deadline miss surfaces at the poll below.
                     fault_point("simulation/dst", None);
                     run_dst(
                         g,
                         self.model,
                         path_probability(g, self.freqs, b, s),
-                        &mut work,
+                        &mut 0,
                         env,
                         b,
                         s,
@@ -282,7 +279,7 @@ impl Walk<'_> {
                     )
                 });
                 env.rollback_to(mark);
-                self.budget.consume(work.fuel)?;
+                self.budget.check()?;
                 match dst {
                     Ok(results) => self.results.extend(results),
                     Err(BailoutReason::TransformPanicked(msg)) => self.panicked.push((b, s, msg)),
@@ -374,7 +371,7 @@ fn replay_from_entry(
         for k in 0..chain.len() {
             replay_step(g, env, chain, k);
         }
-        audit_dst(g, model, env, s, &mut DstWork::default())
+        audit_dst(g, model, env, s, &mut 0)
     })
 }
 
@@ -389,13 +386,14 @@ fn replay_step(g: &Graph, env: &mut FactEnv, chain: &[BlockId], k: usize) {
 
 /// Runs the DST of `s` on the facts valid at the end of `s.pred` and
 /// rolls them back again; returns the opportunities of the longest prefix
-/// of the recorded path that is still walkable.
+/// of the recorded path that is still walkable. Adds the instructions
+/// the DST evaluated to `evaluated`.
 fn audit_dst(
     g: &Graph,
     model: &CostModel,
     env: &mut FactEnv,
     s: &SimulationResult,
-    work: &mut DstWork,
+    evaluated: &mut u64,
 ) -> Option<Vec<Opportunity>> {
     let mark = env.mark();
     env.assume_edge(g, s.pred, s.merge);
@@ -406,8 +404,7 @@ fn audit_dst(
         // the path's probability: no loop forest or block frequencies are
         // rebuilt for a graph the previous duplication just changed.
         0.0,
-        // Auditing never charges the phase's fuel.
-        work,
+        evaluated,
         env,
         s.pred,
         s.merge,
@@ -539,9 +536,7 @@ impl AuditMemo {
             self.work.blocks_replayed += 1;
             self.work.insts_evaluated += g.block_insts(chain[k]).len() as u64;
         }
-        let mut dst = DstWork::default();
-        let rerun = audit_dst(g, model, env, s, &mut dst);
-        self.work.insts_evaluated += dst.evaluated;
+        let rerun = audit_dst(g, model, env, s, &mut self.work.insts_evaluated);
         if MEMO_ORACLE && oracle.is_none() {
             let expected = replay_from_entry(g, model, chain, s);
             if rerun != expected {
@@ -593,29 +588,19 @@ fn path_probability(g: &Graph, freqs: &BlockFrequencies, pred: BlockId, merge: B
     }
 }
 
-/// What one DST visited, added up as it goes (so a panicking DST still
-/// reports what it visited before the panic).
-#[derive(Clone, Copy, Debug, Default)]
-struct DstWork {
-    /// The fuel the walk charges for it: each segment's instructions plus
-    /// one.
-    fuel: u64,
-    /// The instructions it evaluated: each segment's besides its φs, which
-    /// only seed synonyms.
-    evaluated: u64,
-}
-
 /// Runs one duplication simulation traversal for `(pred, merge)` under
 /// `env` (the facts valid at the end of `pred` plus the edge condition),
-/// adding what it visited to `work`. It writes its own facts into `env`;
-/// the caller rolls them back. Every result carries `probability`
-/// ([`path_probability`]) unchanged.
+/// adding the instructions it evaluated to `evaluated` as it goes (so a
+/// panicking DST still counts what it evaluated before the panic): each
+/// segment's besides its φs, which only seed synonyms. It writes its own
+/// facts into `env`; the caller rolls them back. Every result carries
+/// `probability` ([`path_probability`]) unchanged.
 #[allow(clippy::too_many_arguments)]
 fn run_dst(
     g: &Graph,
     model: &CostModel,
     probability: f64,
-    work: &mut DstWork,
+    evaluated: &mut u64,
     env: &mut FactEnv,
     pred: BlockId,
     merge: BlockId,
@@ -637,8 +622,7 @@ fn run_dst(
     loop {
         path.push(cur_merge);
         let insts = g.block_insts(cur_merge).len();
-        work.fuel += insts as u64 + 1;
-        work.evaluated += (insts - g.phis(cur_merge).len()) as u64;
+        *evaluated += (insts - g.phis(cur_merge).len()) as u64;
         let saved_before = acc.cycles_saved;
         let continuation = simulate_segment(g, model, env, cur_pred, cur_merge, &mut acc);
         // The trade-off tier ranks by `probability * cycles_saved`;
@@ -1380,25 +1364,33 @@ mod tests {
     }
 
     #[test]
-    fn tiny_fuel_stops_the_walk_with_fuel_exhausted() {
-        use crate::bailout::{BailoutReason, Budget, GuardConfig};
+    fn a_deadline_missed_during_a_dst_stops_the_walk_without_it() {
+        use crate::bailout::{BailoutReason, Budget};
+        use crate::faultinject::{arm, disarm, FaultKind, FaultPlan};
         let (g, _, _, _) = figure3();
-        let guard = GuardConfig {
-            fuel: Some(1),
-            ..GuardConfig::default()
+        let walk = || {
+            simulate_paths_budgeted(
+                &g,
+                &model(),
+                &mut AnalysisCache::new(),
+                1,
+                &Budget::unlimited(),
+                BRANCH_SPLIT_DEFAULT,
+            )
         };
-        let budget = Budget::new(&guard);
-        let outcome = simulate_paths_budgeted(
-            &g,
-            &model(),
-            &mut AnalysisCache::new(),
-            1,
-            &budget,
-            BRANCH_SPLIT_DEFAULT,
-        );
-        assert_eq!(outcome.stopped, Some(BailoutReason::FuelExhausted));
-        // Partial results are still usable (possibly empty).
-        assert!(outcome.results.len() <= 4);
+        assert!(!walk().results.is_empty());
+        arm(FaultPlan {
+            site: "simulation/dst",
+            kind: FaultKind::ExhaustDeadline,
+            nth: 0,
+            seed: 0,
+        });
+        let outcome = walk();
+        assert_eq!(disarm(), (1, true));
+        assert_eq!(outcome.stopped, Some(BailoutReason::DeadlineExceeded));
+        // The poll after the first DST failed: that DST contributes
+        // nothing, and no later one ran.
+        assert!(outcome.results.is_empty());
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl CostModel {
         Self::default()
     }
 
-    /// Builds a model from an explicit table.
-    pub fn from_table(table: [NodeCost; InstKind::COUNT]) -> Self {
-        CostModel { table }
-    }
-
     /// The cost entry of `kind`.
     pub fn cost(&self, kind: InstKind) -> NodeCost {
         self.table[kind as usize]

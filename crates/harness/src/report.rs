@@ -106,17 +106,16 @@ pub fn format_figure(result: &SuiteResult) -> String {
     }
     let _ = writeln!(
         out,
-        "\nBailouts (total/recovered; fuel, deadline, verifier, panic, size)"
+        "\nBailouts (total/recovered; deadline, verifier, panic, size)"
     );
     for level in [OptLevel::Baseline, OptLevel::Dbds, OptLevel::Dupalot] {
         let b = result.bailout_totals(level);
         let _ = writeln!(
             out,
-            "{:<14} | {:>5} / {:<5} ({}, {}, {}, {}, {})",
+            "{:<14} | {:>5} / {:<5} ({}, {}, {}, {})",
             level.name(),
             b.total(),
             b.recovered,
-            b.fuel_exhausted,
             b.deadline_exceeded,
             b.verifier_rejected,
             b.transform_panicked,

@@ -93,7 +93,6 @@ impl SuiteResult {
         for row in &self.rows {
             for b in &row.pick(level).stats.bailouts {
                 match b.reason {
-                    BailoutReason::FuelExhausted => t.fuel_exhausted += 1,
                     BailoutReason::DeadlineExceeded => t.deadline_exceeded += 1,
                     BailoutReason::VerifierRejected(_) => t.verifier_rejected += 1,
                     BailoutReason::TransformPanicked(_) => t.transform_panicked += 1,
@@ -126,8 +125,6 @@ impl SuiteResult {
 /// [`BailoutReason`] variant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BailoutTotals {
-    /// Fuel-budget exhaustions.
-    pub fuel_exhausted: usize,
     /// Missed wall-clock deadlines.
     pub deadline_exceeded: usize,
     /// Checkpoint / transform-invariant rejections.
@@ -144,8 +141,7 @@ pub struct BailoutTotals {
 impl BailoutTotals {
     /// Total incidents, all reasons.
     pub fn total(&self) -> usize {
-        self.fuel_exhausted
-            + self.deadline_exceeded
+        self.deadline_exceeded
             + self.verifier_rejected
             + self.transform_panicked
             + self.size_budget_exceeded

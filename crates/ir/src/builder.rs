@@ -67,11 +67,6 @@ impl GraphBuilder {
         &mut self.graph
     }
 
-    /// The block the cursor currently appends to.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Creates a new (empty, unterminated) block without moving the cursor.
     pub fn new_block(&mut self) -> BlockId {
         self.graph.add_block()
@@ -104,11 +99,6 @@ impl GraphBuilder {
     /// Appends a null reference constant of class `class`.
     pub fn null(&mut self, class: ClassId) -> InstId {
         self.push(Inst::Const(ConstValue::Null(class)), Type::Ref(class))
-    }
-
-    /// Appends a null array constant.
-    pub fn null_arr(&mut self) -> InstId {
-        self.push(Inst::Const(ConstValue::NullArr), Type::Arr)
     }
 
     /// Appends a binary operation.

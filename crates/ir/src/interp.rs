@@ -171,11 +171,6 @@ impl Heap {
             HeapCell::Object { .. } => panic!("get_elem on object"),
         }
     }
-
-    /// Number of allocated cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
 }
 
 fn ref_index(v: Value) -> Option<usize> {

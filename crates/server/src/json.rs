@@ -93,14 +93,6 @@ impl Json {
         }
     }
 
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Single-line rendering (the wire format).
     pub fn compact(&self) -> String {
         let mut out = String::new();

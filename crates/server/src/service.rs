@@ -62,7 +62,7 @@ pub struct CompileRequest {
     /// The optimization level to compile at.
     pub level: OptLevel,
     /// Optional per-request wall-clock deadline in milliseconds,
-    /// installed into [`dbds_core::GuardConfig::deadline`].
+    /// installed into [`dbds_core::DbdsConfig::deadline`].
     pub deadline_ms: Option<u64>,
 }
 
@@ -436,7 +436,7 @@ impl CompileService {
                 }
             };
             let mut cfg = self.base_cfg.clone();
-            cfg.guard.deadline = req.deadline_ms.map(Duration::from_millis);
+            cfg.deadline = req.deadline_ms.map(Duration::from_millis);
             let key = StoreKey::compute(&graph, &cfg, req.level);
             if let Some(artifact) = self.lookup_verified(&key) {
                 outcomes.push(Some(Ok(ServedResult {
@@ -554,15 +554,10 @@ impl CompileService {
             return Err(ServiceError::DeadlineExceeded);
         }
         let artifact = CompiledArtifact::from_compiled(key, level, g, stats);
-        if stats.stopped_early().is_none() {
-            match Self::with_retry(cfg, slot, |s| s.put(&key, &artifact.serialize())) {
-                Ok(()) => slot.counters.puts += 1,
-                Err(_) => slot.counters.degraded += 1,
-            }
+        match Self::with_retry(cfg, slot, |s| s.put(&key, &artifact.serialize())) {
+            Ok(()) => slot.counters.puts += 1,
+            Err(_) => slot.counters.degraded += 1,
         }
-        // Non-deadline early stops (e.g. fuel exhaustion) are
-        // deterministic — the *result* is servable — but conservative:
-        // only fully converged compilations enter the store.
         Ok(ServedResult {
             artifact,
             cached: false,

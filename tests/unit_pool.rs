@@ -1,9 +1,10 @@
 //! Gates for "units are the only parallel grain".
 //!
 //! (a) *Golden simulation accounting*: the simulation tier's results,
-//!     stop reason, panic records and fuel accounting, pinned as digests
-//!     computed from the collect → speculate → commit tier this walk
-//!     replaced (at one thread), over the whole corpus and a fuel ladder.
+//!     stop reason and panic records, over the whole corpus, unarmed and
+//!     under a ladder of deadline misses injected at the `nth` DST. The
+//!     digests were computed at the commit before the instruction-visit
+//!     fuel budget was retired, whose tier stopped at the same polls.
 //! (b) *Corpus counter gate*: the suite report is byte-identical at every
 //!     `unit_threads` and its deterministic counters sum to the pins the
 //!     retired `bench_suite` binary gated.
@@ -13,10 +14,9 @@
 //!     first, and a panic that waits for the other units.
 
 use dbds::analysis::AnalysisCache;
+use dbds::core::faultinject::{arm, disarm, FaultKind, FaultPlan};
 use dbds::core::par::run_units;
-use dbds::core::{
-    simulate_paths_budgeted, Budget, DbdsConfig, GuardConfig, OptLevel, BRANCH_SPLIT_DEFAULT,
-};
+use dbds::core::{simulate_paths_budgeted, Budget, DbdsConfig, OptLevel, BRANCH_SPLIT_DEFAULT};
 use dbds::costmodel::CostModel;
 use dbds::harness::{format_json, measure_from, run_suite, BenchmarkRow, IcacheModel, SuiteResult};
 use dbds::ir::{parse_module, Fnv64, Graph};
@@ -53,11 +53,13 @@ const PROGRAM_F: &str = r#"
     }
 "#;
 
-/// Unlimited, then a ladder that stops the walk inside the first block,
-/// between a block and its DST, inside a DST's charge and (on the large
-/// units) a few hundred blocks in.
-const FUELS: [Option<u64>; 13] = [
+/// The unarmed walk, then a ladder of deadline misses injected at the
+/// `nth` DST: the first DST, the first few, and (on the large units) a
+/// few dozen DSTs in. The miss surfaces at the poll after that DST, so the
+/// DST itself contributes nothing.
+const DEADLINE_AT_DST: [Option<u32>; 11] = [
     None,
+    Some(0),
     Some(1),
     Some(2),
     Some(3),
@@ -65,54 +67,52 @@ const FUELS: [Option<u64>; 13] = [
     Some(8),
     Some(13),
     Some(21),
-    Some(34),
     Some(55),
     Some(89),
-    Some(500),
-    Some(5_000),
 ];
 
 /// FNV-1a over everything `simulate_paths_budgeted` reports for every
-/// graph × fuel: the results in order with their opportunities (`Debug`
-/// prints every `f64` in its shortest round-trip form, so this is
-/// bit-exact), the stop reason, the panic records and the fuel charged.
+/// graph × rung of the ladder: the results in order with their
+/// opportunities (`Debug` prints every `f64` in its shortest round-trip
+/// form, so this is bit-exact), the stop reason and the panic records.
 fn simulation_digest(graphs: &[Graph], max_path_len: usize) -> u64 {
     let model = CostModel::new();
     let mut h = Fnv64::new();
     for g in graphs {
-        for fuel in FUELS {
-            let budget = Budget::new(&GuardConfig {
-                fuel,
-                ..GuardConfig::default()
-            });
+        for nth in DEADLINE_AT_DST {
+            if let Some(nth) = nth {
+                arm(FaultPlan {
+                    site: "simulation/dst",
+                    kind: FaultKind::ExhaustDeadline,
+                    nth,
+                    seed: 0,
+                });
+            }
             let out = simulate_paths_budgeted(
                 g,
                 &model,
                 &mut AnalysisCache::new(),
                 max_path_len,
-                &budget,
+                &Budget::unlimited(),
                 BRANCH_SPLIT_DEFAULT,
             );
+            disarm();
             h.write_str(&format!(
-                "{:?}|{:?}|{:?}|{}",
-                out.results,
-                out.stopped,
-                out.panicked,
-                budget.fuel_used()
+                "{:?}|{:?}|{:?}",
+                out.results, out.stopped, out.panicked
             ));
         }
     }
     h.finish()
 }
 
-/// `(graph set, [digest at max_path_len 1, digest at max_path_len 2])`,
-/// computed at the parent of the commit that introduced this file.
+/// `(graph set, [digest at max_path_len 1, digest at max_path_len 2])`.
 const GOLDEN: [(&str, [u64; 2]); 5] = [
-    ("figure3", [0x539c84f0fe5d6b2b, 0x539c84f0fe5d6b2b]),
-    ("java-dacapo", [0x86bf0b8cee9502db, 0x08352e29fbaa890f]),
-    ("scala-dacapo", [0x13dc246a02c451bf, 0xfc4eceea37646a13]),
-    ("micro", [0xb26128f28082a2e3, 0x84630d8e08684a83]),
-    ("octane", [0xb4b67e892c65c453, 0xdef85aa6b95a8bf3]),
+    ("figure3", [0xf76da4cb5ddd3cae, 0xf76da4cb5ddd3cae]),
+    ("java-dacapo", [0x657d1c082eac1af8, 0x6a86ee90dc2a80ce]),
+    ("scala-dacapo", [0x7eaaf4a046678fd3, 0xaf44e8206eb67805]),
+    ("micro", [0x8e12f2ac37d0f83d, 0xf011dea132296294]),
+    ("octane", [0xf22a52dd5a21e0f8, 0x87a7d83a7d54c949]),
 ];
 
 #[test]
