@@ -15,6 +15,10 @@
 //! cargo run -p dbds-harness --bin figures --release -- --all
 //! ```
 //!
+//! [`experiments`] computes `EXPERIMENTS.json`, every deterministic
+//! table of EXPERIMENTS.md, and `tests/paper_shapes.rs` holds the
+//! committed file to it.
+//!
 //! # Examples
 //!
 //! ```
@@ -40,6 +44,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod ablation;
+mod experiments;
 mod lintaudit;
 mod metrics;
 mod report;
@@ -47,6 +52,7 @@ mod runner;
 mod stats;
 
 pub use ablation::{format_split_ablation, run_split_ablation, AblationRow, SplitAblation};
+pub use experiments::experiments;
 pub use lintaudit::{format_lint, format_lint_json, run_lint_audit, LintAudit};
 pub use metrics::{
     geomean_pct, measure, measure_from, pct_increase, pct_speedup, IcacheModel, Metrics,

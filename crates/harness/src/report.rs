@@ -295,7 +295,7 @@ pub fn format_backtracking(rows: &[BacktrackRow]) -> String {
     let mut ratios = Vec::new();
     for r in rows {
         let ratio = r.backtracking_ns as f64 / r.dbds_ns.max(1) as f64;
-        ratios.push((1.0 + ratio) * 100.0 - 100.0); // store as pct-like for geomean reuse
+        ratios.push((ratio - 1.0) * 100.0); // as a percent change, for `geomean_pct`
         let _ = writeln!(
             out,
             "{:<14} | {:>12.3} | {:>14.3} | {:>7.1}x | {:>4}/{:<5}",
@@ -456,5 +456,9 @@ mod tests {
         let text = format_backtracking(&rows);
         assert!(text.contains("10.0x"), "{text}");
         assert!(text.contains("demo"));
+        assert!(
+            text.contains("ratio: 10.0x"),
+            "the mean of one 10x row: {text}"
+        );
     }
 }

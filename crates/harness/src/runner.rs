@@ -43,6 +43,15 @@ impl BenchmarkRow {
         )
     }
 
+    /// The change of `metric` at `level` vs baseline, in percent.
+    pub fn pct(&self, level: OptLevel, metric: Metric) -> f64 {
+        match metric {
+            Metric::Peak => self.peak_pct(level),
+            Metric::CompileTime => self.compile_pct(level),
+            Metric::CodeSize => self.size_pct(level),
+        }
+    }
+
     /// The metrics of one suite configuration (panics for
     /// `Backtracking`, which never appears in suite rows).
     pub fn pick_metrics(&self, level: OptLevel) -> &Metrics {
@@ -108,15 +117,7 @@ impl SuiteResult {
 
     /// Geometric-mean percentage for a metric/configuration pair.
     pub fn geomean(&self, level: OptLevel, metric: Metric) -> f64 {
-        let pcts: Vec<f64> = self
-            .rows
-            .iter()
-            .map(|r| match metric {
-                Metric::Peak => r.peak_pct(level),
-                Metric::CompileTime => r.compile_pct(level),
-                Metric::CodeSize => r.size_pct(level),
-            })
-            .collect();
+        let pcts: Vec<f64> = self.rows.iter().map(|r| r.pct(level, metric)).collect();
         crate::metrics::geomean_pct(&pcts)
     }
 }
